@@ -20,9 +20,6 @@ fn required_fields(benchmark: &str) -> &'static [&'static str] {
             "text_cold_secs",
             "binary_cold_secs",
             "binary_speedup",
-            "owned_scan_cold_secs",
-            "mmap_scan_cold_secs",
-            "mmap_speedup",
         ],
         "throughput" => &["concurrent_secs"],
         "load" => &[

@@ -168,62 +168,6 @@ fn main() {
     );
     let binary_speedup = text_cold_secs / binary_cold_secs;
 
-    // Owned-vs-mmap cold-scan ablation, measured at the scan layer
-    // itself: every sweep re-opens every binary partition with the
-    // cache cleared, so each open pays the full block-decode path — the
-    // owned run copies and finite-validates the coordinate columns out
-    // of the block bytes every time, the mmap run reinterprets the
-    // spilled mapping in place. One untimed mmap pass first creates and
-    // validates the spill files, so both timed sweeps measure the
-    // steady state of repeat cold scans — the case the block cache
-    // cannot help with after churn, and the one `SET mmap on` targets.
-    // The ablation gets its own index with scan-sized partitions
-    // (512 KiB blocks, ~25k records each): at the default experiment
-    // block size the fixed per-open cost (DFS read, partition
-    // bookkeeping) swamps the decode this ablation isolates.
-    let sdfs = fresh_dfs(512 * 1024);
-    upload(&sdfs, "/hp/points", &pts).expect("upload scan points");
-    let sbfile = build_index_fmt::<Point>(
-        &sdfs,
-        "/hp/points",
-        "/hp/spoints",
-        PartitionKind::StrPlus,
-        BlockFormat::Binary,
-    )
-    .expect("scan index")
-    .value;
-    const SCAN_REPS: usize = 5;
-    let scan_sweep = || -> (f64, Vec<(usize, usize)>) {
-        let mut hits: Vec<(usize, usize)> = Vec::new();
-        let t0 = Instant::now();
-        for _ in 0..SCAN_REPS {
-            for q in &queries {
-                sdfs.cache().clear();
-                for part in &sbfile.partitions {
-                    let data = sdfs.read_bytes(&part.path).expect("read partition");
-                    let p = sh_core::mrlayer::SpatialRecordReader::open_scan::<Point>(
-                        &sdfs, &part.path, &data,
-                    );
-                    hits.extend(p.scan_filter(q).into_iter().map(|i| (part.id, i)));
-                }
-            }
-        }
-        (t0.elapsed().as_secs_f64(), hits)
-    };
-    sdfs.update_ft_options(|ft| ft.mmap_scans = true);
-    let _ = scan_sweep(); // untimed: spill files created + validated
-    sdfs.update_ft_options(|ft| ft.mmap_scans = false);
-    let (owned_scan_cold_secs, owned_scan_hits) = scan_sweep();
-    sdfs.update_ft_options(|ft| ft.mmap_scans = true);
-    let (mmap_scan_cold_secs, mmap_scan_hits) = scan_sweep();
-    sdfs.update_ft_options(|ft| ft.mmap_scans = false);
-    assert!(!owned_scan_hits.is_empty(), "scan ablation found no hits");
-    assert_eq!(
-        owned_scan_hits, mmap_scan_hits,
-        "mmap scan returned different hits than the owned scan"
-    );
-    let mmap_speedup = owned_scan_cold_secs / mmap_scan_cold_secs;
-
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"benchmark\": \"hotpath\",\n");
@@ -238,13 +182,6 @@ fn main() {
     json.push_str(&format!("  \"text_cold_secs\": {text_cold_secs:.6},\n"));
     json.push_str(&format!("  \"binary_cold_secs\": {binary_cold_secs:.6},\n"));
     json.push_str(&format!("  \"binary_speedup\": {binary_speedup:.2},\n"));
-    json.push_str(&format!(
-        "  \"owned_scan_cold_secs\": {owned_scan_cold_secs:.6},\n"
-    ));
-    json.push_str(&format!(
-        "  \"mmap_scan_cold_secs\": {mmap_scan_cold_secs:.6},\n"
-    ));
-    json.push_str(&format!("  \"mmap_speedup\": {mmap_speedup:.2},\n"));
     json.push_str(&format!(
         "  \"cache\": {{\"budget_bytes\": {}, \"resident_bytes\": {}, \"resident_entries\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}}},\n",
         dfs.cache().budget(),
@@ -277,10 +214,6 @@ fn main() {
          binary {binary_speedup:.2}x faster"
     );
     println!(
-        "scan: owned {owned_scan_cold_secs:.3}s, mmap {mmap_scan_cold_secs:.3}s, \
-         mmap {mmap_speedup:.2}x faster"
-    );
-    println!(
         "cache: {} hits / {} misses / {} evictions, {} entries, {} KiB resident",
         stats.hits,
         stats.misses,
@@ -296,10 +229,6 @@ fn main() {
     }
     if binary_speedup < 1.5 {
         eprintln!("FAIL: binary cold scan not >=1.5x faster than text ({binary_speedup:.2}x)");
-        std::process::exit(1);
-    }
-    if mmap_speedup < 1.3 {
-        eprintln!("FAIL: mmap cold scan not >=1.3x faster than owned ({mmap_speedup:.2}x)");
         std::process::exit(1);
     }
 }

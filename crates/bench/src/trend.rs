@@ -6,10 +6,10 @@
 //! `BENCH_trend.json`, and compares the new run against the previous
 //! one. Tracking is direction-aware: latency metrics regress when they
 //! *grow* past the tolerated ratio (default [`DEFAULT_MAX_RATIO`], i.e.
-//! +20%); speedup-style metrics (`*_speedup`, e.g. `binary_speedup` and
-//! `mmap_speedup` from the format/scan ablations) regress when they
-//! *shrink* by the same ratio. Either way CI fails. All the logic lives
-//! here so the gate itself is unit-testable without running a benchmark.
+//! +20%); speedup-style metrics (`*_speedup`, e.g. `binary_speedup` from
+//! the format ablation) regress when they *shrink* by the same ratio.
+//! Either way CI fails. All the logic lives here so the gate itself is
+//! unit-testable without running a benchmark.
 
 use sh_trace::json::{self, Value};
 
@@ -69,13 +69,12 @@ impl Regression {
 
 /// The metrics the gate watches per benchmark. `warm_secs_mean`,
 /// `concurrent_secs`, and the server load test's `p99_ms` tail latency
-/// are lower-is-better; the two speedup
-/// ratios guard the storage-format and scan-path wins so a format
-/// regression (binary decode or mmap zero-copy getting slower relative
-/// to its baseline) fails CI even when absolute times drift.
+/// are lower-is-better; the speedup ratio guards the storage-format win
+/// so a format regression (binary decode getting slower relative to its
+/// text baseline) fails CI even when absolute times drift.
 pub fn tracked_metrics(benchmark: &str) -> &'static [&'static str] {
     match benchmark {
-        "hotpath" => &["warm_secs_mean", "binary_speedup", "mmap_speedup"],
+        "hotpath" => &["warm_secs_mean", "binary_speedup"],
         "throughput" => &["concurrent_secs"],
         "load" => &["p99_ms"],
         _ => &[],
@@ -285,7 +284,7 @@ mod tests {
     fn extracts_tracked_metrics_from_bench_artifacts() {
         let hotpath = json::parse(
             r#"{"benchmark": "hotpath", "cold_secs": 4.0, "warm_secs_mean": 0.91,
-                "binary_speedup": 2.1, "mmap_speedup": 1.6}"#,
+                "binary_speedup": 2.1}"#,
         )
         .unwrap();
         assert_eq!(
@@ -293,7 +292,6 @@ mod tests {
             vec![
                 entry("hotpath", "warm_secs_mean", 0.91),
                 entry("hotpath", "binary_speedup", 2.1),
-                entry("hotpath", "mmap_speedup", 1.6),
             ]
         );
 
@@ -311,22 +309,21 @@ mod tests {
     #[test]
     fn speedup_metrics_gate_on_shrinkage_not_growth() {
         assert!(higher_is_better("binary_speedup"));
-        assert!(higher_is_better("mmap_speedup"));
         assert!(!higher_is_better("warm_secs_mean"));
         assert!(!higher_is_better("concurrent_secs"));
 
-        // mmap_speedup fell from 2.0x to 1.5x (-25%): regression.
-        let previous = vec![entry("hotpath", "mmap_speedup", 2.0)];
-        let current = vec![entry("hotpath", "mmap_speedup", 1.5)];
+        // binary_speedup fell from 2.0x to 1.5x (-25%): regression.
+        let previous = vec![entry("hotpath", "binary_speedup", 2.0)];
+        let current = vec![entry("hotpath", "binary_speedup", 1.5)];
         let regs = find_regressions(&previous, &current, DEFAULT_MAX_RATIO);
         assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].metric, "mmap_speedup");
+        assert_eq!(regs[0].metric, "binary_speedup");
         assert!(regs[0].render().contains("-25.0%"));
 
         // Growing or mildly dipping speedups pass.
-        let current = vec![entry("hotpath", "mmap_speedup", 2.5)];
+        let current = vec![entry("hotpath", "binary_speedup", 2.5)];
         assert!(find_regressions(&previous, &current, DEFAULT_MAX_RATIO).is_empty());
-        let current = vec![entry("hotpath", "mmap_speedup", 1.8)];
+        let current = vec![entry("hotpath", "binary_speedup", 1.8)];
         assert!(find_regressions(&previous, &current, DEFAULT_MAX_RATIO).is_empty());
     }
 

@@ -4,7 +4,7 @@
 //! small versioned header followed by columnar `f64` coordinate arrays
 //! (`x y` for points, `x1 y1 x2 y2` for rects). Scans iterate the column
 //! arrays directly — no per-record parse, no per-record branch — and the
-//! block cache shares the decoded columns behind [`ColSlice`] handles, so
+//! block cache shares the decoded columns behind `Arc<[f64]>` handles, so
 //! warm reads hand out views instead of re-parsed `Vec<Record>`s.
 //!
 //! Layout (all integers little-endian):
@@ -27,17 +27,8 @@
 //! [`OpError::Corrupt`]; readers treat that exactly like a stale text
 //! sidecar and fall back.
 //!
-//! Two decode paths share that validation:
-//!
-//! * [`decode`] copies each column into an owned `Arc<[f64]>` — always
-//!   available, endianness-independent.
-//! * [`decode_mapped`] reinterprets the columns of an mmap-backed buffer
-//!   in place (`&[f64]` views into the mapping) — zero-copy, used when
-//!   the DFS spill store hands out a mapping. It is gated on a
-//!   little-endian target and 8-byte alignment of every column (the
-//!   header makes offsets multiples of 8 and mappings are page-aligned,
-//!   so the check only fails on exotic platforms or the owned-fallback
-//!   mapping); any gate failure falls back to [`decode`].
+//! [`decode`] copies each column into an owned `Arc<[f64]>`, independent
+//! of the target's endianness and of the input buffer's alignment.
 //!
 //! The MBR filter is a chunked, branch-light kernel: fixed-width lanes
 //! are compared with non-short-circuiting `&` into a selection bitmask
@@ -45,10 +36,8 @@
 //! `explicit-simd` feature), and match indices are extracted from the
 //! mask — no per-hit `Vec` push inside the comparison loop.
 
-use std::ops::Deref;
 use std::sync::Arc;
 
-use memmap2::Mmap;
 use sh_geom::{Record, Rect};
 
 use crate::opresult::OpError;
@@ -73,51 +62,6 @@ pub fn is_binary(data: &[u8]) -> bool {
     data.len() >= 4 && data[..4] == MAGIC
 }
 
-/// One coordinate column: either an owned copy of the data or a zero-copy
-/// view into an mmap-backed buffer. Both deref to `&[f64]`; cloning bumps
-/// a refcount, never copies coordinates.
-#[derive(Clone, Debug)]
-pub enum ColSlice {
-    /// Owned column (the classic decode path).
-    Owned(Arc<[f64]>),
-    /// View into a shared mapping. Invariants (upheld by
-    /// [`decode_mapped`]): `off` is 8-byte aligned relative to the
-    /// mapping base, `off + 8*len <= map.len()`, and the target is
-    /// little-endian so the raw bytes *are* the `f64` values.
-    Mapped {
-        /// The mapping; holding it keeps the pages alive.
-        map: Arc<Mmap>,
-        /// Byte offset of the column within the mapping.
-        off: usize,
-        /// Number of `f64` elements.
-        len: usize,
-    },
-}
-
-impl Deref for ColSlice {
-    type Target = [f64];
-
-    #[inline]
-    fn deref(&self) -> &[f64] {
-        match self {
-            ColSlice::Owned(a) => a,
-            ColSlice::Mapped { map, off, len } => {
-                // Sound per the variant invariants: in-bounds, 8-aligned,
-                // read-only, and the Arc keeps the mapping alive for the
-                // lifetime of this borrow.
-                unsafe { std::slice::from_raw_parts(map.as_ptr().add(*off) as *const f64, *len) }
-            }
-        }
-    }
-}
-
-impl ColSlice {
-    /// True when this column borrows an mmap-backed buffer.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, ColSlice::Mapped { .. })
-    }
-}
-
 /// A decoded columnar block: record kind plus shared coordinate columns.
 #[derive(Clone, Debug)]
 pub struct ColumnarBlock {
@@ -125,8 +69,9 @@ pub struct ColumnarBlock {
     pub kind: u8,
     /// Records in the block.
     pub count: usize,
-    /// Coordinate columns, each of length `count`.
-    pub cols: Vec<ColSlice>,
+    /// Coordinate columns, each of length `count`; cloning bumps a
+    /// refcount, never copies coordinates.
+    pub cols: Vec<Arc<[f64]>>,
 }
 
 fn corrupt(msg: impl Into<String>) -> OpError {
@@ -170,7 +115,7 @@ fn read_u64(data: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(data[at..at + 8].try_into().unwrap())
 }
 
-/// Validated header facts shared by both decode paths.
+/// Validated header facts.
 struct Header {
     kind: u8,
     ncols: usize,
@@ -249,68 +194,20 @@ pub fn decode(data: &[u8]) -> Result<ColumnarBlock, OpError> {
     let h = parse_header(data)?;
     let mut cols = Vec::with_capacity(h.ncols);
     for (c, &off) in h.col_offsets.iter().enumerate() {
-        let mut col = Vec::with_capacity(h.count);
-        for i in 0..h.count {
-            let v = f64::from_le_bytes(data[off + 8 * i..off + 8 * i + 8].try_into().unwrap());
-            if !v.is_finite() {
-                return Err(corrupt(format!("non-finite value in column {c} row {i}")));
-            }
-            col.push(v);
+        let col: Arc<[f64]> = data[off..off + 8 * h.count]
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        if let Some(i) = col.iter().position(|v| !v.is_finite()) {
+            return Err(corrupt(format!("non-finite value in column {c} row {i}")));
         }
-        cols.push(ColSlice::Owned(Arc::from(col.into_boxed_slice())));
+        cols.push(col);
     }
     Ok(ColumnarBlock {
         kind: h.kind,
         count: h.count,
         cols,
     })
-}
-
-/// Decodes a columnar block *in place* over an mmap-backed buffer: the
-/// coordinate columns become `&[f64]` views into the mapping, no copy.
-///
-/// Gates — all must hold, else this silently falls back to the owned
-/// [`decode`] of the mapped bytes (identical result, one copy):
-///
-/// * little-endian target (the raw bytes are the values);
-/// * every column 8-byte aligned in memory (mapping base + offset).
-///
-/// Header validation runs unconditionally. Coordinate finiteness is
-/// checked when `validate` is true; pass false only when a previous
-/// validation of these exact bytes already passed (the spill store's
-/// `validated` flag) — that is what lets repeat cold scans start at
-/// memory speed.
-pub fn decode_mapped(map: Arc<Mmap>, validate: bool) -> Result<ColumnarBlock, OpError> {
-    let h = parse_header(&map)?;
-    let base = map.as_ptr() as usize;
-    let aligned = h
-        .col_offsets
-        .iter()
-        .all(|&off| (base + off).is_multiple_of(8));
-    if !cfg!(target_endian = "little") || !aligned {
-        return decode(&map);
-    }
-    let mut cols = Vec::with_capacity(h.ncols);
-    for &off in &h.col_offsets {
-        cols.push(ColSlice::Mapped {
-            map: Arc::clone(&map),
-            off,
-            len: h.count,
-        });
-    }
-    let block = ColumnarBlock {
-        kind: h.kind,
-        count: h.count,
-        cols,
-    };
-    if validate {
-        for (c, col) in block.cols.iter().enumerate() {
-            if let Some(i) = col.iter().position(|v| !v.is_finite()) {
-                return Err(corrupt(format!("non-finite value in column {c} row {i}")));
-            }
-        }
-    }
-    Ok(block)
 }
 
 impl ColumnarBlock {
@@ -337,12 +234,6 @@ impl ColumnarBlock {
     pub fn record<R: Record>(&self, i: usize) -> R {
         let views: Vec<&[f64]> = self.cols.iter().map(|c| &c[..]).collect();
         R::from_cols(&views, i)
-    }
-
-    /// True when any column is a zero-copy view into an mmap-backed
-    /// buffer (introspection for tests and cache accounting).
-    pub fn is_mapped(&self) -> bool {
-        self.cols.iter().any(ColSlice::is_mapped)
     }
 
     /// Indices of every record whose MBR intersects `q` — the hot inner
@@ -428,12 +319,19 @@ impl ColumnarBlock {
     fn mbr_filter_range_sse2(&self, q: &Rect, start: usize, end: usize) -> Vec<usize> {
         use std::arch::x86_64::*;
         let mut hits = Vec::new();
+        // SAFETY: SSE2 is part of the x86_64 baseline, so the intrinsics
+        // are always available. Every `_mm_loadu_pd(col.as_ptr().add(i))`
+        // reads the two `f64`s at `i` and `i + 1` (unaligned loads, so no
+        // alignment is required); the loops run only while `i + 2 <= n`,
+        // and every column slice below is cut with the same bounds-checked
+        // `[start..end]`, so each has exactly `n` elements (asserted).
         unsafe {
             match self.kind {
                 0 => {
                     let xs = &self.cols[0][start..end];
                     let ys = &self.cols[1][start..end];
                     let n = xs.len();
+                    debug_assert!(ys.len() == n);
                     let (qx1, qx2) = (_mm_set1_pd(q.x1), _mm_set1_pd(q.x2));
                     let (qy1, qy2) = (_mm_set1_pd(q.y1), _mm_set1_pd(q.y2));
                     let mut i = 0;
@@ -459,6 +357,7 @@ impl ColumnarBlock {
                     let x2 = &self.cols[2][start..end];
                     let y2 = &self.cols[3][start..end];
                     let n = x1.len();
+                    debug_assert!(y1.len() == n && x2.len() == n && y2.len() == n);
                     let (qx1, qx2) = (_mm_set1_pd(q.x1), _mm_set1_pd(q.x2));
                     let (qy1, qy2) = (_mm_set1_pd(q.y1), _mm_set1_pd(q.y2));
                     let mut i = 0;
@@ -525,18 +424,9 @@ impl ColumnarBlock {
         (start..end).map(|i| R::from_cols(&views, i)).collect()
     }
 
-    /// Resident size in bytes (cache accounting). Mapped columns charge
-    /// only their handle metadata — the pages belong to the mapping, not
-    /// the cache budget.
+    /// Resident size in bytes (cache accounting).
     pub fn resident_bytes(&self) -> usize {
-        self.cols
-            .iter()
-            .map(|c| match c {
-                ColSlice::Owned(col) => col.len() * 8,
-                ColSlice::Mapped { .. } => 32,
-            })
-            .sum::<usize>()
-            + 64
+        self.cols.iter().map(|c| c.len() * 8).sum::<usize>() + 64
     }
 }
 
@@ -570,18 +460,6 @@ mod tests {
                 Rect::new(x, y, x + 2.0, y + 1.0)
             })
             .collect()
-    }
-
-    fn mapped(blob: &[u8]) -> Arc<Mmap> {
-        let path = std::env::temp_dir().join(format!(
-            "shcb-test-{}-{:p}",
-            std::process::id(),
-            blob.as_ptr()
-        ));
-        std::fs::write(&path, blob).unwrap();
-        let map = unsafe { Mmap::map(&std::fs::File::open(&path).unwrap()).unwrap() };
-        std::fs::remove_file(&path).unwrap();
-        Arc::new(map)
     }
 
     #[test]
@@ -661,54 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn mapped_decode_equals_owned_decode() {
-        for blob in [
-            encode(&pts(321)).unwrap(),
-            encode(&rects(123)).unwrap(),
-            encode::<Point>(&[]).unwrap(),
-        ] {
-            let owned = decode(&blob).unwrap();
-            let mapped_block = decode_mapped(mapped(&blob), true).unwrap();
-            assert_eq!(owned.kind, mapped_block.kind);
-            assert_eq!(owned.count, mapped_block.count);
-            for (a, b) in owned.cols.iter().zip(&mapped_block.cols) {
-                assert_eq!(&a[..], &b[..]);
-            }
-            let q = Rect::new(3.0, 2.0, 60.0, 40.0);
-            assert_eq!(owned.mbr_filter(&q), mapped_block.mbr_filter(&q));
-        }
-    }
-
-    #[test]
-    fn mapped_decode_validates_and_rejects_non_finite() {
-        let mut blob = encode(&pts(10)).unwrap();
-        let hlen = header_len(2);
-        blob[hlen..hlen + 8].copy_from_slice(&f64::NAN.to_le_bytes());
-        assert!(matches!(
-            decode_mapped(mapped(&blob), true),
-            Err(OpError::Corrupt(_))
-        ));
-        // validate=false trusts a prior validation of these exact bytes
-        // (the spill store's `validated` flag) and skips the pass.
-        assert!(decode_mapped(mapped(&blob), false).is_ok());
-    }
-
-    #[test]
-    fn mapped_decode_rejects_corrupt_headers() {
-        let blob = encode(&pts(10)).unwrap();
-        let mut bad = blob.clone();
-        bad[4] = 0x7f;
-        assert!(matches!(
-            decode_mapped(mapped(&bad), false),
-            Err(OpError::Corrupt(_))
-        ));
-        assert!(matches!(
-            decode_mapped(mapped(&blob[..blob.len() - 3]), false),
-            Err(OpError::Corrupt(_))
-        ));
-    }
-
-    #[test]
     fn corrupt_blocks_are_errors_not_panics() {
         let blob = encode(&pts(10)).unwrap();
 
@@ -765,13 +595,8 @@ mod tests {
     }
 
     #[test]
-    fn mapped_blocks_charge_only_metadata() {
-        let blob = encode(&pts(10_000)).unwrap();
-        let owned = decode(&blob).unwrap();
-        let mapped_block = decode_mapped(mapped(&blob), true).unwrap();
-        assert!(mapped_block.is_mapped());
-        assert!(!owned.is_mapped());
-        assert!(owned.resident_bytes() > 10_000 * 8);
-        assert!(mapped_block.resident_bytes() < 256);
+    fn resident_bytes_charges_the_columns() {
+        let block = decode(&encode(&pts(10_000)).unwrap()).unwrap();
+        assert!(block.resident_bytes() > 10_000 * 2 * 8);
     }
 }

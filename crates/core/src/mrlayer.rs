@@ -95,21 +95,13 @@ impl SpatialRecordReader {
             .collect()
     }
 
-    /// Parses records and bulk-loads the local index over their MBRs.
-    pub fn with_index<R: Record>(data: &str) -> (Vec<R>, LocalRTree) {
-        let records = Self::records::<R>(data);
-        let tree = LocalRTree::build(records.iter().map(|r| r.mbr()).collect());
-        (records, tree)
-    }
-
-    /// Opens a partition for index-assisted processing through the
-    /// per-node cache: a hit returns the parsed records + local tree
-    /// without touching the text; a miss parses `data`, loads the
-    /// persisted `_lidx-NNNNN` sidecar when one exists (falling back to
-    /// an STR bulk-load for heap files or missing/corrupt sidecars), and
-    /// caches the result keyed by `path`. Returns the shared partition
-    /// and whether it was a cache hit.
-    pub fn open_indexed<R: Record>(
+    /// The text half of [`SpatialRecordReader::open_indexed_bytes`]: a
+    /// cache hit returns the parsed records + local tree without touching
+    /// the text; a miss parses `data`, loads the persisted `_lidx-NNNNN`
+    /// sidecar when one exists (falling back to an STR bulk-load for heap
+    /// files or missing/corrupt sidecars), and caches the result keyed by
+    /// `path`. Returns the shared partition and whether it was a cache hit.
+    fn open_indexed<R: Record>(
         dfs: &Dfs,
         path: &str,
         data: &str,
@@ -160,11 +152,12 @@ impl SpatialRecordReader {
         }
     }
 
-    /// Format-sniffing, cache-backed partition open: the binary-capable
-    /// superset of [`SpatialRecordReader::open_indexed`]. Binary blocks
-    /// decode into shared coordinate columns (warm reads are zero-copy);
-    /// text partitions take the existing parse path. Returns the
-    /// partition and whether the cache was hit.
+    /// Opens a partition for index-assisted processing through the
+    /// per-node cache, sniffing the format: binary blocks decode into
+    /// shared coordinate columns (warm reads hand out the same `Arc`s),
+    /// text partitions are parsed into records. Either way the local
+    /// R-tree comes from the partition's sidecar or an STR bulk-load.
+    /// Returns the partition and whether the cache was hit.
     pub fn open_indexed_bytes<R: Record>(
         dfs: &Dfs,
         path: &str,
@@ -182,7 +175,7 @@ impl SpatialRecordReader {
             }
         }
         let epoch = dfs.cache().epoch();
-        let block = decode_binary(dfs, path, data)?;
+        let block = colblock::decode(data)?;
         let tree = load_sidecar(dfs, path, block.count)
             .unwrap_or_else(|| LocalRTree::build((0..block.count).map(|i| block.mbr(i)).collect()));
         let bytes = (block.resident_bytes() + tree.len() * 32) as u64;
@@ -246,12 +239,10 @@ impl SpatialRecordReader {
 
     /// Opens a partition for a one-shot linear scan: no cache, no tree —
     /// the ablation path. Binary blocks keep their columnar layout so
-    /// [`Partition::scan_filter`] still runs the zero-copy loop, and
-    /// with `SET mmap on` they decode in place over the DFS spill
-    /// mapping instead of copying columns out of `data`.
-    pub fn open_scan<R: Record>(dfs: &Dfs, split_path: &str, data: &[u8]) -> Partition<R> {
+    /// [`Partition::scan_filter`] still runs the column loop.
+    pub fn open_scan<R: Record>(split_path: &str, data: &[u8]) -> Partition<R> {
         if colblock::is_binary(data) {
-            match decode_binary(dfs, split_path, data) {
+            match colblock::decode(data) {
                 Ok(block) => Partition::Binary(Arc::new(BinaryPartition {
                     tree: LocalRTree::build(Vec::new()),
                     block,
@@ -263,25 +254,6 @@ impl SpatialRecordReader {
             Partition::Text(Arc::new((records, LocalRTree::build(Vec::new()))))
         }
     }
-}
-
-/// Decodes an `SHCB` partition, preferring the zero-copy path: when the
-/// DFS hands out an mmap-backed spill of the file (gated by the
-/// `mmap_scans` knob), the columns are reinterpreted in place; the
-/// coordinate-finiteness pass runs only the first time a given spill is
-/// seen and is skipped on later scans of the same generation. Any
-/// mapping, alignment, or endianness failure falls back to the owned
-/// decode of `data` — byte-identical results either way, and corrupt
-/// input is the same [`OpError::Corrupt`] on both paths.
-fn decode_binary(dfs: &Dfs, path: &str, data: &[u8]) -> Result<ColumnarBlock, OpError> {
-    if let Some(spill) = dfs.map_file_bytes(path, data) {
-        let block = colblock::decode_mapped(spill.map, !spill.validated)?;
-        if !spill.validated {
-            dfs.mark_spill_validated(path);
-        }
-        return Ok(block);
-    }
-    colblock::decode(data)
 }
 
 /// Loads the persisted `_lidx` sidecar of `part_path`, sniffing binary
@@ -463,7 +435,7 @@ pub fn owns_pair(cell: &Rect, universe: &Rect, a: &Rect, b: &Rect) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sh_dfs::ClusterConfig;
+    use sh_dfs::{ClusterConfig, CorruptKind};
     use sh_geom::Point;
     use sh_index::{PartitionKind, PartitionMeta};
 
@@ -512,16 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn record_reader_roundtrip_with_index() {
-        let data = "1 2\n3 4\n5 6\n";
-        let (records, tree) = SpatialRecordReader::with_index::<Point>(data);
-        assert_eq!(records.len(), 3);
-        assert_eq!(tree.len(), 3);
-        let hits = tree.query(&Rect::new(2.0, 3.0, 4.0, 5.0));
-        assert_eq!(hits, vec![1]);
-    }
-
-    #[test]
     fn local_index_path_derivation() {
         assert_eq!(
             local_index_path("/idx/part-00005").as_deref(),
@@ -536,27 +498,32 @@ mod tests {
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
         dfs.write_string("/idx/part-00000", "1 2\n3 4\n5 6\n")
             .unwrap();
-        let data = dfs.read_to_string("/idx/part-00000").unwrap();
+        let data = dfs.read_bytes("/idx/part-00000").unwrap();
+        let open = |data: &[u8]| {
+            SpatialRecordReader::open_indexed_bytes::<Point>(&dfs, "/idx/part-00000", data).unwrap()
+        };
 
-        let (part, hit) =
-            SpatialRecordReader::open_indexed::<Point>(&dfs, "/idx/part-00000", &data);
+        let (part, hit) = open(&data);
         assert!(!hit, "first open is a miss");
-        assert_eq!(part.0.len(), 3);
-        assert_eq!(part.1.query(&Rect::new(2.0, 3.0, 4.0, 5.0)), vec![1]);
+        assert_eq!(part.len(), 3);
+        assert_eq!(part.tree().query(&Rect::new(2.0, 3.0, 4.0, 5.0)), vec![1]);
 
-        let (again, hit) =
-            SpatialRecordReader::open_indexed::<Point>(&dfs, "/idx/part-00000", &data);
+        let (again, hit) = open(&data);
         assert!(hit, "second open is a hit");
-        assert!(Arc::ptr_eq(&part, &again), "hit returns the shared value");
+        match (&part, &again) {
+            (Partition::Text(a), Partition::Text(b)) => {
+                assert!(Arc::ptr_eq(a, b), "hit returns the shared value")
+            }
+            _ => panic!("text partitions expected"),
+        }
 
         // Overwrite: delete + create must drop the entry.
         dfs.delete("/idx/part-00000");
         dfs.write_string("/idx/part-00000", "7 8\n").unwrap();
-        let fresh = dfs.read_to_string("/idx/part-00000").unwrap();
-        let (part2, hit) =
-            SpatialRecordReader::open_indexed::<Point>(&dfs, "/idx/part-00000", &fresh);
+        let fresh = dfs.read_bytes("/idx/part-00000").unwrap();
+        let (part2, hit) = open(&fresh);
         assert!(!hit, "overwrite invalidates");
-        assert_eq!(part2.0.len(), 1);
+        assert_eq!(part2.len(), 1);
     }
 
     #[test]
@@ -569,17 +536,20 @@ mod tests {
         ]);
         dfs.write_string("/idx/_lidx-00001", &tree.to_text())
             .unwrap();
-        let data = dfs.read_to_string("/idx/part-00001").unwrap();
-        let (part, _) = SpatialRecordReader::open_indexed::<Point>(&dfs, "/idx/part-00001", &data);
-        assert_eq!(part.1.query(&Rect::new(0.0, 0.0, 5.0, 5.0)), vec![0]);
+        let open = || {
+            let data = dfs.read_bytes("/idx/part-00001").unwrap();
+            let (part, _) =
+                SpatialRecordReader::open_indexed_bytes::<Point>(&dfs, "/idx/part-00001", &data)
+                    .unwrap();
+            part
+        };
+        assert_eq!(open().tree().query(&Rect::new(0.0, 0.0, 5.0, 5.0)), vec![0]);
 
         // A stale sidecar (wrong cardinality) falls back to a rebuild.
         dfs.delete("/idx/part-00001");
         dfs.write_string("/idx/part-00001", "1 1\n9 9\n5 5\n")
             .unwrap();
-        let data = dfs.read_to_string("/idx/part-00001").unwrap();
-        let (part, _) = SpatialRecordReader::open_indexed::<Point>(&dfs, "/idx/part-00001", &data);
-        assert_eq!(part.1.len(), 3, "stale sidecar ignored");
+        assert_eq!(open().tree().len(), 3, "stale sidecar ignored");
     }
 
     fn write_bytes(dfs: &Dfs, path: &str, data: &[u8]) {
@@ -639,6 +609,32 @@ mod tests {
             ),
             Err(OpError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn read_repair_drops_the_cached_partition() {
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        let pts = vec![Point::new(1.0, 2.0), Point::new(3.0, 4.0)];
+        write_bytes(&dfs, "/idx/part-00000", &colblock::encode(&pts).unwrap());
+        let open = |data: &[u8]| {
+            SpatialRecordReader::open_indexed_bytes::<Point>(&dfs, "/idx/part-00000", data).unwrap()
+        };
+        let data = dfs.read_bytes("/idx/part-00000").unwrap();
+        assert!(!open(&data).1, "first open is a miss");
+
+        dfs.corrupt_replica("/idx/part-00000", 0, CorruptKind::Flip);
+        // Silent corruption is silent: the entry is still served.
+        assert!(open(&data).1);
+
+        // Reading through the rotten replica repairs it, which must drop
+        // the path's cache entry: the next open decodes the repaired bytes.
+        let info = dfs.block_locations("/idx/part-00000").unwrap()[0].clone();
+        let (repaired, _) = dfs.read_block(info.id, info.replicas[0]).unwrap();
+        assert_eq!(&repaired[..], &data[..], "repair serves the written bytes");
+        let (part, hit) = open(&repaired);
+        assert!(!hit, "read-repair invalidates the path");
+        assert_eq!(part.record(1), pts[1]);
+        assert!(open(&repaired).1, "and the fresh decode is cached again");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   every triangle whose circumcircle lies inside the partition cell* —
 //!   no site outside the cell can ever invalidate it (the empty-
 //!   circumcircle property is witnessed entirely inside the cell).
-//!   Non-final sites (Voronoi-unsafe) plus their one-ring travel to a
+//!   Non-final sites (not Voronoi-safe) plus their one-ring travel to a
 //!   driver merge that recomputes only the boundary strip and emits the
 //!   remaining triangles, skipping exactly those the map side already
 //!   flushed. The result is cell-for-cell identical to a single-machine
@@ -96,7 +96,7 @@ impl Mapper for LocalDtMapper {
                 ctx.counter("delaunay.flushed.local", 1);
             }
         }
-        // Forward boundary sites (Voronoi-unsafe) + one-ring witnesses.
+        // Forward boundary sites (not Voronoi-safe) + one-ring witnesses.
         let vd = VoronoiDiagram::from_triangulation(&tri);
         let rings = tri.neighbor_rings();
         let mut pending = vec![false; sites.len()];

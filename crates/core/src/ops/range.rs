@@ -80,9 +80,9 @@ impl<R: Record> Mapper for IndexedMapper<R> {
             (part, hits)
         } else {
             // Ablation: linear scan of the partition, no cache. Binary
-            // blocks scan their coordinate columns directly (mmap-backed
-            // when `SET mmap on`), spread across any idle worker slots.
-            let part = SpatialRecordReader::open_scan::<R>(&self.dfs, &split.path, data);
+            // blocks scan their coordinate columns directly, spread
+            // across any idle worker slots.
+            let part = SpatialRecordReader::open_scan::<R>(&split.path, data);
             let (hits, extra) = part.scan_filter_par(&self.dfs, &self.query);
             if extra > 0 {
                 let par = ctx.register_counter("scan.parallel.extra_slots");

@@ -161,7 +161,6 @@ impl ClusterConfig {
             retry_backoff_ms: self.retry_backoff_ms,
             speculative_execution: self.speculative_execution,
             speculation_threshold_ms: self.speculation_threshold_ms,
-            mmap_scans: false,
             fault_plan: self.fault_plan.clone(),
         }
     }

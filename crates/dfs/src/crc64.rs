@@ -34,47 +34,13 @@ const fn build_table() -> [u64; 256] {
 
 static TABLE: [u64; 256] = build_table();
 
-/// Streaming CRC-64/XZ state. Blocks of one file are checksummed
-/// independently *and* folded into a whole-file digest (the spill path
-/// verifies concatenations), so the state must be resumable.
-#[derive(Clone, Copy, Debug)]
-pub struct Crc64 {
-    state: u64,
-}
-
-impl Default for Crc64 {
-    fn default() -> Crc64 {
-        Crc64 { state: !0 }
-    }
-}
-
-impl Crc64 {
-    /// Fresh digest.
-    pub fn new() -> Crc64 {
-        Crc64::default()
-    }
-
-    /// Folds `data` into the digest.
-    pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        for &b in data {
-            crc = TABLE[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        self.state = crc;
-    }
-
-    /// The finalized checksum; the state stays usable for further
-    /// [`Crc64::update`] calls.
-    pub fn finish(&self) -> u64 {
-        !self.state
-    }
-}
-
-/// One-shot checksum of a byte slice.
+/// CRC-64/XZ checksum of a byte slice.
 pub fn crc64(data: &[u8]) -> u64 {
-    let mut c = Crc64::new();
-    c.update(data);
-    c.finish()
+    let mut crc = !0u64;
+    for &b in data {
+        crc = TABLE[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    !crc
 }
 
 #[cfg(test)]
@@ -86,15 +52,6 @@ mod tests {
         // The standard CRC-64/XZ check vector.
         assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
         assert_eq!(crc64(b""), 0);
-    }
-
-    #[test]
-    fn streaming_matches_one_shot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        let mut c = Crc64::new();
-        c.update(&data[..10]);
-        c.update(&data[10..]);
-        assert_eq!(c.finish(), crc64(data));
     }
 
     #[test]

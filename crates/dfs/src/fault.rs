@@ -266,11 +266,6 @@ pub struct FtOptions {
     /// A running task becomes a speculation candidate once it has been
     /// in flight this long and the task queue is empty.
     pub speculation_threshold_ms: u64,
-    /// Serve binary scans from mmap-backed spill files (zero-copy read
-    /// path) instead of decoding owned buffers. Off by default; toggled
-    /// by Pigeon's `SET mmap on|off`. Readers always fall back to the
-    /// owned path when mapping or alignment checks fail.
-    pub mmap_scans: bool,
     /// Injected faults for the next jobs (chaos testing).
     pub fault_plan: FaultPlan,
 }

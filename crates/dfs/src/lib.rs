@@ -35,16 +35,14 @@ mod fault;
 mod metrics;
 mod namespace;
 mod slots;
-mod spill;
 mod writer;
 
 pub use block::{BlockData, BlockId, BlockInfo};
 pub use cache::{BlockCache, CacheStats, DEFAULT_CACHE_BUDGET};
 pub use config::{ClusterConfig, NodeId};
-pub use crc64::{crc64, Crc64};
+pub use crc64::crc64;
 pub use fault::{CorruptKind, FaultAction, FaultPlan, FtOptions};
 pub use metrics::DfsMetrics;
 pub use namespace::{Dfs, DfsError, FileStat, ScrubReport};
 pub use slots::{SlotLease, SlotPool};
-pub use spill::{SpillMap, SpillStore};
 pub use writer::FileWriter;

@@ -11,11 +11,10 @@ use rand::prelude::*;
 use crate::block::{BlockData, BlockId, BlockInfo};
 use crate::cache::BlockCache;
 use crate::config::{ClusterConfig, NodeId};
-use crate::crc64::{crc64, Crc64};
+use crate::crc64::crc64;
 use crate::fault::{CorruptKind, FtOptions};
 use crate::metrics::DfsMetrics;
 use crate::slots::SlotPool;
-use crate::spill::{SpillMap, SpillStore};
 use crate::writer::FileWriter;
 
 /// Errors surfaced by the DFS API.
@@ -54,9 +53,6 @@ impl std::error::Error for DfsError {}
 struct FileMeta {
     blocks: Vec<BlockId>,
     len: u64,
-    /// Streaming CRC-64 over the file's concatenated block payloads, in
-    /// append order — the digest the mmap spill path verifies against.
-    crc: Crc64,
 }
 
 /// What one scrubber pass saw and did. Replica counts are per-replica,
@@ -102,9 +98,6 @@ pub struct FileStat {
 struct Inner {
     files: BTreeMap<String, FileMeta>,
     blocks: BTreeMap<BlockId, BlockData>,
-    // Per-path content generation: bumped on create/delete so the spill
-    // store can never serve a mapping of an overwritten file's old bytes.
-    generations: BTreeMap<String, u64>,
     next_block: u64,
     next_writer_node: usize,
     alive: Vec<bool>,
@@ -125,7 +118,6 @@ pub struct Dfs {
     ft: Arc<Mutex<FtOptions>>,
     cache: Arc<BlockCache>,
     slots: Arc<SlotPool>,
-    spill: Arc<SpillStore>,
 }
 
 impl Dfs {
@@ -140,7 +132,6 @@ impl Dfs {
             inner: Arc::new(Mutex::new(Inner {
                 files: BTreeMap::new(),
                 blocks: BTreeMap::new(),
-                generations: BTreeMap::new(),
                 next_block: 0,
                 next_writer_node: 0,
                 alive,
@@ -150,7 +141,6 @@ impl Dfs {
             ft: Arc::new(Mutex::new(ft)),
             cache: Arc::new(BlockCache::default()),
             slots: Arc::new(SlotPool::new(slots)),
-            spill: Arc::new(SpillStore::default()),
         }
     }
 
@@ -205,15 +195,12 @@ impl Dfs {
             return Err(DfsError::AlreadyExists(path.to_string()));
         }
         inner.files.insert(path.to_string(), FileMeta::default());
-        *inner.generations.entry(path.to_string()).or_insert(0) += 1;
         // Round-robin "writing node" stands in for the client location.
         let node = inner.next_writer_node % self.config.num_nodes;
         inner.next_writer_node += 1;
         drop(inner);
-        // A fresh file under an old path must not serve stale parses or
-        // stale spilled mappings.
+        // A fresh file under an old path must not serve stale parses.
         self.cache.invalidate(path);
-        self.spill.remove(path);
         Ok(FileWriter::new(self.clone(), path.to_string(), node))
     }
 
@@ -224,11 +211,9 @@ impl Dfs {
             for b in meta.blocks {
                 inner.blocks.remove(&b);
             }
-            *inner.generations.entry(path.to_string()).or_insert(0) += 1;
         }
         drop(inner);
         self.cache.invalidate(path);
-        self.spill.remove(path);
     }
 
     /// True when `path` exists.
@@ -290,8 +275,8 @@ impl Dfs {
     /// CRC-64 before it is served. A mismatch triggers *read-repair*: the
     /// read falls over to the next replica, the rotten replica is
     /// quarantined and the replication factor restored from a healthy
-    /// copy, and the path's caches are invalidated so no stale mapping of
-    /// the corrupt bytes survives. Only when every live replica fails its
+    /// copy, and the path's cache entries are invalidated so no stale parse
+    /// of the corrupt bytes survives. Only when every live replica fails its
     /// checksum does the read error out — it never returns wrong bytes.
     pub fn read_block(&self, id: BlockId, reader: NodeId) -> Result<(Bytes, bool), DfsError> {
         let mut inner = self.inner.lock();
@@ -349,10 +334,6 @@ impl Dfs {
         }
         let (created, len) =
             restore_replication_locked(&mut inner, self.config.effective_replication(), id);
-        // A mapped spill or cached parse of the corrupt bytes must never
-        // be served after the repair: bump the path's generation and drop
-        // both caches through the epoch protocol.
-        *inner.generations.entry(path.clone()).or_insert(0) += 1;
         drop(inner);
         for _ in 0..created {
             // Each restored replica copies the block across the network.
@@ -372,8 +353,9 @@ impl Dfs {
                 ("created", created.to_string()),
             ],
         );
+        // A cached parse of the corrupt bytes must never be served after
+        // the repair.
         self.cache.invalidate(&path);
-        self.spill.remove(&path);
         self.metrics.record_read(data.len() as u64, local);
         Ok((data, local))
     }
@@ -402,54 +384,6 @@ impl Dfs {
             out.extend_from_slice(&bytes);
         }
         Ok(out)
-    }
-
-    /// Current content generation of `path` (0 if never created). Bumped
-    /// by `create` and `delete`; constant across node kills and
-    /// re-replication, which move replicas but never change bytes.
-    pub fn file_generation(&self, path: &str) -> u64 {
-        self.inner
-            .lock()
-            .generations
-            .get(path)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Zero-copy view of a file's bytes: spills `data` (the file's
-    /// concatenated, availability-checked block payloads) to the process
-    /// spill store and returns a page-aligned mapping of it, reusing the
-    /// cached mapping while the path's generation is unchanged.
-    ///
-    /// Returns `None` when the mmap scan path is disabled
-    /// (`FtOptions::mmap_scans`, the Pigeon `SET mmap` knob) or when
-    /// spilling fails for any I/O reason — callers fall back to the owned
-    /// decode path, which is always correct.
-    pub fn map_file_bytes(&self, path: &str, data: &[u8]) -> Option<SpillMap> {
-        if !self.ft.lock().mmap_scans {
-            return None;
-        }
-        let (generation, expected_crc) = {
-            let inner = self.inner.lock();
-            let crc = inner.files.get(path)?.crc.finish();
-            (inner.generations.get(path).copied().unwrap_or(0), crc)
-        };
-        match self.spill.map_path(path, generation, data, expected_crc) {
-            Ok(map) => Some(map),
-            Err(_) => {
-                // Spill failed its checksum (or plain I/O): fall back to
-                // the owned decode path rather than scanning suspect bytes.
-                sh_trace::global().counter_add("dfs.integrity.spill_rejected", 1);
-                None
-            }
-        }
-    }
-
-    /// Records that content validation passed against the mapping
-    /// currently spilled for `path`, so repeat cold scans can skip it.
-    pub fn mark_spill_validated(&self, path: &str) {
-        let generation = self.file_generation(path);
-        self.spill.mark_validated(path, generation);
     }
 
     /// Writes a complete string as a new file (driver-side convenience).
@@ -689,13 +623,9 @@ impl Dfs {
                 }
             }
             if healed {
-                // Same epoch protocol as read-repair: no cached parse or
-                // mapped spill of the pre-repair bytes may survive.
-                let mut inner = self.inner.lock();
-                *inner.generations.entry(path.clone()).or_insert(0) += 1;
-                drop(inner);
+                // As in read-repair: no cached parse of the pre-repair
+                // bytes may survive.
                 self.cache.invalidate(&path);
-                self.spill.remove(&path);
             }
         }
         sh_trace::global().counter_add("dfs.integrity.scrubbed_blocks", report.blocks as u64);
@@ -736,7 +666,6 @@ impl Dfs {
     ) -> Result<(), DfsError> {
         let len = data.len() as u64;
         let crc = crc64(&data);
-        let payload = data.clone(); // Bytes: refcount bump, not a copy
         let mut inner = self.inner.lock();
         if !inner.files.contains_key(path) {
             return Err(DfsError::NotFound(path.to_string()));
@@ -764,7 +693,6 @@ impl Dfs {
         };
         meta.blocks.push(id);
         meta.len += len;
-        meta.crc.update(&payload);
         drop(inner);
         self.metrics.record_write(len);
         Ok(())
@@ -1041,6 +969,13 @@ mod tests {
         fs.write_string("/f", "5 6\n").unwrap();
         assert_eq!(get(), None, "overwrite via create must invalidate");
 
+        put(6);
+        fs.corrupt_replica("/f", 0, CorruptKind::Truncate);
+        assert_eq!(get(), Some(6), "silent corruption is silent");
+        let info = fs.block_locations("/f").unwrap()[0].clone();
+        fs.read_block(info.id, info.replicas[0]).unwrap();
+        assert_eq!(get(), None, "read-repair must invalidate");
+
         put(3);
         fs.kill_node(0);
         assert_eq!(get(), None, "kill_node must flush the cache");
@@ -1050,32 +985,6 @@ mod tests {
         put(5);
         fs.revive_node(0);
         assert_eq!(get(), None, "revive_node must flush the cache");
-    }
-
-    #[test]
-    fn map_file_bytes_is_gated_and_generation_checked() {
-        let fs = dfs();
-        fs.write_string("/f", "1 2\n").unwrap();
-        let data = fs.read_bytes("/f").unwrap();
-        assert!(fs.map_file_bytes("/f", &data).is_none(), "off by default");
-        fs.update_ft_options(|ft| ft.mmap_scans = true);
-        let m1 = fs.map_file_bytes("/f", &data).unwrap();
-        assert_eq!(&m1.map[..], data.as_slice());
-        assert!(!m1.validated);
-        fs.mark_spill_validated("/f");
-        assert!(fs.map_file_bytes("/f", &data).unwrap().validated);
-        // Overwrite under the same path: generation bumps, so the new
-        // bytes get a fresh, unvalidated mapping while the old mapping
-        // stays readable for anyone still holding it.
-        let gen_before = fs.file_generation("/f");
-        fs.delete("/f");
-        fs.write_string("/f", "9 9\n").unwrap();
-        assert!(fs.file_generation("/f") > gen_before);
-        let data2 = fs.read_bytes("/f").unwrap();
-        let m2 = fs.map_file_bytes("/f", &data2).unwrap();
-        assert!(!m2.validated);
-        assert_eq!(&m2.map[..], data2.as_slice());
-        assert_eq!(&m1.map[..], data.as_slice(), "old mapping still valid");
     }
 
     #[test]
@@ -1100,25 +1009,6 @@ mod tests {
         for n in 0..fs.config().num_nodes {
             assert_eq!(&fs.read_block(info.id, n).unwrap().0[..], b"alpha\nbeta\n");
         }
-    }
-
-    #[test]
-    fn read_repair_bumps_generation_and_drops_caches() {
-        let fs = dfs();
-        fs.write_string("/f", "1 2\n").unwrap();
-        let gen0 = fs.file_generation("/f");
-        fs.cache().put("/f", Arc::new(7u32), 8);
-        fs.corrupt_replica("/f", 0, CorruptKind::Truncate);
-        // Silent corruption is silent: nothing is invalidated yet.
-        assert!(fs.cache().get("/f").is_some());
-        assert_eq!(fs.file_generation("/f"), gen0);
-        let info = fs.block_locations("/f").unwrap()[0].clone();
-        fs.read_block(info.id, info.replicas[0]).unwrap();
-        assert!(fs.file_generation("/f") > gen0, "repair bumps generation");
-        assert!(
-            fs.cache().get("/f").is_none(),
-            "repair invalidates the path"
-        );
     }
 
     #[test]

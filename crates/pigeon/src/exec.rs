@@ -1166,12 +1166,6 @@ impl Pigeon {
                 let plan = FaultPlan::parse(value).map_err(PigeonError::Type)?;
                 self.dfs.update_ft_options(|ft| ft.fault_plan = plan);
             }
-            "mmap" | "mmap_scans" => {
-                // Zero-copy read path: binary scans view mmap-backed
-                // spill files in place instead of decoding owned buffers.
-                let on = flag(value)?;
-                self.dfs.update_ft_options(|ft| ft.mmap_scans = on);
-            }
             "cache_budget" | "cache_budget_bytes" => {
                 // Byte budget of the per-node block cache; 0 disables it.
                 self.dfs.cache().set_budget(num(value)?);
@@ -1230,7 +1224,7 @@ impl Pigeon {
                 return Err(PigeonError::Type(format!(
                     "unknown SET option {other} (expected retries, blacklist_threshold, \
                      worker_threads, retry_backoff_ms, speculative, \
-                     speculation_threshold_ms, cache_budget, fault_plan, mmap, \
+                     speculation_threshold_ms, cache_budget, fault_plan, \
                      sched_slots, sched_policy, sched_max_inflight, sched_queue_cap, \
                      telemetry_log, slow_query_ms, result_limit, or scrub_interval)"
                 )))
@@ -1672,7 +1666,6 @@ mod tests {
              SET speculation_threshold_ms 99;\n\
              SET retry_backoff_ms 0;\n\
              SET cache_budget 1048576;\n\
-             SET mmap on;\n\
              SET fault_plan 'fail:0@0;kill:1';",
         )
         .unwrap();
@@ -1684,22 +1677,19 @@ mod tests {
         assert!(ft.speculative_execution);
         assert_eq!(ft.speculation_threshold_ms, 99);
         assert_eq!(ft.retry_backoff_ms, 0);
-        assert!(ft.mmap_scans);
         assert_eq!(ft.fault_plan.to_string(), "fail:0@0;kill:1");
-        // `worker_threads 0` restores auto; `fault_plan none` clears;
-        // `mmap_scans` is the long-form alias.
-        run_script(
-            &dfs,
-            "SET worker_threads 0;\nSET fault_plan none;\nSET mmap_scans off;",
-        )
-        .unwrap();
+        // `worker_threads 0` restores auto; `fault_plan none` clears.
+        run_script(&dfs, "SET worker_threads 0;\nSET fault_plan none;").unwrap();
         let ft = dfs.ft_options();
         assert_eq!(ft.worker_threads, None);
         assert!(ft.fault_plan.is_empty());
-        assert!(!ft.mmap_scans);
         // Unknown options and malformed values are type errors.
         assert!(matches!(
             run_script(&dfs, "SET frobnicate 1;"),
+            Err(PigeonError::Type(_))
+        ));
+        assert!(matches!(
+            run_script(&dfs, "SET mmap on;"),
             Err(PigeonError::Type(_))
         ));
         assert!(matches!(
@@ -2103,7 +2093,7 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("telemetry_log"), "{msg}");
         assert!(msg.contains("slow_query_ms"), "{msg}");
-        assert!(msg.contains("mmap"), "{msg}");
+        assert!(msg.contains("cache_budget"), "{msg}");
         assert!(msg.contains("scrub_interval"), "{msg}");
     }
 

@@ -410,84 +410,45 @@ fn text_and_binary_indexes_answer_identically_under_chaos() {
             ft.fault_plan = FaultPlan::none().kill_node(0).fail_task(1, 0);
         });
 
-        // Every (format, scan-path) combination under the same chaos
-        // plan must produce byte-identical output: text vs. binary, and
-        // within binary the owned decode vs. the mmap zero-copy path
-        // (which spills block bytes to disk and reinterprets them in
-        // place — node kills and re-replication move block *placement*,
-        // never content, so the mapping stays valid).
+        // Both formats under the same chaos plan must produce
+        // byte-identical output (node kills and re-replication move block
+        // *placement*, never content).
         let query = Rect::new(QUERY[0], QUERY[1], QUERY[2], QUERY[3]);
-        let mut range_base: Option<(Vec<String>, String)> = None;
-        let mut join_base: Option<(Vec<(Rect, Rect)>, String)> = None;
-        for mmap in [false, true] {
-            dfs.update_ft_options(|ft| ft.mmap_scans = mmap);
-            dfs.cache().clear();
-            let m = mmap as usize;
+        dfs.cache().clear();
 
-            let range_run = |file: &spatialhadoop::core::SpatialFile, out: &str| {
-                let r = range::range_spatial::<Point>(&dfs, file, &query, out).unwrap();
-                let lines: Vec<String> =
-                    r.value.iter().map(|p| format!("{} {}", p.x, p.y)).collect();
-                let mut raw = String::new();
-                for part in dfs.list(&format!("{out}/part-")) {
-                    raw.push_str(&dfs.read_to_string(&part).unwrap());
-                }
-                (lines, raw)
-            };
-            let (rt_lines, rt_raw) = range_run(&tp, &format!("/out/rt{m}"));
-            let (rb_lines, rb_raw) = range_run(&bp, &format!("/out/rb{m}"));
-            assert!(!rt_lines.is_empty(), "iteration {iter}: empty range result");
-            assert_eq!(
-                rt_lines, rb_lines,
-                "iteration {iter} mmap={mmap}: range diverged"
-            );
-            assert_eq!(
-                rt_raw, rb_raw,
-                "iteration {iter} mmap={mmap}: range bytes not identical"
-            );
-            match &range_base {
-                None => range_base = Some((rt_lines, rt_raw)),
-                Some((lines0, raw0)) => {
-                    assert_eq!(
-                        lines0, &rt_lines,
-                        "iteration {iter}: mmap range diverged from owned"
-                    );
-                    assert_eq!(
-                        raw0, &rt_raw,
-                        "iteration {iter}: mmap range bytes differ from owned"
-                    );
-                }
+        let range_run = |file: &spatialhadoop::core::SpatialFile, out: &str| {
+            let r = range::range_spatial::<Point>(&dfs, file, &query, out).unwrap();
+            let lines: Vec<String> = r.value.iter().map(|p| format!("{} {}", p.x, p.y)).collect();
+            let mut raw = String::new();
+            for part in dfs.list(&format!("{out}/part-")) {
+                raw.push_str(&dfs.read_to_string(&part).unwrap());
             }
+            (lines, raw)
+        };
+        let (rt_lines, rt_raw) = range_run(&tp, "/out/rt");
+        let (rb_lines, rb_raw) = range_run(&bp, "/out/rb");
+        assert!(!rt_lines.is_empty(), "iteration {iter}: empty range result");
+        assert_eq!(rt_lines, rb_lines, "iteration {iter}: range diverged");
+        assert_eq!(
+            rt_raw, rb_raw,
+            "iteration {iter}: range bytes not identical"
+        );
 
-            let dj_run = |a: &spatialhadoop::core::SpatialFile,
-                          b: &spatialhadoop::core::SpatialFile,
-                          out: &str| {
-                let r = join::distributed_join(&dfs, a, b, out).unwrap();
-                let mut raw = String::new();
-                for part in dfs.list(&format!("{out}/part-")) {
-                    raw.push_str(&dfs.read_to_string(&part).unwrap());
-                }
-                (r.value, raw)
-            };
-            let (jt, jt_raw) = dj_run(&ta, &tb, &format!("/out/jt{m}"));
-            let (jb, jb_raw) = dj_run(&ba, &bb, &format!("/out/jb{m}"));
-            assert!(!jt.is_empty(), "iteration {iter}: empty join result");
-            assert_eq!(jt, jb, "iteration {iter} mmap={mmap}: join diverged");
-            assert_eq!(
-                jt_raw, jb_raw,
-                "iteration {iter} mmap={mmap}: join bytes not identical"
-            );
-            match &join_base {
-                None => join_base = Some((jt, jt_raw)),
-                Some((jt0, raw0)) => {
-                    assert_eq!(jt0, &jt, "iteration {iter}: mmap join diverged from owned");
-                    assert_eq!(
-                        raw0, &jt_raw,
-                        "iteration {iter}: mmap join bytes differ from owned"
-                    );
-                }
+        let dj_run = |a: &spatialhadoop::core::SpatialFile,
+                      b: &spatialhadoop::core::SpatialFile,
+                      out: &str| {
+            let r = join::distributed_join(&dfs, a, b, out).unwrap();
+            let mut raw = String::new();
+            for part in dfs.list(&format!("{out}/part-")) {
+                raw.push_str(&dfs.read_to_string(&part).unwrap());
             }
-        }
+            (r.value, raw)
+        };
+        let (jt, jt_raw) = dj_run(&ta, &tb, "/out/jt");
+        let (jb, jb_raw) = dj_run(&ba, &bb, "/out/jb");
+        assert!(!jt.is_empty(), "iteration {iter}: empty join result");
+        assert_eq!(jt, jb, "iteration {iter}: join diverged");
+        assert_eq!(jt_raw, jb_raw, "iteration {iter}: join bytes not identical");
     }
 }
 
@@ -500,46 +461,86 @@ fn silent_corruption_is_repaired_with_byte_identical_output() {
     let query = Rect::new(QUERY[0], QUERY[1], QUERY[2], QUERY[3]);
 
     for iter in 0..chaos_iters() {
-        for mmap in [false, true] {
-            let mut cfg = ClusterConfig::small_for_tests();
-            cfg.retry_backoff_ms = 0;
-            // Vary placement per iteration so the corrupted ordinal
-            // lands on different nodes across the sweep.
-            cfg.placement_seed = chaos_seed().wrapping_add(iter as u64);
-            let dfs = Dfs::new(cfg);
-            let uni = Rect::new(0.0, 0.0, 1_000_000.0, 1_000_000.0);
-            let pts = points(20_000, Distribution::Uniform, &uni, 7);
-            upload(&dfs, "/data/points", &pts).unwrap();
+        let mut cfg = ClusterConfig::small_for_tests();
+        cfg.retry_backoff_ms = 0;
+        // Vary placement per iteration so the corrupted ordinal
+        // lands on different nodes across the sweep.
+        cfg.placement_seed = chaos_seed().wrapping_add(iter as u64);
+        let dfs = Dfs::new(cfg);
+        let uni = Rect::new(0.0, 0.0, 1_000_000.0, 1_000_000.0);
+        let pts = points(20_000, Distribution::Uniform, &uni, 7);
+        upload(&dfs, "/data/points", &pts).unwrap();
 
-            for (fmt, tag) in [(BlockFormat::Text, "t"), (BlockFormat::Binary, "b")] {
-                let dir = format!("/i{tag}/p");
-                let file =
-                    build_index_fmt::<Point>(&dfs, "/data/points", &dir, PartitionKind::Grid, fmt)
-                        .unwrap()
-                        .value;
+        for (fmt, tag) in [(BlockFormat::Text, "t"), (BlockFormat::Binary, "b")] {
+            let dir = format!("/i{tag}/p");
+            let file =
+                build_index_fmt::<Point>(&dfs, "/data/points", &dir, PartitionKind::Grid, fmt)
+                    .unwrap()
+                    .value;
 
-                // Rot the primary replica of every stored file in the
-                // index directory — partitions, local-index sidecars,
-                // and the partition manifest alike. Ordinal 0 is the
-                // locality-first pick, so every cold read is guaranteed
-                // to hit the corruption, not route around it.
-                let mut plan = FaultPlan::none();
-                for (i, f) in dfs.list(&format!("{dir}/")).iter().enumerate() {
-                    let kind = if i % 2 == 0 {
-                        CorruptKind::Flip
-                    } else {
-                        CorruptKind::Truncate
-                    };
-                    plan = plan.corrupt_replica(f, 0, kind);
-                }
-                dfs.update_ft_options(|ft| {
-                    ft.fault_plan = plan;
-                    ft.mmap_scans = mmap;
-                });
-                dfs.cache().clear();
+            // Rot the primary replica of every stored file in the
+            // index directory — partitions, local-index sidecars,
+            // and the partition manifest alike. Ordinal 0 is the
+            // locality-first pick, so every cold read is guaranteed
+            // to hit the corruption, not route around it.
+            let mut plan = FaultPlan::none();
+            for (i, f) in dfs.list(&format!("{dir}/")).iter().enumerate() {
+                let kind = if i % 2 == 0 {
+                    CorruptKind::Flip
+                } else {
+                    CorruptKind::Truncate
+                };
+                plan = plan.corrupt_replica(f, 0, kind);
+            }
+            dfs.update_ft_options(|ft| ft.fault_plan = plan);
+            dfs.cache().clear();
 
-                let before = dfs.metrics().snapshot();
-                let out = format!("/out/corrupt-{tag}{}", mmap as usize);
+            let before = dfs.metrics().snapshot();
+            let out = format!("/out/corrupt-{tag}");
+            let r = range::range_spatial::<Point>(&dfs, &file, &query, &out).unwrap();
+            let lines: Vec<String> = r.value.iter().map(|p| format!("{} {}", p.x, p.y)).collect();
+            let mut raw = String::new();
+            for part in dfs.list(&format!("{out}/part-")) {
+                raw.push_str(&dfs.read_to_string(&part).unwrap());
+            }
+            let delta = dfs.metrics().snapshot().since(&before);
+            assert!(
+                delta.corrupt_replicas > 0,
+                "iteration {iter} fmt={tag}: query never hit the rot"
+            );
+            assert!(
+                delta.repaired_replicas > 0,
+                "iteration {iter} fmt={tag}: nothing was repaired"
+            );
+            assert_eq!(
+                lines, base_lines,
+                "iteration {iter} fmt={tag}: results diverged"
+            );
+            assert_eq!(raw, base_raw, "iteration {iter} fmt={tag}: bytes diverged");
+
+            // Query-driven read-repair only heals what the query
+            // read; pruned partitions still rot. A scrub reports
+            // and heals every remaining fault, and a second pass
+            // must come back clean.
+            dfs.update_ft_options(|ft| ft.fault_plan = FaultPlan::none());
+            let report = dfs.scrub(&format!("{dir}/"));
+            assert_eq!(
+                report.unrecoverable, 0,
+                "iteration {iter} fmt={tag}: replication 2 must always recover"
+            );
+            assert_eq!(
+                report.corrupt, report.repaired,
+                "iteration {iter} fmt={tag}: scrub left faults behind: {report}"
+            );
+            let clean = dfs.scrub(&format!("{dir}/"));
+            assert_eq!(
+                clean.corrupt, 0,
+                "iteration {iter} fmt={tag}: second scrub must run clean"
+            );
+
+            // Post-repair reruns parse fresh healthy bytes.
+            let (re_lines, re_raw) = {
+                let out = format!("/out/healed-{tag}");
                 let r = range::range_spatial::<Point>(&dfs, &file, &query, &out).unwrap();
                 let lines: Vec<String> =
                     r.value.iter().map(|p| format!("{} {}", p.x, p.y)).collect();
@@ -547,59 +548,10 @@ fn silent_corruption_is_repaired_with_byte_identical_output() {
                 for part in dfs.list(&format!("{out}/part-")) {
                     raw.push_str(&dfs.read_to_string(&part).unwrap());
                 }
-                let delta = dfs.metrics().snapshot().since(&before);
-                assert!(
-                    delta.corrupt_replicas > 0,
-                    "iteration {iter} fmt={tag} mmap={mmap}: query never hit the rot"
-                );
-                assert!(
-                    delta.repaired_replicas > 0,
-                    "iteration {iter} fmt={tag} mmap={mmap}: nothing was repaired"
-                );
-                assert_eq!(
-                    lines, base_lines,
-                    "iteration {iter} fmt={tag} mmap={mmap}: results diverged"
-                );
-                assert_eq!(
-                    raw, base_raw,
-                    "iteration {iter} fmt={tag} mmap={mmap}: bytes diverged"
-                );
-
-                // Query-driven read-repair only heals what the query
-                // read; pruned partitions still rot. A scrub reports
-                // and heals every remaining fault, and a second pass
-                // must come back clean.
-                dfs.update_ft_options(|ft| ft.fault_plan = FaultPlan::none());
-                let report = dfs.scrub(&format!("{dir}/"));
-                assert_eq!(
-                    report.unrecoverable, 0,
-                    "iteration {iter} fmt={tag}: replication 2 must always recover"
-                );
-                assert_eq!(
-                    report.corrupt, report.repaired,
-                    "iteration {iter} fmt={tag}: scrub left faults behind: {report}"
-                );
-                let clean = dfs.scrub(&format!("{dir}/"));
-                assert_eq!(
-                    clean.corrupt, 0,
-                    "iteration {iter} fmt={tag}: second scrub must run clean"
-                );
-
-                // Post-repair reruns parse fresh healthy bytes.
-                let (re_lines, re_raw) = {
-                    let out = format!("/out/healed-{tag}{}", mmap as usize);
-                    let r = range::range_spatial::<Point>(&dfs, &file, &query, &out).unwrap();
-                    let lines: Vec<String> =
-                        r.value.iter().map(|p| format!("{} {}", p.x, p.y)).collect();
-                    let mut raw = String::new();
-                    for part in dfs.list(&format!("{out}/part-")) {
-                        raw.push_str(&dfs.read_to_string(&part).unwrap());
-                    }
-                    (lines, raw)
-                };
-                assert_eq!(re_lines, base_lines, "healed rerun diverged");
-                assert_eq!(re_raw, base_raw, "healed rerun bytes diverged");
-            }
+                (lines, raw)
+            };
+            assert_eq!(re_lines, base_lines, "healed rerun diverged");
+            assert_eq!(re_raw, base_raw, "healed rerun bytes diverged");
         }
     }
 }
