@@ -364,7 +364,7 @@ impl Dfs {
     /// reading back small outputs; charged as remote reads from node 0).
     pub fn read_to_string(&self, path: &str) -> Result<String, DfsError> {
         let locations = self.block_locations(path)?;
-        let mut out = String::new();
+        let mut out = String::with_capacity(locations.iter().map(|b| b.len as usize).sum());
         for info in locations {
             let (bytes, _) = self.read_block(info.id, usize::MAX)?;
             out.push_str(
@@ -378,7 +378,7 @@ impl Dfs {
     /// driver-side cost accounting as [`Dfs::read_to_string`]).
     pub fn read_bytes(&self, path: &str) -> Result<Vec<u8>, DfsError> {
         let locations = self.block_locations(path)?;
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(locations.iter().map(|b| b.len as usize).sum());
         for info in locations {
             let (bytes, _) = self.read_block(info.id, usize::MAX)?;
             out.extend_from_slice(&bytes);

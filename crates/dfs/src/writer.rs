@@ -93,7 +93,11 @@ impl FileWriter {
         if self.buf.is_empty() || self.err.is_some() {
             return;
         }
-        let data = Bytes::from(std::mem::take(&mut self.buf));
+        // Copied out, not moved: the `Arc<[u8]>` behind `Bytes` would copy
+        // an owned `Vec` too, and the buffer keeps its capacity for the
+        // next block.
+        let data = Bytes::from(&self.buf[..]);
+        self.buf.clear();
         if let Err(e) = self.dfs.append_block(&self.path, data, self.node) {
             self.err = Some(e);
         }
