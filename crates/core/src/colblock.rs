@@ -115,6 +115,20 @@ fn read_u64(data: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(data[at..at + 8].try_into().unwrap())
 }
 
+/// Byte length the block at the head of `data` states in its header
+/// (header + `count` x `ncols` coordinates) — where a reader cuts blocks
+/// stored back to back. `None` when the header is truncated or the
+/// arithmetic overflows; nothing else is validated here, [`decode`] does
+/// that on the cut block.
+pub fn stated_len(data: &[u8]) -> Option<usize> {
+    let ncols = *data.get(7)? as usize;
+    let count = usize::try_from(read_u64(data.get(..16)?, 8)).ok()?;
+    count
+        .checked_mul(8)?
+        .checked_mul(ncols)?
+        .checked_add(header_len(ncols))
+}
+
 /// Validated header facts.
 struct Header {
     kind: u8,
@@ -154,16 +168,8 @@ fn parse_header(data: &[u8]) -> Result<Header, OpError> {
     }
     let count = read_u64(data, 8) as usize;
     let hlen = header_len(ncols);
-    let col_bytes = count
-        .checked_mul(8)
-        .ok_or_else(|| corrupt("count overflow"))?;
-    let total = hlen
-        .checked_add(
-            col_bytes
-                .checked_mul(ncols)
-                .ok_or_else(|| corrupt("size overflow"))?,
-        )
-        .ok_or_else(|| corrupt("size overflow"))?;
+    let total = stated_len(data).ok_or_else(|| corrupt("size overflow"))?;
+    let col_bytes = 8 * count;
     if data.len() != total {
         return Err(corrupt(format!(
             "length mismatch: {} bytes for {count} records x {ncols} columns (expected {total})",
@@ -232,8 +238,12 @@ impl ColumnarBlock {
 
     /// Materializes record `i` (boundary with record-typed callers).
     pub fn record<R: Record>(&self, i: usize) -> R {
-        let views: Vec<&[f64]> = self.cols.iter().map(|c| &c[..]).collect();
-        R::from_cols(&views, i)
+        // `decode` admits 2 or 4 columns, so the views fit on the stack.
+        let mut views: [&[f64]; 4] = [&[]; 4];
+        for (v, c) in views.iter_mut().zip(&self.cols) {
+            *v = c;
+        }
+        R::from_cols(&views[..self.cols.len().min(4)], i)
     }
 
     /// Indices of every record whose MBR intersects `q` — the hot inner

@@ -10,9 +10,10 @@
 //!   the text master-file format;
 //! * [`mrlayer`] — the **MapReduce layer**: `SpatialFileSplitter` (prunes
 //!   partitions with a filter function over the global index) and
-//!   `SpatialRecordReader` (parses a partition and exposes its local
-//!   R-tree to the map function), plus the reference-point
-//!   duplicate-avoidance rule;
+//!   `SpatialRecordReader` (the one place that turns a split's stored
+//!   bytes, text or columnar, into records or a partition with its local
+//!   R-tree), `RecordMapper`/`ByRecords` (operations map records), plus
+//!   the reference-point duplicate-avoidance rule;
 //! * [`ops`] — the **operations layer**: range query, k-nearest-
 //!   neighbours, spatial join (SJMR and the indexed distributed join),
 //!   and the computational-geometry suite (polygon union, skyline,

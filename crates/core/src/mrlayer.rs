@@ -1,13 +1,28 @@
 //! The spatial MapReduce layer: SpatialFileSplitter, SpatialRecordReader,
 //! and the reference-point duplicate-avoidance rule.
+//!
+//! Records are the currency between the reader and the operations, and
+//! the reader is the only code that knows a stored layout:
+//!
+//! ```text
+//! split bytes ──SpatialRecordReader──▶ records         (RecordMapper, run as ByRecords)
+//!                                  └─▶ Arc<Partition>  (rows + local R-tree, cached)
+//! ```
+//!
+//! An operation implements [`RecordMapper`] and never sees bytes. The
+//! mappers that want the cached [`Partition`] (range, kNN, distributed
+//! join) or the two inputs of a split kept apart (kNN join) implement
+//! `sh_mapreduce::Mapper` themselves and call the reader through
+//! [`task`] / [`task_inputs`].
 
 use std::borrow::Cow;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use sh_dfs::{Dfs, DfsError};
 use sh_geom::{Point, Record, Rect};
 use sh_index::{owns_point, LocalRTree};
-use sh_mapreduce::InputSplit;
+use sh_mapreduce::{InputSplit, MapContext, Mapper};
 
 use crate::catalog::SpatialFile;
 use crate::colblock::{self, ColumnarBlock};
@@ -73,187 +88,156 @@ pub fn splitter_selectivity(
     sh_trace::Selectivity::of_split(file.partitions.len(), splits.len(), records_scanned)
 }
 
-/// SpatialRecordReader: parses a split's text back into records and can
-/// bulk-load the partition's local R-tree for index-assisted map
-/// functions.
+/// SpatialRecordReader: the one place that turns stored bytes into what
+/// an operation sees — records for a scan, a [`Partition`] (rows + local
+/// R-tree) for an index-assisted map function. Only this type knows the
+/// text and `SHCB` layouts. Every function returns corrupt bytes as
+/// [`OpError::Corrupt`]; map tasks pass the result through [`task`].
 pub struct SpatialRecordReader;
 
 impl SpatialRecordReader {
-    /// Parses every line of a split as a record.
-    ///
-    /// Map tasks treat unparseable lines as data corruption; the task
-    /// (and, without retry, the job) fails cleanly via
-    /// [`sh_mapreduce::fail_corrupt`]. Loaders validate input, so this
-    /// never fires on files written by this crate.
+    /// [`SpatialRecordReader::records_bytes`] for text already known to
+    /// be UTF-8, failing the calling task on a corrupt line.
     pub fn records<R: Record>(data: &str) -> Vec<R> {
-        data.lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(|l| {
-                R::parse_line(l)
-                    .unwrap_or_else(|e| sh_mapreduce::fail_corrupt(format!("{e}: {l:?}")))
-            })
-            .collect()
+        Self::records_bytes(data.as_bytes())
+            .unwrap_or_else(|e| sh_mapreduce::fail_corrupt(e.to_string()))
     }
 
-    /// The text half of [`SpatialRecordReader::open_indexed_bytes`]: a
-    /// cache hit returns the parsed records + local tree without touching
-    /// the text; a miss parses `data`, loads the persisted `_lidx-NNNNN`
-    /// sidecar when one exists (falling back to an STR bulk-load for heap
-    /// files or missing/corrupt sidecars), and caches the result keyed by
-    /// `path`. Returns the shared partition and whether it was a cache hit.
-    fn open_indexed<R: Record>(
-        dfs: &Dfs,
-        path: &str,
-        data: &str,
-    ) -> (Arc<(Vec<R>, LocalRTree)>, bool) {
-        // Keyed by the partition path itself so the DFS's per-path
-        // invalidation (delete/overwrite) hits this entry.
-        if let Some(hit) = dfs.cache().get(path) {
-            if let Ok(part) = hit.downcast::<(Vec<R>, LocalRTree)>() {
-                return (part, true);
-            }
-        }
-        // `data` was read before this point; if a concurrent job
-        // invalidates the path (overwrite, node kill) while we parse,
-        // the epoch check below drops the stale insert.
-        let epoch = dfs.cache().epoch();
-        let records = Self::records::<R>(data);
-        let tree = load_sidecar(dfs, path, records.len())
-            .unwrap_or_else(|| LocalRTree::build(records.iter().map(|r| r.mbr()).collect()));
-        let part = Arc::new((records, tree));
-        // Accounted size: parsed records + tree rects dominate; the text
-        // itself is the floor.
-        let bytes =
-            (data.len() + part.0.len() * std::mem::size_of::<R>() + part.1.len() * 32) as u64;
-        dfs.cache().put_at(path, part.clone(), bytes, epoch);
-        (part, false)
-    }
-
-    /// Parses split bytes as records, sniffing the columnar-block header:
-    /// `SHCB` data decodes through the binary path, anything else is
-    /// treated as UTF-8 text. Corrupt bytes in either format are
-    /// [`OpError::Corrupt`].
-    pub fn records_bytes<R: Record>(data: &[u8]) -> Result<Vec<R>, OpError> {
-        if colblock::is_binary(data) {
-            return Ok(colblock::decode(data)?.records::<R>());
+    /// Reads a split: any number of `SHCB` blocks stored back to back
+    /// (a multi-partition split), each cut by the length its own header
+    /// states and then fully validated by [`colblock::decode`], followed
+    /// by whatever remains as UTF-8 text lines.
+    pub fn records_bytes<R: Record>(mut data: &[u8]) -> Result<Vec<R>, OpError> {
+        let mut out = Vec::new();
+        while colblock::is_binary(data) {
+            // An unusable or overlong stated length leaves the whole rest
+            // to `decode`, which names what is wrong with it.
+            let len = colblock::stated_len(data).map_or(data.len(), |l| l.min(data.len()));
+            let (head, rest) = data.split_at(len);
+            out.extend(colblock::decode(head)?.records::<R>());
+            data = rest;
         }
         let text = std::str::from_utf8(data)
             .map_err(|e| OpError::Corrupt(format!("partition is not UTF-8 text: {e}")))?;
-        sh_geom::text::parse_records(text).map_err(|e| OpError::Corrupt(e.to_string()))
-    }
-
-    /// Map-task variant of [`SpatialRecordReader::records_bytes`]:
-    /// corrupt bytes fail the task (and the job) cleanly via
-    /// [`sh_mapreduce::fail_corrupt`] instead of panicking the worker.
-    pub fn task_records_bytes<R: Record>(split_path: &str, data: &[u8]) -> Vec<R> {
-        match Self::records_bytes(data) {
-            Ok(records) => records,
-            Err(e) => sh_mapreduce::fail_corrupt(format!("{split_path}: {e}")),
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            out.push(R::parse_line(line).map_err(|e| OpError::Corrupt(format!("{e}: {line:?}")))?);
         }
+        Ok(out)
     }
 
     /// Opens a partition for index-assisted processing through the
-    /// per-node cache, sniffing the format: binary blocks decode into
-    /// shared coordinate columns (warm reads hand out the same `Arc`s),
-    /// text partitions are parsed into records. Either way the local
-    /// R-tree comes from the partition's sidecar or an STR bulk-load.
-    /// Returns the partition and whether the cache was hit.
+    /// per-node cache: a hit returns the shared partition without
+    /// touching `data`; a miss decodes it (binary blocks keep their
+    /// shared coordinate columns, text is parsed into records), loads the
+    /// persisted `_lidx-NNNNN` sidecar when one exists (falling back to
+    /// an STR bulk-load for heap files or missing/corrupt sidecars), and
+    /// caches the result keyed by `path`. Returns the partition and
+    /// whether the cache was hit.
     pub fn open_indexed_bytes<R: Record>(
         dfs: &Dfs,
         path: &str,
         data: &[u8],
-    ) -> Result<(Partition<R>, bool), OpError> {
-        if !colblock::is_binary(data) {
-            let text = std::str::from_utf8(data)
-                .map_err(|e| OpError::Corrupt(format!("{path}: partition is not UTF-8: {e}")))?;
-            let (part, hit) = Self::open_indexed::<R>(dfs, path, text);
-            return Ok((Partition::Text(part), hit));
-        }
+    ) -> Result<(Arc<Partition<R>>, bool), OpError> {
+        // Keyed by the partition path itself so the DFS's per-path
+        // invalidation (delete/overwrite) hits this entry.
         if let Some(hit) = dfs.cache().get(path) {
-            if let Ok(part) = hit.downcast::<BinaryPartition>() {
-                return Ok((Partition::Binary(part), true));
+            if let Ok(part) = hit.downcast::<Partition<R>>() {
+                return Ok((part, true));
             }
         }
+        // `data` was read before this point; if a concurrent job
+        // invalidates the path (overwrite, node kill) while we decode,
+        // the epoch check in `put_at` drops the stale insert.
         let epoch = dfs.cache().epoch();
-        let block = colblock::decode(data)?;
-        let tree = load_sidecar(dfs, path, block.count)
-            .unwrap_or_else(|| LocalRTree::build((0..block.count).map(|i| block.mbr(i)).collect()));
-        let bytes = (block.resident_bytes() + tree.len() * 32) as u64;
-        let part = Arc::new(BinaryPartition { block, tree });
+        let mut part = Self::open_scan::<R>(data)?;
+        part.tree = load_sidecar(dfs, path, part.len()).unwrap_or_else(|| {
+            LocalRTree::build((0..part.len()).map(|i| part.mbr_of(i)).collect())
+        });
+        // Accounted size: rows + tree rects dominate; parsed text also
+        // charges the text itself as the floor.
+        let rows = match &part.rows {
+            Rows::Parsed(v) => data.len() + v.len() * std::mem::size_of::<R>(),
+            Rows::Columns(block) => block.resident_bytes(),
+        };
+        let bytes = (rows + part.tree.len() * 32) as u64;
+        let part = Arc::new(part);
         dfs.cache().put_at(path, part.clone(), bytes, epoch);
-        Ok((Partition::Binary(part), false))
+        Ok((part, false))
     }
 
-    /// Map-task variant of [`SpatialRecordReader::open_indexed_bytes`]:
-    /// corrupt partition data fails the task cleanly.
-    pub fn task_open_indexed_bytes<R: Record>(
-        dfs: &Dfs,
-        split_path: &str,
-        data: &[u8],
-    ) -> (Partition<R>, bool) {
-        match Self::open_indexed_bytes(dfs, split_path, data) {
-            Ok(v) => v,
-            Err(e) => sh_mapreduce::fail_corrupt(format!("{split_path}: {e}")),
-        }
-    }
-
-    /// Presents split bytes to a line-oriented map function as text
-    /// whatever the stored layout: binary columnar blocks are
-    /// materialized back into record lines (exact — `f64` round-trips
-    /// through the text codec), text passes through borrowed. Corrupt
-    /// bytes in either format fail the task cleanly. Operations with a
-    /// native columnar path (range, distributed join, kNN) never pay
-    /// the materialization.
-    pub fn task_text<'a, R: Record>(split_path: &str, data: &'a [u8]) -> Cow<'a, str> {
-        if colblock::is_binary(data) {
-            let records = Self::task_records_bytes::<R>(split_path, data);
-            let mut text = String::new();
-            for r in &records {
-                r.write_line(&mut text);
-                text.push('\n');
-            }
-            return Cow::Owned(text);
-        }
-        match std::str::from_utf8(data) {
-            Ok(t) => Cow::Borrowed(t),
-            Err(e) => {
-                sh_mapreduce::fail_corrupt(format!("{split_path}: input is not UTF-8 text: {e}"))
-            }
-        }
-    }
-
-    /// Two-input variant of [`SpatialRecordReader::task_text`]: cuts at
-    /// the split's recorded byte offset, then converts each side
-    /// independently — a pair split can mix a binary partition with a
-    /// text side file.
-    pub fn task_text_pair<'a, R: Record>(
-        split: &InputSplit,
-        data: &'a [u8],
-    ) -> (Cow<'a, str>, Cow<'a, str>) {
-        let (a, b) = split.split_data_bytes(data);
-        (
-            Self::task_text::<R>(&split.path, a),
-            Self::task_text::<R>(&split.path, b),
-        )
-    }
-
-    /// Opens a partition for a one-shot linear scan: no cache, no tree —
-    /// the ablation path. Binary blocks keep their columnar layout so
-    /// [`Partition::scan_filter`] still runs the column loop.
-    pub fn open_scan<R: Record>(split_path: &str, data: &[u8]) -> Partition<R> {
-        if colblock::is_binary(data) {
-            match colblock::decode(data) {
-                Ok(block) => Partition::Binary(Arc::new(BinaryPartition {
-                    tree: LocalRTree::build(Vec::new()),
-                    block,
-                })),
-                Err(e) => sh_mapreduce::fail_corrupt(format!("{split_path}: {e}")),
-            }
+    /// Opens a partition for a one-shot linear scan: no cache, an empty
+    /// tree — the ablation path (experiment A4). A binary partition file
+    /// is exactly one block and keeps its columnar layout, so
+    /// [`Partition::scan_filter_par`] still runs the column loop.
+    pub fn open_scan<R: Record>(data: &[u8]) -> Result<Partition<R>, OpError> {
+        let rows = if colblock::is_binary(data) {
+            Rows::Columns(colblock::decode(data)?)
         } else {
-            let records = Self::task_records_bytes::<R>(split_path, data);
-            Partition::Text(Arc::new((records, LocalRTree::build(Vec::new()))))
-        }
+            Rows::Parsed(Self::records_bytes(data)?)
+        };
+        Ok(Partition {
+            rows,
+            tree: LocalRTree::build(Vec::new()),
+        })
     }
+}
+
+/// Unwraps a reader result inside a map task: corrupt input fails the
+/// task (and the job) cleanly as [`sh_mapreduce::JobError::CorruptInput`]
+/// naming the split, instead of panicking the worker.
+pub fn task<T>(split_path: &str, result: Result<T, OpError>) -> T {
+    result.unwrap_or_else(|e| sh_mapreduce::fail_corrupt(format!("{split_path}: {e}")))
+}
+
+/// A map function over a split's *records*: what an operation implements
+/// when it does not care how the split is stored. Run it as
+/// [`ByRecords`].
+pub trait RecordMapper: Send + Sync {
+    /// Record type the split holds.
+    type R: Record;
+    /// Intermediate key type.
+    type K: Clone + Ord + Hash + Send + Sync + 'static;
+    /// Intermediate value type.
+    type V: Clone + Send + Sync + 'static;
+
+    /// Processes one split's records (both inputs of a two-input split,
+    /// first input first).
+    fn map_records(
+        &self,
+        split: &InputSplit,
+        records: Vec<Self::R>,
+        ctx: &mut MapContext<Self::K, Self::V>,
+    );
+}
+
+/// The one [`Mapper`] for record-level operations: reads the split
+/// through [`task_inputs`] and hands all its records to the wrapped
+/// [`RecordMapper`].
+pub struct ByRecords<M>(pub M);
+
+impl<M: RecordMapper> Mapper for ByRecords<M> {
+    type K = M::K;
+    type V = M::V;
+
+    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<M::K, M::V>) {
+        self.map_bytes(split, data.as_bytes(), ctx);
+    }
+
+    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<M::K, M::V>) {
+        let (mut records, second) = task_inputs(split, data);
+        records.extend(second);
+        self.0.map_records(split, records, ctx);
+    }
+}
+
+/// Reads both inputs of a split inside a map task, cut at
+/// `first_input_bytes` (the second is empty for a one-input split) and
+/// each read on its own, so a binary partition can be paired with a text
+/// file. For map functions that must keep the two sides apart.
+pub fn task_inputs<R: Record>(split: &InputSplit, data: &[u8]) -> (Vec<R>, Vec<R>) {
+    let (first, second) = split.split_data_bytes(data);
+    let read = |bytes| task(&split.path, SpatialRecordReader::records_bytes(bytes));
+    (read(first), read(second))
 }
 
 /// Loads the persisted `_lidx` sidecar of `part_path`, sniffing binary
@@ -275,39 +259,27 @@ fn load_sidecar(dfs: &Dfs, part_path: &str, expected_len: usize) -> Option<Local
     (tree.len() == expected_len).then_some(tree)
 }
 
-/// A partition opened through [`SpatialRecordReader::open_indexed_bytes`]:
-/// parsed text records or decoded binary columns, each with the
-/// partition's local R-tree, shared via the block cache.
-pub enum Partition<R: Record> {
-    /// Text partition: parsed records + tree.
-    Text(Arc<(Vec<R>, LocalRTree)>),
-    /// Binary partition: columnar block + tree.
-    Binary(Arc<BinaryPartition>),
+/// A partition opened by the [`SpatialRecordReader`]: its rows in
+/// whichever layout they were stored, plus the partition's local R-tree.
+/// Shared via the block cache as one `Arc<Partition<R>>`.
+pub struct Partition<R: Record> {
+    rows: Rows<R>,
+    tree: LocalRTree,
 }
 
-impl<R: Record> Clone for Partition<R> {
-    fn clone(&self) -> Self {
-        match self {
-            Partition::Text(p) => Partition::Text(p.clone()),
-            Partition::Binary(p) => Partition::Binary(p.clone()),
-        }
-    }
-}
-
-/// Decoded binary partition (see [`Partition::Binary`]).
-pub struct BinaryPartition {
-    /// Shared coordinate columns.
-    pub block: ColumnarBlock,
-    /// Local R-tree over the block's MBRs.
-    pub tree: LocalRTree,
+enum Rows<R> {
+    /// Text partition: parsed records.
+    Parsed(Vec<R>),
+    /// Binary partition: shared coordinate columns.
+    Columns(ColumnarBlock),
 }
 
 impl<R: Record> Partition<R> {
     /// Number of records in the partition.
     pub fn len(&self) -> usize {
-        match self {
-            Partition::Text(p) => p.0.len(),
-            Partition::Binary(p) => p.block.count,
+        match &self.rows {
+            Rows::Parsed(v) => v.len(),
+            Rows::Columns(block) => block.count,
         }
     }
 
@@ -318,89 +290,72 @@ impl<R: Record> Partition<R> {
 
     /// The partition's local R-tree.
     pub fn tree(&self) -> &LocalRTree {
-        match self {
-            Partition::Text(p) => &p.1,
-            Partition::Binary(p) => &p.tree,
-        }
+        &self.tree
     }
 
     /// MBR of record `i`.
     #[inline]
     pub fn mbr_of(&self, i: usize) -> Rect {
-        match self {
-            Partition::Text(p) => p.0[i].mbr(),
-            Partition::Binary(p) => p.block.mbr(i),
+        match &self.rows {
+            Rows::Parsed(v) => v[i].mbr(),
+            Rows::Columns(block) => block.mbr(i),
         }
     }
 
     /// Materializes record `i`.
     pub fn record(&self, i: usize) -> R {
-        match self {
-            Partition::Text(p) => p.0[i].clone(),
-            Partition::Binary(p) => p.block.record::<R>(i),
+        match &self.rows {
+            Rows::Parsed(v) => v[i].clone(),
+            Rows::Columns(block) => block.record::<R>(i),
         }
     }
 
     /// Appends record `i`'s text encoding to `out` (result lines stay
     /// text in both formats, so outputs are byte-identical).
     pub fn write_record(&self, i: usize, out: &mut String) {
-        match self {
-            Partition::Text(p) => p.0[i].write_line(out),
-            Partition::Binary(p) => p.block.record::<R>(i).write_line(out),
+        match &self.rows {
+            Rows::Parsed(v) => v[i].write_line(out),
+            Rows::Columns(block) => block.record::<R>(i).write_line(out),
         }
     }
 
     /// Indices of records whose MBR intersects `q` without consulting
-    /// the tree — text scans the parsed records, binary iterates the
-    /// coordinate columns directly (the zero-copy hot loop).
-    pub fn scan_filter(&self, q: &Rect) -> Vec<usize> {
-        match self {
-            Partition::Text(p) => {
-                p.0.iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.mbr().intersects(q))
-                    .map(|(i, _)| i)
-                    .collect()
-            }
-            Partition::Binary(p) => p.block.mbr_filter(q),
-        }
-    }
-
-    /// [`Partition::scan_filter`] spread across the cluster slot pool:
-    /// binary partitions above the [`crate::parscan::MIN_CHUNK`]
-    /// threshold scan their coordinate columns in parallel chunks over
-    /// opportunistically leased extra slots; text partitions and small
-    /// blocks scan serially. Returns the (ascending, identical to the
-    /// serial scan) hit indices plus the number of extra slots used.
+    /// the tree. Text scans the parsed records; binary iterates the
+    /// coordinate columns directly (the zero-copy hot loop), in parallel
+    /// chunks over opportunistically leased extra slots once the block
+    /// is worth splitting. Returns the ascending hit indices (identical
+    /// to a serial scan) plus the number of extra slots used.
     pub fn scan_filter_par(&self, dfs: &Dfs, q: &Rect) -> (Vec<usize>, usize) {
-        match self {
-            Partition::Binary(p) if p.block.count >= crate::parscan::MIN_CHUNK => {
-                crate::parscan::parallel_chunks(
-                    dfs.slots(),
-                    p.block.count,
-                    crate::parscan::MIN_CHUNK,
-                    |start, end| p.block.mbr_filter_range(q, start, end),
-                )
+        match &self.rows {
+            Rows::Parsed(v) => {
+                let hits = (0..v.len()).filter(|&i| v[i].mbr().intersects(q));
+                (hits.collect(), 0)
             }
-            _ => (self.scan_filter(q), 0),
+            Rows::Columns(block) => crate::parscan::parallel_chunks(
+                dfs.slots(),
+                block.count,
+                crate::parscan::MIN_CHUNK,
+                |start, end| block.mbr_filter_range(q, start, end),
+            ),
         }
     }
 
-    /// [`Partition::records`][Self::record] for the whole partition,
-    /// materialized across the slot pool (distributed join's
-    /// materialization step). Identical to a serial materialization.
-    pub fn records_par(&self, dfs: &Dfs) -> (Vec<R>, usize) {
-        match self {
-            Partition::Binary(p) if p.block.count >= crate::parscan::MIN_CHUNK => {
-                crate::parscan::parallel_chunks(
+    /// Every record of the partition as a slice (distributed join's
+    /// plane sweep): text lends its parsed records, binary materializes
+    /// them from the columns across the slot pool, identically to a
+    /// serial materialization. Also returns the extra slots used.
+    pub fn records_par(&self, dfs: &Dfs) -> (Cow<'_, [R]>, usize) {
+        match &self.rows {
+            Rows::Parsed(v) => (Cow::Borrowed(v), 0),
+            Rows::Columns(block) => {
+                let (records, extra) = crate::parscan::parallel_chunks(
                     dfs.slots(),
-                    p.block.count,
+                    block.count,
                     crate::parscan::MIN_CHUNK,
-                    |start, end| p.block.records_range::<R>(start, end),
-                )
+                    |start, end| block.records_range::<R>(start, end),
+                );
+                (Cow::Owned(records), extra)
             }
-            Partition::Binary(p) => (p.block.records::<R>(), 0),
-            Partition::Text(p) => (p.0.clone(), 0),
         }
     }
 }
@@ -510,12 +465,7 @@ mod tests {
 
         let (again, hit) = open(&data);
         assert!(hit, "second open is a hit");
-        match (&part, &again) {
-            (Partition::Text(a), Partition::Text(b)) => {
-                assert!(Arc::ptr_eq(a, b), "hit returns the shared value")
-            }
-            _ => panic!("text partitions expected"),
-        }
+        assert!(Arc::ptr_eq(&part, &again), "hit returns the shared value");
 
         // Overwrite: delete + create must drop the entry.
         dfs.delete("/idx/part-00000");
@@ -577,17 +527,18 @@ mod tests {
         assert!(!hit, "first open is a miss");
         assert_eq!(part.len(), 3);
         assert_eq!(part.tree().query(&q), vec![1]);
-        assert_eq!(part.scan_filter(&q), vec![1]);
+        assert_eq!(part.scan_filter_par(&dfs, &q).0, vec![1]);
         assert_eq!(part.record(1), Point::new(3.0, 4.0));
 
         let (again, hit) =
             SpatialRecordReader::open_indexed_bytes::<Point>(&dfs, "/idx/part-00000", &data)
                 .unwrap();
         assert!(hit, "second open is a hit");
-        match (&part, &again) {
-            (Partition::Binary(a), Partition::Binary(b)) => assert!(Arc::ptr_eq(a, b)),
-            _ => panic!("binary partitions expected"),
-        }
+        assert!(
+            matches!(part.rows, Rows::Columns(_)),
+            "binary keeps columns"
+        );
+        assert!(Arc::ptr_eq(&part, &again));
 
         // Text data takes the text path through the same entry point.
         dfs.write_string("/idx/part-00001", "1 2\n3 4\n5 6\n")
@@ -596,8 +547,8 @@ mod tests {
         let (tpart, _) =
             SpatialRecordReader::open_indexed_bytes::<Point>(&dfs, "/idx/part-00001", &tdata)
                 .unwrap();
-        assert!(matches!(tpart, Partition::Text(_)));
-        assert_eq!(tpart.scan_filter(&q), vec![1]);
+        assert!(matches!(tpart.rows, Rows::Parsed(_)));
+        assert_eq!(tpart.scan_filter_par(&dfs, &q).0, vec![1]);
 
         // Corrupt SHCB data (valid magic, truncated payload) is an error,
         // not a panic.
@@ -609,6 +560,27 @@ mod tests {
             ),
             Err(OpError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn records_bytes_reads_blocks_stored_back_to_back() {
+        let read = SpatialRecordReader::records_bytes::<Point>;
+        let a = vec![Point::new(1.0, 2.0), Point::new(3.0, 4.0)];
+        let b = vec![Point::new(5.0, 6.0)];
+        let (block_a, block_b) = (colblock::encode(&a).unwrap(), colblock::encode(&b).unwrap());
+        let both = [a.clone(), b.clone()].concat();
+
+        // Two blocks; a block then text lines.
+        assert_eq!(read(&[&block_a[..], &block_b[..]].concat()).unwrap(), both);
+        assert_eq!(read(&[&block_a[..], b"5 6\n"].concat()).unwrap(), both);
+        // A truncated second block is corrupt — not a panic, not a
+        // silently shorter list.
+        let cut = [&block_a[..], &block_b[..block_b.len() - 3]].concat();
+        assert!(matches!(read(&cut), Err(OpError::Corrupt(_))));
+        // Neither is a count that overflows the length arithmetic.
+        let mut huge = block_a.clone();
+        huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(read(&huge), Err(OpError::Corrupt(_))));
     }
 
     #[test]

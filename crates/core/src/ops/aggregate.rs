@@ -9,10 +9,10 @@
 
 use sh_dfs::Dfs;
 use sh_geom::{Record, Rect};
-use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer};
 
 use crate::catalog::SpatialFile;
-use crate::mrlayer::SpatialRecordReader;
+use crate::mrlayer::{ByRecords, RecordMapper};
 use crate::opresult::{OpError, OpResult};
 
 /// Dataset statistics.
@@ -32,38 +32,24 @@ struct StatsMapper<R: Record> {
     _r: std::marker::PhantomData<fn() -> R>,
 }
 
-impl<R: Record> Mapper for StatsMapper<R> {
+impl<R: Record> RecordMapper for StatsMapper<R> {
+    type R = R;
     type K = u8;
     type V = (u64, u64, f64, f64, f64, f64);
 
-    fn map(
+    fn map_records(
         &self,
         split: &InputSplit,
-        data: &str,
+        records: Vec<R>,
         ctx: &mut MapContext<u8, (u64, u64, f64, f64, f64, f64)>,
     ) {
         let mut mbr = Rect::empty();
-        let mut records = 0u64;
-        let mut bytes = 0u64;
-        for line in data.lines().filter(|l| !l.trim().is_empty()) {
-            let r = R::parse_line(line).unwrap_or_else(|e| {
-                sh_mapreduce::fail_corrupt(format!("{}: {e}: {line:?}", split.path))
-            });
+        for r in &records {
             mbr.expand(&r.mbr());
-            records += 1;
-            bytes += line.len() as u64 + 1;
         }
-        ctx.emit(1, (records, bytes, mbr.x1, mbr.y1, mbr.x2, mbr.y2));
-    }
-
-    fn map_bytes(
-        &self,
-        split: &InputSplit,
-        data: &[u8],
-        ctx: &mut MapContext<u8, (u64, u64, f64, f64, f64, f64)>,
-    ) {
-        let text = SpatialRecordReader::task_text::<R>(&split.path, data);
-        self.map(split, &text, ctx);
+        // `bytes` is the split's stored length, whatever its layout.
+        let (n, bytes) = (records.len() as u64, split.len());
+        ctx.emit(1, (n, bytes, mbr.x1, mbr.y1, mbr.x2, mbr.y2));
     }
 }
 
@@ -104,9 +90,9 @@ pub fn stats_hadoop<R: Record>(
 ) -> Result<OpResult<FileStats>, OpError> {
     let job = JobBuilder::new(dfs, &format!("stats:{heap}"))
         .input_file(heap)?
-        .mapper(StatsMapper::<R> {
+        .mapper(ByRecords(StatsMapper::<R> {
             _r: std::marker::PhantomData,
-        })
+        }))
         .reducer(StatsReducer, 1)
         .output(out_dir)
         .build()?

@@ -11,21 +11,26 @@
 use sh_dfs::Dfs;
 use sh_geom::algorithms::closest_pair::{closest_pair, PointPair};
 use sh_geom::Point;
-use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer};
 
 use crate::catalog::SpatialFile;
-use crate::mrlayer::{split_cell, SpatialFileSplitter, SpatialRecordReader};
+use crate::mrlayer::{split_cell, ByRecords, RecordMapper, SpatialFileSplitter};
 use crate::opresult::{OpError, OpResult};
 
 struct LocalClosestPairMapper;
 
-impl Mapper for LocalClosestPairMapper {
+impl RecordMapper for LocalClosestPairMapper {
+    type R = Point;
     type K = u8;
     type V = (f64, f64);
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, (f64, f64)>) {
+    fn map_records(
+        &self,
+        split: &InputSplit,
+        points: Vec<Point>,
+        ctx: &mut MapContext<u8, (f64, f64)>,
+    ) {
         let cell = split_cell(split);
-        let points = SpatialRecordReader::records::<Point>(data);
         let local = closest_pair(&points);
         let delta = local.map(|p| p.distance).unwrap_or(f64::INFINITY);
         let mut forwarded = 0u64;
@@ -46,11 +51,6 @@ impl Mapper for LocalClosestPairMapper {
         }
         ctx.counter("closestpair.candidates", forwarded);
         ctx.counter("closestpair.points", points.len() as u64);
-    }
-
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, (f64, f64)>) {
-        let text = SpatialRecordReader::task_text::<Point>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -83,16 +83,16 @@ pub fn closest_pair_hadoop_unsound(
     out_dir: &str,
 ) -> Result<OpResult<Option<PointPair>>, OpError> {
     struct NaiveLocalMapper;
-    impl Mapper for NaiveLocalMapper {
+    impl RecordMapper for NaiveLocalMapper {
+        type R = Point;
         type K = u8;
         type V = (f64, f64, f64, f64);
-        fn map(
+        fn map_records(
             &self,
             _split: &InputSplit,
-            data: &str,
+            points: Vec<Point>,
             ctx: &mut MapContext<u8, (f64, f64, f64, f64)>,
         ) {
-            let points = SpatialRecordReader::records::<Point>(data);
             if let Some(pair) = closest_pair(&points) {
                 ctx.emit(1, (pair.a.x, pair.a.y, pair.b.x, pair.b.y));
             }
@@ -117,7 +117,7 @@ pub fn closest_pair_hadoop_unsound(
     }
     let job = JobBuilder::new(dfs, &format!("closest-pair-unsound:{heap}"))
         .input_file(heap)?
-        .mapper(NaiveLocalMapper)
+        .mapper(ByRecords(NaiveLocalMapper))
         .reducer(MinReducer, 1)
         .output(out_dir)
         .build()?
@@ -153,7 +153,7 @@ pub fn closest_pair_spatial(
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
     let job = JobBuilder::new(dfs, &format!("closest-pair:{}", file.dir))
         .input_splits(splits)
-        .mapper(LocalClosestPairMapper)
+        .mapper(ByRecords(LocalClosestPairMapper))
         .reducer(GlobalClosestPairReducer, 1)
         .output(out_dir)
         .build()?

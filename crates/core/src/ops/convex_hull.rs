@@ -14,33 +14,31 @@ use std::f64::consts::{PI, TAU};
 use sh_dfs::Dfs;
 use sh_geom::algorithms::convex_hull::convex_hull;
 use sh_geom::{Point, Record, Rect};
-use sh_mapreduce::{
-    InputSplit, JobBuilder, JobOutcome, MapContext, Mapper, ReduceContext, Reducer,
-};
+use sh_mapreduce::{InputSplit, JobBuilder, JobOutcome, MapContext, ReduceContext, Reducer};
 
 use crate::catalog::SpatialFile;
 use crate::codec::{decode_rects, encode_rects};
-use crate::mrlayer::{SpatialFileSplitter, SpatialRecordReader};
+use crate::mrlayer::{ByRecords, RecordMapper, SpatialFileSplitter};
 use crate::opresult::{OpError, OpResult};
 
 struct LocalHullMapper;
 
-impl Mapper for LocalHullMapper {
+impl RecordMapper for LocalHullMapper {
+    type R = Point;
     type K = u8;
     type V = (f64, f64);
 
-    fn map(&self, _split: &InputSplit, data: &str, ctx: &mut MapContext<u8, (f64, f64)>) {
-        let points = SpatialRecordReader::records::<Point>(data);
+    fn map_records(
+        &self,
+        _split: &InputSplit,
+        points: Vec<Point>,
+        ctx: &mut MapContext<u8, (f64, f64)>,
+    ) {
         let hull = convex_hull(&points);
         ctx.counter("hull.local.kept", hull.len() as u64);
         for p in hull {
             ctx.emit(1, (p.x, p.y));
         }
-    }
-
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, (f64, f64)>) {
-        let text = SpatialRecordReader::task_text::<Point>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -62,7 +60,7 @@ impl Reducer for GlobalHullReducer {
 pub fn hull_hadoop(dfs: &Dfs, heap: &str, out_dir: &str) -> Result<OpResult<Vec<Point>>, OpError> {
     let job = JobBuilder::new(dfs, &format!("hull-hadoop:{heap}"))
         .input_file(heap)?
-        .mapper(LocalHullMapper)
+        .mapper(ByRecords(LocalHullMapper))
         .reducer(GlobalHullReducer, 1)
         .output(out_dir)
         .build()?
@@ -109,7 +107,7 @@ pub fn hull_spatial(
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
     let mut job = JobBuilder::new(dfs, &format!("hull-spatial:{}", file.dir))
         .input_splits(splits)
-        .mapper(LocalHullMapper)
+        .mapper(ByRecords(LocalHullMapper))
         .reducer(GlobalHullReducer, 1)
         .output(out_dir)
         .build()?
@@ -238,18 +236,18 @@ fn infeasible_arc_own(prev: &Point, t: &Point, next: &Point) -> Arc {
 
 struct EnhancedHullMapper;
 
-impl Mapper for EnhancedHullMapper {
+impl RecordMapper for EnhancedHullMapper {
+    type R = Point;
     type K = u8;
     type V = u8;
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
+    fn map_records(&self, split: &InputSplit, points: Vec<Point>, ctx: &mut MapContext<u8, u8>) {
         // The driver encoded the boxes, so decode failure is task-fatal
         // corruption.
         let boxes = decode_rects(split.aux.as_deref().unwrap_or(""))
             .expect("corrupt partition-box aux payload");
         let pruned_points = ctx.register_counter("hull.pruned.points");
         let candidates = ctx.register_counter("hull.candidates");
-        let points = SpatialRecordReader::records::<Point>(data);
         let hull = convex_hull(&points);
         let n = hull.len();
         if n < 3 {
@@ -275,11 +273,6 @@ impl Mapper for EnhancedHullMapper {
                 ctx.inc(candidates, 1);
             }
         }
-    }
-
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
-        let text = SpatialRecordReader::task_text::<Point>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -311,7 +304,7 @@ pub fn hull_enhanced(
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
     let job = JobBuilder::new(dfs, &format!("hull-enhanced:{}", file.dir))
         .input_splits(splits)
-        .mapper(EnhancedHullMapper)
+        .mapper(ByRecords(EnhancedHullMapper))
         .output(out_dir)
         .map_only()?
         .run()?;

@@ -20,10 +20,10 @@ use sh_geom::algorithms::delaunay::{circumcenter, Triangulation};
 use sh_geom::algorithms::voronoi::VoronoiDiagram;
 use sh_geom::point::sort_dedup;
 use sh_geom::{Point, Rect};
-use sh_mapreduce::{InputSplit, JobBuilder, JobOutcome, MapContext, Mapper, SimBreakdown};
+use sh_mapreduce::{InputSplit, JobBuilder, JobOutcome, MapContext, SimBreakdown};
 
 use crate::catalog::SpatialFile;
-use crate::mrlayer::{split_cell, SpatialFileSplitter, SpatialRecordReader};
+use crate::mrlayer::{split_cell, ByRecords, RecordMapper, SpatialFileSplitter};
 use crate::opresult::{OpError, OpResult};
 
 /// One output triangle.
@@ -75,15 +75,20 @@ fn circumcircle_inside(a: &Point, b: &Point, c: &Point, cell: &Rect) -> bool {
 
 struct LocalDtMapper;
 
-impl Mapper for LocalDtMapper {
+impl RecordMapper for LocalDtMapper {
+    type R = Point;
     type K = u8;
     /// `(tag, partition id, x, y)` — tag 0 = pending, 1 = witness.
     type V = (u8, u64, f64, f64);
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, (u8, u64, f64, f64)>) {
+    fn map_records(
+        &self,
+        split: &InputSplit,
+        mut sites: Vec<Point>,
+        ctx: &mut MapContext<u8, (u8, u64, f64, f64)>,
+    ) {
         let cell = split_cell(split);
         let pid = split.partition_id.expect("spatial split") as u64;
-        let mut sites = SpatialRecordReader::records::<Point>(data);
         sort_dedup(&mut sites);
         ctx.counter("delaunay.sites", sites.len() as u64);
         let tri = Triangulation::build(&sites);
@@ -125,16 +130,6 @@ impl Mapper for LocalDtMapper {
             }
         }
     }
-
-    fn map_bytes(
-        &self,
-        split: &InputSplit,
-        data: &[u8],
-        ctx: &mut MapContext<u8, (u8, u64, f64, f64)>,
-    ) {
-        let text = SpatialRecordReader::task_text::<Point>(&split.path, data);
-        self.map(split, &text, ctx);
-    }
 }
 
 /// Collecting reducer: the merge runs on the driver, so the lone reducer
@@ -172,7 +167,7 @@ pub fn delaunay_spatial(
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
     let job = JobBuilder::new(dfs, &format!("delaunay-spatial:{}", file.dir))
         .input_splits(splits)
-        .mapper(LocalDtMapper)
+        .mapper(ByRecords(LocalDtMapper))
         .pair_size(|_, _| 25)
         .reducer(ForwardReducer, 1)
         .output(out_dir)
@@ -261,23 +256,24 @@ struct StripDtMapper {
     strips: usize,
 }
 
-impl Mapper for StripDtMapper {
+impl RecordMapper for StripDtMapper {
+    type R = Point;
     type K = u64;
     type V = (f64, f64);
 
-    fn map(&self, _split: &InputSplit, data: &str, ctx: &mut MapContext<u64, (f64, f64)>) {
+    fn map_records(
+        &self,
+        _split: &InputSplit,
+        points: Vec<Point>,
+        ctx: &mut MapContext<u64, (f64, f64)>,
+    ) {
         let w = self.universe.width().max(1e-12);
-        for p in SpatialRecordReader::records::<Point>(data) {
+        for p in points {
             let s = (((p.x - self.universe.x1) / w) * self.strips as f64)
                 .floor()
                 .clamp(0.0, self.strips as f64 - 1.0) as u64;
             ctx.emit(s, (p.x, p.y));
         }
-    }
-
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u64, (f64, f64)>) {
-        let text = SpatialRecordReader::task_text::<Point>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -311,10 +307,10 @@ pub fn delaunay_hadoop(
     let strips = (stat.len.div_ceil(dfs.config().block_size)).max(1) as usize;
     let job = JobBuilder::new(dfs, &format!("delaunay-hadoop:{heap}"))
         .input_file(heap)?
-        .mapper(StripDtMapper {
+        .mapper(ByRecords(StripDtMapper {
             universe: *universe,
             strips,
-        })
+        }))
         .reducer(
             StripDtReducer,
             strips.min(dfs.config().total_reduce_slots()).max(1),

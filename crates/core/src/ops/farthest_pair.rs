@@ -22,28 +22,28 @@ use sh_geom::algorithms::closest_pair::PointPair;
 use sh_geom::algorithms::convex_hull::convex_hull;
 use sh_geom::algorithms::farthest_pair::farthest_pair_on_hull;
 use sh_geom::Point;
-use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer};
 
 use crate::catalog::SpatialFile;
-use crate::mrlayer::SpatialRecordReader;
+use crate::mrlayer::{ByRecords, RecordMapper};
 use crate::opresult::{OpError, OpResult};
 
 struct HullForwardMapper;
 
-impl Mapper for HullForwardMapper {
+impl RecordMapper for HullForwardMapper {
+    type R = Point;
     type K = u8;
     type V = (f64, f64);
 
-    fn map(&self, _split: &InputSplit, data: &str, ctx: &mut MapContext<u8, (f64, f64)>) {
-        let points = SpatialRecordReader::records::<Point>(data);
+    fn map_records(
+        &self,
+        _split: &InputSplit,
+        points: Vec<Point>,
+        ctx: &mut MapContext<u8, (f64, f64)>,
+    ) {
         for p in convex_hull(&points) {
             ctx.emit(1, (p.x, p.y));
         }
-    }
-
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, (f64, f64)>) {
-        let text = SpatialRecordReader::task_text::<Point>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -73,7 +73,7 @@ pub fn farthest_pair_hadoop(
 ) -> Result<OpResult<Option<PointPair>>, OpError> {
     let job = JobBuilder::new(dfs, &format!("fp-hadoop:{heap}"))
         .input_file(heap)?
-        .mapper(HullForwardMapper)
+        .mapper(ByRecords(HullForwardMapper))
         .reducer(CalipersReducer, 1)
         .output(out_dir)
         .build()?
@@ -85,23 +85,18 @@ pub fn farthest_pair_hadoop(
 
 struct PairFarthestMapper;
 
-impl Mapper for PairFarthestMapper {
+impl RecordMapper for PairFarthestMapper {
+    type R = Point;
     type K = u8;
     type V = (f64, f64, f64, f64);
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, (f64, f64, f64, f64)>) {
-        self.map_bytes(split, data.as_bytes(), ctx);
-    }
-
-    fn map_bytes(
+    // `points` holds both partitions of a pair split.
+    fn map_records(
         &self,
-        split: &InputSplit,
-        data: &[u8],
+        _split: &InputSplit,
+        points: Vec<Point>,
         ctx: &mut MapContext<u8, (f64, f64, f64, f64)>,
     ) {
-        let (a_text, b_text) = SpatialRecordReader::task_text_pair::<Point>(split, data);
-        let mut points = SpatialRecordReader::records::<Point>(&a_text);
-        points.extend(SpatialRecordReader::records::<Point>(&b_text));
         let hull = convex_hull(&points);
         if let Some(pair) = farthest_pair_on_hull(&hull) {
             ctx.emit(1, (pair.a.x, pair.a.y, pair.b.x, pair.b.y));
@@ -146,7 +141,7 @@ pub fn farthest_pair_spatial(
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
     let mut job = JobBuilder::new(dfs, &format!("fp-spatial:{}", file.dir))
         .input_splits(splits)
-        .mapper(HullForwardMapper)
+        .mapper(ByRecords(HullForwardMapper))
         .reducer(CalipersReducer, 1)
         .output(out_dir)
         .build()?
@@ -227,7 +222,7 @@ pub fn farthest_pair_pairs(
     }
     let mut job = JobBuilder::new(dfs, &format!("fp-spatial:{}", file.dir))
         .input_splits(splits)
-        .mapper(PairFarthestMapper)
+        .mapper(ByRecords(PairFarthestMapper))
         .reducer(MaxPairReducer, 1)
         .output(out_dir)
         .build()?

@@ -20,7 +20,9 @@ use sh_mapreduce::{
 
 use crate::catalog::SpatialFile;
 use crate::codec::{decode_pair, write_pair};
-use crate::mrlayer::{reference_point, Partition, SpatialRecordReader};
+use crate::mrlayer::{
+    reference_point, task, task_inputs, ByRecords, RecordMapper, SpatialRecordReader,
+};
 use crate::opresult::{OpError, OpResult};
 use sh_trace::Selectivity;
 
@@ -30,28 +32,24 @@ struct SjmrMapper {
     grid: GridPartitioning,
 }
 
-impl Mapper for SjmrMapper {
+impl RecordMapper for SjmrMapper {
+    type R = Rect;
     type K = u64;
     type V = (u32, [f64; 4]);
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u64, (u32, [f64; 4])>) {
+    fn map_records(
+        &self,
+        split: &InputSplit,
+        rects: Vec<Rect>,
+        ctx: &mut MapContext<u64, (u32, [f64; 4])>,
+    ) {
         let replicated = ctx.register_counter("sjmr.replicated");
-        for r in SpatialRecordReader::records::<Rect>(data) {
+        for r in rects {
             for cell in self.grid.assign(&r) {
                 ctx.emit(cell as u64, (split.tag, [r.x1, r.y1, r.x2, r.y2]));
                 ctx.inc(replicated, 1);
             }
         }
-    }
-
-    fn map_bytes(
-        &self,
-        split: &InputSplit,
-        data: &[u8],
-        ctx: &mut MapContext<u64, (u32, [f64; 4])>,
-    ) {
-        let text = SpatialRecordReader::task_text::<Rect>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -114,7 +112,7 @@ pub fn sjmr(
     let reducers = grid.len().min(dfs.config().total_reduce_slots()).max(1);
     let job = JobBuilder::new(dfs, &format!("sjmr:{left}:{right}"))
         .input_splits(splits)
-        .mapper(SjmrMapper { grid: grid.clone() })
+        .mapper(ByRecords(SjmrMapper { grid: grid.clone() }))
         .pair_size(|_, _| 8 + 4 + 32)
         .reducer(SjmrReducer { grid }, reducers)
         .output(out_dir)
@@ -141,62 +139,35 @@ impl Mapper for DjMapper {
         self.map_bytes(split, data.as_bytes(), ctx);
     }
 
+    // Byte-level: each side is opened through the per-node cache under
+    // its own partition path — a partition typically appears in several
+    // overlapping pairs.
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
         let cache_hits = ctx.register_counter("cache.hits");
         let cache_misses = ctx.register_counter("cache.misses");
         let (left_data, right_data) = split.split_data_bytes(data);
-        // A partition typically appears in several overlapping pairs, so
-        // each side goes through the per-node cache independently.
-        let (path_a, path_b) = split
-            .path
-            .split_once('+')
-            .expect("dj split path is pathA+pathB");
-        let (lpart, left_hit) =
-            SpatialRecordReader::task_open_indexed_bytes::<Rect>(&self.dfs, path_a, left_data);
-        let (rpart, right_hit) =
-            SpatialRecordReader::task_open_indexed_bytes::<Rect>(&self.dfs, path_b, right_data);
+        let (path_a, path_b, [cell_a, cell_b, uni_a, uni_b]) = pair_aux(split);
+        let open = |path: &str, data: &[u8]| {
+            task(
+                path,
+                SpatialRecordReader::open_indexed_bytes::<Rect>(&self.dfs, path, data),
+            )
+        };
+        let (lpart, left_hit) = open(path_a, left_data);
+        let (rpart, right_hit) = open(path_b, right_data);
         for hit in [left_hit, right_hit] {
             ctx.inc(if hit { cache_hits } else { cache_misses }, 1);
         }
         // The plane sweep wants rect slices; binary partitions
         // materialize theirs from the coordinate columns, spread across
         // any idle worker slots for big partitions.
-        let (left_owned, right_owned);
-        let mut extra_slots = 0;
-        let left: &[Rect] = match &lpart {
-            Partition::Text(p) => &p.0,
-            Partition::Binary(_) => {
-                let (recs, extra) = lpart.records_par(&self.dfs);
-                extra_slots += extra;
-                left_owned = recs;
-                &left_owned
-            }
-        };
-        let right: &[Rect] = match &rpart {
-            Partition::Text(p) => &p.0,
-            Partition::Binary(_) => {
-                let (recs, extra) = rpart.records_par(&self.dfs);
-                extra_slots += extra;
-                right_owned = recs;
-                &right_owned
-            }
-        };
-        if extra_slots > 0 {
+        let (left, left_extra) = lpart.records_par(&self.dfs);
+        let (right, right_extra) = rpart.records_par(&self.dfs);
+        let (left, right): (&[Rect], &[Rect]) = (&left, &right);
+        if left_extra + right_extra > 0 {
             let par = ctx.register_counter("scan.parallel.extra_slots");
-            ctx.inc(par, extra_slots as u64);
+            ctx.inc(par, (left_extra + right_extra) as u64);
         }
-        // aux carries: cellA(4) cellB(4) uniA(4) uniB(4)
-        let aux: Vec<f64> = split
-            .aux
-            .as_deref()
-            .expect("dj split carries cell metadata")
-            .split_ascii_whitespace()
-            .map(|t| t.parse().expect("dj aux"))
-            .collect();
-        let cell_a = Rect::new(aux[0], aux[1], aux[2], aux[3]);
-        let cell_b = Rect::new(aux[4], aux[5], aux[6], aux[7]);
-        let uni_a = Rect::new(aux[8], aux[9], aux[10], aux[11]);
-        let uni_b = Rect::new(aux[12], aux[13], aux[14], aux[15]);
         let mut results = 0u64;
         let mut line = String::with_capacity(80);
         plane_sweep_join_into(left, right, |i, j| {
@@ -215,6 +186,24 @@ impl Mapper for DjMapper {
         });
         ctx.counter("join.results", results);
     }
+}
+
+/// Reads back what [`pair_splits`] attached to a two-input split: the
+/// two partition paths, then `[cell A, cell B, universe A, universe B]`
+/// for the reference-point rule. The paths travel here, one per line,
+/// because they are user-chosen — no separator is safe to parse out of
+/// the split's display name.
+fn pair_aux(split: &InputSplit) -> (&str, &str, [Rect; 4]) {
+    let aux = split.aux.as_deref().expect("dj split carries aux");
+    let mut lines = aux.lines();
+    let mut next = || lines.next().expect("dj aux has three lines");
+    let (path_a, path_b) = (next(), next());
+    let v: Vec<f64> = next()
+        .split_ascii_whitespace()
+        .map(|t| t.parse().expect("dj aux"))
+        .collect();
+    let rect = |i: usize| Rect::new(v[i], v[i + 1], v[i + 2], v[i + 3]);
+    (path_a, path_b, [rect(0), rect(4), rect(8), rect(12)])
 }
 
 /// Driver-side filter step shared by all distributed-join flavours:
@@ -266,7 +255,9 @@ fn pair_splits(dfs: &Dfs, a: &SpatialFile, b: &SpatialFile) -> Result<Vec<InputS
         let mut blocks = left.blocks;
         blocks.extend(right.blocks);
         let aux = format!(
-            "{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+            "{}\n{}\n{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+            pa.path,
+            pb.path,
             pa.cell[0],
             pa.cell[1],
             pa.cell[2],
@@ -342,22 +333,10 @@ impl Mapper for PolygonDjMapper {
 
     fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
         use sh_geom::Polygon;
-        let (left_text, right_text) = split.split_data(data);
-        let left = SpatialRecordReader::records::<Polygon>(left_text);
-        let right = SpatialRecordReader::records::<Polygon>(right_text);
+        let (left, right) = task_inputs::<Polygon>(split, data.as_bytes());
         let left_mbrs: Vec<Rect> = left.iter().map(sh_geom::Record::mbr).collect();
         let right_mbrs: Vec<Rect> = right.iter().map(sh_geom::Record::mbr).collect();
-        let aux: Vec<f64> = split
-            .aux
-            .as_deref()
-            .expect("dj split carries cell metadata")
-            .split_ascii_whitespace()
-            .map(|t| t.parse().expect("dj aux"))
-            .collect();
-        let cell_a = Rect::new(aux[0], aux[1], aux[2], aux[3]);
-        let cell_b = Rect::new(aux[4], aux[5], aux[6], aux[7]);
-        let uni_a = Rect::new(aux[8], aux[9], aux[10], aux[11]);
-        let uni_b = Rect::new(aux[12], aux[13], aux[14], aux[15]);
+        let (_, _, [cell_a, cell_b, uni_a, uni_b]) = pair_aux(split);
         let mut results = 0u64;
         // MBR plane sweep as the filter, exact polygon test as the
         // refinement — the classic filter-and-refine join.
@@ -486,16 +465,27 @@ mod tests {
 
     #[test]
     fn distributed_join_matches_baseline_disjoint_indexes() {
+        dj_disjoint("/ia", "/ib");
+    }
+
+    #[test]
+    fn distributed_join_survives_plus_in_index_paths() {
+        // `str+` is a partitioner name, so this is a natural spelling; a
+        // pair split's display name `pathA+pathB` must not be parsed.
+        dj_disjoint("/idx/str+/a", "/idx/str+/b");
+    }
+
+    fn dj_disjoint(dir_a: &str, dir_b: &str) {
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
         let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
         let left = rects(700, &uni, 50.0, 3);
         let right = rects(700, &uni, 50.0, 4);
         upload(&dfs, "/l", &left).unwrap();
         upload(&dfs, "/r", &right).unwrap();
-        let fa = build_index::<Rect>(&dfs, "/l", "/ia", PartitionKind::Grid)
+        let fa = build_index::<Rect>(&dfs, "/l", dir_a, PartitionKind::Grid)
             .unwrap()
             .value;
-        let fb = build_index::<Rect>(&dfs, "/r", "/ib", PartitionKind::Grid)
+        let fb = build_index::<Rect>(&dfs, "/r", dir_b, PartitionKind::Grid)
             .unwrap()
             .value;
         let got = distributed_join(&dfs, &fa, &fb, "/out").unwrap();

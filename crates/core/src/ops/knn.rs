@@ -19,7 +19,7 @@ use sh_mapreduce::{
 };
 
 use crate::catalog::SpatialFile;
-use crate::mrlayer::{SpatialFileSplitter, SpatialRecordReader};
+use crate::mrlayer::{task, ByRecords, RecordMapper, SpatialFileSplitter, SpatialRecordReader};
 use crate::opresult::{OpError, OpResult};
 use sh_trace::Selectivity;
 
@@ -35,20 +35,20 @@ struct KnnScanMapper {
     k: usize,
 }
 
-impl Mapper for KnnScanMapper {
+impl RecordMapper for KnnScanMapper {
+    type R = Point;
     type K = u8;
     type V = (f64, f64);
 
-    fn map(&self, _split: &InputSplit, data: &str, ctx: &mut MapContext<u8, (f64, f64)>) {
-        let points = SpatialRecordReader::records::<Point>(data);
+    fn map_records(
+        &self,
+        _split: &InputSplit,
+        points: Vec<Point>,
+        ctx: &mut MapContext<u8, (f64, f64)>,
+    ) {
         for p in local_top_k(&points, &self.q, self.k) {
             ctx.emit(1, (p.x, p.y));
         }
-    }
-
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, (f64, f64)>) {
-        let text = SpatialRecordReader::task_text::<Point>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -79,7 +79,7 @@ pub fn knn_hadoop(
 ) -> Result<OpResult<Vec<Point>>, OpError> {
     let job = JobBuilder::new(dfs, &format!("knn-hadoop:{heap}"))
         .input_file(heap)?
-        .mapper(KnnScanMapper { q: *q, k })
+        .mapper(ByRecords(KnnScanMapper { q: *q, k }))
         .reducer(KnnMergeReducer { q: *q, k }, 1)
         .output(out_dir)
         .build()?
@@ -107,8 +107,10 @@ impl<R: Record> Mapper for KnnIndexMapper<R> {
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
         // One cached open gives both the records and the local tree,
         // text or binary alike.
-        let (part, hit) =
-            SpatialRecordReader::task_open_indexed_bytes::<Point>(&self.dfs, &split.path, data);
+        let (part, hit) = task(
+            &split.path,
+            SpatialRecordReader::open_indexed_bytes::<Point>(&self.dfs, &split.path, data),
+        );
         let h = ctx.register_counter(if hit { "cache.hits" } else { "cache.misses" });
         ctx.inc(h, 1);
         // The local index answers the kNN directly (best-first search).

@@ -27,7 +27,7 @@ use sh_index::LocalRTree;
 use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper};
 
 use crate::catalog::SpatialFile;
-use crate::mrlayer::SpatialRecordReader;
+use crate::mrlayer::task_inputs;
 use crate::opresult::{OpError, OpResult};
 
 /// One joined row: the `R` point and its neighbours, nearest first.
@@ -89,9 +89,9 @@ impl Mapper for Round1Mapper {
 
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
         let pid = split.partition_id.expect("spatial split");
-        let (r_text, s_text) = SpatialRecordReader::task_text_pair::<Point>(split, data);
-        let r_points: Vec<Point> = parse_points(&r_text);
-        let mut s_points: Vec<Point> = parse_points(&s_text);
+        // The two inputs stay apart: the R partition, then every S
+        // partition of the split in whichever layout each was stored.
+        let (r_points, mut s_points) = task_inputs::<Point>(split, data);
         sort_dedup(&mut s_points);
         let tree = LocalRTree::build(s_points.iter().map(|p| p.to_rect()).collect());
 
@@ -156,9 +156,7 @@ impl Mapper for Round2Mapper {
     }
 
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
-        let (pending_text, s_text) = SpatialRecordReader::task_text_pair::<Point>(split, data);
-        let pending: Vec<Point> = parse_points(&pending_text);
-        let mut s_points: Vec<Point> = parse_points(&s_text);
+        let (pending, mut s_points) = task_inputs::<Point>(split, data);
         sort_dedup(&mut s_points);
         let tree = LocalRTree::build(s_points.iter().map(|p| p.to_rect()).collect());
         for r in &pending {
@@ -167,10 +165,6 @@ impl Mapper for Round2Mapper {
             ctx.counter("knnjoin.final.round2", 1);
         }
     }
-}
-
-fn parse_points(text: &str) -> Vec<Point> {
-    SpatialRecordReader::records::<Point>(text)
 }
 
 /// Distributed kNN join (`R` must be a disjoint index; `S` any index).
@@ -323,7 +317,7 @@ pub fn knn_join_single(r: &[Point], s: &[Point], k: usize) -> Vec<KnnRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{build_index, upload};
+    use crate::storage::{build_index, build_index_fmt, upload, BlockFormat};
     use sh_dfs::ClusterConfig;
     use sh_index::PartitionKind;
     use sh_workload::{osm_like_points, points, Distribution};
@@ -349,16 +343,30 @@ mod tests {
     }
 
     fn run(r_kind: PartitionKind, s_kind: PartitionKind, k: usize, seed: u64) {
+        run_fmt(
+            (r_kind, BlockFormat::Text),
+            (s_kind, BlockFormat::Text),
+            k,
+            seed,
+        );
+    }
+
+    fn run_fmt(
+        (r_kind, r_fmt): (PartitionKind, BlockFormat),
+        (s_kind, s_fmt): (PartitionKind, BlockFormat),
+        k: usize,
+        seed: u64,
+    ) {
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
         let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
         let r = points(800, Distribution::Uniform, &uni, seed);
         let s = points(1200, Distribution::Uniform, &uni, seed + 1);
         upload(&dfs, "/r", &r).unwrap();
         upload(&dfs, "/s", &s).unwrap();
-        let rf = build_index::<Point>(&dfs, "/r", "/ri", r_kind)
+        let rf = build_index_fmt::<Point>(&dfs, "/r", "/ri", r_kind, r_fmt)
             .unwrap()
             .value;
-        let sf = build_index::<Point>(&dfs, "/s", "/si", s_kind)
+        let sf = build_index_fmt::<Point>(&dfs, "/s", "/si", s_kind, s_fmt)
             .unwrap()
             .value;
         let got = knn_join_spatial(&dfs, &rf, &sf, k, "/out").unwrap();
@@ -370,6 +378,17 @@ mod tests {
     #[test]
     fn matches_baseline_grid_grid() {
         run(PartitionKind::Grid, PartitionKind::Grid, 3, 301);
+    }
+
+    #[test]
+    fn matches_baseline_over_binary_indexes() {
+        // The grid cuts 1 200 S points into 9 partitions, so every R cell
+        // reads two or more S blocks stored back to back.
+        use BlockFormat::{Binary, Text};
+        for (r_fmt, s_fmt) in [(Binary, Binary), (Text, Binary), (Binary, Text)] {
+            let grid = PartitionKind::Grid;
+            run_fmt((grid, r_fmt), (grid, s_fmt), 3, 307);
+        }
     }
 
     #[test]

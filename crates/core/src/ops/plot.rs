@@ -13,10 +13,10 @@
 
 use sh_dfs::Dfs;
 use sh_geom::{Record, Rect};
-use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer};
 
 use crate::catalog::SpatialFile;
-use crate::mrlayer::{SpatialFileSplitter, SpatialRecordReader};
+use crate::mrlayer::{ByRecords, RecordMapper, SpatialFileSplitter};
 use crate::opresult::{OpError, OpResult};
 
 /// A density raster: `width x height` pixel counts, row 0 at the top.
@@ -105,21 +105,22 @@ struct PlotMapper<R: Record> {
     _r: std::marker::PhantomData<fn() -> R>,
 }
 
-impl<R: Record> Mapper for PlotMapper<R> {
+impl<R: Record> RecordMapper for PlotMapper<R> {
+    type R = R;
     type K = u32;
     /// `(row, x-offset, counts for the partition's pixel window)` — a
     /// partition only ships the span of columns it actually lit, like
     /// HadoopViz tiles.
     type V = (u32, Vec<u32>);
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u32, (u32, Vec<u32>)>) {
+    fn map_records(
+        &self,
+        _split: &InputSplit,
+        records: Vec<R>,
+        ctx: &mut MapContext<u32, (u32, Vec<u32>)>,
+    ) {
         let mut tile = Raster::new(self.width, self.height);
-        let records = data.lines().filter(|l| !l.trim().is_empty()).map(|l| {
-            R::parse_line(l).unwrap_or_else(|e| {
-                sh_mapreduce::fail_corrupt(format!("{}: {e}: {l:?}", split.path))
-            })
-        });
-        rasterize(records, &self.universe, &mut tile);
+        rasterize(records.into_iter(), &self.universe, &mut tile);
         for (row_ix, row) in tile.pixels.chunks(self.width).enumerate() {
             let Some(first) = row.iter().position(|&v| v > 0) else {
                 continue;
@@ -127,16 +128,6 @@ impl<R: Record> Mapper for PlotMapper<R> {
             let last = row.iter().rposition(|&v| v > 0).unwrap_or(first);
             ctx.emit(row_ix as u32, (first as u32, row[first..=last].to_vec()));
         }
-    }
-
-    fn map_bytes(
-        &self,
-        split: &InputSplit,
-        data: &[u8],
-        ctx: &mut MapContext<u32, (u32, Vec<u32>)>,
-    ) {
-        let text = SpatialRecordReader::task_text::<R>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -177,12 +168,12 @@ pub fn plot_spatial<R: Record>(
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
     let job = JobBuilder::new(dfs, &format!("plot:{}", file.dir))
         .input_splits(splits)
-        .mapper(PlotMapper::<R> {
+        .mapper(ByRecords(PlotMapper::<R> {
             universe: file.universe,
             width,
             height,
             _r: std::marker::PhantomData,
-        })
+        }))
         .pair_size(move |_, (_, v): &(u32, Vec<u32>)| 8 + 4 * v.len())
         .reducer(
             RowMergeReducer { width },
@@ -249,22 +240,23 @@ struct PyramidMapper<R: Record> {
     _r: std::marker::PhantomData<fn() -> R>,
 }
 
-impl<R: Record> Mapper for PyramidMapper<R> {
+impl<R: Record> RecordMapper for PyramidMapper<R> {
+    type R = R;
     type K = (u8, u32, u32);
     type V = Vec<u32>;
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<(u8, u32, u32), Vec<u32>>) {
+    fn map_records(
+        &self,
+        _split: &InputSplit,
+        records: Vec<R>,
+        ctx: &mut MapContext<(u8, u32, u32), Vec<u32>>,
+    ) {
         use std::collections::HashMap;
         let w = self.universe.width().max(1e-12);
         let h = self.universe.height().max(1e-12);
         let mut tiles: HashMap<(u8, u32, u32), Vec<u32>> = HashMap::new();
-        for line in data.lines().filter(|l| !l.trim().is_empty()) {
-            let c = R::parse_line(line)
-                .unwrap_or_else(|e| {
-                    sh_mapreduce::fail_corrupt(format!("{}: {e}: {line:?}", split.path))
-                })
-                .mbr()
-                .center();
+        for r in &records {
+            let c = r.mbr().center();
             for level in 0..self.levels {
                 let res = (1usize << level) * self.tile_px; // pixels per axis
                 let px = (((c.x - self.universe.x1) / w) * res as f64)
@@ -288,16 +280,6 @@ impl<R: Record> Mapper for PyramidMapper<R> {
         for (key, tile) in tiles {
             ctx.emit(key, tile);
         }
-    }
-
-    fn map_bytes(
-        &self,
-        split: &InputSplit,
-        data: &[u8],
-        ctx: &mut MapContext<(u8, u32, u32), Vec<u32>>,
-    ) {
-        let text = SpatialRecordReader::task_text::<R>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -338,12 +320,12 @@ pub fn plot_pyramid<R: Record>(
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
     let job = JobBuilder::new(dfs, &format!("plot-pyramid:{}", file.dir))
         .input_splits(splits)
-        .mapper(PyramidMapper::<R> {
+        .mapper(ByRecords(PyramidMapper::<R> {
             universe: file.universe,
             levels,
             tile_px,
             _r: std::marker::PhantomData,
-        })
+        }))
         .pair_size(move |_, v: &Vec<u32>| 9 + 4 * v.len())
         .reducer(
             TileMergeReducer { tile_px },

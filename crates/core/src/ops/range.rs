@@ -9,6 +9,7 @@
 //!   reported exactly once.
 
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use sh_dfs::Dfs;
 use sh_geom::{Record, Rect};
@@ -16,7 +17,10 @@ use sh_index::owns_point;
 use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper};
 
 use crate::catalog::SpatialFile;
-use crate::mrlayer::{split_cell, splitter_selectivity, SpatialFileSplitter, SpatialRecordReader};
+use crate::mrlayer::{
+    split_cell, splitter_selectivity, task, ByRecords, RecordMapper, SpatialFileSplitter,
+    SpatialRecordReader,
+};
 use crate::opresult::{OpError, OpResult};
 use sh_trace::Selectivity;
 
@@ -25,26 +29,17 @@ struct ScanMapper<R: Record> {
     _r: PhantomData<fn() -> R>,
 }
 
-impl<R: Record> Mapper for ScanMapper<R> {
+impl<R: Record> RecordMapper for ScanMapper<R> {
+    type R = R;
     type K = u8;
     type V = u8;
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
+    fn map_records(&self, _split: &InputSplit, records: Vec<R>, ctx: &mut MapContext<u8, u8>) {
         let results = ctx.register_counter("range.results");
-        for line in data.lines().filter(|l| !l.trim().is_empty()) {
-            let r = R::parse_line(line).unwrap_or_else(|e| {
-                sh_mapreduce::fail_corrupt(format!("{}: {e}: {line:?}", split.path))
-            });
-            if r.mbr().intersects(&self.query) {
-                ctx.output(line.to_string());
-                ctx.inc(results, 1);
-            }
+        for r in records.iter().filter(|r| r.mbr().intersects(&self.query)) {
+            ctx.output(r.to_line());
+            ctx.inc(results, 1);
         }
-    }
-
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
-        let text = SpatialRecordReader::task_text::<R>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -72,8 +67,10 @@ impl<R: Record> Mapper for IndexedMapper<R> {
         let (part, hits) = if self.local_index {
             // Cached path: decoded partition + persisted local tree,
             // shared across queries over the same partition.
-            let (part, hit) =
-                SpatialRecordReader::task_open_indexed_bytes::<R>(&self.dfs, &split.path, data);
+            let (part, hit) = task(
+                &split.path,
+                SpatialRecordReader::open_indexed_bytes::<R>(&self.dfs, &split.path, data),
+            );
             let h = ctx.register_counter(if hit { "cache.hits" } else { "cache.misses" });
             ctx.inc(h, 1);
             let hits = part.tree().query(&self.query);
@@ -82,7 +79,7 @@ impl<R: Record> Mapper for IndexedMapper<R> {
             // Ablation: linear scan of the partition, no cache. Binary
             // blocks scan their coordinate columns directly, spread
             // across any idle worker slots.
-            let part = SpatialRecordReader::open_scan::<R>(&split.path, data);
+            let part = Arc::new(task(&split.path, SpatialRecordReader::open_scan::<R>(data)));
             let (hits, extra) = part.scan_filter_par(&self.dfs, &self.query);
             if extra > 0 {
                 let par = ctx.register_counter("scan.parallel.extra_slots");
@@ -122,10 +119,10 @@ pub fn range_hadoop<R: Record>(
 ) -> Result<OpResult<Vec<R>>, OpError> {
     let job = JobBuilder::new(dfs, &format!("range-hadoop:{heap}"))
         .input_file(heap)?
-        .mapper(ScanMapper::<R> {
+        .mapper(ByRecords(ScanMapper::<R> {
             query: *query,
             _r: PhantomData,
-        })
+        }))
         .output(out_dir)
         .map_only()?
         .run()?;

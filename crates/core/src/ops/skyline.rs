@@ -16,33 +16,31 @@
 use sh_dfs::Dfs;
 use sh_geom::algorithms::skyline::{not_dominated, skyline};
 use sh_geom::{Point, Record, Rect};
-use sh_mapreduce::{
-    InputSplit, JobBuilder, JobOutcome, MapContext, Mapper, ReduceContext, Reducer,
-};
+use sh_mapreduce::{InputSplit, JobBuilder, JobOutcome, MapContext, ReduceContext, Reducer};
 
 use crate::catalog::SpatialFile;
 use crate::codec::{decode_points, encode_points};
-use crate::mrlayer::{SpatialFileSplitter, SpatialRecordReader};
+use crate::mrlayer::{ByRecords, RecordMapper, SpatialFileSplitter};
 use crate::opresult::{OpError, OpResult};
 
 struct LocalSkylineMapper;
 
-impl Mapper for LocalSkylineMapper {
+impl RecordMapper for LocalSkylineMapper {
+    type R = Point;
     type K = u8;
     type V = (f64, f64);
 
-    fn map(&self, _split: &InputSplit, data: &str, ctx: &mut MapContext<u8, (f64, f64)>) {
-        let points = SpatialRecordReader::records::<Point>(data);
+    fn map_records(
+        &self,
+        _split: &InputSplit,
+        points: Vec<Point>,
+        ctx: &mut MapContext<u8, (f64, f64)>,
+    ) {
         let local = skyline(&points);
         ctx.counter("skyline.local.kept", local.len() as u64);
         for p in local {
             ctx.emit(1, (p.x, p.y));
         }
-    }
-
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, (f64, f64)>) {
-        let text = SpatialRecordReader::task_text::<Point>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -62,19 +60,20 @@ impl Reducer for GlobalSkylineReducer {
 
 struct IdentityPointMapper;
 
-impl Mapper for IdentityPointMapper {
+impl RecordMapper for IdentityPointMapper {
+    type R = Point;
     type K = u8;
     type V = (f64, f64);
 
-    fn map(&self, _split: &InputSplit, data: &str, ctx: &mut MapContext<u8, (f64, f64)>) {
-        for p in SpatialRecordReader::records::<Point>(data) {
+    fn map_records(
+        &self,
+        _split: &InputSplit,
+        points: Vec<Point>,
+        ctx: &mut MapContext<u8, (f64, f64)>,
+    ) {
+        for p in points {
             ctx.emit(1, (p.x, p.y));
         }
-    }
-
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, (f64, f64)>) {
-        let text = SpatialRecordReader::task_text::<Point>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -89,7 +88,7 @@ pub fn skyline_hadoop_naive(
 ) -> Result<OpResult<Vec<Point>>, OpError> {
     let job = JobBuilder::new(dfs, &format!("skyline-naive:{heap}"))
         .input_file(heap)?
-        .mapper(IdentityPointMapper)
+        .mapper(ByRecords(IdentityPointMapper))
         .reducer(GlobalSkylineReducer, 1)
         .output(out_dir)
         .build()?
@@ -108,7 +107,7 @@ pub fn skyline_hadoop(
 ) -> Result<OpResult<Vec<Point>>, OpError> {
     let job = JobBuilder::new(dfs, &format!("skyline-hadoop:{heap}"))
         .input_file(heap)?
-        .mapper(LocalSkylineMapper)
+        .mapper(ByRecords(LocalSkylineMapper))
         .reducer(GlobalSkylineReducer, 1)
         .output(out_dir)
         .build()?
@@ -146,7 +145,7 @@ pub fn skyline_spatial(
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
     let mut job = JobBuilder::new(dfs, &format!("skyline-spatial:{}", file.dir))
         .input_splits(splits)
-        .mapper(LocalSkylineMapper)
+        .mapper(ByRecords(LocalSkylineMapper))
         .reducer(GlobalSkylineReducer, 1)
         .output(out_dir)
         .build()?
@@ -160,18 +159,18 @@ pub fn skyline_spatial(
 
 struct OutputSensitiveMapper;
 
-impl Mapper for OutputSensitiveMapper {
+impl RecordMapper for OutputSensitiveMapper {
+    type R = Point;
     type K = u8;
     type V = u8;
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
+    fn map_records(&self, split: &InputSplit, points: Vec<Point>, ctx: &mut MapContext<u8, u8>) {
         // aux = the dominance-power set of all *other* partitions. The
         // driver encoded it, so decode failure is task-fatal corruption.
         let sky_c = decode_points(split.aux.as_deref().unwrap_or(""))
             .expect("corrupt dominance-power aux payload");
         let flushed = ctx.register_counter("skyline.flushed");
         let pruned = ctx.register_counter("skyline.pruned.points");
-        let points = SpatialRecordReader::records::<Point>(data);
         let local = skyline(&points);
         for p in local {
             if not_dominated(&p, &sky_c) {
@@ -181,11 +180,6 @@ impl Mapper for OutputSensitiveMapper {
                 ctx.inc(pruned, 1);
             }
         }
-    }
-
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
-        let text = SpatialRecordReader::task_text::<Point>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -230,7 +224,7 @@ pub fn skyline_output_sensitive(
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
     let job = JobBuilder::new(dfs, &format!("skyline-os:{}", file.dir))
         .input_splits(splits)
-        .mapper(OutputSensitiveMapper)
+        .mapper(ByRecords(OutputSensitiveMapper))
         .output(out_dir)
         .map_only()?
         .run()?;

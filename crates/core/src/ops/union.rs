@@ -20,30 +20,28 @@ use sh_dfs::Dfs;
 use sh_geom::algorithms::union::{boundary_union, union_regions, SegmentRegion};
 use sh_geom::float::EPS;
 use sh_geom::{Polygon, Record, Segment};
-use sh_mapreduce::{
-    InputSplit, JobBuilder, JobOutcome, MapContext, Mapper, ReduceContext, Reducer,
-};
+use sh_mapreduce::{InputSplit, JobBuilder, JobOutcome, MapContext, ReduceContext, Reducer};
 
 use crate::catalog::SpatialFile;
-use crate::mrlayer::{split_cell, SpatialFileSplitter, SpatialRecordReader};
+use crate::mrlayer::{split_cell, ByRecords, RecordMapper, SpatialFileSplitter};
 use crate::opresult::{OpError, OpResult};
 
 struct LocalUnionMapper;
 
-impl Mapper for LocalUnionMapper {
+impl RecordMapper for LocalUnionMapper {
+    type R = Polygon;
     type K = u8;
     /// `(region id, ax, ay, bx, by)` — the region id groups one map
     /// task's segments back into a coherent boundary at the reducer.
     type V = (u64, f64, f64, f64, f64);
 
-    fn map(
+    fn map_records(
         &self,
         split: &InputSplit,
-        data: &str,
+        polys: Vec<Polygon>,
         ctx: &mut MapContext<u8, (u64, f64, f64, f64, f64)>,
     ) {
         let region_id = split.blocks.first().map(|b| b.id.0).unwrap_or(0);
-        let polys = SpatialRecordReader::records::<Polygon>(data);
         let edges_in: usize = polys.iter().map(Polygon::len).sum();
         let segments = boundary_union(&polys);
         ctx.counter("union.edges.in", edges_in as u64);
@@ -84,7 +82,7 @@ pub fn union_hadoop(
 ) -> Result<OpResult<Vec<Segment>>, OpError> {
     let job = JobBuilder::new(dfs, &format!("union-hadoop:{heap}"))
         .input_file(heap)?
-        .mapper(LocalUnionMapper)
+        .mapper(ByRecords(LocalUnionMapper))
         .pair_size(|_, _| 40)
         .reducer(RegionMergeReducer, 1)
         .output(out_dir)
@@ -113,7 +111,7 @@ pub fn union_spatial(
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
     let job = JobBuilder::new(dfs, &format!("union-spatial:{}", file.dir))
         .input_splits(splits)
-        .mapper(LocalUnionMapper)
+        .mapper(ByRecords(LocalUnionMapper))
         .pair_size(|_, _| 40)
         .reducer(RegionMergeReducer, 1)
         .output(out_dir)
@@ -126,13 +124,13 @@ pub fn union_spatial(
 
 struct EnhancedUnionMapper;
 
-impl Mapper for EnhancedUnionMapper {
+impl RecordMapper for EnhancedUnionMapper {
+    type R = Polygon;
     type K = u8;
     type V = u8;
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
+    fn map_records(&self, split: &InputSplit, polys: Vec<Polygon>, ctx: &mut MapContext<u8, u8>) {
         let cell = split_cell(split);
-        let polys = SpatialRecordReader::records::<Polygon>(data);
         let segments = boundary_union(&polys);
         for s in segments {
             // Prune to the cell; drop pieces lying exactly on the cell's
@@ -169,7 +167,7 @@ pub fn union_enhanced(
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
     let job = JobBuilder::new(dfs, &format!("union-enhanced:{}", file.dir))
         .input_splits(splits)
-        .mapper(EnhancedUnionMapper)
+        .mapper(ByRecords(EnhancedUnionMapper))
         .output(out_dir)
         .map_only()?
         .run()?;

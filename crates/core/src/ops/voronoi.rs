@@ -26,11 +26,11 @@ use sh_geom::algorithms::voronoi::{VoronoiCell, VoronoiDiagram};
 use sh_geom::point::sort_dedup;
 use sh_geom::{Point, Rect};
 use sh_mapreduce::{
-    InputSplit, JobBuilder, JobOutcome, MapContext, Mapper, ReduceContext, Reducer, SimBreakdown,
+    InputSplit, JobBuilder, JobOutcome, MapContext, ReduceContext, Reducer, SimBreakdown,
 };
 
 use crate::catalog::SpatialFile;
-use crate::mrlayer::{split_cell, SpatialFileSplitter, SpatialRecordReader};
+use crate::mrlayer::{split_cell, ByRecords, RecordMapper, SpatialFileSplitter};
 use crate::opresult::{OpError, OpResult};
 
 /// A finalized Voronoi cell as the operation outputs it.
@@ -138,23 +138,24 @@ struct StripMapper {
     strips: usize,
 }
 
-impl Mapper for StripMapper {
+impl RecordMapper for StripMapper {
+    type R = Point;
     type K = u64;
     type V = (f64, f64);
 
-    fn map(&self, _split: &InputSplit, data: &str, ctx: &mut MapContext<u64, (f64, f64)>) {
+    fn map_records(
+        &self,
+        _split: &InputSplit,
+        points: Vec<Point>,
+        ctx: &mut MapContext<u64, (f64, f64)>,
+    ) {
         let w = self.universe.width().max(1e-12);
-        for p in SpatialRecordReader::records::<Point>(data) {
+        for p in points {
             let s = (((p.x - self.universe.x1) / w) * self.strips as f64)
                 .floor()
                 .clamp(0.0, self.strips as f64 - 1.0) as u64;
             ctx.emit(s, (p.x, p.y));
         }
-    }
-
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u64, (f64, f64)>) {
-        let text = SpatialRecordReader::task_text::<Point>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -190,10 +191,10 @@ pub fn voronoi_hadoop(
     let strips = (stat.len.div_ceil(dfs.config().block_size)).max(1) as usize;
     let job = JobBuilder::new(dfs, &format!("voronoi-hadoop:{heap}"))
         .input_file(heap)?
-        .mapper(StripMapper {
+        .mapper(ByRecords(StripMapper {
             universe: *universe,
             strips,
-        })
+        }))
         .reducer(
             StripVdReducer,
             strips.min(dfs.config().total_reduce_slots()).max(1),
@@ -242,14 +243,15 @@ const WITNESS: u8 = 1;
 
 struct LocalVdMapper;
 
-impl Mapper for LocalVdMapper {
+impl RecordMapper for LocalVdMapper {
+    type R = Point;
     type K = (u64, u64);
     type V = (u8, f64, f64);
 
-    fn map(
+    fn map_records(
         &self,
         split: &InputSplit,
-        data: &str,
+        mut sites: Vec<Point>,
         ctx: &mut MapContext<(u64, u64), (u8, f64, f64)>,
     ) {
         let cell_rect = split_cell(split);
@@ -265,7 +267,6 @@ impl Mapper for LocalVdMapper {
         } else {
             (0u64, 0u64)
         };
-        let mut sites = SpatialRecordReader::records::<Point>(data);
         sort_dedup(&mut sites);
         ctx.counter("voronoi.sites", sites.len() as u64);
         let tri = Triangulation::build(&sites);
@@ -300,16 +301,6 @@ impl Mapper for LocalVdMapper {
                 ctx.counter("voronoi.forwarded.witness", 1);
             }
         }
-    }
-
-    fn map_bytes(
-        &self,
-        split: &InputSplit,
-        data: &[u8],
-        ctx: &mut MapContext<(u64, u64), (u8, f64, f64)>,
-    ) {
-        let text = SpatialRecordReader::task_text::<Point>(&split.path, data);
-        self.map(split, &text, ctx);
     }
 }
 
@@ -411,7 +402,7 @@ pub fn voronoi_spatial(
     };
     let job = JobBuilder::new(dfs, &format!("voronoi-spatial:{}", file.dir))
         .input_splits(splits)
-        .mapper(LocalVdMapper)
+        .mapper(ByRecords(LocalVdMapper))
         .pair_size(|_, _| 17)
         .reducer(
             VMergeReducer,

@@ -71,7 +71,12 @@ stage_lint() {
 }
 
 stage_build() {
-  cargo build --release
+  # `shbench/` is the frozen benchmark (BENCHMARK.json `paths`): its own
+  # workspace, compiled against sh-core/sh-mapreduce's public surface.
+  # Building it here tells an API-reshaping change at this stage, not in
+  # the benchmark pipeline, that the benchmark still compiles unmodified.
+  cargo build --release &&
+    cargo build --release --manifest-path shbench/Cargo.toml
 }
 
 stage_test() {
@@ -80,8 +85,10 @@ stage_test() {
   # The CRC-64 kernel is compared with its byte-wise oracle once more
   # under the optimiser the benchmark builds with (bounds-check elision
   # in `chunks_exact` differs between profiles).
+  # `shbench`'s own tests run against this checkout's crates.
   counted cargo test --workspace -q &&
-    counted cargo test -p sh-dfs --release -q crc64
+    counted cargo test -p sh-dfs --release -q crc64 &&
+    counted cargo test -q --manifest-path shbench/Cargo.toml
 }
 
 stage_chaos() {

@@ -29,6 +29,89 @@ fn arb_rect() -> impl Strategy<Value = Rect> {
         .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
 }
 
+/// Every indexed operation answers the same over a text and a binary
+/// index of the same points. One row per operation: a new operation is a
+/// new row, a new block format a new column — not a new test.
+#[test]
+fn every_indexed_op_answers_the_same_over_text_and_binary() {
+    use spatialhadoop::core::catalog::SpatialFile;
+    use spatialhadoop::core::ops::{
+        closest_pair as cp, convex_hull as hull, delaunay, farthest_pair as fp, knn_join, plot,
+        voronoi,
+    };
+    use spatialhadoop::workload::{points, Distribution};
+
+    /// An operation's answer as order-free lines.
+    fn lines<T: std::fmt::Debug>(answer: impl IntoIterator<Item = T>) -> Vec<String> {
+        let mut l: Vec<String> = answer.into_iter().map(|x| format!("{x:?}")).collect();
+        l.sort();
+        l
+    }
+    type Row = (&'static str, fn(&Dfs, &SpatialFile, &str) -> Vec<String>);
+    let rows: [Row; 11] = [
+        ("skyline_spatial", |d, f, o| {
+            lines(skyline::skyline_spatial(d, f, o).unwrap().value)
+        }),
+        ("skyline_output_sensitive", |d, f, o| {
+            lines(skyline::skyline_output_sensitive(d, f, o).unwrap().value)
+        }),
+        ("hull_spatial", |d, f, o| {
+            lines(hull::hull_spatial(d, f, o).unwrap().value)
+        }),
+        ("hull_enhanced", |d, f, o| {
+            lines(hull::hull_enhanced(d, f, o).unwrap().value)
+        }),
+        ("closest_pair_spatial", |d, f, o| {
+            lines(cp::closest_pair_spatial(d, f, o).unwrap().value)
+        }),
+        ("farthest_pair_spatial", |d, f, o| {
+            lines(fp::farthest_pair_spatial(d, f, o).unwrap().value)
+        }),
+        ("voronoi_spatial", |d, f, o| {
+            lines(voronoi::voronoi_spatial(d, f, o).unwrap().value)
+        }),
+        ("delaunay_spatial", |d, f, o| {
+            lines(delaunay::delaunay_spatial(d, f, o).unwrap().value)
+        }),
+        ("knn_join_spatial", |d, f, o| {
+            lines(knn_join::knn_join_spatial(d, f, f, 3, o).unwrap().value)
+        }),
+        ("plot_spatial", |d, f, o| {
+            lines([plot::plot_spatial::<Point>(d, f, 64, 48, o).unwrap().value])
+        }),
+        ("plot_pyramid", |d, f, o| {
+            lines([plot::plot_pyramid::<Point>(d, f, 3, 16, o).unwrap().value])
+        }),
+    ];
+
+    let pts = points(
+        1200,
+        Distribution::Uniform,
+        &Rect::new(0.0, 0.0, 1000.0, 1000.0),
+        77,
+    );
+    for kind in [PartitionKind::Grid, PartitionKind::StrPlus] {
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        upload(&dfs, "/eq/points", &pts).unwrap();
+        let index = |dir, format| {
+            build_index_fmt::<Point>(&dfs, "/eq/points", dir, kind, format)
+                .unwrap()
+                .value
+        };
+        let text = index("/eq/text", BlockFormat::Text);
+        let binary = index("/eq/binary", BlockFormat::Binary);
+        assert!(text.partitions.len() > 1, "{kind:?}: several partitions");
+        let stored = dfs.read_bytes(&binary.partitions[0].path).unwrap();
+        assert!(stored.starts_with(b"SHCB"), "{kind:?}: binary blocks");
+        for (name, op) in rows {
+            let over_text = op(&dfs, &text, &format!("/eq/out/{name}/text"));
+            let over_binary = op(&dfs, &binary, &format!("/eq/out/{name}/binary"));
+            assert!(!over_text.is_empty(), "{name} over {kind:?}: an answer");
+            assert_eq!(over_text, over_binary, "{name} over {kind:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
