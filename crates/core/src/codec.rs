@@ -10,6 +10,7 @@
 use std::fmt::Write as _;
 
 use sh_geom::{Point, Record, Rect};
+use sh_mapreduce::Rows;
 
 use crate::opresult::OpError;
 
@@ -111,12 +112,11 @@ pub fn decode_pair(line: &str) -> Result<(Rect, Rect), OpError> {
     ))
 }
 
-/// Parses every non-blank line of job output as a record, mapping parse
+/// Parses every non-blank row of job output as a record, mapping parse
 /// failures to [`OpError::Corrupt`] — the shared driver-side output
 /// reader for range/knn/skyline/hull results.
-pub fn parse_output_records<R: Record>(lines: &[String]) -> Result<Vec<R>, OpError> {
-    lines
-        .iter()
+pub fn parse_output_records<R: Record>(rows: &Rows) -> Result<Vec<R>, OpError> {
+    rows.lines()
         .filter(|l| !l.trim().is_empty())
         .map(|l| R::parse_line(l).map_err(|e| OpError::Corrupt(format!("bad output line: {e}"))))
         .collect()
@@ -173,10 +173,10 @@ mod tests {
 
     #[test]
     fn output_records_parse_or_fail() {
-        let lines = vec!["1 2".to_string(), String::new(), "3 4".to_string()];
-        let pts = parse_output_records::<Point>(&lines).unwrap();
+        let rows = Rows::from_lines(["1 2", "", "3 4"]);
+        let pts = parse_output_records::<Point>(&rows).unwrap();
         assert_eq!(pts, vec![Point::new(1.0, 2.0), Point::new(3.0, 4.0)]);
-        let bad = vec!["not a point".to_string()];
+        let bad = Rows::from_lines(["not a point"]);
         assert!(matches!(
             parse_output_records::<Point>(&bad),
             Err(OpError::Corrupt(_))

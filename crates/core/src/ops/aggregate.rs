@@ -75,7 +75,7 @@ impl Reducer for StatsReducer {
                 mbr.expand(&Rect::new(x1, y1, x2, y2));
             }
         }
-        ctx.output(format!(
+        ctx.output(&format!(
             "{records} {bytes} {} {} {} {}",
             mbr.x1, mbr.y1, mbr.x2, mbr.y2
         ));

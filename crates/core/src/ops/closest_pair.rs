@@ -63,7 +63,7 @@ impl Reducer for GlobalClosestPairReducer {
     fn reduce(&self, _key: &u8, values: Vec<(f64, f64)>, ctx: &mut ReduceContext) {
         let pts: Vec<Point> = values.iter().map(|&(x, y)| Point::new(x, y)).collect();
         if let Some(pair) = closest_pair(&pts) {
-            ctx.output(format!(
+            ctx.output(&format!(
                 "{} {} {} {}",
                 pair.a.x, pair.a.y, pair.b.x, pair.b.y
             ));
@@ -108,7 +108,7 @@ pub fn closest_pair_hadoop_unsound(
                 .map(|(ax, ay, bx, by)| PointPair::new(Point::new(ax, ay), Point::new(bx, by)))
                 .min_by(|a, b| a.distance.total_cmp(&b.distance));
             if let Some(pair) = best {
-                ctx.output(format!(
+                ctx.output(&format!(
                     "{} {} {} {}",
                     pair.a.x, pair.a.y, pair.b.x, pair.b.y
                 ));

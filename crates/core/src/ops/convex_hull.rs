@@ -51,7 +51,7 @@ impl Reducer for GlobalHullReducer {
     fn reduce(&self, _key: &u8, values: Vec<(f64, f64)>, ctx: &mut ReduceContext) {
         let pts: Vec<Point> = values.iter().map(|&(x, y)| Point::new(x, y)).collect();
         for p in convex_hull(&pts) {
-            ctx.output(p.to_line());
+            ctx.output(&p.to_line());
         }
     }
 }
@@ -252,7 +252,7 @@ impl RecordMapper for EnhancedHullMapper {
         let n = hull.len();
         if n < 3 {
             for p in &hull {
-                ctx.output(p.to_line());
+                ctx.output(&p.to_line());
             }
             return;
         }
@@ -269,7 +269,7 @@ impl RecordMapper for EnhancedHullMapper {
             if arcs_cover_circle(&arcs) {
                 ctx.inc(pruned_points, 1);
             } else {
-                ctx.output(t.to_line());
+                ctx.output(&t.to_line());
                 ctx.inc(candidates, 1);
             }
         }
@@ -309,14 +309,14 @@ pub fn hull_enhanced(
         .map_only()?
         .run()?;
     // Driver merge over the few surviving candidates.
-    let candidates: Vec<Point> = crate::codec::parse_output_records(&job.read_output(dfs)?)?;
+    let candidates: Vec<Point> = crate::codec::parse_output_records(&job.read_output_rows(dfs)?)?;
     let value = convex_hull(&candidates);
     sel.records_emitted = value.len() as u64;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 
 fn hull_from_output(dfs: &Dfs, job: &JobOutcome) -> Result<Vec<Point>, OpError> {
-    let pts: Vec<Point> = crate::codec::parse_output_records(&job.read_output(dfs)?)?;
+    let pts: Vec<Point> = crate::codec::parse_output_records(&job.read_output_rows(dfs)?)?;
     // The reducer already emitted hull order, but part files may split
     // it; recompute for a canonical result.
     Ok(convex_hull(&pts))

@@ -97,7 +97,7 @@ impl RecordMapper for LocalDtMapper {
         for t in tri.triangles() {
             let [a, b, c] = t.map(|i| sites[i]);
             if circumcircle_inside(&a, &b, &c, &cell) {
-                ctx.output(Tri([a, b, c]).encode());
+                ctx.output(&Tri([a, b, c]).encode());
                 ctx.counter("delaunay.flushed.local", 1);
             }
         }
@@ -290,7 +290,7 @@ impl sh_mapreduce::Reducer for StripDtReducer {
         // Transfer the whole partial triangulation (the merge bottleneck).
         for t in tri.triangles() {
             let [a, b, c] = t.map(|i| sites[i]);
-            ctx.output(Tri([a, b, c]).encode());
+            ctx.output(&Tri([a, b, c]).encode());
         }
     }
 }

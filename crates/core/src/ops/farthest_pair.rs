@@ -57,7 +57,7 @@ impl Reducer for CalipersReducer {
         let pts: Vec<Point> = values.iter().map(|&(x, y)| Point::new(x, y)).collect();
         let hull = convex_hull(&pts);
         if let Some(pair) = farthest_pair_on_hull(&hull) {
-            ctx.output(format!(
+            ctx.output(&format!(
                 "{} {} {} {}",
                 pair.a.x, pair.a.y, pair.b.x, pair.b.y
             ));
@@ -116,7 +116,7 @@ impl Reducer for MaxPairReducer {
             .map(|&(ax, ay, bx, by)| PointPair::new(Point::new(ax, ay), Point::new(bx, by)))
             .max_by(|a, b| a.distance.total_cmp(&b.distance));
         if let Some(pair) = best {
-            ctx.output(format!(
+            ctx.output(&format!(
                 "{} {} {} {}",
                 pair.a.x, pair.a.y, pair.b.x, pair.b.y
             ));

@@ -83,7 +83,7 @@ impl Reducer for SjmrReducer {
                 if owns_point(&cell, &rp, &universe) {
                     line.clear();
                     write_pair(&mut line, &left[i], &right[j]);
-                    ctx.output(line.clone());
+                    ctx.output(&line);
                     results += 1;
                 }
             }
@@ -180,7 +180,7 @@ impl Mapper for DjMapper {
                 }
                 line.clear();
                 write_pair(&mut line, &left[i], &right[j]);
-                ctx.output(line.clone());
+                ctx.output(&line);
                 results += 1;
             }
         });
@@ -350,7 +350,7 @@ impl Mapper for PolygonDjMapper {
                 }
                 ctx.counter("join.refine.candidates", 1);
                 if left[i].intersects(&right[j]) {
-                    ctx.output(format!(
+                    ctx.output(&format!(
                         "{} | {}",
                         sh_geom::Record::to_line(&left[i]),
                         sh_geom::Record::to_line(&right[j])
@@ -385,7 +385,7 @@ pub fn polygon_join(
         .map_only()?
         .run()?;
     let mut value = Vec::new();
-    for line in job.read_output(dfs)? {
+    for line in job.read_output_rows(dfs)?.lines() {
         let (l, r) = line
             .split_once(" | ")
             .ok_or_else(|| OpError::Corrupt(format!("bad polygon pair: {line:?}")))?;
@@ -400,9 +400,9 @@ pub fn polygon_join(
 }
 
 fn parse_output(dfs: &Dfs, job: &JobOutcome) -> Result<Vec<(Rect, Rect)>, OpError> {
-    job.read_output(dfs)?
-        .iter()
-        .map(|l| decode_pair(l))
+    job.read_output_rows(dfs)?
+        .lines()
+        .map(decode_pair)
         .collect()
 }
 

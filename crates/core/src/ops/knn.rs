@@ -64,7 +64,7 @@ impl Reducer for KnnMergeReducer {
     fn reduce(&self, _key: &u8, values: Vec<(f64, f64)>, ctx: &mut ReduceContext) {
         let candidates: Vec<Point> = values.iter().map(|&(x, y)| Point::new(x, y)).collect();
         for p in local_top_k(&candidates, &self.q, self.k) {
-            ctx.output(p.to_line());
+            ctx.output(&p.to_line());
         }
     }
 }
@@ -118,7 +118,7 @@ impl<R: Record> Mapper for KnnIndexMapper<R> {
         for (i, _) in part.tree().knn(&self.q, self.k) {
             line.clear();
             part.write_record(i, &mut line);
-            ctx.output(line.clone());
+            ctx.output(&line);
         }
     }
 }
@@ -248,7 +248,7 @@ pub fn knn_spatial(
 }
 
 fn parse_points(dfs: &Dfs, job: &JobOutcome) -> Result<Vec<Point>, OpError> {
-    crate::codec::parse_output_records(&job.read_output(dfs)?)
+    crate::codec::parse_output_records(&job.read_output_rows(dfs)?)
 }
 
 #[cfg(test)]

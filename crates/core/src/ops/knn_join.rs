@@ -125,7 +125,7 @@ impl Mapper for Round1Mapper {
                 .collect();
             if extra.is_empty() {
                 ctx.output(
-                    KnnRow {
+                    &KnnRow {
                         r: *r,
                         neighbors: local,
                     }
@@ -161,7 +161,7 @@ impl Mapper for Round2Mapper {
         let tree = LocalRTree::build(s_points.iter().map(|p| p.to_rect()).collect());
         for r in &pending {
             let neighbors = exact_knn(&s_points, &tree, r, self.k);
-            ctx.output(KnnRow { r: *r, neighbors }.encode());
+            ctx.output(&KnnRow { r: *r, neighbors }.encode());
             ctx.counter("knnjoin.final.round2", 1);
         }
     }

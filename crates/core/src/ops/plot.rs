@@ -151,7 +151,7 @@ impl Reducer for RowMergeReducer {
             line.push(' ');
             line.push_str(&v.to_string());
         }
-        ctx.output(line);
+        ctx.output(&line);
     }
 }
 
@@ -303,7 +303,7 @@ impl Reducer for TileMergeReducer {
             line.push(' ');
             line.push_str(&v.to_string());
         }
-        ctx.output(line);
+        ctx.output(&line);
     }
 }
 

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use sh_dfs::Dfs;
 use sh_geom::{Record, Rect};
 use sh_index::owns_point;
-use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, Rows};
 
 use crate::catalog::SpatialFile;
 use crate::mrlayer::{
@@ -36,8 +36,11 @@ impl<R: Record> RecordMapper for ScanMapper<R> {
 
     fn map_records(&self, _split: &InputSplit, records: Vec<R>, ctx: &mut MapContext<u8, u8>) {
         let results = ctx.register_counter("range.results");
+        let mut line = String::with_capacity(48);
         for r in records.iter().filter(|r| r.mbr().intersects(&self.query)) {
-            ctx.output(r.to_line());
+            line.clear();
+            r.write_line(&mut line);
+            ctx.output(&line);
             ctx.inc(results, 1);
         }
     }
@@ -104,7 +107,7 @@ impl<R: Record> Mapper for IndexedMapper<R> {
             }
             line.clear();
             part.write_record(i, &mut line);
-            ctx.output(line.clone());
+            ctx.output(&line);
             ctx.inc(results, 1);
         }
     }
@@ -117,6 +120,17 @@ pub fn range_hadoop<R: Record>(
     query: &Rect,
     out_dir: &str,
 ) -> Result<OpResult<Vec<R>>, OpError> {
+    parse_rows(range_hadoop_rows::<R>(dfs, heap, query, out_dir)?)
+}
+
+/// [`range_hadoop`] with the answer left as the job wrote it: one
+/// `to_line()` row per matching record, in part-file order.
+pub fn range_hadoop_rows<R: Record>(
+    dfs: &Dfs,
+    heap: &str,
+    query: &Rect,
+    out_dir: &str,
+) -> Result<OpResult<Rows>, OpError> {
     let job = JobBuilder::new(dfs, &format!("range-hadoop:{heap}"))
         .input_file(heap)?
         .mapper(ByRecords(ScanMapper::<R> {
@@ -126,9 +140,9 @@ pub fn range_hadoop<R: Record>(
         .output(out_dir)
         .map_only()?
         .run()?;
-    let value = parse_output::<R>(dfs, &job)?;
-    let sel = Selectivity::full_scan(job.map_tasks, value.len() as u64);
-    Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
+    let rows = job.read_output_rows(dfs)?;
+    let sel = Selectivity::full_scan(job.map_tasks, rows.len() as u64);
+    Ok(OpResult::new(rows, vec![job]).with_selectivity(sel))
 }
 
 /// Ablation switches for [`range_spatial_with`] (DESIGN.md §5).
@@ -168,12 +182,24 @@ pub fn range_spatial_with<R: Record>(
     out_dir: &str,
     options: RangeOptions,
 ) -> Result<OpResult<Vec<R>>, OpError> {
+    parse_rows(range_spatial_rows::<R>(dfs, file, query, out_dir, options)?)
+}
+
+/// [`range_spatial_with`] with the answer left as the job wrote it: one
+/// `to_line()` row per result record, in part-file order.
+pub fn range_spatial_rows<R: Record>(
+    dfs: &Dfs,
+    file: &SpatialFile,
+    query: &Rect,
+    out_dir: &str,
+    options: RangeOptions,
+) -> Result<OpResult<Rows>, OpError> {
     let splits = SpatialFileSplitter::splits(dfs, file, |m| {
         !options.filter || m.mbr_rect().intersects(query)
     })?;
     let pruned = file.partitions.len() - splits.len();
     let mut sel = splitter_selectivity(file, &splits);
-    let job = JobBuilder::new(dfs, &format!("range-spatial:{}", file.dir))
+    let mut job = JobBuilder::new(dfs, &format!("range-spatial:{}", file.dir))
         .input_splits(splits)
         .mapper(IndexedMapper::<R> {
             dfs: dfs.clone(),
@@ -186,16 +212,19 @@ pub fn range_spatial_with<R: Record>(
         .output(out_dir)
         .map_only()?
         .run()?;
-    let mut job = job;
     job.counters
         .insert("range.partitions.pruned".into(), pruned as u64);
-    let value = parse_output::<R>(dfs, &job)?;
-    sel.records_emitted = value.len() as u64;
-    Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
+    let rows = job.read_output_rows(dfs)?;
+    sel.records_emitted = rows.len() as u64;
+    Ok(OpResult::new(rows, vec![job]).with_selectivity(sel))
 }
 
-fn parse_output<R: Record>(dfs: &Dfs, job: &sh_mapreduce::JobOutcome) -> Result<Vec<R>, OpError> {
-    crate::codec::parse_output_records(&job.read_output(dfs)?)
+/// The typed view of a rows-level answer.
+fn parse_rows<R: Record>(r: OpResult<Rows>) -> Result<OpResult<Vec<R>>, OpError> {
+    Ok(OpResult {
+        value: crate::codec::parse_output_records(&r.value)?,
+        jobs: r.jobs,
+    })
 }
 
 #[cfg(test)]

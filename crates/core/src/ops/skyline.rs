@@ -53,7 +53,7 @@ impl Reducer for GlobalSkylineReducer {
     fn reduce(&self, _key: &u8, values: Vec<(f64, f64)>, ctx: &mut ReduceContext) {
         let pts: Vec<Point> = values.iter().map(|&(x, y)| Point::new(x, y)).collect();
         for p in skyline(&pts) {
-            ctx.output(p.to_line());
+            ctx.output(&p.to_line());
         }
     }
 }
@@ -174,7 +174,7 @@ impl RecordMapper for OutputSensitiveMapper {
         let local = skyline(&points);
         for p in local {
             if not_dominated(&p, &sky_c) {
-                ctx.output(p.to_line());
+                ctx.output(&p.to_line());
                 ctx.inc(flushed, 1);
             } else {
                 ctx.inc(pruned, 1);
@@ -234,7 +234,7 @@ pub fn skyline_output_sensitive(
 }
 
 fn sorted_points(dfs: &Dfs, job: &JobOutcome) -> Result<Vec<Point>, OpError> {
-    let mut pts: Vec<Point> = crate::codec::parse_output_records(&job.read_output(dfs)?)?;
+    let mut pts: Vec<Point> = crate::codec::parse_output_records(&job.read_output_rows(dfs)?)?;
     pts.sort_by(Point::cmp_xy);
     Ok(pts)
 }

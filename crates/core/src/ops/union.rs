@@ -69,7 +69,7 @@ impl Reducer for RegionMergeReducer {
         }
         let regions: Vec<SegmentRegion> = regions.into_values().map(SegmentRegion::new).collect();
         for s in union_regions(&regions) {
-            ctx.output(s.to_line());
+            ctx.output(&s.to_line());
         }
     }
 }
@@ -146,7 +146,7 @@ impl RecordMapper for EnhancedUnionMapper {
                 ctx.counter("union.segments.clipped", 1);
                 continue;
             }
-            ctx.output(clipped.to_line());
+            ctx.output(&clipped.to_line());
             ctx.counter("union.segments.flushed", 1);
         }
     }

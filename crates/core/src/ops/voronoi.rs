@@ -173,7 +173,7 @@ impl Reducer for StripVdReducer {
         let vd = VoronoiDiagram::build(&sites);
         ctx.counter("voronoi.partial.cells", vd.cells.len() as u64);
         for c in &vd.cells {
-            ctx.output(VCell::from_cell(c).encode());
+            ctx.output(&VCell::from_cell(c).encode());
         }
     }
 }
@@ -275,7 +275,7 @@ impl RecordMapper for LocalVdMapper {
         let mut pending = vec![false; sites.len()];
         for c in &vd.cells {
             if c.is_safe(&cell_rect) {
-                ctx.output(VCell::from_cell(c).encode());
+                ctx.output(&VCell::from_cell(c).encode());
                 ctx.counter("voronoi.flushed.local", 1);
             } else {
                 pending[c.site_ix] = true;
@@ -322,7 +322,7 @@ impl Reducer for VMergeReducer {
                 continue;
             }
             if safe_in_slab(c, x1, x2) {
-                ctx.output(VCell::from_cell(c).encode());
+                ctx.output(&VCell::from_cell(c).encode());
                 ctx.counter("voronoi.flushed.vmerge", 1);
             } else {
                 still_pending[c.site_ix] = true;

@@ -113,10 +113,10 @@ impl<R: Record> Mapper for SampleMapper<R> {
         });
         let sample: Vec<Point> = reservoir_sample(centers, self.per_split, seed);
         for p in sample {
-            ctx.output(format!("S {} {}", p.x, p.y));
+            ctx.output(&format!("S {} {}", p.x, p.y));
         }
         if !mbr.is_empty() {
-            ctx.output(format!("M {} {} {} {}", mbr.x1, mbr.y1, mbr.x2, mbr.y2));
+            ctx.output(&format!("M {} {} {} {}", mbr.x1, mbr.y1, mbr.x2, mbr.y2));
         }
         ctx.counter("sample.records", count);
     }

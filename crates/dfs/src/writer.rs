@@ -47,11 +47,28 @@ impl FileWriter {
         self.buf.push(b'\n');
     }
 
-    /// Appends pre-formatted text that already contains its newlines.
-    /// Splits on line boundaries so blocks stay record-aligned.
+    /// Appends pre-formatted text that already contains its newlines —
+    /// the same bytes and the same block boundaries as one
+    /// [`FileWriter::write_line`] per line, but every run of whole lines
+    /// that fits the open block is appended in one copy.
     pub fn write_str(&mut self, text: &str) {
-        for line in text.lines() {
-            self.write_line(line);
+        let block_size = self.dfs.config().block_size as usize;
+        let mut rest = text;
+        while !rest.is_empty() {
+            let room = block_size.saturating_sub(self.buf.len()).min(rest.len());
+            match rest.as_bytes()[..room].iter().rposition(|&b| b == b'\n') {
+                Some(last) => {
+                    self.buf.extend_from_slice(&rest.as_bytes()[..=last]);
+                    rest = &rest[last + 1..];
+                }
+                // The next line does not fit (or is the unterminated
+                // tail): `write_line` seals the block / adds the newline.
+                None => {
+                    let (line, tail) = rest.split_once('\n').unwrap_or((rest, ""));
+                    self.write_line(line);
+                    rest = tail;
+                }
+            }
         }
     }
 
@@ -172,6 +189,37 @@ mod tests {
         // structured error instead of a worker panic.
         fs.delete("/gone");
         assert_eq!(w.close(), Err(DfsError::NotFound("/gone".to_string())));
+    }
+
+    #[test]
+    fn write_str_seals_the_same_blocks_as_write_line() {
+        let fs = Dfs::new(ClusterConfig::small_for_tests()); // 8 KiB blocks
+        let huge = "h".repeat(9_000);
+        let mut lines: Vec<String> = (0..3000).map(|i| format!("row {i} {}", i * 7)).collect();
+        lines.insert(1500, huge);
+        lines.insert(20, String::new());
+        let mut by_line = fs.create("/by-line").unwrap();
+        for l in &lines {
+            by_line.write_line(l);
+        }
+        by_line.close().unwrap();
+        // One call, final newline left off: the tail line still gets it.
+        let text = lines.join("\n");
+        let mut whole = fs.create("/whole").unwrap();
+        whole.write_str(&text);
+        whole.close().unwrap();
+        let blocks = |p: &str| -> Vec<u64> {
+            fs.block_locations(p)
+                .unwrap()
+                .iter()
+                .map(|b| b.len)
+                .collect()
+        };
+        assert_eq!(blocks("/whole"), blocks("/by-line"));
+        assert_eq!(
+            fs.read_to_string("/whole").unwrap(),
+            fs.read_to_string("/by-line").unwrap()
+        );
     }
 
     #[test]

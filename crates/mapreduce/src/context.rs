@@ -67,7 +67,8 @@ impl InternedCounters {
 /// instead of a single-threaded rehash of every pair.
 pub struct MapContext<K, V> {
     pub(crate) buckets: Vec<Vec<(K, V)>>,
-    pub(crate) output: Vec<String>,
+    /// Final output so far: every line followed by its newline.
+    pub(crate) output: String,
     pub(crate) side: BTreeMap<String, Vec<String>>,
     pub(crate) side_bytes: BTreeMap<String, Vec<u8>>,
     pub(crate) counters: BTreeMap<String, u64>,
@@ -80,7 +81,7 @@ impl<K, V> MapContext<K, V> {
     pub(crate) fn new(num_reducers: usize) -> Self {
         MapContext {
             buckets: (0..num_reducers.max(1)).map(|_| Vec::new()).collect(),
-            output: Vec::new(),
+            output: String::new(),
             side: BTreeMap::new(),
             side_bytes: BTreeMap::new(),
             counters: BTreeMap::new(),
@@ -111,8 +112,9 @@ impl<K, V> MapContext<K, V> {
 
     /// Writes one line of final output from the map side.
     #[inline]
-    pub fn output(&mut self, line: String) {
-        self.output.push(line);
+    pub fn output(&mut self, line: &str) {
+        self.output.push_str(line);
+        self.output.push('\n');
     }
 
     /// Writes one line into a *named side file* (`{output}/{name}`).
@@ -161,7 +163,8 @@ impl<K, V> MapContext<K, V> {
 
 /// Context given to a reduce function for one key group.
 pub struct ReduceContext {
-    pub(crate) output: Vec<String>,
+    /// Final output so far: every line followed by its newline.
+    pub(crate) output: String,
     pub(crate) side: BTreeMap<String, Vec<String>>,
     pub(crate) side_bytes: BTreeMap<String, Vec<u8>>,
     pub(crate) counters: BTreeMap<String, u64>,
@@ -171,7 +174,7 @@ pub struct ReduceContext {
 impl ReduceContext {
     pub(crate) fn new() -> Self {
         ReduceContext {
-            output: Vec::new(),
+            output: String::new(),
             side: BTreeMap::new(),
             side_bytes: BTreeMap::new(),
             counters: BTreeMap::new(),
@@ -181,8 +184,9 @@ impl ReduceContext {
 
     /// Writes one line of final output.
     #[inline]
-    pub fn output(&mut self, line: String) {
-        self.output.push(line);
+    pub fn output(&mut self, line: &str) {
+        self.output.push_str(line);
+        self.output.push('\n');
     }
 
     /// Writes one line into a *named side file* (see
@@ -234,20 +238,20 @@ mod tests {
     fn map_context_collects() {
         let mut ctx: MapContext<u32, String> = MapContext::new(0);
         ctx.emit(1, "a".into());
-        ctx.output("final".into());
+        ctx.output("final");
         ctx.counter("c", 2);
         ctx.counter("c", 1);
         assert_eq!(ctx.emitted_len(), 1);
-        assert_eq!(ctx.output, vec!["final"]);
+        assert_eq!(ctx.output, "final\n");
         assert_eq!(ctx.counters["c"], 3);
     }
 
     #[test]
     fn reduce_context_collects() {
         let mut ctx = ReduceContext::new();
-        ctx.output("x".into());
+        ctx.output("x");
         ctx.counter("k", 1);
-        assert_eq!(ctx.output, vec!["x"]);
+        assert_eq!(ctx.output, "x\n");
         assert_eq!(ctx.counters["k"], 1);
     }
 

@@ -14,6 +14,7 @@ use crate::context::{MapContext, ReduceContext};
 use crate::cost::{makespan, shuffle_time, SimBreakdown, TaskCost};
 use crate::counters::Counters;
 use crate::job::{Job, JobError, Mapper, Reducer};
+use crate::rows::Rows;
 
 /// Result of a completed job.
 #[derive(Clone, Debug)]
@@ -39,9 +40,33 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    /// Reads every line of every output part file, in part order.
+    /// Reads the job's output — every `part-*` file, in part order — as
+    /// one buffer, allocated once at its final size: blocks are
+    /// checksummed by the DFS and appended as they arrive, and no row is
+    /// allocated on its own.
+    pub fn read_output_rows(&self, dfs: &Dfs) -> Result<Rows, DfsError> {
+        let mut files = Vec::new();
+        for path in dfs.list(&format!("{}/part-", self.output)) {
+            files.push((dfs.block_locations(&path)?, path));
+        }
+        let total = files.iter().flat_map(|(blocks, _)| blocks).map(|b| b.len);
+        let mut text = String::with_capacity(total.sum::<u64>() as usize);
+        for (blocks, path) in &files {
+            for block in blocks {
+                // Driver-side read: remote from every node's view.
+                let (bytes, _) = dfs.read_block(block.id, usize::MAX)?;
+                let chunk =
+                    std::str::from_utf8(&bytes).map_err(|_| DfsError::NotUtf8(path.clone()))?;
+                text.push_str(chunk);
+            }
+        }
+        Ok(Rows::from_text(text))
+    }
+
+    /// The output as one `String` per line, for small results.
     pub fn read_output(&self, dfs: &Dfs) -> Result<Vec<String>, DfsError> {
-        read_output_dir(dfs, &self.output)
+        let rows = self.read_output_rows(dfs)?;
+        Ok(rows.lines().map(str::to_string).collect())
     }
 
     /// Builds an outcome for driver-side phases that run outside the
@@ -86,16 +111,6 @@ impl JobOutcome {
     }
 }
 
-/// Reads all `part-*` files under an output directory.
-pub fn read_output_dir(dfs: &Dfs, dir: &str) -> Result<Vec<String>, DfsError> {
-    let mut lines = Vec::new();
-    for path in dfs.list(&format!("{dir}/part-")) {
-        let text = dfs.read_to_string(&path)?;
-        lines.extend(text.lines().map(str::to_string));
-    }
-    Ok(lines)
-}
-
 struct MapTaskResult<K, V> {
     cost: TaskCost,
     /// Emitted pairs, already partitioned per reducer at emit time. The
@@ -105,7 +120,8 @@ struct MapTaskResult<K, V> {
     /// Post-combiner pair count/bytes, tallied task-side.
     shuffle_pairs: u64,
     shuffle_bytes: u64,
-    output: Vec<String>,
+    /// Final output lines, each newline-terminated.
+    output: String,
     side: BTreeMap<String, Vec<String>>,
     side_bytes: BTreeMap<String, Vec<u8>>,
     counters: BTreeMap<String, u64>,
@@ -717,11 +733,9 @@ where
         if !res.output.is_empty() {
             let path = format!("{}/part-m-{i:05}", job.output);
             let mut w = dfs.create(&path)?;
-            for line in &res.output {
-                w.write_line(line);
-            }
+            w.write_str(&res.output);
             w.close()?;
-            let bytes: u64 = res.output.iter().map(|l| l.len() as u64 + 1).sum();
+            let bytes = res.output.len() as u64;
             res.cost.output_bytes += bytes;
             counters.inc_static("output.map.bytes", bytes);
         }
@@ -831,11 +845,9 @@ where
             if !output.is_empty() {
                 let path = format!("{}/part-r-{i:05}", job.output);
                 let mut w = dfs.create(&path)?;
-                for line in &output {
-                    w.write_line(line);
-                }
+                w.write_str(&output);
                 w.close()?;
-                let bytes: u64 = output.iter().map(|l| l.len() as u64 + 1).sum();
+                let bytes = output.len() as u64;
                 cost.output_bytes += bytes;
                 counters.inc_static("output.reduce.bytes", bytes);
             }
@@ -1137,7 +1149,7 @@ fn apply_combiner<K: Clone + Ord + Hash + Send, V: Clone + Send>(
 
 type ReduceTaskResult = (
     TaskCost,
-    Vec<String>,
+    String,
     BTreeMap<String, Vec<String>>,
     BTreeMap<String, Vec<u8>>,
     BTreeMap<String, u64>,
@@ -1223,7 +1235,7 @@ mod tests {
         type K = String;
         type V = u64;
         fn reduce(&self, k: &String, vs: Vec<u64>, ctx: &mut ReduceContext) {
-            ctx.output(format!("{k} {}", vs.iter().sum::<u64>()));
+            ctx.output(&format!("{k} {}", vs.iter().sum::<u64>()));
         }
     }
 
@@ -1260,6 +1272,15 @@ mod tests {
         assert_eq!(lines.len(), 11); // w0..w9 + common
         assert!(lines.contains(&"common 5000".to_string()));
         assert!(lines.contains(&"w0 500".to_string()));
+        // The rows-level read-back is the part files, concatenated.
+        let rows = outcome.read_output_rows(&fs).unwrap();
+        let parts: String = fs
+            .list("/out/part-")
+            .iter()
+            .map(|p| fs.read_to_string(p).unwrap())
+            .collect();
+        assert_eq!(rows.text(), parts);
+        assert_eq!(rows.len(), 11);
         assert_eq!(outcome.counters["user.records"], 5000);
         assert_eq!(outcome.counters["shuffle.pairs"], 10_000);
         assert!(outcome.sim.total() > 0.0);
@@ -1307,7 +1328,7 @@ mod tests {
         type V = u32;
         fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u32, u32>) {
             for line in data.lines() {
-                ctx.output(format!("{}:{}", split.tag, line));
+                ctx.output(&format!("{}:{}", split.tag, line));
             }
         }
     }
@@ -1549,7 +1570,7 @@ mod tests {
         type K = u8;
         type V = u8;
         fn map(&self, split: &InputSplit, _data: &str, ctx: &mut MapContext<u8, u8>) {
-            ctx.output(format!(
+            ctx.output(&format!(
                 "{}:{}",
                 split.partition_id.unwrap_or(999),
                 split.aux.as_deref().unwrap_or("-")
@@ -1594,7 +1615,7 @@ mod tests {
         type V = u64;
         fn reduce(&self, _k: &u8, vs: Vec<u64>, ctx: &mut ReduceContext) {
             ctx.side_output("spill", format!("r:{}", vs.len()));
-            ctx.output(format!("{}", vs.iter().sum::<u64>()));
+            ctx.output(&format!("{}", vs.iter().sum::<u64>()));
         }
     }
 

@@ -170,7 +170,7 @@ impl<M: Mapper, R: Reducer<K = M::K, V = M::V>> Job<M, R> {
 ///     type K = String;
 ///     type V = u64;
 ///     fn reduce(&self, k: &String, vs: Vec<u64>, ctx: &mut ReduceContext) {
-///         ctx.output(format!("{k} {}", vs.iter().sum::<u64>()));
+///         ctx.output(&format!("{k} {}", vs.iter().sum::<u64>()));
 ///     }
 /// }
 /// let dfs = Dfs::new(ClusterConfig::small_for_tests());

@@ -27,6 +27,7 @@ pub mod cost;
 pub mod counters;
 pub mod executor;
 pub mod job;
+pub mod rows;
 pub mod scheduler;
 pub mod split;
 
@@ -35,6 +36,7 @@ pub use cost::SimBreakdown;
 pub use counters::Counters;
 pub use executor::JobOutcome;
 pub use job::{fail_corrupt, CorruptInput, Job, JobBuilder, JobError, Mapper, NoReducer, Reducer};
+pub use rows::Rows;
 pub use scheduler::{
     JobHandle, JobInfo, JobScheduler, JobState, SchedConfig, SchedError, SchedPolicy,
 };

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sh_dfs::Dfs;
 
@@ -158,6 +158,12 @@ struct JobRecord {
     state: JobState,
 }
 
+/// Finished jobs the scheduler remembers (for `JOBS;` and
+/// [`JobScheduler::job_state`]); older ones are forgotten so a long-lived
+/// server's job table does not grow with every statement it ever served.
+/// Same size as the event journal's ring.
+const JOB_HISTORY: usize = 1024;
+
 struct SchedState {
     queue: VecDeque<Pending>,
     running: usize,
@@ -165,9 +171,28 @@ struct SchedState {
     /// Jobs ever admitted per tenant — fair-share's history term, so
     /// tenants round-robin even when nothing is running at pick time.
     admitted_per_tenant: BTreeMap<String, u64>,
+    /// Queued and running jobs, plus the last [`JOB_HISTORY`] finished.
     jobs: BTreeMap<u64, JobRecord>,
+    /// Ids of the finished jobs still in `jobs`, oldest first.
+    finished: VecDeque<u64>,
     next_id: u64,
     shutdown: bool,
+}
+
+impl SchedState {
+    /// Records a job's terminal state and evicts the oldest finished job
+    /// once the history is over its bound.
+    fn finish(&mut self, id: u64, state: JobState) {
+        if let Some(r) = self.jobs.get_mut(&id) {
+            r.state = state;
+        }
+        self.finished.push_back(id);
+        if self.finished.len() > JOB_HISTORY {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
+            }
+        }
+    }
 }
 
 struct Inner {
@@ -192,12 +217,13 @@ impl<T> JobHandle<T> {
         self.rx.recv().unwrap_or(Err(SchedError::Shutdown))
     }
 
-    /// Non-blocking poll: `None` while the job is still queued/running.
-    pub fn try_join(&self) -> Option<Result<T, SchedError>> {
-        match self.rx.try_recv() {
+    /// Blocks for at most `timeout`: `None` if the job is still queued
+    /// or running when it elapses. Completion wakes the caller at once.
+    pub fn join_timeout(&self, timeout: Duration) -> Option<Result<T, SchedError>> {
+        match self.rx.recv_timeout(timeout) {
             Ok(r) => Some(r),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(SchedError::Shutdown)),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(SchedError::Shutdown)),
         }
     }
 }
@@ -222,6 +248,7 @@ impl JobScheduler {
                     running_per_tenant: BTreeMap::new(),
                     admitted_per_tenant: BTreeMap::new(),
                     jobs: BTreeMap::new(),
+                    finished: VecDeque::new(),
                     next_id: 0,
                     shutdown: false,
                 }),
@@ -325,7 +352,8 @@ impl JobScheduler {
         Ok(JobHandle { id, rx })
     }
 
-    /// Snapshot of every job this scheduler has seen, by id.
+    /// Snapshot of the job table, by id: every queued and running job
+    /// and the most recently finished ones (a bounded history).
     pub fn jobs(&self) -> Vec<JobInfo> {
         let st = self.inner.state.lock().expect("scheduler poisoned");
         st.jobs
@@ -339,7 +367,7 @@ impl JobScheduler {
             .collect()
     }
 
-    /// State of one job, if it exists.
+    /// State of one job, if it is live or still in the finished history.
     pub fn job_state(&self, id: u64) -> Option<JobState> {
         let st = self.inner.state.lock().expect("scheduler poisoned");
         st.jobs.get(&id).map(|r| r.state)
@@ -373,9 +401,7 @@ impl JobScheduler {
             return false;
         };
         let pending = st.queue.remove(pos).expect("index from position");
-        if let Some(r) = st.jobs.get_mut(&id) {
-            r.state = JobState::Cancelled;
-        }
+        st.finish(id, JobState::Cancelled);
         let registry = sh_trace::global();
         registry.counter_add("sched.cancelled", 1);
         registry.gauge_set("sched.queue.depth", st.queue.len() as i64);
@@ -406,9 +432,7 @@ impl JobScheduler {
         st.shutdown = true;
         let dropped: Vec<Pending> = st.queue.drain(..).collect();
         for p in &dropped {
-            if let Some(r) = st.jobs.get_mut(&p.id) {
-                r.state = JobState::Failed;
-            }
+            st.finish(p.id, JobState::Failed);
         }
         sh_trace::global().gauge_set("sched.queue.depth", 0);
         drop(st);
@@ -484,9 +508,8 @@ impl Inner {
                 if let Some(n) = st.running_per_tenant.get_mut(&pending.tenant) {
                     *n = n.saturating_sub(1);
                 }
-                if let Some(r) = st.jobs.get_mut(&pending.id) {
-                    r.state = if ok { JobState::Done } else { JobState::Failed };
-                }
+                let state = if ok { JobState::Done } else { JobState::Failed };
+                st.finish(pending.id, state);
                 inner.cv.notify_all();
                 inner.pump(st);
                 // Deliver only after the bookkeeping above: a joiner
@@ -536,7 +559,6 @@ fn panic_text(panic: &Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     fn dfs() -> Dfs {
         Dfs::new(sh_dfs::ClusterConfig::small_for_tests())
@@ -555,6 +577,34 @@ mod tests {
         assert_eq!(h.join().unwrap(), 42);
         assert!(fs.exists("/sched/a"));
         assert_eq!(sched.job_state(0), Some(JobState::Done));
+    }
+
+    #[test]
+    fn job_table_keeps_live_jobs_and_a_bounded_history() {
+        let fs = dfs();
+        let sched = JobScheduler::new(&fs, SchedConfig::default());
+        let mut last = 0;
+        for i in 0..5000u64 {
+            let h = sched.submit("trivial", move |_| i).unwrap();
+            last = h.id;
+            assert_eq!(h.join().unwrap(), i);
+        }
+        let jobs = sched.jobs();
+        assert!(jobs.len() <= JOB_HISTORY, "{} records kept", jobs.len());
+        assert_eq!(sched.job_state(last), Some(JobState::Done));
+        assert_eq!(sched.job_state(0), None, "oldest finished job is forgotten");
+        // A join that times out leaves the job (and its handle) intact.
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let h = sched
+            .submit("gated", move |_| gate_rx.recv().is_ok())
+            .unwrap();
+        assert!(h.join_timeout(Duration::from_millis(1)).is_none());
+        assert!(matches!(
+            sched.job_state(h.id),
+            Some(JobState::Queued | JobState::Running)
+        ));
+        gate_tx.send(()).unwrap();
+        assert_eq!(h.join_timeout(Duration::from_secs(30)), Some(Ok(true)));
     }
 
     #[test]
@@ -797,7 +847,7 @@ mod tests {
                             type K = String;
                             type V = u64;
                             fn reduce(&self, k: &String, vs: Vec<u64>, ctx: &mut ReduceContext) {
-                                ctx.output(format!("{k} {}", vs.iter().sum::<u64>()));
+                                ctx.output(&format!("{k} {}", vs.iter().sum::<u64>()));
                             }
                         }
                         JobBuilder::new(dfs, "wc")

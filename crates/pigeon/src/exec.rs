@@ -1,14 +1,14 @@
 //! Script execution: routing statements to the operations layer.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use sh_core::ops;
 use sh_core::storage;
 use sh_core::{OpError, OpResult, SpatialFile};
 use sh_dfs::{Dfs, FaultPlan};
 use sh_geom::{Point, Polygon, Record, Rect};
-use sh_mapreduce::{JobHandle, JobScheduler, SchedConfig, SchedPolicy};
+use sh_mapreduce::{JobHandle, JobScheduler, Rows, SchedConfig, SchedPolicy};
 use sh_trace::{Event, JobProfile, Sampler, Waterfall};
 
 use crate::ast::{RecordType, Script, ScrubTarget, Stmt};
@@ -66,8 +66,9 @@ pub enum Value {
         file: SpatialFile,
         rtype: RecordType,
     },
-    /// Materialized result lines (one record per line).
-    Result(Vec<String>),
+    /// A materialized result set (one record per row). Shared, not
+    /// copied, by every binding, `DUMP` and session snapshot holding it.
+    Result(Rows),
 }
 
 /// The Pigeon execution engine: an environment of named datasets over a
@@ -172,9 +173,16 @@ impl SessionCtx {
         r.value
     }
 
+    /// Moves the slow-query log into a statement's dump output.
+    fn drain_slow_log(&mut self, dumped: &mut Vec<Rows>) {
+        if !self.slow_log.is_empty() {
+            dumped.push(Rows::from_lines(self.slow_log.drain(..)));
+        }
+    }
+
     /// Applies a finished statement's outcome to this session: installs
-    /// the binding, stashes the profile, and returns the dump lines.
-    pub fn absorb(&mut self, out: StmtOutput) -> Vec<String> {
+    /// the binding, stashes the profile, and returns what it dumped.
+    pub fn absorb(&mut self, out: StmtOutput) -> Vec<Rows> {
         if let Some((var, val)) = out.binding {
             self.vars.insert(var, val);
         }
@@ -188,15 +196,15 @@ impl SessionCtx {
 /// Fed back into its session with [`SessionCtx::absorb`].
 pub struct StmtOutput {
     binding: Option<(String, Value)>,
-    dumped: Vec<String>,
+    dumped: Vec<Rows>,
     profile: Option<JobProfile>,
 }
 
 /// Outcome of [`Pigeon::admit_stmt`]: the statement either ran inline,
 /// was queued behind a ticket, or was rejected by admission control.
 pub enum Admission {
-    /// Ran synchronously; here are its dump lines.
-    Done(Vec<String>),
+    /// Ran synchronously; here is what it dumped.
+    Done(Vec<Rows>),
     /// The scheduler queue is full — back off and retry.
     Busy,
     /// Queued or running; redeem the ticket for the outcome.
@@ -215,9 +223,13 @@ impl StmtTicket {
         self.handle.id
     }
 
-    /// Non-blocking check: `None` while still queued or running.
-    pub fn poll(&self) -> Option<Result<StmtOutput, PigeonError>> {
-        self.handle.try_join().map(flatten_job)
+    /// Blocks for at most `timeout`; `None` if the statement is still
+    /// queued or running when it elapses.
+    pub fn wait_timeout(
+        &self,
+        timeout: std::time::Duration,
+    ) -> Option<Result<StmtOutput, PigeonError>> {
+        self.handle.join_timeout(timeout).map(flatten_job)
     }
 
     /// Blocks until the statement finishes.
@@ -284,11 +296,6 @@ impl Pigeon {
         self.session.get(var)
     }
 
-    fn out_dir(&mut self, op: &str) -> String {
-        let seq = OUT_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        format!("/pigeon/{op}-{seq}")
-    }
-
     /// Executes a script against the engine's own session; returns the
     /// concatenated lines of all `DUMP` statements in order.
     pub fn execute(&mut self, script: &Script) -> Result<Vec<String>, PigeonError> {
@@ -309,9 +316,12 @@ impl Pigeon {
         for stmt in &script.stmts {
             self.execute_stmt(sess, stmt, &mut dumped)?;
             // Auto-dump profiles that tripped `SET slow_query_ms`.
-            dumped.append(&mut sess.slow_log);
+            sess.drain_slow_log(&mut dumped);
         }
-        Ok(dumped)
+        Ok(dumped
+            .iter()
+            .flat_map(|rows| rows.lines().map(str::to_string))
+            .collect())
     }
 
     /// Admits one statement for a session: statements that run cluster
@@ -328,7 +338,7 @@ impl Pigeon {
         if !stmt_runs_jobs(stmt) {
             let mut dumped = Vec::new();
             self.execute_stmt(sess, stmt, &mut dumped)?;
-            dumped.append(&mut sess.slow_log);
+            sess.drain_slow_log(&mut dumped);
             return Ok(Admission::Done(dumped));
         }
         let name = stmt_verb(stmt);
@@ -362,11 +372,30 @@ impl Pigeon {
         }
     }
 
+    /// Runs one statement. Its jobs write under a scratch directory of
+    /// its own, which is gone again when the statement returns: by then
+    /// the rows are bound to the session (or the statement failed), and
+    /// nothing refers to the files. `STORE ... INTO` targets and index
+    /// directories are user-named and live elsewhere.
     fn execute_stmt(
         &mut self,
         sess: &mut SessionCtx,
         stmt: &Stmt,
-        dumped: &mut Vec<String>,
+        dumped: &mut Vec<Rows>,
+    ) -> Result<(), PigeonError> {
+        let seq = OUT_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let out = format!("/pigeon/{}-{seq}", stmt_verb(stmt));
+        let result = self.run_stmt(sess, stmt, &out, dumped);
+        storage::delete_dir(&self.dfs, &out);
+        result
+    }
+
+    fn run_stmt(
+        &mut self,
+        sess: &mut SessionCtx,
+        stmt: &Stmt,
+        out: &str,
+        dumped: &mut Vec<Rows>,
     ) -> Result<(), PigeonError> {
         match stmt {
             Stmt::Load { var, path, rtype } => {
@@ -483,11 +512,10 @@ impl Pigeon {
                 );
             }
             Stmt::Delaunay { var, src } => {
-                let out = self.out_dir("delaunay");
                 let tris = match sess.lookup(src)?.clone() {
                     Value::Indexed { file, rtype } => {
                         expect_points(src, rtype)?;
-                        let r = ops::delaunay::delaunay_spatial(&self.dfs, &file, &out)?;
+                        let r = ops::delaunay::delaunay_spatial(&self.dfs, &file, out)?;
                         sess.take("delaunay", r)
                     }
                     Value::Heap { path, rtype } => {
@@ -496,23 +524,20 @@ impl Pigeon {
                             path: path.clone(),
                             rtype,
                         })?;
-                        let r = ops::delaunay::delaunay_hadoop(&self.dfs, &path, &uni, &out)?;
+                        let r = ops::delaunay::delaunay_hadoop(&self.dfs, &path, &uni, out)?;
                         sess.take("delaunay", r)
                     }
                     Value::Result(_) => {
                         return Err(PigeonError::Type("DELAUNAY over a result set".into()))
                     }
                 };
-                let lines = tris
-                    .iter()
-                    .map(|t| {
-                        format!(
-                            "{} {} | {} {} | {} {}",
-                            t.0[0].x, t.0[0].y, t.0[1].x, t.0[1].y, t.0[2].x, t.0[2].y
-                        )
-                    })
-                    .collect();
-                sess.vars.insert(var.clone(), Value::Result(lines));
+                let rows = Rows::from_lines(tris.iter().map(|t| {
+                    format!(
+                        "{} {} | {} {} | {} {}",
+                        t.0[0].x, t.0[0].y, t.0[1].x, t.0[1].y, t.0[2].x, t.0[2].y
+                    )
+                }));
+                sess.vars.insert(var.clone(), Value::Result(rows));
             }
             Stmt::Index {
                 var,
@@ -545,70 +570,61 @@ impl Pigeon {
                     .insert(var.clone(), Value::Indexed { file, rtype });
             }
             Stmt::RangeFilter { var, src, query } => {
-                let out = self.out_dir("range");
-                let lines = match sess.lookup(src)?.clone() {
-                    Value::Indexed { file, rtype } => match rtype {
-                        RecordType::Point => {
-                            let r =
-                                ops::range::range_spatial::<Point>(&self.dfs, &file, query, &out)?;
-                            to_lines(&sess.take("range", r))
+                // The job's rows are bound as its mappers wrote them:
+                // every row is a record's `to_line()` already.
+                let dfs = &self.dfs;
+                let r = match sess.lookup(src)?.clone() {
+                    Value::Indexed { file, rtype } => {
+                        let opts = ops::range::RangeOptions::default();
+                        match rtype {
+                            RecordType::Point => ops::range::range_spatial_rows::<Point>(
+                                dfs, &file, query, out, opts,
+                            ),
+                            RecordType::Rectangle => {
+                                ops::range::range_spatial_rows::<Rect>(dfs, &file, query, out, opts)
+                            }
+                            RecordType::Polygon => ops::range::range_spatial_rows::<Polygon>(
+                                dfs, &file, query, out, opts,
+                            ),
                         }
-                        RecordType::Rectangle => {
-                            let r =
-                                ops::range::range_spatial::<Rect>(&self.dfs, &file, query, &out)?;
-                            to_lines(&sess.take("range", r))
-                        }
-                        RecordType::Polygon => {
-                            let r = ops::range::range_spatial::<Polygon>(
-                                &self.dfs, &file, query, &out,
-                            )?;
-                            to_lines(&sess.take("range", r))
-                        }
-                    },
+                    }
                     Value::Heap { path, rtype } => match rtype {
                         RecordType::Point => {
-                            let r =
-                                ops::range::range_hadoop::<Point>(&self.dfs, &path, query, &out)?;
-                            to_lines(&sess.take("range", r))
+                            ops::range::range_hadoop_rows::<Point>(dfs, &path, query, out)
                         }
                         RecordType::Rectangle => {
-                            let r =
-                                ops::range::range_hadoop::<Rect>(&self.dfs, &path, query, &out)?;
-                            to_lines(&sess.take("range", r))
+                            ops::range::range_hadoop_rows::<Rect>(dfs, &path, query, out)
                         }
                         RecordType::Polygon => {
-                            let r =
-                                ops::range::range_hadoop::<Polygon>(&self.dfs, &path, query, &out)?;
-                            to_lines(&sess.take("range", r))
+                            ops::range::range_hadoop_rows::<Polygon>(dfs, &path, query, out)
                         }
                     },
                     Value::Result(_) => {
                         return Err(PigeonError::Type("FILTER over a result set".into()))
                     }
-                };
-                sess.vars.insert(var.clone(), Value::Result(lines));
+                }?;
+                let rows = sess.take("range", r);
+                sess.vars.insert(var.clone(), Value::Result(rows));
             }
             Stmt::Knn { var, src, q, k } => {
-                let out = self.out_dir("knn");
                 let pts = match sess.lookup(src)?.clone() {
                     Value::Indexed { file, rtype } => {
                         expect_points(src, rtype)?;
-                        let r = ops::knn::knn_spatial(&self.dfs, &file, q, *k, &out)?;
+                        let r = ops::knn::knn_spatial(&self.dfs, &file, q, *k, out)?;
                         sess.take("knn", r)
                     }
                     Value::Heap { path, rtype } => {
                         expect_points(src, rtype)?;
-                        let r = ops::knn::knn_hadoop(&self.dfs, &path, q, *k, &out)?;
+                        let r = ops::knn::knn_hadoop(&self.dfs, &path, q, *k, out)?;
                         sess.take("knn", r)
                     }
                     Value::Result(_) => {
                         return Err(PigeonError::Type("KNN over a result set".into()))
                     }
                 };
-                sess.vars.insert(var.clone(), Value::Result(to_lines(&pts)));
+                sess.vars.insert(var.clone(), Value::Result(to_rows(&pts)));
             }
             Stmt::Join { var, left, right } => {
-                let out = self.out_dir("join");
                 let l = sess.lookup(left)?.clone();
                 let r = sess.lookup(right)?.clone();
                 let pairs = match (l, r) {
@@ -624,7 +640,7 @@ impl Pigeon {
                     ) => {
                         expect_rects(left, ta)?;
                         expect_rects(right, tb)?;
-                        let r = ops::join::distributed_join(&self.dfs, &fa, &fb, &out)?;
+                        let r = ops::join::distributed_join(&self.dfs, &fa, &fb, out)?;
                         sess.take("join", r)
                     }
                     (
@@ -654,7 +670,7 @@ impl Pigeon {
                             }
                         }
                         drop(ua);
-                        let r = ops::join::sjmr(&self.dfs, &pa, &pb, &uni, 16, &out)?;
+                        let r = ops::join::sjmr(&self.dfs, &pa, &pb, &uni, 16, out)?;
                         sess.take("join", r)
                     }
                     _ => {
@@ -663,11 +679,15 @@ impl Pigeon {
                         ))
                     }
                 };
-                let lines = pairs
-                    .iter()
-                    .map(|(a, b)| format!("{} | {}", a.to_line(), b.to_line()))
-                    .collect();
-                sess.vars.insert(var.clone(), Value::Result(lines));
+                let mut text = String::with_capacity(pairs.len() * 80);
+                for (a, b) in &pairs {
+                    a.write_line(&mut text);
+                    text.push_str(" | ");
+                    b.write_line(&mut text);
+                    text.push('\n');
+                }
+                sess.vars
+                    .insert(var.clone(), Value::Result(Rows::from_text(text)));
             }
             Stmt::KnnJoin {
                 var,
@@ -675,7 +695,6 @@ impl Pigeon {
                 right,
                 k,
             } => {
-                let out = self.out_dir("knnjoin");
                 let (l, r) = (sess.lookup(left)?.clone(), sess.lookup(right)?.clone());
                 let rows = match (l, r) {
                     (
@@ -690,7 +709,7 @@ impl Pigeon {
                     ) => {
                         expect_points(left, ta)?;
                         expect_points(right, tb)?;
-                        let r = ops::knn_join::knn_join_spatial(&self.dfs, &fa, &fb, *k, &out)?;
+                        let r = ops::knn_join::knn_join_spatial(&self.dfs, &fa, &fb, *k, out)?;
                         sess.take("knnjoin", r)
                     }
                     _ => {
@@ -699,62 +718,56 @@ impl Pigeon {
                         ))
                     }
                 };
-                let lines = rows
-                    .iter()
-                    .map(|row| {
-                        let mut s = format!("{} {} |", row.r.x, row.r.y);
-                        for n in &row.neighbors {
-                            s.push_str(&format!(" {} {}", n.x, n.y));
-                        }
-                        s
-                    })
-                    .collect();
-                sess.vars.insert(var.clone(), Value::Result(lines));
+                let rows = Rows::from_lines(rows.iter().map(|row| {
+                    let mut s = format!("{} {} |", row.r.x, row.r.y);
+                    for n in &row.neighbors {
+                        let _ = write!(s, " {} {}", n.x, n.y);
+                    }
+                    s
+                }));
+                sess.vars.insert(var.clone(), Value::Result(rows));
             }
             Stmt::Skyline { var, src } => {
-                let out = self.out_dir("skyline");
                 let pts = match sess.lookup(src)?.clone() {
                     Value::Indexed { file, rtype } => {
                         expect_points(src, rtype)?;
-                        let r = ops::skyline::skyline_spatial(&self.dfs, &file, &out)?;
+                        let r = ops::skyline::skyline_spatial(&self.dfs, &file, out)?;
                         sess.take("skyline", r)
                     }
                     Value::Heap { path, rtype } => {
                         expect_points(src, rtype)?;
-                        let r = ops::skyline::skyline_hadoop(&self.dfs, &path, &out)?;
+                        let r = ops::skyline::skyline_hadoop(&self.dfs, &path, out)?;
                         sess.take("skyline", r)
                     }
                     Value::Result(_) => {
                         return Err(PigeonError::Type("SKYLINE over a result set".into()))
                     }
                 };
-                sess.vars.insert(var.clone(), Value::Result(to_lines(&pts)));
+                sess.vars.insert(var.clone(), Value::Result(to_rows(&pts)));
             }
             Stmt::ConvexHull { var, src } => {
-                let out = self.out_dir("hull");
                 let pts = match sess.lookup(src)?.clone() {
                     Value::Indexed { file, rtype } => {
                         expect_points(src, rtype)?;
-                        let r = ops::convex_hull::hull_spatial(&self.dfs, &file, &out)?;
+                        let r = ops::convex_hull::hull_spatial(&self.dfs, &file, out)?;
                         sess.take("convexhull", r)
                     }
                     Value::Heap { path, rtype } => {
                         expect_points(src, rtype)?;
-                        let r = ops::convex_hull::hull_hadoop(&self.dfs, &path, &out)?;
+                        let r = ops::convex_hull::hull_hadoop(&self.dfs, &path, out)?;
                         sess.take("convexhull", r)
                     }
                     Value::Result(_) => {
                         return Err(PigeonError::Type("CONVEXHULL over a result set".into()))
                     }
                 };
-                sess.vars.insert(var.clone(), Value::Result(to_lines(&pts)));
+                sess.vars.insert(var.clone(), Value::Result(to_rows(&pts)));
             }
             Stmt::ClosestPair { var, src } => {
-                let out = self.out_dir("cp");
                 let pair = match sess.lookup(src)?.clone() {
                     Value::Indexed { file, rtype } => {
                         expect_points(src, rtype)?;
-                        let r = ops::closest_pair::closest_pair_spatial(&self.dfs, &file, &out)?;
+                        let r = ops::closest_pair::closest_pair_spatial(&self.dfs, &file, out)?;
                         sess.take("closestpair", r)
                     }
                     _ => {
@@ -763,49 +776,35 @@ impl Pigeon {
                         ))
                     }
                 };
-                let lines = pair
-                    .map(|p| {
-                        vec![format!(
-                            "{} | {} | {}",
-                            p.a.to_line(),
-                            p.b.to_line(),
-                            p.distance
-                        )]
-                    })
-                    .unwrap_or_default();
-                sess.vars.insert(var.clone(), Value::Result(lines));
+                let rows =
+                    Rows::from_lines(pair.map(|p| {
+                        format!("{} | {} | {}", p.a.to_line(), p.b.to_line(), p.distance)
+                    }));
+                sess.vars.insert(var.clone(), Value::Result(rows));
             }
             Stmt::FarthestPair { var, src } => {
-                let out = self.out_dir("fp");
                 let pair = match sess.lookup(src)?.clone() {
                     Value::Indexed { file, rtype } => {
                         expect_points(src, rtype)?;
-                        let r = ops::farthest_pair::farthest_pair_spatial(&self.dfs, &file, &out)?;
+                        let r = ops::farthest_pair::farthest_pair_spatial(&self.dfs, &file, out)?;
                         sess.take("farthestpair", r)
                     }
                     Value::Heap { path, rtype } => {
                         expect_points(src, rtype)?;
-                        let r = ops::farthest_pair::farthest_pair_hadoop(&self.dfs, &path, &out)?;
+                        let r = ops::farthest_pair::farthest_pair_hadoop(&self.dfs, &path, out)?;
                         sess.take("farthestpair", r)
                     }
                     Value::Result(_) => {
                         return Err(PigeonError::Type("FARTHESTPAIR over a result set".into()))
                     }
                 };
-                let lines = pair
-                    .map(|p| {
-                        vec![format!(
-                            "{} | {} | {}",
-                            p.a.to_line(),
-                            p.b.to_line(),
-                            p.distance
-                        )]
-                    })
-                    .unwrap_or_default();
-                sess.vars.insert(var.clone(), Value::Result(lines));
+                let rows =
+                    Rows::from_lines(pair.map(|p| {
+                        format!("{} | {} | {}", p.a.to_line(), p.b.to_line(), p.distance)
+                    }));
+                sess.vars.insert(var.clone(), Value::Result(rows));
             }
             Stmt::Union { var, src } => {
-                let out = self.out_dir("union");
                 let segs = match sess.lookup(src)?.clone() {
                     Value::Indexed { file, rtype } => {
                         if rtype != RecordType::Polygon {
@@ -814,10 +813,10 @@ impl Pigeon {
                             )));
                         }
                         if file.is_disjoint() {
-                            let r = ops::union::union_enhanced(&self.dfs, &file, &out)?;
+                            let r = ops::union::union_enhanced(&self.dfs, &file, out)?;
                             sess.take("union", r)
                         } else {
-                            let r = ops::union::union_spatial(&self.dfs, &file, &out)?;
+                            let r = ops::union::union_spatial(&self.dfs, &file, out)?;
                             sess.take("union", r)
                         }
                     }
@@ -827,22 +826,20 @@ impl Pigeon {
                                 "UNION expects polygons, {src} is not"
                             )));
                         }
-                        let r = ops::union::union_hadoop(&self.dfs, &path, &out)?;
+                        let r = ops::union::union_hadoop(&self.dfs, &path, out)?;
                         sess.take("union", r)
                     }
                     Value::Result(_) => {
                         return Err(PigeonError::Type("UNION over a result set".into()))
                     }
                 };
-                sess.vars
-                    .insert(var.clone(), Value::Result(to_lines(&segs)));
+                sess.vars.insert(var.clone(), Value::Result(to_rows(&segs)));
             }
             Stmt::Voronoi { var, src } => {
-                let out = self.out_dir("voronoi");
                 let cells = match sess.lookup(src)?.clone() {
                     Value::Indexed { file, rtype } => {
                         expect_points(src, rtype)?;
-                        let r = ops::voronoi::voronoi_spatial(&self.dfs, &file, &out)?;
+                        let r = ops::voronoi::voronoi_spatial(&self.dfs, &file, out)?;
                         sess.take("voronoi", r)
                     }
                     Value::Heap { path, rtype } => {
@@ -851,50 +848,46 @@ impl Pigeon {
                             path: path.clone(),
                             rtype,
                         })?;
-                        let r = ops::voronoi::voronoi_hadoop(&self.dfs, &path, &uni, &out)?;
+                        let r = ops::voronoi::voronoi_hadoop(&self.dfs, &path, &uni, out)?;
                         sess.take("voronoi", r)
                     }
                     Value::Result(_) => {
                         return Err(PigeonError::Type("VORONOI over a result set".into()))
                     }
                 };
-                let lines = cells
-                    .iter()
-                    .map(|c| {
-                        format!(
-                            "{} {} cell[{} vertices]",
-                            c.site.x,
-                            c.site.y,
-                            c.vertices.len()
-                        )
-                    })
-                    .collect();
-                sess.vars.insert(var.clone(), Value::Result(lines));
+                let rows = Rows::from_lines(cells.iter().map(|c| {
+                    format!(
+                        "{} {} cell[{} vertices]",
+                        c.site.x,
+                        c.site.y,
+                        c.vertices.len()
+                    )
+                }));
+                sess.vars.insert(var.clone(), Value::Result(rows));
             }
             Stmt::Describe { src } => {
                 let stats = match sess.lookup(src)?.clone() {
                     Value::Indexed { file, .. } => ops::aggregate::stats_spatial(&file),
                     Value::Heap { path, rtype } => {
-                        let out = self.out_dir("describe");
                         let r = match rtype {
                             RecordType::Point => {
-                                ops::aggregate::stats_hadoop::<Point>(&self.dfs, &path, &out)?
+                                ops::aggregate::stats_hadoop::<Point>(&self.dfs, &path, out)?
                             }
                             RecordType::Rectangle => {
-                                ops::aggregate::stats_hadoop::<Rect>(&self.dfs, &path, &out)?
+                                ops::aggregate::stats_hadoop::<Rect>(&self.dfs, &path, out)?
                             }
                             RecordType::Polygon => {
-                                ops::aggregate::stats_hadoop::<Polygon>(&self.dfs, &path, &out)?
+                                ops::aggregate::stats_hadoop::<Polygon>(&self.dfs, &path, out)?
                             }
                         };
                         sess.take("describe", r)
                     }
-                    Value::Result(lines) => {
-                        dumped.push(format!("result set: {} rows", lines.len()));
+                    Value::Result(rows) => {
+                        dumped.push(one_row(format!("result set: {} rows", rows.len())));
                         return Ok(());
                     }
                 };
-                dumped.push(format!(
+                dumped.push(one_row(format!(
                     "{src}: {} records, {} bytes, mbr [{}, {}] x [{}, {}]",
                     stats.records,
                     stats.bytes,
@@ -902,7 +895,7 @@ impl Pigeon {
                     stats.mbr.x2,
                     stats.mbr.y1,
                     stats.mbr.y2
-                ));
+                )));
             }
             Stmt::Plot {
                 src,
@@ -955,40 +948,25 @@ impl Pigeon {
                 sess.take("plotpyramid", r);
             }
             Stmt::Dump { src } => {
-                let start = dumped.len();
-                match sess.lookup(src)? {
-                    Value::Result(lines) => dumped.extend(lines.iter().cloned()),
-                    Value::Heap { path, .. } => {
-                        let text = self.dfs.read_to_string(path)?;
-                        dumped.extend(text.lines().map(str::to_string));
-                    }
-                    Value::Indexed { file, .. } => {
-                        dumped.push(format!(
-                            "indexed file {} ({}; {} partitions, {} records)",
-                            file.dir,
-                            file.kind.name(),
-                            file.partitions.len(),
-                            file.total_records()
-                        ));
-                    }
-                }
-                // Session-local row cap (`SET result_limit <n>;`).
-                let limit = sess.result_limit;
-                let emitted = dumped.len() - start;
-                if limit > 0 && emitted > limit {
-                    dumped.truncate(start + limit);
-                    dumped.push(format!(
-                        "... ({} rows truncated by result_limit {limit})",
-                        emitted - limit
-                    ));
-                }
+                let rows = match sess.lookup(src)? {
+                    Value::Result(rows) => rows.clone(),
+                    Value::Heap { path, .. } => Rows::from_text(self.dfs.read_to_string(path)?),
+                    Value::Indexed { file, .. } => one_row(format!(
+                        "indexed file {} ({}; {} partitions, {} records)",
+                        file.dir,
+                        file.kind.name(),
+                        file.partitions.len(),
+                        file.total_records()
+                    )),
+                };
+                dumped.push(limit_rows(rows, sess.result_limit));
             }
             Stmt::Profile(inner) => {
                 sess.last_profile = None;
                 self.execute_stmt(sess, inner, dumped)?;
                 match sess.last_profile.take() {
-                    Some(p) => dumped.extend(p.render().lines().map(str::to_string)),
-                    None => dumped.push("profile: statement ran no jobs".to_string()),
+                    Some(p) => dumped.push(Rows::from_text(p.render())),
+                    None => dumped.push(one_row("profile: statement ran no jobs")),
                 }
             }
             Stmt::ExplainAnalyze(inner) => {
@@ -996,16 +974,16 @@ impl Pigeon {
                 self.execute_stmt(sess, inner, dumped)?;
                 match sess.last_profile.take() {
                     Some(p) => match &p.spans {
-                        Some(root) => {
-                            dumped.push(format!("explain analyze: {}", p.job));
-                            dumped
-                                .extend(format!("{}", Waterfall(root)).lines().map(str::to_string));
-                        }
+                        Some(root) => dumped.push(Rows::from_text(format!(
+                            "explain analyze: {}\n{}",
+                            p.job,
+                            Waterfall(root)
+                        ))),
                         None => {
-                            dumped.push("explain analyze: statement recorded no spans".to_string())
+                            dumped.push(one_row("explain analyze: statement recorded no spans"))
                         }
                     },
-                    None => dumped.push("explain analyze: statement ran no jobs".to_string()),
+                    None => dumped.push(one_row("explain analyze: statement ran no jobs")),
                 }
             }
             Stmt::Stats => {
@@ -1015,14 +993,14 @@ impl Pigeon {
                 // Force a fresh sample so STATS reflects the statements
                 // that just ran, not the last background tick.
                 sampler.tick();
-                dumped.extend(sampler.render().lines().map(str::to_string));
+                dumped.push(Rows::from_text(sampler.render()));
             }
             Stmt::Events { n, filter } => {
                 let events = sh_trace::journal().recent(n.unwrap_or(20), filter.as_deref());
                 if events.is_empty() {
-                    dumped.push("events: none recorded".to_string());
+                    dumped.push(one_row("events: none recorded"));
                 } else {
-                    dumped.extend(events.iter().map(Event::render));
+                    dumped.push(Rows::from_lines(events.iter().map(Event::render)));
                 }
             }
             Stmt::Set { key, value } => self.apply_set(sess, key, value)?,
@@ -1038,19 +1016,16 @@ impl Pigeon {
                     .scheduler()
                     .submit(&name, closure)
                     .map_err(|e| PigeonError::Job(e.to_string()))?;
-                dumped.push(format!("submitted job {} ({name})", handle.id));
+                dumped.push(one_row(format!("submitted job {} ({name})", handle.id)));
                 sess.pending.insert(handle.id, handle);
             }
             Stmt::Jobs => match &self.sched {
                 Some(sched) => {
-                    for j in sched.jobs() {
-                        dumped.push(format!(
-                            "job {} {} [{}]: {}",
-                            j.id, j.name, j.tenant, j.state
-                        ));
-                    }
+                    dumped.push(Rows::from_lines(sched.jobs().iter().map(|j| {
+                        format!("job {} {} [{}]: {}", j.id, j.name, j.tenant, j.state)
+                    })))
                 }
-                None => dumped.push("no jobs submitted".to_string()),
+                None => dumped.push(one_row("no jobs submitted")),
             },
             Stmt::Wait { id } => {
                 let handle = sess
@@ -1077,21 +1052,16 @@ impl Pigeon {
                         }
                     },
                 };
-                dumped.push(self.dfs.scrub(&prefix).to_string());
+                dumped.push(one_row(self.dfs.scrub(&prefix).to_string()));
             }
             Stmt::Store { src, path } => {
-                let lines = match sess.lookup(src)? {
-                    Value::Result(lines) => lines.clone(),
-                    _ => {
-                        return Err(PigeonError::Type(
-                            "STORE expects a computed result set".into(),
-                        ))
-                    }
+                let Value::Result(rows) = sess.lookup(src)? else {
+                    return Err(PigeonError::Type(
+                        "STORE expects a computed result set".into(),
+                    ));
                 };
                 let mut w = self.dfs.create(path)?;
-                for line in &lines {
-                    w.write_line(line);
-                }
+                w.write_str(rows.text());
                 w.close()?;
             }
         }
@@ -1234,8 +1204,35 @@ impl Pigeon {
     }
 }
 
-fn to_lines<R: Record>(records: &[R]) -> Vec<String> {
-    records.iter().map(Record::to_line).collect()
+/// Renders typed records as a result set, one `to_line()` row each.
+fn to_rows<R: Record>(records: &[R]) -> Rows {
+    let mut text = String::new();
+    for r in records {
+        r.write_line(&mut text);
+        text.push('\n');
+    }
+    Rows::from_text(text)
+}
+
+/// A one-row result set (status lines such as `DESCRIBE`'s).
+fn one_row(line: impl AsRef<str>) -> Rows {
+    Rows::from_lines([line])
+}
+
+/// Applies `SET result_limit <n>;` to what a `DUMP` is about to emit:
+/// the first `limit` rows and a marker row counting the rest (0 is
+/// unlimited, and a result within the limit is passed on untouched).
+fn limit_rows(rows: Rows, limit: usize) -> Rows {
+    if limit == 0 || rows.len() <= limit {
+        return rows;
+    }
+    let mut text = String::from(rows.head(limit));
+    let _ = writeln!(
+        text,
+        "... ({} rows truncated by result_limit {limit})",
+        rows.len() - limit
+    );
+    Rows::from_text(text)
 }
 
 /// Scheduler jobs run whole statements; letting them submit or wait on
@@ -1367,7 +1364,7 @@ fn job_closure(
             .execute_stmt(&mut sess, &stmt, &mut dumped)
             .map_err(|e| e.to_string())?;
         // Slow-query profiles travel with the job's dump output.
-        dumped.append(&mut sess.slow_log);
+        sess.drain_slow_log(&mut dumped);
         let binding = target_var(&stmt)
             .and_then(|v| sess.vars.get(v).map(|val| (v.to_string(), val.clone())));
         Ok(StmtOutput {
@@ -2179,5 +2176,99 @@ mod tests {
         engine.execute(&off).unwrap();
         let report = dfs.scrub("/idx/bg/");
         assert_eq!(report.corrupt, 0, "nothing left to heal");
+    }
+    #[test]
+    fn result_limit_truncates_like_the_line_based_dump() {
+        // `DUMP` as it was specified over separate lines.
+        fn dump_by_line(lines: &[String], limit: usize) -> Vec<String> {
+            let mut dumped = lines.to_vec();
+            if limit > 0 && dumped.len() > limit {
+                dumped.truncate(limit);
+                dumped.push(format!(
+                    "... ({} rows truncated by result_limit {limit})",
+                    lines.len() - limit
+                ));
+            }
+            dumped
+        }
+        let n = 7;
+        let lines: Vec<String> = (0..n).map(|i| format!("{i} {}", i * i)).collect();
+        let rows = Rows::from_lines(&lines);
+        for limit in [0, 1, n - 1, n, n + 1] {
+            let got = limit_rows(rows.clone(), limit);
+            assert!(
+                got.lines().eq(dump_by_line(&lines, limit)),
+                "limit {limit}: {:?}",
+                got.text()
+            );
+        }
+        assert_eq!(limit_rows(Rows::default(), 3), Rows::default());
+    }
+
+    #[test]
+    fn a_statements_scratch_directory_is_gone_when_it_returns() {
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        let pts = points(1500, Distribution::Uniform, &uni, 31);
+        upload(&dfs, "/leak/p", &pts).unwrap();
+        upload(&dfs, "/leak/l", &rects(200, &uni, 30.0, 1)).unwrap();
+        upload(&dfs, "/leak/r", &rects(200, &uni, 30.0, 2)).unwrap();
+        let dumped = run_script(
+            &dfs,
+            "p = LOAD '/leak/p' AS POINT;\n\
+             i = INDEX p AS grid INTO '/leak/ip';\n\
+             a = LOAD '/leak/l' AS RECTANGLE;\n\
+             b = LOAD '/leak/r' AS RECTANGLE;\n\
+             ia = INDEX a AS grid INTO '/leak/ia';\n\
+             ib = INDEX b AS grid INTO '/leak/ib';\n\
+             q = FILTER i BY Overlaps(RECTANGLE(100, 100, 600, 600));\n\
+             k = KNN i POINT(500, 500) K 7;\n\
+             j = JOIN ia, ib PREDICATE Overlaps;\n\
+             h = JOIN a, b PREDICATE Overlaps;\n\
+             d = DELAUNAY p;\n\
+             STORE k INTO '/leak/stored';\n\
+             DUMP q;",
+        )
+        .unwrap();
+        assert_eq!(dfs.list("/pigeon/"), Vec::<String>::new());
+        // The answer outlives its files, and user-named paths are kept.
+        let query = Rect::new(100.0, 100.0, 600.0, 600.0);
+        let mut expected: Vec<String> = pts
+            .iter()
+            .filter(|p| query.contains_point(p))
+            .map(Record::to_line)
+            .collect();
+        let mut got = dumped;
+        expected.sort();
+        got.sort();
+        assert_eq!(got, expected);
+        assert_eq!(
+            dfs.read_to_string("/leak/stored").unwrap().lines().count(),
+            7
+        );
+        assert!(!dfs.list("/leak/ip/").is_empty());
+
+        // A statement that fails after a job of its wrote output cleans
+        // up as well: with every partition but the query's own replaced
+        // by garbage, kNN's first round succeeds and its second fails.
+        let mut engine = Pigeon::new(&dfs);
+        let load = "p = LOAD '/leak/p' AS POINT; i = INDEX p AS grid INTO '/leak/ip2';";
+        engine
+            .execute(&crate::parser::parse(load).unwrap())
+            .unwrap();
+        let Some(Value::Indexed { file, .. }) = engine.get("i") else {
+            panic!("INDEX binds an indexed file");
+        };
+        let q = Point::new(500.0, 500.0);
+        for m in &file.partitions {
+            if !m.cell_rect().contains_point(&q) {
+                dfs.delete(&m.path);
+                dfs.write_string(&m.path, "not a point\n").unwrap();
+            }
+        }
+        let knn = crate::parser::parse("n = KNN i POINT(500, 500) K 400;").unwrap();
+        let err = engine.execute(&knn).unwrap_err();
+        assert!(err.to_string().contains("corrupt"), "{err}");
+        assert_eq!(dfs.list("/pigeon/"), Vec::<String>::new());
     }
 }

@@ -35,6 +35,8 @@ pub use ast::{RecordType, Script, ScrubTarget, Stmt};
 pub use exec::{
     stmt_runs_jobs, Admission, Pigeon, PigeonError, SessionCtx, StmtOutput, StmtTicket, Value,
 };
+/// The result-set currency: what [`Value::Result`] holds and `DUMP` emits.
+pub use sh_mapreduce::Rows;
 
 /// Parses and executes a script, returning the lines produced by its
 /// `DUMP` statements.

@@ -11,16 +11,18 @@
 //!   the fork: `SET` and variable bindings are session-local, so two
 //!   clients can hold conflicting `SET result_limit`s and get
 //!   independent answers.
-//! * **Streaming.** Results leave in bounded `DATA <nbytes>` frames as
-//!   each statement completes instead of buffering a whole result set;
-//!   a terminator line (`OK <rows>` / `ERR <nbytes>` / `429 BUSY
-//!   <retry_ms>`) closes every request.
+//! * **Results.** A statement's answer is one shared
+//!   [`sh_mapreduce::Rows`] buffer; once the statement completes it
+//!   leaves as bounded `DATA <nbytes>` frames that are slices of that
+//!   buffer, and a terminator line (`OK <rows>` / `ERR <nbytes>` /
+//!   `429 BUSY <retry_ms>`) closes every request.
 //! * **Back-pressure.** Statements that run cluster jobs are admitted
 //!   through the shared scheduler under the connection's tenant;
 //!   `QueueFull` maps to a structured `429 BUSY` the client retries.
 //! * **Disconnect safety.** While a statement is queued or running the
-//!   connection thread watches the socket; a client that goes away has
-//!   its still-queued statement cancelled so it cannot wedge a slot.
+//!   connection thread blocks on its completion in short slices and
+//!   looks at the socket between them; a client that goes away has its
+//!   still-queued statement cancelled so it cannot wedge a slot.
 //!
 //! The protocol is netcat-friendly by construction — see [`protocol`]
 //! for the exact framing and `README.md` for a quickstart.

@@ -11,14 +11,16 @@
 //! C: QUIT\n                                 (optional; server answers BYE)
 //! ```
 //!
-//! Frame payloads are result lines, each newline-terminated. Frames are
-//! flushed as soon as they reach the configured chunk size *or* a
-//! statement completes, so long result sets stream instead of
-//! buffering; a single line longer than the chunk size travels alone in
-//! one oversized frame. Everything is printable text — the protocol is
-//! debuggable with netcat.
+//! Frame payloads are result lines, each newline-terminated. A result
+//! set is cut into frames of whole lines no larger than the configured
+//! chunk size, each flushed as it is written, so the client reads a
+//! long answer in bounded pieces; a single line longer than the chunk
+//! size travels alone in one oversized frame. Everything is printable
+//! text — the protocol is debuggable with netcat.
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, IoSlice, Read, Write};
+
+use sh_mapreduce::Rows;
 
 /// Protocol revision, bumped on incompatible framing changes.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -72,29 +74,33 @@ pub fn parse_header(line: &str) -> Result<Header, String> {
     }
 }
 
-/// Streams result lines as bounded `DATA` frames; returns the number of
-/// frames written. Each frame is flushed immediately so the client sees
-/// rows while later statements are still running.
-pub fn write_data_frames(
-    w: &mut impl Write,
-    lines: &[String],
-    chunk_bytes: usize,
-) -> io::Result<usize> {
+/// Writes a result set as bounded `DATA` frames and returns how many.
+/// Every frame is a slice of `rows.text()`: as many whole rows as fit
+/// in `chunk_bytes`, and at least one — a row longer than the bound
+/// travels alone. Each frame is flushed as it is written.
+pub fn write_rows_frames(w: &mut impl Write, rows: &Rows, chunk_bytes: usize) -> io::Result<usize> {
     let chunk = chunk_bytes.max(1);
     let mut frames = 0usize;
-    let mut buf = String::new();
-    for line in lines {
-        if !buf.is_empty() && buf.len() + line.len() + 1 > chunk {
-            write_frame(w, "DATA", &buf)?;
-            frames += 1;
-            buf.clear();
-        }
-        buf.push_str(line);
-        buf.push('\n');
-    }
-    if !buf.is_empty() {
-        write_frame(w, "DATA", &buf)?;
+    let mut rest = rows.text();
+    while !rest.is_empty() {
+        let end = if rest.len() <= chunk {
+            rest.len()
+        } else {
+            let bytes = rest.as_bytes();
+            match bytes[..chunk].iter().rposition(|&b| b == b'\n') {
+                Some(last) => last + 1,
+                // First row is over the bound: cut after its newline.
+                None => bytes[chunk..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(rest.len(), |p| chunk + p + 1),
+            }
+        };
+        // `end` follows a newline (or is the end), so it is a char boundary.
+        let (frame, tail) = rest.split_at(end);
+        write_frame(w, "DATA", frame)?;
         frames += 1;
+        rest = tail;
     }
     Ok(frames)
 }
@@ -116,9 +122,23 @@ pub fn write_busy(w: &mut impl Write, retry_ms: u64) -> io::Result<()> {
     w.flush()
 }
 
+/// Header and payload leave in one write: on a `TCP_NODELAY` socket two
+/// writes are two syscalls and two segments a frame.
 fn write_frame(w: &mut impl Write, kind: &str, payload: &str) -> io::Result<()> {
-    w.write_all(format!("{kind} {}\n", payload.len()).as_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    let header = format!("{kind} {}\n", payload.len());
+    let (header, payload) = (header.as_bytes(), payload.as_bytes());
+    let sent = match w.write_vectored(&[IoSlice::new(header), IoSlice::new(payload)]) {
+        Ok(n) => n,
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+        Err(e) => return Err(e),
+    };
+    // A short vectored write is finished piecewise.
+    if sent < header.len() {
+        w.write_all(&header[sent..])?;
+        w.write_all(payload)?;
+    } else {
+        w.write_all(&payload[sent - header.len()..])?;
+    }
     w.flush()
 }
 
@@ -147,6 +167,7 @@ pub fn read_header_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn headers_round_trip() {
@@ -160,33 +181,59 @@ mod tests {
         assert!(parse_header("429 FULL 5").is_err());
     }
 
+    /// Re-parses a frame stream into its payloads.
+    fn payloads(wire: &[u8]) -> Vec<String> {
+        let mut r = io::BufReader::new(wire);
+        let mut got = Vec::new();
+        while let Some(h) = read_header_line(&mut r).unwrap() {
+            match parse_header(&h).unwrap() {
+                Header::Data(n) => got.push(read_payload(&mut r, n).unwrap()),
+                other => panic!("unexpected header {other:?}"),
+            }
+        }
+        got
+    }
+
+    /// The framing rule, stated over separate lines: a frame takes lines
+    /// until the next one would push it over the bound.
+    fn frames_by_line(lines: &[String], chunk: usize) -> Vec<String> {
+        let mut frames = Vec::new();
+        let mut buf = String::new();
+        for line in lines {
+            if !buf.is_empty() && buf.len() + line.len() + 1 > chunk {
+                frames.push(std::mem::take(&mut buf));
+            }
+            buf.push_str(line);
+            buf.push('\n');
+        }
+        if !buf.is_empty() {
+            frames.push(buf);
+        }
+        frames
+    }
+
     #[test]
     fn frames_are_bounded_and_cover_all_lines() {
         let lines: Vec<String> = (0..100).map(|i| format!("row-{i:04}")).collect();
         let mut out = Vec::new();
-        let frames = write_data_frames(&mut out, &lines, 64).unwrap();
+        let frames = write_rows_frames(&mut out, &Rows::from_lines(&lines), 64).unwrap();
         assert!(frames > 1, "small chunk must split the stream");
         // Re-parse every frame and reassemble.
-        let mut r = io::BufReader::new(&out[..]);
-        let mut got = Vec::new();
-        while let Some(h) = read_header_line(&mut r).unwrap() {
-            match parse_header(&h).unwrap() {
-                Header::Data(n) => {
-                    assert!(n <= 64, "frame payload over the chunk bound: {n}");
-                    let payload = read_payload(&mut r, n).unwrap();
-                    got.extend(payload.lines().map(str::to_string));
-                }
-                other => panic!("unexpected header {other:?}"),
-            }
+        let got = payloads(&out);
+        assert_eq!(got.len(), frames);
+        for payload in &got {
+            let n = payload.len();
+            assert!(n <= 64, "frame payload over the chunk bound: {n}");
         }
-        assert_eq!(got, lines);
+        let rows: Vec<&str> = got.iter().flat_map(|p| p.lines()).collect();
+        assert_eq!(rows, lines);
     }
 
     #[test]
     fn oversized_single_line_travels_alone() {
-        let lines = vec!["x".repeat(100)];
+        let rows = Rows::from_lines(["x".repeat(100)]);
         let mut out = Vec::new();
-        let frames = write_data_frames(&mut out, &lines, 16).unwrap();
+        let frames = write_rows_frames(&mut out, &rows, 16).unwrap();
         assert_eq!(frames, 1);
         let mut r = io::BufReader::new(&out[..]);
         let h = read_header_line(&mut r).unwrap().unwrap();
@@ -196,7 +243,67 @@ mod tests {
     #[test]
     fn empty_result_writes_no_frames() {
         let mut out = Vec::new();
-        assert_eq!(write_data_frames(&mut out, &[], 64).unwrap(), 0);
+        assert_eq!(
+            write_rows_frames(&mut out, &Rows::default(), 64).unwrap(),
+            0
+        );
         assert!(out.is_empty());
+    }
+
+    /// A writer that accepts a few bytes per call, as a socket with a
+    /// full send buffer would.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_writes_lose_nothing() {
+        let rows = Rows::from_lines((0..40).map(|i| format!("row-{i}")));
+        let mut whole = Vec::new();
+        write_rows_frames(&mut whole, &rows, 64).unwrap();
+        let mut trickled = Trickle(Vec::new());
+        write_rows_frames(&mut trickled, &rows, 64).unwrap();
+        assert_eq!(trickled.0, whole);
+    }
+
+    proptest! {
+        /// The slicing framer emits, byte for byte, the frames the
+        /// line-by-line rule specifies.
+        #[test]
+        fn rows_framer_matches_the_line_rule(
+            lens in proptest::collection::vec(0usize..40, 0..60),
+            long_at in 0usize..80,
+            chunk_ix in 0usize..4,
+        ) {
+            let chunk = [1usize, 16, 64, 8192][chunk_ix];
+            let mut lines: Vec<String> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| "é7 ".chars().cycle().skip(i).take(n).collect())
+                .collect();
+            // Sometimes one line far longer than any chunk but the largest.
+            if long_at < lines.len() {
+                lines[long_at] = "L".repeat(300);
+            }
+            let rows = Rows::from_lines(&lines);
+            let mut wire = Vec::new();
+            let frames = write_rows_frames(&mut wire, &rows, chunk).unwrap();
+            let got = payloads(&wire);
+            prop_assert_eq!(got.len(), frames);
+            prop_assert_eq!(got.concat(), rows.text());
+            for payload in &got {
+                prop_assert!(payload.len() <= chunk || payload.matches('\n').count() == 1);
+            }
+            prop_assert_eq!(got, frames_by_line(&lines, chunk));
+        }
     }
 }

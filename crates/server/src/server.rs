@@ -9,12 +9,17 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use sh_dfs::Dfs;
-use sh_mapreduce::{JobScheduler, SchedConfig};
+use sh_mapreduce::{JobScheduler, Rows, SchedConfig};
 use sh_pigeon::{parser, Admission, Pigeon, PigeonError, SessionCtx};
 
 use crate::protocol::{
-    write_busy, write_data_frames, write_err, write_ok, BANNER, BYE, DEFAULT_CHUNK_BYTES,
+    write_busy, write_err, write_ok, write_rows_frames, BANNER, BYE, DEFAULT_CHUNK_BYTES,
 };
+
+/// How long a connection thread blocks on its in-flight statement
+/// between looks at the socket and the stop flag. Completion wakes it at
+/// once; a vanished client or a shutdown is noticed within one slice.
+const LIVENESS_SLICE: Duration = Duration::from_millis(10);
 
 /// How a [`Server`] is stood up.
 #[derive(Clone)]
@@ -267,16 +272,18 @@ fn handle_request(
         }
     };
     let mut rows = 0u64;
-    let mut stream_out = |writer: &mut TcpStream, lines: Vec<String>| -> io::Result<()> {
-        rows += lines.len() as u64;
-        let frames = write_data_frames(writer, &lines, chunk)?;
-        registry.counter_add("server.frames.sent", frames as u64);
-        registry.counter_add("server.rows.streamed", lines.len() as u64);
+    let mut stream_out = |writer: &mut TcpStream, dumped: Vec<Rows>| -> io::Result<()> {
+        for set in &dumped {
+            rows += set.len() as u64;
+            let frames = write_rows_frames(writer, set, chunk)?;
+            registry.counter_add("server.frames.sent", frames as u64);
+            registry.counter_add("server.rows.streamed", set.len() as u64);
+        }
         Ok(())
     };
     for stmt in &script.stmts {
         match engine.admit_stmt(sess, stmt, tenant) {
-            Ok(Admission::Done(lines)) => stream_out(writer, lines)?,
+            Ok(Admission::Done(dumped)) => stream_out(writer, dumped)?,
             Ok(Admission::Busy) => {
                 registry.counter_add("server.query.busy", 1);
                 sh_trace::events::emit("server.query.busy", vec![("tenant", tenant.to_string())]);
@@ -284,11 +291,11 @@ fn handle_request(
                 return Ok(true);
             }
             Ok(Admission::Pending(ticket)) => {
-                // Poll rather than block: the wait doubles as a liveness
-                // watch on the socket so an abandoned statement can be
-                // cancelled out of the queue.
+                // Block on the statement in slices: the wait doubles as
+                // a liveness watch on the socket so an abandoned
+                // statement can be cancelled out of the queue.
                 let outcome = loop {
-                    if let Some(r) = ticket.poll() {
+                    if let Some(r) = ticket.wait_timeout(LIVENESS_SLICE) {
                         break r;
                     }
                     if inner.stop.load(Ordering::SeqCst) || client_gone(stream) {
@@ -304,13 +311,9 @@ fn handle_request(
                         );
                         return Ok(false);
                     }
-                    thread::sleep(Duration::from_millis(1));
                 };
                 match outcome {
-                    Ok(out) => {
-                        let lines = sess.absorb(out);
-                        stream_out(writer, lines)?;
-                    }
+                    Ok(out) => stream_out(writer, sess.absorb(out))?,
                     Err(e) => {
                         registry.counter_add("server.query.err", 1);
                         write_err(writer, &e.to_string())?;

@@ -124,9 +124,32 @@ stage_server() {
   # queue) so the smoke client can provably trigger 429 BUSY, then
   # drive it over TCP: connect, SET, INDEX, range query, a concurrent
   # second connection, and the busy path.
+  # Then the oracle-checked served path: `shbench` checks every row the
+  # server sends against the single-machine answer, at thousands of rows
+  # a reply and two clients — the smoke client only looks at tiny ones.
   cargo build --release --bin sh-server &&
     cargo build --release -p sh-bench --bin server_smoke &&
-    run_server_smoke
+    run_server_smoke &&
+    run_served_oracle serve-scan &&
+    run_served_oracle serve-mixed
+}
+
+# Two seconds of one served `shbench` workload; passes only if the result
+# line reports every answer correct and no failed operation.
+run_served_oracle() {
+  local workload="$1" line rc=0
+  line=$(cargo run --release --quiet --manifest-path shbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1) || rc=$?
+  # cargo rewrites the frozen benchmark's lock file; put it back.
+  git checkout -q shbench/Cargo.lock 2>/dev/null || true
+  case "$line" in
+    *'"correct": true'*'"failed": 0,'*) echo "--- $workload served, oracle-checked: $line" ;;
+    *) rc=1 ;;
+  esac
+  if [ "$rc" -ne 0 ]; then
+    echo "served oracle check FAILED on $workload: $line" >&2
+  fi
+  return "$rc"
 }
 
 run_server_smoke() {

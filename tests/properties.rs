@@ -112,6 +112,73 @@ fn every_indexed_op_answers_the_same_over_text_and_binary() {
     }
 }
 
+/// `FILTER` binds the rows its job's mappers wrote, unparsed. They must
+/// be, in order, what rendering the typed answer gives — for every
+/// record type, partitioner and block format, indexed or heap.
+#[test]
+fn filter_binds_the_typed_answer_rendered_line_for_line() {
+    use spatialhadoop::pigeon::{parser, Pigeon, RecordType, SessionCtx, Value};
+    use spatialhadoop::workload::{osm_like_polygons, points, rects, Distribution};
+
+    fn check<R: Record>(records: &[R], rtype: RecordType, formats: &[BlockFormat]) {
+        let query = Rect::new(150.0, 200.0, 700.0, 650.0);
+        let script =
+            parser::parse("q = FILTER src BY Overlaps(RECTANGLE(150, 200, 700, 650));").unwrap();
+        let bound = |dfs: &Dfs, src: Value| -> Vec<String> {
+            let mut sess = SessionCtx::new();
+            sess.vars.insert("src".to_string(), src);
+            Pigeon::new(dfs).execute_with(&mut sess, &script).unwrap();
+            match sess.get("q") {
+                Some(Value::Result(rows)) => rows.lines().map(str::to_string).collect(),
+                other => panic!("FILTER bound {other:?}"),
+            }
+        };
+        let rendered = |typed: Vec<R>| -> Vec<String> {
+            assert!(!typed.is_empty(), "{rtype:?}: an answer");
+            typed.iter().map(Record::to_line).collect()
+        };
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        upload(&dfs, "/f/heap", records).unwrap();
+        let typed = range::range_hadoop::<R>(&dfs, "/f/heap", &query, "/f/out/heap").unwrap();
+        let heap = Value::Heap {
+            path: "/f/heap".to_string(),
+            rtype,
+        };
+        assert_eq!(bound(&dfs, heap), rendered(typed.value), "{rtype:?} heap");
+        for kind in [PartitionKind::Grid, PartitionKind::StrPlus] {
+            for &format in formats {
+                let dir = format!("/f/idx/{}/{format:?}", kind.name());
+                let file = build_index_fmt::<R>(&dfs, "/f/heap", &dir, kind, format)
+                    .unwrap()
+                    .value;
+                let out = format!("/f/out/{}/{format:?}", kind.name());
+                let typed = range::range_spatial::<R>(&dfs, &file, &query, &out).unwrap();
+                let indexed = Value::Indexed { file, rtype };
+                assert_eq!(
+                    bound(&dfs, indexed),
+                    rendered(typed.value),
+                    "{rtype:?} {kind:?} {format:?}"
+                );
+            }
+        }
+    }
+
+    let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+    let both = [BlockFormat::Text, BlockFormat::Binary];
+    check(
+        &points(2500, Distribution::Gaussian, &uni, 5),
+        RecordType::Point,
+        &both,
+    );
+    check(&rects(1500, &uni, 60.0, 6), RecordType::Rectangle, &both);
+    // The binary block format stores points and rectangles only.
+    check(
+        &osm_like_polygons(400, &uni, 20.0, 7),
+        RecordType::Polygon,
+        &[BlockFormat::Text],
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

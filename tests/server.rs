@@ -56,6 +56,30 @@ fn streamed_frames_match_cli_driver_byte_for_byte() {
     assert_eq!(streamed, driver, "wire rows diverge from CLI driver rows");
 }
 
+/// The shape `shbench` serves: thousands of rows framed at the default
+/// 8 KiB chunk must reassemble to exactly the CLI driver's rows, and a
+/// binding dumped twice is sent twice (the rows are shared, not moved).
+#[test]
+fn large_result_at_default_chunk_matches_cli_driver() {
+    const BIG: &str = "p = GENERATE 9000 POINT uniform INTO '/big/p'; \
+         ip = INDEX p AS str+ INTO '/big/ip'; \
+         r = FILTER ip BY Overlaps(RECTANGLE(100000, 100000, 900000, 900000)); \
+         DUMP r;";
+    let server = Server::start(&dfs(), ServerConfig::default()).expect("start server");
+    let mut client = ShClient::connect(&server.addr()).expect("connect");
+    let streamed = client.request(BIG).expect("request").expect_rows("big");
+    let driver = run_script(&dfs(), BIG).expect("cli driver");
+    assert!(streamed.len() >= 5000, "only {} rows", streamed.len());
+    assert_eq!(streamed, driver, "wire rows diverge from CLI driver rows");
+
+    let twice = client
+        .request("DUMP r; DUMP r;")
+        .expect("dump twice")
+        .expect_rows("dump twice");
+    assert_eq!(twice, [driver.clone(), driver].concat());
+    client.quit().ok();
+}
+
 #[test]
 fn sessions_answer_conflicting_sets_independently() {
     let server = Server::start(&dfs(), ServerConfig::default()).expect("start server");
