@@ -8,8 +8,8 @@
 //! Reads each bench artifact, extracts its tracked metrics, appends a
 //! run record (git revision, cores, metrics, skipped gates) to
 //! `BENCH_trend.json`, and exits non-zero if any metric regressed past
-//! the tolerated ratio versus the previous run — direction-aware, so
-//! latencies fail on growth and `*_speedup` ratios fail on shrinkage.
+//! the tolerated ratio versus the previous run (every tracked metric is
+//! a time, so a regression is growth).
 //! Gates that cannot run (concurrency metrics on a starved host) are
 //! recorded as `gate_skipped: true` in the run record instead of
 //! silently passing. Options: `--trend <path>` overrides the history

@@ -4,12 +4,13 @@
 //! bins wrote, extracts each benchmark's tracked metrics, appends a run
 //! record (git revision, core count, metric entries, skipped gates) to
 //! `BENCH_trend.json`, and compares the new run against the previous
-//! one. Tracking is direction-aware: latency metrics regress when they
-//! *grow* past the tolerated ratio (default [`DEFAULT_MAX_RATIO`], i.e.
-//! +20%); speedup-style metrics (`*_speedup`, e.g. `binary_speedup` from
-//! the format ablation) regress when they *shrink* by the same ratio.
-//! Either way CI fails. All the logic lives here so the gate itself is
-//! unit-testable without running a benchmark.
+//! one. Every tracked metric is a time, so lower is better: a metric
+//! regresses when it *grows* past the tolerated ratio (default
+//! [`DEFAULT_MAX_RATIO`], i.e. +20%), and CI fails. Ratios of two such
+//! times (`hotpath`'s `binary_speedup`) are recorded in the artifact but
+//! not trended — the two times they are made of are.
+//! All the logic lives here so the gate itself is unit-testable without
+//! running a benchmark.
 
 use sh_trace::json::{self, Value};
 
@@ -41,9 +42,7 @@ pub struct Run {
     pub skipped: Vec<String>,
 }
 
-/// A gate violation: `current > previous * max_ratio` for
-/// lower-is-better metrics, `current < previous / max_ratio` for
-/// higher-is-better ones.
+/// A gate violation: `current > previous * max_ratio`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Regression {
     pub benchmark: String,
@@ -67,24 +66,17 @@ impl Regression {
     }
 }
 
-/// The metrics the gate watches per benchmark. `warm_secs_mean`,
-/// `concurrent_secs`, and the server load test's `p99_ms` tail latency
-/// are lower-is-better; the speedup ratio guards the storage-format win
-/// so a format regression (binary decode getting slower relative to its
-/// text baseline) fails CI even when absolute times drift.
+/// The metrics the gate watches per benchmark, all times (lower is
+/// better): the warm path, the two cold format sweeps — so a format
+/// regression shows as the sweep that slowed, not as a ratio of both —
+/// the concurrent batch, and the server load test's `p99_ms` tail.
 pub fn tracked_metrics(benchmark: &str) -> &'static [&'static str] {
     match benchmark {
-        "hotpath" => &["warm_secs_mean", "binary_speedup"],
+        "hotpath" => &["warm_secs_mean", "text_cold_secs", "binary_cold_secs"],
         "throughput" => &["concurrent_secs"],
         "load" => &["p99_ms"],
         _ => &[],
     }
-}
-
-/// Direction of a tracked metric: speedup ratios grow when the code gets
-/// faster, every other tracked metric is a time that shrinks.
-pub fn higher_is_better(metric: &str) -> bool {
-    metric.ends_with("speedup")
 }
 
 /// Minimum core count for concurrency metrics to be meaningful: below
@@ -120,9 +112,8 @@ pub fn extract_entries(doc: &Value) -> Vec<Entry> {
         .collect()
 }
 
-/// Compares the new run's entries against the previous run's,
-/// direction-aware per [`higher_is_better`]. Metrics absent from the
-/// previous run (first run, new benchmark) pass.
+/// Compares the new run's entries against the previous run's. Metrics
+/// absent from the previous run (first run, new benchmark) pass.
 pub fn find_regressions(previous: &[Entry], current: &[Entry], max_ratio: f64) -> Vec<Regression> {
     let mut out = Vec::new();
     for cur in current {
@@ -130,12 +121,7 @@ pub fn find_regressions(previous: &[Entry], current: &[Entry], max_ratio: f64) -
             .iter()
             .find(|p| p.benchmark == cur.benchmark && p.metric == cur.metric);
         if let Some(prev) = prev {
-            let regressed = if higher_is_better(&cur.metric) {
-                prev.value > 0.0 && cur.value < prev.value / max_ratio
-            } else {
-                prev.value > 0.0 && cur.value > prev.value * max_ratio
-            };
-            if regressed {
+            if prev.value > 0.0 && cur.value > prev.value * max_ratio {
                 out.push(Regression {
                     benchmark: cur.benchmark.clone(),
                     metric: cur.metric.clone(),
@@ -284,14 +270,15 @@ mod tests {
     fn extracts_tracked_metrics_from_bench_artifacts() {
         let hotpath = json::parse(
             r#"{"benchmark": "hotpath", "cold_secs": 4.0, "warm_secs_mean": 0.91,
-                "binary_speedup": 2.1}"#,
+                "text_cold_secs": 0.021, "binary_cold_secs": 0.014, "binary_speedup": 1.5}"#,
         )
         .unwrap();
         assert_eq!(
             extract_entries(&hotpath),
             vec![
                 entry("hotpath", "warm_secs_mean", 0.91),
-                entry("hotpath", "binary_speedup", 2.1),
+                entry("hotpath", "text_cold_secs", 0.021),
+                entry("hotpath", "binary_cold_secs", 0.014),
             ]
         );
 
@@ -304,27 +291,6 @@ mod tests {
 
         let unknown = json::parse(r#"{"benchmark": "mystery", "secs": 1.0}"#).unwrap();
         assert!(extract_entries(&unknown).is_empty());
-    }
-
-    #[test]
-    fn speedup_metrics_gate_on_shrinkage_not_growth() {
-        assert!(higher_is_better("binary_speedup"));
-        assert!(!higher_is_better("warm_secs_mean"));
-        assert!(!higher_is_better("concurrent_secs"));
-
-        // binary_speedup fell from 2.0x to 1.5x (-25%): regression.
-        let previous = vec![entry("hotpath", "binary_speedup", 2.0)];
-        let current = vec![entry("hotpath", "binary_speedup", 1.5)];
-        let regs = find_regressions(&previous, &current, DEFAULT_MAX_RATIO);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].metric, "binary_speedup");
-        assert!(regs[0].render().contains("-25.0%"));
-
-        // Growing or mildly dipping speedups pass.
-        let current = vec![entry("hotpath", "binary_speedup", 2.5)];
-        assert!(find_regressions(&previous, &current, DEFAULT_MAX_RATIO).is_empty());
-        let current = vec![entry("hotpath", "binary_speedup", 1.8)];
-        assert!(find_regressions(&previous, &current, DEFAULT_MAX_RATIO).is_empty());
     }
 
     #[test]
@@ -359,8 +325,7 @@ mod tests {
         .unwrap();
         assert_eq!(extract_entries(&doc), vec![entry("load", "p99_ms", 36.0)]);
 
-        // p99 is a latency, not a speedup: the gate trips on growth…
-        assert!(!higher_is_better("p99_ms"));
+        // p99 is a latency: the gate trips on growth…
         let previous = vec![entry("load", "p99_ms", 36.0)];
         let current = vec![entry("load", "p99_ms", 50.0)];
         let regs = find_regressions(&previous, &current, DEFAULT_MAX_RATIO);

@@ -24,8 +24,9 @@
 //! Decoding validates the magic, version, kind/column agreement, offset
 //! table, and total length, and rejects non-finite coordinates — the
 //! binary mirror of the text codec's checks. Every violation is an
-//! [`OpError::Corrupt`]; readers treat that exactly like a stale text
-//! sidecar and fall back.
+//! [`OpError::Corrupt`], which fails the reading task and its job as
+//! corrupt input: unlike an unusable `_lidx` sidecar, whose tree is
+//! rebuilt from the records, nothing can stand in for the records.
 //!
 //! [`decode`] copies each column into an owned `Arc<[f64]>`, independent
 //! of the target's endianness and of the input buffer's alignment.
@@ -194,8 +195,9 @@ fn parse_header(data: &[u8]) -> Result<Header, OpError> {
 
 /// Decodes a columnar block into owned columns, validating every header
 /// field and rejecting non-finite coordinates. Corrupt or truncated
-/// input is [`OpError::Corrupt`]; callers fall back to the text path or
-/// a rebuild exactly as they do for a stale `_lidx` sidecar.
+/// input is [`OpError::Corrupt`]; the reader passes it on and the task
+/// fails — there is no fallback for a partition's records, only for its
+/// `_lidx` sidecar.
 pub fn decode(data: &[u8]) -> Result<ColumnarBlock, OpError> {
     let h = parse_header(data)?;
     let mut cols = Vec::with_capacity(h.ncols);

@@ -128,11 +128,12 @@ impl SpatialRecordReader {
     /// Opens a partition for index-assisted processing through the
     /// per-node cache: a hit returns the shared partition without
     /// touching `data`; a miss decodes it (binary blocks keep their
-    /// shared coordinate columns, text is parsed into records), loads the
-    /// persisted `_lidx-NNNNN` sidecar when one exists (falling back to
-    /// an STR bulk-load for heap files or missing/corrupt sidecars), and
-    /// caches the result keyed by `path`. Returns the partition and
-    /// whether the cache was hit.
+    /// shared coordinate columns, text is parsed into records), takes the
+    /// records' MBRs once, loads the persisted `_lidx-NNNNN` topology
+    /// over them (STR bulk-loading them instead for heap files and for
+    /// missing, corrupt, outdated or stale sidecars), and caches the
+    /// result keyed by `path`. Returns the partition and whether the
+    /// cache was hit.
     pub fn open_indexed_bytes<R: Record>(
         dfs: &Dfs,
         path: &str,
@@ -150,9 +151,17 @@ impl SpatialRecordReader {
         // the epoch check in `put_at` drops the stale insert.
         let epoch = dfs.cache().epoch();
         let mut part = Self::open_scan::<R>(data)?;
-        part.tree = load_sidecar(dfs, path, part.len()).unwrap_or_else(|| {
-            LocalRTree::build((0..part.len()).map(|i| part.mbr_of(i)).collect())
-        });
+        let rects: Vec<Rect> = (0..part.len()).map(|i| part.mbr_of(i)).collect();
+        // A sidecar is only ever a shortcut to the tree `build` would
+        // give: whatever `from_bytes` cannot prove to be a tree over
+        // these very rectangles comes back with them, to be rebuilt.
+        let sidecar = local_index_path(path).and_then(|p| dfs.read_bytes(&p).ok());
+        part.tree = match sidecar {
+            Some(raw) => {
+                LocalRTree::from_bytes(&raw, rects).unwrap_or_else(|e| LocalRTree::build(e.rects))
+            }
+            None => LocalRTree::build(rects),
+        };
         // Accounted size: rows + tree rects dominate; parsed text also
         // charges the text itself as the floor.
         let rows = match &part.rows {
@@ -238,25 +247,6 @@ pub fn task_inputs<R: Record>(split: &InputSplit, data: &[u8]) -> (Vec<R>, Vec<R
     let (first, second) = split.split_data_bytes(data);
     let read = |bytes| task(&split.path, SpatialRecordReader::records_bytes(bytes));
     (read(first), read(second))
-}
-
-/// Loads the persisted `_lidx` sidecar of `part_path`, sniffing binary
-/// (`SHLX`) vs. text encodings. Returns `None` — caller rebuilds — when
-/// the sidecar is missing, unreadable, corrupt, truncated, of the wrong
-/// version, or stale (cardinality mismatch): the same fallback for every
-/// failure mode, in either encoding.
-fn load_sidecar(dfs: &Dfs, part_path: &str, expected_len: usize) -> Option<LocalRTree> {
-    let p = local_index_path(part_path)?;
-    if !dfs.exists(&p) {
-        return None;
-    }
-    let raw = dfs.read_bytes(&p).ok()?;
-    let tree = if LocalRTree::is_binary_sidecar(&raw) {
-        LocalRTree::from_bytes(&raw).ok()?
-    } else {
-        LocalRTree::from_text(std::str::from_utf8(&raw).ok()?).ok()?
-    };
-    (tree.len() == expected_len).then_some(tree)
 }
 
 /// A partition opened by the [`SpatialRecordReader`]: its rows in
@@ -476,30 +466,86 @@ mod tests {
         assert_eq!(part2.len(), 1);
     }
 
+    /// Opens `path` the way a map task does: read, then decode + index.
+    fn open_fresh(dfs: &Dfs, path: &str) -> Arc<Partition<Point>> {
+        let data = dfs.read_bytes(path).unwrap();
+        let (part, hit) = SpatialRecordReader::open_indexed_bytes(dfs, path, &data).unwrap();
+        assert!(!hit, "{path}: expected a cold open");
+        part
+    }
+
+    fn point_rects(pts: &[Point]) -> Vec<Rect> {
+        pts.iter().map(Record::mbr).collect()
+    }
+
     #[test]
     fn open_indexed_uses_persisted_sidecar() {
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
         dfs.write_string("/idx/part-00001", "1 1\n9 9\n").unwrap();
-        let tree = LocalRTree::build(vec![
-            Rect::new(1.0, 1.0, 1.0, 1.0),
-            Rect::new(9.0, 9.0, 9.0, 9.0),
-        ]);
-        dfs.write_string("/idx/_lidx-00001", &tree.to_text())
-            .unwrap();
-        let open = || {
-            let data = dfs.read_bytes("/idx/part-00001").unwrap();
-            let (part, _) =
-                SpatialRecordReader::open_indexed_bytes::<Point>(&dfs, "/idx/part-00001", &data)
-                    .unwrap();
-            part
-        };
-        assert_eq!(open().tree().query(&Rect::new(0.0, 0.0, 5.0, 5.0)), vec![0]);
+        let pts = [Point::new(1.0, 1.0), Point::new(9.0, 9.0)];
+        // A valid tree no bulk-load produces: the one leaf's two entries
+        // (the blob's last eight bytes) swapped. Getting it back byte for
+        // byte means the sidecar was loaded, not rebuilt.
+        let built = LocalRTree::build(point_rects(&pts)).to_bytes();
+        let mut swapped = built.clone();
+        let n = swapped.len();
+        swapped[n - 8..].rotate_left(4);
+        assert_ne!(swapped, built);
+        write_bytes(&dfs, "/idx/_lidx-00001", &swapped);
+        let part = open_fresh(&dfs, "/idx/part-00001");
+        assert_eq!(part.tree().to_bytes(), swapped, "sidecar loaded verbatim");
+        assert_eq!(part.tree().query(&Rect::new(0.0, 0.0, 5.0, 5.0)), vec![0]);
 
         // A stale sidecar (wrong cardinality) falls back to a rebuild.
         dfs.delete("/idx/part-00001");
         dfs.write_string("/idx/part-00001", "1 1\n9 9\n5 5\n")
             .unwrap();
-        assert_eq!(open().tree().len(), 3, "stale sidecar ignored");
+        assert_eq!(
+            open_fresh(&dfs, "/idx/part-00001").tree().len(),
+            3,
+            "stale sidecar ignored"
+        );
+    }
+
+    #[test]
+    fn stale_sidecar_of_equal_cardinality_is_rebuilt_not_believed() {
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        let old = [
+            Point::new(50.0, 50.0),
+            Point::new(60.0, 60.0),
+            Point::new(70.0, 70.0),
+        ];
+        let new = [
+            Point::new(1.0, 1.0),
+            Point::new(9.0, 9.0),
+            Point::new(5.0, 5.0),
+        ];
+        crate::storage::upload(&dfs, "/idx/part-00000", &old).unwrap();
+        write_bytes(
+            &dfs,
+            "/idx/_lidx-00000",
+            &LocalRTree::build(point_rects(&old)).to_bytes(),
+        );
+        let q = Rect::new(0.0, 0.0, 6.0, 6.0);
+        assert!(open_fresh(&dfs, "/idx/part-00000")
+            .tree()
+            .query(&q)
+            .is_empty());
+
+        // Overwrite the partition with as many *different* records and
+        // leave the old sidecar: CRC-valid, right cardinality, wrong tree.
+        dfs.delete("/idx/part-00000");
+        crate::storage::upload(&dfs, "/idx/part-00000", &new).unwrap();
+        let part = open_fresh(&dfs, "/idx/part-00000");
+        let scan: Vec<usize> = (0..new.len())
+            .filter(|&i| part.mbr_of(i).intersects(&q))
+            .collect();
+        assert_eq!(scan, vec![0, 2]);
+        assert_eq!(
+            part.tree().query(&q),
+            scan,
+            "answered from stale rectangles"
+        );
     }
 
     fn write_bytes(dfs: &Dfs, path: &str, data: &[u8]) {
@@ -609,6 +655,22 @@ mod tests {
         assert!(open(&repaired).1, "and the fresh decode is cached again");
     }
 
+    /// Hand-assembles an `SHLX` version 2 blob from `(leaf, mbr, entries)`
+    /// nodes, so tests can write topologies no bulk-load produces.
+    fn shlx(records: u64, root: i64, nodes: &[(bool, [f64; 4], &[u32])]) -> Vec<u8> {
+        let mut out = b"SHLX\x02\x00".to_vec();
+        out.extend_from_slice(&records.to_le_bytes());
+        out.extend_from_slice(&(nodes.len() as u64).to_le_bytes());
+        out.extend_from_slice(&root.to_le_bytes());
+        for (leaf, mbr, entries) in nodes {
+            out.push(u8::from(*leaf));
+            out.extend(mbr.iter().flat_map(|v| v.to_le_bytes()));
+            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            out.extend(entries.iter().flat_map(|e| e.to_le_bytes()));
+        }
+        out
+    }
+
     #[test]
     fn corrupt_binary_sidecar_falls_back_to_rebuild() {
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
@@ -617,37 +679,84 @@ mod tests {
             Point::new(9.0, 9.0),
             Point::new(5.0, 5.0),
         ];
-        let blob = colblock::encode(&pts).unwrap();
-        let good = LocalRTree::build(pts.iter().map(|p| Record::mbr(p)).collect()).to_bytes();
+        let good = LocalRTree::build(point_rects(&pts)).to_bytes();
         let mut flipped = good.clone();
         flipped[4] ^= 0x7f; // version byte
-        let cases: [(&str, &[u8]); 3] = [
-            ("/f0/part-00000", &good[..4.min(good.len())]), // truncated header
-            ("/f1/part-00000", &flipped),                   // wrong version
-            ("/f2/part-00000", &good[..good.len() - 5]),    // truncated payload
+
+        // Well-formed, CRC-valid blobs that are not a tree over `pts`.
+        const ALL: [f64; 4] = [1.0, 1.0, 9.0, 9.0];
+        const LOW: [f64; 4] = [1.0, 1.0, 5.0, 5.0];
+        const HIGH: [f64; 4] = [9.0, 9.0, 9.0, 9.0];
+        let two_leaves =
+            |a: (bool, [f64; 4], &'static [u32]), b| shlx(3, 0, &[(false, ALL, &[1, 2]), a, b]);
+        let valid = two_leaves((true, LOW, &[0, 2]), (true, HIGH, &[1]));
+        let self_child = shlx(3, 0, &[(false, ALL, &[0, 1]), (true, ALL, &[0, 1, 2])]);
+        let two_parents = shlx(
+            3,
+            0,
+            &[
+                (false, ALL, &[1, 2]),
+                (false, ALL, &[3]),
+                (false, ALL, &[3]),
+                (true, ALL, &[0, 1, 2]),
+            ],
+        );
+        let record_twice = two_leaves((true, LOW, &[0, 2]), (true, ALL, &[1, 2]));
+        let record_missing = two_leaves((true, LOW, &[0]), (true, HIGH, &[1]));
+        let shrunk_leaf = two_leaves((true, [1.0, 1.0, 4.0, 4.0], &[0, 2]), (true, HIGH, &[1]));
+
+        let menu: [(&str, &[u8]); 10] = [
+            ("truncated header", &good[..4]),
+            ("wrong version", &flipped),
+            ("truncated payload", &good[..good.len() - 5]),
+            (
+                "text, as older builds wrote",
+                b"R 1 1 1 1\nR 9 9 9 9\nR 5 5 5 5\nN 1 1 1 9 9 0 1 2\n",
+            ),
+            ("self-referencing node", &self_child),
+            ("node under two parents", &two_parents),
+            ("record in two leaves", &record_twice),
+            ("record in no leaf", &record_missing),
+            ("leaf MBR misses an entry", &shrunk_leaf),
+            ("empty file", &[]),
+        ];
+        let layouts: [(&str, Vec<u8>); 2] = [
+            ("text", b"1 1\n9 9\n5 5\n".to_vec()),
+            ("binary", colblock::encode(&pts).unwrap()),
         ];
         let q = Rect::new(0.0, 0.0, 6.0, 6.0);
-        for (part_path, sidecar_bytes) in cases {
-            write_bytes(&dfs, part_path, &blob);
-            write_bytes(&dfs, &local_index_path(part_path).unwrap(), sidecar_bytes);
-            let data = dfs.read_bytes(part_path).unwrap();
-            let (part, _) =
-                SpatialRecordReader::open_indexed_bytes::<Point>(&dfs, part_path, &data).unwrap();
-            // The rebuilt tree still answers correctly.
-            assert_eq!(part.tree().len(), 3, "{part_path}: rebuilt from records");
-            let mut hits = part.tree().query(&q);
-            hits.sort_unstable();
-            assert_eq!(hits, vec![0, 2], "{part_path}");
-        }
+        for (layout, rows) in &layouts {
+            for (i, (what, sidecar_bytes)) in menu.iter().enumerate() {
+                let part_path = format!("/{layout}{i}/part-00000");
+                write_bytes(&dfs, &part_path, rows);
+                write_bytes(&dfs, &local_index_path(&part_path).unwrap(), sidecar_bytes);
+                let part = open_fresh(&dfs, &part_path);
+                // Rejected: the tree is the one a bulk-load gives, and it
+                // answers like a scan.
+                assert_eq!(
+                    part.tree().to_bytes(),
+                    good,
+                    "{layout}, {what}: not rebuilt"
+                );
+                assert_eq!(part.tree().query(&q), vec![0, 2], "{layout}, {what}");
+            }
 
-        // And a pristine binary sidecar is actually used, not rebuilt.
-        write_bytes(&dfs, "/ok/part-00000", &blob);
-        write_bytes(&dfs, "/ok/_lidx-00000", &good);
-        let data = dfs.read_bytes("/ok/part-00000").unwrap();
-        let (part, _) =
-            SpatialRecordReader::open_indexed_bytes::<Point>(&dfs, "/ok/part-00000", &data)
-                .unwrap();
-        assert_eq!(part.tree().to_bytes(), good, "sidecar loaded verbatim");
+            // Pristine sidecars — the builder's, and a hand-made valid
+            // tree that differs from it — are used, not rebuilt.
+            for (i, ok) in [&good, &valid].into_iter().enumerate() {
+                let part_path = format!("/{layout}-ok{i}/part-00000");
+                write_bytes(&dfs, &part_path, rows);
+                write_bytes(&dfs, &local_index_path(&part_path).unwrap(), ok);
+                let part = open_fresh(&dfs, &part_path);
+                assert_eq!(
+                    &part.tree().to_bytes(),
+                    ok,
+                    "{layout}: sidecar loaded verbatim"
+                );
+                assert_eq!(part.tree().query(&q), vec![0, 2], "{layout}");
+            }
+        }
+        assert_ne!(valid, good);
     }
 
     #[test]

@@ -27,8 +27,9 @@ use crate::catalog::SpatialFile;
 use crate::opresult::{OpError, OpResult};
 
 /// On-disk layout of the partition files an index build writes. Text is
-/// the ingest format; binary is the columnar `SHCB` block layout with
-/// `SHLX` local-index sidecars (see [`crate::colblock`]).
+/// the ingest format; binary is the columnar `SHCB` block layout (see
+/// [`crate::colblock`]). Either way each partition gets an `SHLX`
+/// local-index sidecar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockFormat {
     /// One record per text line.
@@ -168,8 +169,9 @@ impl<R: Record> Reducer for PartitionReducer<R> {
             mbr.expand(&r.mbr());
             records.push(r);
         }
-        // Persist the partition's local R-tree next to its data so query
-        // jobs deserialize instead of re-running the STR bulk-load.
+        // Persist the topology of the partition's local R-tree next to its
+        // data, in the one `SHLX` encoding whatever the block format, so
+        // query jobs load it instead of re-running the STR bulk-load.
         let tree = sh_index::LocalRTree::build(records.iter().map(|r| r.mbr()).collect());
         let bytes = match self.format {
             BlockFormat::Text => {
@@ -178,20 +180,16 @@ impl<R: Record> Reducer for PartitionReducer<R> {
                     bytes += line.len() as u64 + 1;
                     ctx.side_output(&name, line);
                 }
-                for line in tree.to_text().lines() {
-                    ctx.side_output(&sidecar, line.to_string());
-                }
                 bytes
             }
             BlockFormat::Binary => {
                 let blob = crate::colblock::encode(&records)
                     .unwrap_or_else(|e| sh_mapreduce::fail_corrupt(format!("{name}: {e}")));
-                let bytes = blob.len() as u64;
                 ctx.side_output_bytes(&name, &blob);
-                ctx.side_output_bytes(&sidecar, &tree.to_bytes());
-                bytes
+                blob.len() as u64
             }
         };
+        ctx.side_output_bytes(&sidecar, &tree.to_bytes());
         ctx.counter("index.local_trees", 1);
         ctx.side_output(
             "_partmeta",
@@ -503,25 +501,38 @@ mod tests {
     #[test]
     fn build_persists_local_index_sidecars() {
         let (dfs, _) = setup(3000);
-        let built = build_index::<Point>(&dfs, "/heap", "/idx", PartitionKind::Grid).unwrap();
-        for p in &built.value.partitions {
-            let sidecar = crate::mrlayer::local_index_path(&p.path).unwrap();
-            let text = dfs
-                .read_to_string(&sidecar)
-                .unwrap_or_else(|_| panic!("missing sidecar {sidecar}"));
-            let tree = sh_index::LocalRTree::from_text(&text).unwrap();
-            assert_eq!(tree.len() as u64, p.records, "{sidecar}");
-            // The persisted tree answers exactly like a fresh bulk-load.
-            let data = dfs.read_to_string(&p.path).unwrap();
+        let kind = PartitionKind::Grid;
+        let text = build_index::<Point>(&dfs, "/heap", "/t", kind).unwrap();
+        let binary =
+            build_index_fmt::<Point>(&dfs, "/heap", "/b", kind, BlockFormat::Binary).unwrap();
+        assert_eq!(text.value.partitions.len(), binary.value.partitions.len());
+        for (t, b) in text.value.partitions.iter().zip(&binary.value.partitions) {
+            let sidecar = |p: &PartitionMeta| {
+                let path = crate::mrlayer::local_index_path(&p.path).unwrap();
+                dfs.read_bytes(&path)
+                    .unwrap_or_else(|_| panic!("missing sidecar {path}"))
+            };
+            let raw = sidecar(t);
+            // One encoding: `SHLX` version 2 under either block format,
+            // and the same records give the same sidecar bytes.
+            assert_eq!(&raw[..6], b"SHLX\x02\x00", "{}", t.path);
+            assert_eq!(raw, sidecar(b), "{} vs {}", t.path, b.path);
+            // The persisted tree loads over the partition's own records
+            // and answers exactly like a fresh bulk-load.
+            let data = dfs.read_to_string(&t.path).unwrap();
             let records: Vec<Point> = sh_geom::text::parse_records(&data).unwrap();
-            let rebuilt = sh_index::LocalRTree::build(records.iter().map(|r| r.mbr()).collect());
-            let q = p.cell_rect();
-            assert_eq!(tree.query(&q), rebuilt.query(&q));
+            let rects: Vec<Rect> = records.iter().map(|r| r.mbr()).collect();
+            let tree = sh_index::LocalRTree::from_bytes(&raw, rects.clone()).unwrap();
+            assert_eq!(tree.len() as u64, t.records, "{}", t.path);
+            let q = t.cell_rect();
+            assert_eq!(tree.query(&q), sh_index::LocalRTree::build(rects).query(&q));
         }
-        assert_eq!(
-            built.counter("index.local_trees"),
-            built.value.partitions.len() as u64
-        );
+        for built in [&text, &binary] {
+            assert_eq!(
+                built.counter("index.local_trees"),
+                built.value.partitions.len() as u64
+            );
+        }
     }
 
     #[test]
@@ -587,15 +598,15 @@ mod tests {
             let records: Vec<Point> =
                 crate::mrlayer::SpatialRecordReader::records_bytes(&raw).unwrap();
             assert_eq!(records.len() as u64, p.records);
-            // The sidecar is binary too and answers like a fresh build.
+            // The sidecar loads over the decoded records and answers like
+            // a fresh build.
             let sidecar = crate::mrlayer::local_index_path(&p.path).unwrap();
             let sraw = dfs.read_bytes(&sidecar).unwrap();
-            assert!(sh_index::LocalRTree::is_binary_sidecar(&sraw));
-            let tree = sh_index::LocalRTree::from_bytes(&sraw).unwrap();
+            let rects: Vec<Rect> = records.iter().map(|r| r.mbr()).collect();
+            let tree = sh_index::LocalRTree::from_bytes(&sraw, rects.clone()).unwrap();
             assert_eq!(tree.len() as u64, p.records, "{sidecar}");
-            let rebuilt = sh_index::LocalRTree::build(records.iter().map(|r| r.mbr()).collect());
             let q = p.cell_rect();
-            assert_eq!(tree.query(&q), rebuilt.query(&q));
+            assert_eq!(tree.query(&q), sh_index::LocalRTree::build(rects).query(&q));
         }
     }
 

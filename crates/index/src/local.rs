@@ -14,6 +14,14 @@ use sh_geom::{Point, Rect};
 /// Maximum entries per node.
 const NODE_CAPACITY: usize = 32;
 
+/// `SHLX` sidecar framing (see [`LocalRTree::to_bytes`]).
+const MAGIC: &[u8; 4] = b"SHLX";
+const VERSION: u16 = 2;
+/// Magic, version, record count, node count, root.
+const HEADER_BYTES: usize = 4 + 2 + 8 + 8 + 8;
+/// A node without its entries: leaf flag, MBR, entry count.
+const NODE_BYTES: usize = 1 + 32 + 4;
+
 #[derive(Clone, Debug)]
 struct Node {
     mbr: Rect,
@@ -108,167 +116,51 @@ impl LocalRTree {
     }
 
     /// Record indices whose MBR intersects `query`, in ascending order.
+    /// Walks with an explicit stack: a loaded tree's depth is bounded by
+    /// its node count, not by the call stack.
     pub fn query(&self, query: &Rect) -> Vec<usize> {
         let mut out = Vec::new();
-        if let Some(root) = self.root {
-            self.query_node(root, query, &mut out);
+        let mut stack: Vec<usize> = self.root.into_iter().collect();
+        while let Some(id) = stack.pop() {
+            let n = &self.nodes[id];
+            if !n.mbr.intersects(query) {
+                continue;
+            }
+            if n.leaf {
+                out.extend(
+                    n.entries
+                        .iter()
+                        .filter(|&&i| self.rects[i].intersects(query)),
+                );
+            } else {
+                stack.extend(&n.entries);
+            }
         }
         out.sort_unstable();
         out
     }
 
-    fn query_node(&self, node: usize, query: &Rect, out: &mut Vec<usize>) {
-        let n = &self.nodes[node];
-        if !n.mbr.intersects(query) {
-            return;
-        }
-        if n.leaf {
-            for &i in &n.entries {
-                if self.rects[i].intersects(query) {
-                    out.push(i);
-                }
-            }
-        } else {
-            for &c in &n.entries {
-                self.query_node(c, query, out);
-            }
-        }
-    }
-
-    /// Serializes the tree as text — the `_lidx-NNNNN` sidecar the index
-    /// builder writes next to each `part-NNNNN` so queries deserialize
-    /// instead of re-running STR. The DFS stores UTF-8 text, and `f64`'s
-    /// `Display` is shortest-roundtrip, so the encoding is exact:
+    /// Serializes the tree's *topology* as an `SHLX` blob — the
+    /// `_lidx-NNNNN` sidecar the index builder writes next to each
+    /// `part-NNNNN`, in either block format, so queries load the tree
+    /// instead of re-running STR. The record rectangles are not stored:
+    /// whoever loads the blob has just decoded the records and hands
+    /// their MBRs to [`LocalRTree::from_bytes`]. Little-endian throughout:
     ///
     /// ```text
-    /// LRT 1 <num_rects> <num_nodes> <root|-1>
-    /// R <x1> <y1> <x2> <y2>                      (one per record MBR)
-    /// N <leaf:0|1> <x1> <y1> <x2> <y2> <entries...>  (one per node)
-    /// ```
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(self.rects.len() * 40 + self.nodes.len() * 64);
-        let root = self.root.map(|r| r as i64).unwrap_or(-1);
-        let _ = writeln!(s, "LRT 1 {} {} {root}", self.rects.len(), self.nodes.len());
-        for r in &self.rects {
-            let _ = writeln!(s, "R {} {} {} {}", r.x1, r.y1, r.x2, r.y2);
-        }
-        for n in &self.nodes {
-            let m = &n.mbr;
-            let _ = write!(
-                s,
-                "N {} {} {} {} {}",
-                u8::from(n.leaf),
-                m.x1,
-                m.y1,
-                m.x2,
-                m.y2
-            );
-            for &e in &n.entries {
-                let _ = write!(s, " {e}");
-            }
-            s.push('\n');
-        }
-        s
-    }
-
-    /// Deserializes [`LocalRTree::to_text`] output; structural errors
-    /// (bad header, out-of-range indices, truncation) come back as
-    /// messages for the caller to wrap.
-    pub fn from_text(text: &str) -> Result<LocalRTree, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty local-index payload")?;
-        let h: Vec<&str> = header.split_ascii_whitespace().collect();
-        if h.len() != 5 || h[0] != "LRT" || h[1] != "1" {
-            return Err(format!("bad local-index header: {header:?}"));
-        }
-        let nr: usize = h[2].parse().map_err(|_| "bad rect count".to_string())?;
-        let nn: usize = h[3].parse().map_err(|_| "bad node count".to_string())?;
-        let root: i64 = h[4].parse().map_err(|_| "bad root index".to_string())?;
-        let mut rects = Vec::with_capacity(nr);
-        for _ in 0..nr {
-            let line = lines.next().ok_or("truncated local index: missing rect")?;
-            let f: Vec<&str> = line.split_ascii_whitespace().collect();
-            if f.len() != 5 || f[0] != "R" {
-                return Err(format!("bad rect line: {line:?}"));
-            }
-            let mut v = [0f64; 4];
-            for (slot, tok) in v.iter_mut().zip(&f[1..]) {
-                *slot = tok
-                    .parse()
-                    .map_err(|_| format!("bad rect line: {line:?}"))?;
-            }
-            rects.push(Rect::new(v[0], v[1], v[2], v[3]));
-        }
-        let mut nodes = Vec::with_capacity(nn);
-        for _ in 0..nn {
-            let line = lines.next().ok_or("truncated local index: missing node")?;
-            let f: Vec<&str> = line.split_ascii_whitespace().collect();
-            if f.len() < 6 || f[0] != "N" {
-                return Err(format!("bad node line: {line:?}"));
-            }
-            let leaf = match f[1] {
-                "0" => false,
-                "1" => true,
-                _ => return Err(format!("bad node line: {line:?}")),
-            };
-            let mut v = [0f64; 4];
-            for (slot, tok) in v.iter_mut().zip(&f[2..6]) {
-                *slot = tok
-                    .parse()
-                    .map_err(|_| format!("bad node line: {line:?}"))?;
-            }
-            let limit = if leaf { nr } else { nn };
-            let mut entries = Vec::with_capacity(f.len() - 6);
-            for tok in &f[6..] {
-                let e: usize = tok
-                    .parse()
-                    .map_err(|_| format!("bad node line: {line:?}"))?;
-                if e >= limit {
-                    return Err(format!("node entry {e} out of range (< {limit})"));
-                }
-                entries.push(e);
-            }
-            nodes.push(Node {
-                mbr: Rect::new(v[0], v[1], v[2], v[3]),
-                entries,
-                leaf,
-            });
-        }
-        let root = if root < 0 {
-            None
-        } else if (root as usize) < nodes.len() {
-            Some(root as usize)
-        } else {
-            return Err(format!("root {root} out of range"));
-        };
-        if root.is_none() && !rects.is_empty() {
-            return Err("non-empty local index without a root".to_string());
-        }
-        Ok(LocalRTree { rects, nodes, root })
-    }
-
-    /// Serializes the tree as a binary `SHLX` blob — the sidecar format
-    /// binary-indexed partitions use. Little-endian throughout:
-    ///
-    /// ```text
-    /// 4  magic b"SHLX"      2  version (1)
+    /// 4  magic b"SHLX"      2  version (2)
     /// 8  num_rects (u64)    8  num_nodes (u64)    8  root (i64, -1 = none)
-    /// per rect: 4 x f64
     /// per node: leaf (u8), 4 x f64 mbr, entry count (u32), entries (u32 each)
     /// ```
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.rects.len() * 32 + self.nodes.len() * 48);
-        out.extend_from_slice(b"SHLX");
-        out.extend_from_slice(&1u16.to_le_bytes());
+        let entries: usize = self.nodes.iter().map(|n| n.entries.len()).sum();
+        let mut out =
+            Vec::with_capacity(HEADER_BYTES + self.nodes.len() * NODE_BYTES + entries * 4);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&(self.rects.len() as u64).to_le_bytes());
         out.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.root.map(|r| r as i64).unwrap_or(-1).to_le_bytes());
-        for r in &self.rects {
-            for v in [r.x1, r.y1, r.x2, r.y2] {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
         for n in &self.nodes {
             out.push(u8::from(n.leaf));
             for v in [n.mbr.x1, n.mbr.y1, n.mbr.x2, n.mbr.y2] {
@@ -282,99 +174,24 @@ impl LocalRTree {
         out
     }
 
-    /// True when `data` starts with the binary sidecar magic.
-    pub fn is_binary_sidecar(data: &[u8]) -> bool {
-        data.len() >= 4 && &data[..4] == b"SHLX"
-    }
-
-    /// Deserializes [`LocalRTree::to_bytes`] output with the same
-    /// validation rules as [`LocalRTree::from_text`]: bad magic/version,
-    /// truncation, and out-of-range indices are all errors.
-    pub fn from_bytes(data: &[u8]) -> Result<LocalRTree, String> {
-        struct Cursor<'a> {
-            data: &'a [u8],
-            at: usize,
+    /// Loads [`LocalRTree::to_bytes`] output over `rects`, the MBRs of
+    /// the records the blob claims to index (`rects[i]` is record `i`).
+    ///
+    /// Nothing in `data` is trusted. Besides the framing (magic, version,
+    /// counts bounded by the payload before anything is allocated, no
+    /// truncation, no trailing bytes) one iterative walk from the root
+    /// checks that the blob describes a tree over exactly these records:
+    /// the stated record count is `rects.len()`, every node is reached
+    /// exactly once, every record index sits in exactly one leaf, and
+    /// every node's MBR covers the MBRs of its entries. A tree that
+    /// passes answers `query` and `knn` like a linear scan of `rects`;
+    /// anything else — a stale, foreign, older-version or tampered blob —
+    /// is [`Rejected`], which hands `rects` back for [`LocalRTree::build`].
+    pub fn from_bytes(data: &[u8], rects: Vec<Rect>) -> Result<LocalRTree, Rejected> {
+        match parse_topology(data, &rects) {
+            Ok((nodes, root)) => Ok(LocalRTree { rects, nodes, root }),
+            Err(reason) => Err(Rejected { reason, rects }),
         }
-        impl<'a> Cursor<'a> {
-            fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-                if self.at + n > self.data.len() {
-                    return Err("truncated local index".to_string());
-                }
-                let s = &self.data[self.at..self.at + n];
-                self.at += n;
-                Ok(s)
-            }
-            fn u64(&mut self) -> Result<u64, String> {
-                Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-            }
-            fn f64(&mut self) -> Result<f64, String> {
-                Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-            }
-            fn u32(&mut self) -> Result<u32, String> {
-                Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-            }
-        }
-        let mut c = Cursor { data, at: 0 };
-        if c.take(4)? != b"SHLX" {
-            return Err("bad local-index magic".to_string());
-        }
-        let version = u16::from_le_bytes(c.take(2)?.try_into().unwrap());
-        if version != 1 {
-            return Err(format!("unsupported local-index version {version}"));
-        }
-        let nr = c.u64()? as usize;
-        let nn = c.u64()? as usize;
-        let root = i64::from_le_bytes(c.take(8)?.try_into().unwrap());
-        // Sanity-bound the counts before allocating (a corrupt header
-        // must not trigger a huge reservation).
-        // 32 bytes per rect, at least 37 per node (flag + mbr + count).
-        let remaining = data.len() - c.at;
-        if nr.saturating_mul(32).saturating_add(nn.saturating_mul(37)) > remaining {
-            return Err("local-index counts exceed payload".to_string());
-        }
-        let mut rects = Vec::with_capacity(nr);
-        for _ in 0..nr {
-            let (x1, y1, x2, y2) = (c.f64()?, c.f64()?, c.f64()?, c.f64()?);
-            rects.push(Rect::new(x1, y1, x2, y2));
-        }
-        let mut nodes = Vec::with_capacity(nn);
-        for _ in 0..nn {
-            let leaf = match c.take(1)?[0] {
-                0 => false,
-                1 => true,
-                b => return Err(format!("bad node leaf flag {b}")),
-            };
-            let (x1, y1, x2, y2) = (c.f64()?, c.f64()?, c.f64()?, c.f64()?);
-            let count = c.u32()? as usize;
-            let limit = if leaf { nr } else { nn };
-            let mut entries = Vec::with_capacity(count.min(remaining / 4));
-            for _ in 0..count {
-                let e = c.u32()? as usize;
-                if e >= limit {
-                    return Err(format!("node entry {e} out of range (< {limit})"));
-                }
-                entries.push(e);
-            }
-            nodes.push(Node {
-                mbr: Rect::new(x1, y1, x2, y2),
-                entries,
-                leaf,
-            });
-        }
-        if c.at != data.len() {
-            return Err("trailing bytes after local index".to_string());
-        }
-        let root = if root < 0 {
-            None
-        } else if (root as usize) < nodes.len() {
-            Some(root as usize)
-        } else {
-            return Err(format!("root {root} out of range"));
-        };
-        if root.is_none() && !rects.is_empty() {
-            return Err("non-empty local index without a root".to_string());
-        }
-        Ok(LocalRTree { rects, nodes, root })
     }
 
     /// The `k` records nearest to `p` (by MBR min-distance), best-first.
@@ -429,6 +246,126 @@ impl LocalRTree {
     }
 }
 
+/// A sidecar [`LocalRTree::from_bytes`] refused to load.
+#[derive(Debug)]
+pub struct Rejected {
+    /// What was wrong with the blob.
+    pub reason: String,
+    /// The rectangles passed in, unchanged, to bulk-load from instead.
+    pub rects: Vec<Rect>,
+}
+
+/// Decodes and validates an `SHLX` blob against the rectangles it must
+/// index; the checks are listed at [`LocalRTree::from_bytes`].
+fn parse_topology(mut data: &[u8], rects: &[Rect]) -> Result<(Vec<Node>, Option<usize>), String> {
+    fn take<'a, const N: usize>(data: &mut &'a [u8]) -> Result<&'a [u8; N], String> {
+        let (head, rest) = data
+            .split_first_chunk::<N>()
+            .ok_or("truncated local index")?;
+        *data = rest;
+        Ok(head)
+    }
+    if take::<4>(&mut data)? != MAGIC {
+        return Err("bad local-index magic".to_string());
+    }
+    let version = u16::from_le_bytes(*take(&mut data)?);
+    if version != VERSION {
+        return Err(format!("unsupported local-index version {version}"));
+    }
+    let nr = u64::from_le_bytes(*take(&mut data)?);
+    let nn = u64::from_le_bytes(*take(&mut data)?);
+    let root = i64::from_le_bytes(*take(&mut data)?);
+    if nr != rects.len() as u64 {
+        return Err(format!("local index of {nr} records over {}", rects.len()));
+    }
+    // A corrupt header must not trigger a huge reservation.
+    if nn > (data.len() / NODE_BYTES) as u64 {
+        return Err("local-index node count exceeds payload".to_string());
+    }
+    let nn = nn as usize;
+    let root = match usize::try_from(root) {
+        Ok(r) if r < nn => Some(r),
+        _ if root == -1 && nn == 0 && rects.is_empty() => None,
+        _ => return Err(format!("root {root} does not fit {nn} nodes")),
+    };
+
+    let mut nodes = Vec::with_capacity(nn);
+    for _ in 0..nn {
+        let leaf = match take::<1>(&mut data)?[0] {
+            0 => false,
+            1 => true,
+            b => return Err(format!("bad node leaf flag {b}")),
+        };
+        let mut m = [0f64; 4];
+        for v in &mut m {
+            *v = f64::from_le_bytes(*take(&mut data)?);
+        }
+        let count = u32::from_le_bytes(*take(&mut data)?) as usize;
+        if count > data.len() / 4 {
+            return Err("truncated local index".to_string());
+        }
+        let (raw, rest) = data.split_at(count * 4);
+        data = rest;
+        let entries = raw
+            .chunks_exact(4)
+            .map(|e| u32::from_le_bytes([e[0], e[1], e[2], e[3]]) as usize)
+            .collect();
+        nodes.push(Node {
+            mbr: Rect::new(m[0], m[1], m[2], m[3]),
+            entries,
+            leaf,
+        });
+    }
+    if !data.is_empty() {
+        return Err("trailing bytes after local index".to_string());
+    }
+
+    // The walk: O(nodes + records), explicit stack. Marking a node when
+    // it is first referenced makes a second reference — a cycle, a shared
+    // child, the root as somebody's child — an error before it is
+    // followed, so the walk terminates on any input.
+    let mut node_seen = vec![false; nn];
+    let mut rect_seen = vec![false; rects.len()];
+    let (mut nodes_reached, mut rects_reached) = (0usize, 0usize);
+    let mut stack = Vec::new();
+    if let Some(r) = root {
+        node_seen[r] = true;
+        nodes_reached = 1;
+        stack.push(r);
+    }
+    while let Some(id) = stack.pop() {
+        let n = &nodes[id];
+        let (seen, reached, limit) = if n.leaf {
+            (&mut rect_seen, &mut rects_reached, rects.len())
+        } else {
+            (&mut node_seen, &mut nodes_reached, nn)
+        };
+        for &e in &n.entries {
+            if e >= limit {
+                return Err(format!("node entry {e} out of range (< {limit})"));
+            }
+            if std::mem::replace(&mut seen[e], true) {
+                return Err(format!("node entry {e} is referenced twice"));
+            }
+            *reached += 1;
+            let covered = if n.leaf { &rects[e] } else { &nodes[e].mbr };
+            if !n.mbr.contains_rect(covered) {
+                return Err(format!("node {id} does not cover its entry {e}"));
+            }
+        }
+        if !n.leaf {
+            stack.extend(&n.entries);
+        }
+    }
+    if nodes_reached != nn || rects_reached != rects.len() {
+        return Err(format!(
+            "local index reaches {nodes_reached} of {nn} nodes, {rects_reached} of {} records",
+            rects.len()
+        ));
+    }
+    Ok((nodes, root))
+}
+
 /// STR-packs `items` into groups of [`NODE_CAPACITY`], calling `make`
 /// per group and returning the created node ids.
 fn pack_level<T: Clone, C, M>(items: &mut [T], center: C, mut make: M) -> Vec<usize>
@@ -461,6 +398,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::prelude::*;
 
     fn random_rects(n: usize, seed: u64) -> Vec<Rect> {
@@ -553,74 +491,132 @@ mod tests {
         }
     }
 
-    #[test]
-    fn text_roundtrip_preserves_query_results() {
-        for n in [0usize, 1, 33, 2000] {
-            let rects = random_rects(n, 7);
-            let tree = LocalRTree::build(rects);
-            let back = LocalRTree::from_text(&tree.to_text()).unwrap();
-            assert_eq!(back.len(), tree.len());
-            let q = Rect::new(100.0, 100.0, 600.0, 600.0);
+    /// `back` answers windows and kNN probes drawn from `seed` exactly
+    /// like `tree`, distances bit for bit.
+    fn assert_same_answers(tree: &LocalRTree, back: &LocalRTree, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..8 {
+            let (x, y) = (rng.gen_range(-50.0..1000.0), rng.gen_range(-50.0..1000.0));
+            let q = Rect::new(
+                x,
+                y,
+                x + rng.gen_range(0.0..400.0),
+                y + rng.gen_range(0.0..400.0),
+            );
             assert_eq!(back.query(&q), tree.query(&q));
-            let p = Point::new(250.0, 250.0);
-            let a = tree.knn(&p, 10);
-            let b = back.knn(&p, 10);
+            let k = rng.gen_range(1..40);
+            let (a, b) = (
+                tree.knn(&Point::new(x, y), k),
+                back.knn(&Point::new(x, y), k),
+            );
             assert_eq!(a.len(), b.len());
             for ((ia, da), (ib, db)) in a.iter().zip(&b) {
-                assert_eq!(ia, ib);
-                assert_eq!(da.to_bits(), db.to_bits(), "distances must be exact");
+                assert_eq!((ia, da.to_bits()), (ib, db.to_bits()));
             }
-            // Re-serialization is byte-identical (determinism).
-            assert_eq!(back.to_text(), tree.to_text());
         }
     }
 
-    #[test]
-    fn binary_roundtrip_preserves_query_results() {
-        for n in [0usize, 1, 33, 2000] {
-            let rects = random_rects(n, 9);
-            let tree = LocalRTree::build(rects);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn sidecar_roundtrip_answers_like_the_tree_it_was_written_from(
+            n in prop::sample::select(vec![0usize, 1, 31, 32, 33, 1000]),
+            jitter in 0usize..24,
+            seed in 0u64..=u64::MAX,
+        ) {
+            // "≈ 1 000": vary the large size so node boundaries move.
+            let n = if n == 1000 { n + jitter } else { n };
+            let rects = random_rects(n, seed);
+            let tree = LocalRTree::build(rects.clone());
             let blob = tree.to_bytes();
-            assert!(LocalRTree::is_binary_sidecar(&blob));
-            let back = LocalRTree::from_bytes(&blob).unwrap();
-            assert_eq!(back.len(), tree.len());
-            let q = Rect::new(100.0, 100.0, 600.0, 600.0);
-            assert_eq!(back.query(&q), tree.query(&q));
+            let back = LocalRTree::from_bytes(&blob, rects).unwrap();
+            prop_assert_eq!(back.len(), n);
+            assert_same_answers(&tree, &back, seed ^ 0x51DE);
             // Re-serialization is byte-identical (determinism).
-            assert_eq!(back.to_bytes(), blob);
+            prop_assert_eq!(back.to_bytes(), blob);
+        }
+
+        #[test]
+        fn damaged_sidecar_is_an_error_never_a_panic(
+            n in prop::sample::select(vec![0usize, 1, 31, 32, 33, 200]),
+            seed in 0u64..=u64::MAX,
+        ) {
+            let rects = random_rects(n, seed);
+            let blob = LocalRTree::build(rects.clone()).to_bytes();
+            for cut in 0..blob.len() {
+                prop_assert!(
+                    LocalRTree::from_bytes(&blob[..cut], rects.clone()).is_err(),
+                    "prefix of {} bytes loaded", cut
+                );
+            }
+            for bit in 0..HEADER_BYTES * 8 {
+                let mut bad = blob.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(
+                    LocalRTree::from_bytes(&bad, rects.clone()).is_err(),
+                    "header bit {} flipped and loaded", bit
+                );
+            }
         }
     }
 
     #[test]
-    fn corrupt_binary_sidecar_is_rejected() {
-        let tree = LocalRTree::build(random_rects(50, 10));
+    fn sidecar_holds_topology_only() {
+        // 1 800 records: 64 leaves, 2 internal nodes, a root.
+        let tree = LocalRTree::build(random_rects(1800, 9));
         let blob = tree.to_bytes();
-        assert!(LocalRTree::from_bytes(&blob).is_ok());
-        assert!(LocalRTree::from_bytes(&[]).is_err());
-        assert!(LocalRTree::from_bytes(&blob[..10]).is_err());
-        assert!(LocalRTree::from_bytes(&blob[..blob.len() - 1]).is_err());
-        let mut bad = blob.clone();
-        bad[0] = b'Z';
-        assert!(LocalRTree::from_bytes(&bad).is_err());
-        assert!(!LocalRTree::is_binary_sidecar(&bad));
-        let mut bad = blob.clone();
-        bad[4] = 9; // version
-        assert!(LocalRTree::from_bytes(&bad).is_err());
-        let mut bad = blob.clone();
-        bad[6] = 0xff; // rect count blown up
-        assert!(LocalRTree::from_bytes(&bad).is_err());
+        assert_eq!(&blob[..6], b"SHLX\x02\x00");
+        assert_eq!(
+            blob.len(),
+            HEADER_BYTES + 67 * NODE_BYTES + (1800 + 64 + 2) * 4
+        );
+        // The rectangles are the caller's: the same blob over other
+        // rectangles is not this tree, and is refused with them returned.
+        let other = random_rects(1800, 10);
+        let rejected = LocalRTree::from_bytes(&blob, other.clone()).unwrap_err();
+        assert_eq!(rejected.rects, other);
+        assert!(
+            rejected.reason.contains("does not cover"),
+            "{}",
+            rejected.reason
+        );
+        // So is a blob of another cardinality, and the v1 layout.
+        assert!(LocalRTree::from_bytes(&blob, random_rects(1799, 9)).is_err());
+        let mut v1 = blob.clone();
+        v1[4] = 1;
+        assert!(LocalRTree::from_bytes(&v1, random_rects(1800, 9)).is_err());
     }
 
     #[test]
-    fn corrupt_text_is_rejected() {
-        assert!(LocalRTree::from_text("").is_err());
-        assert!(LocalRTree::from_text("XYZ 1 0 0 -1").is_err());
-        assert!(LocalRTree::from_text("LRT 2 0 0 -1").is_err());
-        assert!(LocalRTree::from_text("LRT 1 1 0 -1").is_err()); // missing rect
-        assert!(LocalRTree::from_text("LRT 1 1 1 0\nR 0 0 1 1\nN 1 0 0 1 1 5").is_err()); // entry oob
-        assert!(LocalRTree::from_text("LRT 1 1 1 3\nR 0 0 1 1\nN 1 0 0 1 1 0").is_err()); // root oob
-        let tree = LocalRTree::build(random_rects(10, 8));
-        assert!(LocalRTree::from_text(&tree.to_text()).is_ok());
+    fn chain_deeper_than_the_call_stack_loads_and_answers() {
+        // A valid tree nobody would build: DEPTH internal nodes with one
+        // child each over a single leaf. Recursing once per level would
+        // need far more than a test thread's 2 MiB of stack.
+        const DEPTH: usize = 300_000;
+        let rects = vec![Rect::new(1.0, 1.0, 2.0, 2.0), Rect::new(5.0, 5.0, 6.0, 6.0)];
+        let mbr = Rect::new(1.0, 1.0, 6.0, 6.0);
+        let mut nodes: Vec<Node> = (1..=DEPTH)
+            .map(|child| Node {
+                mbr,
+                entries: vec![child],
+                leaf: false,
+            })
+            .collect();
+        nodes.push(Node {
+            mbr,
+            entries: vec![0, 1],
+            leaf: true,
+        });
+        let chain = LocalRTree {
+            rects: rects.clone(),
+            nodes,
+            root: Some(0),
+        };
+        let q = Rect::new(4.0, 4.0, 7.0, 7.0);
+        assert_eq!(chain.query(&q), vec![1]);
+        let back = LocalRTree::from_bytes(&chain.to_bytes(), rects).unwrap();
+        assert_eq!(back.query(&q), vec![1]);
+        assert_eq!(back.knn(&Point::new(0.0, 0.0), 1)[0].0, 0);
     }
 
     #[test]

@@ -1166,22 +1166,17 @@ where
     R: Reducer<K = M::K, V = M::V>,
 {
     let node = task % cfg.num_nodes.max(1);
-    // Sort/group phase: stable sort keeps map-task emission order within
-    // a key, so results are deterministic.
-    let mut pairs: Vec<(M::K, M::V)> = bucket.to_vec();
+    // Sort/group phase over references: the stable sort keeps map-task
+    // emission order within a key, so results are deterministic, and the
+    // bucket itself stays borrowed, so a retried attempt sees it again.
+    // Each value is cloned once, into the `Vec` its `reduce` call owns.
+    let mut pairs: Vec<&(M::K, M::V)> = bucket.iter().collect();
     let t0 = Instant::now();
     pairs.sort_by(|a, b| a.0.cmp(&b.0));
     let mut ctx = ReduceContext::new();
-    let mut i = 0;
-    while i < pairs.len() {
-        let mut j = i + 1;
-        while j < pairs.len() && pairs[j].0 == pairs[i].0 {
-            j += 1;
-        }
-        let key = pairs[i].0.clone();
-        let values: Vec<M::V> = pairs[i..j].iter().map(|(_, v)| v.clone()).collect();
-        reducer.reduce(&key, values, &mut ctx);
-        i = j;
+    for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+        let values: Vec<M::V> = group.iter().map(|(_, v)| v.clone()).collect();
+        reducer.reduce(&group[0].0, values, &mut ctx);
     }
     let compute = t0.elapsed().as_secs_f64();
     let counters = ctx.take_counters();
@@ -1543,6 +1538,84 @@ mod tests {
             .unwrap()
             .run();
         assert!(matches!(err, Err(JobError::TaskFailed(_))), "{err:?}");
+    }
+
+    /// Emits `(line % 3, "<first block id>:<line number>")`, so a key's
+    /// values come from several map tasks and interleave with other keys'.
+    struct ModKeyMapper;
+    impl Mapper for ModKeyMapper {
+        type K = u8;
+        type V = String;
+        fn map(&self, s: &InputSplit, data: &str, ctx: &mut MapContext<u8, String>) {
+            let at = s.blocks.first().map_or(0, |b| b.id.0);
+            for i in 0..data.lines().count() {
+                ctx.emit((i % 3) as u8, format!("{at}:{i}"));
+            }
+        }
+    }
+
+    /// Writes each key's values in the order `reduce` received them;
+    /// optionally panics on the very first call it ever gets.
+    struct OrderReducer {
+        panics_left: std::sync::atomic::AtomicUsize,
+    }
+    impl Reducer for OrderReducer {
+        type K = u8;
+        type V = String;
+        fn reduce(&self, k: &u8, vs: Vec<String>, ctx: &mut ReduceContext) {
+            use std::sync::atomic::Ordering::SeqCst;
+            if self
+                .panics_left
+                .fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1))
+                .is_ok()
+            {
+                panic!("first reduce call fails");
+            }
+            ctx.output(&format!("{k} {}", vs.join(",")));
+        }
+    }
+
+    #[test]
+    fn values_reach_reduce_in_emission_order_also_on_attempt_two() {
+        let run = |panics: usize| {
+            let fs = Dfs::new(chaos_config());
+            wordcount_input(&fs, 4000); // several blocks → several map tasks
+            let outcome = JobBuilder::new(&fs, "order")
+                .input_file("/in")
+                .unwrap()
+                .mapper(ModKeyMapper)
+                .reducer(
+                    OrderReducer {
+                        panics_left: panics.into(),
+                    },
+                    1,
+                )
+                .output("/out")
+                .build()
+                .unwrap()
+                .run()
+                .unwrap();
+            assert_eq!(outcome.profile.task_retries, panics as u64);
+            outcome.read_output(&fs).unwrap()
+        };
+        let clean = run(0);
+        assert_eq!(clean.len(), 3, "one line per key, keys ascending");
+        for (key, line) in clean.iter().enumerate() {
+            let (k, values) = line.split_once(' ').unwrap();
+            assert_eq!(k, key.to_string());
+            // Map tasks in split (= block) order, lines in file order
+            // within one, and more than one map task.
+            let order: Vec<(u64, u64)> = values
+                .split(',')
+                .map(|v| v.split_once(':').unwrap())
+                .map(|(at, i)| (at.parse().unwrap(), i.parse().unwrap()))
+                .collect();
+            assert!(order.windows(2).all(|w| w[0] < w[1]), "key {key}");
+            assert!(order[0].0 < order[order.len() - 1].0, "one map task only");
+            assert!(order.len() > 1000, "key {key}: {} values", order.len());
+        }
+        // The retried attempt sees the same bucket in the same order.
+        assert_eq!(run(1), clean);
     }
 
     #[test]

@@ -655,13 +655,8 @@ impl Pigeon {
                     ) => {
                         expect_rects(left, ta)?;
                         expect_rects(right, tb)?;
-                        // Universe for the SJMR grid: union of both MBRs.
-                        let ua = self.universe_of(&Value::Heap {
-                            path: pa.clone(),
-                            rtype: ta,
-                        });
-                        // Heap rect files need a rect-aware scan; reuse
-                        // stored MBR from a quick driver read.
+                        // Universe for the SJMR grid: union of both MBRs,
+                        // from one driver-side read of each heap file.
                         let mut uni = Rect::empty();
                         for path in [&pa, &pb] {
                             let text = self.dfs.read_to_string(path)?;
@@ -669,7 +664,6 @@ impl Pigeon {
                                 uni.expand(&Rect::parse_line(line).map_err(OpError::from)?);
                             }
                         }
-                        drop(ua);
                         let r = ops::join::sjmr(&self.dfs, &pa, &pb, &uni, 16, out)?;
                         sess.take("join", r)
                     }

@@ -124,30 +124,33 @@ stage_server() {
   # queue) so the smoke client can provably trigger 429 BUSY, then
   # drive it over TCP: connect, SET, INDEX, range query, a concurrent
   # second connection, and the busy path.
-  # Then the oracle-checked served path: `shbench` checks every row the
-  # server sends against the single-machine answer, at thousands of rows
-  # a reply and two clients — the smoke client only looks at tiny ones.
+  # Then the oracle-checked paths: `shbench` checks every row the server
+  # sends against the single-machine answer, at thousands of rows a reply
+  # and two clients — the smoke client only looks at tiny ones — and, for
+  # the write side, every `INDEX` format x partitioner build by a
+  # whole-universe `FILTER` against its input and by a clean `SCRUB`.
   cargo build --release --bin sh-server &&
     cargo build --release -p sh-bench --bin server_smoke &&
     run_server_smoke &&
-    run_served_oracle serve-scan &&
-    run_served_oracle serve-mixed
+    run_shbench_oracle serve-scan &&
+    run_shbench_oracle serve-mixed &&
+    run_shbench_oracle ingest-index
 }
 
-# Two seconds of one served `shbench` workload; passes only if the result
-# line reports every answer correct and no failed operation.
-run_served_oracle() {
+# Two seconds of one `shbench` workload; passes only if the result line
+# reports every answer correct and no failed operation.
+run_shbench_oracle() {
   local workload="$1" line rc=0
   line=$(cargo run --release --quiet --manifest-path shbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1) || rc=$?
   # cargo rewrites the frozen benchmark's lock file; put it back.
   git checkout -q shbench/Cargo.lock 2>/dev/null || true
   case "$line" in
-    *'"correct": true'*'"failed": 0,'*) echo "--- $workload served, oracle-checked: $line" ;;
+    *'"correct": true'*'"failed": 0,'*) echo "--- $workload oracle-checked: $line" ;;
     *) rc=1 ;;
   esac
   if [ "$rc" -ne 0 ]; then
-    echo "served oracle check FAILED on $workload: $line" >&2
+    echo "shbench oracle check FAILED on $workload: $line" >&2
   fi
   return "$rc"
 }
@@ -188,7 +191,7 @@ stage_bench() {
   if [ "$(nproc)" -lt 4 ]; then
     echo "gate skipped: cores < 4 (throughput metric will not be trended)"
   fi
-  echo "--- hotpath (warm must not be slower than cold; binary >=1.5x text)" &&
+  echo "--- hotpath (warm must not be slower than cold; text answers = binary answers)" &&
     cargo run -q -p sh-bench --release --bin hotpath -- BENCH_hotpath_ci.json &&
     echo "--- throughput (concurrent vs serial multi-job)" &&
     cargo run -q -p sh-bench --release --bin throughput -- BENCH_throughput_ci.json &&
@@ -197,7 +200,7 @@ stage_bench() {
     echo "--- benchmark JSON artifacts must be well-formed" &&
     cargo run -q -p sh-bench --release --bin checkjson -- \
       BENCH_hotpath_ci.json BENCH_throughput_ci.json BENCH_load_ci.json &&
-    echo "--- trend gate (fail on >20% run-over-run regression, speedups on shrinkage)" &&
+    echo "--- trend gate (fail on >20% run-over-run growth of a tracked time)" &&
     cargo run -q -p sh-bench --release --bin trendcheck -- \
       BENCH_hotpath_ci.json BENCH_throughput_ci.json BENCH_load_ci.json &&
     report_gate_verdicts
@@ -208,7 +211,7 @@ stage_bench() {
 report_gate_verdicts() {
   echo "--- gate verdicts"
   awk -F'[:,]' '
-    /"binary_speedup"/ { gsub(/[ "]/, "", $2); print "  hotpath binary_speedup gate: RAN (>=1.5x required, got " $2 "x)" }
+    /"binary_speedup"/ { gsub(/[ "]/, "", $2); print "  hotpath gates (warm <= cold, text answers = binary answers): RAN; binary_speedup " $2 "x recorded, not gated" }
   ' BENCH_hotpath_ci.json
   gate_verdict "throughput speedup" BENCH_throughput_ci.json
   gate_verdict "load (sustained QPS + p99)" BENCH_load_ci.json
