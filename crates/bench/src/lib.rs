@@ -20,36 +20,12 @@
 //! seconds are simulated from the cost model; comparisons between
 //! variants are the reproduction target, not absolute magnitudes.
 
-pub mod client;
 pub mod experiments;
 pub mod table;
-pub mod trend;
 
 pub use table::Table;
 
 use sh_dfs::{ClusterConfig, Dfs};
-
-/// Host core count as reported by the OS (1 if unknown). Recorded in
-/// every benchmark artifact so trend comparisons can be read in context.
-pub fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Short git revision of the working tree, or `"unknown"` outside a
-/// checkout — artifacts record provenance but never require git.
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
 
 /// The paper-shaped cluster (25 nodes) with a laptop-scaled block size.
 ///

@@ -1,7 +1,5 @@
 //! Cluster topology and performance parameters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fault::{FaultPlan, FtOptions};
 
 /// Identifier of a cluster node (datanode + task tracker), `0..num_nodes`.
@@ -17,7 +15,7 @@ pub type NodeId = usize;
 /// Tests and laptop-scale experiments shrink `block_size` so that the
 /// *number of partitions* matches cluster-scale shapes at small data
 /// sizes (see DESIGN.md §2).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Number of worker nodes.
     pub num_nodes: usize,

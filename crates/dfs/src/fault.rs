@@ -16,10 +16,8 @@
 use std::fmt;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// How an injected silent corruption mangles a replica's bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CorruptKind {
     /// Flip one bit in the middle of each block — bit rot.
     Flip,
@@ -37,7 +35,7 @@ impl fmt::Display for CorruptKind {
 }
 
 /// One injected fault, applied by the job executor.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultAction {
     /// Fail attempt `attempt` (0-based) of map task `task` just before
     /// it would run — models a task crash on its node.
@@ -61,7 +59,7 @@ pub enum FaultAction {
 }
 
 /// A reproducible schedule of injected faults for one job.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Actions, applied in order where order matters (node kills).
     pub actions: Vec<FaultAction>,

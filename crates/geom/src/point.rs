@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::float::{approx_eq, total_cmp};
 use crate::rect::Rect;
 
@@ -12,7 +10,7 @@ use crate::rect::Rect;
 /// `Point` is the fundamental record type of most SpatialHadoop operations
 /// (skyline, convex hull, closest/farthest pair, Voronoi, kNN). It is
 /// `Copy` and 16 bytes, so algorithms pass it by value.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::float::EPS;
 use crate::point::Point;
 use crate::rect::{mbr_of_points, Rect};
@@ -15,7 +13,7 @@ use crate::segment::Segment;
 /// Polygons are the record type of the union operation and of the
 /// rectangle/polygon spatial-join workloads. The constructor normalizes
 /// the ring to counter-clockwise orientation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Polygon {
     vertices: Vec<Point>,
 }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::point::Point;
 
 /// An axis-aligned rectangle `[x1, x2] × [y1, y2]`.
@@ -12,7 +10,7 @@ use crate::point::Point;
 /// (the spatial-join workloads), as minimum bounding rectangles of
 /// polygons and index partitions, and as query ranges. Invariant:
 /// `x1 <= x2 && y1 <= y2` (enforced by [`Rect::new`]).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Rect {
     /// Minimum x.
     pub x1: f64,

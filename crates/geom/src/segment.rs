@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::float::EPS;
 use crate::point::Point;
 use crate::rect::Rect;
@@ -13,7 +11,7 @@ use crate::rect::Rect;
 /// Segments are the output unit of the (enhanced) polygon-union operation:
 /// the union boundary is emitted as a bag of segments so that no single
 /// machine ever has to stitch the full result polygon together.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Segment {
     /// First endpoint.
     pub a: Point,

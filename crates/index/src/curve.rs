@@ -1,6 +1,5 @@
 //! Space-filling-curve partitioning: Z-order (Morton) and Hilbert.
 
-use serde::{Deserialize, Serialize};
 use sh_geom::{Point, Rect};
 
 /// Resolution of the curve: coordinates are quantized to `2^ORDER` cells
@@ -83,7 +82,7 @@ pub fn quantize(p: &Point, universe: &Rect) -> (u32, u32) {
 
 /// Shared shape of both curve partitionings: sorted upper bounds of the
 /// curve ranges plus the seed MBR of each range's sample chunk.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CurvePartitioning {
     /// Universe coordinates are quantized within.
     pub universe: Rect,
@@ -132,7 +131,7 @@ impl CurvePartitioning {
 }
 
 /// Z-curve partitioning: equal-count ranges of Morton values.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ZCurvePartitioning(pub CurvePartitioning);
 
 impl ZCurvePartitioning {
@@ -178,7 +177,7 @@ impl ZCurvePartitioning {
 /// Hilbert-curve partitioning: equal-count ranges of Hilbert distances.
 /// Better locality than Z-order (no long diagonal jumps), which shows up
 /// as lower partition margins in the quality experiment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HilbertPartitioning(pub CurvePartitioning);
 
 impl HilbertPartitioning {

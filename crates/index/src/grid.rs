@@ -1,6 +1,5 @@
 //! Uniform grid partitioning.
 
-use serde::{Deserialize, Serialize};
 use sh_geom::{Point, Rect};
 
 use crate::partitioner::owns_point;
@@ -10,7 +9,7 @@ use crate::partitioner::owns_point;
 /// The only technique that ignores the data distribution — cheap to build
 /// (no sample needed) but skew-blind, which is exactly the trade-off the
 /// partitioning-quality experiment (E2) demonstrates.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GridPartitioning {
     /// Universe the grid covers.
     pub universe: Rect,

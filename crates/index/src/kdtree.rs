@@ -1,13 +1,12 @@
 //! K-d tree partitioning: recursive median splits, alternating axes.
 
-use serde::{Deserialize, Serialize};
 use sh_geom::{Point, Rect};
 
 /// Disjoint partitioning whose cells are the leaves of a K-d tree over
 /// the sample: cells split at the *median* coordinate (alternating x/y),
 /// so every leaf holds an almost equal share of the sample regardless of
 /// skew — the best load balance of the disjoint techniques.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KdTreePartitioning {
     /// Universe the leaves cover.
     pub universe: Rect,

@@ -1,6 +1,5 @@
 //! The global-partitioning abstraction shared by all seven techniques.
 
-use serde::{Deserialize, Serialize};
 use sh_geom::{Point, Rect};
 
 use crate::curve::{HilbertPartitioning, ZCurvePartitioning};
@@ -10,7 +9,7 @@ use crate::quadtree::QuadTreePartitioning;
 use crate::str::{StrPartitioning, StrPlusPartitioning};
 
 /// Which partitioning technique built a global index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PartitionKind {
     /// Uniform grid (disjoint, skew-blind).
     Grid,
@@ -82,7 +81,7 @@ impl PartitionKind {
 
 /// Boundary description of one technique's partitions, built from a
 /// sample. Assignment of records to partitions dispatches on the variant.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum GlobalPartitioning {
     /// Uniform grid boundaries.
     Grid(GridPartitioning),
@@ -264,7 +263,7 @@ pub fn owns_point(cell: &Rect, p: &Point, universe: &Rect) -> bool {
 /// Catalogue entry for one *materialized* partition of an indexed file:
 /// where it lives, its actual data MBR, and its size. This is what the
 /// master node consults in the filter step.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PartitionMeta {
     /// Partition id (index into the [`GlobalPartitioning`]).
     pub id: usize,

@@ -1,13 +1,12 @@
 //! Quad-tree partitioning: recursive four-way splits of overfull cells.
 
-use serde::{Deserialize, Serialize};
 use sh_geom::{Point, Rect};
 
 /// Disjoint partitioning whose cells are the leaves of a point-region
 /// quad-tree built over the sample: a cell splits into four quadrants
 /// whenever it holds more than the per-partition capacity. Skewed data
 /// gets deep subdivisions exactly where it is dense.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QuadTreePartitioning {
     /// Universe the leaves cover.
     pub universe: Rect,

@@ -1,6 +1,5 @@
 //! STR (Sort-Tile-Recursive) partitioning and its disjoint STR+ variant.
 
-use serde::{Deserialize, Serialize};
 use sh_geom::{Point, Rect};
 
 /// STR bulk-loading: sort the sample by x into ⌈√n⌉ vertical slices,
@@ -8,7 +7,7 @@ use sh_geom::{Point, Rect};
 /// partition *seed*; records are assigned to the seed needing the least
 /// expansion (classic R-tree ChooseLeaf flavour), so partitions may end
 /// up overlapping but no record is replicated.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StrPartitioning {
     /// Universe the seeds were sampled from.
     pub universe: Rect,
@@ -49,7 +48,7 @@ impl StrPartitioning {
 /// the universe (records overlapping several cells are replicated —
 /// R+-tree semantics). This is the disjoint technique the enhanced
 /// operations default to.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StrPlusPartitioning {
     /// Universe the cells tile.
     pub universe: Rect,

@@ -1299,7 +1299,7 @@ fn stmt_verb(stmt: &Stmt) -> &'static str {
     }
 }
 
-/// Whether a statement launches cluster jobs — the criterion
+/// Whether a statement launches cluster jobs — the test
 /// [`Pigeon::admit_stmt`] uses to route it through the scheduler so
 /// admission control (and thus server back-pressure) applies to it.
 /// Bookkeeping statements (`LOAD`, `SET`, `DUMP`, `WAIT`, ...) run

@@ -1,7 +1,7 @@
 //! Minimal JSON tree, writer, and parser.
 //!
-//! The workspace has no serializer crate (serde here is derive-only), so
-//! profile export/import is hand-rolled on this little value type. Integers
+//! The workspace has no serializer crate, so profile export/import is
+//! hand-rolled on this little value type. Integers
 //! are kept exact (`i128` covers `u64` and `i64`); floats use shortest
 //! round-trip formatting.
 

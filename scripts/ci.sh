@@ -2,10 +2,10 @@
 # Stage-aware CI gate. Run from anywhere:
 #
 #   ./scripts/ci.sh                 # every stage
-#   ./scripts/ci.sh --quick         # skip the chaos soak and benches
+#   ./scripts/ci.sh --quick         # skip the chaos soak and server runs
 #   ./scripts/ci.sh lint test       # just the named stages
 #
-# Stages: lint, build, test, chaos, corruption, server, bench. Fails
+# Stages: lint, build, test, chaos, corruption, server. Fails
 # fast, naming the stage that broke, and prints per-stage wall-clock
 # timings (and test counts) at the end.
 set -euo pipefail
@@ -16,12 +16,12 @@ STAGES=()
 for arg in "$@"; do
   case "$arg" in
     --quick) QUICK=1 ;;
-    lint|build|test|chaos|corruption|server|bench) STAGES+=("$arg") ;;
-    *) echo "usage: $0 [--quick] [lint|build|test|chaos|corruption|server|bench]..." >&2; exit 2 ;;
+    lint|build|test|chaos|corruption|server) STAGES+=("$arg") ;;
+    *) echo "usage: $0 [--quick] [lint|build|test|chaos|corruption|server]..." >&2; exit 2 ;;
   esac
 done
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(lint build test chaos corruption server bench)
+  STAGES=(lint build test chaos corruption server)
   if [ "$QUICK" -eq 1 ]; then
     STAGES=(lint build test)
   fi
@@ -80,8 +80,8 @@ stage_build() {
 }
 
 stage_test() {
-  # The whole workspace: the root package's integration suites (what a
-  # bare `cargo test -q` runs) plus every crate's unit tests.
+  # The whole workspace: the root package's integration suites plus
+  # every crate's unit tests (a bare `cargo test -q` runs the same set).
   # The CRC-64 kernel is compared with its byte-wise oracle once more
   # under the optimiser the benchmark builds with (bounds-check elision
   # in `chunks_exact` differs between profiles).
@@ -119,22 +119,17 @@ stage_corruption() {
 }
 
 stage_server() {
-  # End-to-end smoke of the network front door: boot sh-server on an
-  # ephemeral port with a deliberately tiny scheduler (1 slot, 1-deep
-  # queue) so the smoke client can provably trigger 429 BUSY, then
-  # drive it over TCP: connect, SET, INDEX, range query, a concurrent
-  # second connection, and the busy path.
-  # Then the oracle-checked paths: `shbench` checks every row the server
-  # sends against the single-machine answer, at thousands of rows a reply
-  # and two clients — the smoke client only looks at tiny ones — and, for
-  # the write side, every `INDEX` format x partitioner build by a
-  # whole-universe `FILTER` against its input and by a clean `SCRUB`.
-  cargo build --release --bin sh-server &&
-    cargo build --release -p sh-bench --bin server_smoke &&
-    run_server_smoke &&
-    run_shbench_oracle serve-scan &&
+  # Four `shbench` workloads, each checking every answer against the
+  # single-machine oracle: `serve-scan` and `serve-mixed` every row a
+  # live sh-server sends over TCP (thousands a reply, two clients),
+  # `ingest-index` every `INDEX` format x partitioner build (by a
+  # whole-universe `FILTER` and a clean `SCRUB`), and `heap-batch` the
+  # unindexed heap-file baseline. The `sh-server` binary's own flags and
+  # `LISTENING` line are covered by tests/server.rs.
+  run_shbench_oracle serve-scan &&
     run_shbench_oracle serve-mixed &&
-    run_shbench_oracle ingest-index
+    run_shbench_oracle ingest-index &&
+    run_shbench_oracle heap-batch
 }
 
 # Two seconds of one `shbench` workload; passes only if the result line
@@ -153,80 +148,6 @@ run_shbench_oracle() {
     echo "shbench oracle check FAILED on $workload: $line" >&2
   fi
   return "$rc"
-}
-
-run_server_smoke() {
-  local log=server_smoke_ci.log pid addr=""
-  rm -f "$log"
-  ./target/release/sh-server --port 0 --max-inflight 1 --queue-cap 1 >"$log" 2>&1 &
-  pid=$!
-  # The server prints "LISTENING <addr>" once bound; poll the log for it.
-  for _ in $(seq 1 100); do
-    addr=$(awk '/^LISTENING /{print $2; exit}' "$log")
-    [ -n "$addr" ] && break
-    if ! kill -0 "$pid" 2>/dev/null; then break; fi
-    sleep 0.1
-  done
-  if [ -z "$addr" ]; then
-    echo "sh-server never reported LISTENING; server log follows:" >&2
-    cat "$log" >&2
-    kill "$pid" 2>/dev/null || true
-    return 1
-  fi
-  echo "--- server up at $addr (1-slot scheduler); running smoke client"
-  local rc=0
-  ./target/release/server_smoke "$addr" || rc=$?
-  kill "$pid" 2>/dev/null || true
-  wait "$pid" 2>/dev/null || true
-  if [ "$rc" -ne 0 ]; then
-    echo "server smoke FAILED (exit $rc); server log follows:" >&2
-    cat "$log" >&2
-    return "$rc"
-  fi
-}
-
-stage_bench() {
-  # The throughput trend entry only means something with real
-  # parallelism; trendcheck drops it below 4 cores (see sh-bench trend).
-  if [ "$(nproc)" -lt 4 ]; then
-    echo "gate skipped: cores < 4 (throughput metric will not be trended)"
-  fi
-  echo "--- hotpath (warm must not be slower than cold; text answers = binary answers)" &&
-    cargo run -q -p sh-bench --release --bin hotpath -- BENCH_hotpath_ci.json &&
-    echo "--- throughput (concurrent vs serial multi-job)" &&
-    cargo run -q -p sh-bench --release --bin throughput -- BENCH_throughput_ci.json &&
-    echo "--- load (open-loop mixed queries against a live sh-server)" &&
-    cargo run -q -p sh-bench --release --bin loadgen -- BENCH_load_ci.json &&
-    echo "--- benchmark JSON artifacts must be well-formed" &&
-    cargo run -q -p sh-bench --release --bin checkjson -- \
-      BENCH_hotpath_ci.json BENCH_throughput_ci.json BENCH_load_ci.json &&
-    echo "--- trend gate (fail on >20% run-over-run growth of a tracked time)" &&
-    cargo run -q -p sh-bench --release --bin trendcheck -- \
-      BENCH_hotpath_ci.json BENCH_throughput_ci.json BENCH_load_ci.json &&
-    report_gate_verdicts
-}
-
-# One-line RAN/SKIPPED verdict per enforced gate, read straight from the
-# CI bench artifacts so the log states explicitly what was checked.
-report_gate_verdicts() {
-  echo "--- gate verdicts"
-  awk -F'[:,]' '
-    /"binary_speedup"/ { gsub(/[ "]/, "", $2); print "  hotpath gates (warm <= cold, text answers = binary answers): RAN; binary_speedup " $2 "x recorded, not gated" }
-  ' BENCH_hotpath_ci.json
-  gate_verdict "throughput speedup" BENCH_throughput_ci.json
-  gate_verdict "load (sustained QPS + p99)" BENCH_load_ci.json
-}
-
-# Reads `gate_skipped` from one artifact and prints the verdict line.
-gate_verdict() {
-  local label="$1" file="$2"
-  awk -F'[:,]' -v label="$label" '
-    /"gate_skipped"/ {
-      gsub(/[ ]/, "", $2)
-      if ($2 == "true") print "  " label " gate: SKIPPED (gate_skipped: true, single-core runner)"
-      else print "  " label " gate: RAN (gate_skipped: false)"
-    }
-  ' "$file"
 }
 
 for s in "${STAGES[@]}"; do

@@ -97,7 +97,7 @@ fn main() -> ExitCode {
         }
     };
     eprintln!("sh-server: simulated cluster with {nodes} nodes, {block_kb} KiB blocks");
-    // Scripts (ci.sh, loadgen) parse this exact line for the bound port.
+    // Callers (tests/server.rs) parse this exact line for the bound port.
     println!("LISTENING {}", server.addr());
     use std::io::Write;
     let _ = std::io::stdout().flush();

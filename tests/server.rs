@@ -1,14 +1,17 @@
 //! Integration suite for the `sh-server` network front door: streamed
 //! frames must reassemble byte-identical to the CLI driver's output,
 //! sessions must be isolated (conflicting `SET`s answer independently),
-//! a mid-stream client disconnect must not wedge a scheduler slot, and
-//! admission-control push-back must surface as a retryable `429 BUSY`.
+//! a mid-stream client disconnect must not wedge a scheduler slot,
+//! admission-control push-back must surface as a retryable `429 BUSY`,
+//! and the `sh-server` binary must parse its flags and announce its
+//! address.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use sh_bench::client::{Response, ShClient};
+use client::{Response, ShClient};
 use spatialhadoop::dfs::{ClusterConfig, Dfs};
 use spatialhadoop::mapreduce::SchedConfig;
 use spatialhadoop::pigeon::run_script;
@@ -281,4 +284,209 @@ fn quit_closes_the_session_politely() {
     let mut rest = Vec::new();
     reader.read_to_end(&mut rest).expect("eof");
     assert!(rest.is_empty(), "server kept talking after BYE: {rest:?}");
+}
+
+/// Kills the spawned server however the test ends.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        self.0.kill().ok();
+        self.0.wait().ok();
+    }
+}
+
+/// The `sh-server` binary itself: its flags are parsed, it prints
+/// `LISTENING <addr>` once bound, and a session over that address
+/// honours `SET result_limit`. A malformed flag exits non-zero with the
+/// usage text.
+#[test]
+fn sh_server_binary_announces_its_address_and_serves_a_session() {
+    let exe = env!("CARGO_BIN_EXE_sh-server");
+    let mut child = Command::new(exe)
+        .args(["--port", "0", "--max-inflight", "1", "--queue-cap", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn sh-server");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let _server = KillOnDrop(child);
+    let mut line = String::new();
+    BufReader::new(stdout)
+        .read_line(&mut line)
+        .expect("read LISTENING line");
+    let addr: SocketAddr = line
+        .strip_prefix("LISTENING ")
+        .unwrap_or_else(|| panic!("expected LISTENING <addr>, got {line:?}"))
+        .trim_end()
+        .parse()
+        .expect("LISTENING carries a socket address");
+
+    let mut client = ShClient::connect(&addr).expect("connect");
+    let set = client
+        .request("SET result_limit 5;")
+        .expect("set")
+        .expect_rows("set");
+    assert!(set.is_empty(), "SET answers no rows, got {set:?}");
+    let rows = client
+        .request(
+            "p = GENERATE 2000 POINT uniform INTO '/bin/p'; \
+             ip = INDEX p AS str+ INTO '/bin/ip'; \
+             r = FILTER ip BY Overlaps(RECTANGLE(100000, 100000, 900000, 900000)); \
+             DUMP r;",
+        )
+        .expect("query")
+        .expect_rows("query");
+    assert_eq!(rows.len(), 6, "5 rows + truncation marker, got {rows:?}");
+    assert!(
+        rows[5].contains("truncated by result_limit 5"),
+        "marker missing: {:?}",
+        rows[5]
+    );
+    client.quit().expect("quit");
+
+    let bad = Command::new(exe)
+        .args(["--port", "x"])
+        .output()
+        .expect("run sh-server with a bad flag");
+    assert!(!bad.status.success(), "a bad --port must fail");
+    let stderr = String::from_utf8_lossy(&bad.stderr);
+    assert!(
+        stderr.contains("--port needs a number") && stderr.contains("usage: sh-server"),
+        "expected the usage text, got {stderr:?}"
+    );
+}
+
+mod client {
+    //! A blocking client for the `sh-server` line protocol. One
+    //! [`ShClient`] is one connection, i.e. one server session: its `SET`s
+    //! and bindings are invisible to every other client.
+
+    use std::io::{self, BufRead, BufReader, Write};
+    use std::net::{SocketAddr, TcpStream};
+    use std::time::Duration;
+
+    use spatialhadoop::server::protocol::{parse_header, read_payload, Header};
+
+    /// Outcome of one request line.
+    #[derive(Debug)]
+    pub enum Response {
+        /// Success: every streamed result row, reassembled in order.
+        Ok(Vec<String>),
+        /// The server rejected or failed the request.
+        Err(String),
+        /// Admission control pushed back; retry after the hinted delay.
+        Busy { retry_ms: u64 },
+    }
+
+    impl Response {
+        /// Unwraps the rows of a success, panicking otherwise.
+        pub fn expect_rows(self, context: &str) -> Vec<String> {
+            match self {
+                Response::Ok(rows) => rows,
+                other => panic!("{context}: expected OK, got {other:?}"),
+            }
+        }
+    }
+
+    /// A connected Pigeon-protocol client.
+    pub struct ShClient {
+        reader: BufReader<TcpStream>,
+        writer: TcpStream,
+    }
+
+    impl ShClient {
+        /// Connects and consumes the server banner.
+        pub fn connect(addr: &SocketAddr) -> io::Result<ShClient> {
+            let stream = TcpStream::connect_timeout(addr, Duration::from_secs(5))?;
+            stream.set_nodelay(true).ok();
+            let writer = stream.try_clone()?;
+            let mut reader = BufReader::new(stream);
+            let mut banner = String::new();
+            reader.read_line(&mut banner)?;
+            if !banner.starts_with("SHADOOP ") {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unexpected banner: {banner:?}"),
+                ));
+            }
+            Ok(ShClient { reader, writer })
+        }
+
+        /// Sends one request line (Pigeon source; `;`-separated statements)
+        /// and reads the full response, reassembling streamed frames.
+        pub fn request(&mut self, line: &str) -> io::Result<Response> {
+            if line.contains('\n') {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "a request is a single line; join statements with ';'",
+                ));
+            }
+            self.writer.write_all(line.as_bytes())?;
+            self.writer.write_all(b"\n")?;
+            self.writer.flush()?;
+            let mut rows = Vec::new();
+            loop {
+                let mut header = String::new();
+                if self.reader.read_line(&mut header)? == 0 {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "server closed mid-response",
+                    ));
+                }
+                match parse_header(&header)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+                {
+                    Header::Data(n) => {
+                        let payload = read_payload(&mut self.reader, n)?;
+                        rows.extend(payload.lines().map(str::to_string));
+                    }
+                    Header::Ok(n) => {
+                        debug_assert_eq!(n as usize, rows.len(), "row count vs frames");
+                        return Ok(Response::Ok(rows));
+                    }
+                    Header::Err(n) => {
+                        let msg = read_payload(&mut self.reader, n)?;
+                        return Ok(Response::Err(msg));
+                    }
+                    Header::Busy(retry_ms) => return Ok(Response::Busy { retry_ms }),
+                    Header::Bye => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "unexpected BYE mid-request",
+                        ))
+                    }
+                }
+            }
+        }
+
+        /// [`ShClient::request`], retrying `429 BUSY` responses up to
+        /// `max_retries` times with the server's suggested back-off.
+        /// Returns the terminal response and how many retries it took.
+        pub fn request_with_retry(
+            &mut self,
+            line: &str,
+            max_retries: usize,
+        ) -> io::Result<(Response, usize)> {
+            let mut retries = 0;
+            loop {
+                match self.request(line)? {
+                    Response::Busy { retry_ms } if retries < max_retries => {
+                        retries += 1;
+                        std::thread::sleep(Duration::from_millis(retry_ms.clamp(1, 1000)));
+                    }
+                    other => return Ok((other, retries)),
+                }
+            }
+        }
+
+        /// Polite hang-up: sends `QUIT` and waits for `BYE`.
+        pub fn quit(mut self) -> io::Result<()> {
+            self.writer.write_all(b"QUIT\n")?;
+            self.writer.flush()?;
+            let mut line = String::new();
+            self.reader.read_line(&mut line)?;
+            Ok(())
+        }
+    }
 }
