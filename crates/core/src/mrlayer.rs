@@ -5,15 +5,19 @@
 //! the reader is the only code that knows a stored layout:
 //!
 //! ```text
+//! split path  ──block cache hit──────▶ Arc<Partition>  (map_cached: no block read)
 //! split bytes ──SpatialRecordReader──▶ records         (RecordMapper, run as ByRecords)
 //!                                  └─▶ Arc<Partition>  (rows + local R-tree, cached)
 //! ```
 //!
 //! An operation implements [`RecordMapper`] and never sees bytes. The
 //! mappers that want the cached [`Partition`] (range, kNN, distributed
-//! join) or the two inputs of a split kept apart (kNN join) implement
-//! `sh_mapreduce::Mapper` themselves and call the reader through
-//! [`task`] / [`task_inputs`].
+//! join) implement `sh_mapreduce::Mapper` themselves and go cache first:
+//! `map_cached` asks `task_cached` before the engine reads the split,
+//! and only on a miss does `map_bytes` open the bytes through
+//! `SpatialRecordReader::open_after_probe`; both run one body, so a
+//! hit and a miss emit the same rows. The kNN-join mappers, which keep
+//! the two inputs of a split apart, read through [`task_inputs`].
 
 use std::borrow::Cow;
 use std::hash::Hash;
@@ -126,25 +130,46 @@ impl SpatialRecordReader {
     }
 
     /// Opens a partition for index-assisted processing through the
-    /// per-node cache: a hit returns the shared partition without
-    /// touching `data`; a miss decodes it (binary blocks keep their
-    /// shared coordinate columns, text is parsed into records), takes the
-    /// records' MBRs once, loads the persisted `_lidx-NNNNN` topology
-    /// over them (STR bulk-loading them instead for heap files and for
-    /// missing, corrupt, outdated or stale sidecars), and caches the
-    /// result keyed by `path`. Returns the partition and whether the
-    /// cache was hit.
+    /// per-node cache: [`SpatialRecordReader::cached`], then on a miss
+    /// decode, index and insert (`open_after_probe`). Returns the partition
+    /// and whether the cache was hit.
     pub fn open_indexed_bytes<R: Record>(
         dfs: &Dfs,
         path: &str,
         data: &[u8],
     ) -> Result<(Arc<Partition<R>>, bool), OpError> {
-        // Keyed by the partition path itself so the DFS's per-path
-        // invalidation (delete/overwrite) hits this entry.
-        if let Some(hit) = dfs.cache().get(path) {
-            if let Ok(part) = hit.downcast::<Partition<R>>() {
-                return Ok((part, true));
-            }
+        match Self::cached(dfs, path) {
+            Some(part) => Ok((part, true)),
+            None => Ok((Self::open_after_probe(dfs, path, data)?, false)),
+        }
+    }
+
+    /// The partition cached under `path`, counted as one cache hit or
+    /// miss. Keyed by the partition path itself so the DFS's per-path
+    /// invalidation (delete, overwrite, read-repair) hits the entry. This
+    /// is what an index-assisted map task asks before any block of its
+    /// split is read: a hit serves a decode of bytes that were verified
+    /// against their CRC when they were cached.
+    pub fn cached<R: Record>(dfs: &Dfs, path: &str) -> Option<Arc<Partition<R>>> {
+        dfs.cache().get(path)?.downcast::<Partition<R>>().ok()
+    }
+
+    /// The rest of an open, for a caller whose [`SpatialRecordReader::cached`]
+    /// probe already counted the lookup: the partition now cached under
+    /// `path` if there is one (found by that probe, or inserted since by a
+    /// concurrent task), otherwise `data` decoded (binary blocks keep
+    /// their shared coordinate columns, text is parsed into records), the
+    /// records' MBRs taken once, the persisted `_lidx-NNNNN` topology
+    /// loaded over them (STR bulk-loading them instead for heap files and
+    /// for missing, corrupt, outdated or stale sidecars), and the result
+    /// cached keyed by `path`. Counts nothing.
+    pub(crate) fn open_after_probe<R: Record>(
+        dfs: &Dfs,
+        path: &str,
+        data: &[u8],
+    ) -> Result<Arc<Partition<R>>, OpError> {
+        if let Some(part) = dfs.cache().peek(path).and_then(|v| v.downcast().ok()) {
+            return Ok(part);
         }
         // `data` was read before this point; if a concurrent job
         // invalidates the path (overwrite, node kill) while we decode,
@@ -171,7 +196,7 @@ impl SpatialRecordReader {
         let bytes = (rows + part.tree.len() * 32) as u64;
         let part = Arc::new(part);
         dfs.cache().put_at(path, part.clone(), bytes, epoch);
-        Ok((part, false))
+        Ok(part)
     }
 
     /// Opens a partition for a one-shot linear scan: no cache, an empty
@@ -196,6 +221,24 @@ impl SpatialRecordReader {
 /// naming the split, instead of panicking the worker.
 pub fn task<T>(split_path: &str, result: Result<T, OpError>) -> T {
     result.unwrap_or_else(|e| sh_mapreduce::fail_corrupt(format!("{split_path}: {e}")))
+}
+
+/// [`SpatialRecordReader::cached`] inside a map task: also counts the
+/// lookup as the job counter `cache.hits` or `cache.misses`, so a
+/// `PROFILE`d query shows its own hit rate.
+pub(crate) fn task_cached<R: Record, K, V>(
+    dfs: &Dfs,
+    path: &str,
+    ctx: &mut MapContext<K, V>,
+) -> Option<Arc<Partition<R>>> {
+    let part = SpatialRecordReader::cached(dfs, path);
+    let counter = ctx.register_counter(if part.is_some() {
+        "cache.hits"
+    } else {
+        "cache.misses"
+    });
+    ctx.inc(counter, 1);
+    part
 }
 
 /// A map function over a split's *records*: what an operation implements

@@ -21,7 +21,8 @@ use sh_mapreduce::{
 use crate::catalog::SpatialFile;
 use crate::codec::{decode_pair, write_pair};
 use crate::mrlayer::{
-    reference_point, task, task_inputs, ByRecords, RecordMapper, SpatialRecordReader,
+    reference_point, task, task_cached, task_inputs, ByRecords, Partition, RecordMapper,
+    SpatialRecordReader,
 };
 use crate::opresult::{OpError, OpResult};
 use sh_trace::Selectivity;
@@ -139,25 +140,49 @@ impl Mapper for DjMapper {
         self.map_bytes(split, data.as_bytes(), ctx);
     }
 
-    // Byte-level: each side is opened through the per-node cache under
-    // its own partition path — a partition typically appears in several
-    // overlapping pairs.
+    // Each side is looked up in the per-node cache under its own
+    // partition path — a partition typically appears in several
+    // overlapping pairs. Both sides are probed, so each counts one hit
+    // or one miss; the split is read only when either side missed.
+    fn map_cached(&self, split: &InputSplit, ctx: &mut MapContext<u8, u8>) -> bool {
+        let (path_a, path_b, regions) = pair_aux(split);
+        let left = task_cached::<Rect, _, _>(&self.dfs, path_a, ctx);
+        let right = task_cached::<Rect, _, _>(&self.dfs, path_b, ctx);
+        let (Some(lpart), Some(rpart)) = (left, right) else {
+            return false;
+        };
+        self.join(regions, &lpart, &rpart, ctx);
+        true
+    }
+
+    // A side `map_cached` found is reused; a missing one is decoded
+    // from its half of the split and cached.
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
-        let cache_hits = ctx.register_counter("cache.hits");
-        let cache_misses = ctx.register_counter("cache.misses");
         let (left_data, right_data) = split.split_data_bytes(data);
-        let (path_a, path_b, [cell_a, cell_b, uni_a, uni_b]) = pair_aux(split);
+        let (path_a, path_b, regions) = pair_aux(split);
         let open = |path: &str, data: &[u8]| {
             task(
                 path,
-                SpatialRecordReader::open_indexed_bytes::<Rect>(&self.dfs, path, data),
+                SpatialRecordReader::open_after_probe::<Rect>(&self.dfs, path, data),
             )
         };
-        let (lpart, left_hit) = open(path_a, left_data);
-        let (rpart, right_hit) = open(path_b, right_data);
-        for hit in [left_hit, right_hit] {
-            ctx.inc(if hit { cache_hits } else { cache_misses }, 1);
-        }
+        let (lpart, rpart) = (open(path_a, left_data), open(path_b, right_data));
+        self.join(regions, &lpart, &rpart, ctx);
+    }
+}
+
+impl DjMapper {
+    /// Joins one partition pair with a plane sweep. `regions` are the
+    /// split's `[cell A, cell B, universe A, universe B]` for the
+    /// reference-point rule.
+    fn join(
+        &self,
+        regions: [Rect; 4],
+        lpart: &Partition<Rect>,
+        rpart: &Partition<Rect>,
+        ctx: &mut MapContext<u8, u8>,
+    ) {
+        let [cell_a, cell_b, uni_a, uni_b] = regions;
         // The plane sweep wants rect slices; binary partitions
         // materialize theirs from the coordinate columns, spread across
         // any idle worker slots for big partitions.

@@ -19,7 +19,9 @@ use sh_mapreduce::{
 };
 
 use crate::catalog::SpatialFile;
-use crate::mrlayer::{task, ByRecords, RecordMapper, SpatialFileSplitter, SpatialRecordReader};
+use crate::mrlayer::{
+    task, task_cached, ByRecords, Partition, RecordMapper, SpatialFileSplitter, SpatialRecordReader,
+};
 use crate::opresult::{OpError, OpResult};
 use sh_trace::Selectivity;
 
@@ -104,15 +106,29 @@ impl<R: Record> Mapper for KnnIndexMapper<R> {
         self.map_bytes(split, data.as_bytes(), ctx);
     }
 
+    // One cached partition gives both the records and the local tree,
+    // text or binary alike, before the engine reads the split.
+    fn map_cached(&self, split: &InputSplit, ctx: &mut MapContext<u8, u8>) -> bool {
+        let Some(part) = task_cached::<Point, _, _>(&self.dfs, &split.path, ctx) else {
+            return false;
+        };
+        self.search(&part, ctx);
+        true
+    }
+
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
-        // One cached open gives both the records and the local tree,
-        // text or binary alike.
-        let (part, hit) = task(
+        // `map_cached` missed: decode, index and cache the partition.
+        let part = task(
             &split.path,
-            SpatialRecordReader::open_indexed_bytes::<Point>(&self.dfs, &split.path, data),
+            SpatialRecordReader::open_after_probe::<Point>(&self.dfs, &split.path, data),
         );
-        let h = ctx.register_counter(if hit { "cache.hits" } else { "cache.misses" });
-        ctx.inc(h, 1);
+        self.search(&part, ctx);
+    }
+}
+
+impl<R: Record> KnnIndexMapper<R> {
+    /// Writes the partition's local top-k.
+    fn search(&self, part: &Partition<Point>, ctx: &mut MapContext<u8, u8>) {
         // The local index answers the kNN directly (best-first search).
         let mut line = String::with_capacity(48);
         for (i, _) in part.tree().knn(&self.q, self.k) {

@@ -18,8 +18,8 @@ use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, Rows};
 
 use crate::catalog::SpatialFile;
 use crate::mrlayer::{
-    split_cell, splitter_selectivity, task, ByRecords, RecordMapper, SpatialFileSplitter,
-    SpatialRecordReader,
+    split_cell, splitter_selectivity, task, task_cached, ByRecords, Partition, RecordMapper,
+    SpatialFileSplitter, SpatialRecordReader,
 };
 use crate::opresult::{OpError, OpResult};
 use sh_trace::Selectivity;
@@ -63,19 +63,28 @@ impl<R: Record> Mapper for IndexedMapper<R> {
         self.map_bytes(split, data.as_bytes(), ctx);
     }
 
+    // Cached path: decoded partition + persisted local tree, shared
+    // across queries over the same partition, found before the engine
+    // reads the split.
+    fn map_cached(&self, split: &InputSplit, ctx: &mut MapContext<u8, u8>) -> bool {
+        if !self.local_index {
+            return false;
+        }
+        let Some(part) = task_cached::<R, _, _>(&self.dfs, &split.path, ctx) else {
+            return false;
+        };
+        let hits = part.tree().query(&self.query);
+        self.write_hits(split, &part, hits, ctx);
+        true
+    }
+
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
-        let cell = split_cell(split);
-        let results = ctx.register_counter("range.results");
-        let dup_skipped = ctx.register_counter("range.duplicates.skipped");
         let (part, hits) = if self.local_index {
-            // Cached path: decoded partition + persisted local tree,
-            // shared across queries over the same partition.
-            let (part, hit) = task(
+            // `map_cached` missed: decode, index and cache the partition.
+            let part = task(
                 &split.path,
-                SpatialRecordReader::open_indexed_bytes::<R>(&self.dfs, &split.path, data),
+                SpatialRecordReader::open_after_probe::<R>(&self.dfs, &split.path, data),
             );
-            let h = ctx.register_counter(if hit { "cache.hits" } else { "cache.misses" });
-            ctx.inc(h, 1);
             let hits = part.tree().query(&self.query);
             (part, hits)
         } else {
@@ -90,6 +99,23 @@ impl<R: Record> Mapper for IndexedMapper<R> {
             }
             (part, hits)
         };
+        self.write_hits(split, &part, hits, ctx);
+    }
+}
+
+impl<R: Record> IndexedMapper<R> {
+    /// Writes the partition's `hits` that this split reports: all of
+    /// them, or on a disjoint index those whose reference point it owns.
+    fn write_hits(
+        &self,
+        split: &InputSplit,
+        part: &Partition<R>,
+        hits: Vec<usize>,
+        ctx: &mut MapContext<u8, u8>,
+    ) {
+        let cell = split_cell(split);
+        let results = ctx.register_counter("range.results");
+        let dup_skipped = ctx.register_counter("range.duplicates.skipped");
         let mut line = String::with_capacity(48);
         for i in hits {
             let mbr = part.mbr_of(i);

@@ -130,6 +130,13 @@ impl BlockCache {
         found
     }
 
+    /// Looks up `key` without counting a hit or a miss: for a caller
+    /// fetching again an entry whose lookup was already counted.
+    pub fn peek(&self, key: &str) -> Option<Arc<dyn Any + Send + Sync>> {
+        let inner = self.inner.lock();
+        inner.entries.get(key).map(|e| Arc::clone(&e.value))
+    }
+
     /// Logical clock for [`BlockCache::put_at`]: capture before reading
     /// the bytes a parse is derived from; any invalidation of the key
     /// (or wholesale clear) after this point makes the parse stale.
@@ -296,6 +303,11 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(s.resident_bytes, 100);
         assert_eq!(s.resident_entries, 1);
+        // A peek finds what `get` finds but counts nothing.
+        assert_eq!(c.peek("/a").map(|v| *v.downcast::<u32>().unwrap()), Some(7));
+        assert!(c.peek("/b").is_none());
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]

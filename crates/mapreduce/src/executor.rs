@@ -2,6 +2,7 @@
 //! (retries, node blacklisting, speculative execution), shuffle, and
 //! cost aggregation.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::Hash;
 use std::sync::{Condvar, Mutex};
@@ -1049,36 +1050,6 @@ where
     R: Reducer<K = M::K, V = M::V>,
 {
     let split = &job.splits[task];
-    let mut local = 0u64;
-    let mut remote = 0u64;
-    // Splits are raw bytes end to end; `Mapper::map_bytes` decides
-    // whether they are text (default: UTF-8 decode, corrupt-input
-    // failure on binary garbage) or a binary block format.
-    // Single-block splits (the common case: one partition per file,
-    // file under the DFS block size) borrow the block's shared payload
-    // instead of copying it into a fresh buffer.
-    let mut single: Option<bytes::Bytes> = None;
-    let mut data = Vec::new();
-    if split.blocks.len() == 1 {
-        let (bytes, was_local) = job.dfs.read_block(split.blocks[0].id, node)?;
-        if was_local {
-            local += bytes.len() as u64;
-        } else {
-            remote += bytes.len() as u64;
-        }
-        single = Some(bytes);
-    } else {
-        data.reserve(split.len() as usize);
-        for b in &split.blocks {
-            let (bytes, was_local) = job.dfs.read_block(b.id, node)?;
-            if was_local {
-                local += bytes.len() as u64;
-            } else {
-                remote += bytes.len() as u64;
-            }
-            data.extend_from_slice(&bytes);
-        }
-    }
     let num_reducers = if job.reducer.is_some() {
         job.num_reducers
     } else {
@@ -1086,8 +1057,49 @@ where
     };
     let mut ctx = MapContext::new(num_reducers);
     let t0 = Instant::now();
-    job.mapper
-        .map_bytes(split, single.as_deref().unwrap_or(&data), &mut ctx);
+    let mut read_time = Duration::ZERO;
+    // Cache first: a mapper that already holds what it derives from the
+    // split answers without the blocks being read or checksummed. The
+    // task is still charged the split's length, split local/remote the
+    // way `read_block` would report it, so simulated cluster time
+    // models the paper's cache-less Hadoop either way.
+    let (local, remote) = if job.mapper.map_cached(split, &mut ctx) {
+        split.blocks.iter().fold((0, 0), |(local, remote), b| {
+            if b.replicas.contains(&node) {
+                (local + b.len, remote)
+            } else {
+                (local, remote + b.len)
+            }
+        })
+    } else {
+        // Splits are raw bytes end to end; `Mapper::map_bytes` decides
+        // whether they are text or a binary block format. Every block
+        // is checksummed by `read_block`.
+        let t_read = Instant::now();
+        let (mut local, mut remote) = (0, 0);
+        let mut blocks = Vec::with_capacity(split.blocks.len());
+        for b in &split.blocks {
+            let (bytes, was_local) = job.dfs.read_block(b.id, node)?;
+            *if was_local { &mut local } else { &mut remote } += bytes.len() as u64;
+            blocks.push(bytes);
+        }
+        // A single-block split (the common case: one partition per file,
+        // under the DFS block size) borrows the block's shared payload
+        // instead of copying it into a fresh buffer.
+        let data: Cow<'_, [u8]> = match blocks.as_slice() {
+            [one] => Cow::Borrowed(one),
+            many => {
+                let mut data = Vec::with_capacity(split.len() as usize);
+                for b in many {
+                    data.extend_from_slice(b);
+                }
+                Cow::Owned(data)
+            }
+        };
+        read_time = t_read.elapsed();
+        job.mapper.map_bytes(split, &data, &mut ctx);
+        (local, remote)
+    };
     let counters = ctx.take_counters();
     let mut buckets = ctx.buckets;
     if let Some(combiner) = &job.combiner {
@@ -1098,7 +1110,7 @@ where
             *bucket = apply_combiner(pairs, combiner);
         }
     }
-    let compute = t0.elapsed().as_secs_f64();
+    let compute = t0.elapsed().saturating_sub(read_time).as_secs_f64();
     let mut shuffle_pairs = 0u64;
     let mut shuffle_bytes = 0u64;
     if job.reducer.is_some() {
@@ -1390,6 +1402,63 @@ mod tests {
         );
         // Shuffle pairs equal total tokens (2 per line).
         assert_eq!(outcome.counters["shuffle.pairs"], 8000);
+    }
+
+    /// Reports each split's length: read from its bytes when cold, from
+    /// the split metadata alone when `warm` (a stand-in for a cache hit).
+    struct SplitLen {
+        warm: bool,
+    }
+    impl Mapper for SplitLen {
+        type K = u8;
+        type V = u8;
+        fn map(&self, s: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
+            ctx.output(&format!("{}@{} {}", s.path, s.blocks[0].id.0, data.len()));
+        }
+        fn map_cached(&self, s: &InputSplit, ctx: &mut MapContext<u8, u8>) -> bool {
+            if self.warm {
+                ctx.output(&format!("{}@{} {}", s.path, s.blocks[0].id.0, s.len()));
+            }
+            self.warm
+        }
+    }
+
+    #[test]
+    fn a_task_answered_from_memory_reads_nothing_and_costs_the_same() {
+        let fs = dfs();
+        wordcount_input(&fs, 4000);
+        let run = |warm: bool, out: &str| {
+            let before = fs.metrics().snapshot();
+            let outcome = JobBuilder::new(&fs, "memo")
+                .input_file("/in")
+                .unwrap()
+                .mapper(SplitLen { warm })
+                .output(out)
+                .map_only()
+                .unwrap()
+                .run()
+                .unwrap();
+            let blocks_read = fs.metrics().snapshot().since(&before).blocks_read;
+            (outcome, blocks_read)
+        };
+        let (cold, cold_blocks) = run(false, "/out-cold");
+        let (warm, warm_blocks) = run(true, "/out-warm");
+        assert!(cold.map_tasks > 1, "expected multiple splits");
+        assert_eq!(cold_blocks, cold.map_tasks as u64, "one block per split");
+        assert_eq!(warm_blocks, 0, "a cached task reads no block");
+        assert_eq!(
+            warm.read_output(&fs).unwrap(),
+            cold.read_output(&fs).unwrap()
+        );
+        // Same placement, same charge: local and remote bytes both match
+        // what the cold reads reported, so simulated time does not move.
+        for key in ["map.input.bytes.local", "map.input.bytes.remote"] {
+            assert_eq!(warm.counters[key], cold.counters[key], "{key}");
+        }
+        assert_eq!(
+            warm.profile.dfs_local_bytes + warm.profile.dfs_remote_bytes,
+            fs.stat("/in").unwrap().len
+        );
     }
 
     #[test]

@@ -12,11 +12,14 @@ use crate::split::InputSplit;
 
 /// A map function over one input split.
 ///
-/// The engine hands the mapper the *raw text* of its split plus the split
-/// metadata; parsing is the mapper's job (SpatialHadoop's record readers
-/// live in `sh-core` and are invoked from mapper implementations). This
-/// mirrors Hadoop, where the `RecordReader` runs inside the map task, and
-/// keeps the measured compute cost honest.
+/// The engine first offers the mapper the split *without its data*
+/// ([`Mapper::map_cached`]), so a mapper whose answer is already in
+/// memory never waits for the DFS. Otherwise the engine reads the split's
+/// blocks and hands over their *raw bytes* plus the split metadata
+/// ([`Mapper::map_bytes`]); decoding is the mapper's job (SpatialHadoop's
+/// record readers live in `sh-core` and are invoked from mapper
+/// implementations). This mirrors Hadoop, where the `RecordReader` runs
+/// inside the map task, and keeps the measured compute cost honest.
 pub trait Mapper: Send + Sync {
     /// Intermediate key type.
     type K: Clone + Ord + Hash + Send + Sync + 'static;
@@ -26,15 +29,25 @@ pub trait Mapper: Send + Sync {
     /// Processes one split.
     fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<Self::K, Self::V>);
 
-    /// Processes one split from raw bytes. The engine always enters
-    /// through this method; the default decodes UTF-8 and forwards to
-    /// [`Mapper::map`], failing the job as corrupt input on non-text
-    /// data. Mappers that understand binary blocks override it.
+    /// Processes one split from raw bytes. The default decodes UTF-8 and
+    /// forwards to [`Mapper::map`], failing the job as corrupt input on
+    /// non-text data. Mappers that understand binary blocks override it.
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<Self::K, Self::V>) {
         match std::str::from_utf8(data) {
             Ok(text) => self.map(split, text, ctx),
             Err(e) => fail_corrupt(format!("{}: input is not UTF-8 text: {e}", split.path)),
         }
+    }
+
+    /// Processes one split without reading it, when whatever the mapper
+    /// derives from the split's bytes is already in memory. Returns
+    /// `true` when the split was fully processed; on `false` the engine
+    /// reads the blocks and calls [`Mapper::map_bytes`] with the same
+    /// context, so a `false` may have counted into `ctx` but must not
+    /// have emitted anything. The task is charged the split's length
+    /// either way. The default never has the split in memory.
+    fn map_cached(&self, _split: &InputSplit, _ctx: &mut MapContext<Self::K, Self::V>) -> bool {
+        false
     }
 }
 

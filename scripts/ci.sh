@@ -76,7 +76,7 @@ stage_build() {
   # Building it here tells an API-reshaping change at this stage, not in
   # the benchmark pipeline, that the benchmark still compiles unmodified.
   cargo build --release &&
-    cargo build --release --manifest-path shbench/Cargo.toml
+    keeping_shbench_lock cargo build --release --manifest-path shbench/Cargo.toml
 }
 
 stage_test() {
@@ -88,7 +88,7 @@ stage_test() {
   # `shbench`'s own tests run against this checkout's crates.
   counted cargo test --workspace -q &&
     counted cargo test -p sh-dfs --release -q crc64 &&
-    counted cargo test -q --manifest-path shbench/Cargo.toml
+    keeping_shbench_lock counted cargo test -q --manifest-path shbench/Cargo.toml
 }
 
 stage_chaos() {
@@ -125,21 +125,31 @@ stage_server() {
   # `ingest-index` every `INDEX` format x partitioner build (by a
   # whole-universe `FILTER` and a clean `SCRUB`), and `heap-batch` the
   # unindexed heap-file baseline. The `sh-server` binary's own flags and
-  # `LISTENING` line are covered by tests/server.rs.
+  # `LISTENING` line are covered by tests/server.rs. Then one traced
+  # pass gates the warm read path.
   run_shbench_oracle serve-scan &&
     run_shbench_oracle serve-mixed &&
     run_shbench_oracle ingest-index &&
-    run_shbench_oracle heap-batch
+    run_shbench_oracle heap-batch &&
+    run_read_path_gate
+}
+
+# Runs a command, then puts back the frozen benchmark's lock file, which
+# every cargo invocation on `shbench/Cargo.toml` rewrites. Returns the
+# command's status.
+keeping_shbench_lock() {
+  local rc=0
+  "$@" || rc=$?
+  git checkout -q shbench/Cargo.lock 2>/dev/null || true
+  return "$rc"
 }
 
 # Two seconds of one `shbench` workload; passes only if the result line
 # reports every answer correct and no failed operation.
 run_shbench_oracle() {
   local workload="$1" line rc=0
-  line=$(cargo run --release --quiet --manifest-path shbench/Cargo.toml -- \
+  line=$(keeping_shbench_lock cargo run --release --quiet --manifest-path shbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1) || rc=$?
-  # cargo rewrites the frozen benchmark's lock file; put it back.
-  git checkout -q shbench/Cargo.lock 2>/dev/null || true
   case "$line" in
     *'"correct": true'*'"failed": 0,'*) echo "--- $workload oracle-checked: $line" ;;
     *) rc=1 ;;
@@ -148,6 +158,32 @@ run_shbench_oracle() {
     echo "shbench oracle check FAILED on $workload: $line" >&2
   fi
   return "$rc"
+}
+
+# The traced `serve-mixed` pass (one client, seed 1): index-assisted map
+# tasks answer from the block cache, so a warm query reads nothing but
+# its own output. `dfs.blocks_read_per_op` is an exact count over the
+# first cycle: 2.56 when this gate was set, 9.82 while map tasks still
+# read and checksummed their split before looking in the cache. Every
+# partition lookup must hit.
+run_read_path_gate() {
+  local line blocks hits
+  line=$(keeping_shbench_lock cargo run --release --quiet --manifest-path shbench/Cargo.toml -- \
+    --workload serve-mixed --trace 1 --clients 1 --seed 1 --seconds 2 | tail -n 1) || return 1
+  blocks=$(traced_metric "$line" dfs.blocks_read_per_op)
+  hits=$(traced_metric "$line" dfs.cache_hit_ratio)
+  if awk -v b="$blocks" -v h="$hits" 'BEGIN { exit !(b != "" && b <= 2.56 && h == 1) }'; then
+    echo "--- serve-mixed read path: dfs.blocks_read_per_op $blocks, dfs.cache_hit_ratio $hits"
+  else
+    echo "read-path gate FAILED: dfs.blocks_read_per_op '$blocks' (at most 2.56)," \
+      "dfs.cache_hit_ratio '$hits' (must be 1)" >&2
+    return 1
+  fi
+}
+
+# The value of metric "$2" in a traced result line "$1".
+traced_metric() {
+  printf '%s\n' "$1" | grep -oE "\"$2\": \\{\"value\": [^,}]+" | awk '{ print $NF }'
 }
 
 for s in "${STAGES[@]}"; do
