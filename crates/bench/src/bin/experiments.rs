@@ -5,6 +5,8 @@
 //! cargo run -p sh-bench --release --bin experiments -- E3 E13  # subset
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use sh_bench::experiments;

@@ -20,6 +20,8 @@
 //! seconds are simulated from the cost model; comparisons between
 //! variants are the reproduction target, not absolute magnitudes.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod table;
 

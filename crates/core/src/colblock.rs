@@ -33,9 +33,9 @@
 //!
 //! The MBR filter is a chunked, branch-light kernel: fixed-width lanes
 //! are compared with non-short-circuiting `&` into a selection bitmask
-//! (autovectorizable; an explicit SSE2 path exists behind the
-//! `explicit-simd` feature), and match indices are extracted from the
-//! mask — no per-hit `Vec` push inside the comparison loop.
+//! (the compiler autovectorizes it; there is no hand-written SIMD path),
+//! and match indices are extracted from the mask — no per-hit `Vec`
+//! push inside the comparison loop.
 
 use std::sync::Arc;
 
@@ -259,17 +259,6 @@ impl ColumnarBlock {
     /// Returned indices are absolute and ascending.
     pub fn mbr_filter_range(&self, q: &Rect, start: usize, end: usize) -> Vec<usize> {
         debug_assert!(start <= end && end <= self.count);
-        #[cfg(all(feature = "explicit-simd", target_arch = "x86_64"))]
-        {
-            return self.mbr_filter_range_sse2(q, start, end);
-        }
-        #[allow(unreachable_code)]
-        self.mbr_filter_range_chunked(q, start, end)
-    }
-
-    /// Chunked autovectorizing kernel: per-chunk selection bitmask built
-    /// with non-short-circuiting `&`, hits extracted from the mask.
-    fn mbr_filter_range_chunked(&self, q: &Rect, start: usize, end: usize) -> Vec<usize> {
         let mut hits = Vec::new();
         match self.kind {
             0 => {
@@ -325,78 +314,7 @@ impl ColumnarBlock {
         hits
     }
 
-    /// Explicit SSE2 kernel (2 f64 lanes, baseline on x86_64): compare
-    /// into vector masks, `movmskpd` to a bitmask, extract hits.
-    #[cfg(all(feature = "explicit-simd", target_arch = "x86_64"))]
-    fn mbr_filter_range_sse2(&self, q: &Rect, start: usize, end: usize) -> Vec<usize> {
-        use std::arch::x86_64::*;
-        let mut hits = Vec::new();
-        // SAFETY: SSE2 is part of the x86_64 baseline, so the intrinsics
-        // are always available. Every `_mm_loadu_pd(col.as_ptr().add(i))`
-        // reads the two `f64`s at `i` and `i + 1` (unaligned loads, so no
-        // alignment is required); the loops run only while `i + 2 <= n`,
-        // and every column slice below is cut with the same bounds-checked
-        // `[start..end]`, so each has exactly `n` elements (asserted).
-        unsafe {
-            match self.kind {
-                0 => {
-                    let xs = &self.cols[0][start..end];
-                    let ys = &self.cols[1][start..end];
-                    let n = xs.len();
-                    debug_assert!(ys.len() == n);
-                    let (qx1, qx2) = (_mm_set1_pd(q.x1), _mm_set1_pd(q.x2));
-                    let (qy1, qy2) = (_mm_set1_pd(q.y1), _mm_set1_pd(q.y2));
-                    let mut i = 0;
-                    while i + 2 <= n {
-                        let x = _mm_loadu_pd(xs.as_ptr().add(i));
-                        let y = _mm_loadu_pd(ys.as_ptr().add(i));
-                        let m = _mm_and_pd(
-                            _mm_and_pd(_mm_cmpge_pd(x, qx1), _mm_cmple_pd(x, qx2)),
-                            _mm_and_pd(_mm_cmpge_pd(y, qy1), _mm_cmple_pd(y, qy2)),
-                        );
-                        push_mask_hits(&mut hits, _mm_movemask_pd(m) as u32, start + i);
-                        i += 2;
-                    }
-                    for l in i..n {
-                        if (xs[l] >= q.x1) & (xs[l] <= q.x2) & (ys[l] >= q.y1) & (ys[l] <= q.y2) {
-                            hits.push(start + l);
-                        }
-                    }
-                }
-                _ => {
-                    let x1 = &self.cols[0][start..end];
-                    let y1 = &self.cols[1][start..end];
-                    let x2 = &self.cols[2][start..end];
-                    let y2 = &self.cols[3][start..end];
-                    let n = x1.len();
-                    debug_assert!(y1.len() == n && x2.len() == n && y2.len() == n);
-                    let (qx1, qx2) = (_mm_set1_pd(q.x1), _mm_set1_pd(q.x2));
-                    let (qy1, qy2) = (_mm_set1_pd(q.y1), _mm_set1_pd(q.y2));
-                    let mut i = 0;
-                    while i + 2 <= n {
-                        let a = _mm_loadu_pd(x1.as_ptr().add(i));
-                        let b = _mm_loadu_pd(y1.as_ptr().add(i));
-                        let c = _mm_loadu_pd(x2.as_ptr().add(i));
-                        let d = _mm_loadu_pd(y2.as_ptr().add(i));
-                        let m = _mm_and_pd(
-                            _mm_and_pd(_mm_cmple_pd(a, qx2), _mm_cmpge_pd(c, qx1)),
-                            _mm_and_pd(_mm_cmple_pd(b, qy2), _mm_cmpge_pd(d, qy1)),
-                        );
-                        push_mask_hits(&mut hits, _mm_movemask_pd(m) as u32, start + i);
-                        i += 2;
-                    }
-                    for l in i..n {
-                        if (x1[l] <= q.x2) & (x2[l] >= q.x1) & (y1[l] <= q.y2) & (y2[l] >= q.y1) {
-                            hits.push(start + l);
-                        }
-                    }
-                }
-            }
-        }
-        hits
-    }
-
-    /// Reference scalar scan — the oracle the chunked/SIMD kernels are
+    /// Reference scalar scan — the oracle the chunked kernel is
     /// property-tested against.
     pub fn mbr_filter_scalar(&self, q: &Rect) -> Vec<usize> {
         let mut hits = Vec::new();
@@ -442,8 +360,8 @@ impl ColumnarBlock {
     }
 }
 
-/// Appends `base + bit` for every set bit in `mask` — hit extraction
-/// shared by the chunked and explicit-SIMD kernels.
+/// Appends `base + bit` for every set bit in `mask` — the chunked
+/// kernel's hit extraction.
 #[inline]
 fn push_mask_hits(hits: &mut Vec<usize>, mut mask: u32, base: usize) {
     while mask != 0 {

@@ -59,6 +59,8 @@
 //! assert_eq!(nearest.value.len(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod codec;
 pub mod colblock;

@@ -27,6 +27,8 @@
 //! `sh-mapreduce` applies, and [`FtOptions`] the retry/blacklist/
 //! speculation policy it follows.
 
+#![forbid(unsafe_code)]
+
 mod block;
 mod cache;
 mod config;

@@ -19,6 +19,8 @@
 //! line-oriented [`text::Record`] encoding used by the simulated DFS, so
 //! that the MapReduce record readers in `sh-core` can parse them back.
 
+#![forbid(unsafe_code)]
+
 pub mod algorithms;
 pub mod dsu;
 pub mod float;

@@ -33,6 +33,8 @@
 //! the input (the index-building MapReduce job in `sh-core` draws it),
 //! reproducing SpatialHadoop's one-pass bulk loading.
 
+#![forbid(unsafe_code)]
+
 pub mod curve;
 pub mod grid;
 pub mod kdtree;

@@ -22,6 +22,8 @@
 //! cluster time; correctness tests only look at outputs, which are
 //! deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod context;
 pub mod cost;
 pub mod counters;

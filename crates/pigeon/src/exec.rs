@@ -1,17 +1,47 @@
 //! Script execution: routing statements to the operations layer.
+//!
+//! A statement that runs cluster jobs is one function of the DFS and the
+//! bindings it names, `run_job`, which returns the statement's effects as
+//! a [`StmtOutput`]. Inline execution, the server's tickets and `SUBMIT`
+//! all call it and differ only in the thread that runs it; every
+//! statement's output reaches its session through [`SessionCtx::absorb`].
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sh_core::ops;
 use sh_core::storage;
 use sh_core::{OpError, OpResult, SpatialFile};
 use sh_dfs::{Dfs, FaultPlan};
+use sh_geom::algorithms::closest_pair::PointPair;
 use sh_geom::{Point, Polygon, Record, Rect};
 use sh_mapreduce::{JobHandle, JobScheduler, Rows, SchedConfig, SchedPolicy};
 use sh_trace::{Event, JobProfile, Sampler, Waterfall};
 
 use crate::ast::{RecordType, Script, ScrubTarget, Stmt};
+
+/// Evaluates `$body` with the type `$R` bound to the record type that
+/// `$rtype` names: the one place a [`RecordType`] becomes a type
+/// parameter.
+macro_rules! with_record_type {
+    ($rtype:expr, $R:ident => $body:expr) => {
+        match $rtype {
+            RecordType::Point => {
+                type $R = Point;
+                $body
+            }
+            RecordType::Rectangle => {
+                type $R = Rect;
+                $body
+            }
+            RecordType::Polygon => {
+                type $R = Polygon;
+                $body
+            }
+        }
+    };
+}
 
 /// Errors from parsing or executing a script.
 #[derive(Debug)]
@@ -67,14 +97,13 @@ pub enum Value {
         rtype: RecordType,
     },
     /// A materialized result set (one record per row). Shared, not
-    /// copied, by every binding, `DUMP` and session snapshot holding it.
+    /// copied, by every binding, `DUMP` and scheduled statement holding
+    /// it.
     Result(Rows),
 }
 
 /// The Pigeon execution engine: an environment of named datasets over a
 /// simulated cluster.
-static OUT_SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
 pub struct Pigeon {
     dfs: Dfs,
     /// Engine-owned session backing the classic single-client entry
@@ -84,12 +113,14 @@ pub struct Pigeon {
     /// Multi-job scheduler, created by the first `SUBMIT` (or shared
     /// across engines via [`Pigeon::with_scheduler`]).
     sched: Option<JobScheduler>,
+    /// Why `sched` exists, as a late `SET sched_*` is told.
+    sched_origin: &'static str,
     /// Admission config the scheduler is created with (`SET sched_*`
     /// before the first `SUBMIT`).
     sched_cfg: SchedConfig,
     /// Time-series sampler over the global registry, started lazily by
-    /// the first `STATS;` (so short-lived engines — e.g. the per-job
-    /// engines `SUBMIT` spawns — never pay for a sampling thread).
+    /// the first `STATS;`, so an engine that never asks runs no sampling
+    /// thread.
     sampler: Option<Sampler>,
     /// Background integrity scrubber (`SET scrub_interval <ms>;`);
     /// stopped and joined when replaced, disabled, or the engine drops.
@@ -104,16 +135,10 @@ pub struct Pigeon {
 pub struct SessionCtx {
     /// Named datasets bound by this session's statements.
     pub vars: HashMap<String, Value>,
-    /// Aggregated profile of the most recent statement that ran jobs;
-    /// consumed by `PROFILE <statement>`.
-    last_profile: Option<JobProfile>,
     /// Submitted-but-unwaited jobs by scheduler job id.
     pending: HashMap<u64, JobHandle<Result<StmtOutput, String>>>,
     /// Slow-query threshold (`SET slow_query_ms <n>;`); 0 disables.
     slow_query_ms: u64,
-    /// Rendered profiles of statements that tripped the slow-query
-    /// threshold, drained into the dump output after each statement.
-    slow_log: Vec<String>,
     /// `SET result_limit <n>;`: cap on rows a single `DUMP` emits
     /// (0 = unlimited). Session-local by design — the observable proof
     /// that one connection's `SET` cannot leak into another's output.
@@ -142,62 +167,76 @@ impl SessionCtx {
         self.vars.get(var)
     }
 
-    fn lookup(&self, var: &str) -> Result<&Value, PigeonError> {
-        self.vars
-            .get(var)
-            .ok_or_else(|| PigeonError::Undefined(var.to_string()))
-    }
-
-    /// Unwraps an operation result, stashing its aggregated profile so a
-    /// surrounding `PROFILE` statement can report it. Statements whose
-    /// wall-clock exceeds `SET slow_query_ms` land their full rendered
-    /// profile in the slow-query log and journal a `query.slow` event.
-    fn take<T>(&mut self, op: &str, r: OpResult<T>) -> T {
-        let profile = r.profile(op);
-        if self.slow_query_ms > 0 {
-            let wall_ms = profile.wall.as_millis() as u64;
+    /// Applies a finished statement's output to this session, whichever
+    /// thread ran it, and returns what it dumped. Installs its binding;
+    /// when its jobs took at least `SET slow_query_ms`, journals a
+    /// `query.slow` event and appends the full rendered profile to the
+    /// dump.
+    pub fn absorb(&mut self, out: StmtOutput) -> Vec<Rows> {
+        let StmtOutput {
+            binding,
+            mut dumped,
+            profile,
+        } = out;
+        if let Some((var, val)) = binding {
+            self.vars.insert(var, val);
+        }
+        if let Some(p) = profile.filter(|_| self.slow_query_ms > 0) {
+            let wall_ms = p.wall.as_millis() as u64;
             if wall_ms >= self.slow_query_ms {
                 sh_trace::events::emit(
                     "query.slow",
-                    vec![("op", op.to_string()), ("wall_ms", wall_ms.to_string())],
+                    vec![("op", p.job.clone()), ("wall_ms", wall_ms.to_string())],
                 );
-                self.slow_log.push(format!(
-                    "slow query: {op} took {wall_ms}ms (threshold {}ms)",
-                    self.slow_query_ms
-                ));
-                self.slow_log
-                    .extend(profile.render().lines().map(str::to_string));
+                dumped.push(Rows::from_text(format!(
+                    "slow query: {} took {wall_ms}ms (threshold {}ms)\n{}",
+                    p.job,
+                    self.slow_query_ms,
+                    p.render()
+                )));
             }
         }
-        self.last_profile = Some(profile);
-        r.value
-    }
-
-    /// Moves the slow-query log into a statement's dump output.
-    fn drain_slow_log(&mut self, dumped: &mut Vec<Rows>) {
-        if !self.slow_log.is_empty() {
-            dumped.push(Rows::from_lines(self.slow_log.drain(..)));
-        }
-    }
-
-    /// Applies a finished statement's outcome to this session: installs
-    /// the binding, stashes the profile, and returns what it dumped.
-    pub fn absorb(&mut self, out: StmtOutput) -> Vec<Rows> {
-        if let Some((var, val)) = out.binding {
-            self.vars.insert(var, val);
-        }
-        self.last_profile = out.profile;
-        out.dumped
+        dumped
     }
 }
 
-/// What a statement run off-thread hands back: the variable it bound
-/// (if any), whatever it dumped, and the profile of the jobs it ran.
-/// Fed back into its session with [`SessionCtx::absorb`].
+/// What a statement hands back: the variable it bound (if any), whatever
+/// it dumped, and the profile of the jobs it ran. Fed into its session
+/// with [`SessionCtx::absorb`].
+#[derive(Default)]
 pub struct StmtOutput {
     binding: Option<(String, Value)>,
     dumped: Vec<Rows>,
     profile: Option<JobProfile>,
+}
+
+impl StmtOutput {
+    fn dump(rows: Rows) -> StmtOutput {
+        StmtOutput {
+            dumped: vec![rows],
+            ..StmtOutput::default()
+        }
+    }
+
+    /// Binds `var` to the heap file at `path`.
+    fn heap(var: &str, path: &str, rtype: RecordType) -> StmtOutput {
+        let path = path.to_string();
+        StmtOutput {
+            binding: Some((var.to_string(), Value::Heap { path, rtype })),
+            ..StmtOutput::default()
+        }
+    }
+
+    /// Binds `var` to what an operation answered, with the profile of
+    /// the jobs it ran.
+    fn bind<T>(var: &str, op: &str, r: OpResult<T>, value: impl FnOnce(T) -> Value) -> StmtOutput {
+        let profile = Some(r.profile(op));
+        StmtOutput {
+            binding: Some((var.to_string(), value(r.value))),
+            dumped: Vec::new(),
+            profile,
+        }
+    }
 }
 
 /// Outcome of [`Pigeon::admit_stmt`]: the statement either ran inline,
@@ -262,6 +301,7 @@ impl Pigeon {
             dfs: dfs.clone(),
             session: SessionCtx::default(),
             sched: None,
+            sched_origin: "",
             sched_cfg: SchedConfig::default(),
             sampler: None,
             scrubber: None,
@@ -273,22 +313,21 @@ impl Pigeon {
     /// one admission-controlled queue. `SET sched_*` knobs are rejected
     /// on such engines (the scheduler already exists).
     pub fn with_scheduler(dfs: &Dfs, sched: &JobScheduler) -> Pigeon {
-        let mut engine = Pigeon::new(dfs);
-        engine.sched = Some(sched.clone());
-        engine
-    }
-
-    /// The engine's scheduler, created on first use.
-    fn scheduler(&mut self) -> &JobScheduler {
-        if self.sched.is_none() {
-            self.sched = Some(JobScheduler::new(&self.dfs, self.sched_cfg));
+        Pigeon {
+            sched: Some(sched.clone()),
+            sched_origin: "cannot change the scheduler every session shares, \
+                           which is fixed when the server starts",
+            ..Pigeon::new(dfs)
         }
-        self.sched.as_ref().expect("scheduler just created")
     }
 
-    /// Profile of the last statement that ran jobs, if any.
-    pub fn last_profile(&self) -> Option<&JobProfile> {
-        self.session.last_profile.as_ref()
+    /// The engine's scheduler, created on first use; `origin` says what
+    /// created it.
+    fn scheduler(&mut self, origin: &'static str) -> &JobScheduler {
+        self.sched.get_or_insert_with(|| {
+            self.sched_origin = origin;
+            JobScheduler::new(&self.dfs, self.sched_cfg)
+        })
     }
 
     /// Looks up a bound value in the engine's own session.
@@ -314,9 +353,7 @@ impl Pigeon {
     ) -> Result<Vec<String>, PigeonError> {
         let mut dumped = Vec::new();
         for stmt in &script.stmts {
-            self.execute_stmt(sess, stmt, &mut dumped)?;
-            // Auto-dump profiles that tripped `SET slow_query_ms`.
-            sess.drain_slow_log(&mut dumped);
+            dumped.extend(self.execute_stmt(sess, stmt)?);
         }
         Ok(dumped
             .iter()
@@ -335,614 +372,46 @@ impl Pigeon {
         stmt: &Stmt,
         tenant: &str,
     ) -> Result<Admission, PigeonError> {
-        if !stmt_runs_jobs(stmt) {
-            let mut dumped = Vec::new();
-            self.execute_stmt(sess, stmt, &mut dumped)?;
-            sess.drain_slow_log(&mut dumped);
-            return Ok(Admission::Done(dumped));
+        if job_inputs(stmt).is_none() {
+            return Ok(Admission::Done(self.execute_stmt(sess, stmt)?));
         }
-        let name = stmt_verb(stmt);
-        let closure = job_closure(stmt.clone(), sess.vars.clone(), sess.slow_query_ms);
-        let sched = self.scheduler().clone();
-        match sched.submit_as(tenant, name, closure) {
+        let sched = self
+            .scheduler("must precede the first scheduled statement")
+            .clone();
+        match sched.submit_as(tenant, stmt_verb(stmt), scheduled(stmt, &sess.vars)) {
             Ok(handle) => Ok(Admission::Pending(StmtTicket { sched, handle })),
             Err(sh_mapreduce::SchedError::QueueFull) => Ok(Admission::Busy),
             Err(e) => Err(PigeonError::Job(e.to_string())),
         }
     }
 
-    /// The universe of a points dataset (needed by heap-file fallbacks);
-    /// derived from the index when available.
-    fn universe_of(&self, value: &Value) -> Result<Rect, PigeonError> {
-        match value {
-            Value::Indexed { file, .. } => Ok(file.universe),
-            Value::Heap { path, .. } => {
-                // Driver-side scan for the MBR (cheap relative to jobs).
-                let text = self.dfs.read_to_string(path)?;
-                let mut mbr = Rect::empty();
-                for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                    let p = Point::parse_line(line).map_err(OpError::from)?;
-                    mbr.expand_point(&p);
-                }
-                Ok(mbr)
-            }
-            Value::Result(_) => Err(PigeonError::Type(
-                "expected a dataset, found a result set".into(),
-            )),
-        }
-    }
-
-    /// Runs one statement. Its jobs write under a scratch directory of
-    /// its own, which is gone again when the statement returns: by then
-    /// the rows are bound to the session (or the statement failed), and
-    /// nothing refers to the files. `STORE ... INTO` targets and index
-    /// directories are user-named and live elsewhere.
+    /// Runs one statement on this thread and absorbs its output.
     fn execute_stmt(
         &mut self,
         sess: &mut SessionCtx,
         stmt: &Stmt,
-        dumped: &mut Vec<Rows>,
-    ) -> Result<(), PigeonError> {
-        let seq = OUT_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let out = format!("/pigeon/{}-{seq}", stmt_verb(stmt));
-        let result = self.run_stmt(sess, stmt, &out, dumped);
-        storage::delete_dir(&self.dfs, &out);
-        result
+    ) -> Result<Vec<Rows>, PigeonError> {
+        let out = self.run(sess, stmt)?;
+        Ok(sess.absorb(out))
     }
 
-    fn run_stmt(
-        &mut self,
-        sess: &mut SessionCtx,
-        stmt: &Stmt,
-        out: &str,
-        dumped: &mut Vec<Rows>,
-    ) -> Result<(), PigeonError> {
-        match stmt {
+    /// One statement's output, not yet absorbed. Job statements go to
+    /// `run_job`; the rest read or change the engine or the live session
+    /// (`DUMP`, `SET`, `WAIT`, ...), which is why they run on the
+    /// caller's thread.
+    fn run(&mut self, sess: &mut SessionCtx, stmt: &Stmt) -> Result<StmtOutput, PigeonError> {
+        Ok(match stmt {
+            Stmt::Profile(inner) | Stmt::ExplainAnalyze(inner) => {
+                decorate(stmt, self.run(sess, inner)?)
+            }
             Stmt::Load { var, path, rtype } => {
                 if !self.dfs.exists(path) {
                     return Err(PigeonError::Undefined(format!("no such file {path}")));
                 }
-                sess.vars.insert(
-                    var.clone(),
-                    Value::Heap {
-                        path: path.clone(),
-                        rtype: *rtype,
-                    },
-                );
-            }
-            Stmt::Import {
-                var,
-                host_path,
-                rtype,
-                path,
-            } => {
-                let text = std::fs::read_to_string(host_path).map_err(|e| {
-                    PigeonError::Type(format!("cannot read host file {host_path}: {e}"))
-                })?;
-                let mut writer = self.dfs.create(path)?;
-                let mut imported = 0usize;
-                for (lineno, raw) in text.lines().enumerate() {
-                    let line = raw
-                        .trim()
-                        .replace(',', " ")
-                        .split_whitespace()
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    if line.is_empty() || line.starts_with('#') {
-                        continue;
-                    }
-                    // Validate against the declared type before storing.
-                    let ok = match rtype {
-                        RecordType::Point => Point::parse_line(&line).is_ok(),
-                        RecordType::Rectangle => Rect::parse_line(&line).is_ok(),
-                        RecordType::Polygon => Polygon::parse_line(&line).is_ok(),
-                    };
-                    if !ok {
-                        return Err(PigeonError::Type(format!(
-                            "{host_path}:{}: not a valid {rtype:?} record: {raw:?}",
-                            lineno + 1
-                        )));
-                    }
-                    writer.write_line(&line);
-                    imported += 1;
-                }
-                writer.close()?;
-                if imported == 0 {
-                    return Err(PigeonError::Type(format!("{host_path}: no records")));
-                }
-                sess.vars.insert(
-                    var.clone(),
-                    Value::Heap {
-                        path: path.clone(),
-                        rtype: *rtype,
-                    },
-                );
-            }
-            Stmt::Generate {
-                var,
-                n,
-                rtype,
-                distribution,
-                path,
-            } => {
-                use sh_workload::Distribution as D;
-                let universe = sh_workload::default_universe();
-                let seed = 0xBEEF ^ (*n as u64);
-                match rtype {
-                    RecordType::Point => {
-                        let dist = match distribution.as_str() {
-                            "uniform" => Some(D::Uniform),
-                            "gaussian" => Some(D::Gaussian),
-                            "correlated" => Some(D::Correlated),
-                            "anticorrelated" | "anti" => Some(D::AntiCorrelated),
-                            "circular" => Some(D::Circular),
-                            "osm" | "osmlike" => None,
-                            other => {
-                                return Err(PigeonError::Type(format!(
-                                    "unknown distribution {other}"
-                                )))
-                            }
-                        };
-                        let pts = match dist {
-                            Some(d) => sh_workload::points(*n, d, &universe, seed),
-                            None => sh_workload::osm_like_points(*n, &universe, 8, seed),
-                        };
-                        storage::upload(&self.dfs, path, &pts)?;
-                    }
-                    RecordType::Rectangle => {
-                        let rs = sh_workload::rects(*n, &universe, universe.width() * 0.005, seed);
-                        storage::upload(&self.dfs, path, &rs)?;
-                    }
-                    RecordType::Polygon => {
-                        let ps = sh_workload::osm_like_polygons(
-                            *n,
-                            &universe,
-                            universe.width() * 0.008,
-                            seed,
-                        );
-                        storage::upload(&self.dfs, path, &ps)?;
-                    }
-                }
-                sess.vars.insert(
-                    var.clone(),
-                    Value::Heap {
-                        path: path.clone(),
-                        rtype: *rtype,
-                    },
-                );
-            }
-            Stmt::Delaunay { var, src } => {
-                let tris = match sess.lookup(src)?.clone() {
-                    Value::Indexed { file, rtype } => {
-                        expect_points(src, rtype)?;
-                        let r = ops::delaunay::delaunay_spatial(&self.dfs, &file, out)?;
-                        sess.take("delaunay", r)
-                    }
-                    Value::Heap { path, rtype } => {
-                        expect_points(src, rtype)?;
-                        let uni = self.universe_of(&Value::Heap {
-                            path: path.clone(),
-                            rtype,
-                        })?;
-                        let r = ops::delaunay::delaunay_hadoop(&self.dfs, &path, &uni, out)?;
-                        sess.take("delaunay", r)
-                    }
-                    Value::Result(_) => {
-                        return Err(PigeonError::Type("DELAUNAY over a result set".into()))
-                    }
-                };
-                let rows = Rows::from_lines(tris.iter().map(|t| {
-                    format!(
-                        "{} {} | {} {} | {} {}",
-                        t.0[0].x, t.0[0].y, t.0[1].x, t.0[1].y, t.0[2].x, t.0[2].y
-                    )
-                }));
-                sess.vars.insert(var.clone(), Value::Result(rows));
-            }
-            Stmt::Index {
-                var,
-                src,
-                kind,
-                path,
-                format,
-            } => {
-                let (heap, rtype) = match sess.lookup(src)? {
-                    Value::Heap { path, rtype } => (path.clone(), *rtype),
-                    _ => {
-                        return Err(PigeonError::Type(format!(
-                            "INDEX expects a loaded heap file, {src} is not one"
-                        )))
-                    }
-                };
-                let r = match rtype {
-                    RecordType::Point => {
-                        storage::build_index_fmt::<Point>(&self.dfs, &heap, path, *kind, *format)?
-                    }
-                    RecordType::Rectangle => {
-                        storage::build_index_fmt::<Rect>(&self.dfs, &heap, path, *kind, *format)?
-                    }
-                    RecordType::Polygon => {
-                        storage::build_index_fmt::<Polygon>(&self.dfs, &heap, path, *kind, *format)?
-                    }
-                };
-                let file = sess.take("index", r);
-                sess.vars
-                    .insert(var.clone(), Value::Indexed { file, rtype });
-            }
-            Stmt::RangeFilter { var, src, query } => {
-                // The job's rows are bound as its mappers wrote them:
-                // every row is a record's `to_line()` already.
-                let dfs = &self.dfs;
-                let r = match sess.lookup(src)?.clone() {
-                    Value::Indexed { file, rtype } => {
-                        let opts = ops::range::RangeOptions::default();
-                        match rtype {
-                            RecordType::Point => ops::range::range_spatial_rows::<Point>(
-                                dfs, &file, query, out, opts,
-                            ),
-                            RecordType::Rectangle => {
-                                ops::range::range_spatial_rows::<Rect>(dfs, &file, query, out, opts)
-                            }
-                            RecordType::Polygon => ops::range::range_spatial_rows::<Polygon>(
-                                dfs, &file, query, out, opts,
-                            ),
-                        }
-                    }
-                    Value::Heap { path, rtype } => match rtype {
-                        RecordType::Point => {
-                            ops::range::range_hadoop_rows::<Point>(dfs, &path, query, out)
-                        }
-                        RecordType::Rectangle => {
-                            ops::range::range_hadoop_rows::<Rect>(dfs, &path, query, out)
-                        }
-                        RecordType::Polygon => {
-                            ops::range::range_hadoop_rows::<Polygon>(dfs, &path, query, out)
-                        }
-                    },
-                    Value::Result(_) => {
-                        return Err(PigeonError::Type("FILTER over a result set".into()))
-                    }
-                }?;
-                let rows = sess.take("range", r);
-                sess.vars.insert(var.clone(), Value::Result(rows));
-            }
-            Stmt::Knn { var, src, q, k } => {
-                let pts = match sess.lookup(src)?.clone() {
-                    Value::Indexed { file, rtype } => {
-                        expect_points(src, rtype)?;
-                        let r = ops::knn::knn_spatial(&self.dfs, &file, q, *k, out)?;
-                        sess.take("knn", r)
-                    }
-                    Value::Heap { path, rtype } => {
-                        expect_points(src, rtype)?;
-                        let r = ops::knn::knn_hadoop(&self.dfs, &path, q, *k, out)?;
-                        sess.take("knn", r)
-                    }
-                    Value::Result(_) => {
-                        return Err(PigeonError::Type("KNN over a result set".into()))
-                    }
-                };
-                sess.vars.insert(var.clone(), Value::Result(to_rows(&pts)));
-            }
-            Stmt::Join { var, left, right } => {
-                let l = sess.lookup(left)?.clone();
-                let r = sess.lookup(right)?.clone();
-                let pairs = match (l, r) {
-                    (
-                        Value::Indexed {
-                            file: fa,
-                            rtype: ta,
-                        },
-                        Value::Indexed {
-                            file: fb,
-                            rtype: tb,
-                        },
-                    ) => {
-                        expect_rects(left, ta)?;
-                        expect_rects(right, tb)?;
-                        let r = ops::join::distributed_join(&self.dfs, &fa, &fb, out)?;
-                        sess.take("join", r)
-                    }
-                    (
-                        Value::Heap {
-                            path: pa,
-                            rtype: ta,
-                        },
-                        Value::Heap {
-                            path: pb,
-                            rtype: tb,
-                        },
-                    ) => {
-                        expect_rects(left, ta)?;
-                        expect_rects(right, tb)?;
-                        // Universe for the SJMR grid: union of both MBRs,
-                        // from one driver-side read of each heap file.
-                        let mut uni = Rect::empty();
-                        for path in [&pa, &pb] {
-                            let text = self.dfs.read_to_string(path)?;
-                            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                                uni.expand(&Rect::parse_line(line).map_err(OpError::from)?);
-                            }
-                        }
-                        let r = ops::join::sjmr(&self.dfs, &pa, &pb, &uni, 16, out)?;
-                        sess.take("join", r)
-                    }
-                    _ => {
-                        return Err(PigeonError::Type(
-                            "JOIN needs two heap files or two indexed files".into(),
-                        ))
-                    }
-                };
-                let mut text = String::with_capacity(pairs.len() * 80);
-                for (a, b) in &pairs {
-                    a.write_line(&mut text);
-                    text.push_str(" | ");
-                    b.write_line(&mut text);
-                    text.push('\n');
-                }
-                sess.vars
-                    .insert(var.clone(), Value::Result(Rows::from_text(text)));
-            }
-            Stmt::KnnJoin {
-                var,
-                left,
-                right,
-                k,
-            } => {
-                let (l, r) = (sess.lookup(left)?.clone(), sess.lookup(right)?.clone());
-                let rows = match (l, r) {
-                    (
-                        Value::Indexed {
-                            file: fa,
-                            rtype: ta,
-                        },
-                        Value::Indexed {
-                            file: fb,
-                            rtype: tb,
-                        },
-                    ) => {
-                        expect_points(left, ta)?;
-                        expect_points(right, tb)?;
-                        let r = ops::knn_join::knn_join_spatial(&self.dfs, &fa, &fb, *k, out)?;
-                        sess.take("knnjoin", r)
-                    }
-                    _ => {
-                        return Err(PigeonError::Type(
-                            "KNNJOIN needs two indexed POINT datasets".into(),
-                        ))
-                    }
-                };
-                let rows = Rows::from_lines(rows.iter().map(|row| {
-                    let mut s = format!("{} {} |", row.r.x, row.r.y);
-                    for n in &row.neighbors {
-                        let _ = write!(s, " {} {}", n.x, n.y);
-                    }
-                    s
-                }));
-                sess.vars.insert(var.clone(), Value::Result(rows));
-            }
-            Stmt::Skyline { var, src } => {
-                let pts = match sess.lookup(src)?.clone() {
-                    Value::Indexed { file, rtype } => {
-                        expect_points(src, rtype)?;
-                        let r = ops::skyline::skyline_spatial(&self.dfs, &file, out)?;
-                        sess.take("skyline", r)
-                    }
-                    Value::Heap { path, rtype } => {
-                        expect_points(src, rtype)?;
-                        let r = ops::skyline::skyline_hadoop(&self.dfs, &path, out)?;
-                        sess.take("skyline", r)
-                    }
-                    Value::Result(_) => {
-                        return Err(PigeonError::Type("SKYLINE over a result set".into()))
-                    }
-                };
-                sess.vars.insert(var.clone(), Value::Result(to_rows(&pts)));
-            }
-            Stmt::ConvexHull { var, src } => {
-                let pts = match sess.lookup(src)?.clone() {
-                    Value::Indexed { file, rtype } => {
-                        expect_points(src, rtype)?;
-                        let r = ops::convex_hull::hull_spatial(&self.dfs, &file, out)?;
-                        sess.take("convexhull", r)
-                    }
-                    Value::Heap { path, rtype } => {
-                        expect_points(src, rtype)?;
-                        let r = ops::convex_hull::hull_hadoop(&self.dfs, &path, out)?;
-                        sess.take("convexhull", r)
-                    }
-                    Value::Result(_) => {
-                        return Err(PigeonError::Type("CONVEXHULL over a result set".into()))
-                    }
-                };
-                sess.vars.insert(var.clone(), Value::Result(to_rows(&pts)));
-            }
-            Stmt::ClosestPair { var, src } => {
-                let pair = match sess.lookup(src)?.clone() {
-                    Value::Indexed { file, rtype } => {
-                        expect_points(src, rtype)?;
-                        let r = ops::closest_pair::closest_pair_spatial(&self.dfs, &file, out)?;
-                        sess.take("closestpair", r)
-                    }
-                    _ => {
-                        return Err(PigeonError::Type(
-                            "CLOSESTPAIR requires an indexed dataset".into(),
-                        ))
-                    }
-                };
-                let rows =
-                    Rows::from_lines(pair.map(|p| {
-                        format!("{} | {} | {}", p.a.to_line(), p.b.to_line(), p.distance)
-                    }));
-                sess.vars.insert(var.clone(), Value::Result(rows));
-            }
-            Stmt::FarthestPair { var, src } => {
-                let pair = match sess.lookup(src)?.clone() {
-                    Value::Indexed { file, rtype } => {
-                        expect_points(src, rtype)?;
-                        let r = ops::farthest_pair::farthest_pair_spatial(&self.dfs, &file, out)?;
-                        sess.take("farthestpair", r)
-                    }
-                    Value::Heap { path, rtype } => {
-                        expect_points(src, rtype)?;
-                        let r = ops::farthest_pair::farthest_pair_hadoop(&self.dfs, &path, out)?;
-                        sess.take("farthestpair", r)
-                    }
-                    Value::Result(_) => {
-                        return Err(PigeonError::Type("FARTHESTPAIR over a result set".into()))
-                    }
-                };
-                let rows =
-                    Rows::from_lines(pair.map(|p| {
-                        format!("{} | {} | {}", p.a.to_line(), p.b.to_line(), p.distance)
-                    }));
-                sess.vars.insert(var.clone(), Value::Result(rows));
-            }
-            Stmt::Union { var, src } => {
-                let segs = match sess.lookup(src)?.clone() {
-                    Value::Indexed { file, rtype } => {
-                        if rtype != RecordType::Polygon {
-                            return Err(PigeonError::Type(format!(
-                                "UNION expects polygons, {src} is not"
-                            )));
-                        }
-                        if file.is_disjoint() {
-                            let r = ops::union::union_enhanced(&self.dfs, &file, out)?;
-                            sess.take("union", r)
-                        } else {
-                            let r = ops::union::union_spatial(&self.dfs, &file, out)?;
-                            sess.take("union", r)
-                        }
-                    }
-                    Value::Heap { path, rtype } => {
-                        if rtype != RecordType::Polygon {
-                            return Err(PigeonError::Type(format!(
-                                "UNION expects polygons, {src} is not"
-                            )));
-                        }
-                        let r = ops::union::union_hadoop(&self.dfs, &path, out)?;
-                        sess.take("union", r)
-                    }
-                    Value::Result(_) => {
-                        return Err(PigeonError::Type("UNION over a result set".into()))
-                    }
-                };
-                sess.vars.insert(var.clone(), Value::Result(to_rows(&segs)));
-            }
-            Stmt::Voronoi { var, src } => {
-                let cells = match sess.lookup(src)?.clone() {
-                    Value::Indexed { file, rtype } => {
-                        expect_points(src, rtype)?;
-                        let r = ops::voronoi::voronoi_spatial(&self.dfs, &file, out)?;
-                        sess.take("voronoi", r)
-                    }
-                    Value::Heap { path, rtype } => {
-                        expect_points(src, rtype)?;
-                        let uni = self.universe_of(&Value::Heap {
-                            path: path.clone(),
-                            rtype,
-                        })?;
-                        let r = ops::voronoi::voronoi_hadoop(&self.dfs, &path, &uni, out)?;
-                        sess.take("voronoi", r)
-                    }
-                    Value::Result(_) => {
-                        return Err(PigeonError::Type("VORONOI over a result set".into()))
-                    }
-                };
-                let rows = Rows::from_lines(cells.iter().map(|c| {
-                    format!(
-                        "{} {} cell[{} vertices]",
-                        c.site.x,
-                        c.site.y,
-                        c.vertices.len()
-                    )
-                }));
-                sess.vars.insert(var.clone(), Value::Result(rows));
-            }
-            Stmt::Describe { src } => {
-                let stats = match sess.lookup(src)?.clone() {
-                    Value::Indexed { file, .. } => ops::aggregate::stats_spatial(&file),
-                    Value::Heap { path, rtype } => {
-                        let r = match rtype {
-                            RecordType::Point => {
-                                ops::aggregate::stats_hadoop::<Point>(&self.dfs, &path, out)?
-                            }
-                            RecordType::Rectangle => {
-                                ops::aggregate::stats_hadoop::<Rect>(&self.dfs, &path, out)?
-                            }
-                            RecordType::Polygon => {
-                                ops::aggregate::stats_hadoop::<Polygon>(&self.dfs, &path, out)?
-                            }
-                        };
-                        sess.take("describe", r)
-                    }
-                    Value::Result(rows) => {
-                        dumped.push(one_row(format!("result set: {} rows", rows.len())));
-                        return Ok(());
-                    }
-                };
-                dumped.push(one_row(format!(
-                    "{src}: {} records, {} bytes, mbr [{}, {}] x [{}, {}]",
-                    stats.records,
-                    stats.bytes,
-                    stats.mbr.x1,
-                    stats.mbr.x2,
-                    stats.mbr.y1,
-                    stats.mbr.y2
-                )));
-            }
-            Stmt::Plot {
-                src,
-                width,
-                height,
-                path,
-            } => {
-                let (file, rtype) = match sess.lookup(src)?.clone() {
-                    Value::Indexed { file, rtype } => (file, rtype),
-                    _ => return Err(PigeonError::Type("PLOT requires an indexed dataset".into())),
-                };
-                let r = match rtype {
-                    RecordType::Point => {
-                        ops::plot::plot_spatial::<Point>(&self.dfs, &file, *width, *height, path)?
-                    }
-                    RecordType::Rectangle => {
-                        ops::plot::plot_spatial::<Rect>(&self.dfs, &file, *width, *height, path)?
-                    }
-                    RecordType::Polygon => {
-                        ops::plot::plot_spatial::<Polygon>(&self.dfs, &file, *width, *height, path)?
-                    }
-                };
-                sess.take("plot", r);
-            }
-            Stmt::PlotPyramid {
-                src,
-                levels,
-                tile_px,
-                path,
-            } => {
-                let (file, rtype) = match sess.lookup(src)?.clone() {
-                    Value::Indexed { file, rtype } => (file, rtype),
-                    _ => {
-                        return Err(PigeonError::Type(
-                            "PLOTPYRAMID requires an indexed dataset".into(),
-                        ))
-                    }
-                };
-                let r = match rtype {
-                    RecordType::Point => {
-                        ops::plot::plot_pyramid::<Point>(&self.dfs, &file, *levels, *tile_px, path)?
-                    }
-                    RecordType::Rectangle => {
-                        ops::plot::plot_pyramid::<Rect>(&self.dfs, &file, *levels, *tile_px, path)?
-                    }
-                    RecordType::Polygon => ops::plot::plot_pyramid::<Polygon>(
-                        &self.dfs, &file, *levels, *tile_px, path,
-                    )?,
-                };
-                sess.take("plotpyramid", r);
+                StmtOutput::heap(var, path, *rtype)
             }
             Stmt::Dump { src } => {
-                let rows = match sess.lookup(src)? {
+                let rows = match lookup(&sess.vars, src)? {
                     Value::Result(rows) => rows.clone(),
                     Value::Heap { path, .. } => Rows::from_text(self.dfs.read_to_string(path)?),
                     Value::Indexed { file, .. } => one_row(format!(
@@ -953,32 +422,18 @@ impl Pigeon {
                         file.total_records()
                     )),
                 };
-                dumped.push(limit_rows(rows, sess.result_limit));
+                StmtOutput::dump(limit_rows(rows, sess.result_limit))
             }
-            Stmt::Profile(inner) => {
-                sess.last_profile = None;
-                self.execute_stmt(sess, inner, dumped)?;
-                match sess.last_profile.take() {
-                    Some(p) => dumped.push(Rows::from_text(p.render())),
-                    None => dumped.push(one_row("profile: statement ran no jobs")),
-                }
-            }
-            Stmt::ExplainAnalyze(inner) => {
-                sess.last_profile = None;
-                self.execute_stmt(sess, inner, dumped)?;
-                match sess.last_profile.take() {
-                    Some(p) => match &p.spans {
-                        Some(root) => dumped.push(Rows::from_text(format!(
-                            "explain analyze: {}\n{}",
-                            p.job,
-                            Waterfall(root)
-                        ))),
-                        None => {
-                            dumped.push(one_row("explain analyze: statement recorded no spans"))
-                        }
-                    },
-                    None => dumped.push(one_row("explain analyze: statement ran no jobs")),
-                }
+            Stmt::Store { src, path } => {
+                let Value::Result(rows) = lookup(&sess.vars, src)? else {
+                    return Err(PigeonError::Type(
+                        "STORE expects a computed result set".into(),
+                    ));
+                };
+                let mut w = self.dfs.create(path)?;
+                w.write_str(rows.text());
+                w.close()?;
+                StmtOutput::default()
             }
             Stmt::Stats => {
                 let sampler = self.sampler.get_or_insert_with(|| {
@@ -987,90 +442,72 @@ impl Pigeon {
                 // Force a fresh sample so STATS reflects the statements
                 // that just ran, not the last background tick.
                 sampler.tick();
-                dumped.push(Rows::from_text(sampler.render()));
+                StmtOutput::dump(Rows::from_text(sampler.render()))
             }
             Stmt::Events { n, filter } => {
                 let events = sh_trace::journal().recent(n.unwrap_or(20), filter.as_deref());
-                if events.is_empty() {
-                    dumped.push(one_row("events: none recorded"));
+                StmtOutput::dump(if events.is_empty() {
+                    one_row("events: none recorded")
                 } else {
-                    dumped.push(Rows::from_lines(events.iter().map(Event::render)));
-                }
+                    Rows::from_lines(events.iter().map(Event::render))
+                })
             }
-            Stmt::Set { key, value } => self.apply_set(sess, key, value)?,
+            Stmt::Set { key, value } => {
+                self.apply_set(sess, key, value)?;
+                StmtOutput::default()
+            }
             Stmt::Submit(inner) => {
                 forbid_nested_async(inner)?;
-                let stmt = (**inner).clone();
-                let name = stmt_verb(&stmt).to_string();
-                // The job sees a snapshot of the environment; its own
-                // bindings come back at WAIT, so concurrent jobs cannot
-                // race on the variable table.
-                let closure = job_closure(stmt, sess.vars.clone(), sess.slow_query_ms);
-                let handle = self
-                    .scheduler()
-                    .submit(&name, closure)
-                    .map_err(|e| PigeonError::Job(e.to_string()))?;
-                dumped.push(one_row(format!("submitted job {} ({name})", handle.id)));
-                sess.pending.insert(handle.id, handle);
+                let name = stmt_verb(inner);
+                // A statement that runs no jobs runs now, against the
+                // live session; its output waits for `WAIT` like a job's.
+                let ran = job_inputs(inner)
+                    .is_none()
+                    .then(|| self.run(sess, inner).map_err(|e| e.to_string()));
+                let sched = self.scheduler("must precede the first SUBMIT");
+                let submitted = match ran {
+                    Some(out) => sched.submit(name, move |_: &Dfs| out),
+                    None => sched.submit(name, scheduled(inner, &sess.vars)),
+                };
+                let handle = submitted.map_err(|e| PigeonError::Job(e.to_string()))?;
+                let id = handle.id;
+                sess.pending.insert(id, handle);
+                StmtOutput::dump(one_row(format!("submitted job {id} ({name})")))
             }
-            Stmt::Jobs => match &self.sched {
-                Some(sched) => {
-                    dumped.push(Rows::from_lines(sched.jobs().iter().map(|j| {
-                        format!("job {} {} [{}]: {}", j.id, j.name, j.tenant, j.state)
-                    })))
-                }
-                None => dumped.push(one_row("no jobs submitted")),
-            },
+            Stmt::Jobs => StmtOutput::dump(match &self.sched {
+                Some(sched) => Rows::from_lines(
+                    sched
+                        .jobs()
+                        .iter()
+                        .map(|j| format!("job {} {} [{}]: {}", j.id, j.name, j.tenant, j.state)),
+                ),
+                None => one_row("no jobs submitted"),
+            }),
             Stmt::Wait { id } => {
                 let handle = sess
                     .pending
                     .remove(id)
                     .ok_or_else(|| PigeonError::Type(format!("WAIT {id}: no such pending job")))?;
                 match handle.join() {
-                    Ok(Ok(outcome)) => dumped.extend(sess.absorb(outcome)),
+                    Ok(Ok(out)) => out,
                     Ok(Err(msg)) => return Err(PigeonError::Job(format!("job {id}: {msg}"))),
                     Err(e) => return Err(PigeonError::Job(format!("job {id}: {e}"))),
                 }
             }
-            Stmt::Scrub { target } => {
-                let prefix = match target {
-                    None => String::new(),
-                    Some(ScrubTarget::Path(p)) => p.clone(),
-                    Some(ScrubTarget::Var(v)) => match sess.lookup(v)? {
-                        Value::Heap { path, .. } => path.clone(),
-                        Value::Indexed { file, .. } => file.dir.clone(),
-                        Value::Result(_) => {
-                            return Err(PigeonError::Type(format!(
-                                "SCRUB {v}: result sets have no storage to scrub"
-                            )))
-                        }
-                    },
-                };
-                dumped.push(one_row(self.dfs.scrub(&prefix).to_string()));
-            }
-            Stmt::Store { src, path } => {
-                let Value::Result(rows) = sess.lookup(src)? else {
-                    return Err(PigeonError::Type(
-                        "STORE expects a computed result set".into(),
-                    ));
-                };
-                let mut w = self.dfs.create(path)?;
-                w.write_str(rows.text());
-                w.close()?;
-            }
-        }
-        Ok(())
+            _ => run_job(&self.dfs, stmt, &sess.vars)?,
+        })
     }
 
     /// Admission knobs configure the scheduler at creation; changing
     /// them afterwards would silently not apply.
     fn require_no_scheduler(&self, key: &str) -> Result<(), PigeonError> {
-        if self.sched.is_some() {
-            return Err(PigeonError::Type(format!(
-                "SET {key} must precede the first SUBMIT"
-            )));
+        match self.sched {
+            Some(_) => Err(PigeonError::Type(format!(
+                "SET {key} {}",
+                self.sched_origin
+            ))),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Applies a `SET <option> <value>;`. Most knobs configure the
@@ -1176,10 +613,9 @@ impl Pigeon {
                 let ms = num(value)?;
                 self.scrubber = None; // stop and join any previous one
                 if ms > 0 {
-                    if self.sched.is_none() {
-                        self.sched = Some(JobScheduler::new(&self.dfs, self.sched_cfg));
-                    }
-                    let sched = self.sched.as_ref().expect("scheduler just created").clone();
+                    let sched = self
+                        .scheduler("must precede SET scrub_interval, which starts the scheduler")
+                        .clone();
                     self.scrubber =
                         Some(Scrubber::start(sched, std::time::Duration::from_millis(ms)));
                 }
@@ -1198,6 +634,472 @@ impl Pigeon {
     }
 }
 
+/// Numbers each job statement's scratch directory.
+static OUT_SEQ: AtomicUsize = AtomicUsize::new(0);
+
+/// Runs a job statement: the one runner, on the caller's thread inline
+/// and on the scheduler's for tickets and `SUBMIT`. It sees only `vars`,
+/// borrows the inputs it names from them, and returns its effects for
+/// [`SessionCtx::absorb`]. Its jobs write under a scratch directory of
+/// its own, which is gone again when it returns: by then the rows are in
+/// its output (or it failed), and nothing refers to the files. `STORE
+/// ... INTO` targets and index directories are user-named and live
+/// elsewhere.
+fn run_job(
+    dfs: &Dfs,
+    stmt: &Stmt,
+    vars: &HashMap<String, Value>,
+) -> Result<StmtOutput, PigeonError> {
+    if let Stmt::Profile(inner) | Stmt::ExplainAnalyze(inner) = stmt {
+        return Ok(decorate(stmt, run_job(dfs, inner, vars)?));
+    }
+    let seq = OUT_SEQ.fetch_add(1, Ordering::Relaxed);
+    let out = format!("/pigeon/{}-{seq}", stmt_verb(stmt));
+    let result = run_op(dfs, stmt, vars, &out);
+    storage::delete_dir(dfs, &out);
+    result
+}
+
+/// The operation a job statement compiles to; its jobs write under `out`.
+fn run_op(
+    dfs: &Dfs,
+    stmt: &Stmt,
+    vars: &HashMap<String, Value>,
+    out: &str,
+) -> Result<StmtOutput, PigeonError> {
+    Ok(match stmt {
+        Stmt::Import {
+            var,
+            host_path,
+            rtype,
+            path,
+        } => {
+            let text = std::fs::read_to_string(host_path).map_err(|e| {
+                PigeonError::Type(format!("cannot read host file {host_path}: {e}"))
+            })?;
+            let mut writer = dfs.create(path)?;
+            let mut imported = 0usize;
+            for (lineno, raw) in text.lines().enumerate() {
+                let line = raw
+                    .trim()
+                    .replace(',', " ")
+                    .split_whitespace()
+                    .collect::<Vec<_>>()
+                    .join(" ");
+                if line.is_empty() || line.starts_with('#') {
+                    continue;
+                }
+                // Validate against the declared type before storing.
+                if !with_record_type!(*rtype, R => R::parse_line(&line).is_ok()) {
+                    return Err(PigeonError::Type(format!(
+                        "{host_path}:{}: not a valid {rtype:?} record: {raw:?}",
+                        lineno + 1
+                    )));
+                }
+                writer.write_line(&line);
+                imported += 1;
+            }
+            writer.close()?;
+            if imported == 0 {
+                return Err(PigeonError::Type(format!("{host_path}: no records")));
+            }
+            StmtOutput::heap(var, path, *rtype)
+        }
+        Stmt::Generate {
+            var,
+            n,
+            rtype,
+            distribution,
+            path,
+        } => {
+            use sh_workload::Distribution as D;
+            let universe = sh_workload::default_universe();
+            let seed = 0xBEEF ^ (*n as u64);
+            match rtype {
+                RecordType::Point => {
+                    let dist = match distribution.as_str() {
+                        "uniform" => Some(D::Uniform),
+                        "gaussian" => Some(D::Gaussian),
+                        "correlated" => Some(D::Correlated),
+                        "anticorrelated" | "anti" => Some(D::AntiCorrelated),
+                        "circular" => Some(D::Circular),
+                        "osm" | "osmlike" => None,
+                        other => {
+                            return Err(PigeonError::Type(format!("unknown distribution {other}")))
+                        }
+                    };
+                    let pts = match dist {
+                        Some(d) => sh_workload::points(*n, d, &universe, seed),
+                        None => sh_workload::osm_like_points(*n, &universe, 8, seed),
+                    };
+                    storage::upload(dfs, path, &pts)?;
+                }
+                RecordType::Rectangle => {
+                    let rs = sh_workload::rects(*n, &universe, universe.width() * 0.005, seed);
+                    storage::upload(dfs, path, &rs)?;
+                }
+                RecordType::Polygon => {
+                    let ps = sh_workload::osm_like_polygons(
+                        *n,
+                        &universe,
+                        universe.width() * 0.008,
+                        seed,
+                    );
+                    storage::upload(dfs, path, &ps)?;
+                }
+            }
+            StmtOutput::heap(var, path, *rtype)
+        }
+        Stmt::Delaunay { var, src } => {
+            let r = match points(vars, "DELAUNAY", src)? {
+                Input::Indexed(file) => ops::delaunay::delaunay_spatial(dfs, file, out)?,
+                Input::Heap(path) => {
+                    let uni = heap_mbr::<Point>(dfs, path)?;
+                    ops::delaunay::delaunay_hadoop(dfs, path, &uni, out)?
+                }
+            };
+            StmtOutput::bind(var, "delaunay", r, |tris| {
+                Value::Result(Rows::from_lines(tris.iter().map(|t| {
+                    format!(
+                        "{} {} | {} {} | {} {}",
+                        t.0[0].x, t.0[0].y, t.0[1].x, t.0[1].y, t.0[2].x, t.0[2].y
+                    )
+                })))
+            })
+        }
+        Stmt::Index {
+            var,
+            src,
+            kind,
+            path,
+            format,
+        } => {
+            let Value::Heap { path: heap, rtype } = lookup(vars, src)? else {
+                return Err(PigeonError::Type(format!(
+                    "INDEX expects a loaded heap file, {src} is not one"
+                )));
+            };
+            let r = with_record_type!(*rtype, R => {
+                storage::build_index_fmt::<R>(dfs, heap, path, *kind, *format)
+            })?;
+            StmtOutput::bind(var, "index", r, |file| Value::Indexed {
+                file,
+                rtype: *rtype,
+            })
+        }
+        Stmt::RangeFilter { var, src, query } => {
+            // The job's rows are bound as its mappers wrote them:
+            // every row is a record's `to_line()` already.
+            let (input, rtype) = dataset(vars, "FILTER", src)?;
+            let r = with_record_type!(rtype, R => match input {
+                Input::Indexed(file) => {
+                    ops::range::range_spatial_rows::<R>(dfs, file, query, out, Default::default())
+                }
+                Input::Heap(path) => ops::range::range_hadoop_rows::<R>(dfs, path, query, out),
+            })?;
+            StmtOutput::bind(var, "range", r, Value::Result)
+        }
+        Stmt::Knn { var, src, q, k } => {
+            let r = match points(vars, "KNN", src)? {
+                Input::Indexed(file) => ops::knn::knn_spatial(dfs, file, q, *k, out)?,
+                Input::Heap(path) => ops::knn::knn_hadoop(dfs, path, q, *k, out)?,
+            };
+            StmtOutput::bind(var, "knn", r, |pts| Value::Result(to_rows(&pts)))
+        }
+        Stmt::Join { var, left, right } => {
+            let r = match (
+                lookup(vars, left)?.as_input(),
+                lookup(vars, right)?.as_input(),
+            ) {
+                (Some((Input::Indexed(fa), ta)), Some((Input::Indexed(fb), tb))) => {
+                    expect_rects(left, ta)?;
+                    expect_rects(right, tb)?;
+                    ops::join::distributed_join(dfs, fa, fb, out)?
+                }
+                (Some((Input::Heap(pa), ta)), Some((Input::Heap(pb), tb))) => {
+                    expect_rects(left, ta)?;
+                    expect_rects(right, tb)?;
+                    // Universe for the SJMR grid: union of both MBRs.
+                    let mut uni = heap_mbr::<Rect>(dfs, pa)?;
+                    uni.expand(&heap_mbr::<Rect>(dfs, pb)?);
+                    ops::join::sjmr(dfs, pa, pb, &uni, 16, out)?
+                }
+                _ => {
+                    return Err(PigeonError::Type(
+                        "JOIN needs two heap files or two indexed files".into(),
+                    ))
+                }
+            };
+            StmtOutput::bind(var, "join", r, |pairs| {
+                let mut text = String::with_capacity(pairs.len() * 80);
+                for (a, b) in &pairs {
+                    a.write_line(&mut text);
+                    text.push_str(" | ");
+                    b.write_line(&mut text);
+                    text.push('\n');
+                }
+                Value::Result(Rows::from_text(text))
+            })
+        }
+        Stmt::KnnJoin {
+            var,
+            left,
+            right,
+            k,
+        } => {
+            let r = match (
+                lookup(vars, left)?.as_input(),
+                lookup(vars, right)?.as_input(),
+            ) {
+                (Some((Input::Indexed(fa), ta)), Some((Input::Indexed(fb), tb))) => {
+                    expect_points(left, ta)?;
+                    expect_points(right, tb)?;
+                    ops::knn_join::knn_join_spatial(dfs, fa, fb, *k, out)?
+                }
+                _ => {
+                    return Err(PigeonError::Type(
+                        "KNNJOIN needs two indexed POINT datasets".into(),
+                    ))
+                }
+            };
+            StmtOutput::bind(var, "knnjoin", r, |rows| {
+                Value::Result(Rows::from_lines(rows.iter().map(|row| {
+                    let mut s = format!("{} {} |", row.r.x, row.r.y);
+                    for n in &row.neighbors {
+                        let _ = write!(s, " {} {}", n.x, n.y);
+                    }
+                    s
+                })))
+            })
+        }
+        Stmt::Skyline { var, src } => {
+            let r = match points(vars, "SKYLINE", src)? {
+                Input::Indexed(file) => ops::skyline::skyline_spatial(dfs, file, out)?,
+                Input::Heap(path) => ops::skyline::skyline_hadoop(dfs, path, out)?,
+            };
+            StmtOutput::bind(var, "skyline", r, |pts| Value::Result(to_rows(&pts)))
+        }
+        Stmt::ConvexHull { var, src } => {
+            let r = match points(vars, "CONVEXHULL", src)? {
+                Input::Indexed(file) => ops::convex_hull::hull_spatial(dfs, file, out)?,
+                Input::Heap(path) => ops::convex_hull::hull_hadoop(dfs, path, out)?,
+            };
+            StmtOutput::bind(var, "convexhull", r, |pts| Value::Result(to_rows(&pts)))
+        }
+        Stmt::ClosestPair { var, src } => {
+            let Value::Indexed { file, rtype } = lookup(vars, src)? else {
+                return Err(PigeonError::Type(
+                    "CLOSESTPAIR requires an indexed dataset".into(),
+                ));
+            };
+            expect_points(src, *rtype)?;
+            let r = ops::closest_pair::closest_pair_spatial(dfs, file, out)?;
+            StmtOutput::bind(var, "closestpair", r, pair_result)
+        }
+        Stmt::FarthestPair { var, src } => {
+            let r = match points(vars, "FARTHESTPAIR", src)? {
+                Input::Indexed(file) => ops::farthest_pair::farthest_pair_spatial(dfs, file, out)?,
+                Input::Heap(path) => ops::farthest_pair::farthest_pair_hadoop(dfs, path, out)?,
+            };
+            StmtOutput::bind(var, "farthestpair", r, pair_result)
+        }
+        Stmt::Union { var, src } => {
+            let (input, rtype) = dataset(vars, "UNION", src)?;
+            if rtype != RecordType::Polygon {
+                return Err(PigeonError::Type(format!(
+                    "UNION expects polygons, {src} is not"
+                )));
+            }
+            let r = match input {
+                Input::Indexed(file) if file.is_disjoint() => {
+                    ops::union::union_enhanced(dfs, file, out)?
+                }
+                Input::Indexed(file) => ops::union::union_spatial(dfs, file, out)?,
+                Input::Heap(path) => ops::union::union_hadoop(dfs, path, out)?,
+            };
+            StmtOutput::bind(var, "union", r, |segs| Value::Result(to_rows(&segs)))
+        }
+        Stmt::Voronoi { var, src } => {
+            let r = match points(vars, "VORONOI", src)? {
+                Input::Indexed(file) => ops::voronoi::voronoi_spatial(dfs, file, out)?,
+                Input::Heap(path) => {
+                    let uni = heap_mbr::<Point>(dfs, path)?;
+                    ops::voronoi::voronoi_hadoop(dfs, path, &uni, out)?
+                }
+            };
+            StmtOutput::bind(var, "voronoi", r, |cells| {
+                Value::Result(Rows::from_lines(cells.iter().map(|c| {
+                    format!(
+                        "{} {} cell[{} vertices]",
+                        c.site.x,
+                        c.site.y,
+                        c.vertices.len()
+                    )
+                })))
+            })
+        }
+        Stmt::Describe { src } => {
+            let (stats, profile) = match lookup(vars, src)? {
+                Value::Indexed { file, .. } => (ops::aggregate::stats_spatial(file), None),
+                Value::Heap { path, rtype } => {
+                    let r = with_record_type!(*rtype, R => {
+                        ops::aggregate::stats_hadoop::<R>(dfs, path, out)
+                    })?;
+                    let profile = Some(r.profile("describe"));
+                    (r.value, profile)
+                }
+                Value::Result(rows) => {
+                    return Ok(StmtOutput::dump(one_row(format!(
+                        "result set: {} rows",
+                        rows.len()
+                    ))))
+                }
+            };
+            StmtOutput {
+                profile,
+                ..StmtOutput::dump(one_row(format!(
+                    "{src}: {} records, {} bytes, mbr [{}, {}] x [{}, {}]",
+                    stats.records,
+                    stats.bytes,
+                    stats.mbr.x1,
+                    stats.mbr.x2,
+                    stats.mbr.y1,
+                    stats.mbr.y2
+                )))
+            }
+        }
+        Stmt::Plot {
+            src,
+            width,
+            height,
+            path,
+        } => {
+            let Value::Indexed { file, rtype } = lookup(vars, src)? else {
+                return Err(PigeonError::Type("PLOT requires an indexed dataset".into()));
+            };
+            let r = with_record_type!(*rtype, R => {
+                ops::plot::plot_spatial::<R>(dfs, file, *width, *height, path)
+            })?;
+            StmtOutput {
+                profile: Some(r.profile("plot")),
+                ..StmtOutput::default()
+            }
+        }
+        Stmt::PlotPyramid {
+            src,
+            levels,
+            tile_px,
+            path,
+        } => {
+            let Value::Indexed { file, rtype } = lookup(vars, src)? else {
+                return Err(PigeonError::Type(
+                    "PLOTPYRAMID requires an indexed dataset".into(),
+                ));
+            };
+            let r = with_record_type!(*rtype, R => {
+                ops::plot::plot_pyramid::<R>(dfs, file, *levels, *tile_px, path)
+            })?;
+            StmtOutput {
+                profile: Some(r.profile("plotpyramid")),
+                ..StmtOutput::default()
+            }
+        }
+        Stmt::Scrub { target } => {
+            let prefix: &str = match target {
+                None => "",
+                Some(ScrubTarget::Path(p)) => p,
+                Some(ScrubTarget::Var(v)) => match lookup(vars, v)? {
+                    Value::Heap { path, .. } => path,
+                    Value::Indexed { file, .. } => &file.dir,
+                    Value::Result(_) => {
+                        return Err(PigeonError::Type(format!(
+                            "SCRUB {v}: result sets have no storage to scrub"
+                        )))
+                    }
+                },
+            };
+            StmtOutput::dump(one_row(dfs.scrub(prefix).to_string()))
+        }
+        _ => unreachable!("{} runs no jobs", stmt_verb(stmt)),
+    })
+}
+
+fn lookup<'a>(vars: &'a HashMap<String, Value>, var: &str) -> Result<&'a Value, PigeonError> {
+    vars.get(var)
+        .ok_or_else(|| PigeonError::Undefined(var.to_string()))
+}
+
+/// A dataset a job statement reads, borrowed from the bindings.
+enum Input<'a> {
+    Heap(&'a str),
+    Indexed(&'a SpatialFile),
+}
+
+impl Value {
+    /// The dataset this value names, with its record type; `None` for a
+    /// result set.
+    fn as_input(&self) -> Option<(Input<'_>, RecordType)> {
+        match self {
+            Value::Heap { path, rtype } => Some((Input::Heap(path), *rtype)),
+            Value::Indexed { file, rtype } => Some((Input::Indexed(file), *rtype)),
+            Value::Result(_) => None,
+        }
+    }
+}
+
+/// Resolves the dataset `verb` reads from `var`, with its record type.
+fn dataset<'a>(
+    vars: &'a HashMap<String, Value>,
+    verb: &str,
+    var: &str,
+) -> Result<(Input<'a>, RecordType), PigeonError> {
+    lookup(vars, var)?
+        .as_input()
+        .ok_or_else(|| PigeonError::Type(format!("{verb} over a result set")))
+}
+
+/// [`dataset`] for the operations over points.
+fn points<'a>(
+    vars: &'a HashMap<String, Value>,
+    verb: &str,
+    var: &str,
+) -> Result<Input<'a>, PigeonError> {
+    let (input, rtype) = dataset(vars, verb, var)?;
+    expect_points(var, rtype)?;
+    Ok(input)
+}
+
+/// The MBR of a heap file, from one driver-side read (cheap relative to
+/// jobs): the universe the heap-file fallbacks grid over.
+fn heap_mbr<R: Record>(dfs: &Dfs, path: &str) -> Result<Rect, PigeonError> {
+    let text = dfs.read_to_string(path)?;
+    let mut mbr = Rect::empty();
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        mbr.expand(&R::parse_line(line).map_err(OpError::from)?.mbr());
+    }
+    Ok(mbr)
+}
+
+/// `PROFILE` and `EXPLAIN ANALYZE`: the wrapped statement's output with
+/// the profile it returned rendered after it — as a table or as a
+/// waterfall. The profile stays in the output for the slow-query log.
+fn decorate(stmt: &Stmt, mut out: StmtOutput) -> StmtOutput {
+    let explain = matches!(stmt, Stmt::ExplainAnalyze(_));
+    let rendered = match (&out.profile, explain) {
+        (None, false) => one_row("profile: statement ran no jobs"),
+        (None, true) => one_row("explain analyze: statement ran no jobs"),
+        (Some(p), false) => Rows::from_text(p.render()),
+        (Some(p), true) => match &p.spans {
+            Some(root) => {
+                Rows::from_text(format!("explain analyze: {}\n{}", p.job, Waterfall(root)))
+            }
+            None => one_row("explain analyze: statement recorded no spans"),
+        },
+    };
+    out.dumped.push(rendered);
+    out
+}
+
 /// Renders typed records as a result set, one `to_line()` row each.
 fn to_rows<R: Record>(records: &[R]) -> Rows {
     let mut text = String::new();
@@ -1206,6 +1108,13 @@ fn to_rows<R: Record>(records: &[R]) -> Rows {
         text.push('\n');
     }
     Rows::from_text(text)
+}
+
+/// The answer of `CLOSESTPAIR` / `FARTHESTPAIR`: one row, if any.
+fn pair_result(pair: Option<PointPair>) -> Value {
+    Value::Result(Rows::from_lines(pair.map(|p| {
+        format!("{} | {} | {}", p.a.to_line(), p.b.to_line(), p.distance)
+    })))
 }
 
 /// A one-row result set (status lines such as `DESCRIBE`'s).
@@ -1238,29 +1147,6 @@ fn forbid_nested_async(stmt: &Stmt) -> Result<(), PigeonError> {
         )),
         Stmt::Profile(inner) | Stmt::ExplainAnalyze(inner) => forbid_nested_async(inner),
         _ => Ok(()),
-    }
-}
-
-/// The variable a statement binds, if any.
-fn target_var(stmt: &Stmt) -> Option<&str> {
-    match stmt {
-        Stmt::Load { var, .. }
-        | Stmt::Import { var, .. }
-        | Stmt::Generate { var, .. }
-        | Stmt::Delaunay { var, .. }
-        | Stmt::Index { var, .. }
-        | Stmt::RangeFilter { var, .. }
-        | Stmt::Knn { var, .. }
-        | Stmt::Join { var, .. }
-        | Stmt::KnnJoin { var, .. }
-        | Stmt::Skyline { var, .. }
-        | Stmt::ConvexHull { var, .. }
-        | Stmt::ClosestPair { var, .. }
-        | Stmt::FarthestPair { var, .. }
-        | Stmt::Union { var, .. }
-        | Stmt::Voronoi { var, .. } => Some(var),
-        Stmt::Profile(inner) | Stmt::ExplainAnalyze(inner) => target_var(inner),
-        _ => None,
     }
 }
 
@@ -1299,33 +1185,33 @@ fn stmt_verb(stmt: &Stmt) -> &'static str {
     }
 }
 
-/// Whether a statement launches cluster jobs — the test
-/// [`Pigeon::admit_stmt`] uses to route it through the scheduler so
-/// admission control (and thus server back-pressure) applies to it.
-/// Bookkeeping statements (`LOAD`, `SET`, `DUMP`, `WAIT`, ...) run
-/// inline: they finish in microseconds and `DUMP`/`WAIT` need the live
-/// session state a snapshot could not provide.
-pub fn stmt_runs_jobs(stmt: &Stmt) -> bool {
-    match stmt {
-        Stmt::Import { .. }
-        | Stmt::Generate { .. }
-        | Stmt::Delaunay { .. }
-        | Stmt::Index { .. }
-        | Stmt::RangeFilter { .. }
-        | Stmt::Knn { .. }
-        | Stmt::Join { .. }
-        | Stmt::KnnJoin { .. }
-        | Stmt::Skyline { .. }
-        | Stmt::ConvexHull { .. }
-        | Stmt::ClosestPair { .. }
-        | Stmt::FarthestPair { .. }
-        | Stmt::Union { .. }
-        | Stmt::Voronoi { .. }
-        | Stmt::Describe { .. }
-        | Stmt::Plot { .. }
-        | Stmt::PlotPyramid { .. }
-        | Stmt::Scrub { .. } => true,
-        Stmt::Profile(inner) | Stmt::ExplainAnalyze(inner) => stmt_runs_jobs(inner),
+/// The bindings a job statement reads, or `None` for a statement that
+/// runs no jobs. Job statements run in `run_job`, through the scheduler
+/// on a server so that admission control applies to them; the rest
+/// (`LOAD`, `SET`, `DUMP`, `WAIT`, ...) finish in microseconds and need
+/// the live session, so they run on the caller's thread.
+fn job_inputs(stmt: &Stmt) -> Option<Vec<&String>> {
+    Some(match stmt {
+        Stmt::Import { .. } | Stmt::Generate { .. } => vec![],
+        Stmt::Delaunay { src, .. }
+        | Stmt::Index { src, .. }
+        | Stmt::RangeFilter { src, .. }
+        | Stmt::Knn { src, .. }
+        | Stmt::Skyline { src, .. }
+        | Stmt::ConvexHull { src, .. }
+        | Stmt::ClosestPair { src, .. }
+        | Stmt::FarthestPair { src, .. }
+        | Stmt::Union { src, .. }
+        | Stmt::Voronoi { src, .. }
+        | Stmt::Describe { src }
+        | Stmt::Plot { src, .. }
+        | Stmt::PlotPyramid { src, .. } => vec![src],
+        Stmt::Join { left, right, .. } | Stmt::KnnJoin { left, right, .. } => vec![left, right],
+        Stmt::Scrub { target } => match target {
+            Some(ScrubTarget::Var(v)) => vec![v],
+            None | Some(ScrubTarget::Path(_)) => vec![],
+        },
+        Stmt::Profile(inner) | Stmt::ExplainAnalyze(inner) => return job_inputs(inner),
         Stmt::Load { .. }
         | Stmt::Dump { .. }
         | Stmt::Store { .. }
@@ -1334,39 +1220,25 @@ pub fn stmt_runs_jobs(stmt: &Stmt) -> bool {
         | Stmt::Jobs
         | Stmt::Wait { .. }
         | Stmt::Stats
-        | Stmt::Events { .. } => false,
-    }
+        | Stmt::Events { .. } => return None,
+    })
 }
 
-/// Packages a statement for scheduler execution: the closure builds a
-/// throwaway engine over a snapshot of the session's bindings and
-/// returns the statement's outcome for later [`SessionCtx::absorb`].
-fn job_closure(
-    stmt: Stmt,
-    vars: HashMap<String, Value>,
-    slow_query_ms: u64,
+/// A job statement packaged for the scheduler. The closure carries the
+/// statement and those of the bindings it names that exist — a missing
+/// one fails inside the job, as it would inline — and nothing else.
+fn scheduled(
+    stmt: &Stmt,
+    vars: &HashMap<String, Value>,
 ) -> impl FnOnce(&Dfs) -> Result<StmtOutput, String> + Send + 'static {
-    move |dfs| {
-        let mut engine = Pigeon::new(dfs);
-        let mut sess = SessionCtx {
-            vars,
-            slow_query_ms,
-            ..SessionCtx::default()
-        };
-        let mut dumped = Vec::new();
-        engine
-            .execute_stmt(&mut sess, &stmt, &mut dumped)
-            .map_err(|e| e.to_string())?;
-        // Slow-query profiles travel with the job's dump output.
-        sess.drain_slow_log(&mut dumped);
-        let binding = target_var(&stmt)
-            .and_then(|v| sess.vars.get(v).map(|val| (v.to_string(), val.clone())));
-        Ok(StmtOutput {
-            binding,
-            dumped,
-            profile: sess.last_profile.take(),
-        })
-    }
+    let named: HashMap<String, Value> = job_inputs(stmt)
+        .into_iter()
+        .flatten()
+        .filter_map(|var| vars.get_key_value(var))
+        .map(|(var, value)| (var.clone(), value.clone()))
+        .collect();
+    let stmt = stmt.clone();
+    move |dfs| run_job(dfs, &stmt, &named).map_err(|e| e.to_string())
 }
 
 /// Background integrity scrubber: one thread that periodically submits a
@@ -1381,7 +1253,7 @@ struct Scrubber {
 
 impl Scrubber {
     fn start(sched: JobScheduler, interval: std::time::Duration) -> Scrubber {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::AtomicBool;
         let stop = std::sync::Arc::new(AtomicBool::new(false));
         let watch = std::sync::Arc::clone(&stop);
         let handle = std::thread::spawn(move || loop {
@@ -1417,7 +1289,7 @@ impl Scrubber {
 
 impl Drop for Scrubber {
     fn drop(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -1796,6 +1668,24 @@ mod tests {
         .unwrap_err();
         assert!(
             err.to_string().contains("must precede the first SUBMIT"),
+            "{err}"
+        );
+        // The message names what really started the scheduler: the
+        // background scrubber, or a server that shares its scheduler.
+        let err = run_script(&dfs, "SET scrub_interval 20;\nSET sched_queue_cap 8;").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("SET sched_queue_cap must precede SET scrub_interval"),
+            "{err}"
+        );
+        let sched = JobScheduler::new(&dfs, SchedConfig::default());
+        let set = crate::parser::parse("SET sched_policy fair;").unwrap();
+        let err = Pigeon::with_scheduler(&dfs, &sched)
+            .execute(&set)
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("cannot change the scheduler every session shares"),
             "{err}"
         );
         assert!(matches!(

@@ -26,15 +26,15 @@
 //! use the SpatialHadoop variant, queries on heap files fall back to the
 //! Hadoop variant, exactly like the real system.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod exec;
 pub mod lexer;
 pub mod parser;
 
 pub use ast::{RecordType, Script, ScrubTarget, Stmt};
-pub use exec::{
-    stmt_runs_jobs, Admission, Pigeon, PigeonError, SessionCtx, StmtOutput, StmtTicket, Value,
-};
+pub use exec::{Admission, Pigeon, PigeonError, SessionCtx, StmtOutput, StmtTicket, Value};
 /// The result-set currency: what [`Value::Result`] holds and `DUMP` emits.
 pub use sh_mapreduce::Rows;
 

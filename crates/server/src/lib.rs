@@ -27,6 +27,8 @@
 //! The protocol is netcat-friendly by construction — see [`protocol`]
 //! for the exact framing and `README.md` for a quickstart.
 
+#![forbid(unsafe_code)]
+
 pub mod protocol;
 pub mod server;
 

@@ -9,7 +9,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use sh_dfs::Dfs;
-use sh_mapreduce::{JobScheduler, Rows, SchedConfig};
+use sh_mapreduce::{JobScheduler, SchedConfig};
 use sh_pigeon::{parser, Admission, Pigeon, PigeonError, SessionCtx};
 
 use crate::protocol::{
@@ -262,28 +262,14 @@ fn handle_request(
 ) -> io::Result<bool> {
     let registry = sh_trace::global();
     let started = Instant::now();
-    let chunk = inner.cfg.chunk_bytes;
     let script = match parser::parse(request) {
         Ok(s) => s,
-        Err(e) => {
-            registry.counter_add("server.query.err", 1);
-            write_err(writer, &e.to_string())?;
-            return Ok(true);
-        }
+        Err(e) => return fail(writer, tenant, &e),
     };
     let mut rows = 0u64;
-    let mut stream_out = |writer: &mut TcpStream, dumped: Vec<Rows>| -> io::Result<()> {
-        for set in &dumped {
-            rows += set.len() as u64;
-            let frames = write_rows_frames(writer, set, chunk)?;
-            registry.counter_add("server.frames.sent", frames as u64);
-            registry.counter_add("server.rows.streamed", set.len() as u64);
-        }
-        Ok(())
-    };
     for stmt in &script.stmts {
-        match engine.admit_stmt(sess, stmt, tenant) {
-            Ok(Admission::Done(dumped)) => stream_out(writer, dumped)?,
+        let dumped = match engine.admit_stmt(sess, stmt, tenant) {
+            Ok(Admission::Done(dumped)) => dumped,
             Ok(Admission::Busy) => {
                 registry.counter_add("server.query.busy", 1);
                 sh_trace::events::emit("server.query.busy", vec![("tenant", tenant.to_string())]);
@@ -313,28 +299,17 @@ fn handle_request(
                     }
                 };
                 match outcome {
-                    Ok(out) => stream_out(writer, sess.absorb(out))?,
-                    Err(e) => {
-                        registry.counter_add("server.query.err", 1);
-                        write_err(writer, &e.to_string())?;
-                        return Ok(true);
-                    }
+                    Ok(out) => sess.absorb(out),
+                    Err(e) => return fail(writer, tenant, &e),
                 }
             }
-            Err(e) => {
-                // Every Pigeon error leaves the session usable, so the
-                // connection survives its failed statement.
-                registry.counter_add("server.query.err", 1);
-                sh_trace::events::emit(
-                    "server.query.err",
-                    vec![
-                        ("tenant", tenant.to_string()),
-                        ("kind", e_kind(&e).to_string()),
-                    ],
-                );
-                write_err(writer, &e.to_string())?;
-                return Ok(true);
-            }
+            Err(e) => return fail(writer, tenant, &e),
+        };
+        for set in &dumped {
+            rows += set.len() as u64;
+            let frames = write_rows_frames(writer, set, inner.cfg.chunk_bytes)?;
+            registry.counter_add("server.frames.sent", frames as u64);
+            registry.counter_add("server.rows.streamed", set.len() as u64);
         }
     }
     registry.counter_add("server.query.ok", 1);
@@ -343,6 +318,23 @@ fn handle_request(
         started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
     );
     write_ok(writer, rows)?;
+    Ok(true)
+}
+
+/// Answers a failed request — whether it failed to parse, inline, or on
+/// the scheduler — with the `server.query.err` counter, its journal
+/// event and an `ERR` frame. Every Pigeon error leaves the session
+/// usable, so the connection survives its failed statement.
+fn fail(writer: &mut TcpStream, tenant: &str, e: &PigeonError) -> io::Result<bool> {
+    sh_trace::global().counter_add("server.query.err", 1);
+    sh_trace::events::emit(
+        "server.query.err",
+        vec![
+            ("tenant", tenant.to_string()),
+            ("kind", e_kind(e).to_string()),
+        ],
+    );
+    write_err(writer, &e.to_string())?;
     Ok(true)
 }
 

@@ -2,6 +2,8 @@
 //! registry, per-job query profiles, a structured event journal, and a
 //! time-series sampler turning counters into rates and percentiles.
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod json;
 pub mod metrics;

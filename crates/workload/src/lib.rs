@@ -13,6 +13,8 @@
 //! All generators are deterministic in `(n, seed)` and emit coordinates
 //! inside a caller-provided universe.
 
+#![forbid(unsafe_code)]
+
 pub mod distributions;
 pub mod polygons;
 

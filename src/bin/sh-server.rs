@@ -12,6 +12,8 @@
 //! binds are visible to every connection (each gets its own copy of the
 //! bindings, so `SET` and new bindings stay per-session).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use spatialhadoop::dfs::{ClusterConfig, Dfs};

@@ -20,6 +20,8 @@
 //! DUMP sky;
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::Read;
 use std::process::ExitCode;
 

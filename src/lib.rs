@@ -17,6 +17,8 @@
 //!   back-pressure over the job scheduler,
 //! * [`workload`] — dataset generators used by tests and benchmarks.
 
+#![forbid(unsafe_code)]
+
 pub use sh_core as core;
 pub use sh_dfs as dfs;
 pub use sh_geom as geom;

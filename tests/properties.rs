@@ -334,7 +334,7 @@ proptest! {
         rects in prop::collection::vec(arb_rect(), 0..300),
         q in arb_rect(),
     ) {
-        // The chunked (or explicit-SIMD) kernel behind `mbr_filter` must
+        // The chunked kernel behind `mbr_filter` must
         // agree with the short-circuiting scalar reference on every
         // block: empty blocks, odd-length tails (lengths 0..300 cover
         // every remainder mod the 8-wide lanes), and boundary-touching

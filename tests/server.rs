@@ -12,10 +12,14 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use client::{Response, ShClient};
+use spatialhadoop::core::storage::upload;
 use spatialhadoop::dfs::{ClusterConfig, Dfs};
+use spatialhadoop::geom::Rect;
 use spatialhadoop::mapreduce::SchedConfig;
 use spatialhadoop::pigeon::run_script;
 use spatialhadoop::server::{Server, ServerConfig};
+use spatialhadoop::trace::journal;
+use spatialhadoop::workload::{osm_like_polygons, points, rects, Distribution};
 
 fn dfs() -> Dfs {
     Dfs::new(ClusterConfig::small_for_tests())
@@ -80,6 +84,145 @@ fn large_result_at_default_chunk_matches_cli_driver() {
         .expect("dump twice")
         .expect_rows("dump twice");
     assert_eq!(twice, [driver.clone(), driver].concat());
+    client.quit().ok();
+}
+
+/// A cluster holding the inputs of [`EVERY_VERB`]: points, two
+/// overlapping rectangle sets and polygons, the same on every call.
+fn dfs_with_inputs() -> Dfs {
+    let dfs = dfs();
+    let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+    upload(&dfs, "/v/p", &points(1500, Distribution::Uniform, &uni, 1)).expect("p");
+    upload(&dfs, "/v/q", &points(300, Distribution::Gaussian, &uni, 2)).expect("q");
+    upload(&dfs, "/v/a", &rects(200, &uni, 30.0, 3)).expect("a");
+    upload(&dfs, "/v/b", &rects(200, &uni, 30.0, 4)).expect("b");
+    upload(&dfs, "/v/g", &osm_like_polygons(80, &uni, 40.0, 5)).expect("g");
+    dfs
+}
+
+/// Every job verb, each followed by a `DUMP` of what it bound (`DESCRIBE`
+/// dumps its own line).
+const EVERY_VERB: &[&str] = &[
+    "p = LOAD '/v/p' AS POINT;",
+    "q = LOAD '/v/q' AS POINT;",
+    "a = LOAD '/v/a' AS RECTANGLE;",
+    "b = LOAD '/v/b' AS RECTANGLE;",
+    "g = LOAD '/v/g' AS POLYGON;",
+    "ip = INDEX p AS str+ INTO '/v/ip';",
+    "DUMP ip;",
+    "iq = INDEX q AS grid INTO '/v/iq';",
+    "ia = INDEX a AS grid INTO '/v/ia';",
+    "ib = INDEX b AS grid INTO '/v/ib';",
+    "ig = INDEX g AS grid INTO '/v/ig';",
+    "r = FILTER p BY Overlaps(RECTANGLE(100, 100, 400, 400));",
+    "DUMP r;",
+    "r = FILTER ip BY Overlaps(RECTANGLE(100, 100, 400, 400));",
+    "DUMP r;",
+    "k = KNN ip POINT(500, 500) K 9;",
+    "DUMP k;",
+    "j = JOIN a, b PREDICATE Overlaps;",
+    "DUMP j;",
+    "j = JOIN ia, ib PREDICATE Overlaps;",
+    "DUMP j;",
+    "kj = KNNJOIN iq, ip K 3;",
+    "DUMP kj;",
+    "s = SKYLINE ip;",
+    "DUMP s;",
+    "h = CONVEXHULL ip;",
+    "DUMP h;",
+    "c = CLOSESTPAIR ip;",
+    "DUMP c;",
+    "f = FARTHESTPAIR ip;",
+    "DUMP f;",
+    "u = UNION ig;",
+    "DUMP u;",
+    "v = VORONOI ip;",
+    "DUMP v;",
+    "d = DELAUNAY ip;",
+    "DUMP d;",
+    "DESCRIBE p;",
+    "DESCRIBE ip;",
+];
+
+/// A statement gives the same answer whichever way it runs: inline, as
+/// `SUBMIT` + `WAIT`, or as a ticket on the server's scheduler.
+#[test]
+fn every_path_dumps_the_same_lines() {
+    let inline = run_script(&dfs_with_inputs(), &EVERY_VERB.join("\n")).expect("inline");
+
+    let mut jobs = 0;
+    let mut submitted = String::new();
+    for stmt in EVERY_VERB {
+        if stmt.starts_with("DUMP") {
+            submitted.push_str(stmt);
+        } else {
+            submitted.push_str(&format!("SUBMIT {stmt} WAIT {jobs};"));
+            jobs += 1;
+        }
+        submitted.push('\n');
+    }
+    let mut waited = run_script(&dfs_with_inputs(), &submitted).expect("submit + wait");
+    waited.retain(|line| !line.starts_with("submitted job "));
+
+    let server = Server::start(&dfs_with_inputs(), ServerConfig::default()).expect("start");
+    let mut client = ShClient::connect(&server.addr()).expect("connect");
+    let served = client
+        .request(&EVERY_VERB.join(" "))
+        .expect("request")
+        .expect_rows("every verb");
+
+    assert!(inline.len() > 1000, "only {} rows", inline.len());
+    assert_eq!(waited, inline, "SUBMIT + WAIT diverges from inline");
+    assert_eq!(served, inline, "the server diverges from inline");
+
+    // The decorators render the profile the statement's ticket returned.
+    let window = "FILTER ip BY Overlaps(RECTANGLE(100, 100, 400, 400));";
+    let profiled = client
+        .request(&format!("PROFILE r = {window}"))
+        .expect("profile")
+        .expect_rows("profile");
+    assert!(
+        profiled.iter().any(|l| l == "job profile: range"),
+        "{profiled:?}"
+    );
+    let explained = client
+        .request(&format!("EXPLAIN ANALYZE r = {window}"))
+        .expect("explain")
+        .expect_rows("explain");
+    assert!(
+        explained.iter().any(|l| l.contains("critical path (◆):")),
+        "{explained:?}"
+    );
+    client.quit().ok();
+
+    // A submitted statement's slow-query report is made once, at WAIT.
+    let slow = run_script(
+        &dfs_with_inputs(),
+        "p = LOAD '/v/p' AS POINT; SET slow_query_ms 1; \
+         SUBMIT i = INDEX p AS grid INTO '/v/slow'; WAIT 0;",
+    )
+    .expect("slow query");
+    let headers = slow.iter().filter(|l| l.starts_with("slow query:")).count();
+    assert_eq!(headers, 1, "{slow:?}");
+}
+
+/// A statement that fails on the scheduler is journaled like one that
+/// fails inline: `EVENTS FILTER server.query.err` sees both.
+#[test]
+fn failed_statements_are_journaled_on_every_path() {
+    let server = Server::start(&dfs(), ServerConfig::default()).expect("start server");
+    let mut client = ShClient::connect(&server.addr()).expect("connect");
+    for request in ["x = SKYLINE missing;", "DUMP missing;"] {
+        let before = journal().count("server.query.err");
+        match client.request(request).expect(request) {
+            Response::Err(msg) => assert!(msg.contains("missing"), "{request}: {msg}"),
+            other => panic!("{request}: expected ERR, got {other:?}"),
+        }
+        assert!(
+            journal().count("server.query.err") > before,
+            "{request} left no server.query.err event"
+        );
+    }
     client.quit().ok();
 }
 
