@@ -271,10 +271,6 @@ impl<M: RecordMapper> Mapper for ByRecords<M> {
     type K = M::K;
     type V = M::V;
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<M::K, M::V>) {
-        self.map_bytes(split, data.as_bytes(), ctx);
-    }
-
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<M::K, M::V>) {
         let (mut records, second) = task_inputs(split, data);
         records.extend(second);

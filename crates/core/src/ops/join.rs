@@ -136,10 +136,6 @@ impl Mapper for DjMapper {
     type K = u8;
     type V = u8;
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
-        self.map_bytes(split, data.as_bytes(), ctx);
-    }
-
     // Each side is looked up in the per-node cache under its own
     // partition path — a partition typically appears in several
     // overlapping pairs. Both sides are probed, so each counts one hit
@@ -356,9 +352,9 @@ impl Mapper for PolygonDjMapper {
     type K = u8;
     type V = u8;
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
+    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
         use sh_geom::Polygon;
-        let (left, right) = task_inputs::<Polygon>(split, data.as_bytes());
+        let (left, right) = task_inputs::<Polygon>(split, data);
         let left_mbrs: Vec<Rect> = left.iter().map(sh_geom::Record::mbr).collect();
         let right_mbrs: Vec<Rect> = right.iter().map(sh_geom::Record::mbr).collect();
         let (_, _, [cell_a, cell_b, uni_a, uni_b]) = pair_aux(split);

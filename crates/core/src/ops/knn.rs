@@ -102,10 +102,6 @@ impl<R: Record> Mapper for KnnIndexMapper<R> {
     type K = u8;
     type V = u8;
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
-        self.map_bytes(split, data.as_bytes(), ctx);
-    }
-
     // One cached partition gives both the records and the local tree,
     // text or binary alike, before the engine reads the split.
     fn map_cached(&self, split: &InputSplit, ctx: &mut MapContext<u8, u8>) -> bool {

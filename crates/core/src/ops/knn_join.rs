@@ -83,10 +83,6 @@ impl Mapper for Round1Mapper {
     type K = u8;
     type V = u8;
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
-        self.map_bytes(split, data.as_bytes(), ctx);
-    }
-
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
         let pid = split.partition_id.expect("spatial split");
         // The two inputs stay apart: the R partition, then every S
@@ -150,10 +146,6 @@ struct Round2Mapper {
 impl Mapper for Round2Mapper {
     type K = u8;
     type V = u8;
-
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
-        self.map_bytes(split, data.as_bytes(), ctx);
-    }
 
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
         let (pending, mut s_points) = task_inputs::<Point>(split, data);

@@ -59,10 +59,6 @@ impl<R: Record> Mapper for IndexedMapper<R> {
     type K = u8;
     type V = u8;
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
-        self.map_bytes(split, data.as_bytes(), ctx);
-    }
-
     // Cached path: decoded partition + persisted local tree, shared
     // across queries over the same partition, found before the engine
     // reads the split.

@@ -20,7 +20,7 @@ use sh_dfs::{Dfs, DfsError};
 use sh_geom::{Point, Record, Rect};
 use sh_index::sampler::{reservoir_sample, sample_size};
 use sh_index::{GlobalPartitioning, PartitionKind, PartitionMeta};
-use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
+use sh_mapreduce::{text, InputSplit, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use sh_trace::Span;
 
 use crate::catalog::SpatialFile;
@@ -102,7 +102,8 @@ impl<R: Record> Mapper for SampleMapper<R> {
     type K = u8;
     type V = u8;
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
+    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
+        let data = text(split, data);
         let seed = split.blocks.first().map(|b| b.id.0).unwrap_or(0) ^ 0x5A17;
         let mut mbr = Rect::empty();
         let mut count = 0u64;
@@ -134,7 +135,8 @@ impl<R: Record> Mapper for PartitionMapper<R> {
     type K = u64;
     type V = String;
 
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u64, String>) {
+    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u64, String>) {
+        let data = text(split, data);
         let records = ctx.register_counter("index.records");
         let replicas = ctx.register_counter("index.replicas");
         for line in data.lines().filter(|l| !l.trim().is_empty()) {

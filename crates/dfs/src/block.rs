@@ -1,8 +1,7 @@
 //! Blocks: the unit of storage, replication, and map-task scheduling.
 
 use std::collections::BTreeMap;
-
-use bytes::Bytes;
+use std::sync::Arc;
 
 use crate::config::NodeId;
 
@@ -20,7 +19,7 @@ pub struct BlockId(pub u64);
 #[derive(Clone, Debug)]
 pub struct BlockData {
     /// Raw record-aligned bytes (newline-terminated text records).
-    pub data: Bytes,
+    pub data: Arc<[u8]>,
     /// CRC-64/XZ of `data`, computed once at write time.
     pub crc: u64,
     /// File this block belongs to (read-repair invalidates caches by
@@ -31,7 +30,7 @@ pub struct BlockData {
     pub replicas: Vec<NodeId>,
     /// Silently corrupted replicas: the bytes the named node would
     /// actually serve (bit-rot / torn-write injection).
-    pub corrupt: BTreeMap<NodeId, Bytes>,
+    pub corrupt: BTreeMap<NodeId, Arc<[u8]>>,
 }
 
 /// Location metadata exposed to the MapReduce scheduler — everything it
@@ -56,7 +55,7 @@ impl BlockData {
 
     /// The bytes replica `node` would serve: the corruption overlay when
     /// one is installed, the canonical payload otherwise.
-    pub fn replica_bytes(&self, node: NodeId) -> &Bytes {
+    pub fn replica_bytes(&self, node: NodeId) -> &Arc<[u8]> {
         self.corrupt.get(&node).unwrap_or(&self.data)
     }
 
@@ -77,7 +76,7 @@ mod tests {
 
     fn block(data: &'static [u8], replicas: Vec<NodeId>) -> BlockData {
         BlockData {
-            data: Bytes::from_static(data),
+            data: Arc::from(data),
             crc: crc64(data),
             path: "/f".to_string(),
             replicas,
@@ -97,7 +96,7 @@ mod tests {
     fn corruption_overlay_shadows_one_replica() {
         let mut b = block(b"1 2\n", vec![0, 2]);
         assert!(b.replica_healthy(0) && b.replica_healthy(2));
-        b.corrupt.insert(0, Bytes::from_static(b"9 2\n"));
+        b.corrupt.insert(0, Arc::from(&b"9 2\n"[..]));
         assert!(!b.replica_healthy(0), "flipped replica must fail its crc");
         assert!(b.replica_healthy(2), "other replica untouched");
         assert_eq!(&b.replica_bytes(0)[..], b"9 2\n");

@@ -17,9 +17,9 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use parking_lot::Mutex;
+use sh_trace::sync::lock;
 
 /// Default byte budget: 64 MiB.
 pub const DEFAULT_CACHE_BUDGET: u64 = 64 * 1024 * 1024;
@@ -88,18 +88,18 @@ impl BlockCache {
 
     /// The current byte budget.
     pub fn budget(&self) -> u64 {
-        *self.budget.lock()
+        *lock(&self.budget)
     }
 
     /// Adjusts the byte budget; shrinking evicts immediately, 0 clears
     /// and disables.
     pub fn set_budget(&self, budget: u64) {
-        *self.budget.lock() = budget;
-        let mut inner = self.inner.lock();
+        *lock(&self.budget) = budget;
+        let mut inner = lock(&self.inner);
         let evicted = evict_to(&mut inner, budget);
         drop(inner);
         if evicted > 0 {
-            let mut stats = self.stats.lock();
+            let mut stats = lock(&self.stats);
             stats.evictions += evicted;
             drop(stats);
             sh_trace::global().counter_add("dfs.cache.evictions", evicted);
@@ -109,7 +109,7 @@ impl BlockCache {
 
     /// Looks up `key`, bumping its recency. Counts a hit or a miss.
     pub fn get(&self, key: &str) -> Option<Arc<dyn Any + Send + Sync>> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         let found = inner.entries.get_mut(key).map(|e| {
@@ -117,7 +117,7 @@ impl BlockCache {
             Arc::clone(&e.value)
         });
         drop(inner);
-        let mut stats = self.stats.lock();
+        let mut stats = lock(&self.stats);
         if found.is_some() {
             stats.hits += 1;
             drop(stats);
@@ -133,7 +133,7 @@ impl BlockCache {
     /// Looks up `key` without counting a hit or a miss: for a caller
     /// fetching again an entry whose lookup was already counted.
     pub fn peek(&self, key: &str) -> Option<Arc<dyn Any + Send + Sync>> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         inner.entries.get(key).map(|e| Arc::clone(&e.value))
     }
 
@@ -141,7 +141,7 @@ impl BlockCache {
     /// the bytes a parse is derived from; any invalidation of the key
     /// (or wholesale clear) after this point makes the parse stale.
     pub fn epoch(&self) -> u64 {
-        self.inner.lock().tick
+        lock(&self.inner).tick
     }
 
     /// Race-safe insert for values parsed from bytes read at `epoch`
@@ -151,16 +151,16 @@ impl BlockCache {
     /// shadowed by a stale parse that was already in flight. The check
     /// and the insert happen under one lock.
     pub fn put_at(&self, key: &str, value: Arc<dyn Any + Send + Sync>, bytes: u64, epoch: u64) {
-        let budget = *self.budget.lock();
+        let budget = *lock(&self.budget);
         if bytes > budget {
             return;
         }
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let stale =
             inner.cleared_at > epoch || inner.invalidated_at.get(key).is_some_and(|&at| at > epoch);
         if stale {
             drop(inner);
-            let mut stats = self.stats.lock();
+            let mut stats = lock(&self.stats);
             stats.stale_puts += 1;
             drop(stats);
             sh_trace::global().counter_add("dfs.cache.stale_puts", 1);
@@ -173,17 +173,17 @@ impl BlockCache {
     /// entries until the budget holds. Values larger than the whole
     /// budget are not cached.
     pub fn put(&self, key: &str, value: Arc<dyn Any + Send + Sync>, bytes: u64) {
-        let budget = *self.budget.lock();
+        let budget = *lock(&self.budget);
         if bytes > budget {
             return;
         }
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         self.insert_locked(inner, key, value, bytes, budget);
     }
 
     fn insert_locked(
         &self,
-        mut inner: parking_lot::MutexGuard<'_, CacheInner>,
+        mut inner: MutexGuard<'_, CacheInner>,
         key: &str,
         value: Arc<dyn Any + Send + Sync>,
         bytes: u64,
@@ -201,7 +201,7 @@ impl BlockCache {
         let evicted = evict_to(&mut inner, budget);
         drop(inner);
         if evicted > 0 {
-            let mut stats = self.stats.lock();
+            let mut stats = lock(&self.stats);
             stats.evictions += evicted;
             drop(stats);
             sh_trace::global().counter_add("dfs.cache.evictions", evicted);
@@ -213,7 +213,7 @@ impl BlockCache {
     /// key's invalidation tick so in-flight [`BlockCache::put_at`] calls
     /// that read the old bytes are rejected.
     pub fn invalidate(&self, key: &str) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         inner.invalidated_at.insert(key.to_string(), tick);
@@ -232,7 +232,7 @@ impl BlockCache {
     /// advances the clear tick, staling every in-flight
     /// [`BlockCache::put_at`].
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         inner.cleared_at = inner.tick;
         sh_trace::events::emit("cache.clear", vec![("epoch", inner.tick.to_string())]);
@@ -246,15 +246,15 @@ impl BlockCache {
 
     /// Effectiveness counters since creation.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
-        let mut stats = *self.stats.lock();
+        let inner = lock(&self.inner);
+        let mut stats = *lock(&self.stats);
         stats.resident_bytes = inner.total_bytes;
         stats.resident_entries = inner.entries.len() as u64;
         stats
     }
 
     fn publish_gauges(&self) {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         sh_trace::global().gauge_set("dfs.cache.bytes", inner.total_bytes as i64);
         sh_trace::global().gauge_set("dfs.cache.entries", inner.entries.len() as i64);
     }

@@ -2,11 +2,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use bytes::Bytes;
-use parking_lot::Mutex;
 use rand::prelude::*;
+use sh_trace::sync::lock;
 
 use crate::block::{BlockData, BlockId, BlockInfo};
 use crate::cache::BlockCache;
@@ -109,7 +108,7 @@ struct Inner {
 /// `Dfs` is cheaply cloneable (`Arc` inside) and thread-safe; map and
 /// reduce tasks running on executor threads read blocks through a shared
 /// handle. All mutation goes through one mutex — namenode semantics — and
-/// payload bytes are shared (`bytes::Bytes`), so reads never copy.
+/// payload bytes are shared (`Arc<[u8]>`), so reads never copy.
 #[derive(Clone)]
 pub struct Dfs {
     config: Arc<ClusterConfig>,
@@ -166,14 +165,14 @@ impl Dfs {
     /// Snapshot of the current fault-tolerance policy (the executor
     /// reads this once per job).
     pub fn ft_options(&self) -> FtOptions {
-        self.ft.lock().clone()
+        lock(&self.ft).clone()
     }
 
     /// Adjusts the fault-tolerance policy in place (Pigeon `SET ...`,
     /// chaos tests installing a [`crate::FaultPlan`]). A change to
     /// `worker_threads` resizes the global slot pool to match.
     pub fn update_ft_options(&self, f: impl FnOnce(&mut FtOptions)) {
-        let mut ft = self.ft.lock();
+        let mut ft = lock(&self.ft);
         let before = ft.worker_threads;
         f(&mut ft);
         let after = ft.worker_threads;
@@ -190,7 +189,7 @@ impl Dfs {
 
     /// Opens a streaming writer; fails if `path` exists.
     pub fn create(&self, path: &str) -> Result<FileWriter, DfsError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.files.contains_key(path) {
             return Err(DfsError::AlreadyExists(path.to_string()));
         }
@@ -206,7 +205,7 @@ impl Dfs {
 
     /// Deletes a file and frees its blocks; idempotent.
     pub fn delete(&self, path: &str) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if let Some(meta) = inner.files.remove(path) {
             for b in meta.blocks {
                 inner.blocks.remove(&b);
@@ -218,12 +217,12 @@ impl Dfs {
 
     /// True when `path` exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.inner.lock().files.contains_key(path)
+        lock(&self.inner).files.contains_key(path)
     }
 
     /// File metadata.
     pub fn stat(&self, path: &str) -> Result<FileStat, DfsError> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let meta = inner
             .files
             .get(path)
@@ -237,8 +236,7 @@ impl Dfs {
 
     /// Paths with the given prefix, sorted (namespace listing).
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .files
             .keys()
             .filter(|k| k.starts_with(prefix))
@@ -248,7 +246,7 @@ impl Dfs {
 
     /// Block locations of a file, in order — the scheduler's input.
     pub fn block_locations(&self, path: &str) -> Result<Vec<BlockInfo>, DfsError> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let meta = inner
             .files
             .get(path)
@@ -278,8 +276,8 @@ impl Dfs {
     /// copy, and the path's cache entries are invalidated so no stale parse
     /// of the corrupt bytes survives. Only when every live replica fails its
     /// checksum does the read error out — it never returns wrong bytes.
-    pub fn read_block(&self, id: BlockId, reader: NodeId) -> Result<(Bytes, bool), DfsError> {
-        let mut inner = self.inner.lock();
+    pub fn read_block(&self, id: BlockId, reader: NodeId) -> Result<(Arc<[u8]>, bool), DfsError> {
+        let mut inner = lock(&self.inner);
         let Some(block) = inner.blocks.get(&id) else {
             return Err(DfsError::BlockUnavailable(id));
         };
@@ -298,7 +296,7 @@ impl Dfs {
         if let Some(pos) = candidates.iter().position(|&n| n == reader) {
             candidates.swap(0, pos);
         }
-        let mut served: Option<(Bytes, bool)> = None;
+        let mut served: Option<(Arc<[u8]>, bool)> = None;
         let mut quarantined: Vec<NodeId> = Vec::new();
         for node in candidates {
             let bytes = block.replica_bytes(node);
@@ -396,12 +394,12 @@ impl Dfs {
     /// True when `node` is alive (task trackers heartbeat through the
     /// namenode in this model, so the scheduler asks the DFS).
     pub fn node_alive(&self, node: NodeId) -> bool {
-        self.inner.lock().alive.get(node).copied().unwrap_or(false)
+        lock(&self.inner).alive.get(node).copied().unwrap_or(false)
     }
 
     /// Ids of all live nodes, ascending.
     pub fn live_nodes(&self) -> Vec<NodeId> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         (0..inner.alive.len()).filter(|&n| inner.alive[n]).collect()
     }
 
@@ -409,7 +407,7 @@ impl Dfs {
     /// whole cache — the dead node's cached parses go with it, and what
     /// survives must be re-read so chaos runs match uncached runs.
     pub fn kill_node(&self, node: NodeId) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if node < inner.alive.len() {
             inner.alive[node] = false;
         }
@@ -425,7 +423,7 @@ impl Dfs {
 
     /// Revives a datanode (cache dropped; see [`Dfs::kill_node`]).
     pub fn revive_node(&self, node: NodeId) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if node < inner.alive.len() {
             inner.alive[node] = true;
         }
@@ -447,7 +445,7 @@ impl Dfs {
     /// surviving replica are left unrecoverable (and counted in
     /// [`Dfs::unrecoverable_blocks`]).
     pub fn rereplicate(&self) -> usize {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let replication = self.config.effective_replication();
         let ids: Vec<BlockId> = inner.blocks.keys().copied().collect();
         let mut created = 0usize;
@@ -476,7 +474,7 @@ impl Dfs {
     /// number of blocks corrupted (blocks without that ordinal or with an
     /// empty payload are skipped).
     pub fn corrupt_replica(&self, path: &str, replica: usize, kind: CorruptKind) -> usize {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let Some(meta) = inner.files.get(path) else {
             return 0;
         };
@@ -498,7 +496,7 @@ impl Dfs {
                 CorruptKind::Flip => bytes[mid] ^= 0x01,
                 CorruptKind::Truncate => bytes.truncate(mid),
             }
-            block.corrupt.insert(node, Bytes::from(bytes));
+            block.corrupt.insert(node, Arc::from(bytes));
             hit += 1;
         }
         drop(inner);
@@ -521,7 +519,7 @@ impl Dfs {
     /// Returns false when the file is missing/empty or the containing
     /// block has no such replica ordinal.
     pub fn corrupt_replica_byte(&self, path: &str, replica: usize, offset: u64) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let Some(meta) = inner.files.get(path) else {
             return false;
         };
@@ -544,7 +542,7 @@ impl Dfs {
             };
             let mut bytes = block.data.to_vec();
             bytes[target as usize] ^= 0x80;
-            block.corrupt.insert(node, Bytes::from(bytes));
+            block.corrupt.insert(node, Arc::from(bytes));
             return true;
         }
         false
@@ -564,7 +562,7 @@ impl Dfs {
         for path in self.list(prefix) {
             report.files += 1;
             let ids: Vec<BlockId> = {
-                let inner = self.inner.lock();
+                let inner = lock(&self.inner);
                 match inner.files.get(&path) {
                     Some(meta) => meta.blocks.clone(),
                     None => continue, // deleted since listing
@@ -573,7 +571,7 @@ impl Dfs {
             let mut healed = false;
             for id in ids {
                 report.blocks += 1;
-                let mut inner = self.inner.lock();
+                let mut inner = lock(&self.inner);
                 let Some(block) = inner.blocks.get(&id) else {
                     continue;
                 };
@@ -645,7 +643,7 @@ impl Dfs {
 
     /// Blocks whose every replica is on a dead node.
     pub fn unrecoverable_blocks(&self) -> usize {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         inner
             .blocks
             .values()
@@ -661,12 +659,12 @@ impl Dfs {
     pub(crate) fn append_block(
         &self,
         path: &str,
-        data: Bytes,
+        data: Arc<[u8]>,
         writer_node: NodeId,
     ) -> Result<(), DfsError> {
         let len = data.len() as u64;
         let crc = crc64(&data);
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if !inner.files.contains_key(path) {
             return Err(DfsError::NotFound(path.to_string()));
         }

@@ -16,6 +16,8 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use sh_trace::sync::{lock, wait};
+
 struct PoolState {
     total: usize,
     in_use: usize,
@@ -50,7 +52,7 @@ impl SlotPool {
     /// the slot on drop.
     pub fn acquire(self: &Arc<Self>) -> SlotLease {
         let t0 = Instant::now();
-        let mut st = self.state.lock().expect("slot pool poisoned");
+        let mut st = lock(&self.state);
         if st.in_use >= st.total {
             sh_trace::events::emit(
                 "slots.exhausted",
@@ -61,7 +63,7 @@ impl SlotPool {
             );
         }
         while st.in_use >= st.total {
-            st = self.cv.wait(st).expect("slot pool poisoned");
+            st = wait(&self.cv, st);
         }
         st.in_use += 1;
         st.peak = st.peak.max(st.in_use);
@@ -82,7 +84,7 @@ impl SlotPool {
     /// other task does the same would deadlock the pool. Extra slots are
     /// strictly opportunistic — `None` means "scan serially".
     pub fn try_acquire(self: &Arc<Self>) -> Option<SlotLease> {
-        let mut st = self.state.lock().expect("slot pool poisoned");
+        let mut st = lock(&self.state);
         if st.in_use >= st.total {
             return None;
         }
@@ -100,24 +102,24 @@ impl SlotPool {
     /// shrinking lets in-flight leases drain naturally — `in_use` may
     /// exceed the new total until they release.
     pub fn set_total(&self, total: usize) {
-        let mut st = self.state.lock().expect("slot pool poisoned");
+        let mut st = lock(&self.state);
         st.total = total.max(1);
         self.cv.notify_all();
     }
 
     /// Configured slot count.
     pub fn total(&self) -> usize {
-        self.state.lock().expect("slot pool poisoned").total
+        lock(&self.state).total
     }
 
     /// Slots currently leased.
     pub fn in_use(&self) -> usize {
-        self.state.lock().expect("slot pool poisoned").in_use
+        lock(&self.state).in_use
     }
 
     /// High-water mark of concurrently leased slots since creation.
     pub fn peak(&self) -> usize {
-        self.state.lock().expect("slot pool poisoned").peak
+        lock(&self.state).peak
     }
 }
 
@@ -128,7 +130,7 @@ pub struct SlotLease {
 
 impl Drop for SlotLease {
     fn drop(&mut self) {
-        let mut st = self.pool.state.lock().expect("slot pool poisoned");
+        let mut st = lock(&self.pool.state);
         st.in_use -= 1;
         let in_use = st.in_use;
         drop(st);

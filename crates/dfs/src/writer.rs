@@ -1,6 +1,6 @@
 //! Streaming, record-aligned block writer.
 
-use bytes::Bytes;
+use std::sync::Arc;
 
 use crate::config::NodeId;
 use crate::namespace::{Dfs, DfsError};
@@ -110,10 +110,9 @@ impl FileWriter {
         if self.buf.is_empty() || self.err.is_some() {
             return;
         }
-        // Copied out, not moved: the `Arc<[u8]>` behind `Bytes` would copy
-        // an owned `Vec` too, and the buffer keeps its capacity for the
-        // next block.
-        let data = Bytes::from(&self.buf[..]);
+        // Copied out, not moved: an `Arc<[u8]>` would copy an owned `Vec`
+        // too, and the buffer keeps its capacity for the next block.
+        let data: Arc<[u8]> = Arc::from(&self.buf[..]);
         self.buf.clear();
         if let Err(e) = self.dfs.append_block(&self.path, data, self.node) {
             self.err = Some(e);

@@ -2,8 +2,9 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use sh_trace::sync::lock;
 
 /// Thread-safe named counters.
 ///
@@ -31,7 +32,7 @@ impl Counters {
     /// Adds `delta` to the named counter. Allocates only the first time a
     /// name is seen.
     pub fn inc(&self, name: &str, delta: u64) {
-        let mut map = self.inner.lock();
+        let mut map = lock(&self.inner);
         if let Some(v) = map.get_mut(name) {
             *v += delta;
         } else {
@@ -42,7 +43,7 @@ impl Counters {
     /// Allocation-free increment for static names — the engine's own
     /// `map.*` / `shuffle.*` / `reduce.*` / `output.*` counters.
     pub fn inc_static(&self, name: &'static str, delta: u64) {
-        let mut map = self.inner.lock();
+        let mut map = lock(&self.inner);
         if let Some(v) = map.get_mut(name) {
             *v += delta;
         } else {
@@ -52,12 +53,12 @@ impl Counters {
 
     /// Current value (0 when never incremented).
     pub fn get(&self, name: &str) -> u64 {
-        self.inner.lock().get(name).copied().unwrap_or(0)
+        lock(&self.inner).get(name).copied().unwrap_or(0)
     }
 
     /// Merges another snapshot into this set.
     pub fn merge(&self, other: &BTreeMap<String, u64>) {
-        let mut map = self.inner.lock();
+        let mut map = lock(&self.inner);
         for (k, v) in other {
             if let Some(slot) = map.get_mut(k.as_str()) {
                 *slot += v;
@@ -69,8 +70,7 @@ impl Counters {
 
     /// Copies all counters.
     pub fn snapshot(&self) -> BTreeMap<String, u64> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .iter()
             .map(|(k, &v)| (k.clone().into_owned(), v))
             .collect()

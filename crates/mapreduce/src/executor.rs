@@ -9,6 +9,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sh_dfs::{Dfs, DfsError, FaultPlan, FtOptions};
+use sh_trace::sync::{into_inner, lock, wait_timeout};
 use sh_trace::{Histogram, JobProfile, PhaseProfile, Span};
 
 use crate::context::{MapContext, ReduceContext};
@@ -269,24 +270,20 @@ impl<'a, T: Send> WaveRunner<'a, T> {
     {
         let run_task = &run_task;
         let me = &self;
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(move |_| me.worker(run_task));
+                scope.spawn(move || me.worker(run_task));
             }
-        })
-        .expect("wave worker thread infrastructure failed");
-        let state = self.state.into_inner().expect("wave state poisoned");
+        });
+        let state = into_inner(self.state);
         if let Some(e) = state.fatal {
             return Err(e);
         }
-        let results = self
-            .results
-            .into_inner()
-            .expect("wave results poisoned")
+        let results = into_inner(self.results)
             .into_iter()
             .map(|r| r.expect("wave completed without a fatal error"))
             .collect();
-        let micros = self.task_micros.into_inner().expect("histogram poisoned");
+        let micros = into_inner(self.task_micros);
         Ok((results, state.stats, micros))
     }
 
@@ -298,12 +295,12 @@ impl<'a, T: Send> WaveRunner<'a, T> {
             match self.next_work() {
                 Work::Exit => break,
                 Work::Wait => {
-                    let st = self.state.lock().unwrap();
+                    let st = lock(&self.state);
                     if st.fatal.is_some() || st.remaining == 0 {
                         break;
                     }
                     // Periodic wake keeps the straggler clock honest.
-                    let _ = self.cv.wait_timeout(st, Duration::from_millis(2)).unwrap();
+                    drop(wait_timeout(&self.cv, st, Duration::from_millis(2)));
                 }
                 Work::Run {
                     task,
@@ -318,7 +315,7 @@ impl<'a, T: Send> WaveRunner<'a, T> {
     /// Claims the next attempt. Workers stop claiming the moment a
     /// fatal failure is recorded.
     fn next_work(&self) -> Work {
-        let mut st = self.state.lock().unwrap();
+        let mut st = lock(&self.state);
         if st.fatal.is_some() || st.remaining == 0 {
             return Work::Exit;
         }
@@ -453,7 +450,7 @@ impl<'a, T: Send> WaveRunner<'a, T> {
         if let Some(delay) = self.plan.and_then(|p| p.delay_for(task, attempt)) {
             let deadline = Instant::now() + delay;
             loop {
-                if self.state.lock().unwrap().tasks[task].done {
+                if lock(&self.state).tasks[task].done {
                     cancelled = true;
                     break;
                 }
@@ -518,7 +515,7 @@ impl<'a, T: Send> WaveRunner<'a, T> {
     ) {
         let mut blacklisted_now = false;
         {
-            let mut st = self.state.lock().unwrap();
+            let mut st = lock(&self.state);
             {
                 let ts = &mut st.tasks[task];
                 ts.running -= 1;
@@ -539,11 +536,11 @@ impl<'a, T: Send> WaveRunner<'a, T> {
                             ],
                         );
                     }
-                    self.results.lock().unwrap()[task] = Some(result);
+                    lock(&self.results)[task] = Some(result);
                     // Only the winning attempt shapes the duration
                     // histogram: one entry per task.
                     let micros = elapsed.as_micros() as u64;
-                    self.task_micros.lock().unwrap().observe(micros);
+                    lock(&self.task_micros).observe(micros);
                 }
                 Some(Err(e)) if !st.tasks[task].done => {
                     st.tasks[task].failed_nodes.push(node);
@@ -1221,7 +1218,7 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobBuilder;
+    use crate::job::{text, JobBuilder};
     use crate::split::InputSplit;
     use sh_dfs::ClusterConfig;
 
@@ -1229,7 +1226,8 @@ mod tests {
     impl Mapper for CountMapper {
         type K = String;
         type V = u64;
-        fn map(&self, _s: &InputSplit, data: &str, ctx: &mut MapContext<String, u64>) {
+        fn map_bytes(&self, s: &InputSplit, data: &[u8], ctx: &mut MapContext<String, u64>) {
+            let data = text(s, data);
             for token in data.split_whitespace() {
                 ctx.emit(token.to_string(), 1);
             }
@@ -1333,8 +1331,8 @@ mod tests {
     impl Mapper for PassthroughMapper {
         type K = u32;
         type V = u32;
-        fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<u32, u32>) {
-            for line in data.lines() {
+        fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u32, u32>) {
+            for line in text(split, data).lines() {
                 ctx.output(&format!("{}:{}", split.tag, line));
             }
         }
@@ -1412,7 +1410,7 @@ mod tests {
     impl Mapper for SplitLen {
         type K = u8;
         type V = u8;
-        fn map(&self, s: &InputSplit, data: &str, ctx: &mut MapContext<u8, u8>) {
+        fn map_bytes(&self, s: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
             ctx.output(&format!("{}@{} {}", s.path, s.blocks[0].id.0, data.len()));
         }
         fn map_cached(&self, s: &InputSplit, ctx: &mut MapContext<u8, u8>) -> bool {
@@ -1548,8 +1546,8 @@ mod tests {
     impl Mapper for PanickingMapper {
         type K = u8;
         type V = u8;
-        fn map(&self, _s: &InputSplit, data: &str, _ctx: &mut MapContext<u8, u8>) {
-            if data.contains("poison") {
+        fn map_bytes(&self, s: &InputSplit, data: &[u8], _ctx: &mut MapContext<u8, u8>) {
+            if text(s, data).contains("poison") {
                 panic!("corrupt record encountered");
             }
         }
@@ -1575,6 +1573,32 @@ mod tests {
         }
     }
 
+    #[test]
+    fn non_utf8_input_fails_a_text_mapper_as_corrupt_without_retries() {
+        let fs = dfs();
+        let mut w = fs.create("/in").unwrap();
+        w.write_chunk(b"1 2\n\xff\xfe\n");
+        w.close().unwrap();
+        let err = JobBuilder::new(&fs, "not-text")
+            .input_file("/in")
+            .unwrap()
+            .mapper(CountMapper)
+            .reducer(SumReducer, 1)
+            .output("/out")
+            .build()
+            .unwrap()
+            .run();
+        // The first attempt failed the job: had it been retried, the
+        // error would name the last attempt instead.
+        match err {
+            Err(JobError::CorruptInput(msg)) => assert!(
+                msg.starts_with("map-0/attempt-0: /in: input is not UTF-8 text"),
+                "{msg}"
+            ),
+            other => panic!("expected CorruptInput, got {other:?}"),
+        }
+    }
+
     struct PanickingReducer;
     impl Reducer for PanickingReducer {
         type K = u8;
@@ -1588,7 +1612,7 @@ mod tests {
     impl Mapper for EmitOneMapper {
         type K = u8;
         type V = u8;
-        fn map(&self, _s: &InputSplit, _d: &str, ctx: &mut MapContext<u8, u8>) {
+        fn map_bytes(&self, _s: &InputSplit, _d: &[u8], ctx: &mut MapContext<u8, u8>) {
             ctx.emit(1, 1);
         }
     }
@@ -1615,9 +1639,9 @@ mod tests {
     impl Mapper for ModKeyMapper {
         type K = u8;
         type V = String;
-        fn map(&self, s: &InputSplit, data: &str, ctx: &mut MapContext<u8, String>) {
+        fn map_bytes(&self, s: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, String>) {
             let at = s.blocks.first().map_or(0, |b| b.id.0);
-            for i in 0..data.lines().count() {
+            for i in 0..text(s, data).lines().count() {
                 ctx.emit((i % 3) as u8, format!("{at}:{i}"));
             }
         }
@@ -1711,7 +1735,7 @@ mod tests {
     impl Mapper for AuxEchoMapper {
         type K = u8;
         type V = u8;
-        fn map(&self, split: &InputSplit, _data: &str, ctx: &mut MapContext<u8, u8>) {
+        fn map_bytes(&self, split: &InputSplit, _data: &[u8], ctx: &mut MapContext<u8, u8>) {
             ctx.output(&format!(
                 "{}:{}",
                 split.partition_id.unwrap_or(999),
@@ -1743,8 +1767,8 @@ mod tests {
     impl Mapper for SideMapper {
         type K = u8;
         type V = u64;
-        fn map(&self, _s: &InputSplit, data: &str, ctx: &mut MapContext<u8, u64>) {
-            for line in data.lines() {
+        fn map_bytes(&self, s: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u64>) {
+            for line in text(s, data).lines() {
                 ctx.side_output("spill", format!("m:{line}"));
                 ctx.emit(1, line.len() as u64);
             }

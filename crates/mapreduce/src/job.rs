@@ -16,28 +16,20 @@ use crate::split::InputSplit;
 /// ([`Mapper::map_cached`]), so a mapper whose answer is already in
 /// memory never waits for the DFS. Otherwise the engine reads the split's
 /// blocks and hands over their *raw bytes* plus the split metadata
-/// ([`Mapper::map_bytes`]); decoding is the mapper's job (SpatialHadoop's
-/// record readers live in `sh-core` and are invoked from mapper
-/// implementations). This mirrors Hadoop, where the `RecordReader` runs
-/// inside the map task, and keeps the measured compute cost honest.
+/// ([`Mapper::map_bytes`], the one required method); decoding is the
+/// mapper's job (SpatialHadoop's record readers live in `sh-core` and are
+/// invoked from mapper implementations; a text-only mapper calls
+/// [`text`]). This mirrors Hadoop, where the `RecordReader` runs inside
+/// the map task, and keeps the measured compute cost honest.
 pub trait Mapper: Send + Sync {
     /// Intermediate key type.
     type K: Clone + Ord + Hash + Send + Sync + 'static;
     /// Intermediate value type.
     type V: Clone + Send + Sync + 'static;
 
-    /// Processes one split.
-    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<Self::K, Self::V>);
-
-    /// Processes one split from raw bytes. The default decodes UTF-8 and
-    /// forwards to [`Mapper::map`], failing the job as corrupt input on
-    /// non-text data. Mappers that understand binary blocks override it.
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<Self::K, Self::V>) {
-        match std::str::from_utf8(data) {
-            Ok(text) => self.map(split, text, ctx),
-            Err(e) => fail_corrupt(format!("{}: input is not UTF-8 text: {e}", split.path)),
-        }
-    }
+    /// Processes one split from its raw bytes, in whichever layout (text
+    /// lines or binary blocks) the split was stored.
+    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<Self::K, Self::V>);
 
     /// Processes one split without reading it, when whatever the mapper
     /// derives from the split's bytes is already in memory. Returns
@@ -48,6 +40,13 @@ pub trait Mapper: Send + Sync {
     /// either way. The default never has the split in memory.
     fn map_cached(&self, _split: &InputSplit, _ctx: &mut MapContext<Self::K, Self::V>) -> bool {
         false
+    }
+
+    /// Never called by the engine: forwards to [`Mapper::map_bytes`]. It
+    /// stays only because `shbench`'s `NoopMapper` overrides it, and goes
+    /// when `shbench` next changes.
+    fn map(&self, split: &InputSplit, data: &str, ctx: &mut MapContext<Self::K, Self::V>) {
+        self.map_bytes(split, data.as_bytes(), ctx);
     }
 }
 
@@ -65,6 +64,13 @@ pub struct CorruptInput(pub String);
 /// [`JobError::CorruptInput`].
 pub fn fail_corrupt(msg: impl Into<String>) -> ! {
     std::panic::panic_any(CorruptInput(msg.into()))
+}
+
+/// A text-only mapper's split as UTF-8 text; other bytes fail the task
+/// as corrupt input ([`fail_corrupt`]) naming the split's path.
+pub fn text<'a>(split: &InputSplit, data: &'a [u8]) -> &'a str {
+    std::str::from_utf8(data)
+        .unwrap_or_else(|e| fail_corrupt(format!("{}: input is not UTF-8 text: {e}", split.path)))
 }
 
 /// A reduce function over one key group.
@@ -167,13 +173,13 @@ impl<M: Mapper, R: Reducer<K = M::K, V = M::V>> Job<M, R> {
 ///
 /// ```
 /// # use sh_dfs::{Dfs, ClusterConfig};
-/// # use sh_mapreduce::{JobBuilder, Mapper, Reducer, MapContext, ReduceContext, InputSplit};
+/// # use sh_mapreduce::{text, JobBuilder, Mapper, Reducer, MapContext, ReduceContext, InputSplit};
 /// struct Tokenize;
 /// impl Mapper for Tokenize {
 ///     type K = String;
 ///     type V = u64;
-///     fn map(&self, _s: &InputSplit, data: &str, ctx: &mut MapContext<String, u64>) {
-///         for w in data.split_whitespace() {
+///     fn map_bytes(&self, s: &InputSplit, data: &[u8], ctx: &mut MapContext<String, u64>) {
+///         for w in text(s, data).split_whitespace() {
 ///             ctx.emit(w.to_string(), 1);
 ///         }
 ///     }

@@ -37,7 +37,9 @@ pub use context::{CounterHandle, MapContext, ReduceContext};
 pub use cost::SimBreakdown;
 pub use counters::Counters;
 pub use executor::JobOutcome;
-pub use job::{fail_corrupt, CorruptInput, Job, JobBuilder, JobError, Mapper, NoReducer, Reducer};
+pub use job::{
+    fail_corrupt, text, CorruptInput, Job, JobBuilder, JobError, Mapper, NoReducer, Reducer,
+};
 pub use rows::Rows;
 pub use scheduler::{
     JobHandle, JobInfo, JobScheduler, JobState, SchedConfig, SchedError, SchedPolicy,

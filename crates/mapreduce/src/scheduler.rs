@@ -24,6 +24,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sh_dfs::Dfs;
+use sh_trace::sync::{lock, wait};
 
 /// Queueing policy for admission order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -300,7 +301,7 @@ impl JobScheduler {
             });
             (ok, deliver as Box<dyn FnOnce() + Send>)
         });
-        let mut st = self.inner.state.lock().expect("scheduler poisoned");
+        let mut st = lock(&self.inner.state);
         if st.shutdown {
             registry.counter_add("sched.rejected", 1);
             sh_trace::events::emit(
@@ -355,7 +356,7 @@ impl JobScheduler {
     /// Snapshot of the job table, by id: every queued and running job
     /// and the most recently finished ones (a bounded history).
     pub fn jobs(&self) -> Vec<JobInfo> {
-        let st = self.inner.state.lock().expect("scheduler poisoned");
+        let st = lock(&self.inner.state);
         st.jobs
             .iter()
             .map(|(&id, r)| JobInfo {
@@ -369,23 +370,18 @@ impl JobScheduler {
 
     /// State of one job, if it is live or still in the finished history.
     pub fn job_state(&self, id: u64) -> Option<JobState> {
-        let st = self.inner.state.lock().expect("scheduler poisoned");
+        let st = lock(&self.inner.state);
         st.jobs.get(&id).map(|r| r.state)
     }
 
     /// Jobs currently queued (not yet admitted).
     pub fn queue_depth(&self) -> usize {
-        self.inner
-            .state
-            .lock()
-            .expect("scheduler poisoned")
-            .queue
-            .len()
+        lock(&self.inner.state).queue.len()
     }
 
     /// Jobs currently running.
     pub fn running(&self) -> usize {
-        self.inner.state.lock().expect("scheduler poisoned").running
+        lock(&self.inner.state).running
     }
 
     /// Cancels a still-queued job: it is dequeued without running and
@@ -396,7 +392,7 @@ impl JobScheduler {
     /// away while its statement waits in the queue must not hold a queue
     /// slot against live sessions.
     pub fn cancel(&self, id: u64) -> bool {
-        let mut st = self.inner.state.lock().expect("scheduler poisoned");
+        let mut st = lock(&self.inner.state);
         let Some(pos) = st.queue.iter().position(|p| p.id == id) else {
             return false;
         };
@@ -419,16 +415,16 @@ impl JobScheduler {
 
     /// Blocks until every queued and running job has finished.
     pub fn drain(&self) {
-        let mut st = self.inner.state.lock().expect("scheduler poisoned");
+        let mut st = lock(&self.inner.state);
         while st.running > 0 || !st.queue.is_empty() {
-            st = self.inner.cv.wait(st).expect("scheduler poisoned");
+            st = wait(&self.inner.cv, st);
         }
     }
 
     /// Rejects future submissions and discards queued jobs (their
     /// handles observe [`SchedError::Shutdown`]); running jobs finish.
     pub fn shutdown(&self) {
-        let mut st = self.inner.state.lock().expect("scheduler poisoned");
+        let mut st = lock(&self.inner.state);
         st.shutdown = true;
         let dropped: Vec<Pending> = st.queue.drain(..).collect();
         for p in &dropped {
@@ -503,7 +499,7 @@ impl Inner {
                         ("tenant", pending.tenant.clone()),
                     ],
                 );
-                let mut st = inner.state.lock().expect("scheduler poisoned");
+                let mut st = lock(&inner.state);
                 st.running -= 1;
                 if let Some(n) = st.running_per_tenant.get_mut(&pending.tenant) {
                     *n = n.saturating_sub(1);
@@ -690,7 +686,7 @@ mod tests {
             handles.push(
                 sched
                     .submit_as(tenant, name, move |_| {
-                        order.lock().unwrap().push(name.to_string());
+                        lock(&order).push(name.to_string());
                     })
                     .unwrap(),
             );
@@ -700,7 +696,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let order = order.lock().unwrap().clone();
+        let order = lock(&order).clone();
         // With zero running for both tenants, ties go to submission
         // order (a1), then tenant b's b1 must not wait behind all of
         // tenant a's backlog.
@@ -825,19 +821,19 @@ mod tests {
                 sched
                     .submit(&format!("wc{i}"), move |dfs| {
                         use crate::context::{MapContext, ReduceContext};
-                        use crate::job::{JobBuilder, Mapper, Reducer};
+                        use crate::job::{text, JobBuilder, Mapper, Reducer};
                         use crate::split::InputSplit;
                         struct M;
                         impl Mapper for M {
                             type K = String;
                             type V = u64;
-                            fn map(
+                            fn map_bytes(
                                 &self,
-                                _s: &InputSplit,
-                                data: &str,
+                                s: &InputSplit,
+                                data: &[u8],
                                 ctx: &mut MapContext<String, u64>,
                             ) {
-                                for t in data.split_whitespace() {
+                                for t in text(s, data).split_whitespace() {
                                     ctx.emit(t.to_string(), 1);
                                 }
                             }

@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 use sh_dfs::Dfs;
 use sh_mapreduce::{JobScheduler, SchedConfig};
 use sh_pigeon::{parser, Admission, Pigeon, PigeonError, SessionCtx};
+use sh_trace::sync::lock;
 
 use crate::protocol::{
     write_busy, write_err, write_ok, write_rows_frames, BANNER, BYE, DEFAULT_CHUNK_BYTES,
@@ -132,13 +133,13 @@ impl Server {
         }
         // Unblock accept() with a throwaway connection.
         let _ = TcpStream::connect_timeout(&self.inner.addr, Duration::from_millis(200));
-        for (_, stream) in self.inner.conns.lock().expect("server poisoned").drain() {
+        for (_, stream) in lock(&self.inner.conns).drain() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
-        let threads = std::mem::take(&mut *self.inner.threads.lock().expect("server poisoned"));
+        let threads = std::mem::take(&mut *lock(&self.inner.threads));
         for h in threads {
             let _ = h.join();
         }
@@ -165,7 +166,7 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
         let registry = sh_trace::global();
         registry.counter_add("server.conn.accepted", 1);
         {
-            let mut conns = inner.conns.lock().expect("server poisoned");
+            let mut conns = lock(&inner.conns);
             if let Ok(clone) = stream.try_clone() {
                 conns.insert(id, clone);
             }
@@ -176,14 +177,18 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
             .name(format!("sh-server-conn-{id}"))
             .spawn(move || {
                 serve_conn(&conn_inner, stream, id);
-                let mut conns = conn_inner.conns.lock().expect("server poisoned");
+                let mut conns = lock(&conn_inner.conns);
                 conns.remove(&id);
                 let registry = sh_trace::global();
                 registry.gauge_set("server.conn.active", conns.len() as i64);
                 registry.counter_add("server.conn.closed", 1);
             });
         if let Ok(handle) = handle {
-            inner.threads.lock().expect("server poisoned").push(handle);
+            // Reap finished connections, so a long-lived server holds
+            // handles for live connections only.
+            let mut threads = lock(&inner.threads);
+            threads.retain(|h| !h.is_finished());
+            threads.push(handle);
         }
     }
 }
@@ -207,7 +212,7 @@ fn serve_conn(inner: &Inner, stream: TcpStream, id: u64) {
         writer.write_all(format!("{BANNER}\n").as_bytes())?;
         writer.flush()?;
         let mut engine = Pigeon::with_scheduler(&inner.dfs, &inner.sched);
-        let mut sess = inner.base.lock().expect("server poisoned").fork();
+        let mut sess = lock(&inner.base).fork();
         let tenant = format!("conn-{id}");
         for line in reader.lines() {
             let line = line?;
@@ -364,4 +369,36 @@ fn client_gone(stream: &TcpStream) -> bool {
     };
     let _ = stream.set_nonblocking(false);
     gone
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sh_dfs::ClusterConfig;
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        let server = Server::start(&dfs, ServerConfig::default()).expect("start server");
+        for _ in 0..1_000 {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("banner");
+            assert_eq!(line.trim_end(), BANNER);
+            stream.write_all(b"QUIT\n").expect("quit");
+            line.clear();
+            reader.read_line(&mut line).expect("bye");
+            assert_eq!(line.trim_end(), BYE);
+        }
+        // The last connection's thread may still be on its way out.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !lock(&server.inner.conns).is_empty() && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert!(lock(&server.inner.conns).is_empty());
+        assert_eq!(sh_trace::global().snapshot().gauge("server.conn.active"), 0);
+        let kept = lock(&server.inner.threads).len();
+        assert!(kept <= 8, "{kept} handles kept after 1000 connections");
+    }
 }

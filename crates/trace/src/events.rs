@@ -20,11 +20,12 @@
 //! environment variable, which the chaos CI stage uses so flaky runs
 //! leave a post-hoc debuggable trace.
 
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
+
+use crate::sync::lock;
 
 /// Events held in memory; older ones fall off the ring (counts remain).
 pub const DEFAULT_CAPACITY: usize = 1024;
@@ -119,7 +120,7 @@ impl EventJournal {
     /// Appends an event. Lock-cheap: one mutex, one ring push; a sink
     /// write failure is swallowed (telemetry must never fail the engine).
     pub fn emit(&self, kind: &'static str, fields: Vec<(&'static str, String)>) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let seq = inner.next_seq;
         inner.next_seq += 1;
         *inner.counts.entry(kind).or_insert(0) += 1;
@@ -137,7 +138,7 @@ impl EventJournal {
     /// to kinds starting with `filter` — so `task` matches `task.retry`
     /// and `task.speculative.won` alike.
     pub fn recent(&self, n: usize, filter: Option<&str>) -> Vec<Event> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let matching: Vec<&Event> = inner
             .ring
             .iter()
@@ -149,23 +150,23 @@ impl EventJournal {
 
     /// Lifetime count of events of exactly this kind (ring-independent).
     pub fn count(&self, kind: &str) -> u64 {
-        self.inner.lock().counts.get(kind).copied().unwrap_or(0)
+        lock(&self.inner).counts.get(kind).copied().unwrap_or(0)
     }
 
     /// Lifetime counts per kind.
     pub fn counts(&self) -> BTreeMap<&'static str, u64> {
-        self.inner.lock().counts.clone()
+        lock(&self.inner).counts.clone()
     }
 
     /// Total events ever emitted (== next sequence number).
     pub fn total(&self) -> u64 {
-        self.inner.lock().next_seq
+        lock(&self.inner).next_seq
     }
 
     /// Points the JSONL sink at `path` (append mode), or disables it with
     /// `None`. Subsequent events stream there one JSON object per line.
     pub fn set_log_path(&self, path: Option<&str>) -> Result<(), String> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         match path {
             None => {
                 inner.sink = None;
@@ -185,13 +186,13 @@ impl EventJournal {
 
     /// Current JSONL sink path, if any.
     pub fn log_path(&self) -> Option<String> {
-        self.inner.lock().sink.as_ref().map(|(p, _)| p.clone())
+        lock(&self.inner).sink.as_ref().map(|(p, _)| p.clone())
     }
 
     /// Clears the ring and counts (test isolation). The sink, if any,
     /// stays attached.
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.ring.clear();
         inner.counts.clear();
         inner.next_seq = 0;

@@ -10,6 +10,7 @@ pub mod metrics;
 pub mod profile;
 pub mod sampler;
 pub mod span;
+pub mod sync;
 
 pub use events::{emit, journal, Event, EventJournal};
 pub use metrics::{global, Histogram, MetricKind, MetricsRegistry, RegistrySnapshot};

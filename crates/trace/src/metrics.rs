@@ -6,9 +6,10 @@
 //! [`global`] registry is what the engine layers report into; scoped
 //! registries can be created for tests.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
+
+use crate::sync::lock;
 
 /// What a key identifies, for snapshot rendering.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -177,18 +178,17 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the named counter.
     pub fn counter_add(&self, key: &'static str, delta: u64) {
-        *self.inner.lock().counters.entry(key).or_insert(0) += delta;
+        *lock(&self.inner).counters.entry(key).or_insert(0) += delta;
     }
 
     /// Sets the named gauge to `value`.
     pub fn gauge_set(&self, key: &'static str, value: i64) {
-        self.inner.lock().gauges.insert(key, value);
+        lock(&self.inner).gauges.insert(key, value);
     }
 
     /// Records `value` into the named log2 histogram.
     pub fn observe(&self, key: &'static str, value: u64) {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .histograms
             .entry(key)
             .or_default()
@@ -198,8 +198,7 @@ impl MetricsRegistry {
     /// Folds a whole histogram into the named one (e.g. per-job task
     /// timings rolled up into a process-lifetime histogram).
     pub fn observe_histogram(&self, key: &'static str, h: &Histogram) {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .histograms
             .entry(key)
             .or_default()
@@ -208,7 +207,7 @@ impl MetricsRegistry {
 
     /// Point-in-time copy of every metric.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         RegistrySnapshot {
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),
@@ -218,7 +217,7 @@ impl MetricsRegistry {
 
     /// Clears all metrics (test isolation).
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.counters.clear();
         inner.gauges.clear();
         inner.histograms.clear();

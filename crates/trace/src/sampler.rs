@@ -9,10 +9,10 @@
 //! stay current while the shell is idle between statements.
 
 use crate::metrics::{MetricsRegistry, RegistrySnapshot};
-use parking_lot::Mutex;
+use crate::sync::lock;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -226,7 +226,7 @@ impl Sampler {
                 match rx.recv_timeout(interval) {
                     Err(RecvTimeoutError::Timeout) => {
                         let snap = thread_shared.registry.snapshot();
-                        thread_shared.window.lock().push(snap);
+                        lock(&thread_shared.window).push(snap);
                     }
                     _ => return,
                 }
@@ -243,17 +243,17 @@ impl Sampler {
     /// `STATS;`, which wants data fresher than the last interval tick).
     pub fn tick(&self) {
         let snap = self.shared.registry.snapshot();
-        self.shared.window.lock().push(snap);
+        lock(&self.shared.window).push(snap);
     }
 
     /// Runs `f` against the current window.
     pub fn with_window<T>(&self, f: impl FnOnce(&Window) -> T) -> T {
-        f(&self.shared.window.lock())
+        f(&lock(&self.shared.window))
     }
 
     /// Renders the current window (see [`Window::render`]).
     pub fn render(&self) -> String {
-        self.shared.window.lock().render()
+        lock(&self.shared.window).render()
     }
 }
 

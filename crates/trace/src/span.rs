@@ -6,9 +6,10 @@
 //! consistent across the tree. Finished trees snapshot into plain
 //! [`SpanRecord`] values for rendering and attachment to job profiles.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use crate::sync::lock;
 
 struct SpanInner {
     name: String,
@@ -53,7 +54,7 @@ impl Span {
                 children: Vec::new(),
             })),
         };
-        self.inner.lock().children.push(child.clone());
+        lock(&self.inner).children.push(child.clone());
         child
     }
 
@@ -61,7 +62,7 @@ impl Span {
     pub fn attr(&self, key: impl Into<String>, value: impl ToString) {
         let key = key.into();
         let value = value.to_string();
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if let Some(slot) = inner.attrs.iter_mut().find(|(k, _)| *k == key) {
             slot.1 = value;
         } else {
@@ -73,7 +74,7 @@ impl Span {
     /// are implicitly closed at snapshot time.
     pub fn finish(&self) {
         let now = self.epoch.elapsed();
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.end.is_none() {
             inner.end = Some(now);
         }
@@ -81,7 +82,7 @@ impl Span {
 
     /// Elapsed time so far (or final duration once finished).
     pub fn elapsed(&self) -> Duration {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         inner.end.unwrap_or_else(|| self.epoch.elapsed()) - inner.start
     }
 
@@ -89,7 +90,7 @@ impl Span {
     /// finishing anything still open.
     pub fn record(&self) -> SpanRecord {
         let now = self.epoch.elapsed();
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         SpanRecord {
             name: inner.name.clone(),
             start: inner.start,
@@ -103,7 +104,7 @@ impl Span {
 impl std::fmt::Debug for Span {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Span")
-            .field("name", &self.inner.lock().name)
+            .field("name", &lock(&self.inner).name)
             .finish()
     }
 }
