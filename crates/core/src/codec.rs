@@ -15,8 +15,7 @@ use sh_mapreduce::Rows;
 use crate::opresult::OpError;
 
 fn corrupt(what: &str, s: &str) -> OpError {
-    let preview: String = s.chars().take(48).collect();
-    OpError::Corrupt(format!("bad {what} payload: {preview:?}"))
+    OpError::Corrupt(format!("bad {what} payload: {}", sh_geom::text::quote(s)))
 }
 
 /// Parses a whitespace-separated run of floats, rejecting every

@@ -501,7 +501,7 @@ mod tests {
         bad[16] ^= 0xff;
         assert!(matches!(decode(&bad), Err(OpError::Corrupt(_))));
         // Non-finite coordinate (mirror of the text codec's check).
-        let mut bad = blob.clone();
+        let mut bad = blob;
         let hlen = header_len(2);
         bad[hlen..hlen + 8].copy_from_slice(&f64::INFINITY.to_le_bytes());
         assert!(matches!(decode(&bad), Err(OpError::Corrupt(_))));

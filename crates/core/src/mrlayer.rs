@@ -124,7 +124,8 @@ impl SpatialRecordReader {
         let text = std::str::from_utf8(data)
             .map_err(|e| OpError::Corrupt(format!("partition is not UTF-8 text: {e}")))?;
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            out.push(R::parse_line(line).map_err(|e| OpError::Corrupt(format!("{e}: {line:?}")))?);
+            let quoted = |e| OpError::Corrupt(format!("{e}: {}", sh_geom::text::quote(line)));
+            out.push(R::parse_line(line).map_err(quoted)?);
         }
         Ok(out)
     }
@@ -653,7 +654,7 @@ mod tests {
         let a = vec![Point::new(1.0, 2.0), Point::new(3.0, 4.0)];
         let b = vec![Point::new(5.0, 6.0)];
         let (block_a, block_b) = (colblock::encode(&a).unwrap(), colblock::encode(&b).unwrap());
-        let both = [a.clone(), b.clone()].concat();
+        let both = [a, b].concat();
 
         // Two blocks; a block then text lines.
         assert_eq!(read(&[&block_a[..], &block_b[..]].concat()).unwrap(), both);
@@ -663,7 +664,7 @@ mod tests {
         let cut = [&block_a[..], &block_b[..block_b.len() - 3]].concat();
         assert!(matches!(read(&cut), Err(OpError::Corrupt(_))));
         // Neither is a count that overflows the length arithmetic.
-        let mut huge = block_a.clone();
+        let mut huge = block_a;
         huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(read(&huge), Err(OpError::Corrupt(_))));
     }

@@ -147,7 +147,7 @@ impl sh_mapreduce::Reducer for ForwardReducer {
         ctx: &mut sh_mapreduce::ReduceContext,
     ) {
         for (tag, pid, x, y) in values {
-            ctx.side_output("_merge", format!("{tag} {pid} {x} {y}"));
+            ctx.side_output("_merge", &format!("{tag} {pid} {x} {y}"));
         }
     }
 }

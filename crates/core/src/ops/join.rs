@@ -633,9 +633,6 @@ mod tests {
         upload(&dfs, "/l", &left).unwrap();
         upload(&dfs, "/r", &right).unwrap();
         let got = sjmr(&dfs, "/l", "/r", &uni, 4, "/out").unwrap();
-        assert_eq!(
-            canon(got.value.clone()),
-            canon(expected_pairs(&left, &right))
-        );
+        assert_eq!(canon(got.value), canon(expected_pairs(&left, &right)));
     }
 }

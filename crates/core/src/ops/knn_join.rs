@@ -129,9 +129,9 @@ impl Mapper for Round1Mapper {
                 );
                 ctx.counter("knnjoin.final.round1", 1);
             } else {
-                ctx.side_output(&format!("_pending-{pid:05}"), r.to_line());
+                ctx.side_output(&format!("_pending-{pid:05}"), &r.to_line());
                 for id in extra.iter().chain(included.iter()) {
-                    ctx.side_output("_needs", format!("{pid} {id}"));
+                    ctx.side_output("_needs", &format!("{pid} {id}"));
                 }
                 ctx.counter("knnjoin.pending", 1);
             }

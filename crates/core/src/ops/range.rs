@@ -419,6 +419,6 @@ mod tests {
         let query = Rect::new(300.0, 300.0, 700.0, 700.0);
         let expected = crate::ops::single::range_query(&pts, &query).value;
         let got = range_spatial::<Point>(&dfs, &file, &query, "/out").unwrap();
-        assert_eq!(canon_points(got.value.clone()), canon_points(expected));
+        assert_eq!(canon_points(got.value), canon_points(expected));
     }
 }

@@ -340,9 +340,9 @@ impl Reducer for VMergeReducer {
         }
         for (i, s) in sites.iter().enumerate() {
             if still_pending[i] {
-                ctx.side_output("_hmerge", format!("P {} {}", s.x, s.y));
+                ctx.side_output("_hmerge", &format!("P {} {}", s.x, s.y));
             } else if witness[i] {
-                ctx.side_output("_hmerge", format!("W {} {}", s.x, s.y));
+                ctx.side_output("_hmerge", &format!("W {} {}", s.x, s.y));
             }
         }
     }
@@ -480,13 +480,16 @@ mod tests {
     use sh_index::PartitionKind;
     use sh_workload::{osm_like_points, points, Distribution};
 
-    fn canon(cells: &[VCell]) -> Vec<(i64, i64, Vec<(i64, i64)>, bool)> {
+    /// A cell's fingerprint: site, vertices, and whether it is bounded.
+    type Fingerprint = (i64, i64, Vec<(i64, i64)>, bool);
+
+    fn canon(cells: &[VCell]) -> Vec<Fingerprint> {
         let mut f: Vec<_> = cells.iter().map(VCell::fingerprint).collect();
         f.sort();
         f
     }
 
-    fn canon_vd(vd: &VoronoiDiagram) -> Vec<(i64, i64, Vec<(i64, i64)>, bool)> {
+    fn canon_vd(vd: &VoronoiDiagram) -> Vec<Fingerprint> {
         let cells: Vec<VCell> = vd.cells.iter().map(VCell::from_cell).collect();
         canon(&cells)
     }

@@ -12,6 +12,11 @@
 //!    partition(s) (replicating across disjoint cells where required) and
 //!    writes one `part-NNNNN` file per non-empty partition plus the
 //!    `_master` catalogue.
+//!
+//! Both jobs' mappers are [`RecordMapper`]s: a split is parsed once, by
+//! the one `SpatialRecordReader`, and the partition job shuffles the
+//! typed records, so its reducers parse nothing. A text partition holds
+//! each record's `Record::write_line`, whatever spelling the heap used.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -20,10 +25,11 @@ use sh_dfs::{Dfs, DfsError};
 use sh_geom::{Point, Record, Rect};
 use sh_index::sampler::{reservoir_sample, sample_size};
 use sh_index::{GlobalPartitioning, PartitionKind, PartitionMeta};
-use sh_mapreduce::{text, InputSplit, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer};
 use sh_trace::Span;
 
 use crate::catalog::SpatialFile;
+use crate::mrlayer::{ByRecords, RecordMapper};
 use crate::opresult::{OpError, OpResult};
 
 /// On-disk layout of the partition files an index build writes. Text is
@@ -49,25 +55,9 @@ impl BlockFormat {
     }
 }
 
-/// Bounded preview of an offending input line for corruption errors.
-fn preview(line: &str) -> String {
-    if line.chars().count() <= 48 {
-        line.to_string()
-    } else {
-        let cut: String = line.chars().take(48).collect();
-        format!("{cut}…")
-    }
-}
-
 /// Driver-side corruption error quoting the offending line.
 fn corrupt(what: &str, line: &str) -> OpError {
-    OpError::Corrupt(format!("{what}: {:?}", preview(line)))
-}
-
-/// Task-side corruption failure: fails the attempt (and, without retry,
-/// the job) instead of panicking the worker thread.
-fn corrupt_task(context: &str, err: &dyn std::fmt::Display, line: &str) -> ! {
-    sh_mapreduce::fail_corrupt(format!("{context}: {err}: {:?}", preview(line)))
+    OpError::Corrupt(format!("{what}: {}", sh_geom::text::quote(line)))
 }
 
 /// Writes records as a heap (unindexed) text file — the plain Hadoop
@@ -98,20 +88,18 @@ struct SampleMapper<R: Record> {
     _r: PhantomData<fn() -> R>,
 }
 
-impl<R: Record> Mapper for SampleMapper<R> {
+impl<R: Record> RecordMapper for SampleMapper<R> {
+    type R = R;
     type K = u8;
     type V = u8;
 
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
-        let data = text(split, data);
+    fn map_records(&self, split: &InputSplit, records: Vec<R>, ctx: &mut MapContext<u8, u8>) {
         let seed = split.blocks.first().map(|b| b.id.0).unwrap_or(0) ^ 0x5A17;
         let mut mbr = Rect::empty();
-        let mut count = 0u64;
-        let centers = data.lines().filter(|l| !l.trim().is_empty()).map(|l| {
-            let r = R::parse_line(l).unwrap_or_else(|e| corrupt_task(&split.path, &e, l));
-            count += 1;
-            mbr.expand(&r.mbr());
-            r.mbr().center()
+        let centers = records.iter().map(|r| {
+            let m = r.mbr();
+            mbr.expand(&m);
+            m.center()
         });
         let sample: Vec<Point> = reservoir_sample(centers, self.per_split, seed);
         for p in sample {
@@ -120,7 +108,7 @@ impl<R: Record> Mapper for SampleMapper<R> {
         if !mbr.is_empty() {
             ctx.output(&format!("M {} {} {} {}", mbr.x1, mbr.y1, mbr.x2, mbr.y2));
         }
-        ctx.counter("sample.records", count);
+        ctx.counter("sample.records", records.len() as u64);
     }
 }
 
@@ -131,21 +119,20 @@ struct PartitionMapper<R: Record> {
     _r: PhantomData<fn() -> R>,
 }
 
-impl<R: Record> Mapper for PartitionMapper<R> {
+impl<R: Record> RecordMapper for PartitionMapper<R> {
+    type R = R;
     type K = u64;
-    type V = String;
+    type V = R;
 
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u64, String>) {
-        let data = text(split, data);
-        let records = ctx.register_counter("index.records");
+    fn map_records(&self, _split: &InputSplit, records: Vec<R>, ctx: &mut MapContext<u64, R>) {
+        let counted = ctx.register_counter("index.records");
         let replicas = ctx.register_counter("index.replicas");
-        for line in data.lines().filter(|l| !l.trim().is_empty()) {
-            let r = R::parse_line(line).unwrap_or_else(|e| corrupt_task(&split.path, &e, line));
+        ctx.inc(counted, records.len() as u64);
+        for r in &records {
             let targets = self.gp.assign(&r.mbr());
-            ctx.inc(records, 1);
             ctx.inc(replicas, targets.len() as u64);
             for pid in targets {
-                ctx.emit(pid as u64, line.to_string());
+                ctx.emit(pid as u64, r.clone());
             }
         }
     }
@@ -158,29 +145,29 @@ struct PartitionReducer<R: Record> {
 
 impl<R: Record> Reducer for PartitionReducer<R> {
     type K = u64;
-    type V = String;
+    type V = R;
 
-    fn reduce(&self, pid: &u64, lines: Vec<String>, ctx: &mut ReduceContext) {
+    fn reduce(&self, pid: &u64, records: Vec<R>, ctx: &mut ReduceContext) {
         let name = format!("part-{pid:05}");
         let sidecar = format!("_lidx-{pid:05}");
+        let rects: Vec<Rect> = records.iter().map(|r| r.mbr()).collect();
         let mut mbr = Rect::empty();
-        let count = lines.len() as u64;
-        let mut records: Vec<R> = Vec::with_capacity(lines.len());
-        for line in &lines {
-            let r = R::parse_line(line).unwrap_or_else(|e| corrupt_task(&name, &e, line));
-            mbr.expand(&r.mbr());
-            records.push(r);
+        for m in &rects {
+            mbr.expand(m);
         }
         // Persist the topology of the partition's local R-tree next to its
         // data, in the one `SHLX` encoding whatever the block format, so
         // query jobs load it instead of re-running the STR bulk-load.
-        let tree = sh_index::LocalRTree::build(records.iter().map(|r| r.mbr()).collect());
+        let tree = sh_index::LocalRTree::build(rects);
         let bytes = match self.format {
             BlockFormat::Text => {
+                let mut line = String::with_capacity(48);
                 let mut bytes = 0u64;
-                for line in lines {
+                for r in &records {
+                    line.clear();
+                    r.write_line(&mut line);
                     bytes += line.len() as u64 + 1;
-                    ctx.side_output(&name, line);
+                    ctx.side_output(&name, &line);
                 }
                 bytes
             }
@@ -193,9 +180,10 @@ impl<R: Record> Reducer for PartitionReducer<R> {
         };
         ctx.side_output_bytes(&sidecar, &tree.to_bytes());
         ctx.counter("index.local_trees", 1);
+        let count = records.len();
         ctx.side_output(
             "_partmeta",
-            format!(
+            &format!(
                 "{pid} {count} {bytes} {} {} {} {}",
                 mbr.x1, mbr.y1, mbr.x2, mbr.y2
             ),
@@ -245,10 +233,10 @@ pub fn build_index_fmt<R: Record>(
     let want_sample = sample_size(stat.len / 16, 0.01); // records ≈ bytes/16
     let sample_job = JobBuilder::new(dfs, &format!("sample:{heap}"))
         .input_file(heap)?
-        .mapper(SampleMapper::<R> {
+        .mapper(ByRecords(SampleMapper::<R> {
             per_split: want_sample.div_ceil(num_splits),
             _r: PhantomData,
-        })
+        }))
         .output(&format!("{index_dir}/_sample"))
         .map_only()?
         .run()?;
@@ -361,11 +349,10 @@ fn partition_phase<R: Record>(
     let reducers = gp.len().min(dfs.config().total_reduce_slots()).max(1);
     let mut partition_job = JobBuilder::new(dfs, &format!("partition:{heap}:{}", kind.name()))
         .input_file(heap)?
-        .mapper(PartitionMapper::<R> {
+        .mapper(ByRecords(PartitionMapper::<R> {
             gp: gp.clone(),
             _r: PhantomData,
-        })
-        .pair_size(|_, v: &String| 8 + v.len())
+        }))
         .reducer(
             PartitionReducer::<R> {
                 format,
@@ -644,6 +631,83 @@ mod tests {
             match err {
                 OpError::Corrupt(m) => assert!(m.contains("banana"), "{format:?}: {m}"),
                 other => panic!("{format:?}: expected Corrupt, got {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn text_partitions_store_the_canonical_line_of_each_record() {
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        let heap = ["1.50  2", "+3 4", "5e0 6", " 7 8.0 ", "900 1000"];
+        let mut w = dfs.create("/heap").unwrap();
+        for line in heap {
+            w.write_line(line);
+        }
+        w.close().unwrap();
+        let built = build_index::<Point>(&dfs, "/heap", "/idx", PartitionKind::Grid).unwrap();
+        let mut stored: Vec<String> = Vec::new();
+        for p in &built.value.partitions {
+            let text = dfs.read_to_string(&p.path).unwrap();
+            assert_eq!(
+                text.len() as u64,
+                p.bytes,
+                "{}: catalogue byte count",
+                p.path
+            );
+            let records: Vec<Point> = sh_geom::text::parse_records(&text).unwrap();
+            let canonical: String = records.iter().map(|r| r.to_line() + "\n").collect();
+            assert_eq!(text, canonical, "{}", p.path);
+            stored.extend(text.lines().map(str::to_string));
+        }
+        stored.sort();
+        assert_eq!(stored, ["1.5 2", "3 4", "5 6", "7 8", "900 1000"]);
+    }
+
+    #[test]
+    fn the_partition_shuffle_charges_each_pair_its_binary_width() {
+        let (dfs, pts) = setup(3000);
+        for kind in [PartitionKind::Grid, PartitionKind::StrPlus] {
+            let built =
+                build_index::<Point>(&dfs, "/heap", &format!("/p{}", kind.name()), kind).unwrap();
+            let partition = &built.jobs[1].profile;
+            assert_eq!(
+                partition.shuffle_bytes,
+                24 * pts.len() as u64,
+                "{}",
+                kind.name()
+            );
+        }
+        let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        let rs = sh_workload::rects(1500, &uni, 60.0, 5);
+        upload(&dfs, "/rects", &rs).unwrap();
+        let built = build_index::<Rect>(&dfs, "/rects", "/r", PartitionKind::Grid).unwrap();
+        let replicas = built.counter("index.replicas");
+        assert!(replicas > rs.len() as u64, "rectangles must replicate");
+        assert_eq!(built.jobs[1].profile.shuffle_bytes, 40 * replicas);
+    }
+
+    #[test]
+    fn a_huge_corrupt_line_is_quoted_boundedly() {
+        let garbage = "g".repeat(100_000);
+        let huge_x = format!("{} 2", "9".repeat(100_000));
+        for bad in [garbage, huge_x] {
+            let dfs = Dfs::new(ClusterConfig::small_for_tests());
+            let mut w = dfs.create("/heap").unwrap();
+            w.write_line("1 2");
+            w.write_line(&bad);
+            w.write_line("5 6");
+            w.close().unwrap();
+            let q = Rect::new(0.0, 0.0, 10.0, 10.0);
+            let filter = crate::ops::range::range_hadoop::<Point>(&dfs, "/heap", &q, "/out");
+            let index = build_index::<Point>(&dfs, "/heap", "/idx", PartitionKind::Grid);
+            for (op, err) in [("FILTER", filter.err()), ("INDEX", index.err())] {
+                match err {
+                    Some(OpError::Corrupt(m)) => {
+                        assert!(m.contains("/heap"), "{op}: {m}");
+                        assert!(m.len() < 300, "{op}: {} bytes: {m:.300}", m.len());
+                    }
+                    other => panic!("{op}: expected Corrupt, got {other:?}"),
+                }
             }
         }
     }

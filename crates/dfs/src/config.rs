@@ -41,9 +41,6 @@ pub struct ClusterConfig {
     pub job_startup_overhead: f64,
     /// Fixed simulated overhead of launching one task attempt, seconds.
     pub task_startup_overhead: f64,
-    /// Per-record CPU cost in seconds used by the simulated-time model
-    /// (parse + process a record of typical size).
-    pub cpu_cost_per_record: f64,
     /// Seed for deterministic replica placement.
     pub placement_seed: u64,
     /// Locality-aware map scheduling (the Hadoop default). When false the
@@ -94,7 +91,6 @@ impl Default for ClusterConfig {
             network_oversubscription: 4.0,
             job_startup_overhead: 6.0,
             task_startup_overhead: 0.5,
-            cpu_cost_per_record: 2.0e-6,
             placement_seed: 0xC0FFEE,
             locality_scheduling: true,
             stragglers: 0,

@@ -158,9 +158,11 @@ mod tests {
     #[test]
     fn since_saturates_instead_of_panicking() {
         let fresh = DfsMetrics::default().snapshot();
-        let mut busy = MetricsSnapshot::default();
-        busy.local_bytes_read = 500;
-        busy.blocks_read = 3;
+        let busy = MetricsSnapshot {
+            local_bytes_read: 500,
+            blocks_read: 3,
+            ..MetricsSnapshot::default()
+        };
         // "Earlier" snapshot from a busier instance: must clamp to zero.
         let delta = fresh.since(&busy);
         assert_eq!(delta, MetricsSnapshot::default());

@@ -116,7 +116,7 @@ mod tests {
         let a = vec![Point::new(1.0, 4.0), Point::new(3.0, 2.0)];
         let b = vec![Point::new(2.0, 5.0), Point::new(4.0, 1.0)];
         let merged = merge_skylines(&[skyline(&a), skyline(&b)]);
-        let mut all = a.clone();
+        let mut all = a;
         all.extend(&b);
         assert_eq!(merged, skyline(&all));
     }

@@ -82,13 +82,26 @@ pub trait Record: Clone + Send + Sync + 'static {
     }
 }
 
+/// `s` quoted for an error message, as `{:?}` would, but cut after 48
+/// characters with a trailing `…`: a corrupt line or token can be any
+/// length, the message quoting it cannot.
+pub fn quote(s: &str) -> String {
+    match s.char_indices().nth(48) {
+        Some((cut, _)) => format!("{:?}…", &s[..cut]),
+        None => format!("{s:?}"),
+    }
+}
+
 fn parse_f64(tok: Option<&str>, what: &str) -> Result<f64, ParseError> {
     let tok = tok.ok_or_else(|| ParseError::new(format!("missing field: {what}")))?;
     let v: f64 = tok
         .parse()
-        .map_err(|_| ParseError::new(format!("bad {what}: {tok:?}")))?;
+        .map_err(|_| ParseError::new(format!("bad {what}: {}", quote(tok))))?;
     if !v.is_finite() {
-        return Err(ParseError::new(format!("non-finite {what}: {tok:?}")));
+        return Err(ParseError::new(format!(
+            "non-finite {what}: {}",
+            quote(tok)
+        )));
     }
     Ok(v)
 }
@@ -108,7 +121,8 @@ impl Record for Point {
         let y = parse_f64(it.next(), "y")?;
         if it.next().is_some() {
             return Err(ParseError::new(format!(
-                "trailing fields in point: {line:?}"
+                "trailing fields in point: {}",
+                quote(line)
             )));
         }
         Ok(Point::new(x, y))
@@ -147,7 +161,8 @@ impl Record for Rect {
         let y2 = parse_f64(it.next(), "y2")?;
         if it.next().is_some() {
             return Err(ParseError::new(format!(
-                "trailing fields in rect: {line:?}"
+                "trailing fields in rect: {}",
+                quote(line)
             )));
         }
         Ok(Rect::new(x1, y1, x2, y2))
@@ -182,9 +197,11 @@ impl Record for Segment {
 
     fn parse_line(line: &str) -> Result<Self, ParseError> {
         let mut it = line.split_ascii_whitespace();
-        match it.next() {
-            Some("S") => {}
-            other => return Err(ParseError::new(format!("expected 'S' tag, got {other:?}"))),
+        if it.next() != Some("S") {
+            return Err(ParseError::new(format!(
+                "expected 'S' tag: {}",
+                quote(line)
+            )));
         }
         let ax = parse_f64(it.next(), "ax")?;
         let ay = parse_f64(it.next(), "ay")?;
@@ -208,9 +225,11 @@ impl Record for Polygon {
 
     fn parse_line(line: &str) -> Result<Self, ParseError> {
         let mut it = line.split_ascii_whitespace();
-        match it.next() {
-            Some("P") => {}
-            other => return Err(ParseError::new(format!("expected 'P' tag, got {other:?}"))),
+        if it.next() != Some("P") {
+            return Err(ParseError::new(format!(
+                "expected 'P' tag: {}",
+                quote(line)
+            )));
         }
         let n = parse_f64(it.next(), "vertex count")? as usize;
         if n < 3 {
@@ -258,10 +277,10 @@ impl<R: Record> Record for Tagged<R> {
     fn parse_line(line: &str) -> Result<Self, ParseError> {
         let (id_tok, rest) = line
             .split_once(char::is_whitespace)
-            .ok_or_else(|| ParseError::new(format!("tagged record without id: {line:?}")))?;
+            .ok_or_else(|| ParseError::new(format!("tagged record without id: {}", quote(line))))?;
         let id: u64 = id_tok
             .parse()
-            .map_err(|_| ParseError::new(format!("bad record id {id_tok:?}")))?;
+            .map_err(|_| ParseError::new(format!("bad record id {}", quote(id_tok))))?;
         Ok(Tagged {
             id,
             record: R::parse_line(rest)?,

@@ -582,7 +582,7 @@ mod tests {
         );
         // So is a blob of another cardinality, and the v1 layout.
         assert!(LocalRTree::from_bytes(&blob, random_rects(1799, 9)).is_err());
-        let mut v1 = blob.clone();
+        let mut v1 = blob;
         v1[4] = 1;
         assert!(LocalRTree::from_bytes(&v1, random_rects(1800, 9)).is_err());
     }

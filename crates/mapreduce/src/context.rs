@@ -1,8 +1,11 @@
-//! Task-side contexts handed to map and reduce functions.
+//! Task-side contexts handed to map and reduce functions: one
+//! [`TaskOutput`] per task, which a reduce function gets as is and a map
+//! function gets inside a [`MapContext`] with its reducer buckets.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 
 /// Partition function of the shuffle: which reducer a key belongs to.
 /// Uses a fixed-algorithm hasher so runs are deterministic.
@@ -13,7 +16,7 @@ pub(crate) fn bucket_of<K: Hash>(key: &K, buckets: usize) -> usize {
 }
 
 /// Handle to a job counter registered once per task with
-/// [`MapContext::register_counter`]/[`ReduceContext::register_counter`].
+/// [`TaskOutput::register_counter`].
 /// Incrementing through a handle is an integer-indexed add — no string
 /// allocation or map lookup in per-record loops.
 #[derive(Clone, Copy, Debug)]
@@ -51,28 +54,106 @@ impl InternedCounters {
     }
 }
 
-/// Context given to a map function for one split.
-///
-/// A mapper can do two things with its results:
-///
-/// * [`MapContext::emit`] — send an intermediate `(key, value)` pair into
-///   the shuffle toward the reducers, or
-/// * [`MapContext::output`] — write a line of *final* output directly
-///   (map-only jobs and the early-flush "pruning" steps of the enhanced
-///   operations use this; in Hadoop terms, writing from the mapper to a
-///   task-side output file committed with the job).
+/// What a task leaves behind besides its shuffle pairs: its final
+/// output, its named side files and its counters. A reduce task's
+/// context is exactly this ([`ReduceContext`]); a map task's
+/// ([`MapContext`]) adds the reducer buckets and derefs to it. Text is
+/// one buffer per destination — the part file and each text side file —
+/// every line followed by its newline, so the executor writes each with
+/// one `FileWriter::write_str`.
+pub struct TaskOutput {
+    /// Final output so far: every line followed by its newline.
+    pub(crate) output: String,
+    /// Text side files by name, every line followed by its newline.
+    pub(crate) side: BTreeMap<String, String>,
+    /// Binary side files by name.
+    pub(crate) side_bytes: BTreeMap<String, Vec<u8>>,
+    pub(crate) counters: BTreeMap<String, u64>,
+    interned: InternedCounters,
+}
+
+/// Context given to a reduce function: the task's [`TaskOutput`].
+pub type ReduceContext = TaskOutput;
+
+impl TaskOutput {
+    pub(crate) fn new() -> Self {
+        TaskOutput {
+            output: String::new(),
+            side: BTreeMap::new(),
+            side_bytes: BTreeMap::new(),
+            counters: BTreeMap::new(),
+            interned: InternedCounters::default(),
+        }
+    }
+
+    /// Writes one line of final output (from the map side: map-only jobs
+    /// and the early-flush "pruning" steps of the enhanced operations; in
+    /// Hadoop terms, a task-side output file committed with the job).
+    #[inline]
+    pub fn output(&mut self, line: &str) {
+        self.output.push_str(line);
+        self.output.push('\n');
+    }
+
+    /// Writes one line into a *named side file* (`{output}/{name}`).
+    /// Lines from all tasks writing the same name are concatenated in
+    /// task order, map tasks first — the mechanism the index builder
+    /// uses to write one file per spatial partition.
+    pub fn side_output(&mut self, name: &str, line: &str) {
+        let buf = match self.side.get_mut(name) {
+            Some(buf) => buf,
+            None => self.side.entry(name.to_string()).or_default(),
+        };
+        buf.push_str(line);
+        buf.push('\n');
+    }
+
+    /// Appends raw bytes to a *named binary side file* (`{output}/{name}`).
+    /// The binary analogue of [`TaskOutput::side_output`]: chunks from all
+    /// tasks writing the same name are concatenated in task order. A name
+    /// must be either text or binary, never both.
+    pub fn side_output_bytes(&mut self, name: &str, chunk: &[u8]) {
+        self.side_bytes
+            .entry(name.to_string())
+            .or_default()
+            .extend_from_slice(chunk);
+    }
+
+    /// Adds to a named job counter.
+    pub fn counter(&mut self, name: &str, delta: u64) {
+        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+    }
+
+    /// Registers a counter once; increments through the returned handle
+    /// are allocation-free (use in per-record loops).
+    pub fn register_counter(&mut self, name: &'static str) -> CounterHandle {
+        self.interned.register(name)
+    }
+
+    /// Adds to a counter registered with [`TaskOutput::register_counter`].
+    #[inline]
+    pub fn inc(&mut self, h: CounterHandle, delta: u64) {
+        self.interned.inc(h, delta);
+    }
+
+    /// All counters (dynamic + interned), consumed at task end.
+    pub(crate) fn take_counters(&mut self) -> BTreeMap<String, u64> {
+        let mut counters = std::mem::take(&mut self.counters);
+        self.interned.fold_into(&mut counters);
+        counters
+    }
+}
+
+/// Context given to a map function for one split: its [`TaskOutput`]
+/// (which it derefs to) plus [`MapContext::emit`], which sends an
+/// intermediate `(key, value)` pair into the shuffle toward the reducers.
 ///
 /// Emitted pairs are bucketed by reducer *at emit time*: each task hands
 /// the driver per-reducer vectors, so the shuffle is a concatenation
 /// instead of a single-threaded rehash of every pair.
 pub struct MapContext<K, V> {
     pub(crate) buckets: Vec<Vec<(K, V)>>,
-    /// Final output so far: every line followed by its newline.
-    pub(crate) output: String,
-    pub(crate) side: BTreeMap<String, Vec<String>>,
-    pub(crate) side_bytes: BTreeMap<String, Vec<u8>>,
-    pub(crate) counters: BTreeMap<String, u64>,
-    interned: InternedCounters,
+    pub(crate) task: TaskOutput,
 }
 
 impl<K, V> MapContext<K, V> {
@@ -81,11 +162,7 @@ impl<K, V> MapContext<K, V> {
     pub(crate) fn new(num_reducers: usize) -> Self {
         MapContext {
             buckets: (0..num_reducers.max(1)).map(|_| Vec::new()).collect(),
-            output: String::new(),
-            side: BTreeMap::new(),
-            side_bytes: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            interned: InternedCounters::default(),
+            task: TaskOutput::new(),
         }
     }
 
@@ -109,124 +186,19 @@ impl<K, V> MapContext<K, V> {
     pub(crate) fn emitted_len(&self) -> usize {
         self.buckets.iter().map(Vec::len).sum()
     }
+}
 
-    /// Writes one line of final output from the map side.
-    #[inline]
-    pub fn output(&mut self, line: &str) {
-        self.output.push_str(line);
-        self.output.push('\n');
-    }
+impl<K, V> Deref for MapContext<K, V> {
+    type Target = TaskOutput;
 
-    /// Writes one line into a *named side file* (`{output}/{name}`).
-    /// Lines from all tasks writing the same name are concatenated in
-    /// task order — the mechanism the index builder uses to write one
-    /// file per spatial partition.
-    pub fn side_output(&mut self, name: &str, line: String) {
-        self.side.entry(name.to_string()).or_default().push(line);
-    }
-
-    /// Appends raw bytes to a *named binary side file* (`{output}/{name}`).
-    /// The binary analogue of [`MapContext::side_output`]: chunks from all
-    /// tasks writing the same name are concatenated in task order. A name
-    /// must be either text or binary, never both.
-    pub fn side_output_bytes(&mut self, name: &str, chunk: &[u8]) {
-        self.side_bytes
-            .entry(name.to_string())
-            .or_default()
-            .extend_from_slice(chunk);
-    }
-
-    /// Adds to a named job counter.
-    pub fn counter(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Registers a counter once; increments through the returned handle
-    /// are allocation-free (use in per-record loops).
-    pub fn register_counter(&mut self, name: &'static str) -> CounterHandle {
-        self.interned.register(name)
-    }
-
-    /// Adds to a counter registered with [`MapContext::register_counter`].
-    #[inline]
-    pub fn inc(&mut self, h: CounterHandle, delta: u64) {
-        self.interned.inc(h, delta);
-    }
-
-    /// All counters (dynamic + interned), consumed at task end.
-    pub(crate) fn take_counters(&mut self) -> BTreeMap<String, u64> {
-        let mut counters = std::mem::take(&mut self.counters);
-        self.interned.fold_into(&mut counters);
-        counters
+    fn deref(&self) -> &TaskOutput {
+        &self.task
     }
 }
 
-/// Context given to a reduce function for one key group.
-pub struct ReduceContext {
-    /// Final output so far: every line followed by its newline.
-    pub(crate) output: String,
-    pub(crate) side: BTreeMap<String, Vec<String>>,
-    pub(crate) side_bytes: BTreeMap<String, Vec<u8>>,
-    pub(crate) counters: BTreeMap<String, u64>,
-    interned: InternedCounters,
-}
-
-impl ReduceContext {
-    pub(crate) fn new() -> Self {
-        ReduceContext {
-            output: String::new(),
-            side: BTreeMap::new(),
-            side_bytes: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            interned: InternedCounters::default(),
-        }
-    }
-
-    /// Writes one line of final output.
-    #[inline]
-    pub fn output(&mut self, line: &str) {
-        self.output.push_str(line);
-        self.output.push('\n');
-    }
-
-    /// Writes one line into a *named side file* (see
-    /// [`MapContext::side_output`]).
-    pub fn side_output(&mut self, name: &str, line: String) {
-        self.side.entry(name.to_string()).or_default().push(line);
-    }
-
-    /// Appends raw bytes to a *named binary side file* (see
-    /// [`MapContext::side_output_bytes`]).
-    pub fn side_output_bytes(&mut self, name: &str, chunk: &[u8]) {
-        self.side_bytes
-            .entry(name.to_string())
-            .or_default()
-            .extend_from_slice(chunk);
-    }
-
-    /// Adds to a named job counter.
-    pub fn counter(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Registers a counter once; increments through the returned handle
-    /// are allocation-free (use in per-record loops).
-    pub fn register_counter(&mut self, name: &'static str) -> CounterHandle {
-        self.interned.register(name)
-    }
-
-    /// Adds to a counter registered with
-    /// [`ReduceContext::register_counter`].
-    #[inline]
-    pub fn inc(&mut self, h: CounterHandle, delta: u64) {
-        self.interned.inc(h, delta);
-    }
-
-    /// All counters (dynamic + interned), consumed at task end.
-    pub(crate) fn take_counters(&mut self) -> BTreeMap<String, u64> {
-        let mut counters = std::mem::take(&mut self.counters);
-        self.interned.fold_into(&mut counters);
-        counters
+impl<K, V> DerefMut for MapContext<K, V> {
+    fn deref_mut(&mut self) -> &mut TaskOutput {
+        &mut self.task
     }
 }
 

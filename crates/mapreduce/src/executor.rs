@@ -12,7 +12,7 @@ use sh_dfs::{Dfs, DfsError, FaultPlan, FtOptions};
 use sh_trace::sync::{into_inner, lock, wait_timeout};
 use sh_trace::{Histogram, JobProfile, PhaseProfile, Span};
 
-use crate::context::{MapContext, ReduceContext};
+use crate::context::{MapContext, ReduceContext, TaskOutput};
 use crate::cost::{makespan, shuffle_time, SimBreakdown, TaskCost};
 use crate::counters::Counters;
 use crate::job::{Job, JobError, Mapper, Reducer};
@@ -122,11 +122,71 @@ struct MapTaskResult<K, V> {
     /// Post-combiner pair count/bytes, tallied task-side.
     shuffle_pairs: u64,
     shuffle_bytes: u64,
-    /// Final output lines, each newline-terminated.
-    output: String,
-    side: BTreeMap<String, Vec<String>>,
+    out: TaskOutput,
+}
+
+/// A job's finished tasks, folded in task order, map wave first: the
+/// one place a task's [`TaskOutput`] reaches the DFS and the job's
+/// counters. Part files are written as their task is folded; side files
+/// are merged across tasks and written last.
+struct TaskFold<'a> {
+    dfs: &'a Dfs,
+    dir: &'a str,
+    counters: &'a Counters,
+    side: BTreeMap<String, String>,
     side_bytes: BTreeMap<String, Vec<u8>>,
-    counters: BTreeMap<String, u64>,
+}
+
+impl TaskFold<'_> {
+    /// Folds one finished task of either wave: writes its final output
+    /// as `{dir}/{part}`, appends its side files to the job's, charges
+    /// everything it wrote to `cost.output_bytes`, and merges its
+    /// counters.
+    fn task(
+        &mut self,
+        part: &str,
+        output_counter: &'static str,
+        mut out: TaskOutput,
+        cost: &mut TaskCost,
+    ) -> Result<(), DfsError> {
+        for (name, text) in std::mem::take(&mut out.side) {
+            cost.output_bytes += text.len() as u64;
+            self.side.entry(name).or_default().push_str(&text);
+        }
+        for (name, chunk) in std::mem::take(&mut out.side_bytes) {
+            cost.output_bytes += chunk.len() as u64;
+            self.side_bytes.entry(name).or_default().extend(chunk);
+        }
+        if !out.output.is_empty() {
+            let mut w = self.dfs.create(&format!("{}/{part}", self.dir))?;
+            w.write_str(&out.output);
+            w.close()?;
+            let bytes = out.output.len() as u64;
+            cost.output_bytes += bytes;
+            self.counters.inc_static(output_counter, bytes);
+        }
+        self.counters.merge(&out.take_counters());
+        Ok(())
+    }
+
+    /// Writes the merged side files, text ones record-aligned.
+    fn write_side_files(self) -> Result<(), DfsError> {
+        for (name, text) in self.side {
+            let mut w = self.dfs.create(&format!("{}/{name}", self.dir))?;
+            w.write_str(&text);
+            w.close()?;
+            self.counters
+                .inc_static("output.side.bytes", text.len() as u64);
+        }
+        for (name, blob) in self.side_bytes {
+            let mut w = self.dfs.create(&format!("{}/{name}", self.dir))?;
+            w.write_chunk(&blob);
+            w.close()?;
+            self.counters
+                .inc_static("output.side.bytes", blob.len() as u64);
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -708,36 +768,22 @@ where
     };
     ft.absorb(map_ft);
 
-    // ---- side files (named outputs shared across tasks) ---------------
-    let mut side_files: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    let mut side_blobs: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-    for res in map_results.iter_mut() {
-        for (name, lines) in std::mem::take(&mut res.side) {
-            let bytes: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
-            res.cost.output_bytes += bytes;
-            side_files.entry(name).or_default().extend(lines);
-        }
-        for (name, chunk) in std::mem::take(&mut res.side_bytes) {
-            res.cost.output_bytes += chunk.len() as u64;
-            side_blobs
-                .entry(name)
-                .or_default()
-                .extend_from_slice(&chunk);
-        }
-    }
-
     // ---- map-side final output (map-only jobs & early flush) ----------
+    let mut fold = TaskFold {
+        dfs: &dfs,
+        dir: &job.output,
+        counters: &counters,
+        side: BTreeMap::new(),
+        side_bytes: BTreeMap::new(),
+    };
     for (i, res) in map_results.iter_mut().enumerate() {
-        if !res.output.is_empty() {
-            let path = format!("{}/part-m-{i:05}", job.output);
-            let mut w = dfs.create(&path)?;
-            w.write_str(&res.output);
-            w.close()?;
-            let bytes = res.output.len() as u64;
-            res.cost.output_bytes += bytes;
-            counters.inc_static("output.map.bytes", bytes);
-        }
-        counters.merge(&res.counters);
+        let out = std::mem::replace(&mut res.out, TaskOutput::new());
+        fold.task(
+            &format!("part-m-{i:05}"),
+            "output.map.bytes",
+            out,
+            &mut res.cost,
+        )?;
         counters.inc_static("map.input.bytes.local", res.cost.local_bytes);
         counters.inc_static("map.input.bytes.remote", res.cost.remote_bytes);
     }
@@ -803,7 +849,7 @@ where
         let buckets_ref = &buckets;
         // Reduce retries reuse the wave machinery; fault injection and
         // replica-directed rescheduling only apply to map waves.
-        let runner: WaveRunner<'_, ReduceTaskResult> = WaveRunner::new(
+        let runner: WaveRunner<'_, (TaskCost, TaskOutput)> = WaveRunner::new(
             &dfs,
             &opts,
             None,
@@ -826,30 +872,13 @@ where
         reduce_task_micros = micros;
 
         let mut reduce_costs: Vec<TaskCost> = Vec::with_capacity(r);
-        for (i, res) in reduce_results.into_iter().enumerate() {
-            let (mut cost, output, side, side_bytes, task_counters) = res;
-            for (name, lines) in side {
-                let bytes: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
-                cost.output_bytes += bytes;
-                side_files.entry(name).or_default().extend(lines);
-            }
-            for (name, chunk) in side_bytes {
-                cost.output_bytes += chunk.len() as u64;
-                side_blobs
-                    .entry(name)
-                    .or_default()
-                    .extend_from_slice(&chunk);
-            }
-            if !output.is_empty() {
-                let path = format!("{}/part-r-{i:05}", job.output);
-                let mut w = dfs.create(&path)?;
-                w.write_str(&output);
-                w.close()?;
-                let bytes = output.len() as u64;
-                cost.output_bytes += bytes;
-                counters.inc_static("output.reduce.bytes", bytes);
-            }
-            counters.merge(&task_counters);
+        for (i, (mut cost, out)) in reduce_results.into_iter().enumerate() {
+            fold.task(
+                &format!("part-r-{i:05}"),
+                "output.reduce.bytes",
+                out,
+                &mut cost,
+            )?;
             reduce_costs.push(cost);
             reduce_tasks_run += 1;
         }
@@ -859,25 +888,7 @@ where
 
     // Side files are written last so reduce-side side outputs are merged
     // in too.
-    for (name, lines) in side_files {
-        let path = format!("{}/{name}", job.output);
-        let mut w = dfs.create(&path)?;
-        for line in &lines {
-            w.write_line(line);
-        }
-        w.close()?;
-        counters.inc_static(
-            "output.side.bytes",
-            lines.iter().map(|l| l.len() as u64 + 1).sum(),
-        );
-    }
-    for (name, blob) in side_blobs {
-        let path = format!("{}/{name}", job.output);
-        let mut w = dfs.create(&path)?;
-        w.write_chunk(&blob);
-        w.close()?;
-        counters.inc_static("output.side.bytes", blob.len() as u64);
-    }
+    fold.write_side_files()?;
 
     counters.inc_static("task.retries", ft.retries);
     counters.inc_static("task.speculative.launched", ft.speculative_launched);
@@ -1097,7 +1108,6 @@ where
         job.mapper.map_bytes(split, &data, &mut ctx);
         (local, remote)
     };
-    let counters = ctx.take_counters();
     let mut buckets = ctx.buckets;
     if let Some(combiner) = &job.combiner {
         // Every pair of a key hashes to one bucket, so combining per
@@ -1127,10 +1137,7 @@ where
         buckets,
         shuffle_pairs,
         shuffle_bytes,
-        output: ctx.output,
-        side: ctx.side,
-        side_bytes: ctx.side_bytes,
-        counters,
+        out: ctx.task,
     })
 }
 
@@ -1156,20 +1163,12 @@ fn apply_combiner<K: Clone + Ord + Hash + Send, V: Clone + Send>(
     out
 }
 
-type ReduceTaskResult = (
-    TaskCost,
-    String,
-    BTreeMap<String, Vec<String>>,
-    BTreeMap<String, Vec<u8>>,
-    BTreeMap<String, u64>,
-);
-
 fn run_reduce_task<M, R>(
     reducer: &R,
     bucket: &[(M::K, M::V)],
     task: usize,
     cfg: &sh_dfs::ClusterConfig,
-) -> ReduceTaskResult
+) -> (TaskCost, TaskOutput)
 where
     M: Mapper,
     R: Reducer<K = M::K, V = M::V>,
@@ -1188,20 +1187,14 @@ where
         reducer.reduce(&group[0].0, values, &mut ctx);
     }
     let compute = t0.elapsed().as_secs_f64();
-    let counters = ctx.take_counters();
-    (
-        TaskCost {
-            node,
-            local_bytes: 0,
-            remote_bytes: 0,
-            output_bytes: 0,
-            compute_seconds: compute,
-        },
-        ctx.output,
-        ctx.side,
-        ctx.side_bytes,
-        counters,
-    )
+    let cost = TaskCost {
+        node,
+        local_bytes: 0,
+        remote_bytes: 0,
+        output_bytes: 0,
+        compute_seconds: compute,
+    };
+    (cost, ctx)
 }
 
 /// Best-effort extraction of a panic payload message.
@@ -1769,7 +1762,7 @@ mod tests {
         type V = u64;
         fn map_bytes(&self, s: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u64>) {
             for line in text(s, data).lines() {
-                ctx.side_output("spill", format!("m:{line}"));
+                ctx.side_output("spill", &format!("m:{line}"));
                 ctx.emit(1, line.len() as u64);
             }
         }
@@ -1780,7 +1773,7 @@ mod tests {
         type K = u8;
         type V = u64;
         fn reduce(&self, _k: &u8, vs: Vec<u64>, ctx: &mut ReduceContext) {
-            ctx.side_output("spill", format!("r:{}", vs.len()));
+            ctx.side_output("spill", &format!("r:{}", vs.len()));
             ctx.output(&format!("{}", vs.iter().sum::<u64>()));
         }
     }

@@ -33,7 +33,7 @@ pub mod rows;
 pub mod scheduler;
 pub mod split;
 
-pub use context::{CounterHandle, MapContext, ReduceContext};
+pub use context::{CounterHandle, MapContext, ReduceContext, TaskOutput};
 pub use cost::SimBreakdown;
 pub use counters::Counters;
 pub use executor::JobOutcome;

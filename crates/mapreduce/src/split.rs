@@ -32,27 +32,12 @@ pub struct InputSplit {
 
 impl InputSplit {
     /// Splits a two-input split's concatenated data back into the first
-    /// and second input's text.
+    /// and second input's bytes at `first_input_bytes` (blocks are
+    /// record-aligned, so the cut falls between records).
     ///
-    /// The cut point is clamped to the data actually read (and to a
-    /// UTF-8 boundary): a short read — e.g. from a degraded replica —
-    /// must not panic the task, it just yields a shorter first input.
-    pub fn split_data<'a>(&self, data: &'a str) -> (&'a str, &'a str) {
-        match self.first_input_bytes {
-            Some(b) => {
-                let mut cut = (b as usize).min(data.len());
-                while cut > 0 && !data.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                data.split_at(cut)
-            }
-            None => (data, ""),
-        }
-    }
-
-    /// Byte-level variant of [`InputSplit::split_data`] for binary
-    /// blocks: same short-read clamping, but no UTF-8 boundary search —
-    /// binary partitions are whole files, so the recorded cut is exact.
+    /// The cut point is clamped to the data actually read: a short read —
+    /// e.g. from a degraded replica — must not panic the task, it just
+    /// yields a shorter first input.
     pub fn split_data_bytes<'a>(&self, data: &'a [u8]) -> (&'a [u8], &'a [u8]) {
         match self.first_input_bytes {
             Some(b) => data.split_at((b as usize).min(data.len())),
@@ -169,16 +154,13 @@ mod tests {
         fs.write_string("/f", "a\nb\n").unwrap();
         let mut s = InputSplit::whole_file(&fs, "/f").unwrap();
         s.first_input_bytes = Some(2);
-        assert_eq!(s.split_data("a\nb\n"), ("a\n", "b\n"));
+        assert_eq!(s.split_data_bytes(b"a\nb\n"), (&b"a\n"[..], &b"b\n"[..]));
         // Regression: a short read used to panic in split_at; now the
         // cut clamps to whatever data arrived.
         s.first_input_bytes = Some(100);
-        assert_eq!(s.split_data("a\n"), ("a\n", ""));
+        assert_eq!(s.split_data_bytes(b"a\n"), (&b"a\n"[..], &b""[..]));
         s.first_input_bytes = Some(2);
-        assert_eq!(s.split_data(""), ("", ""));
-        // Cuts land on UTF-8 boundaries, not mid-codepoint.
-        s.first_input_bytes = Some(1);
-        assert_eq!(s.split_data("é\n"), ("", "é\n"));
+        assert_eq!(s.split_data_bytes(b""), (&b""[..], &b""[..]));
     }
 
     #[test]

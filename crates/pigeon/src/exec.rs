@@ -1466,8 +1466,8 @@ mod tests {
              DUMP j;",
         )
         .unwrap();
-        let mut a = indexed.clone();
-        let mut b = heap.clone();
+        let mut a = indexed;
+        let mut b = heap;
         a.sort();
         b.sort();
         assert_eq!(a, b, "DJ and SJMR must agree");

@@ -65,7 +65,8 @@ stage_lint() {
   cargo fmt --check &&
     # Hot-path allocation lints plus the concurrency lints: no mutexed
     # atomics, no lock-holding scrutinees living longer than they look.
-    cargo clippy --workspace -- -D warnings \
+    # `--all-targets` holds tests, examples and benches to the same set.
+    cargo clippy --workspace --all-targets -- -D warnings \
       -D clippy::redundant_clone -D clippy::inefficient_to_string \
       -D clippy::mutex_atomic -D clippy::significant_drop_in_scrutinee
 }
