@@ -98,8 +98,8 @@ pub fn stats_hadoop<R: Record>(
         .build()?
         .run()?;
     let line = job
-        .read_output(dfs)?
-        .into_iter()
+        .rows
+        .lines()
         .next()
         .ok_or_else(|| OpError::Corrupt("stats job produced no output".into()))?;
     let v: Vec<f64> = line

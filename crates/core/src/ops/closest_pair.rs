@@ -13,6 +13,7 @@ use sh_geom::algorithms::closest_pair::{closest_pair, PointPair};
 use sh_geom::Point;
 use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer};
 
+use super::farthest_pair::parse_pair;
 use crate::catalog::SpatialFile;
 use crate::mrlayer::{split_cell, ByRecords, RecordMapper, SpatialFileSplitter};
 use crate::opresult::{OpError, OpResult};
@@ -122,17 +123,7 @@ pub fn closest_pair_hadoop_unsound(
         .output(out_dir)
         .build()?
         .run()?;
-    let lines = job.read_output(dfs)?;
-    let value = match lines.first() {
-        None => None,
-        Some(line) => {
-            let v: Vec<f64> = line
-                .split_ascii_whitespace()
-                .map(|t| t.parse().map_err(|_| OpError::Corrupt(line.clone())))
-                .collect::<Result<_, _>>()?;
-            Some(PointPair::new(Point::new(v[0], v[1]), Point::new(v[2], v[3])).canonical())
-        }
-    };
+    let value = parse_pair(&job.rows)?;
     let emitted = value.is_some() as u64 * 2;
     let sel = sh_trace::Selectivity::full_scan(job.map_tasks, emitted);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
@@ -158,17 +149,7 @@ pub fn closest_pair_spatial(
         .output(out_dir)
         .build()?
         .run()?;
-    let lines = job.read_output(dfs)?;
-    let value = match lines.first() {
-        None => None,
-        Some(line) => {
-            let v: Vec<f64> = line
-                .split_ascii_whitespace()
-                .map(|t| t.parse().map_err(|_| OpError::Corrupt(line.clone())))
-                .collect::<Result<_, _>>()?;
-            Some(PointPair::new(Point::new(v[0], v[1]), Point::new(v[2], v[3])).canonical())
-        }
-    };
+    let value = parse_pair(&job.rows)?;
     sel.records_emitted = value.is_some() as u64 * 2;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }

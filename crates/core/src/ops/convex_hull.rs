@@ -14,7 +14,7 @@ use std::f64::consts::{PI, TAU};
 use sh_dfs::Dfs;
 use sh_geom::algorithms::convex_hull::convex_hull;
 use sh_geom::{Point, Record, Rect};
-use sh_mapreduce::{InputSplit, JobBuilder, JobOutcome, MapContext, ReduceContext, Reducer};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer, Rows};
 
 use crate::catalog::SpatialFile;
 use crate::codec::{decode_rects, encode_rects};
@@ -65,7 +65,7 @@ pub fn hull_hadoop(dfs: &Dfs, heap: &str, out_dir: &str) -> Result<OpResult<Vec<
         .output(out_dir)
         .build()?
         .run()?;
-    let value = hull_from_output(dfs, &job)?;
+    let value = hull_from_output(&job.rows)?;
     let sel = sh_trace::Selectivity::full_scan(job.map_tasks, value.len() as u64);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
@@ -114,7 +114,7 @@ pub fn hull_spatial(
         .run()?;
     job.counters
         .insert("hull.partitions.pruned".into(), pruned as u64);
-    let value = hull_from_output(dfs, &job)?;
+    let value = hull_from_output(&job.rows)?;
     sel.records_emitted = value.len() as u64;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
@@ -309,16 +309,16 @@ pub fn hull_enhanced(
         .map_only()?
         .run()?;
     // Driver merge over the few surviving candidates.
-    let candidates: Vec<Point> = crate::codec::parse_output_records(&job.read_output_rows(dfs)?)?;
+    let candidates: Vec<Point> = crate::codec::parse_output_records(&job.rows)?;
     let value = convex_hull(&candidates);
     sel.records_emitted = value.len() as u64;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 
-fn hull_from_output(dfs: &Dfs, job: &JobOutcome) -> Result<Vec<Point>, OpError> {
-    let pts: Vec<Point> = crate::codec::parse_output_records(&job.read_output_rows(dfs)?)?;
-    // The reducer already emitted hull order, but part files may split
-    // it; recompute for a canonical result.
+fn hull_from_output(rows: &Rows) -> Result<Vec<Point>, OpError> {
+    let pts: Vec<Point> = crate::codec::parse_output_records(rows)?;
+    // The reducer already emitted hull order, but several tasks' rows
+    // may interleave it; recompute for a canonical result.
     Ok(convex_hull(&pts))
 }
 

@@ -176,9 +176,9 @@ pub fn delaunay_spatial(
 
     // Driver merge over the boundary strip.
     let mut triangles: Vec<Tri> = job
-        .read_output(dfs)?
-        .iter()
-        .map(|l| Tri::decode(l))
+        .rows
+        .lines()
+        .map(Tri::decode)
         .collect::<Result<_, _>>()?;
     let merge_path = format!("{out_dir}/_merge");
     let mut jobs = vec![job];
@@ -234,7 +234,6 @@ pub fn delaunay_spatial(
         let cfg = dfs.config();
         jobs.push(JobOutcome::synthetic(
             "delaunay-spatial:driver-merge",
-            out_dir,
             std::collections::BTreeMap::from([("delaunay.flushed.merge".to_string(), emitted)]),
             SimBreakdown {
                 startup: 0.0,
@@ -318,10 +317,9 @@ pub fn delaunay_hadoop(
         .output(out_dir)
         .build()?
         .run()?;
-    let lines = job.read_output(dfs)?;
-    let transferred: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
+    let transferred = job.rows.text().len() as u64;
     let mut sites: Vec<Point> = Vec::new();
-    for l in &lines {
+    for l in job.rows.lines() {
         sites.extend(Tri::decode(l)?.0);
     }
     sort_dedup(&mut sites);
@@ -335,7 +333,6 @@ pub fn delaunay_hadoop(
     let cfg = dfs.config();
     let merge = JobOutcome::synthetic(
         "delaunay-hadoop:driver-merge",
-        out_dir,
         std::collections::BTreeMap::from([("delaunay.merge.bytes".to_string(), transferred)]),
         SimBreakdown {
             startup: 0.0,

@@ -22,7 +22,7 @@ use sh_geom::algorithms::closest_pair::PointPair;
 use sh_geom::algorithms::convex_hull::convex_hull;
 use sh_geom::algorithms::farthest_pair::farthest_pair_on_hull;
 use sh_geom::Point;
-use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer, Rows};
 
 use crate::catalog::SpatialFile;
 use crate::mrlayer::{ByRecords, RecordMapper};
@@ -78,7 +78,7 @@ pub fn farthest_pair_hadoop(
         .output(out_dir)
         .build()?
         .run()?;
-    let value = parse_pair(dfs, &job)?;
+    let value = parse_pair(&job.rows)?;
     let sel = sh_trace::Selectivity::full_scan(job.map_tasks, value.is_some() as u64 * 2);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
@@ -148,7 +148,7 @@ pub fn farthest_pair_spatial(
         .run()?;
     job.counters
         .insert("fp.partitions.pruned".into(), pruned as u64);
-    let value = parse_pair(dfs, &job)?;
+    let value = parse_pair(&job.rows)?;
     sel.records_emitted = value.is_some() as u64 * 2;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
@@ -231,7 +231,7 @@ pub fn farthest_pair_pairs(
         .insert("fp.pairs.considered".into(), total_pairs as u64);
     job.counters
         .insert("fp.pairs.processed".into(), pairs.len() as u64);
-    let value = parse_pair(dfs, &job)?;
+    let value = parse_pair(&job.rows)?;
     // Selectivity counts partition *pairs*: the unit the two-pass
     // bound filter prunes.
     let mut sel = sh_trace::Selectivity::of_split(total_pairs, pairs.len(), 0);
@@ -239,14 +239,15 @@ pub fn farthest_pair_pairs(
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 
-fn parse_pair(dfs: &Dfs, job: &sh_mapreduce::JobOutcome) -> Result<Option<PointPair>, OpError> {
-    let lines = job.read_output(dfs)?;
-    match lines.first() {
+/// The `x1 y1 x2 y2` row a closest- or farthest-pair job answers with,
+/// if it found a pair.
+pub(super) fn parse_pair(rows: &Rows) -> Result<Option<PointPair>, OpError> {
+    match rows.lines().next() {
         None => Ok(None),
         Some(line) => {
             let v: Vec<f64> = line
                 .split_ascii_whitespace()
-                .map(|t| t.parse().map_err(|_| OpError::Corrupt(line.clone())))
+                .map(|t| t.parse().map_err(|_| OpError::Corrupt(line.to_string())))
                 .collect::<Result<_, _>>()?;
             Ok(Some(
                 PointPair::new(Point::new(v[0], v[1]), Point::new(v[2], v[3])).canonical(),

@@ -14,9 +14,7 @@ use sh_geom::algorithms::plane_sweep::{plane_sweep_join, plane_sweep_join_into};
 use sh_geom::Rect;
 use sh_index::grid::GridPartitioning;
 use sh_index::owns_point;
-use sh_mapreduce::{
-    InputSplit, JobBuilder, JobOutcome, MapContext, Mapper, ReduceContext, Reducer,
-};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, ReduceContext, Reducer, Rows};
 
 use crate::catalog::SpatialFile;
 use crate::codec::{decode_pair, write_pair};
@@ -119,7 +117,7 @@ pub fn sjmr(
         .output(out_dir)
         .build()?
         .run()?;
-    let value = parse_output(dfs, &job)?;
+    let value = parse_output(&job.rows)?;
     let sel = Selectivity::full_scan(job.map_tasks, value.len() as u64);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
@@ -333,7 +331,7 @@ pub fn distributed_join(
         .insert("join.pairs.considered".into(), total_pairs as u64);
     job.counters
         .insert("join.pairs.processed".into(), processed as u64);
-    let value = parse_output(dfs, &job)?;
+    let value = parse_output(&job.rows)?;
     // Selectivity counts partition *pairs*: the unit the filter step
     // prunes in a distributed join.
     let mut sel = Selectivity::of_split(total_pairs, processed, 0);
@@ -406,7 +404,7 @@ pub fn polygon_join(
         .map_only()?
         .run()?;
     let mut value = Vec::new();
-    for line in job.read_output_rows(dfs)?.lines() {
+    for line in job.rows.lines() {
         let (l, r) = line
             .split_once(" | ")
             .ok_or_else(|| OpError::Corrupt(format!("bad polygon pair: {line:?}")))?;
@@ -420,11 +418,8 @@ pub fn polygon_join(
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 
-fn parse_output(dfs: &Dfs, job: &JobOutcome) -> Result<Vec<(Rect, Rect)>, OpError> {
-    job.read_output_rows(dfs)?
-        .lines()
-        .map(decode_pair)
-        .collect()
+fn parse_output(rows: &Rows) -> Result<Vec<(Rect, Rect)>, OpError> {
+    rows.lines().map(decode_pair).collect()
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@ use sh_mapreduce::{
 };
 
 use crate::catalog::SpatialFile;
+use crate::codec::parse_output_records;
 use crate::mrlayer::{
     task, task_cached, ByRecords, Partition, RecordMapper, SpatialFileSplitter, SpatialRecordReader,
 };
@@ -86,7 +87,7 @@ pub fn knn_hadoop(
         .output(out_dir)
         .build()?
         .run()?;
-    let value = parse_points(dfs, &job)?;
+    let value: Vec<Point> = parse_output_records(&job.rows)?;
     let sel = Selectivity::full_scan(job.map_tasks, value.len() as u64);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
@@ -175,10 +176,10 @@ pub fn knn_spatial(
                 k,
                 _r: PhantomData,
             })
-            .output(&format!("{out_dir}/round-{round}"))
+            .output(out_dir)
             .map_only()?
             .run()?;
-        candidates.extend(parse_points(dfs, &job)?);
+        candidates.extend(parse_output_records::<Point>(&job.rows)?);
         jobs.push(job);
         processed.extend(frontier_set.iter().copied());
 
@@ -257,10 +258,6 @@ pub fn knn_spatial(
             needs
         };
     }
-}
-
-fn parse_points(dfs: &Dfs, job: &JobOutcome) -> Result<Vec<Point>, OpError> {
-    crate::codec::parse_output_records(&job.read_output_rows(dfs)?)
 }
 
 #[cfg(test)]

@@ -218,9 +218,9 @@ pub fn knn_join_spatial(
         .map_only()?
         .run()?;
     let mut rows: Vec<KnnRow> = round1
-        .read_output(dfs)?
-        .iter()
-        .map(|l| KnnRow::decode(l))
+        .rows
+        .lines()
+        .map(KnnRow::decode)
         .collect::<Result<_, _>>()?;
     let mut jobs = vec![round1];
 
@@ -262,18 +262,14 @@ pub fn knn_join_spatial(
         let round2 = JobBuilder::new(dfs, &format!("knnjoin-round2:{}", r_file.dir))
             .input_splits(splits)
             .mapper(Round2Mapper { k })
-            .output(&format!("{out_dir}/round2"))
+            .output(out_dir)
             .map_only()?
             .run()?;
-        rows.extend(
-            round2
-                .read_output(dfs)?
-                .iter()
-                .map(|l| KnnRow::decode(l))
-                .collect::<Result<Vec<_>, _>>()?,
-        );
+        for line in round2.rows.lines() {
+            rows.push(KnnRow::decode(line)?);
+        }
         jobs.push(round2);
-        // Clean the intermediate spill files (keep the part outputs).
+        // Clean the intermediate spill files.
         for path in dfs.list(&format!("{out_dir}/_")) {
             dfs.delete(&path);
         }

@@ -184,7 +184,7 @@ pub fn plot_spatial<R: Record>(
         .run()?;
     // Assemble the raster from the per-row outputs.
     let mut raster = Raster::new(width, height);
-    for line in job.read_output(dfs)? {
+    for line in job.rows.lines() {
         let mut it = line.split_ascii_whitespace();
         match it.next() {
             Some("ROW") => {}
@@ -339,7 +339,7 @@ pub fn plot_pyramid<R: Record>(
         tile_px,
         tiles: std::collections::BTreeMap::new(),
     };
-    for line in job.read_output(dfs)? {
+    for line in job.rows.lines() {
         let mut it = line.split_ascii_whitespace();
         match it.next() {
             Some("TILE") => {}

@@ -146,7 +146,7 @@ pub fn range_hadoop<R: Record>(
 }
 
 /// [`range_hadoop`] with the answer left as the job wrote it: one
-/// `to_line()` row per matching record, in part-file order.
+/// `to_line()` row per matching record, in task order.
 pub fn range_hadoop_rows<R: Record>(
     dfs: &Dfs,
     heap: &str,
@@ -162,9 +162,8 @@ pub fn range_hadoop_rows<R: Record>(
         .output(out_dir)
         .map_only()?
         .run()?;
-    let rows = job.read_output_rows(dfs)?;
-    let sel = Selectivity::full_scan(job.map_tasks, rows.len() as u64);
-    Ok(OpResult::new(rows, vec![job]).with_selectivity(sel))
+    let sel = Selectivity::full_scan(job.map_tasks, job.rows.len() as u64);
+    Ok(OpResult::new(job.rows.clone(), vec![job]).with_selectivity(sel))
 }
 
 /// Ablation switches for [`range_spatial_with`] (DESIGN.md §5).
@@ -208,7 +207,7 @@ pub fn range_spatial_with<R: Record>(
 }
 
 /// [`range_spatial_with`] with the answer left as the job wrote it: one
-/// `to_line()` row per result record, in part-file order.
+/// `to_line()` row per result record, in task order.
 pub fn range_spatial_rows<R: Record>(
     dfs: &Dfs,
     file: &SpatialFile,
@@ -236,9 +235,8 @@ pub fn range_spatial_rows<R: Record>(
         .run()?;
     job.counters
         .insert("range.partitions.pruned".into(), pruned as u64);
-    let rows = job.read_output_rows(dfs)?;
-    sel.records_emitted = rows.len() as u64;
-    Ok(OpResult::new(rows, vec![job]).with_selectivity(sel))
+    sel.records_emitted = job.rows.len() as u64;
+    Ok(OpResult::new(job.rows.clone(), vec![job]).with_selectivity(sel))
 }
 
 /// The typed view of a rows-level answer.

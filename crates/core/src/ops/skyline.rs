@@ -16,7 +16,7 @@
 use sh_dfs::Dfs;
 use sh_geom::algorithms::skyline::{not_dominated, skyline};
 use sh_geom::{Point, Record, Rect};
-use sh_mapreduce::{InputSplit, JobBuilder, JobOutcome, MapContext, ReduceContext, Reducer};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer, Rows};
 
 use crate::catalog::SpatialFile;
 use crate::codec::{decode_points, encode_points};
@@ -93,7 +93,7 @@ pub fn skyline_hadoop_naive(
         .output(out_dir)
         .build()?
         .run()?;
-    let value = sorted_points(dfs, &job)?;
+    let value = sorted_points(&job.rows)?;
     let sel = sh_trace::Selectivity::full_scan(job.map_tasks, value.len() as u64);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
@@ -112,7 +112,7 @@ pub fn skyline_hadoop(
         .output(out_dir)
         .build()?
         .run()?;
-    let value = sorted_points(dfs, &job)?;
+    let value = sorted_points(&job.rows)?;
     let sel = sh_trace::Selectivity::full_scan(job.map_tasks, value.len() as u64);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
@@ -152,7 +152,7 @@ pub fn skyline_spatial(
         .run()?;
     job.counters
         .insert("skyline.partitions.pruned".into(), pruned as u64);
-    let value = sorted_points(dfs, &job)?;
+    let value = sorted_points(&job.rows)?;
     sel.records_emitted = value.len() as u64;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
@@ -228,13 +228,13 @@ pub fn skyline_output_sensitive(
         .output(out_dir)
         .map_only()?
         .run()?;
-    let value = sorted_points(dfs, &job)?;
+    let value = sorted_points(&job.rows)?;
     sel.records_emitted = value.len() as u64;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 
-fn sorted_points(dfs: &Dfs, job: &JobOutcome) -> Result<Vec<Point>, OpError> {
-    let mut pts: Vec<Point> = crate::codec::parse_output_records(&job.read_output_rows(dfs)?)?;
+fn sorted_points(rows: &Rows) -> Result<Vec<Point>, OpError> {
+    let mut pts: Vec<Point> = crate::codec::parse_output_records(rows)?;
     pts.sort_by(Point::cmp_xy);
     Ok(pts)
 }

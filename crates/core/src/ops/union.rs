@@ -20,7 +20,7 @@ use sh_dfs::Dfs;
 use sh_geom::algorithms::union::{boundary_union, union_regions, SegmentRegion};
 use sh_geom::float::EPS;
 use sh_geom::{Polygon, Record, Segment};
-use sh_mapreduce::{InputSplit, JobBuilder, JobOutcome, MapContext, ReduceContext, Reducer};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer, Rows};
 
 use crate::catalog::SpatialFile;
 use crate::mrlayer::{split_cell, ByRecords, RecordMapper, SpatialFileSplitter};
@@ -88,7 +88,7 @@ pub fn union_hadoop(
         .output(out_dir)
         .build()?
         .run()?;
-    let value = parse_segments(dfs, &job)?;
+    let value = parse_segments(&job.rows)?;
     let sel = sh_trace::Selectivity::full_scan(job.map_tasks, value.len() as u64);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
@@ -117,7 +117,7 @@ pub fn union_spatial(
         .output(out_dir)
         .build()?
         .run()?;
-    let value = parse_segments(dfs, &job)?;
+    let value = parse_segments(&job.rows)?;
     sel.records_emitted = value.len() as u64;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
@@ -171,14 +171,13 @@ pub fn union_enhanced(
         .output(out_dir)
         .map_only()?
         .run()?;
-    let value = parse_segments(dfs, &job)?;
+    let value = parse_segments(&job.rows)?;
     sel.records_emitted = value.len() as u64;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 
-fn parse_segments(dfs: &Dfs, job: &JobOutcome) -> Result<Vec<Segment>, OpError> {
-    job.read_output(dfs)?
-        .iter()
+fn parse_segments(rows: &Rows) -> Result<Vec<Segment>, OpError> {
+    rows.lines()
         .map(|l| Segment::parse_line(l).map_err(OpError::from))
         .collect()
 }

@@ -205,10 +205,10 @@ pub fn voronoi_hadoop(
     // Driver-side merge: recompute over all sites of the partial
     // diagrams (the partial structure does not help a recomputation-free
     // merge; transferring and merging it is exactly the bottleneck).
-    let partial_lines = job.read_output(dfs)?;
-    let transferred: u64 = partial_lines.iter().map(|l| l.len() as u64 + 1).sum();
-    let mut sites: Vec<Point> = partial_lines
-        .iter()
+    let transferred = job.rows.text().len() as u64;
+    let mut sites: Vec<Point> = job
+        .rows
+        .lines()
         .map(|l| VCell::decode(l).map(|c| c.site))
         .collect::<Result<_, _>>()?;
     sort_dedup(&mut sites);
@@ -218,7 +218,6 @@ pub fn voronoi_hadoop(
     let cfg = dfs.config();
     let merge_phase = JobOutcome::synthetic(
         "voronoi-hadoop:driver-merge",
-        out_dir,
         std::collections::BTreeMap::from([("voronoi.merge.bytes".to_string(), transferred)]),
         SimBreakdown {
             startup: 0.0,
@@ -442,7 +441,6 @@ pub fn voronoi_spatial(
         let cfg = dfs.config();
         h_outcome = Some(JobOutcome::synthetic(
             "voronoi-spatial:h-merge",
-            out_dir,
             std::collections::BTreeMap::from([
                 ("voronoi.hmerge.bytes".to_string(), transferred),
                 ("voronoi.flushed.hmerge".to_string(), h_cells.len() as u64),
@@ -460,9 +458,9 @@ pub fn voronoi_spatial(
     }
 
     let mut value: Vec<VCell> = job
-        .read_output(dfs)?
-        .iter()
-        .map(|l| VCell::decode(l))
+        .rows
+        .lines()
+        .map(VCell::decode)
         .collect::<Result<_, _>>()?;
     value.extend(h_cells);
     let mut jobs = vec![job];

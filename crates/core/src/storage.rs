@@ -25,7 +25,7 @@ use sh_dfs::{Dfs, DfsError};
 use sh_geom::{Point, Record, Rect};
 use sh_index::sampler::{reservoir_sample, sample_size};
 use sh_index::{GlobalPartitioning, PartitionKind, PartitionMeta};
-use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer, Rows};
 use sh_trace::Span;
 
 use crate::catalog::SpatialFile;
@@ -180,14 +180,12 @@ impl<R: Record> Reducer for PartitionReducer<R> {
         };
         ctx.side_output_bytes(&sidecar, &tree.to_bytes());
         ctx.counter("index.local_trees", 1);
+        // The partition's catalogue entry goes to the driver as a row.
         let count = records.len();
-        ctx.side_output(
-            "_partmeta",
-            &format!(
-                "{pid} {count} {bytes} {} {} {} {}",
-                mbr.x1, mbr.y1, mbr.x2, mbr.y2
-            ),
-        );
+        ctx.output(&format!(
+            "{pid} {count} {bytes} {} {} {} {}",
+            mbr.x1, mbr.y1, mbr.x2, mbr.y2
+        ));
     }
 }
 
@@ -237,14 +235,12 @@ pub fn build_index_fmt<R: Record>(
             per_split: want_sample.div_ceil(num_splits),
             _r: PhantomData,
         }))
-        .output(&format!("{index_dir}/_sample"))
+        .output(index_dir)
         .map_only()?
         .run()?;
     let mut sample: Vec<Point> = Vec::new();
     let mut universe = Rect::empty();
-    let parsed = parse_sample_output(sample_job.read_output(dfs)?, &mut sample, &mut universe);
-    delete_dir(dfs, &format!("{index_dir}/_sample"));
-    parsed?;
+    parse_sample_output(&sample_job.rows, &mut sample, &mut universe)?;
     sample_span.attr("points", sample.len());
     sample_span.finish();
     sh_trace::global().counter_add("index.sample.points", sample.len() as u64);
@@ -277,7 +273,7 @@ pub fn build_index_fmt<R: Record>(
 /// Malformed lines — wrong arity, unparseable or non-finite numbers —
 /// are [`OpError::Corrupt`], not driver panics.
 fn parse_sample_output(
-    lines: Vec<String>,
+    rows: &Rows,
     sample: &mut Vec<Point>,
     universe: &mut Rect,
 ) -> Result<(), OpError> {
@@ -286,21 +282,21 @@ fn parse_sample_output(
             .filter(|v| v.is_finite())
             .ok_or_else(|| corrupt(what, line))
     }
-    for line in lines {
+    for line in rows.lines() {
         let mut it = line.split_ascii_whitespace();
         match it.next() {
             Some("S") => {
-                let x = coord(it.next(), "bad sample point", &line)?;
-                let y = coord(it.next(), "bad sample point", &line)?;
+                let x = coord(it.next(), "bad sample point", line)?;
+                let y = coord(it.next(), "bad sample point", line)?;
                 sample.push(Point::new(x, y));
             }
             Some("M") => {
                 let mut v = [0.0f64; 4];
                 for slot in &mut v {
-                    *slot = coord(it.next(), "bad split MBR", &line)?;
+                    *slot = coord(it.next(), "bad split MBR", line)?;
                 }
                 if it.next().is_some() {
-                    return Err(corrupt("bad split MBR", &line));
+                    return Err(corrupt("bad split MBR", line));
                 }
                 universe.expand(&Rect::new(v[0], v[1], v[2], v[3]));
             }
@@ -366,10 +362,9 @@ fn partition_phase<R: Record>(
     assign_span.attr("reducers", reducers);
     assign_span.finish();
 
-    // Assemble and persist the catalogue.
-    let meta_text = dfs.read_to_string(&format!("{index_dir}/_partmeta"))?;
+    // Assemble and persist the catalogue from the reducers' rows.
     let mut partitions: Vec<PartitionMeta> = Vec::new();
-    for line in meta_text.lines() {
+    for line in partition_job.rows.lines() {
         let toks: Vec<&str> = line.split_ascii_whitespace().collect();
         if toks.len() != 7 {
             return Err(corrupt("bad partition meta line", line));

@@ -58,9 +58,10 @@ impl InternedCounters {
 /// output, its named side files and its counters. A reduce task's
 /// context is exactly this ([`ReduceContext`]); a map task's
 /// ([`MapContext`]) adds the reducer buckets and derefs to it. Text is
-/// one buffer per destination — the part file and each text side file —
-/// every line followed by its newline, so the executor writes each with
-/// one `FileWriter::write_str`.
+/// one buffer per destination — the job's rows and each text side file
+/// — every line followed by its newline, so the executor hands the rows
+/// over as they are and writes each side file with one
+/// `FileWriter::write_str`.
 pub struct TaskOutput {
     /// Final output so far: every line followed by its newline.
     pub(crate) output: String,
@@ -88,7 +89,8 @@ impl TaskOutput {
 
     /// Writes one line of final output (from the map side: map-only jobs
     /// and the early-flush "pruning" steps of the enhanced operations; in
-    /// Hadoop terms, a task-side output file committed with the job).
+    /// Hadoop terms, a task-side output file committed with the job). The
+    /// driver gets it in [`crate::JobOutcome::rows`].
     #[inline]
     pub fn output(&mut self, line: &str) {
         self.output.push_str(line);

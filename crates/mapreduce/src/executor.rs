@@ -23,8 +23,10 @@ use crate::rows::Rows;
 pub struct JobOutcome {
     /// Job name (diagnostics).
     pub name: String,
-    /// Output directory holding `part-*` files.
-    pub output: String,
+    /// The job's final output: every map task's in task order, then every
+    /// reduce task's. The driver shares the tasks' process, so it gets
+    /// the rows directly; their bytes are still charged as DFS output.
+    pub rows: Rows,
     /// Final counters (engine + user).
     pub counters: BTreeMap<String, u64>,
     /// Simulated cluster time.
@@ -42,42 +44,12 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    /// Reads the job's output — every `part-*` file, in part order — as
-    /// one buffer, allocated once at its final size: blocks are
-    /// checksummed by the DFS and appended as they arrive, and no row is
-    /// allocated on its own.
-    pub fn read_output_rows(&self, dfs: &Dfs) -> Result<Rows, DfsError> {
-        let mut files = Vec::new();
-        for path in dfs.list(&format!("{}/part-", self.output)) {
-            files.push((dfs.block_locations(&path)?, path));
-        }
-        let total = files.iter().flat_map(|(blocks, _)| blocks).map(|b| b.len);
-        let mut text = String::with_capacity(total.sum::<u64>() as usize);
-        for (blocks, path) in &files {
-            for block in blocks {
-                // Driver-side read: remote from every node's view.
-                let (bytes, _) = dfs.read_block(block.id, usize::MAX)?;
-                let chunk =
-                    std::str::from_utf8(&bytes).map_err(|_| DfsError::NotUtf8(path.clone()))?;
-                text.push_str(chunk);
-            }
-        }
-        Ok(Rows::from_text(text))
-    }
-
-    /// The output as one `String` per line, for small results.
-    pub fn read_output(&self, dfs: &Dfs) -> Result<Vec<String>, DfsError> {
-        let rows = self.read_output_rows(dfs)?;
-        Ok(rows.lines().map(str::to_string).collect())
-    }
-
     /// Builds an outcome for driver-side phases that run outside the
     /// engine (e.g. a single-machine merge after a MapReduce round). The
     /// profile is synthesized from the supplied aggregates so downstream
     /// profile consumers see these phases too.
     pub fn synthetic(
         name: impl Into<String>,
-        output: impl Into<String>,
         counters: BTreeMap<String, u64>,
         sim: SimBreakdown,
         wall: Duration,
@@ -102,7 +74,7 @@ impl JobOutcome {
         profile.counters = counters.clone();
         JobOutcome {
             name,
-            output: output.into(),
+            rows: Rows::default(),
             counters,
             sim,
             wall,
@@ -126,29 +98,26 @@ struct MapTaskResult<K, V> {
 }
 
 /// A job's finished tasks, folded in task order, map wave first: the
-/// one place a task's [`TaskOutput`] reaches the DFS and the job's
-/// counters. Part files are written as their task is folded; side files
-/// are merged across tasks and written last.
+/// one place a task's [`TaskOutput`] reaches the driver, the DFS and the
+/// job's counters. Final outputs are kept as their tasks are folded and
+/// joined into the job's rows at the end; side files are merged across
+/// tasks and written last.
 struct TaskFold<'a> {
     dfs: &'a Dfs,
     dir: &'a str,
     counters: &'a Counters,
+    outputs: Vec<String>,
     side: BTreeMap<String, String>,
     side_bytes: BTreeMap<String, Vec<u8>>,
 }
 
 impl TaskFold<'_> {
-    /// Folds one finished task of either wave: writes its final output
-    /// as `{dir}/{part}`, appends its side files to the job's, charges
-    /// everything it wrote to `cost.output_bytes`, and merges its
-    /// counters.
-    fn task(
-        &mut self,
-        part: &str,
-        output_counter: &'static str,
-        mut out: TaskOutput,
-        cost: &mut TaskCost,
-    ) -> Result<(), DfsError> {
+    /// Folds one finished task of either wave: keeps its final output
+    /// for the job's rows, appends its side files to the job's, charges
+    /// all of it to `cost.output_bytes`, and merges its counters. The
+    /// final output is charged as the DFS write Hadoop's task commit
+    /// makes, so simulated time does not depend on where the rows go.
+    fn task(&mut self, output_counter: &'static str, mut out: TaskOutput, cost: &mut TaskCost) {
         for (name, text) in std::mem::take(&mut out.side) {
             cost.output_bytes += text.len() as u64;
             self.side.entry(name).or_default().push_str(&text);
@@ -158,19 +127,17 @@ impl TaskFold<'_> {
             self.side_bytes.entry(name).or_default().extend(chunk);
         }
         if !out.output.is_empty() {
-            let mut w = self.dfs.create(&format!("{}/{part}", self.dir))?;
-            w.write_str(&out.output);
-            w.close()?;
             let bytes = out.output.len() as u64;
             cost.output_bytes += bytes;
             self.counters.inc_static(output_counter, bytes);
+            self.outputs.push(std::mem::take(&mut out.output));
         }
         self.counters.merge(&out.take_counters());
-        Ok(())
     }
 
-    /// Writes the merged side files, text ones record-aligned.
-    fn write_side_files(self) -> Result<(), DfsError> {
+    /// Writes the merged side files, text ones record-aligned, and hands
+    /// back the job's rows: the kept outputs joined in one allocation.
+    fn finish(self) -> Result<Rows, DfsError> {
         for (name, text) in self.side {
             let mut w = self.dfs.create(&format!("{}/{name}", self.dir))?;
             w.write_str(&text);
@@ -185,7 +152,7 @@ impl TaskFold<'_> {
             self.counters
                 .inc_static("output.side.bytes", blob.len() as u64);
         }
-        Ok(())
+        Ok(Rows::from_text(self.outputs.concat()))
     }
 }
 
@@ -708,8 +675,9 @@ where
         ],
     );
 
-    // Hadoop semantics: refuse to run into a non-empty output directory
-    // (prevents part files from different jobs from mixing).
+    // Refuse an output directory that already holds `part-*` files: it
+    // is an index, and this job's side files would land among its
+    // partitions.
     if !dfs.list(&format!("{}/part-", job.output)).is_empty() {
         return Err(JobError::Config(format!(
             "output directory {} already contains part files",
@@ -773,17 +741,13 @@ where
         dfs: &dfs,
         dir: &job.output,
         counters: &counters,
+        outputs: Vec::new(),
         side: BTreeMap::new(),
         side_bytes: BTreeMap::new(),
     };
-    for (i, res) in map_results.iter_mut().enumerate() {
+    for res in map_results.iter_mut() {
         let out = std::mem::replace(&mut res.out, TaskOutput::new());
-        fold.task(
-            &format!("part-m-{i:05}"),
-            "output.map.bytes",
-            out,
-            &mut res.cost,
-        )?;
+        fold.task("output.map.bytes", out, &mut res.cost);
         counters.inc_static("map.input.bytes.local", res.cost.local_bytes);
         counters.inc_static("map.input.bytes.remote", res.cost.remote_bytes);
     }
@@ -872,13 +836,8 @@ where
         reduce_task_micros = micros;
 
         let mut reduce_costs: Vec<TaskCost> = Vec::with_capacity(r);
-        for (i, (mut cost, out)) in reduce_results.into_iter().enumerate() {
-            fold.task(
-                &format!("part-r-{i:05}"),
-                "output.reduce.bytes",
-                out,
-                &mut cost,
-            )?;
+        for (mut cost, out) in reduce_results {
+            fold.task("output.reduce.bytes", out, &mut cost);
             reduce_costs.push(cost);
             reduce_tasks_run += 1;
         }
@@ -888,7 +847,7 @@ where
 
     // Side files are written last so reduce-side side outputs are merged
     // in too.
-    fold.write_side_files()?;
+    let rows = fold.finish()?;
 
     counters.inc_static("task.retries", ft.retries);
     counters.inc_static("task.speculative.launched", ft.speculative_launched);
@@ -918,7 +877,7 @@ where
 
     Ok(JobOutcome {
         name: job.name,
-        output: job.output,
+        rows,
         counters,
         sim,
         wall: start.elapsed(),
@@ -1241,6 +1200,10 @@ mod tests {
         Dfs::new(ClusterConfig::small_for_tests())
     }
 
+    fn lines(outcome: &JobOutcome) -> Vec<String> {
+        outcome.rows.lines().map(str::to_string).collect()
+    }
+
     fn wordcount_input(fs: &Dfs, lines: usize) {
         let mut w = fs.create("/in").unwrap();
         for i in 0..lines {
@@ -1265,20 +1228,12 @@ mod tests {
             .unwrap();
         assert!(outcome.map_tasks > 1, "expected multiple splits");
         assert_eq!(outcome.reduce_tasks, 3);
-        let mut lines = outcome.read_output(&fs).unwrap();
+        let mut lines = lines(&outcome);
         lines.sort();
         assert_eq!(lines.len(), 11); // w0..w9 + common
         assert!(lines.contains(&"common 5000".to_string()));
         assert!(lines.contains(&"w0 500".to_string()));
-        // The rows-level read-back is the part files, concatenated.
-        let rows = outcome.read_output_rows(&fs).unwrap();
-        let parts: String = fs
-            .list("/out/part-")
-            .iter()
-            .map(|p| fs.read_to_string(p).unwrap())
-            .collect();
-        assert_eq!(rows.text(), parts);
-        assert_eq!(rows.len(), 11);
+        assert_eq!(outcome.rows.len(), 11);
         assert_eq!(outcome.counters["user.records"], 5000);
         assert_eq!(outcome.counters["shuffle.pairs"], 10_000);
         assert!(outcome.sim.total() > 0.0);
@@ -1313,8 +1268,8 @@ mod tests {
             .run()
             .unwrap();
         assert!(with.counters["shuffle.pairs"] < without.counters["shuffle.pairs"]);
-        let mut a = without.read_output(&fs).unwrap();
-        let mut b = with.read_output(&fs).unwrap();
+        let mut a = lines(&without);
+        let mut b = lines(&with);
         a.sort();
         b.sort();
         assert_eq!(a, b, "combiner must not change results");
@@ -1345,7 +1300,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(outcome.reduce_tasks, 0);
-        let mut lines = outcome.read_output(&fs).unwrap();
+        let mut lines = lines(&outcome);
         lines.sort();
         assert_eq!(lines, vec!["0:a", "0:b"]);
     }
@@ -1365,7 +1320,7 @@ mod tests {
                 .unwrap()
                 .run()
                 .unwrap();
-            outcome.read_output(&fs).unwrap()
+            lines(&outcome)
         };
         assert_eq!(run_once(), run_once());
     }
@@ -1437,10 +1392,7 @@ mod tests {
         assert!(cold.map_tasks > 1, "expected multiple splits");
         assert_eq!(cold_blocks, cold.map_tasks as u64, "one block per split");
         assert_eq!(warm_blocks, 0, "a cached task reads no block");
-        assert_eq!(
-            warm.read_output(&fs).unwrap(),
-            cold.read_output(&fs).unwrap()
-        );
+        assert_eq!(warm.rows, cold.rows);
         // Same placement, same charge: local and remote bytes both match
         // what the cold reads reported, so simulated time does not move.
         for key in ["map.input.bytes.local", "map.input.bytes.remote"] {
@@ -1473,8 +1425,8 @@ mod tests {
             let hb = scope.spawn(|| run("/out-b"));
             (ha.join().unwrap(), hb.join().unwrap())
         });
-        let mut la = a.read_output(&fs).unwrap();
-        let mut lb = b.read_output(&fs).unwrap();
+        let mut la = lines(&a);
+        let mut lb = lines(&b);
         la.sort();
         lb.sort();
         assert_eq!(la, lb);
@@ -1682,7 +1634,7 @@ mod tests {
                 .run()
                 .unwrap();
             assert_eq!(outcome.profile.task_retries, panics as u64);
-            outcome.read_output(&fs).unwrap()
+            lines(&outcome)
         };
         let clean = run(0);
         assert_eq!(clean.len(), 3, "one line per key, keys ascending");
@@ -1753,7 +1705,7 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(outcome.read_output(&fs).unwrap(), vec!["7:payload 42"]);
+        assert_eq!(lines(&outcome), vec!["7:payload 42"]);
     }
 
     struct SideMapper;
@@ -1792,7 +1744,7 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(outcome.read_output(&fs).unwrap(), vec!["5"]);
+        assert_eq!(lines(&outcome), vec!["5"]);
         let spill = fs.read_to_string("/out/spill").unwrap();
         let mut lines: Vec<&str> = spill.lines().collect();
         lines.sort_unstable();
@@ -1813,8 +1765,78 @@ mod tests {
                 .unwrap()
                 .run()
         };
+        // Rows leave no file behind, so a directory can serve many jobs.
         run("/dup").unwrap();
-        assert!(matches!(run("/dup"), Err(JobError::Config(_))));
+        run("/dup").unwrap();
+        fs.write_string("/dup/part-00000", "1 2\n").unwrap();
+        match run("/dup") {
+            Err(JobError::Config(msg)) => assert!(msg.contains("/dup"), "{msg}"),
+            other => panic!("expected Config, got {other:?}"),
+        }
+    }
+
+    /// The rows' bytes are charged to `counter` and to the profile's DFS
+    /// writes, next to `side` bytes of side files, yet never written.
+    fn assert_charged_not_written(outcome: &JobOutcome, counter: &str, side: u64) {
+        let bytes = outcome.rows.text().len() as u64;
+        assert!(bytes > 0);
+        assert_eq!(outcome.counters[counter], bytes);
+        assert_eq!(outcome.profile.dfs_bytes_written, bytes + side);
+    }
+
+    #[test]
+    fn a_map_only_jobs_rows_are_charged_not_written() {
+        let fs = dfs();
+        wordcount_input(&fs, 3000);
+        let before = fs.metrics().snapshot();
+        let outcome = JobBuilder::new(&fs, "tokens")
+            .input_file("/in")
+            .unwrap()
+            .mapper(PassthroughMapper)
+            .output("/out")
+            .map_only()
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_charged_not_written(&outcome, "output.map.bytes", 0);
+        let written = fs.metrics().snapshot().since(&before);
+        assert_eq!(written.blocks_written, 0, "rows reach no DFS block");
+        assert_eq!(fs.list("/out/"), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_reduce_jobs_rows_are_charged_not_written() {
+        let fs = dfs();
+        wordcount_input(&fs, 3000);
+        let before = fs.metrics().snapshot();
+        let outcome = JobBuilder::new(&fs, "wc")
+            .input_file("/in")
+            .unwrap()
+            .mapper(CountMapper)
+            .reducer(SumReducer, 2)
+            .output("/out")
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_charged_not_written(&outcome, "output.reduce.bytes", 0);
+        let written = fs.metrics().snapshot().since(&before);
+        assert_eq!(written.blocks_written, 0, "rows reach no DFS block");
+        // With a side file, that file is the only thing written.
+        let outcome = JobBuilder::new(&fs, "side")
+            .input_file("/in")
+            .unwrap()
+            .mapper(SideMapper)
+            .reducer(SideReducer, 2)
+            .output("/side")
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        let side = fs.stat("/side/spill").unwrap().len;
+        assert_charged_not_written(&outcome, "output.reduce.bytes", side);
+        assert_eq!(outcome.counters["output.side.bytes"], side);
+        assert_eq!(fs.list("/side/"), vec!["/side/spill".to_string()]);
     }
 
     #[test]
@@ -1857,9 +1879,6 @@ mod tests {
         assert!(spans.find("map-0/attempt-0").is_some());
         assert!(spans.find("shuffle").is_some());
         assert_eq!(spans.find("reduce-wave").unwrap().children.len(), 3);
-        // JSON export of a real profile round-trips.
-        let back = sh_trace::JobProfile::from_json(&p.to_json()).unwrap();
-        assert_eq!(&back, p);
     }
 
     #[test]
@@ -1877,7 +1896,7 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        let mut lines = outcome.read_output(&fs).unwrap();
+        let mut lines = lines(&outcome);
         lines.sort();
         assert!(lines.contains(&"common 2000".to_string()));
     }
@@ -1910,7 +1929,7 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.profile.task_retries, 2, "two injected failures");
         assert_eq!(outcome.counters["task.retries"], 2);
-        let mut lines = outcome.read_output(&fs).unwrap();
+        let mut lines = lines(&outcome);
         lines.sort();
         assert!(lines.contains(&"common 1000".to_string()));
         // Attempt spans exist for the failed and the winning attempt.
@@ -1974,7 +1993,7 @@ mod tests {
         assert_eq!(outcome.profile.nodes_blacklisted, 1);
         // Re-replication restored the factor for every surviving block.
         assert_eq!(fs.rereplicate(), 0, "already re-replicated during job");
-        let mut lines = outcome.read_output(&fs).unwrap();
+        let mut lines = lines(&outcome);
         lines.sort();
         assert!(lines.contains(&"common 3000".to_string()));
     }
@@ -2011,7 +2030,7 @@ mod tests {
             t0.elapsed() < Duration::from_millis(1_900),
             "cancelled straggler must not serve out its full delay"
         );
-        let mut lines = outcome.read_output(&fs).unwrap();
+        let mut lines = lines(&outcome);
         lines.sort();
         assert!(lines.contains(&"common 2000".to_string()));
     }
@@ -2032,7 +2051,7 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        let mut lines = outcome.read_output(&fs).unwrap();
+        let mut lines = lines(&outcome);
         lines.sort();
         assert!(lines.contains(&"common 1000".to_string()));
         // The wave sizes its thread count from the global slot pool:

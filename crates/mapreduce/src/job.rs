@@ -162,7 +162,8 @@ pub struct Job<M: Mapper, R: Reducer<K = M::K, V = M::V>> {
 }
 
 impl<M: Mapper, R: Reducer<K = M::K, V = M::V>> Job<M, R> {
-    /// Runs the job to completion, writing output part files under the
+    /// Runs the job to completion. Its final output comes back as
+    /// [`JobOutcome::rows`]; only side files are written, under the
     /// configured output path.
     pub fn run(self) -> Result<JobOutcome, JobError> {
         executor::run(self)
@@ -201,7 +202,7 @@ impl<M: Mapper, R: Reducer<K = M::K, V = M::V>> Job<M, R> {
 ///     .output("/out")
 ///     .build().unwrap()
 ///     .run().unwrap();
-/// let mut text = outcome.read_output(&dfs).unwrap();
+/// let mut text: Vec<&str> = outcome.rows.lines().collect();
 /// text.sort();
 /// assert_eq!(text, vec!["a 2", "b 1"]);
 /// ```
@@ -262,7 +263,8 @@ impl<M: Mapper> JobBuilder<M> {
         self
     }
 
-    /// Sets the output directory path.
+    /// Sets the output directory: where the job's side files go. It
+    /// must not hold `part-*` files (an index).
     pub fn output(mut self, path: &str) -> Self {
         self.output = Some(path.to_string());
         self
@@ -312,7 +314,8 @@ pub struct JobBuilderWithReducer<M: Mapper, R: Reducer<K = M::K, V = M::V>> {
 }
 
 impl<M: Mapper, R: Reducer<K = M::K, V = M::V>> JobBuilderWithReducer<M, R> {
-    /// Sets the output directory path.
+    /// Sets the output directory: where the job's side files go. It
+    /// must not hold `part-*` files (an index).
     pub fn output(mut self, path: &str) -> Self {
         self.base.output = Some(path.to_string());
         self

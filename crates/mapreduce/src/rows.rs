@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 /// Result rows, each terminated by `'\n'`, in one shared buffer. This is
-/// the form a job's final output has in its part files, so it travels
-/// from the driver's read-back to whoever consumes the answer (a Pigeon
+/// the form a job's final output has as its tasks write it, so it
+/// travels from the job to whoever consumes the answer (a Pigeon
 /// binding, a `DUMP`, the server's frame writer) without being cut into
 /// one `String` per row; cloning copies a pointer.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

@@ -863,7 +863,7 @@ mod tests {
         let mut outputs = Vec::new();
         for h in handles {
             let outcome = h.join().unwrap();
-            let mut lines = outcome.read_output(&fs).unwrap();
+            let mut lines: Vec<String> = outcome.rows.lines().map(str::to_string).collect();
             lines.sort();
             outputs.push(lines);
         }

@@ -640,11 +640,11 @@ static OUT_SEQ: AtomicUsize = AtomicUsize::new(0);
 /// Runs a job statement: the one runner, on the caller's thread inline
 /// and on the scheduler's for tickets and `SUBMIT`. It sees only `vars`,
 /// borrows the inputs it names from them, and returns its effects for
-/// [`SessionCtx::absorb`]. Its jobs write under a scratch directory of
-/// its own, which is gone again when it returns: by then the rows are in
-/// its output (or it failed), and nothing refers to the files. `STORE
-/// ... INTO` targets and index directories are user-named and live
-/// elsewhere.
+/// [`SessionCtx::absorb`]. Its jobs return their rows and write only
+/// side files (`VORONOI`, `DELAUNAY` and `KNNJOIN` hand-offs), under a
+/// scratch directory of its own, which is gone again when it returns:
+/// nothing refers to the files by then. `STORE ... INTO` targets and
+/// index directories are user-named and live elsewhere.
 fn run_job(
     dfs: &Dfs,
     stmt: &Stmt,
@@ -2154,5 +2154,34 @@ mod tests {
         let err = engine.execute(&knn).unwrap_err();
         assert!(err.to_string().contains("corrupt"), "{err}");
         assert_eq!(dfs.list("/pigeon/"), Vec::<String>::new());
+    }
+
+    #[test]
+    fn indexing_into_a_live_index_fails_and_leaves_it_as_it_was() {
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        upload(&dfs, "/x/p", &points(2000, Distribution::Uniform, &uni, 41)).unwrap();
+        let mut engine = Pigeon::new(&dfs);
+        let run = |engine: &mut Pigeon, src: &str| engine.execute(&crate::parser::parse(src)?);
+        let index = "p = LOAD '/x/p' AS POINT; i = INDEX p AS grid INTO '/x/idx';";
+        let filter = "r = FILTER i BY Overlaps(RECTANGLE(100, 100, 600, 600)); DUMP r;";
+        run(&mut engine, index).unwrap();
+        let answer = run(&mut engine, filter).unwrap();
+        assert!(!answer.is_empty());
+        let files = || -> Vec<(String, Vec<u8>)> {
+            let paths = dfs.list("/x/idx/");
+            paths
+                .into_iter()
+                .map(|p| (p.clone(), dfs.read_bytes(&p).unwrap().to_vec()))
+                .collect()
+        };
+        let before = files();
+        assert!(before.iter().any(|(p, _)| p.contains("/part-")));
+
+        let again = "j = INDEX p AS grid INTO '/x/idx';";
+        let err = run(&mut engine, again).unwrap_err().to_string();
+        assert!(err.contains("/x/idx"), "{err}");
+        assert_eq!(files(), before, "the live index was touched");
+        assert_eq!(run(&mut engine, filter).unwrap(), answer);
     }
 }

@@ -32,5 +32,5 @@
 pub mod protocol;
 pub mod server;
 
-pub use protocol::{Header, BANNER, PROTOCOL_VERSION};
+pub use protocol::{Header, BANNER, MAX_REQUEST_BYTES, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig};

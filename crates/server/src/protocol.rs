@@ -34,6 +34,11 @@ pub const BYE: &str = "BYE";
 /// Default frame payload bound, in bytes.
 pub const DEFAULT_CHUNK_BYTES: usize = 8192;
 
+/// Longest request line the server reads, newline excluded. A longer
+/// line is answered with `ERR` and ends the connection; a line that is
+/// not UTF-8 is answered with `ERR` and the connection goes on.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// A parsed response header line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Header {

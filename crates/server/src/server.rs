@@ -1,7 +1,7 @@
 //! The server proper: listener, per-connection sessions, admission.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -15,6 +15,7 @@ use sh_trace::sync::lock;
 
 use crate::protocol::{
     write_busy, write_err, write_ok, write_rows_frames, BANNER, BYE, DEFAULT_CHUNK_BYTES,
+    MAX_REQUEST_BYTES,
 };
 
 /// How long a connection thread blocks on its in-flight statement
@@ -207,18 +208,35 @@ fn serve_conn(inner: &Inner, stream: TcpStream, id: u64) {
     // Reader and writer are clones of one socket; `stream` itself stays
     // free for liveness peeks while a statement is in flight.
     let served = (|| -> io::Result<()> {
-        let reader = BufReader::new(stream.try_clone()?);
+        let mut reader = BufReader::new(stream.try_clone()?);
         let mut writer = stream.try_clone()?;
         writer.write_all(format!("{BANNER}\n").as_bytes())?;
         writer.flush()?;
         let mut engine = Pigeon::with_scheduler(&inner.dfs, &inner.sched);
         let mut sess = lock(&inner.base).fork();
         let tenant = format!("conn-{id}");
-        for line in reader.lines() {
-            let line = line?;
+        let mut line = Vec::new();
+        loop {
+            line.clear();
+            let cap = MAX_REQUEST_BYTES as u64 + 1;
+            if reader.by_ref().take(cap).read_until(b'\n', &mut line)? == 0 {
+                break;
+            }
             if inner.stop.load(Ordering::SeqCst) {
                 break;
             }
+            if line.len() > MAX_REQUEST_BYTES && !line.ends_with(b"\n") {
+                // The rest of the line is still unread: nothing after it
+                // can be framed, so the connection ends here.
+                let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+                fail(&mut writer, &tenant, &bad_request(message))?;
+                break;
+            }
+            let Ok(line) = std::str::from_utf8(&line) else {
+                let message = "request line is not UTF-8 text".to_string();
+                fail(&mut writer, &tenant, &bad_request(message))?;
+                continue;
+            };
             let request = line.trim();
             if request.is_empty() || request.starts_with('#') {
                 continue;
@@ -341,6 +359,11 @@ fn fail(writer: &mut TcpStream, tenant: &str, e: &PigeonError) -> io::Result<boo
     );
     write_err(writer, &e.to_string())?;
     Ok(true)
+}
+
+/// A request line the server refuses before parsing it.
+fn bad_request(message: String) -> PigeonError {
+    PigeonError::Parse { message, line: 1 }
 }
 
 fn e_kind(e: &PigeonError) -> &'static str {

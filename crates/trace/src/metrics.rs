@@ -132,7 +132,7 @@ impl Histogram {
     }
 
     /// Nonzero buckets as `(bucket_index, count)` pairs — the compact wire
-    /// form used by the JSON export.
+    /// form.
     pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
         self.buckets
             .iter()
@@ -142,7 +142,7 @@ impl Histogram {
             .collect()
     }
 
-    /// Rebuilds from the compact wire form (used by the JSON import).
+    /// Rebuilds from the compact wire form.
     pub fn from_parts(pairs: &[(usize, u64)], sum: u64, min: u64, max: u64) -> Histogram {
         let mut h = Histogram::new();
         for &(i, n) in pairs {

@@ -1,10 +1,8 @@
 //! Per-job query profiles: one [`JobProfile`] per executed MapReduce job,
 //! combining phase timings, DFS traffic, shuffle volume, splitter
 //! selectivity, engine counters, and the span tree. Renders as an aligned
-//! text table for humans and exports/imports hand-rolled JSON (the
-//! workspace deliberately carries no serializer crate).
+//! text table for humans.
 
-use crate::json::{self, Value};
 use crate::metrics::Histogram;
 use crate::span::{format_duration, SpanRecord, SpanTree};
 use std::collections::BTreeMap;
@@ -261,318 +259,6 @@ impl JobProfile {
         }
         out
     }
-
-    /// Compact JSON export; [`JobProfile::from_json`] inverts it exactly.
-    pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            ("job".to_string(), Value::Str(self.job.clone())),
-            (
-                "wall_nanos".to_string(),
-                Value::Int(self.wall.as_nanos() as i128),
-            ),
-            ("sim_seconds".to_string(), Value::Float(self.sim_seconds)),
-            (
-                "phases".to_string(),
-                Value::Arr(self.phases.iter().map(phase_to_value).collect()),
-            ),
-            (
-                "dfs".to_string(),
-                Value::Obj(vec![
-                    (
-                        "local_bytes".to_string(),
-                        Value::Int(self.dfs_local_bytes as i128),
-                    ),
-                    (
-                        "remote_bytes".to_string(),
-                        Value::Int(self.dfs_remote_bytes as i128),
-                    ),
-                    (
-                        "bytes_written".to_string(),
-                        Value::Int(self.dfs_bytes_written as i128),
-                    ),
-                ]),
-            ),
-            (
-                "shuffle".to_string(),
-                Value::Obj(vec![
-                    ("pairs".to_string(), Value::Int(self.shuffle_pairs as i128)),
-                    ("bytes".to_string(), Value::Int(self.shuffle_bytes as i128)),
-                ]),
-            ),
-            (
-                "fault_tolerance".to_string(),
-                Value::Obj(vec![
-                    (
-                        "task_retries".to_string(),
-                        Value::Int(self.task_retries as i128),
-                    ),
-                    (
-                        "speculative_launched".to_string(),
-                        Value::Int(self.speculative_launched as i128),
-                    ),
-                    (
-                        "speculative_won".to_string(),
-                        Value::Int(self.speculative_won as i128),
-                    ),
-                    (
-                        "nodes_blacklisted".to_string(),
-                        Value::Int(self.nodes_blacklisted as i128),
-                    ),
-                ]),
-            ),
-            (
-                "selectivity".to_string(),
-                Value::Obj(vec![
-                    (
-                        "partitions_total".to_string(),
-                        Value::Int(self.selectivity.partitions_total as i128),
-                    ),
-                    (
-                        "partitions_scanned".to_string(),
-                        Value::Int(self.selectivity.partitions_scanned as i128),
-                    ),
-                    (
-                        "partitions_pruned".to_string(),
-                        Value::Int(self.selectivity.partitions_pruned as i128),
-                    ),
-                    (
-                        "records_scanned".to_string(),
-                        Value::Int(self.selectivity.records_scanned as i128),
-                    ),
-                    (
-                        "records_emitted".to_string(),
-                        Value::Int(self.selectivity.records_emitted as i128),
-                    ),
-                ]),
-            ),
-            (
-                "counters".to_string(),
-                Value::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::Int(*v as i128)))
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(spans) = &self.spans {
-            fields.push(("spans".to_string(), span_to_value(spans)));
-        }
-        Value::Obj(fields).to_string()
-    }
-
-    /// Parses a profile previously produced by [`JobProfile::to_json`].
-    pub fn from_json(text: &str) -> Result<JobProfile, String> {
-        let v = json::parse(text)?;
-        let req_u64 = |node: &Value, key: &str| -> Result<u64, String> {
-            node.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-        };
-        let mut profile = JobProfile::new(
-            v.get("job")
-                .and_then(Value::as_str)
-                .ok_or("missing field 'job'")?,
-        );
-        profile.wall = Duration::from_nanos(req_u64(&v, "wall_nanos")?);
-        profile.sim_seconds = v
-            .get("sim_seconds")
-            .and_then(Value::as_f64)
-            .ok_or("missing field 'sim_seconds'")?;
-        for p in v
-            .get("phases")
-            .and_then(Value::as_arr)
-            .ok_or("missing field 'phases'")?
-        {
-            profile.phases.push(phase_from_value(p)?);
-        }
-        let dfs = v.get("dfs").ok_or("missing field 'dfs'")?;
-        profile.dfs_local_bytes = req_u64(dfs, "local_bytes")?;
-        profile.dfs_remote_bytes = req_u64(dfs, "remote_bytes")?;
-        profile.dfs_bytes_written = req_u64(dfs, "bytes_written")?;
-        let shuffle = v.get("shuffle").ok_or("missing field 'shuffle'")?;
-        profile.shuffle_pairs = req_u64(shuffle, "pairs")?;
-        profile.shuffle_bytes = req_u64(shuffle, "bytes")?;
-        // Optional for profiles exported before fault tolerance existed.
-        if let Some(ft) = v.get("fault_tolerance") {
-            profile.task_retries = req_u64(ft, "task_retries")?;
-            profile.speculative_launched = req_u64(ft, "speculative_launched")?;
-            profile.speculative_won = req_u64(ft, "speculative_won")?;
-            profile.nodes_blacklisted = req_u64(ft, "nodes_blacklisted")?;
-        }
-        let sel = v.get("selectivity").ok_or("missing field 'selectivity'")?;
-        profile.selectivity = Selectivity {
-            partitions_total: req_u64(sel, "partitions_total")?,
-            partitions_scanned: req_u64(sel, "partitions_scanned")?,
-            partitions_pruned: req_u64(sel, "partitions_pruned")?,
-            records_scanned: req_u64(sel, "records_scanned")?,
-            records_emitted: req_u64(sel, "records_emitted")?,
-        };
-        for (k, val) in v
-            .get("counters")
-            .and_then(Value::as_obj)
-            .ok_or("missing field 'counters'")?
-        {
-            profile.counters.insert(
-                k.clone(),
-                val.as_u64()
-                    .ok_or_else(|| format!("non-integer counter '{k}'"))?,
-            );
-        }
-        if let Some(spans) = v.get("spans") {
-            profile.spans = Some(span_from_value(spans)?);
-        }
-        Ok(profile)
-    }
-}
-
-fn histogram_to_value(h: &Histogram) -> Value {
-    Value::Obj(vec![
-        (
-            "buckets".to_string(),
-            Value::Arr(
-                h.nonzero_buckets()
-                    .iter()
-                    .map(|&(i, n)| Value::Arr(vec![Value::Int(i as i128), Value::Int(n as i128)]))
-                    .collect(),
-            ),
-        ),
-        ("sum".to_string(), Value::Int(h.sum() as i128)),
-        ("min".to_string(), Value::Int(h.min() as i128)),
-        ("max".to_string(), Value::Int(h.max() as i128)),
-    ])
-}
-
-fn histogram_from_value(v: &Value) -> Result<Histogram, String> {
-    let mut pairs = Vec::new();
-    for pair in v
-        .get("buckets")
-        .and_then(Value::as_arr)
-        .ok_or("histogram missing 'buckets'")?
-    {
-        let pair = pair.as_arr().ok_or("histogram bucket must be a pair")?;
-        if pair.len() != 2 {
-            return Err("histogram bucket must be a pair".to_string());
-        }
-        pairs.push((
-            pair[0].as_usize().ok_or("bad bucket index")?,
-            pair[1].as_u64().ok_or("bad bucket count")?,
-        ));
-    }
-    let field = |key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("histogram missing '{key}'"))
-    };
-    Ok(Histogram::from_parts(
-        &pairs,
-        field("sum")?,
-        field("min")?,
-        field("max")?,
-    ))
-}
-
-fn phase_to_value(p: &PhaseProfile) -> Value {
-    Value::Obj(vec![
-        ("name".to_string(), Value::Str(p.name.clone())),
-        ("sim_seconds".to_string(), Value::Float(p.sim_seconds)),
-        ("tasks".to_string(), Value::Int(p.tasks as i128)),
-        (
-            "task_micros".to_string(),
-            histogram_to_value(&p.task_micros),
-        ),
-    ])
-}
-
-fn phase_from_value(v: &Value) -> Result<PhaseProfile, String> {
-    Ok(PhaseProfile {
-        name: v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("phase missing 'name'")?
-            .to_string(),
-        sim_seconds: v
-            .get("sim_seconds")
-            .and_then(Value::as_f64)
-            .ok_or("phase missing 'sim_seconds'")?,
-        tasks: v
-            .get("tasks")
-            .and_then(Value::as_u64)
-            .ok_or("phase missing 'tasks'")?,
-        task_micros: histogram_from_value(
-            v.get("task_micros").ok_or("phase missing 'task_micros'")?,
-        )?,
-    })
-}
-
-fn span_to_value(s: &SpanRecord) -> Value {
-    Value::Obj(vec![
-        ("name".to_string(), Value::Str(s.name.clone())),
-        (
-            "start_nanos".to_string(),
-            Value::Int(s.start.as_nanos() as i128),
-        ),
-        (
-            "duration_nanos".to_string(),
-            Value::Int(s.duration.as_nanos() as i128),
-        ),
-        (
-            "attrs".to_string(),
-            Value::Obj(
-                s.attrs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-                    .collect(),
-            ),
-        ),
-        (
-            "children".to_string(),
-            Value::Arr(s.children.iter().map(span_to_value).collect()),
-        ),
-    ])
-}
-
-fn span_from_value(v: &Value) -> Result<SpanRecord, String> {
-    let mut attrs = Vec::new();
-    for (k, val) in v
-        .get("attrs")
-        .and_then(Value::as_obj)
-        .ok_or("span missing 'attrs'")?
-    {
-        attrs.push((
-            k.clone(),
-            val.as_str()
-                .ok_or("span attr must be a string")?
-                .to_string(),
-        ));
-    }
-    let mut children = Vec::new();
-    for c in v
-        .get("children")
-        .and_then(Value::as_arr)
-        .ok_or("span missing 'children'")?
-    {
-        children.push(span_from_value(c)?);
-    }
-    Ok(SpanRecord {
-        name: v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("span missing 'name'")?
-            .to_string(),
-        start: Duration::from_nanos(
-            v.get("start_nanos")
-                .and_then(Value::as_u64)
-                .ok_or("span missing 'start_nanos'")?,
-        ),
-        duration: Duration::from_nanos(
-            v.get("duration_nanos")
-                .and_then(Value::as_u64)
-                .ok_or("span missing 'duration_nanos'")?,
-        ),
-        attrs,
-        children,
-    })
 }
 
 /// Human-scale byte count: `982B`, `12.4KB`, `3.1MB`.
@@ -638,31 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_is_exact() {
-        let p = sample_profile();
-        let json = p.to_json();
-        let back = JobProfile::from_json(&json).unwrap();
-        assert_eq!(back, p);
-        // And a second trip is stable.
-        assert_eq!(back.to_json(), json);
-    }
-
-    #[test]
-    fn json_roundtrip_without_spans() {
-        let mut p = sample_profile();
-        p.spans = None;
-        let back = JobProfile::from_json(&p.to_json()).unwrap();
-        assert_eq!(back, p);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(JobProfile::from_json("not json").is_err());
-        assert!(JobProfile::from_json("{}").is_err());
-        assert!(JobProfile::from_json("{\"job\": 3}").is_err());
-    }
-
-    #[test]
     fn render_mentions_the_interesting_numbers() {
         let text = sample_profile().render();
         assert!(text.contains("range-spatial"));
@@ -675,22 +336,13 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_profiles_omit_the_fault_line_and_parse_without_it() {
+    fn fault_free_profiles_omit_the_fault_line() {
         let mut p = sample_profile();
         p.task_retries = 0;
         p.speculative_launched = 0;
         p.speculative_won = 0;
         p.nodes_blacklisted = 0;
         assert!(!p.render().contains("retries"));
-        // Profiles exported before the fault_tolerance block existed
-        // still parse (fields default to zero).
-        let json = p.to_json().replace(
-            "\"fault_tolerance\":{\"task_retries\":0,\"speculative_launched\":0,\"speculative_won\":0,\"nodes_blacklisted\":0},",
-            "",
-        );
-        assert!(!json.contains("fault_tolerance"), "surgery failed: {json}");
-        let back = JobProfile::from_json(&json).unwrap();
-        assert_eq!(back, p);
     }
 
     #[test]

@@ -162,22 +162,24 @@ run_shbench_oracle() {
 }
 
 # The traced `serve-mixed` pass (one client, seed 1): index-assisted map
-# tasks answer from the block cache, so a warm query reads nothing but
-# its own output. `dfs.blocks_read_per_op` is an exact count over the
-# first cycle: 2.56 when this gate was set, 9.82 while map tasks still
-# read and checksummed their split before looking in the cache. Every
-# partition lookup must hit.
+# tasks answer from the block cache, and a job returns its rows instead
+# of writing and reading back part files, so a warm query reads no DFS
+# block at all. `dfs.blocks_read_per_op` is an exact count over the
+# first cycle: 0 when this gate was set, 2.56 while jobs still read
+# their output back, 9.82 while map tasks also read and checksummed
+# their split before looking in the cache. Every partition lookup must
+# hit.
 run_read_path_gate() {
   local line blocks hits
   line=$(keeping_shbench_lock cargo run --release --quiet --manifest-path shbench/Cargo.toml -- \
     --workload serve-mixed --trace 1 --clients 1 --seed 1 --seconds 2 | tail -n 1) || return 1
   blocks=$(traced_metric "$line" dfs.blocks_read_per_op)
   hits=$(traced_metric "$line" dfs.cache_hit_ratio)
-  if awk -v b="$blocks" -v h="$hits" 'BEGIN { exit !(b != "" && b <= 2.56 && h == 1) }'; then
+  if awk -v b="$blocks" -v h="$hits" 'BEGIN { exit !(b != "" && b == 0 && h == 1) }'; then
     echo "--- serve-mixed read path: dfs.blocks_read_per_op $blocks, dfs.cache_hit_ratio $hits"
   else
-    echo "read-path gate FAILED: dfs.blocks_read_per_op '$blocks' (at most 2.56)," \
-      "dfs.cache_hit_ratio '$hits' (must be 1)" >&2
+    echo "read-path gate FAILED: dfs.blocks_read_per_op '$blocks' (a warm query reads" \
+      "no block: must be 0), dfs.cache_hit_ratio '$hits' (must be 1)" >&2
     return 1
   fi
 }

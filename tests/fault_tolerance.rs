@@ -35,10 +35,7 @@ fn run_range(chaos: impl FnOnce(&Dfs)) -> (Vec<String>, JobProfile, String) {
     let r = range::range_spatial::<Point>(&dfs, &file, &query, "/out/range").unwrap();
     let lines: Vec<String> = r.value.iter().map(|p| format!("{} {}", p.x, p.y)).collect();
     let profile = r.profile("range");
-    let mut raw = String::new();
-    for part in dfs.list("/out/range/part-") {
-        raw.push_str(&dfs.read_to_string(&part).unwrap());
-    }
+    let raw: String = r.jobs.iter().map(|j| j.rows.text()).collect();
     (lines, profile, raw)
 }
 
@@ -159,10 +156,7 @@ fn cached_rerun_is_byte_identical_and_invalidated_by_churn() {
     let query = Rect::new(QUERY[0], QUERY[1], QUERY[2], QUERY[3]);
     let run = |out: &str| {
         let r = range::range_spatial::<Point>(&dfs, &file, &query, out).unwrap();
-        let mut raw = String::new();
-        for part in dfs.list(&format!("{out}/part-")) {
-            raw.push_str(&dfs.read_to_string(&part).unwrap());
-        }
+        let raw: String = r.jobs.iter().map(|j| j.rows.text()).collect();
         (r, raw)
     };
 
@@ -317,10 +311,7 @@ fn two_concurrent_jobs_under_chaos_are_deterministic() {
                         let r = range::range_spatial::<Point>(dfs, &file, &query, &out).unwrap();
                         let lines: Vec<String> =
                             r.value.iter().map(|p| format!("{} {}", p.x, p.y)).collect();
-                        let mut raw = String::new();
-                        for part in dfs.list(&format!("{out}/part-")) {
-                            raw.push_str(&dfs.read_to_string(&part).unwrap());
-                        }
+                        let raw: String = r.jobs.iter().map(|j| j.rows.text()).collect();
                         (lines, raw)
                     })
                     .unwrap()
@@ -419,10 +410,7 @@ fn text_and_binary_indexes_answer_identically_under_chaos() {
         let range_run = |file: &spatialhadoop::core::SpatialFile, out: &str| {
             let r = range::range_spatial::<Point>(&dfs, file, &query, out).unwrap();
             let lines: Vec<String> = r.value.iter().map(|p| format!("{} {}", p.x, p.y)).collect();
-            let mut raw = String::new();
-            for part in dfs.list(&format!("{out}/part-")) {
-                raw.push_str(&dfs.read_to_string(&part).unwrap());
-            }
+            let raw: String = r.jobs.iter().map(|j| j.rows.text()).collect();
             (lines, raw)
         };
         let (rt_lines, rt_raw) = range_run(&tp, "/out/rt");
@@ -438,10 +426,7 @@ fn text_and_binary_indexes_answer_identically_under_chaos() {
                       b: &spatialhadoop::core::SpatialFile,
                       out: &str| {
             let r = join::distributed_join(&dfs, a, b, out).unwrap();
-            let mut raw = String::new();
-            for part in dfs.list(&format!("{out}/part-")) {
-                raw.push_str(&dfs.read_to_string(&part).unwrap());
-            }
+            let raw: String = r.jobs.iter().map(|j| j.rows.text()).collect();
             (r.value, raw)
         };
         let (jt, jt_raw) = dj_run(&ta, &tb, "/out/jt");
@@ -499,10 +484,7 @@ fn silent_corruption_is_repaired_with_byte_identical_output() {
             let out = format!("/out/corrupt-{tag}");
             let r = range::range_spatial::<Point>(&dfs, &file, &query, &out).unwrap();
             let lines: Vec<String> = r.value.iter().map(|p| format!("{} {}", p.x, p.y)).collect();
-            let mut raw = String::new();
-            for part in dfs.list(&format!("{out}/part-")) {
-                raw.push_str(&dfs.read_to_string(&part).unwrap());
-            }
+            let raw: String = r.jobs.iter().map(|j| j.rows.text()).collect();
             let delta = dfs.metrics().snapshot().since(&before);
             assert!(
                 delta.corrupt_replicas > 0,
@@ -544,10 +526,7 @@ fn silent_corruption_is_repaired_with_byte_identical_output() {
                 let r = range::range_spatial::<Point>(&dfs, &file, &query, &out).unwrap();
                 let lines: Vec<String> =
                     r.value.iter().map(|p| format!("{} {}", p.x, p.y)).collect();
-                let mut raw = String::new();
-                for part in dfs.list(&format!("{out}/part-")) {
-                    raw.push_str(&dfs.read_to_string(&part).unwrap());
-                }
+                let raw: String = r.jobs.iter().map(|j| j.rows.text()).collect();
                 (lines, raw)
             };
             assert_eq!(re_lines, base_lines, "healed rerun diverged");

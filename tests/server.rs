@@ -3,8 +3,8 @@
 //! sessions must be isolated (conflicting `SET`s answer independently),
 //! a mid-stream client disconnect must not wedge a scheduler slot,
 //! admission-control push-back must surface as a retryable `429 BUSY`,
-//! and the `sh-server` binary must parse its flags and announce its
-//! address.
+//! hostile request lines must get `ERR` without harming the server, and
+//! the `sh-server` binary must parse its flags and announce its address.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -17,7 +17,8 @@ use spatialhadoop::dfs::{ClusterConfig, Dfs};
 use spatialhadoop::geom::Rect;
 use spatialhadoop::mapreduce::SchedConfig;
 use spatialhadoop::pigeon::run_script;
-use spatialhadoop::server::{Server, ServerConfig};
+use spatialhadoop::server::protocol::{parse_header, read_payload, Header};
+use spatialhadoop::server::{Server, ServerConfig, MAX_REQUEST_BYTES};
 use spatialhadoop::trace::journal;
 use spatialhadoop::workload::{osm_like_polygons, points, rects, Distribution};
 
@@ -427,6 +428,68 @@ fn quit_closes_the_session_politely() {
     let mut rest = Vec::new();
     reader.read_to_end(&mut rest).expect("eof");
     assert!(rest.is_empty(), "server kept talking after BYE: {rest:?}");
+}
+
+/// A raw connection past its banner, whose reads give up after 5 s.
+fn raw_session(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let mut banner = String::new();
+    reader.read_line(&mut banner).expect("banner");
+    assert_eq!(banner.trim_end(), "SHADOOP 1 READY");
+    (raw, reader)
+}
+
+/// Reads one `ERR` response and returns its message.
+fn read_err(reader: &mut BufReader<TcpStream>) -> String {
+    let mut header = String::new();
+    reader.read_line(&mut header).expect("response header");
+    match parse_header(&header) {
+        Ok(Header::Err(n)) => read_payload(reader, n).expect("ERR payload"),
+        other => panic!("expected ERR, got {other:?} from {header:?}"),
+    }
+}
+
+#[test]
+fn hostile_request_lines_get_err_and_leave_the_server_serving() {
+    let server = Server::start(&dfs(), ServerConfig::default()).expect("start server");
+
+    // A line that never ends: `ERR` once the cap is passed, then EOF.
+    let (raw, mut reader) = raw_session(server.addr());
+    let mut sender = raw.try_clone().expect("clone");
+    let flood = std::thread::spawn(move || {
+        // The server stops reading mid-line, so this write may fail.
+        let _ = sender.write_all(&vec![b'x'; 2 * MAX_REQUEST_BYTES]);
+    });
+    let msg = read_err(&mut reader);
+    assert!(msg.contains(&MAX_REQUEST_BYTES.to_string()), "{msg}");
+    let mut rest = Vec::new();
+    // EOF, or a reset once the server hangs up on the unread bytes.
+    let _ = reader.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "server kept talking: {rest:?}");
+    flood.join().expect("flood thread");
+    drop(raw);
+
+    // Bytes that are not UTF-8: `ERR`, and the session goes on.
+    let (mut raw, mut reader) = raw_session(server.addr());
+    raw.write_all(b"\xff\xfe\n").expect("send");
+    let msg = read_err(&mut reader);
+    assert!(msg.contains("not UTF-8"), "{msg}");
+    raw.write_all(b"QUIT\n").expect("quit");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("bye");
+    assert_eq!(line.trim_end(), "BYE");
+
+    // A fresh connection is served as usual.
+    let mut client = ShClient::connect(&server.addr()).expect("fresh");
+    let rows = client
+        .request("p = GENERATE 10 POINT uniform INTO '/hostile/p'; DUMP p;")
+        .expect("query")
+        .expect_rows("query");
+    assert_eq!(rows.len(), 10);
+    client.quit().expect("quit");
 }
 
 /// Kills the spawned server however the test ends.
