@@ -393,8 +393,8 @@ pub fn e8_skyline() -> Table {
         let (strp, _) = index_points(&dfs, "/heap", "/s", PartitionKind::StrPlus);
         let single_t = single::skyline_single(&pts);
         let h = skyline::skyline_hadoop(&dfs, "/heap", "/o8/h").unwrap();
-        let s = skyline::skyline_spatial(&dfs, &strp, "/o8/s").unwrap();
-        let os = skyline::skyline_output_sensitive(&dfs, &strp, "/o8/os").unwrap();
+        let s = skyline::skyline_spatial(&dfs, &strp).unwrap();
+        let os = skyline::skyline_output_sensitive(&dfs, &strp).unwrap();
         assert_eq!(h.value.len(), os.value.len(), "variants agree");
         t.row(vec![
             dist.name().to_string(),
@@ -439,8 +439,8 @@ pub fn e9_convex_hull() -> Table {
         let (strp, _) = index_points(&dfs, "/heap", "/s", PartitionKind::StrPlus);
         let single_t = single::convex_hull_single(&pts);
         let h = convex_hull::hull_hadoop(&dfs, "/heap", "/o9/h").unwrap();
-        let s = convex_hull::hull_spatial(&dfs, &strp, "/o9/s").unwrap();
-        let e = convex_hull::hull_enhanced(&dfs, &strp, "/o9/e").unwrap();
+        let s = convex_hull::hull_spatial(&dfs, &strp).unwrap();
+        let e = convex_hull::hull_enhanced(&dfs, &strp).unwrap();
         assert_eq!(s.value.len(), e.value.len(), "variants agree");
         t.row(vec![
             name.to_string(),
@@ -497,15 +497,15 @@ pub fn e10_union() -> Table {
         let dfs = fresh_dfs(8 * 1024);
         upload(&dfs, "/polys", &polys).unwrap();
         let single_t = single::union_single(&polys);
-        let h = union::union_hadoop(&dfs, "/polys", "/o10/h").unwrap();
+        let h = union::union_hadoop(&dfs, "/polys").unwrap();
         let str_file = build_index::<Polygon>(&dfs, "/polys", "/istr", PartitionKind::Str)
             .unwrap()
             .value;
-        let s = union::union_spatial(&dfs, &str_file, "/o10/s").unwrap();
+        let s = union::union_spatial(&dfs, &str_file).unwrap();
         let sp_file = build_index::<Polygon>(&dfs, "/polys", "/isp", PartitionKind::StrPlus)
             .unwrap()
             .value;
-        let e = union::union_enhanced(&dfs, &sp_file, "/o10/e").unwrap();
+        let e = union::union_enhanced(&dfs, &sp_file).unwrap();
         t.row(vec![
             name,
             secs(single_t.seconds),
@@ -546,7 +546,7 @@ pub fn e11_closest_pair() -> Table {
         let pts = load_points(&dfs, "/heap", n, Distribution::Uniform, 41);
         let (strp, _) = index_points(&dfs, "/heap", "/s", PartitionKind::StrPlus);
         let single_t = single::closest_pair_single(&pts);
-        let s = closest_pair::closest_pair_spatial(&dfs, &strp, "/o11").unwrap();
+        let s = closest_pair::closest_pair_spatial(&dfs, &strp).unwrap();
         let cand = s.counter("closestpair.candidates");
         t.row(vec![
             format!("{n}"),
@@ -586,9 +586,9 @@ pub fn e12_farthest_pair() -> Table {
         let dfs = fresh_dfs(BLOCK);
         let _ = load_points(&dfs, "/heap", n, dist, seed);
         let (strp, _) = index_points(&dfs, "/heap", "/s", PartitionKind::StrPlus);
-        let h = farthest_pair::farthest_pair_hadoop(&dfs, "/heap", "/o12/h").unwrap();
-        let s = farthest_pair::farthest_pair_spatial(&dfs, &strp, "/o12/s").unwrap();
-        let pp = farthest_pair::farthest_pair_pairs(&dfs, &strp, "/o12/p").unwrap();
+        let h = farthest_pair::farthest_pair_hadoop(&dfs, "/heap").unwrap();
+        let s = farthest_pair::farthest_pair_spatial(&dfs, &strp).unwrap();
+        let pp = farthest_pair::farthest_pair_pairs(&dfs, &strp).unwrap();
         let d = h.value.unwrap().distance;
         assert!(
             (d - s.value.unwrap().distance).abs() < 1e-6,
@@ -642,8 +642,8 @@ pub fn e13_voronoi() -> Table {
         let pts = load_points(&dfs, "/heap", n, Distribution::Uniform, 61);
         let (grid, _) = index_points(&dfs, "/heap", "/g", PartitionKind::Grid);
         let single_t = single::voronoi_single(&pts);
-        let h = voronoi::voronoi_hadoop(&dfs, "/heap", &uni(), "/o13/h").unwrap();
-        let s = voronoi::voronoi_spatial(&dfs, &grid, "/o13/s").unwrap();
+        let h = voronoi::voronoi_hadoop(&dfs, "/heap", &uni()).unwrap();
+        let s = voronoi::voronoi_spatial(&dfs, &grid).unwrap();
         assert_eq!(s.value.len(), h.value.len(), "variants agree on cell count");
         let local = s.counter("voronoi.flushed.local") as f64;
         let vmerge = s.counter("voronoi.flushed.vmerge") as f64;
@@ -852,7 +852,7 @@ pub fn a2_local_pruning() -> Table {
     );
     let dfs = fresh_dfs(BLOCK);
     let _ = load_points(&dfs, "/heap", 200_000, Distribution::Uniform, 82);
-    let naive = skyline::skyline_hadoop_naive(&dfs, "/heap", "/oa2/n").unwrap();
+    let naive = skyline::skyline_hadoop_naive(&dfs, "/heap").unwrap();
     let pruned = skyline::skyline_hadoop(&dfs, "/heap", "/oa2/p").unwrap();
     assert_eq!(naive.value, pruned.value, "same skyline either way");
     for (name, r) in [
@@ -888,7 +888,6 @@ pub fn a3_filter_step() -> Table {
             &dfs,
             &strp,
             &q,
-            &format!("/oa3/{filter}"),
             range::RangeOptions {
                 filter,
                 ..Default::default()
@@ -923,7 +922,6 @@ pub fn a4_local_index() -> Table {
             &dfs,
             &strp,
             &q,
-            &format!("/oa4/{local_index}"),
             range::RangeOptions {
                 local_index,
                 ..Default::default()

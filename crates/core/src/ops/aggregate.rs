@@ -83,18 +83,13 @@ impl Reducer for StatsReducer {
 }
 
 /// Statistics of a heap file (full scan job — the Hadoop way).
-pub fn stats_hadoop<R: Record>(
-    dfs: &Dfs,
-    heap: &str,
-    out_dir: &str,
-) -> Result<OpResult<FileStats>, OpError> {
+pub fn stats_hadoop<R: Record>(dfs: &Dfs, heap: &str) -> Result<OpResult<FileStats>, OpError> {
     let job = JobBuilder::new(dfs, &format!("stats:{heap}"))
         .input_file(heap)?
         .mapper(ByRecords(StatsMapper::<R> {
             _r: std::marker::PhantomData,
         }))
         .reducer(StatsReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     let line = job
@@ -153,7 +148,7 @@ mod tests {
         let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
         let pts = points(2500, Distribution::Gaussian, &uni, 401);
         upload(&dfs, "/heap", &pts).unwrap();
-        let got = stats_hadoop::<Point>(&dfs, "/heap", "/out").unwrap().value;
+        let got = stats_hadoop::<Point>(&dfs, "/heap").unwrap().value;
         assert_eq!(got.records, 2500);
         assert_eq!(got.bytes, dfs.stat("/heap").unwrap().len);
         let expected_mbr = sh_geom::rect::mbr_of_points(&pts);
@@ -176,7 +171,7 @@ mod tests {
         assert_eq!(delta.blocks_read, 0, "catalogue-only");
         assert_eq!(got.records, 2000);
         // Same answer as the full-scan job.
-        let scanned = stats_hadoop::<Point>(&dfs, "/heap", "/out").unwrap().value;
+        let scanned = stats_hadoop::<Point>(&dfs, "/heap").unwrap().value;
         assert_eq!(got.records, scanned.records);
         assert!((got.mbr.x1 - scanned.mbr.x1).abs() < 1e-9);
     }
@@ -187,6 +182,6 @@ mod tests {
         let w = dfs.create("/empty").unwrap();
         w.close().unwrap();
         // Zero splits -> reducer never gets pairs -> no output line.
-        assert!(stats_hadoop::<Point>(&dfs, "/empty", "/out").is_err());
+        assert!(stats_hadoop::<Point>(&dfs, "/empty").is_err());
     }
 }

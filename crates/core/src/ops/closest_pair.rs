@@ -81,7 +81,6 @@ impl Reducer for GlobalClosestPairReducer {
 pub fn closest_pair_hadoop_unsound(
     dfs: &Dfs,
     heap: &str,
-    out_dir: &str,
 ) -> Result<OpResult<Option<PointPair>>, OpError> {
     struct NaiveLocalMapper;
     impl RecordMapper for NaiveLocalMapper {
@@ -120,7 +119,6 @@ pub fn closest_pair_hadoop_unsound(
         .input_file(heap)?
         .mapper(ByRecords(NaiveLocalMapper))
         .reducer(MinReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     let value = parse_pair(&job.rows)?;
@@ -133,7 +131,6 @@ pub fn closest_pair_hadoop_unsound(
 pub fn closest_pair_spatial(
     dfs: &Dfs,
     file: &SpatialFile,
-    out_dir: &str,
 ) -> Result<OpResult<Option<PointPair>>, OpError> {
     if !file.is_disjoint() {
         return Err(OpError::Unsupported(
@@ -146,7 +143,6 @@ pub fn closest_pair_spatial(
         .input_splits(splits)
         .mapper(ByRecords(LocalClosestPairMapper))
         .reducer(GlobalClosestPairReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     let value = parse_pair(&job.rows)?;
@@ -173,7 +169,7 @@ mod tests {
             .unwrap()
             .value;
         let expected = single::closest_pair_single(&pts).value.unwrap();
-        let got = closest_pair_spatial(&dfs, &file, "/out").unwrap();
+        let got = closest_pair_spatial(&dfs, &file).unwrap();
         let pair = got.value.unwrap();
         assert!(
             (pair.distance - expected.distance).abs() < 1e-9,
@@ -209,7 +205,7 @@ mod tests {
             .unwrap()
             .value;
         let expected = single::closest_pair_single(&pts).value.unwrap();
-        let got = closest_pair_spatial(&dfs, &file, "/out").unwrap();
+        let got = closest_pair_spatial(&dfs, &file).unwrap();
         assert!((got.value.unwrap().distance - expected.distance).abs() < 1e-9);
     }
 
@@ -230,7 +226,7 @@ mod tests {
         let file = build_index::<Point>(&dfs, "/heap", "/idx", PartitionKind::Grid)
             .unwrap()
             .value;
-        let got = closest_pair_spatial(&dfs, &file, "/out").unwrap();
+        let got = closest_pair_spatial(&dfs, &file).unwrap();
         assert!(got.value.unwrap().distance <= 0.0002 + 1e-9);
     }
 
@@ -253,7 +249,7 @@ mod tests {
         assert!(dfs.stat("/adv").unwrap().num_blocks > 1, "needs >1 split");
         let truth = single::closest_pair_single(&pts).value.unwrap();
         assert!((truth.distance - 0.05).abs() < 1e-9);
-        let got = closest_pair_hadoop_unsound(&dfs, "/adv", "/out-u")
+        let got = closest_pair_hadoop_unsound(&dfs, "/adv")
             .unwrap()
             .value
             .unwrap();
@@ -267,10 +263,7 @@ mod tests {
         let file = build_index::<Point>(&dfs, "/adv", "/adv-idx", PartitionKind::Grid)
             .unwrap()
             .value;
-        let fixed = closest_pair_spatial(&dfs, &file, "/out-f")
-            .unwrap()
-            .value
-            .unwrap();
+        let fixed = closest_pair_spatial(&dfs, &file).unwrap().value.unwrap();
         assert!((fixed.distance - truth.distance).abs() < 1e-9);
     }
 
@@ -284,7 +277,7 @@ mod tests {
             .unwrap()
             .value;
         assert!(matches!(
-            closest_pair_spatial(&dfs, &file, "/out"),
+            closest_pair_spatial(&dfs, &file),
             Err(OpError::Unsupported(_))
         ));
     }

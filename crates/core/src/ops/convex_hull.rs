@@ -57,12 +57,13 @@ impl Reducer for GlobalHullReducer {
 }
 
 /// Hadoop convex hull: full scan + single-reducer merge.
-pub fn hull_hadoop(dfs: &Dfs, heap: &str, out_dir: &str) -> Result<OpResult<Vec<Point>>, OpError> {
+///
+/// `_out_dir` is ignored; it goes when `shbench` next changes.
+pub fn hull_hadoop(dfs: &Dfs, heap: &str, _out_dir: &str) -> Result<OpResult<Vec<Point>>, OpError> {
     let job = JobBuilder::new(dfs, &format!("hull-hadoop:{heap}"))
         .input_file(heap)?
         .mapper(ByRecords(LocalHullMapper))
         .reducer(GlobalHullReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     let value = hull_from_output(&job.rows)?;
@@ -95,11 +96,7 @@ pub fn hull_candidate_partitions(file: &SpatialFile) -> Vec<usize> {
 }
 
 /// SpatialHadoop convex hull: four-skyline filter + local/global hull.
-pub fn hull_spatial(
-    dfs: &Dfs,
-    file: &SpatialFile,
-    out_dir: &str,
-) -> Result<OpResult<Vec<Point>>, OpError> {
+pub fn hull_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Point>>, OpError> {
     let keep: std::collections::HashSet<usize> =
         hull_candidate_partitions(file).into_iter().collect();
     let pruned = file.partitions.len() - keep.len();
@@ -109,7 +106,6 @@ pub fn hull_spatial(
         .input_splits(splits)
         .mapper(ByRecords(LocalHullMapper))
         .reducer(GlobalHullReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     job.counters
@@ -277,11 +273,7 @@ impl RecordMapper for EnhancedHullMapper {
 }
 
 /// Enhanced convex hull: Theorem-3 local pruning, tiny driver-side merge.
-pub fn hull_enhanced(
-    dfs: &Dfs,
-    file: &SpatialFile,
-    out_dir: &str,
-) -> Result<OpResult<Vec<Point>>, OpError> {
+pub fn hull_enhanced(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Point>>, OpError> {
     let keep: std::collections::HashSet<usize> =
         hull_candidate_partitions(file).into_iter().collect();
     let mut splits = Vec::new();
@@ -305,7 +297,6 @@ pub fn hull_enhanced(
     let job = JobBuilder::new(dfs, &format!("hull-enhanced:{}", file.dir))
         .input_splits(splits)
         .mapper(ByRecords(EnhancedHullMapper))
-        .output(out_dir)
         .map_only()?
         .run()?;
     // Driver merge over the few surviving candidates.
@@ -353,10 +344,10 @@ mod tests {
         let h = hull_hadoop(&dfs, "/heap", "/out-h").unwrap();
         assert_eq!(canon(&h.value), canon(&expected), "hadoop {}", dist.name());
 
-        let s = hull_spatial(&dfs, &file, "/out-s").unwrap();
+        let s = hull_spatial(&dfs, &file).unwrap();
         assert_eq!(canon(&s.value), canon(&expected), "spatial {}", dist.name());
 
-        let e = hull_enhanced(&dfs, &file, "/out-e").unwrap();
+        let e = hull_enhanced(&dfs, &file).unwrap();
         assert_eq!(
             canon(&e.value),
             canon(&expected),
@@ -389,7 +380,7 @@ mod tests {
         let file = build_index::<Point>(&dfs, "/heap", "/idx", PartitionKind::StrPlus)
             .unwrap()
             .value;
-        let s = hull_spatial(&dfs, &file, "/out").unwrap();
+        let s = hull_spatial(&dfs, &file).unwrap();
         assert!(
             s.counter("hull.partitions.pruned") > 0,
             "interior partitions should be pruned out of {}",
@@ -406,7 +397,7 @@ mod tests {
         let file = build_index::<Point>(&dfs, "/heap", "/idx", PartitionKind::StrPlus)
             .unwrap()
             .value;
-        let e = hull_enhanced(&dfs, &file, "/out").unwrap();
+        let e = hull_enhanced(&dfs, &file).unwrap();
         let survivors = e.counter("hull.candidates");
         let pruned = e.counter("hull.pruned.points");
         assert!(survivors >= e.value.len() as u64);

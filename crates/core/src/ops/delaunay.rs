@@ -25,6 +25,7 @@ use sh_mapreduce::{InputSplit, JobBuilder, JobOutcome, MapContext, SimBreakdown}
 use crate::catalog::SpatialFile;
 use crate::mrlayer::{split_cell, ByRecords, RecordMapper, SpatialFileSplitter};
 use crate::opresult::{OpError, OpResult};
+use crate::ops::side_text;
 
 /// One output triangle.
 #[derive(Clone, Copy, Debug)]
@@ -133,7 +134,7 @@ impl RecordMapper for LocalDtMapper {
 }
 
 /// Collecting reducer: the merge runs on the driver, so the lone reducer
-/// just forwards the site set as a side file.
+/// just forwards the site set as a side output.
 struct ForwardReducer;
 
 impl sh_mapreduce::Reducer for ForwardReducer {
@@ -153,11 +154,7 @@ impl sh_mapreduce::Reducer for ForwardReducer {
 }
 
 /// SpatialHadoop Delaunay triangulation over a disjoint point index.
-pub fn delaunay_spatial(
-    dfs: &Dfs,
-    file: &SpatialFile,
-    out_dir: &str,
-) -> Result<OpResult<Vec<Tri>>, OpError> {
+pub fn delaunay_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Tri>>, OpError> {
     if !file.is_disjoint() {
         return Err(OpError::Unsupported(
             "delaunay_spatial requires a disjoint partitioning".into(),
@@ -165,14 +162,14 @@ pub fn delaunay_spatial(
     }
     let splits = SpatialFileSplitter::all_splits(dfs, file)?;
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
-    let job = JobBuilder::new(dfs, &format!("delaunay-spatial:{}", file.dir))
+    let mut job = JobBuilder::new(dfs, &format!("delaunay-spatial:{}", file.dir))
         .input_splits(splits)
         .mapper(ByRecords(LocalDtMapper))
         .pair_size(|_, _| 25)
         .reducer(ForwardReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
+    let side = std::mem::take(&mut job.side);
 
     // Driver merge over the boundary strip.
     let mut triangles: Vec<Tri> = job
@@ -180,10 +177,9 @@ pub fn delaunay_spatial(
         .lines()
         .map(Tri::decode)
         .collect::<Result<_, _>>()?;
-    let merge_path = format!("{out_dir}/_merge");
     let mut jobs = vec![job];
-    if dfs.exists(&merge_path) {
-        let text = dfs.read_to_string(&merge_path)?;
+    if let Some(merge) = side.get("_merge") {
+        let text = side_text("_merge", merge)?;
         let t0 = Instant::now();
         let mut entries: Vec<(bool, u64, Point)> = Vec::new();
         for line in text.lines() {
@@ -300,7 +296,6 @@ pub fn delaunay_hadoop(
     dfs: &Dfs,
     heap: &str,
     universe: &Rect,
-    out_dir: &str,
 ) -> Result<OpResult<Vec<Tri>>, OpError> {
     let stat = dfs.stat(heap)?;
     let strips = (stat.len.div_ceil(dfs.config().block_size)).max(1) as usize;
@@ -314,7 +309,6 @@ pub fn delaunay_hadoop(
             StripDtReducer,
             strips.min(dfs.config().total_reduce_slots()).max(1),
         )
-        .output(out_dir)
         .build()?
         .run()?;
     let transferred = job.rows.text().len() as u64;
@@ -383,7 +377,7 @@ mod tests {
         let file = build_index::<Point>(&dfs, "/heap", "/idx", kind)
             .unwrap()
             .value;
-        let got = delaunay_spatial(&dfs, &file, "/out").unwrap();
+        let got = delaunay_spatial(&dfs, &file).unwrap();
         assert_eq!(canon(&got.value), reference(&pts), "{}", kind.name());
         assert_eq!(
             canon(&got.value).len(),
@@ -416,7 +410,7 @@ mod tests {
         let file = build_index::<Point>(&dfs, "/heap", "/idx", PartitionKind::QuadTree)
             .unwrap()
             .value;
-        let got = delaunay_spatial(&dfs, &file, "/out").unwrap();
+        let got = delaunay_spatial(&dfs, &file).unwrap();
         assert_eq!(canon(&got.value), reference(&pts));
     }
 
@@ -427,7 +421,7 @@ mod tests {
         let mut pts = points(700, Distribution::Uniform, &uni, 204);
         sort_dedup(&mut pts);
         upload(&dfs, "/heap", &pts).unwrap();
-        let got = delaunay_hadoop(&dfs, "/heap", &uni, "/out").unwrap();
+        let got = delaunay_hadoop(&dfs, "/heap", &uni).unwrap();
         assert_eq!(canon(&got.value), reference(&pts));
         assert!(got.counter("delaunay.merge.bytes") > 0);
     }
@@ -442,7 +436,7 @@ mod tests {
             .unwrap()
             .value;
         assert!(matches!(
-            delaunay_spatial(&dfs, &file, "/out"),
+            delaunay_spatial(&dfs, &file),
             Err(OpError::Unsupported(_))
         ));
     }

@@ -66,16 +66,11 @@ impl Reducer for CalipersReducer {
 }
 
 /// Hadoop farthest pair: hull forwarding + single-reducer calipers.
-pub fn farthest_pair_hadoop(
-    dfs: &Dfs,
-    heap: &str,
-    out_dir: &str,
-) -> Result<OpResult<Option<PointPair>>, OpError> {
+pub fn farthest_pair_hadoop(dfs: &Dfs, heap: &str) -> Result<OpResult<Option<PointPair>>, OpError> {
     let job = JobBuilder::new(dfs, &format!("fp-hadoop:{heap}"))
         .input_file(heap)?
         .mapper(ByRecords(HullForwardMapper))
         .reducer(CalipersReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     let value = parse_pair(&job.rows)?;
@@ -130,7 +125,6 @@ impl Reducer for MaxPairReducer {
 pub fn farthest_pair_spatial(
     dfs: &Dfs,
     file: &SpatialFile,
-    out_dir: &str,
 ) -> Result<OpResult<Option<PointPair>>, OpError> {
     let keep: std::collections::HashSet<usize> =
         crate::ops::convex_hull::hull_candidate_partitions(file)
@@ -143,7 +137,6 @@ pub fn farthest_pair_spatial(
         .input_splits(splits)
         .mapper(ByRecords(HullForwardMapper))
         .reducer(CalipersReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     job.counters
@@ -159,7 +152,6 @@ pub fn farthest_pair_spatial(
 pub fn farthest_pair_pairs(
     dfs: &Dfs,
     file: &SpatialFile,
-    out_dir: &str,
 ) -> Result<OpResult<Option<PointPair>>, OpError> {
     let n = file.partitions.len();
     // Pass 1: greatest lower bound over all (unordered) partition pairs,
@@ -224,7 +216,6 @@ pub fn farthest_pair_pairs(
         .input_splits(splits)
         .mapper(ByRecords(PairFarthestMapper))
         .reducer(MaxPairReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     job.counters
@@ -276,14 +267,14 @@ mod tests {
             .value;
         let expected = single::farthest_pair_single(&pts).value.unwrap();
 
-        let h = farthest_pair_hadoop(&dfs, "/heap", "/out-h").unwrap();
+        let h = farthest_pair_hadoop(&dfs, "/heap").unwrap();
         assert!(
             (h.value.unwrap().distance - expected.distance).abs() < 1e-9,
             "hadoop {}",
             dist.name()
         );
 
-        let s = farthest_pair_spatial(&dfs, &file, "/out-s").unwrap();
+        let s = farthest_pair_spatial(&dfs, &file).unwrap();
         assert!(
             (s.value.unwrap().distance - expected.distance).abs() < 1e-9,
             "spatial {}",
@@ -295,7 +286,7 @@ mod tests {
             dist.name()
         );
 
-        let pp = farthest_pair_pairs(&dfs, &file, "/out-p").unwrap();
+        let pp = farthest_pair_pairs(&dfs, &file).unwrap();
         assert!(
             (pp.value.unwrap().distance - expected.distance).abs() < 1e-9,
             "pairs {}",
@@ -332,7 +323,7 @@ mod tests {
             .unwrap()
             .value;
         let expected = single::farthest_pair_single(&pts).value.unwrap();
-        let s = farthest_pair_pairs(&dfs, &file, "/out").unwrap();
+        let s = farthest_pair_pairs(&dfs, &file).unwrap();
         assert!((s.value.unwrap().distance - expected.distance).abs() < 1e-9);
     }
 }

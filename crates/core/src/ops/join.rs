@@ -93,13 +93,15 @@ impl Reducer for SjmrReducer {
 
 /// SJMR over two heap files. `universe` must cover both inputs;
 /// `grid_cells` controls the partitioning grain (≈ one cell per reducer).
+///
+/// `_out_dir` is ignored; it goes when `shbench` next changes.
 pub fn sjmr(
     dfs: &Dfs,
     left: &str,
     right: &str,
     universe: &Rect,
     grid_cells: usize,
-    out_dir: &str,
+    _out_dir: &str,
 ) -> Result<OpResult<Vec<(Rect, Rect)>>, OpError> {
     let grid = GridPartitioning::build(*universe, grid_cells);
     let mut splits = InputSplit::from_file(dfs, left)?;
@@ -114,7 +116,6 @@ pub fn sjmr(
         .mapper(ByRecords(SjmrMapper { grid: grid.clone() }))
         .pair_size(|_, _| 8 + 4 + 32)
         .reducer(SjmrReducer { grid }, reducers)
-        .output(out_dir)
         .build()?
         .run()?;
     let value = parse_output(&job.rows)?;
@@ -308,11 +309,13 @@ fn pair_splits(dfs: &Dfs, a: &SpatialFile, b: &SpatialFile) -> Result<Vec<InputS
 }
 
 /// Distributed join over two indexed files (the SpatialHadoop operation).
+///
+/// `_out_dir` is ignored; it goes when `shbench` next changes.
 pub fn distributed_join(
     dfs: &Dfs,
     a: &SpatialFile,
     b: &SpatialFile,
-    out_dir: &str,
+    _out_dir: &str,
 ) -> Result<OpResult<Vec<(Rect, Rect)>>, OpError> {
     let splits = pair_splits(dfs, a, b)?;
     let total_pairs = a.partitions.len() * b.partitions.len();
@@ -324,7 +327,6 @@ pub fn distributed_join(
             dedup_left: a.is_disjoint(),
             dedup_right: b.is_disjoint(),
         })
-        .output(out_dir)
         .map_only()?
         .run()?;
     job.counters
@@ -389,7 +391,6 @@ pub fn polygon_join(
     dfs: &Dfs,
     a: &SpatialFile,
     b: &SpatialFile,
-    out_dir: &str,
 ) -> Result<OpResult<Vec<(sh_geom::Polygon, sh_geom::Polygon)>>, OpError> {
     let splits = pair_splits(dfs, a, b)?;
     let total_pairs = a.partitions.len() * b.partitions.len();
@@ -400,7 +401,6 @@ pub fn polygon_join(
             dedup_left: a.is_disjoint(),
             dedup_right: b.is_disjoint(),
         })
-        .output(out_dir)
         .map_only()?
         .run()?;
     let mut value = Vec::new();
@@ -571,7 +571,7 @@ mod tests {
         let fb = build_index::<Polygon>(&dfs, "/parks", "/ip", PartitionKind::Grid)
             .unwrap()
             .value;
-        let got = polygon_join(&dfs, &fa, &fb, "/out").unwrap();
+        let got = polygon_join(&dfs, &fa, &fb).unwrap();
         // Exact baseline: nested loop with the true polygon test.
         let mut expected = 0usize;
         for l in &lakes {
@@ -607,7 +607,7 @@ mod tests {
         let fb = build_index::<Polygon>(&dfs, "/b", "/ib", PartitionKind::Str)
             .unwrap()
             .value;
-        let got = polygon_join(&dfs, &fa, &fb, "/out").unwrap();
+        let got = polygon_join(&dfs, &fa, &fb).unwrap();
         let mut expected = 0usize;
         for l in &a {
             for p in &b {

@@ -73,18 +73,19 @@ impl Reducer for KnnMergeReducer {
 }
 
 /// Full-scan kNN over a heap file (the Hadoop baseline, one round).
+///
+/// `_out_dir` is ignored; it goes when `shbench` next changes.
 pub fn knn_hadoop(
     dfs: &Dfs,
     heap: &str,
     q: &Point,
     k: usize,
-    out_dir: &str,
+    _out_dir: &str,
 ) -> Result<OpResult<Vec<Point>>, OpError> {
     let job = JobBuilder::new(dfs, &format!("knn-hadoop:{heap}"))
         .input_file(heap)?
         .mapper(ByRecords(KnnScanMapper { q: *q, k }))
         .reducer(KnnMergeReducer { q: *q, k }, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     let value: Vec<Point> = parse_output_records(&job.rows)?;
@@ -139,12 +140,14 @@ impl<R: Record> KnnIndexMapper<R> {
 /// Index-assisted kNN with the correctness loop (the SpatialHadoop
 /// operation). The result carries one [`JobOutcome`] per round; the
 /// round count is what experiment E6 reports as k grows.
+///
+/// `_out_dir` is ignored; it goes when `shbench` next changes.
 pub fn knn_spatial(
     dfs: &Dfs,
     file: &SpatialFile,
     q: &Point,
     k: usize,
-    out_dir: &str,
+    _out_dir: &str,
 ) -> Result<OpResult<Vec<Point>>, OpError> {
     let mut jobs: Vec<JobOutcome> = Vec::new();
     let mut processed: HashSet<usize> = HashSet::new();
@@ -176,7 +179,6 @@ pub fn knn_spatial(
                 k,
                 _r: PhantomData,
             })
-            .output(out_dir)
             .map_only()?
             .run()?;
         candidates.extend(parse_output_records::<Point>(&job.rows)?);

@@ -29,6 +29,7 @@ use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper};
 use crate::catalog::SpatialFile;
 use crate::mrlayer::task_inputs;
 use crate::opresult::{OpError, OpResult};
+use crate::ops::side_text;
 
 /// One joined row: the `R` point and its neighbours, nearest first.
 #[derive(Clone, Debug)]
@@ -160,12 +161,16 @@ impl Mapper for Round2Mapper {
 }
 
 /// Distributed kNN join (`R` must be a disjoint index; `S` any index).
+///
+/// Round 2 reads each partition's pending points as a DFS file, the
+/// split Hadoop would read: `_pending-NNNNN` under `staging_dir`, written
+/// by this driver and deleted again on every exit path.
 pub fn knn_join_spatial(
     dfs: &Dfs,
     r_file: &SpatialFile,
     s_file: &SpatialFile,
     k: usize,
-    out_dir: &str,
+    staging_dir: &str,
 ) -> Result<OpResult<Vec<KnnRow>>, OpError> {
     if !r_file.is_disjoint() {
         return Err(OpError::Unsupported(
@@ -211,12 +216,12 @@ pub fn knn_join_spatial(
             aux: Some(aux),
         });
     }
-    let round1 = JobBuilder::new(dfs, &format!("knnjoin:{}:{}", r_file.dir, s_file.dir))
+    let mut round1 = JobBuilder::new(dfs, &format!("knnjoin:{}:{}", r_file.dir, s_file.dir))
         .input_splits(splits)
         .mapper(Round1Mapper { k })
-        .output(out_dir)
         .map_only()?
         .run()?;
+    let side = std::mem::take(&mut round1.side);
     let mut rows: Vec<KnnRow> = round1
         .rows
         .lines()
@@ -225,20 +230,30 @@ pub fn knn_join_spatial(
     let mut jobs = vec![round1];
 
     // Round 2 over the pending points, if any.
-    let needs_path = format!("{out_dir}/_needs");
-    if dfs.exists(&needs_path) {
+    if let Some(needs_text) = side.get("_needs") {
         let mut needs: HashMap<usize, HashSet<usize>> = HashMap::new();
-        for line in dfs.read_to_string(&needs_path)?.lines() {
+        for line in side_text("_needs", needs_text)?.lines() {
             let mut it = line.split_ascii_whitespace();
             let pid: usize = it.next().unwrap().parse().expect("pid");
             let sid: usize = it.next().unwrap().parse().expect("sid");
             needs.entry(pid).or_default().insert(sid);
         }
+        let mut staged = Staged {
+            dfs,
+            paths: Vec::new(),
+        };
+        for (name, pending) in side.iter().filter(|(n, _)| n.starts_with("_pending-")) {
+            let path = format!("{staging_dir}/{name}");
+            let mut w = dfs.create(&path)?;
+            staged.paths.push(path);
+            w.write_str(side_text(name, pending)?);
+            w.close()?;
+        }
         let mut splits = Vec::new();
         let mut pids: Vec<usize> = needs.keys().copied().collect();
         pids.sort_unstable();
         for pid in pids {
-            let pending_path = format!("{out_dir}/_pending-{pid:05}");
+            let pending_path = format!("{staging_dir}/_pending-{pid:05}");
             let pending_split = InputSplit::whole_file(dfs, &pending_path)?;
             let first_bytes = pending_split.len();
             let mut blocks = pending_split.blocks;
@@ -262,17 +277,12 @@ pub fn knn_join_spatial(
         let round2 = JobBuilder::new(dfs, &format!("knnjoin-round2:{}", r_file.dir))
             .input_splits(splits)
             .mapper(Round2Mapper { k })
-            .output(out_dir)
             .map_only()?
             .run()?;
         for line in round2.rows.lines() {
             rows.push(KnnRow::decode(line)?);
         }
         jobs.push(round2);
-        // Clean the intermediate spill files.
-        for path in dfs.list(&format!("{out_dir}/_")) {
-            dfs.delete(&path);
-        }
     }
     rows.sort_by(|a, b| a.r.cmp_xy(&b.r));
     // Every R partition is scanned; pruning happens on the S side per
@@ -284,6 +294,21 @@ pub fn knn_join_spatial(
     );
     sel.records_emitted = rows.len() as u64;
     Ok(OpResult::new(rows, jobs).with_selectivity(sel))
+}
+
+/// DFS files a driver wrote, deleted when it is dropped: after the job
+/// that read them, or on whichever error return came first.
+struct Staged<'a> {
+    dfs: &'a Dfs,
+    paths: Vec<String>,
+}
+
+impl Drop for Staged<'_> {
+    fn drop(&mut self) {
+        for path in &self.paths {
+            self.dfs.delete(path);
+        }
+    }
 }
 
 /// Single-machine baseline: exact kNN of every `R` point against `S`.
@@ -432,6 +457,33 @@ mod tests {
             knn_join_spatial(&dfs, &rf, &sf, 3, "/out"),
             Err(OpError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn a_failed_second_round_leaves_no_staging_file_behind() {
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        upload(&dfs, "/r", &points(800, Distribution::Uniform, &uni, 308)).unwrap();
+        upload(&dfs, "/s", &points(4000, Distribution::Uniform, &uni, 309)).unwrap();
+        let grid = PartitionKind::Grid;
+        let rf = build_index::<Point>(&dfs, "/r", "/ri", grid).unwrap().value;
+        let sf = build_index::<Point>(&dfs, "/s", "/si", grid).unwrap().value;
+        // Both replicas of every pending-points file rot at round 2's wave
+        // boundary, before its first read: round 2 cannot succeed.
+        let mut plan = sh_dfs::FaultPlan::none();
+        for p in &rf.partitions {
+            for replica in 0..2 {
+                let pending = format!("/stage/_pending-{:05}", p.id);
+                plan = plan.corrupt_replica(&pending, replica, sh_dfs::CorruptKind::Flip);
+            }
+        }
+        dfs.update_ft_options(|ft| ft.fault_plan = plan);
+        let before = dfs.metrics().snapshot();
+        // At k = 100, a few R points near cell borders need round 2.
+        let err = knn_join_spatial(&dfs, &rf, &sf, 100, "/stage").unwrap_err();
+        assert!(matches!(err, OpError::Job(_)), "{err}");
+        assert!(dfs.metrics().snapshot().since(&before).blocks_written > 0);
+        assert_eq!(dfs.list("/stage/"), Vec::<String>::new());
     }
 
     #[test]

@@ -34,3 +34,10 @@ pub mod single;
 pub mod skyline;
 pub mod union;
 pub mod voronoi;
+
+/// A text side output's bytes ([`sh_mapreduce::TaskOutput::side_output`])
+/// as text.
+pub(crate) fn side_text<'a>(name: &str, buf: &'a [u8]) -> Result<&'a str, crate::OpError> {
+    std::str::from_utf8(buf)
+        .map_err(|e| crate::OpError::Corrupt(format!("side output {name}: {e}")))
+}

@@ -179,7 +179,6 @@ pub fn plot_spatial<R: Record>(
             RowMergeReducer { width },
             dfs.config().total_reduce_slots().clamp(1, height.max(1)),
         )
-        .output(out_dir)
         .build()?
         .run()?;
     // Assemble the raster from the per-row outputs.
@@ -331,7 +330,6 @@ pub fn plot_pyramid<R: Record>(
             TileMergeReducer { tile_px },
             dfs.config().total_reduce_slots().max(1),
         )
-        .output(out_dir)
         .build()?
         .run()?;
     let mut pyramid = TilePyramid {

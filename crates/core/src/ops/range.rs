@@ -136,13 +136,15 @@ impl<R: Record> IndexedMapper<R> {
 }
 
 /// Full-scan range query over a heap file (the Hadoop baseline).
+///
+/// `_out_dir` is ignored; it goes when `shbench` next changes.
 pub fn range_hadoop<R: Record>(
     dfs: &Dfs,
     heap: &str,
     query: &Rect,
-    out_dir: &str,
+    _out_dir: &str,
 ) -> Result<OpResult<Vec<R>>, OpError> {
-    parse_rows(range_hadoop_rows::<R>(dfs, heap, query, out_dir)?)
+    parse_rows(range_hadoop_rows::<R>(dfs, heap, query)?)
 }
 
 /// [`range_hadoop`] with the answer left as the job wrote it: one
@@ -151,7 +153,6 @@ pub fn range_hadoop_rows<R: Record>(
     dfs: &Dfs,
     heap: &str,
     query: &Rect,
-    out_dir: &str,
 ) -> Result<OpResult<Rows>, OpError> {
     let job = JobBuilder::new(dfs, &format!("range-hadoop:{heap}"))
         .input_file(heap)?
@@ -159,7 +160,6 @@ pub fn range_hadoop_rows<R: Record>(
             query: *query,
             _r: PhantomData,
         }))
-        .output(out_dir)
         .map_only()?
         .run()?;
     let sel = Selectivity::full_scan(job.map_tasks, job.rows.len() as u64);
@@ -186,13 +186,15 @@ impl Default for RangeOptions {
 }
 
 /// Index-assisted range query (the SpatialHadoop operation).
+///
+/// `_out_dir` is ignored; it goes when `shbench` next changes.
 pub fn range_spatial<R: Record>(
     dfs: &Dfs,
     file: &SpatialFile,
     query: &Rect,
-    out_dir: &str,
+    _out_dir: &str,
 ) -> Result<OpResult<Vec<R>>, OpError> {
-    range_spatial_with::<R>(dfs, file, query, out_dir, RangeOptions::default())
+    range_spatial_with::<R>(dfs, file, query, RangeOptions::default())
 }
 
 /// Range query with explicit ablation options.
@@ -200,10 +202,9 @@ pub fn range_spatial_with<R: Record>(
     dfs: &Dfs,
     file: &SpatialFile,
     query: &Rect,
-    out_dir: &str,
     options: RangeOptions,
 ) -> Result<OpResult<Vec<R>>, OpError> {
-    parse_rows(range_spatial_rows::<R>(dfs, file, query, out_dir, options)?)
+    parse_rows(range_spatial_rows::<R>(dfs, file, query, options)?)
 }
 
 /// [`range_spatial_with`] with the answer left as the job wrote it: one
@@ -212,7 +213,6 @@ pub fn range_spatial_rows<R: Record>(
     dfs: &Dfs,
     file: &SpatialFile,
     query: &Rect,
-    out_dir: &str,
     options: RangeOptions,
 ) -> Result<OpResult<Rows>, OpError> {
     let splits = SpatialFileSplitter::splits(dfs, file, |m| {
@@ -230,7 +230,6 @@ pub fn range_spatial_rows<R: Record>(
             local_index: options.local_index,
             _r: PhantomData,
         })
-        .output(out_dir)
         .map_only()?
         .run()?;
     job.counters
@@ -378,7 +377,7 @@ mod tests {
             .value;
         let query = Rect::new(100.0, 100.0, 600.0, 600.0);
         let reference = range_spatial::<Point>(&dfs, &file, &query, "/o-ref").unwrap();
-        for (i, opts) in [
+        for opts in [
             RangeOptions {
                 filter: false,
                 local_index: true,
@@ -391,12 +390,8 @@ mod tests {
                 filter: false,
                 local_index: false,
             },
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let got =
-                range_spatial_with::<Point>(&dfs, &file, &query, &format!("/o-{i}"), opts).unwrap();
+        ] {
+            let got = range_spatial_with::<Point>(&dfs, &file, &query, opts).unwrap();
             assert_eq!(
                 canon_points(got.value),
                 canon_points(reference.value.clone()),

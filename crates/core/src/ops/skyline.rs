@@ -81,16 +81,11 @@ impl RecordMapper for IdentityPointMapper {
 /// every input point is shuffled to the single reducer. Demonstrates
 /// that the local pruning step is what makes the Hadoop skyline viable
 /// at all (DESIGN.md §5).
-pub fn skyline_hadoop_naive(
-    dfs: &Dfs,
-    heap: &str,
-    out_dir: &str,
-) -> Result<OpResult<Vec<Point>>, OpError> {
+pub fn skyline_hadoop_naive(dfs: &Dfs, heap: &str) -> Result<OpResult<Vec<Point>>, OpError> {
     let job = JobBuilder::new(dfs, &format!("skyline-naive:{heap}"))
         .input_file(heap)?
         .mapper(ByRecords(IdentityPointMapper))
         .reducer(GlobalSkylineReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     let value = sorted_points(&job.rows)?;
@@ -100,16 +95,17 @@ pub fn skyline_hadoop_naive(
 
 /// Hadoop skyline: full scan, local skyline per split, single-reducer
 /// merge.
+///
+/// `_out_dir` is ignored; it goes when `shbench` next changes.
 pub fn skyline_hadoop(
     dfs: &Dfs,
     heap: &str,
-    out_dir: &str,
+    _out_dir: &str,
 ) -> Result<OpResult<Vec<Point>>, OpError> {
     let job = JobBuilder::new(dfs, &format!("skyline-hadoop:{heap}"))
         .input_file(heap)?
         .mapper(ByRecords(LocalSkylineMapper))
         .reducer(GlobalSkylineReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     let value = sorted_points(&job.rows)?;
@@ -133,11 +129,7 @@ pub fn non_dominated_partitions(file: &SpatialFile) -> Vec<usize> {
 }
 
 /// SpatialHadoop skyline: partition filter + local/global skyline.
-pub fn skyline_spatial(
-    dfs: &Dfs,
-    file: &SpatialFile,
-    out_dir: &str,
-) -> Result<OpResult<Vec<Point>>, OpError> {
+pub fn skyline_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Point>>, OpError> {
     let keep: std::collections::HashSet<usize> =
         non_dominated_partitions(file).into_iter().collect();
     let pruned = file.partitions.len() - keep.len();
@@ -147,7 +139,6 @@ pub fn skyline_spatial(
         .input_splits(splits)
         .mapper(ByRecords(LocalSkylineMapper))
         .reducer(GlobalSkylineReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     job.counters
@@ -188,7 +179,6 @@ impl RecordMapper for OutputSensitiveMapper {
 pub fn skyline_output_sensitive(
     dfs: &Dfs,
     file: &SpatialFile,
-    out_dir: &str,
 ) -> Result<OpResult<Vec<Point>>, OpError> {
     if !file.is_disjoint() {
         return Err(OpError::Unsupported(
@@ -225,7 +215,6 @@ pub fn skyline_output_sensitive(
     let job = JobBuilder::new(dfs, &format!("skyline-os:{}", file.dir))
         .input_splits(splits)
         .mapper(ByRecords(OutputSensitiveMapper))
-        .output(out_dir)
         .map_only()?
         .run()?;
     let value = sorted_points(&job.rows)?;
@@ -268,7 +257,7 @@ mod tests {
         let h = skyline_hadoop(&dfs, "/heap", "/out-h").unwrap();
         assert_eq!(canon(&h.value), canon(&expected), "hadoop, {}", dist.name());
 
-        let s = skyline_spatial(&dfs, &file, "/out-s").unwrap();
+        let s = skyline_spatial(&dfs, &file).unwrap();
         assert_eq!(
             canon(&s.value),
             canon(&expected),
@@ -276,7 +265,7 @@ mod tests {
             dist.name()
         );
 
-        let os = skyline_output_sensitive(&dfs, &file, "/out-os").unwrap();
+        let os = skyline_output_sensitive(&dfs, &file).unwrap();
         assert_eq!(canon(&os.value), canon(&expected), "os, {}", dist.name());
     }
 
@@ -309,7 +298,7 @@ mod tests {
         let file = build_index::<Point>(&dfs, "/heap", "/idx", PartitionKind::StrPlus)
             .unwrap()
             .value;
-        let s = skyline_spatial(&dfs, &file, "/out").unwrap();
+        let s = skyline_spatial(&dfs, &file).unwrap();
         assert!(
             s.counter("skyline.partitions.pruned") > 0,
             "uniform data must allow pruning ({} partitions)",
@@ -328,7 +317,7 @@ mod tests {
             .unwrap()
             .value;
         assert!(matches!(
-            skyline_output_sensitive(&dfs, &file, "/out"),
+            skyline_output_sensitive(&dfs, &file),
             Err(OpError::Unsupported(_))
         ));
     }
@@ -342,7 +331,7 @@ mod tests {
         let file = build_index::<Point>(&dfs, "/heap", "/idx", PartitionKind::Grid)
             .unwrap()
             .value;
-        let os = skyline_output_sensitive(&dfs, &file, "/out").unwrap();
+        let os = skyline_output_sensitive(&dfs, &file).unwrap();
         assert_eq!(os.jobs[0].reduce_tasks, 0, "map-only by construction");
         // Worst case: nearly everything is on the skyline, and it is all
         // written from the map side.

@@ -75,17 +75,12 @@ impl Reducer for RegionMergeReducer {
 }
 
 /// Hadoop polygon union over a heap file.
-pub fn union_hadoop(
-    dfs: &Dfs,
-    heap: &str,
-    out_dir: &str,
-) -> Result<OpResult<Vec<Segment>>, OpError> {
+pub fn union_hadoop(dfs: &Dfs, heap: &str) -> Result<OpResult<Vec<Segment>>, OpError> {
     let job = JobBuilder::new(dfs, &format!("union-hadoop:{heap}"))
         .input_file(heap)?
         .mapper(ByRecords(LocalUnionMapper))
         .pair_size(|_, _| 40)
         .reducer(RegionMergeReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     let value = parse_segments(&job.rows)?;
@@ -95,11 +90,7 @@ pub fn union_hadoop(
 
 /// SpatialHadoop polygon union over a *non-disjoint* spatial index (one
 /// copy per polygon, spatially clustered).
-pub fn union_spatial(
-    dfs: &Dfs,
-    file: &SpatialFile,
-    out_dir: &str,
-) -> Result<OpResult<Vec<Segment>>, OpError> {
+pub fn union_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Segment>>, OpError> {
     if file.is_disjoint() {
         return Err(OpError::Unsupported(
             "union_spatial needs a non-replicating (overlapping) index; \
@@ -114,7 +105,6 @@ pub fn union_spatial(
         .mapper(ByRecords(LocalUnionMapper))
         .pair_size(|_, _| 40)
         .reducer(RegionMergeReducer, 1)
-        .output(out_dir)
         .build()?
         .run()?;
     let value = parse_segments(&job.rows)?;
@@ -153,11 +143,7 @@ impl RecordMapper for EnhancedUnionMapper {
 }
 
 /// Enhanced union: disjoint index with replication, map-only, no merge.
-pub fn union_enhanced(
-    dfs: &Dfs,
-    file: &SpatialFile,
-    out_dir: &str,
-) -> Result<OpResult<Vec<Segment>>, OpError> {
+pub fn union_enhanced(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Segment>>, OpError> {
     if !file.is_disjoint() {
         return Err(OpError::Unsupported(
             "enhanced union requires a disjoint partitioning".into(),
@@ -168,7 +154,6 @@ pub fn union_enhanced(
     let job = JobBuilder::new(dfs, &format!("union-enhanced:{}", file.dir))
         .input_splits(splits)
         .mapper(ByRecords(EnhancedUnionMapper))
-        .output(out_dir)
         .map_only()?
         .run()?;
     let value = parse_segments(&job.rows)?;
@@ -209,7 +194,7 @@ mod tests {
     fn hadoop_union_matches_single_machine() {
         let (dfs, polys) = setup(300, 81);
         let expected = total_length(&single::union_single(&polys).value);
-        let got = union_hadoop(&dfs, "/polys", "/out").unwrap();
+        let got = union_hadoop(&dfs, "/polys").unwrap();
         assert!(
             close(total_length(&got.value), expected),
             "{} vs {expected}",
@@ -222,11 +207,11 @@ mod tests {
         let (dfs, polys) = setup(400, 82);
         let expected = total_length(&single::union_single(&polys).value);
 
-        let h = union_hadoop(&dfs, "/polys", "/out-h").unwrap();
+        let h = union_hadoop(&dfs, "/polys").unwrap();
         let file = build_index::<Polygon>(&dfs, "/polys", "/idx", PartitionKind::Str)
             .unwrap()
             .value;
-        let s = union_spatial(&dfs, &file, "/out-s").unwrap();
+        let s = union_spatial(&dfs, &file).unwrap();
         assert!(close(total_length(&s.value), expected));
         // Spatial clustering removes more interior edges before the merge.
         assert!(
@@ -244,7 +229,7 @@ mod tests {
         let file = build_index::<Polygon>(&dfs, "/polys", "/idx", PartitionKind::StrPlus)
             .unwrap()
             .value;
-        let e = union_enhanced(&dfs, &file, "/out-e").unwrap();
+        let e = union_enhanced(&dfs, &file).unwrap();
         assert!(
             close(total_length(&e.value), expected),
             "{} vs {expected}",
@@ -263,11 +248,11 @@ mod tests {
             .unwrap()
             .value;
         assert!(matches!(
-            union_spatial(&dfs, &disjoint, "/x1"),
+            union_spatial(&dfs, &disjoint),
             Err(OpError::Unsupported(_))
         ));
         assert!(matches!(
-            union_enhanced(&dfs, &overlapping, "/x2"),
+            union_enhanced(&dfs, &overlapping),
             Err(OpError::Unsupported(_))
         ));
     }

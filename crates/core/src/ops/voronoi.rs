@@ -32,6 +32,7 @@ use sh_mapreduce::{
 use crate::catalog::SpatialFile;
 use crate::mrlayer::{split_cell, ByRecords, RecordMapper, SpatialFileSplitter};
 use crate::opresult::{OpError, OpResult};
+use crate::ops::side_text;
 
 /// A finalized Voronoi cell as the operation outputs it.
 #[derive(Clone, Debug)]
@@ -185,7 +186,6 @@ pub fn voronoi_hadoop(
     dfs: &Dfs,
     heap: &str,
     universe: &Rect,
-    out_dir: &str,
 ) -> Result<OpResult<Vec<VCell>>, OpError> {
     let stat = dfs.stat(heap)?;
     let strips = (stat.len.div_ceil(dfs.config().block_size)).max(1) as usize;
@@ -199,7 +199,6 @@ pub fn voronoi_hadoop(
             StripVdReducer,
             strips.min(dfs.config().total_reduce_slots()).max(1),
         )
-        .output(out_dir)
         .build()?
         .run()?;
     // Driver-side merge: recompute over all sites of the partial
@@ -370,11 +369,7 @@ fn dedup_sites(values: Vec<(u8, f64, f64)>) -> (Vec<Point>, Vec<bool>) {
 
 /// SpatialHadoop Voronoi: local safe-cell flush → vertical merge →
 /// driver horizontal merge.
-pub fn voronoi_spatial(
-    dfs: &Dfs,
-    file: &SpatialFile,
-    out_dir: &str,
-) -> Result<OpResult<Vec<VCell>>, OpError> {
+pub fn voronoi_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<VCell>>, OpError> {
     if !file.is_disjoint() {
         return Err(OpError::Unsupported(
             "voronoi_spatial requires a disjoint partitioning".into(),
@@ -399,7 +394,7 @@ pub fn voronoi_spatial(
     } else {
         std::iter::once((0u64, 0u64)).collect()
     };
-    let job = JobBuilder::new(dfs, &format!("voronoi-spatial:{}", file.dir))
+    let mut job = JobBuilder::new(dfs, &format!("voronoi-spatial:{}", file.dir))
         .input_splits(splits)
         .mapper(ByRecords(LocalVdMapper))
         .pair_size(|_, _| 17)
@@ -407,16 +402,15 @@ pub fn voronoi_spatial(
             VMergeReducer,
             columns.len().min(dfs.config().total_reduce_slots()).max(1),
         )
-        .output(out_dir)
         .build()?
         .run()?;
 
     // Horizontal merge on the driver over the forwarded remainder.
-    let hmerge_path = format!("{out_dir}/_hmerge");
+    let side = std::mem::take(&mut job.side);
     let mut h_cells: Vec<VCell> = Vec::new();
     let mut h_outcome: Option<JobOutcome> = None;
-    if dfs.exists(&hmerge_path) {
-        let text = dfs.read_to_string(&hmerge_path)?;
+    if let Some(hmerge) = side.get("_hmerge") {
+        let text = side_text("_hmerge", hmerge)?;
         let transferred = text.len() as u64;
         let values: Vec<(u8, f64, f64)> = text
             .lines()
@@ -502,7 +496,7 @@ mod tests {
             .unwrap()
             .value;
         let expected = single::voronoi_single(&pts).value;
-        let got = voronoi_spatial(&dfs, &file, "/out").unwrap();
+        let got = voronoi_spatial(&dfs, &file).unwrap();
         assert_eq!(got.value.len(), pts.len(), "one cell per site");
         assert_eq!(canon(&got.value), canon_vd(&expected), "{}", kind.name());
         // The whole point: most cells are finalized before any merge.
@@ -539,7 +533,7 @@ mod tests {
             .unwrap()
             .value;
         let expected = single::voronoi_single(&pts).value;
-        let got = voronoi_spatial(&dfs, &file, "/out").unwrap();
+        let got = voronoi_spatial(&dfs, &file).unwrap();
         assert_eq!(canon(&got.value), canon_vd(&expected));
     }
 
@@ -551,7 +545,7 @@ mod tests {
         sort_dedup(&mut pts);
         upload(&dfs, "/heap", &pts).unwrap();
         let expected = single::voronoi_single(&pts).value;
-        let got = voronoi_hadoop(&dfs, "/heap", &uni, "/out").unwrap();
+        let got = voronoi_hadoop(&dfs, "/heap", &uni).unwrap();
         assert_eq!(canon(&got.value), canon_vd(&expected));
         // The merge transferred the whole (inflated) diagram.
         assert!(got.counter("voronoi.merge.bytes") > 0);
@@ -568,13 +562,12 @@ mod tests {
             let file = build_index::<Point>(&dfs, "/heap", "/idx", kind)
                 .unwrap()
                 .value;
-            let got = voronoi_spatial(&dfs, &file, "/out").unwrap();
+            let got = voronoi_spatial(&dfs, &file).unwrap();
             let expected = single::voronoi_single(&pts).value;
             assert_eq!(canon(&got.value), canon_vd(&expected), "{}", kind.name());
             // Local flush still fires; the v-merge flush does not.
             assert!(got.counter("voronoi.flushed.local") > 0, "{}", kind.name());
             assert_eq!(got.counter("voronoi.flushed.vmerge"), 0, "{}", kind.name());
-            crate::storage::delete_dir(&dfs, "/out");
             crate::storage::delete_dir(&dfs, "/idx");
             dfs.delete("/heap");
         }
@@ -590,7 +583,7 @@ mod tests {
             .unwrap()
             .value;
         assert!(matches!(
-            voronoi_spatial(&dfs, &file, "/out"),
+            voronoi_spatial(&dfs, &file),
             Err(OpError::Unsupported(_))
         ));
     }

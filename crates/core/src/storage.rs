@@ -10,14 +10,16 @@
 //!    the partition boundaries from the sample with the chosen technique;
 //! 3. **partition** — a full MapReduce job routes every record to its
 //!    partition(s) (replicating across disjoint cells where required) and
-//!    writes one `part-NNNNN` file per non-empty partition plus the
-//!    `_master` catalogue.
+//!    hands the driver one `part-NNNNN` file per non-empty partition, with
+//!    its `_lidx-NNNNN` sidecar, as side outputs; the driver writes them
+//!    and the `_master` catalogue.
 //!
 //! Both jobs' mappers are [`RecordMapper`]s: a split is parsed once, by
 //! the one `SpatialRecordReader`, and the partition job shuffles the
 //! typed records, so its reducers parse nothing. A text partition holds
 //! each record's `Record::write_line`, whatever spelling the heap used.
 
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -31,6 +33,7 @@ use sh_trace::Span;
 use crate::catalog::SpatialFile;
 use crate::mrlayer::{ByRecords, RecordMapper};
 use crate::opresult::{OpError, OpResult};
+use crate::ops::side_text;
 
 /// On-disk layout of the partition files an index build writes. Text is
 /// the ingest format; binary is the columnar `SHCB` block layout (see
@@ -219,6 +222,7 @@ pub fn build_index_fmt<R: Record>(
             std::any::type_name::<R>()
         )));
     }
+    refuse_live_index(dfs, index_dir)?;
     let root = Span::root(format!("index-build:{heap}"));
     root.attr("technique", kind.name());
     root.attr("format", format.name());
@@ -235,7 +239,6 @@ pub fn build_index_fmt<R: Record>(
             per_split: want_sample.div_ceil(num_splits),
             _r: PhantomData,
         }))
-        .output(index_dir)
         .map_only()?
         .run()?;
     let mut sample: Vec<Point> = Vec::new();
@@ -306,6 +309,46 @@ fn parse_sample_output(
     Ok(())
 }
 
+/// Refuses an index directory that already holds `part-*` files: it is a
+/// live index, and this build's files would land among its partitions.
+fn refuse_live_index(dfs: &Dfs, index_dir: &str) -> Result<(), OpError> {
+    if dfs.list(&format!("{index_dir}/part-")).is_empty() {
+        Ok(())
+    } else {
+        Err(OpError::Unsupported(format!(
+            "index directory {index_dir} already contains part files"
+        )))
+    }
+}
+
+/// Writes the partition job's side outputs into the index directory in
+/// the order and with the block boundaries the files always had: text
+/// partitions first, record-aligned, then the binary files (`SHCB`
+/// partitions and `SHLX` sidecars) cut at the block size, each group by
+/// name.
+fn write_partition_files(
+    dfs: &Dfs,
+    index_dir: &str,
+    side: BTreeMap<String, Vec<u8>>,
+    format: BlockFormat,
+) -> Result<(), OpError> {
+    let (text, binary): (Vec<_>, Vec<_>) = side
+        .into_iter()
+        .partition(|(name, _)| format == BlockFormat::Text && name.starts_with("part-"));
+    // By value: each buffer is freed once its file is written.
+    for (name, buf) in text {
+        let mut w = dfs.create(&format!("{index_dir}/{name}"))?;
+        w.write_str(side_text(&name, &buf)?);
+        w.close()?;
+    }
+    for (name, buf) in binary {
+        let mut w = dfs.create(&format!("{index_dir}/{name}"))?;
+        w.write_chunk(&buf);
+        w.close()?;
+    }
+    Ok(())
+}
+
 /// Indexes a heap file with an *existing* partitioning — co-partitioning
 /// for the distributed join: both join inputs share boundaries, so every
 /// partition pairs with exactly one counterpart.
@@ -315,6 +358,7 @@ pub fn build_index_with<R: Record>(
     index_dir: &str,
     gp: Arc<GlobalPartitioning>,
 ) -> Result<OpResult<SpatialFile>, OpError> {
+    refuse_live_index(dfs, index_dir)?;
     partition_phase::<R>(
         dfs,
         heap,
@@ -356,11 +400,12 @@ fn partition_phase<R: Record>(
             },
             reducers,
         )
-        .output(index_dir)
         .build()?
         .run()?;
     assign_span.attr("reducers", reducers);
     assign_span.finish();
+    let side = std::mem::take(&mut partition_job.side);
+    write_partition_files(dfs, index_dir, side, format)?;
 
     // Assemble and persist the catalogue from the reducers' rows.
     let mut partitions: Vec<PartitionMeta> = Vec::new();
@@ -704,6 +749,123 @@ mod tests {
                     other => panic!("{op}: expected Corrupt, got {other:?}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn building_into_a_live_index_fails_and_leaves_it_as_it_was() {
+        let (dfs, _) = setup(3000);
+        // The live index's one partition is the last of four cells, so a
+        // build that went ahead would write its first partitions before
+        // it reached a name the live index holds.
+        let wide = Rect::new(-1000.0, -1000.0, 1000.0, 1000.0);
+        let live = Arc::new(GlobalPartitioning::build(PartitionKind::Grid, &[], wide, 4));
+        build_index_with::<Point>(&dfs, "/heap", "/idx", live).unwrap();
+        let files = || -> Vec<(String, Vec<u8>)> {
+            let paths = dfs.list("/idx/");
+            paths
+                .into_iter()
+                .map(|p| (p.clone(), dfs.read_bytes(&p).unwrap()))
+                .collect()
+        };
+        let before = files();
+        let parts: Vec<&str> = before
+            .iter()
+            .filter(|(p, _)| p.contains("/part-"))
+            .map(|(p, _)| p.as_str())
+            .collect();
+        assert_eq!(parts, ["/idx/part-00003"]);
+        let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        let fine = Arc::new(GlobalPartitioning::build(PartitionKind::Grid, &[], uni, 16));
+        let errors = [
+            build_index::<Point>(&dfs, "/heap", "/idx", PartitionKind::Grid).err(),
+            build_index_with::<Point>(&dfs, "/heap", "/idx", fine).err(),
+        ];
+        for err in errors {
+            let err = err.expect("a live index is refused").to_string();
+            assert!(err.contains("/idx"), "{err}");
+        }
+        assert_eq!(files(), before, "the live index was touched");
+    }
+
+    /// A built index's partition files, each with its records parsed.
+    fn partition_records(dfs: &Dfs, file: &SpatialFile) -> Vec<Vec<Point>> {
+        file.partitions
+            .iter()
+            .map(|p| {
+                let raw = dfs.read_bytes(&p.path).unwrap();
+                crate::mrlayer::SpatialRecordReader::records_bytes(&raw).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_driver_writes_the_index_files_the_engine_wrote() {
+        // Clustered points on a uniform grid: some cells hold several
+        // blocks' worth of records.
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        upload(
+            &dfs,
+            "/heap",
+            &sh_workload::osm_like_points(3000, &uni, 4, 12),
+        )
+        .unwrap();
+        let kind = PartitionKind::Grid;
+        let text = build_index::<Point>(&dfs, "/heap", "/t", kind).unwrap();
+        let binary =
+            build_index_fmt::<Point>(&dfs, "/heap", "/b", kind, BlockFormat::Binary).unwrap();
+        // Text partitions are written record-aligned: every block ends a
+        // line, and some partition spans several blocks.
+        let mut multi_block = false;
+        for p in &text.value.partitions {
+            let blocks = dfs.block_locations(&p.path).unwrap();
+            multi_block |= blocks.len() > 1;
+            for b in blocks {
+                let (bytes, _) = dfs.read_block(b.id, 0).unwrap();
+                assert_eq!(bytes.last(), Some(&b'\n'), "{}: block {:?}", p.path, b.id);
+            }
+        }
+        assert!(multi_block, "no text partition spans two blocks");
+        // Binary partitions and every sidecar are exactly the encodings
+        // of the partition's records, which both builds share.
+        let records = partition_records(&dfs, &text.value);
+        assert_eq!(records, partition_records(&dfs, &binary.value));
+        for ((t, b), records) in text
+            .value
+            .partitions
+            .iter()
+            .zip(&binary.value.partitions)
+            .zip(&records)
+        {
+            assert_eq!(
+                dfs.read_bytes(&b.path).unwrap(),
+                crate::colblock::encode(records).unwrap()
+            );
+            let rects: Vec<Rect> = records.iter().map(|r| r.mbr()).collect();
+            let tree = sh_index::LocalRTree::build(rects).to_bytes();
+            for p in [t, b] {
+                let sidecar = crate::mrlayer::local_index_path(&p.path).unwrap();
+                assert_eq!(dfs.read_bytes(&sidecar).unwrap(), tree, "{sidecar}");
+            }
+        }
+        // The partition job is charged its rows plus every file the driver
+        // wrote from its side outputs.
+        for (built, dir) in [(&text, "/t/"), (&binary, "/b/")] {
+            let files: u64 = dfs
+                .list(dir)
+                .iter()
+                .filter(|p| p.contains("/part-") || p.contains("/_lidx-"))
+                .map(|p| dfs.stat(p).unwrap().len)
+                .sum();
+            let partition = &built.jobs[1];
+            assert!(partition.side.is_empty(), "the driver keeps no side buffer");
+            assert_eq!(partition.counters["output.side.bytes"], files, "{dir}");
+            assert_eq!(
+                partition.profile.dfs_bytes_written,
+                partition.rows.text().len() as u64 + files,
+                "{dir}"
+            );
         }
     }
 

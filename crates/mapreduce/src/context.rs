@@ -55,20 +55,18 @@ impl InternedCounters {
 }
 
 /// What a task leaves behind besides its shuffle pairs: its final
-/// output, its named side files and its counters. A reduce task's
+/// output, its named side outputs and its counters. A reduce task's
 /// context is exactly this ([`ReduceContext`]); a map task's
-/// ([`MapContext`]) adds the reducer buckets and derefs to it. Text is
-/// one buffer per destination — the job's rows and each text side file
-/// — every line followed by its newline, so the executor hands the rows
-/// over as they are and writes each side file with one
-/// `FileWriter::write_str`.
+/// ([`MapContext`]) adds the reducer buckets and derefs to it. Each
+/// destination — the job's rows and every side output — is one buffer,
+/// every text line followed by its newline, so the executor hands them
+/// over as they are.
 pub struct TaskOutput {
     /// Final output so far: every line followed by its newline.
     pub(crate) output: String,
-    /// Text side files by name, every line followed by its newline.
-    pub(crate) side: BTreeMap<String, String>,
-    /// Binary side files by name.
-    pub(crate) side_bytes: BTreeMap<String, Vec<u8>>,
+    /// Side outputs by name: text lines with their newlines, or binary
+    /// chunks.
+    pub(crate) side: BTreeMap<String, Vec<u8>>,
     pub(crate) counters: BTreeMap<String, u64>,
     interned: InternedCounters,
 }
@@ -81,7 +79,6 @@ impl TaskOutput {
         TaskOutput {
             output: String::new(),
             side: BTreeMap::new(),
-            side_bytes: BTreeMap::new(),
             counters: BTreeMap::new(),
             interned: InternedCounters::default(),
         }
@@ -97,25 +94,25 @@ impl TaskOutput {
         self.output.push('\n');
     }
 
-    /// Writes one line into a *named side file* (`{output}/{name}`).
-    /// Lines from all tasks writing the same name are concatenated in
-    /// task order, map tasks first — the mechanism the index builder
-    /// uses to write one file per spatial partition.
+    /// Writes one line into a *named side output*, which the driver gets
+    /// in [`crate::JobOutcome::side`]. Lines from all tasks writing the
+    /// same name are concatenated in task order, map tasks first — the
+    /// mechanism the index builder uses to build one file per spatial
+    /// partition.
     pub fn side_output(&mut self, name: &str, line: &str) {
         let buf = match self.side.get_mut(name) {
             Some(buf) => buf,
             None => self.side.entry(name.to_string()).or_default(),
         };
-        buf.push_str(line);
-        buf.push('\n');
+        buf.extend_from_slice(line.as_bytes());
+        buf.push(b'\n');
     }
 
-    /// Appends raw bytes to a *named binary side file* (`{output}/{name}`).
-    /// The binary analogue of [`TaskOutput::side_output`]: chunks from all
-    /// tasks writing the same name are concatenated in task order. A name
-    /// must be either text or binary, never both.
+    /// Appends raw bytes to a *named binary side output*: the binary
+    /// analogue of [`TaskOutput::side_output`]. A name must be either
+    /// text or binary, never both.
     pub fn side_output_bytes(&mut self, name: &str, chunk: &[u8]) {
-        self.side_bytes
+        self.side
             .entry(name.to_string())
             .or_default()
             .extend_from_slice(chunk);

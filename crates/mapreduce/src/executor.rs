@@ -3,6 +3,7 @@
 //! cost aggregation.
 
 use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::Hash;
 use std::sync::{Condvar, Mutex};
@@ -27,6 +28,11 @@ pub struct JobOutcome {
     /// reduce task's. The driver shares the tasks' process, so it gets
     /// the rows directly; their bytes are still charged as DFS output.
     pub rows: Rows,
+    /// The job's named side outputs ([`TaskOutput::side_output`]), each
+    /// its tasks' contributions in task order, map wave first. Charged as
+    /// DFS output like the rows; whether any becomes a file is the
+    /// driver's decision.
+    pub side: BTreeMap<String, Vec<u8>>,
     /// Final counters (engine + user).
     pub counters: BTreeMap<String, u64>,
     /// Simulated cluster time.
@@ -75,6 +81,7 @@ impl JobOutcome {
         JobOutcome {
             name,
             rows: Rows::default(),
+            side: BTreeMap::new(),
             counters,
             sim,
             wall,
@@ -98,33 +105,32 @@ struct MapTaskResult<K, V> {
 }
 
 /// A job's finished tasks, folded in task order, map wave first: the
-/// one place a task's [`TaskOutput`] reaches the driver, the DFS and the
-/// job's counters. Final outputs are kept as their tasks are folded and
-/// joined into the job's rows at the end; side files are merged across
-/// tasks and written last.
+/// one place a task's [`TaskOutput`] reaches the driver and the job's
+/// counters. Final outputs are kept as their tasks are folded and joined
+/// into the job's rows at the end; side outputs are merged by name.
 struct TaskFold<'a> {
-    dfs: &'a Dfs,
-    dir: &'a str,
     counters: &'a Counters,
     outputs: Vec<String>,
-    side: BTreeMap<String, String>,
-    side_bytes: BTreeMap<String, Vec<u8>>,
+    side: BTreeMap<String, Vec<u8>>,
 }
 
 impl TaskFold<'_> {
     /// Folds one finished task of either wave: keeps its final output
-    /// for the job's rows, appends its side files to the job's, charges
-    /// all of it to `cost.output_bytes`, and merges its counters. The
-    /// final output is charged as the DFS write Hadoop's task commit
-    /// makes, so simulated time does not depend on where the rows go.
+    /// for the job's rows, appends its side outputs to the job's, charges
+    /// all of it to `cost.output_bytes`, and merges its counters. Both
+    /// are charged as the DFS writes Hadoop's task commit makes, so
+    /// simulated time does not depend on where the bytes go.
     fn task(&mut self, output_counter: &'static str, mut out: TaskOutput, cost: &mut TaskCost) {
-        for (name, text) in std::mem::take(&mut out.side) {
-            cost.output_bytes += text.len() as u64;
-            self.side.entry(name).or_default().push_str(&text);
-        }
-        for (name, chunk) in std::mem::take(&mut out.side_bytes) {
-            cost.output_bytes += chunk.len() as u64;
-            self.side_bytes.entry(name).or_default().extend(chunk);
+        for (name, buf) in std::mem::take(&mut out.side) {
+            cost.output_bytes += buf.len() as u64;
+            self.counters
+                .inc_static("output.side.bytes", buf.len() as u64);
+            match self.side.entry(name) {
+                Entry::Vacant(e) => {
+                    e.insert(buf);
+                }
+                Entry::Occupied(mut e) => e.get_mut().extend_from_slice(&buf),
+            }
         }
         if !out.output.is_empty() {
             let bytes = out.output.len() as u64;
@@ -133,26 +139,6 @@ impl TaskFold<'_> {
             self.outputs.push(std::mem::take(&mut out.output));
         }
         self.counters.merge(&out.take_counters());
-    }
-
-    /// Writes the merged side files, text ones record-aligned, and hands
-    /// back the job's rows: the kept outputs joined in one allocation.
-    fn finish(self) -> Result<Rows, DfsError> {
-        for (name, text) in self.side {
-            let mut w = self.dfs.create(&format!("{}/{name}", self.dir))?;
-            w.write_str(&text);
-            w.close()?;
-            self.counters
-                .inc_static("output.side.bytes", text.len() as u64);
-        }
-        for (name, blob) in self.side_bytes {
-            let mut w = self.dfs.create(&format!("{}/{name}", self.dir))?;
-            w.write_chunk(&blob);
-            w.close()?;
-            self.counters
-                .inc_static("output.side.bytes", blob.len() as u64);
-        }
-        Ok(Rows::from_text(self.outputs.concat()))
     }
 }
 
@@ -675,16 +661,6 @@ where
         ],
     );
 
-    // Refuse an output directory that already holds `part-*` files: it
-    // is an index, and this job's side files would land among its
-    // partitions.
-    if !dfs.list(&format!("{}/part-", job.output)).is_empty() {
-        return Err(JobError::Config(format!(
-            "output directory {} already contains part files",
-            job.output
-        )));
-    }
-
     // ---- schedule: assign each split to a live node, locality first ---
     let assignments = assign_nodes(&job, cfg.num_nodes);
 
@@ -738,12 +714,9 @@ where
 
     // ---- map-side final output (map-only jobs & early flush) ----------
     let mut fold = TaskFold {
-        dfs: &dfs,
-        dir: &job.output,
         counters: &counters,
         outputs: Vec::new(),
         side: BTreeMap::new(),
-        side_bytes: BTreeMap::new(),
     };
     for res in map_results.iter_mut() {
         let out = std::mem::replace(&mut res.out, TaskOutput::new());
@@ -845,10 +818,6 @@ where
         counters.inc_static("reduce.tasks", reduce_tasks_run as u64);
     }
 
-    // Side files are written last so reduce-side side outputs are merged
-    // in too.
-    let rows = fold.finish()?;
-
     counters.inc_static("task.retries", ft.retries);
     counters.inc_static("task.speculative.launched", ft.speculative_launched);
     counters.inc_static("task.speculative.won", ft.speculative_won);
@@ -877,7 +846,8 @@ where
 
     Ok(JobOutcome {
         name: job.name,
-        rows,
+        rows: Rows::from_text(fold.outputs.concat()),
+        side: fold.side,
         counters,
         sim,
         wall: start.elapsed(),
@@ -1221,7 +1191,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 3)
-            .output("/out")
             .build()
             .unwrap()
             .run()
@@ -1251,7 +1220,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 2)
-            .output("/out1")
             .build()
             .unwrap()
             .run()
@@ -1262,7 +1230,6 @@ mod tests {
             .mapper(CountMapper)
             .combiner(|_k, vs: Vec<u64>| vec![vs.iter().sum()])
             .reducer(SumReducer, 2)
-            .output("/out2")
             .build()
             .unwrap()
             .run()
@@ -1294,7 +1261,6 @@ mod tests {
             .input_file("/in")
             .unwrap()
             .mapper(PassthroughMapper)
-            .output("/out")
             .map_only()
             .unwrap()
             .run()
@@ -1315,7 +1281,6 @@ mod tests {
                 .unwrap()
                 .mapper(CountMapper)
                 .reducer(SumReducer, 4)
-                .output("/out")
                 .build()
                 .unwrap()
                 .run()
@@ -1335,7 +1300,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 2)
-            .output("/out")
             .build()
             .unwrap()
             .run()
@@ -1373,13 +1337,12 @@ mod tests {
     fn a_task_answered_from_memory_reads_nothing_and_costs_the_same() {
         let fs = dfs();
         wordcount_input(&fs, 4000);
-        let run = |warm: bool, out: &str| {
+        let run = |warm: bool| {
             let before = fs.metrics().snapshot();
             let outcome = JobBuilder::new(&fs, "memo")
                 .input_file("/in")
                 .unwrap()
                 .mapper(SplitLen { warm })
-                .output(out)
                 .map_only()
                 .unwrap()
                 .run()
@@ -1387,8 +1350,8 @@ mod tests {
             let blocks_read = fs.metrics().snapshot().since(&before).blocks_read;
             (outcome, blocks_read)
         };
-        let (cold, cold_blocks) = run(false, "/out-cold");
-        let (warm, warm_blocks) = run(true, "/out-warm");
+        let (cold, cold_blocks) = run(false);
+        let (warm, warm_blocks) = run(true);
         assert!(cold.map_tasks > 1, "expected multiple splits");
         assert_eq!(cold_blocks, cold.map_tasks as u64, "one block per split");
         assert_eq!(warm_blocks, 0, "a cached task reads no block");
@@ -1408,21 +1371,20 @@ mod tests {
     fn concurrent_jobs_on_one_dfs_are_safe() {
         let fs = dfs();
         wordcount_input(&fs, 2000);
-        let run = |out: &str| {
+        let run = || {
             JobBuilder::new(&fs, "concurrent")
                 .input_file("/in")
                 .unwrap()
                 .mapper(CountMapper)
                 .reducer(SumReducer, 2)
-                .output(out)
                 .build()
                 .unwrap()
                 .run()
                 .unwrap()
         };
         let (a, b) = std::thread::scope(|scope| {
-            let ha = scope.spawn(|| run("/out-a"));
-            let hb = scope.spawn(|| run("/out-b"));
+            let ha = scope.spawn(run);
+            let hb = scope.spawn(run);
             (ha.join().unwrap(), hb.join().unwrap())
         });
         let mut la = lines(&a);
@@ -1451,7 +1413,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 0)
-            .output("/o")
             .build();
         assert!(matches!(err, Err(JobError::Config(_))));
     }
@@ -1465,7 +1426,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 1)
-            .output("/o1")
             .build()
             .unwrap()
             .run()
@@ -1477,7 +1437,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 1)
-            .output("/o2")
             .build()
             .unwrap()
             .run()
@@ -1506,7 +1465,6 @@ mod tests {
             .input_file("/in")
             .unwrap()
             .mapper(PanickingMapper)
-            .output("/o")
             .map_only()
             .unwrap()
             .run();
@@ -1529,7 +1487,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 1)
-            .output("/out")
             .build()
             .unwrap()
             .run();
@@ -1571,7 +1528,6 @@ mod tests {
             .unwrap()
             .mapper(EmitOneMapper)
             .reducer(PanickingReducer, 1)
-            .output("/o")
             .build()
             .unwrap()
             .run();
@@ -1628,7 +1584,6 @@ mod tests {
                     },
                     1,
                 )
-                .output("/out")
                 .build()
                 .unwrap()
                 .run()
@@ -1669,7 +1624,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 1)
-            .output("/o")
             .build()
             .unwrap()
             .run();
@@ -1700,7 +1654,6 @@ mod tests {
         let outcome = JobBuilder::new(&fs, "aux")
             .input_splits(vec![split])
             .mapper(AuxEchoMapper)
-            .output("/out")
             .map_only()
             .unwrap()
             .run()
@@ -1734,49 +1687,27 @@ mod tests {
     fn side_files_merge_map_and_reduce_contributions() {
         let fs = dfs();
         fs.write_string("/in", "aa\nbbb\n").unwrap();
+        let before = fs.metrics().snapshot();
         let outcome = JobBuilder::new(&fs, "side")
             .input_file("/in")
             .unwrap()
             .mapper(SideMapper)
             .reducer(SideReducer, 1)
-            .output("/out")
             .build()
             .unwrap()
             .run()
             .unwrap();
         assert_eq!(lines(&outcome), vec!["5"]);
-        let spill = fs.read_to_string("/out/spill").unwrap();
-        let mut lines: Vec<&str> = spill.lines().collect();
-        lines.sort_unstable();
-        assert_eq!(lines, vec!["m:aa", "m:bbb", "r:2"]);
-    }
-
-    #[test]
-    fn output_collision_is_rejected() {
-        let fs = dfs();
-        fs.write_string("/in", "a\n").unwrap();
-        let run = |out: &str| {
-            JobBuilder::new(&fs, "c")
-                .input_file("/in")
-                .unwrap()
-                .mapper(PassthroughMapper)
-                .output(out)
-                .map_only()
-                .unwrap()
-                .run()
-        };
-        // Rows leave no file behind, so a directory can serve many jobs.
-        run("/dup").unwrap();
-        run("/dup").unwrap();
-        fs.write_string("/dup/part-00000", "1 2\n").unwrap();
-        match run("/dup") {
-            Err(JobError::Config(msg)) => assert!(msg.contains("/dup"), "{msg}"),
-            other => panic!("expected Config, got {other:?}"),
-        }
+        // Task order, map wave first; the driver gets it, no block does.
+        assert_eq!(outcome.side.len(), 1);
+        assert_eq!(outcome.side["spill"], b"m:aa\nm:bbb\nr:2\n");
+        assert_eq!(fs.metrics().snapshot().since(&before).blocks_written, 0);
+        assert_charged_not_written(&outcome, "output.reduce.bytes", 15);
+        assert_eq!(outcome.counters["output.side.bytes"], 15);
     }
 
     /// The rows' bytes are charged to `counter` and to the profile's DFS
-    /// writes, next to `side` bytes of side files, yet never written.
+    /// writes, next to `side` bytes of side outputs, yet never written.
     fn assert_charged_not_written(outcome: &JobOutcome, counter: &str, side: u64) {
         let bytes = outcome.rows.text().len() as u64;
         assert!(bytes > 0);
@@ -1793,7 +1724,6 @@ mod tests {
             .input_file("/in")
             .unwrap()
             .mapper(PassthroughMapper)
-            .output("/out")
             .map_only()
             .unwrap()
             .run()
@@ -1801,7 +1731,6 @@ mod tests {
         assert_charged_not_written(&outcome, "output.map.bytes", 0);
         let written = fs.metrics().snapshot().since(&before);
         assert_eq!(written.blocks_written, 0, "rows reach no DFS block");
-        assert_eq!(fs.list("/out/"), Vec::<String>::new());
     }
 
     #[test]
@@ -1814,29 +1743,31 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 2)
-            .output("/out")
             .build()
             .unwrap()
             .run()
             .unwrap();
         assert_charged_not_written(&outcome, "output.reduce.bytes", 0);
-        let written = fs.metrics().snapshot().since(&before);
-        assert_eq!(written.blocks_written, 0, "rows reach no DFS block");
-        // With a side file, that file is the only thing written.
+        // Side outputs come back with the job too, charged like the rows.
         let outcome = JobBuilder::new(&fs, "side")
             .input_file("/in")
             .unwrap()
             .mapper(SideMapper)
             .reducer(SideReducer, 2)
-            .output("/side")
             .build()
             .unwrap()
             .run()
             .unwrap();
-        let side = fs.stat("/side/spill").unwrap().len;
+        let side = outcome.side["spill"].len() as u64;
+        assert_eq!(outcome.side.len(), 1);
+        assert_eq!(
+            side as usize,
+            3000 * "m:w0 common\n".len() + "r:3000\n".len()
+        );
         assert_charged_not_written(&outcome, "output.reduce.bytes", side);
         assert_eq!(outcome.counters["output.side.bytes"], side);
-        assert_eq!(fs.list("/side/"), vec!["/side/spill".to_string()]);
+        let written = fs.metrics().snapshot().since(&before);
+        assert_eq!(written.blocks_written, 0, "no job writes a DFS block");
     }
 
     #[test]
@@ -1848,7 +1779,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 3)
-            .output("/out")
             .build()
             .unwrap()
             .run()
@@ -1891,7 +1821,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 2)
-            .output("/o")
             .build()
             .unwrap()
             .run()
@@ -1922,7 +1851,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 2)
-            .output("/out")
             .build()
             .unwrap()
             .run()
@@ -1954,7 +1882,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 1)
-            .output("/out")
             .build()
             .unwrap()
             .run();
@@ -1980,7 +1907,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 2)
-            .output("/out")
             .build()
             .unwrap()
             .run()
@@ -2015,7 +1941,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 2)
-            .output("/out")
             .build()
             .unwrap()
             .run()
@@ -2046,7 +1971,6 @@ mod tests {
             .unwrap()
             .mapper(CountMapper)
             .reducer(SumReducer, 2)
-            .output("/out")
             .build()
             .unwrap()
             .run()

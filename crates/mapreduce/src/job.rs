@@ -157,14 +157,13 @@ pub struct Job<M: Mapper, R: Reducer<K = M::K, V = M::V>> {
     pub(crate) reducer: Option<R>,
     pub(crate) combiner: Option<CombinerFn<M::K, M::V>>,
     pub(crate) num_reducers: usize,
-    pub(crate) output: String,
     pub(crate) pair_size: PairSizeFn<M::K, M::V>,
 }
 
 impl<M: Mapper, R: Reducer<K = M::K, V = M::V>> Job<M, R> {
     /// Runs the job to completion. Its final output comes back as
-    /// [`JobOutcome::rows`]; only side files are written, under the
-    /// configured output path.
+    /// [`JobOutcome::rows`] and its side outputs as [`JobOutcome::side`];
+    /// the job writes nothing to the DFS.
     pub fn run(self) -> Result<JobOutcome, JobError> {
         executor::run(self)
     }
@@ -199,7 +198,6 @@ impl<M: Mapper, R: Reducer<K = M::K, V = M::V>> Job<M, R> {
 ///     .input_file("/in").unwrap()
 ///     .mapper(Tokenize)
 ///     .reducer(Sum, 2)
-///     .output("/out")
 ///     .build().unwrap()
 ///     .run().unwrap();
 /// let mut text: Vec<&str> = outcome.rows.lines().collect();
@@ -212,7 +210,6 @@ pub struct JobBuilder<M: Mapper> {
     splits: Vec<InputSplit>,
     mapper: Option<M>,
     combiner: Option<CombinerFn<M::K, M::V>>,
-    output: Option<String>,
     pair_size: PairSizeFn<M::K, M::V>,
 }
 
@@ -225,7 +222,6 @@ impl<M: Mapper> JobBuilder<M> {
             splits: Vec::new(),
             mapper: None,
             combiner: None,
-            output: None,
             pair_size: Arc::new(|_, _| std::mem::size_of::<M::K>() + std::mem::size_of::<M::V>()),
         }
     }
@@ -263,10 +259,10 @@ impl<M: Mapper> JobBuilder<M> {
         self
     }
 
-    /// Sets the output directory: where the job's side files go. It
-    /// must not hold `part-*` files (an index).
-    pub fn output(mut self, path: &str) -> Self {
-        self.output = Some(path.to_string());
+    /// Ignored: a job writes nothing, so it has no output directory. It
+    /// stays only because `shbench` calls it, and goes when `shbench`
+    /// next changes.
+    pub fn output(self, _path: &str) -> Self {
         self
     }
 
@@ -289,9 +285,6 @@ impl<M: Mapper> JobBuilder<M> {
         let mapper = self
             .mapper
             .ok_or_else(|| JobError::Config("mapper not set".into()))?;
-        let output = self
-            .output
-            .ok_or_else(|| JobError::Config("output not set".into()))?;
         Ok(Job {
             dfs: self.dfs,
             name: self.name,
@@ -300,7 +293,6 @@ impl<M: Mapper> JobBuilder<M> {
             reducer: None,
             combiner: self.combiner,
             num_reducers: 0,
-            output,
             pair_size: self.pair_size,
         })
     }
@@ -314,13 +306,6 @@ pub struct JobBuilderWithReducer<M: Mapper, R: Reducer<K = M::K, V = M::V>> {
 }
 
 impl<M: Mapper, R: Reducer<K = M::K, V = M::V>> JobBuilderWithReducer<M, R> {
-    /// Sets the output directory: where the job's side files go. It
-    /// must not hold `part-*` files (an index).
-    pub fn output(mut self, path: &str) -> Self {
-        self.base.output = Some(path.to_string());
-        self
-    }
-
     /// Validates and builds the job.
     pub fn build(self) -> Result<Job<M, R>, JobError> {
         if self.num_reducers == 0 {
@@ -332,10 +317,6 @@ impl<M: Mapper, R: Reducer<K = M::K, V = M::V>> JobBuilderWithReducer<M, R> {
             .base
             .mapper
             .ok_or_else(|| JobError::Config("mapper not set".into()))?;
-        let output = self
-            .base
-            .output
-            .ok_or_else(|| JobError::Config("output not set".into()))?;
         Ok(Job {
             dfs: self.base.dfs,
             name: self.base.name,
@@ -344,7 +325,6 @@ impl<M: Mapper, R: Reducer<K = M::K, V = M::V>> JobBuilderWithReducer<M, R> {
             reducer: Some(self.reducer),
             combiner: self.base.combiner,
             num_reducers: self.num_reducers,
-            output,
             pair_size: self.base.pair_size,
         })
     }

@@ -851,7 +851,6 @@ mod tests {
                             .unwrap()
                             .mapper(M)
                             .reducer(R, 2)
-                            .output(&format!("/out-{i}"))
                             .build()
                             .unwrap()
                             .run()

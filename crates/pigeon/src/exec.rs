@@ -634,17 +634,13 @@ impl Pigeon {
     }
 }
 
-/// Numbers each job statement's scratch directory.
-static OUT_SEQ: AtomicUsize = AtomicUsize::new(0);
-
 /// Runs a job statement: the one runner, on the caller's thread inline
 /// and on the scheduler's for tickets and `SUBMIT`. It sees only `vars`,
 /// borrows the inputs it names from them, and returns its effects for
-/// [`SessionCtx::absorb`]. Its jobs return their rows and write only
-/// side files (`VORONOI`, `DELAUNAY` and `KNNJOIN` hand-offs), under a
-/// scratch directory of its own, which is gone again when it returns:
-/// nothing refers to the files by then. `STORE ... INTO` targets and
-/// index directories are user-named and live elsewhere.
+/// [`SessionCtx::absorb`]. Its jobs return what they computed and write
+/// nothing; `STORE ... INTO` targets and index directories are
+/// user-named, and `KNNJOIN` stages its round-2 input in a scratch
+/// directory of its own that is gone again when it returns.
 fn run_job(
     dfs: &Dfs,
     stmt: &Stmt,
@@ -653,20 +649,6 @@ fn run_job(
     if let Stmt::Profile(inner) | Stmt::ExplainAnalyze(inner) = stmt {
         return Ok(decorate(stmt, run_job(dfs, inner, vars)?));
     }
-    let seq = OUT_SEQ.fetch_add(1, Ordering::Relaxed);
-    let out = format!("/pigeon/{}-{seq}", stmt_verb(stmt));
-    let result = run_op(dfs, stmt, vars, &out);
-    storage::delete_dir(dfs, &out);
-    result
-}
-
-/// The operation a job statement compiles to; its jobs write under `out`.
-fn run_op(
-    dfs: &Dfs,
-    stmt: &Stmt,
-    vars: &HashMap<String, Value>,
-    out: &str,
-) -> Result<StmtOutput, PigeonError> {
     Ok(match stmt {
         Stmt::Import {
             var,
@@ -752,10 +734,10 @@ fn run_op(
         }
         Stmt::Delaunay { var, src } => {
             let r = match points(vars, "DELAUNAY", src)? {
-                Input::Indexed(file) => ops::delaunay::delaunay_spatial(dfs, file, out)?,
+                Input::Indexed(file) => ops::delaunay::delaunay_spatial(dfs, file)?,
                 Input::Heap(path) => {
                     let uni = heap_mbr::<Point>(dfs, path)?;
-                    ops::delaunay::delaunay_hadoop(dfs, path, &uni, out)?
+                    ops::delaunay::delaunay_hadoop(dfs, path, &uni)?
                 }
             };
             StmtOutput::bind(var, "delaunay", r, |tris| {
@@ -793,16 +775,16 @@ fn run_op(
             let (input, rtype) = dataset(vars, "FILTER", src)?;
             let r = with_record_type!(rtype, R => match input {
                 Input::Indexed(file) => {
-                    ops::range::range_spatial_rows::<R>(dfs, file, query, out, Default::default())
+                    ops::range::range_spatial_rows::<R>(dfs, file, query, Default::default())
                 }
-                Input::Heap(path) => ops::range::range_hadoop_rows::<R>(dfs, path, query, out),
+                Input::Heap(path) => ops::range::range_hadoop_rows::<R>(dfs, path, query),
             })?;
             StmtOutput::bind(var, "range", r, Value::Result)
         }
         Stmt::Knn { var, src, q, k } => {
             let r = match points(vars, "KNN", src)? {
-                Input::Indexed(file) => ops::knn::knn_spatial(dfs, file, q, *k, out)?,
-                Input::Heap(path) => ops::knn::knn_hadoop(dfs, path, q, *k, out)?,
+                Input::Indexed(file) => ops::knn::knn_spatial(dfs, file, q, *k, "")?,
+                Input::Heap(path) => ops::knn::knn_hadoop(dfs, path, q, *k, "")?,
             };
             StmtOutput::bind(var, "knn", r, |pts| Value::Result(to_rows(&pts)))
         }
@@ -814,7 +796,7 @@ fn run_op(
                 (Some((Input::Indexed(fa), ta)), Some((Input::Indexed(fb), tb))) => {
                     expect_rects(left, ta)?;
                     expect_rects(right, tb)?;
-                    ops::join::distributed_join(dfs, fa, fb, out)?
+                    ops::join::distributed_join(dfs, fa, fb, "")?
                 }
                 (Some((Input::Heap(pa), ta)), Some((Input::Heap(pb), tb))) => {
                     expect_rects(left, ta)?;
@@ -822,7 +804,7 @@ fn run_op(
                     // Universe for the SJMR grid: union of both MBRs.
                     let mut uni = heap_mbr::<Rect>(dfs, pa)?;
                     uni.expand(&heap_mbr::<Rect>(dfs, pb)?);
-                    ops::join::sjmr(dfs, pa, pb, &uni, 16, out)?
+                    ops::join::sjmr(dfs, pa, pb, &uni, 16, "")?
                 }
                 _ => {
                     return Err(PigeonError::Type(
@@ -854,7 +836,11 @@ fn run_op(
                 (Some((Input::Indexed(fa), ta)), Some((Input::Indexed(fb), tb))) => {
                     expect_points(left, ta)?;
                     expect_points(right, tb)?;
-                    ops::knn_join::knn_join_spatial(dfs, fa, fb, *k, out)?
+                    // Where round 2's input is staged while the join runs.
+                    static SEQ: AtomicUsize = AtomicUsize::new(0);
+                    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+                    let staging = format!("/pigeon/knnjoin-{seq}");
+                    ops::knn_join::knn_join_spatial(dfs, fa, fb, *k, &staging)?
                 }
                 _ => {
                     return Err(PigeonError::Type(
@@ -874,15 +860,15 @@ fn run_op(
         }
         Stmt::Skyline { var, src } => {
             let r = match points(vars, "SKYLINE", src)? {
-                Input::Indexed(file) => ops::skyline::skyline_spatial(dfs, file, out)?,
-                Input::Heap(path) => ops::skyline::skyline_hadoop(dfs, path, out)?,
+                Input::Indexed(file) => ops::skyline::skyline_spatial(dfs, file)?,
+                Input::Heap(path) => ops::skyline::skyline_hadoop(dfs, path, "")?,
             };
             StmtOutput::bind(var, "skyline", r, |pts| Value::Result(to_rows(&pts)))
         }
         Stmt::ConvexHull { var, src } => {
             let r = match points(vars, "CONVEXHULL", src)? {
-                Input::Indexed(file) => ops::convex_hull::hull_spatial(dfs, file, out)?,
-                Input::Heap(path) => ops::convex_hull::hull_hadoop(dfs, path, out)?,
+                Input::Indexed(file) => ops::convex_hull::hull_spatial(dfs, file)?,
+                Input::Heap(path) => ops::convex_hull::hull_hadoop(dfs, path, "")?,
             };
             StmtOutput::bind(var, "convexhull", r, |pts| Value::Result(to_rows(&pts)))
         }
@@ -893,13 +879,13 @@ fn run_op(
                 ));
             };
             expect_points(src, *rtype)?;
-            let r = ops::closest_pair::closest_pair_spatial(dfs, file, out)?;
+            let r = ops::closest_pair::closest_pair_spatial(dfs, file)?;
             StmtOutput::bind(var, "closestpair", r, pair_result)
         }
         Stmt::FarthestPair { var, src } => {
             let r = match points(vars, "FARTHESTPAIR", src)? {
-                Input::Indexed(file) => ops::farthest_pair::farthest_pair_spatial(dfs, file, out)?,
-                Input::Heap(path) => ops::farthest_pair::farthest_pair_hadoop(dfs, path, out)?,
+                Input::Indexed(file) => ops::farthest_pair::farthest_pair_spatial(dfs, file)?,
+                Input::Heap(path) => ops::farthest_pair::farthest_pair_hadoop(dfs, path)?,
             };
             StmtOutput::bind(var, "farthestpair", r, pair_result)
         }
@@ -912,19 +898,19 @@ fn run_op(
             }
             let r = match input {
                 Input::Indexed(file) if file.is_disjoint() => {
-                    ops::union::union_enhanced(dfs, file, out)?
+                    ops::union::union_enhanced(dfs, file)?
                 }
-                Input::Indexed(file) => ops::union::union_spatial(dfs, file, out)?,
-                Input::Heap(path) => ops::union::union_hadoop(dfs, path, out)?,
+                Input::Indexed(file) => ops::union::union_spatial(dfs, file)?,
+                Input::Heap(path) => ops::union::union_hadoop(dfs, path)?,
             };
             StmtOutput::bind(var, "union", r, |segs| Value::Result(to_rows(&segs)))
         }
         Stmt::Voronoi { var, src } => {
             let r = match points(vars, "VORONOI", src)? {
-                Input::Indexed(file) => ops::voronoi::voronoi_spatial(dfs, file, out)?,
+                Input::Indexed(file) => ops::voronoi::voronoi_spatial(dfs, file)?,
                 Input::Heap(path) => {
                     let uni = heap_mbr::<Point>(dfs, path)?;
-                    ops::voronoi::voronoi_hadoop(dfs, path, &uni, out)?
+                    ops::voronoi::voronoi_hadoop(dfs, path, &uni)?
                 }
             };
             StmtOutput::bind(var, "voronoi", r, |cells| {
@@ -943,7 +929,7 @@ fn run_op(
                 Value::Indexed { file, .. } => (ops::aggregate::stats_spatial(file), None),
                 Value::Heap { path, rtype } => {
                     let r = with_record_type!(*rtype, R => {
-                        ops::aggregate::stats_hadoop::<R>(dfs, path, out)
+                        ops::aggregate::stats_hadoop::<R>(dfs, path)
                     })?;
                     let profile = Some(r.profile("describe"));
                     (r.value, profile)
@@ -2090,17 +2076,24 @@ mod tests {
     }
 
     #[test]
-    fn a_statements_scratch_directory_is_gone_when_it_returns() {
+    fn a_statement_writes_only_the_files_it_names() {
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
         let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
         let pts = points(1500, Distribution::Uniform, &uni, 31);
         upload(&dfs, "/leak/p", &pts).unwrap();
+        upload(
+            &dfs,
+            "/leak/s",
+            &points(4000, Distribution::Uniform, &uni, 32),
+        )
+        .unwrap();
         upload(&dfs, "/leak/l", &rects(200, &uni, 30.0, 1)).unwrap();
         upload(&dfs, "/leak/r", &rects(200, &uni, 30.0, 2)).unwrap();
-        let dumped = run_script(
-            &dfs,
+        let script = crate::parser::parse(
             "p = LOAD '/leak/p' AS POINT;\n\
              i = INDEX p AS grid INTO '/leak/ip';\n\
+             s = LOAD '/leak/s' AS POINT;\n\
+             is = INDEX s AS grid INTO '/leak/is';\n\
              a = LOAD '/leak/l' AS RECTANGLE;\n\
              b = LOAD '/leak/r' AS RECTANGLE;\n\
              ia = INDEX a AS grid INTO '/leak/ia';\n\
@@ -2110,12 +2103,37 @@ mod tests {
              j = JOIN ia, ib PREDICATE Overlaps;\n\
              h = JOIN a, b PREDICATE Overlaps;\n\
              d = DELAUNAY p;\n\
+             v = VORONOI i;\n\
+             n = KNNJOIN i, is K 100;\n\
              STORE k INTO '/leak/stored';\n\
              DUMP q;",
         )
         .unwrap();
+        // One statement at a time: `INDEX ... INTO` and `STORE ... INTO`
+        // write the files they name, kNN-join stages its round-2 input
+        // and removes it again, and every other statement writes no block.
+        let mut engine = Pigeon::new(&dfs);
+        let mut dumped = Vec::new();
+        for stmt in script.stmts {
+            let verb = stmt_verb(&stmt);
+            let files = dfs.list("/");
+            let before = dfs.metrics().snapshot();
+            dumped.extend(engine.execute(&Script { stmts: vec![stmt] }).unwrap());
+            let written = dfs.metrics().snapshot().since(&before).blocks_written;
+            match verb {
+                "index" | "store" => assert!(written > 0, "{verb}"),
+                "knnjoin" => {
+                    assert!(written > 0, "no point needed kNN-join's round 2");
+                    assert_eq!(dfs.list("/"), files, "{verb}");
+                }
+                _ => {
+                    assert_eq!(written, 0, "{verb}");
+                    assert_eq!(dfs.list("/"), files, "{verb}");
+                }
+            }
+        }
         assert_eq!(dfs.list("/pigeon/"), Vec::<String>::new());
-        // The answer outlives its files, and user-named paths are kept.
+        // The answer outlives its job, and user-named paths are kept.
         let query = Rect::new(100.0, 100.0, 600.0, 600.0);
         let mut expected: Vec<String> = pts
             .iter()
@@ -2132,9 +2150,10 @@ mod tests {
         );
         assert!(!dfs.list("/leak/ip/").is_empty());
 
-        // A statement that fails after a job of its wrote output cleans
-        // up as well: with every partition but the query's own replaced
-        // by garbage, kNN's first round succeeds and its second fails.
+        // A statement that fails after one of its jobs succeeded leaves
+        // nothing behind either: with every partition but the query's own
+        // replaced by garbage, kNN's first round succeeds and its second
+        // fails.
         let mut engine = Pigeon::new(&dfs);
         let load = "p = LOAD '/leak/p' AS POINT; i = INDEX p AS grid INTO '/leak/ip2';";
         engine

@@ -33,7 +33,7 @@ fn main() {
         index.partitions.len()
     );
 
-    let result = voronoi::voronoi_spatial(&dfs, &index, "/out/voronoi").expect("voronoi");
+    let result = voronoi::voronoi_spatial(&dfs, &index).expect("voronoi");
     let cells = &result.value;
     assert_eq!(cells.len(), sites.len(), "one service region per facility");
 

@@ -39,7 +39,7 @@ fn main() {
     );
 
     // Hadoop: random block placement.
-    let hadoop = union::union_hadoop(&dfs, "/gis/zips", "/out/union-h").expect("hadoop union");
+    let hadoop = union::union_hadoop(&dfs, "/gis/zips").expect("hadoop union");
     report(
         "hadoop",
         reference,
@@ -52,7 +52,7 @@ fn main() {
     let str_index = build_index::<Polygon>(&dfs, "/gis/zips", "/idx/str", PartitionKind::Str)
         .expect("str index")
         .value;
-    let spatial = union::union_spatial(&dfs, &str_index, "/out/union-s").expect("spatial union");
+    let spatial = union::union_spatial(&dfs, &str_index).expect("spatial union");
     report(
         "spatialhadoop",
         reference,
@@ -65,7 +65,7 @@ fn main() {
     let strp_index = build_index::<Polygon>(&dfs, "/gis/zips", "/idx/strp", PartitionKind::StrPlus)
         .expect("str+ index")
         .value;
-    let enhanced = union::union_enhanced(&dfs, &strp_index, "/out/union-e").expect("enhanced");
+    let enhanced = union::union_enhanced(&dfs, &strp_index).expect("enhanced");
     report(
         "enhanced",
         reference,

@@ -127,12 +127,13 @@ stage_server() {
   # whole-universe `FILTER` and a clean `SCRUB`), and `heap-batch` the
   # unindexed heap-file baseline. The `sh-server` binary's own flags and
   # `LISTENING` line are covered by tests/server.rs. Then one traced
-  # pass gates the warm read path.
+  # pass gates the warm read path and one the index write path.
   run_shbench_oracle serve-scan &&
     run_shbench_oracle serve-mixed &&
     run_shbench_oracle ingest-index &&
     run_shbench_oracle heap-batch &&
-    run_read_path_gate
+    run_read_path_gate &&
+    run_write_path_gate
 }
 
 # Runs a command, then puts back the frozen benchmark's lock file, which
@@ -180,6 +181,30 @@ run_read_path_gate() {
   else
     echo "read-path gate FAILED: dfs.blocks_read_per_op '$blocks' (a warm query reads" \
       "no block: must be 0), dfs.cache_hit_ratio '$hits' (must be 1)" >&2
+    return 1
+  fi
+}
+
+# The traced `ingest-index` pass (one client, seed 1): jobs return their
+# side outputs instead of writing them, and only the index build's driver
+# writes its partitions and sidecars, so the DFS bytes an `INDEX` writes
+# and stores per heap byte are those of the engine-written index. Both
+# ratios are exact (three runs of the parent commit agreed to the last
+# digit): 0.9520141640813462 written and 8.711772597224083 stored.
+run_write_path_gate() {
+  local line written stored
+  line=$(keeping_shbench_lock cargo run --release --quiet --manifest-path shbench/Cargo.toml -- \
+    --workload ingest-index --trace 1 --clients 1 --seed 1 --seconds 2 | tail -n 1) || return 1
+  written=$(traced_metric "$line" dfs.bytes_written_per_user_byte)
+  stored=$(traced_metric "$line" dfs.stored_bytes_per_user_byte)
+  if awk -v w="$written" -v s="$stored" \
+    'BEGIN { exit !(w != "" && s != "" && w == 0.9520141640813462 && s == 8.711772597224083) }'; then
+    echo "--- ingest-index write path: dfs.bytes_written_per_user_byte $written," \
+      "dfs.stored_bytes_per_user_byte $stored"
+  else
+    echo "write-path gate FAILED: dfs.bytes_written_per_user_byte '$written' (must be" \
+      "0.9520141640813462), dfs.stored_bytes_per_user_byte '$stored' (must be" \
+      "8.711772597224083)" >&2
     return 1
   fi
 }

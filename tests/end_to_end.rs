@@ -60,22 +60,22 @@ fn full_point_pipeline_all_operations() {
     assert_eq!(canon_points(got.value), canon_points(expected));
 
     // Skyline.
-    let got = skyline::skyline_output_sensitive(&dfs, &file, "/pipe/sky").unwrap();
+    let got = skyline::skyline_output_sensitive(&dfs, &file).unwrap();
     let expected = single::skyline_single(&pts).value;
     assert_eq!(canon_points(got.value), canon_points(expected));
 
     // Hull.
-    let got = convex_hull::hull_enhanced(&dfs, &file, "/pipe/hull").unwrap();
+    let got = convex_hull::hull_enhanced(&dfs, &file).unwrap();
     let expected = single::convex_hull_single(&pts).value;
     assert_eq!(canon_points(got.value), canon_points(expected));
 
     // Closest pair.
-    let got = closest_pair::closest_pair_spatial(&dfs, &file, "/pipe/cp").unwrap();
+    let got = closest_pair::closest_pair_spatial(&dfs, &file).unwrap();
     let expected = single::closest_pair_single(&pts).value.unwrap();
     assert!((got.value.unwrap().distance - expected.distance).abs() < 1e-9);
 
     // Farthest pair.
-    let got = farthest_pair::farthest_pair_spatial(&dfs, &file, "/pipe/fp").unwrap();
+    let got = farthest_pair::farthest_pair_spatial(&dfs, &file).unwrap();
     let expected = single::farthest_pair_single(&pts).value.unwrap();
     assert!((got.value.unwrap().distance - expected.distance).abs() < 1e-9);
 }
@@ -89,7 +89,7 @@ fn voronoi_pipeline_is_exact() {
     let file = build_index::<Point>(&dfs, "/vd/points", "/vd/idx", PartitionKind::Grid)
         .unwrap()
         .value;
-    let got = voronoi::voronoi_spatial(&dfs, &file, "/vd/out").unwrap();
+    let got = voronoi::voronoi_spatial(&dfs, &file).unwrap();
     assert_eq!(got.value.len(), pts.len());
     let expected = single::voronoi_single(&pts).value;
     let mut got_fp: Vec<_> = got.value.iter().map(|c| c.fingerprint()).collect();
@@ -117,13 +117,13 @@ fn union_pipeline_matches_baseline() {
     upload(&dfs, "/u/polys", &polys).unwrap();
     let reference = total_length(&single::union_single(&polys).value);
 
-    let h = union::union_hadoop(&dfs, "/u/polys", "/u/h").unwrap();
+    let h = union::union_hadoop(&dfs, "/u/polys").unwrap();
     assert!((total_length(&h.value) - reference).abs() / reference < 1e-3);
 
     let file = build_index::<Polygon>(&dfs, "/u/polys", "/u/idx", PartitionKind::StrPlus)
         .unwrap()
         .value;
-    let e = union::union_enhanced(&dfs, &file, "/u/e").unwrap();
+    let e = union::union_enhanced(&dfs, &file).unwrap();
     assert!((total_length(&e.value) - reference).abs() / reference < 1e-3);
 }
 
@@ -267,7 +267,7 @@ fn knn_join_and_polygon_join_pipelines() {
     let fp = build_index::<Polygon>(&dfs, "/pj/p", "/pj/ip", PartitionKind::Grid)
         .unwrap()
         .value;
-    let pj = join::polygon_join(&dfs, &fl, &fp, "/pj/out").unwrap();
+    let pj = join::polygon_join(&dfs, &fl, &fp).unwrap();
     let mut expected_pairs = 0usize;
     for l in &lakes {
         for p in &parks {
@@ -290,7 +290,7 @@ fn delaunay_plot_and_stats_pipelines() {
         .value;
 
     // Delaunay triangulation matches the kernel.
-    let dt = delaunay::delaunay_spatial(&dfs, &file, "/m/dt").unwrap();
+    let dt = delaunay::delaunay_spatial(&dfs, &file).unwrap();
     let kernel = spatialhadoop::geom::algorithms::delaunay::Triangulation::build(&pts);
     assert_eq!(dt.value.len(), kernel.triangles().len());
 
@@ -302,7 +302,7 @@ fn delaunay_plot_and_stats_pipelines() {
 
     // Catalogue statistics agree with the full scan.
     let quick = aggregate::stats_spatial(&file);
-    let scanned = aggregate::stats_hadoop::<Point>(&dfs, "/m/points", "/m/stats")
+    let scanned = aggregate::stats_hadoop::<Point>(&dfs, "/m/points")
         .unwrap()
         .value;
     assert_eq!(quick.records, scanned.records);
@@ -346,15 +346,15 @@ fn unsupported_combinations_error_cleanly() {
         .unwrap()
         .value;
     assert!(matches!(
-        closest_pair::closest_pair_spatial(&dfs, &overlapping, "/e/cp"),
+        closest_pair::closest_pair_spatial(&dfs, &overlapping),
         Err(OpError::Unsupported(_))
     ));
     assert!(matches!(
-        skyline::skyline_output_sensitive(&dfs, &overlapping, "/e/sky"),
+        skyline::skyline_output_sensitive(&dfs, &overlapping),
         Err(OpError::Unsupported(_))
     ));
     assert!(matches!(
-        voronoi::voronoi_spatial(&dfs, &overlapping, "/e/vd"),
+        voronoi::voronoi_spatial(&dfs, &overlapping),
         Err(OpError::Unsupported(_))
     ));
 }

@@ -49,29 +49,29 @@ fn every_indexed_op_answers_the_same_over_text_and_binary() {
     }
     type Row = (&'static str, fn(&Dfs, &SpatialFile, &str) -> Vec<String>);
     let rows: [Row; 11] = [
-        ("skyline_spatial", |d, f, o| {
-            lines(skyline::skyline_spatial(d, f, o).unwrap().value)
+        ("skyline_spatial", |d, f, _| {
+            lines(skyline::skyline_spatial(d, f).unwrap().value)
         }),
-        ("skyline_output_sensitive", |d, f, o| {
-            lines(skyline::skyline_output_sensitive(d, f, o).unwrap().value)
+        ("skyline_output_sensitive", |d, f, _| {
+            lines(skyline::skyline_output_sensitive(d, f).unwrap().value)
         }),
-        ("hull_spatial", |d, f, o| {
-            lines(hull::hull_spatial(d, f, o).unwrap().value)
+        ("hull_spatial", |d, f, _| {
+            lines(hull::hull_spatial(d, f).unwrap().value)
         }),
-        ("hull_enhanced", |d, f, o| {
-            lines(hull::hull_enhanced(d, f, o).unwrap().value)
+        ("hull_enhanced", |d, f, _| {
+            lines(hull::hull_enhanced(d, f).unwrap().value)
         }),
-        ("closest_pair_spatial", |d, f, o| {
-            lines(cp::closest_pair_spatial(d, f, o).unwrap().value)
+        ("closest_pair_spatial", |d, f, _| {
+            lines(cp::closest_pair_spatial(d, f).unwrap().value)
         }),
-        ("farthest_pair_spatial", |d, f, o| {
-            lines(fp::farthest_pair_spatial(d, f, o).unwrap().value)
+        ("farthest_pair_spatial", |d, f, _| {
+            lines(fp::farthest_pair_spatial(d, f).unwrap().value)
         }),
-        ("voronoi_spatial", |d, f, o| {
-            lines(voronoi::voronoi_spatial(d, f, o).unwrap().value)
+        ("voronoi_spatial", |d, f, _| {
+            lines(voronoi::voronoi_spatial(d, f).unwrap().value)
         }),
-        ("delaunay_spatial", |d, f, o| {
-            lines(delaunay::delaunay_spatial(d, f, o).unwrap().value)
+        ("delaunay_spatial", |d, f, _| {
+            lines(delaunay::delaunay_spatial(d, f).unwrap().value)
         }),
         ("knn_join_spatial", |d, f, o| {
             lines(knn_join::knn_join_spatial(d, f, f, 3, o).unwrap().value)
@@ -490,7 +490,7 @@ proptest! {
         let file = build_index::<Point>(&dfs, "/pd/points", "/pd/idx", PartitionKind::Grid)
             .unwrap()
             .value;
-        let got = delaunay_spatial(&dfs, &file, "/pd/out").unwrap();
+        let got = delaunay_spatial(&dfs, &file).unwrap();
         let tri = Triangulation::build(&sites);
         let mut expected: Vec<_> = tri
             .triangles()
@@ -511,14 +511,14 @@ proptest! {
         let file = build_index::<Point>(&dfs, "/ph/points", "/ph/idx", PartitionKind::StrPlus)
             .unwrap()
             .value;
-        let hull = convex_hull::hull_enhanced(&dfs, &file, "/ph/hull").unwrap();
+        let hull = convex_hull::hull_enhanced(&dfs, &file).unwrap();
         let mut got: Vec<Point> = hull.value;
         got.sort_by(Point::cmp_xy);
         let mut expected = spatialhadoop::geom::algorithms::convex_hull::convex_hull(&pts);
         expected.sort_by(Point::cmp_xy);
         prop_assert_eq!(got, expected);
 
-        let cp = closest_pair::closest_pair_spatial(&dfs, &file, "/ph/cp").unwrap();
+        let cp = closest_pair::closest_pair_spatial(&dfs, &file).unwrap();
         let truth = closest_pair(&pts).unwrap();
         prop_assert!((cp.value.unwrap().distance - truth.distance).abs() < 1e-9);
     }
@@ -648,7 +648,7 @@ proptest! {
         let file = build_index::<Point>(&dfs, "/ps/points", "/ps/idx", PartitionKind::StrPlus)
             .unwrap()
             .value;
-        let got = skyline::skyline_output_sensitive(&dfs, &file, "/ps/out").unwrap();
+        let got = skyline::skyline_output_sensitive(&dfs, &file).unwrap();
         let mut got_pts = got.value;
         got_pts.sort_by(Point::cmp_xy);
         let mut expected = skyline_kernel(&pts);

@@ -34,7 +34,7 @@ fn million_point_range_and_skyline() {
     let expected = single::range_query(&pts, &query).value;
     assert_eq!(got.value.len(), expected.len());
 
-    let sky = skyline::skyline_output_sensitive(&dfs, &file, "/scale/sky").unwrap();
+    let sky = skyline::skyline_output_sensitive(&dfs, &file).unwrap();
     let mut expected = single::skyline_single(&pts).value;
     expected.sort_by(Point::cmp_xy);
     assert_eq!(sky.value.len(), expected.len());
@@ -51,7 +51,7 @@ fn large_voronoi_is_exact() {
     let file = build_index::<Point>(&dfs, "/scale/sites", "/scale/vidx", PartitionKind::Grid)
         .unwrap()
         .value;
-    let got = voronoi::voronoi_spatial(&dfs, &file, "/scale/vd").unwrap();
+    let got = voronoi::voronoi_spatial(&dfs, &file).unwrap();
     assert_eq!(got.value.len(), sites.len());
     // Spot-check exactness on a sample of cells against the global
     // diagram (full fingerprint comparison would dominate the runtime).
@@ -85,7 +85,7 @@ fn million_point_closest_pair() {
     let file = build_index::<Point>(&dfs, "/scale/cp", "/scale/cpidx", PartitionKind::StrPlus)
         .unwrap()
         .value;
-    let got = closest_pair::closest_pair_spatial(&dfs, &file, "/scale/cpo").unwrap();
+    let got = closest_pair::closest_pair_spatial(&dfs, &file).unwrap();
     let expected = single::closest_pair_single(&pts).value.unwrap();
     assert!((got.value.unwrap().distance - expected.distance).abs() < 1e-9);
     // Pruning forwards only a few percent at these partition sizes
