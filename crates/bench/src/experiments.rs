@@ -834,7 +834,7 @@ pub fn a1_locality() -> Table {
             .to_string(),
             format!("{}", r.counter("map.input.bytes.local")),
             format!("{}", r.counter("map.input.bytes.remote")),
-            secs(r.jobs[0].sim.map),
+            secs(r.jobs[0].profile.phase_seconds("map")),
         ]);
     }
     t.with_note(
@@ -930,7 +930,7 @@ pub fn a4_local_index() -> Table {
         .unwrap();
         t.row(vec![
             name.to_string(),
-            format!("{:.1}", r.jobs[0].wall.as_secs_f64() * 1e3),
+            format!("{:.1}", r.jobs[0].profile.wall.as_secs_f64() * 1e3),
             secs(r.sim().total()),
         ]);
     }
@@ -965,7 +965,7 @@ pub fn a5_stragglers() -> Table {
             let _ = load_points(&dfs, "/heap", 200_000, Distribution::Uniform, 85);
             let q = Rect::new(0.0, 0.0, 1_000_000.0, 1_000_000.0);
             let r = range::range_hadoop::<Point>(&dfs, "/heap", &q, "/oa5").unwrap();
-            makespans.push(r.jobs[0].sim.map);
+            makespans.push(r.jobs[0].profile.phase_seconds("map"));
         }
         t.row(vec![
             format!("{stragglers}"),

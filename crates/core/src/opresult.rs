@@ -81,22 +81,22 @@ impl<T> OpResult<T> {
     /// Total simulated cluster time across all jobs (multi-round
     /// operations pay the per-job startup repeatedly).
     pub fn sim(&self) -> SimBreakdown {
-        self.jobs
-            .iter()
-            .fold(SimBreakdown::default(), |acc, j| acc.add(&j.sim))
+        self.jobs.iter().fold(SimBreakdown::default(), |acc, j| {
+            acc.add(&SimBreakdown::of(&j.profile))
+        })
     }
 
     /// Sum of a named counter across jobs.
     pub fn counter(&self, name: &str) -> u64 {
         self.jobs
             .iter()
-            .map(|j| j.counters.get(name).copied().unwrap_or(0))
+            .map(|j| j.profile.counters.get(name).copied().unwrap_or(0))
             .sum()
     }
 
     /// Total map tasks launched (≈ partitions processed).
     pub fn map_tasks(&self) -> usize {
-        self.jobs.iter().map(|j| j.map_tasks).sum()
+        self.jobs.iter().map(JobOutcome::map_tasks).sum()
     }
 
     /// Number of MapReduce rounds.
@@ -134,12 +134,7 @@ impl<T> OpResult<T> {
     pub fn selectivity(&self) -> Selectivity {
         let mut acc = Selectivity::default();
         for j in &self.jobs {
-            let s = &j.profile.selectivity;
-            acc.partitions_total += s.partitions_total;
-            acc.partitions_scanned += s.partitions_scanned;
-            acc.partitions_pruned += s.partitions_pruned;
-            acc.records_scanned += s.records_scanned;
-            acc.records_emitted += s.records_emitted;
+            acc.absorb(&j.profile.selectivity);
         }
         acc
     }

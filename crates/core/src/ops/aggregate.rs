@@ -109,7 +109,7 @@ pub fn stats_hadoop<R: Record>(dfs: &Dfs, heap: &str) -> Result<OpResult<FileSta
         bytes: v[1] as u64,
         mbr: Rect::new(v[2], v[3], v[4], v[5]),
     };
-    let mut sel = sh_trace::Selectivity::full_scan(job.map_tasks, 1);
+    let mut sel = sh_trace::Selectivity::full_scan(job.map_tasks(), 1);
     sel.records_scanned = value.records;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }

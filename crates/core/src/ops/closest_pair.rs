@@ -123,7 +123,7 @@ pub fn closest_pair_hadoop_unsound(
         .run()?;
     let value = parse_pair(&job.rows)?;
     let emitted = value.is_some() as u64 * 2;
-    let sel = sh_trace::Selectivity::full_scan(job.map_tasks, emitted);
+    let sel = sh_trace::Selectivity::full_scan(job.map_tasks(), emitted);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 

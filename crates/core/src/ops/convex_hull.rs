@@ -67,7 +67,7 @@ pub fn hull_hadoop(dfs: &Dfs, heap: &str, _out_dir: &str) -> Result<OpResult<Vec
         .build()?
         .run()?;
     let value = hull_from_output(&job.rows)?;
-    let sel = sh_trace::Selectivity::full_scan(job.map_tasks, value.len() as u64);
+    let sel = sh_trace::Selectivity::full_scan(job.map_tasks(), value.len() as u64);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 
@@ -108,8 +108,7 @@ pub fn hull_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Point>
         .reducer(GlobalHullReducer, 1)
         .build()?
         .run()?;
-    job.counters
-        .insert("hull.partitions.pruned".into(), pruned as u64);
+    job.set_counter("hull.partitions.pruned", pruned as u64);
     let value = hull_from_output(&job.rows)?;
     sel.records_emitted = value.len() as u64;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))

@@ -13,6 +13,7 @@
 //!   flushed. The result is cell-for-cell identical to a single-machine
 //!   triangulation.
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use sh_dfs::Dfs;
@@ -20,7 +21,7 @@ use sh_geom::algorithms::delaunay::{circumcenter, Triangulation};
 use sh_geom::algorithms::voronoi::VoronoiDiagram;
 use sh_geom::point::sort_dedup;
 use sh_geom::{Point, Rect};
-use sh_mapreduce::{InputSplit, JobBuilder, JobOutcome, MapContext, SimBreakdown};
+use sh_mapreduce::{InputSplit, JobBuilder, JobOutcome, MapContext};
 
 use crate::catalog::SpatialFile;
 use crate::mrlayer::{split_cell, ByRecords, RecordMapper, SpatialFileSplitter};
@@ -227,19 +228,12 @@ pub fn delaunay_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Tr
             triangles.push(Tri([a, b, c]));
             emitted += 1;
         }
-        let cfg = dfs.config();
-        jobs.push(JobOutcome::synthetic(
+        jobs.push(JobOutcome::driver_merge(
             "delaunay-spatial:driver-merge",
-            std::collections::BTreeMap::from([("delaunay.flushed.merge".to_string(), emitted)]),
-            SimBreakdown {
-                startup: 0.0,
-                map: 0.0,
-                shuffle: text.len() as f64 / cfg.network_bandwidth,
-                reduce: t0.elapsed().as_secs_f64(),
-            },
+            BTreeMap::from([("delaunay.flushed.merge".to_string(), emitted)]),
+            text.len() as u64,
             t0.elapsed(),
-            0,
-            1,
+            dfs.config(),
         ));
     }
     sel.records_emitted = triangles.len() as u64;
@@ -324,21 +318,14 @@ pub fn delaunay_hadoop(
         .into_iter()
         .map(|t| Tri(t.map(|i| sites[i])))
         .collect();
-    let cfg = dfs.config();
-    let merge = JobOutcome::synthetic(
+    let merge = JobOutcome::driver_merge(
         "delaunay-hadoop:driver-merge",
-        std::collections::BTreeMap::from([("delaunay.merge.bytes".to_string(), transferred)]),
-        SimBreakdown {
-            startup: 0.0,
-            map: 0.0,
-            shuffle: transferred as f64 / cfg.network_bandwidth,
-            reduce: t0.elapsed().as_secs_f64(),
-        },
+        BTreeMap::from([("delaunay.merge.bytes".to_string(), transferred)]),
+        transferred,
         t0.elapsed(),
-        0,
-        1,
+        dfs.config(),
     );
-    let sel = sh_trace::Selectivity::full_scan(job.map_tasks, value.len() as u64);
+    let sel = sh_trace::Selectivity::full_scan(job.map_tasks(), value.len() as u64);
     Ok(OpResult::new(value, vec![job, merge]).with_selectivity(sel))
 }
 

@@ -74,7 +74,7 @@ pub fn farthest_pair_hadoop(dfs: &Dfs, heap: &str) -> Result<OpResult<Option<Poi
         .build()?
         .run()?;
     let value = parse_pair(&job.rows)?;
-    let sel = sh_trace::Selectivity::full_scan(job.map_tasks, value.is_some() as u64 * 2);
+    let sel = sh_trace::Selectivity::full_scan(job.map_tasks(), value.is_some() as u64 * 2);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 
@@ -139,8 +139,7 @@ pub fn farthest_pair_spatial(
         .reducer(CalipersReducer, 1)
         .build()?
         .run()?;
-    job.counters
-        .insert("fp.partitions.pruned".into(), pruned as u64);
+    job.set_counter("fp.partitions.pruned", pruned as u64);
     let value = parse_pair(&job.rows)?;
     sel.records_emitted = value.is_some() as u64 * 2;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
@@ -218,10 +217,8 @@ pub fn farthest_pair_pairs(
         .reducer(MaxPairReducer, 1)
         .build()?
         .run()?;
-    job.counters
-        .insert("fp.pairs.considered".into(), total_pairs as u64);
-    job.counters
-        .insert("fp.pairs.processed".into(), pairs.len() as u64);
+    job.set_counter("fp.pairs.considered", total_pairs as u64);
+    job.set_counter("fp.pairs.processed", pairs.len() as u64);
     let value = parse_pair(&job.rows)?;
     // Selectivity counts partition *pairs*: the unit the two-pass
     // bound filter prunes.

@@ -119,7 +119,7 @@ pub fn sjmr(
         .build()?
         .run()?;
     let value = parse_output(&job.rows)?;
-    let sel = Selectivity::full_scan(job.map_tasks, value.len() as u64);
+    let sel = Selectivity::full_scan(job.map_tasks(), value.len() as u64);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 
@@ -329,10 +329,8 @@ pub fn distributed_join(
         })
         .map_only()?
         .run()?;
-    job.counters
-        .insert("join.pairs.considered".into(), total_pairs as u64);
-    job.counters
-        .insert("join.pairs.processed".into(), processed as u64);
+    job.set_counter("join.pairs.considered", total_pairs as u64);
+    job.set_counter("join.pairs.processed", processed as u64);
     let value = parse_output(&job.rows)?;
     // Selectivity counts partition *pairs*: the unit the filter step
     // prunes in a distributed join.

@@ -89,7 +89,7 @@ pub fn knn_hadoop(
         .build()?
         .run()?;
     let value: Vec<Point> = parse_output_records(&job.rows)?;
-    let sel = Selectivity::full_scan(job.map_tasks, value.len() as u64);
+    let sel = Selectivity::full_scan(job.map_tasks(), value.len() as u64);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 

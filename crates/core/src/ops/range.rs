@@ -162,7 +162,7 @@ pub fn range_hadoop_rows<R: Record>(
         }))
         .map_only()?
         .run()?;
-    let sel = Selectivity::full_scan(job.map_tasks, job.rows.len() as u64);
+    let sel = Selectivity::full_scan(job.map_tasks(), job.rows.len() as u64);
     Ok(OpResult::new(job.rows.clone(), vec![job]).with_selectivity(sel))
 }
 
@@ -232,8 +232,7 @@ pub fn range_spatial_rows<R: Record>(
         })
         .map_only()?
         .run()?;
-    job.counters
-        .insert("range.partitions.pruned".into(), pruned as u64);
+    job.set_counter("range.partitions.pruned", pruned as u64);
     sel.records_emitted = job.rows.len() as u64;
     Ok(OpResult::new(job.rows.clone(), vec![job]).with_selectivity(sel))
 }

@@ -89,7 +89,7 @@ pub fn skyline_hadoop_naive(dfs: &Dfs, heap: &str) -> Result<OpResult<Vec<Point>
         .build()?
         .run()?;
     let value = sorted_points(&job.rows)?;
-    let sel = sh_trace::Selectivity::full_scan(job.map_tasks, value.len() as u64);
+    let sel = sh_trace::Selectivity::full_scan(job.map_tasks(), value.len() as u64);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 
@@ -109,7 +109,7 @@ pub fn skyline_hadoop(
         .build()?
         .run()?;
     let value = sorted_points(&job.rows)?;
-    let sel = sh_trace::Selectivity::full_scan(job.map_tasks, value.len() as u64);
+    let sel = sh_trace::Selectivity::full_scan(job.map_tasks(), value.len() as u64);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 
@@ -141,8 +141,7 @@ pub fn skyline_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Poi
         .reducer(GlobalSkylineReducer, 1)
         .build()?
         .run()?;
-    job.counters
-        .insert("skyline.partitions.pruned".into(), pruned as u64);
+    job.set_counter("skyline.partitions.pruned", pruned as u64);
     let value = sorted_points(&job.rows)?;
     sel.records_emitted = value.len() as u64;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
@@ -332,7 +331,11 @@ mod tests {
             .unwrap()
             .value;
         let os = skyline_output_sensitive(&dfs, &file).unwrap();
-        assert_eq!(os.jobs[0].reduce_tasks, 0, "map-only by construction");
+        assert_eq!(
+            os.jobs[0].profile.phase_tasks("reduce"),
+            0,
+            "map-only by construction"
+        );
         // Worst case: nearly everything is on the skyline, and it is all
         // written from the map side.
         assert!(os.value.len() > 3000);

@@ -84,7 +84,7 @@ pub fn union_hadoop(dfs: &Dfs, heap: &str) -> Result<OpResult<Vec<Segment>>, OpE
         .build()?
         .run()?;
     let value = parse_segments(&job.rows)?;
-    let sel = sh_trace::Selectivity::full_scan(job.map_tasks, value.len() as u64);
+    let sel = sh_trace::Selectivity::full_scan(job.map_tasks(), value.len() as u64);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 
@@ -235,7 +235,11 @@ mod tests {
             "{} vs {expected}",
             total_length(&e.value)
         );
-        assert_eq!(e.jobs[0].reduce_tasks, 0, "map-only by construction");
+        assert_eq!(
+            e.jobs[0].profile.phase_tasks("reduce"),
+            0,
+            "map-only by construction"
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //!
 //! Requires a disjoint, column-aligned partitioning (grid or STR+).
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use sh_dfs::Dfs;
@@ -25,9 +26,7 @@ use sh_geom::algorithms::delaunay::Triangulation;
 use sh_geom::algorithms::voronoi::{VoronoiCell, VoronoiDiagram};
 use sh_geom::point::sort_dedup;
 use sh_geom::{Point, Rect};
-use sh_mapreduce::{
-    InputSplit, JobBuilder, JobOutcome, MapContext, ReduceContext, Reducer, SimBreakdown,
-};
+use sh_mapreduce::{InputSplit, JobBuilder, JobOutcome, MapContext, ReduceContext, Reducer};
 
 use crate::catalog::SpatialFile;
 use crate::mrlayer::{split_cell, ByRecords, RecordMapper, SpatialFileSplitter};
@@ -180,8 +179,8 @@ impl Reducer for StripVdReducer {
 }
 
 /// Hadoop Voronoi: strip partitioning + single-machine merge (modelled as
-/// a driver-side recomputation whose time and transfer volume are added
-/// as a synthetic merge phase).
+/// a driver-side recomputation whose time and transfer volume are
+/// recorded by [`JobOutcome::driver_merge`]).
 pub fn voronoi_hadoop(
     dfs: &Dfs,
     heap: &str,
@@ -213,23 +212,15 @@ pub fn voronoi_hadoop(
     sort_dedup(&mut sites);
     let t0 = Instant::now();
     let vd = VoronoiDiagram::build(&sites);
-    let merge_seconds = t0.elapsed().as_secs_f64();
-    let cfg = dfs.config();
-    let merge_phase = JobOutcome::synthetic(
+    let merge_phase = JobOutcome::driver_merge(
         "voronoi-hadoop:driver-merge",
-        std::collections::BTreeMap::from([("voronoi.merge.bytes".to_string(), transferred)]),
-        SimBreakdown {
-            startup: 0.0,
-            map: 0.0,
-            shuffle: transferred as f64 / cfg.network_bandwidth,
-            reduce: merge_seconds,
-        },
+        BTreeMap::from([("voronoi.merge.bytes".to_string(), transferred)]),
+        transferred,
         t0.elapsed(),
-        0,
-        1,
+        dfs.config(),
     );
     let value: Vec<VCell> = vd.cells.iter().map(VCell::from_cell).collect();
-    let sel = sh_trace::Selectivity::full_scan(job.map_tasks, value.len() as u64);
+    let sel = sh_trace::Selectivity::full_scan(job.map_tasks(), value.len() as u64);
     Ok(OpResult::new(value, vec![job, merge_phase]).with_selectivity(sel))
 }
 
@@ -432,22 +423,15 @@ pub fn voronoi_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<VCe
                 h_cells.push(VCell::from_cell(c));
             }
         }
-        let cfg = dfs.config();
-        h_outcome = Some(JobOutcome::synthetic(
+        h_outcome = Some(JobOutcome::driver_merge(
             "voronoi-spatial:h-merge",
-            std::collections::BTreeMap::from([
+            BTreeMap::from([
                 ("voronoi.hmerge.bytes".to_string(), transferred),
                 ("voronoi.flushed.hmerge".to_string(), h_cells.len() as u64),
             ]),
-            SimBreakdown {
-                startup: 0.0,
-                map: 0.0,
-                shuffle: transferred as f64 / cfg.network_bandwidth,
-                reduce: t0.elapsed().as_secs_f64(),
-            },
+            transferred,
             t0.elapsed(),
-            0,
-            1,
+            dfs.config(),
         ));
     }
 
@@ -548,7 +532,20 @@ mod tests {
         let got = voronoi_hadoop(&dfs, "/heap", &uni).unwrap();
         assert_eq!(canon(&got.value), canon_vd(&expected));
         // The merge transferred the whole (inflated) diagram.
-        assert!(got.counter("voronoi.merge.bytes") > 0);
+        let bytes = got.counter("voronoi.merge.bytes");
+        assert!(bytes > 0);
+        // It is charged as one reduce task that receives those bytes over
+        // one link and runs for exactly the time the driver measured.
+        let merge = &got.jobs[1].profile;
+        assert_eq!(merge.job, "voronoi-hadoop:driver-merge");
+        let phase = |name| merge.phase(name).unwrap();
+        assert_eq!(
+            phase("shuffle").sim_seconds,
+            bytes as f64 / dfs.config().network_bandwidth
+        );
+        assert_eq!(phase("map").tasks, 0);
+        assert_eq!(phase("reduce").tasks, 1);
+        assert_eq!(phase("reduce").sim_seconds, merge.wall.as_secs_f64());
     }
 
     #[test]

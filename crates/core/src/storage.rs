@@ -860,7 +860,10 @@ mod tests {
                 .sum();
             let partition = &built.jobs[1];
             assert!(partition.side.is_empty(), "the driver keeps no side buffer");
-            assert_eq!(partition.counters["output.side.bytes"], files, "{dir}");
+            assert_eq!(
+                partition.profile.counters["output.side.bytes"], files,
+                "{dir}"
+            );
             assert_eq!(
                 partition.profile.dfs_bytes_written,
                 partition.rows.text().len() as u64 + files,

@@ -19,6 +19,7 @@
 //! between algorithm variants, which is all the experiments compare).
 
 use sh_dfs::ClusterConfig;
+use sh_trace::JobProfile;
 
 /// Cost inputs of one executed task.
 #[derive(Clone, Copy, Debug, Default)]
@@ -73,6 +74,17 @@ impl SimBreakdown {
     /// Total simulated job time.
     pub fn total(&self) -> f64 {
         self.startup + self.map + self.shuffle + self.reduce
+    }
+
+    /// A job's simulated time, read back from its profile's phases.
+    pub fn of(profile: &JobProfile) -> SimBreakdown {
+        let s = |phase| profile.phase_seconds(phase);
+        SimBreakdown {
+            startup: s("startup"),
+            map: s("map"),
+            shuffle: s("shuffle"),
+            reduce: s("reduce"),
+        }
     }
 
     /// Sums phase-wise (multi-job operations report the sum over jobs).

@@ -9,21 +9,20 @@ use std::hash::Hash;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use sh_dfs::{Dfs, DfsError, FaultPlan, FtOptions};
+use sh_dfs::{ClusterConfig, Dfs, DfsError, FaultPlan, FtOptions};
 use sh_trace::sync::{into_inner, lock, wait_timeout};
 use sh_trace::{Histogram, JobProfile, PhaseProfile, Span};
 
 use crate::context::{MapContext, ReduceContext, TaskOutput};
-use crate::cost::{makespan, shuffle_time, SimBreakdown, TaskCost};
+use crate::cost::{makespan, shuffle_time, TaskCost};
 use crate::counters::Counters;
 use crate::job::{Job, JobError, Mapper, Reducer};
 use crate::rows::Rows;
 
-/// Result of a completed job.
+/// Result of a completed job: its rows, its side outputs, and its
+/// profile, which is the job's one record of what it cost.
 #[derive(Clone, Debug)]
 pub struct JobOutcome {
-    /// Job name (diagnostics).
-    pub name: String,
     /// The job's final output: every map task's in task order, then every
     /// reduce task's. The driver shares the tasks' process, so it gets
     /// the rows directly; their bytes are still charged as DFS output.
@@ -33,62 +32,57 @@ pub struct JobOutcome {
     /// DFS output like the rows; whether any becomes a file is the
     /// driver's decision.
     pub side: BTreeMap<String, Vec<u8>>,
-    /// Final counters (engine + user).
-    pub counters: BTreeMap<String, u64>,
-    /// Simulated cluster time.
-    pub sim: SimBreakdown,
-    /// Real wall-clock execution time of the in-process run.
-    pub wall: Duration,
-    /// Number of map tasks executed.
-    pub map_tasks: usize,
-    /// Number of reduce tasks executed.
-    pub reduce_tasks: usize,
-    /// Full observability profile of the run: phase timings, per-task
-    /// duration histograms, DFS/shuffle traffic, span tree. The ops layer
-    /// fills in `profile.selectivity` after the run.
+    /// The job's name, wall time, counters (engine + user + driver),
+    /// per-phase simulated seconds and task counts, DFS/shuffle traffic
+    /// and span tree. The ops layer fills in `profile.selectivity` and
+    /// its own counters after the run.
     pub profile: JobProfile,
 }
 
 impl JobOutcome {
-    /// Builds an outcome for driver-side phases that run outside the
-    /// engine (e.g. a single-machine merge after a MapReduce round). The
-    /// profile is synthesized from the supplied aggregates so downstream
-    /// profile consumers see these phases too.
-    pub fn synthetic(
+    /// The record of a driver-side merge after a MapReduce round: the
+    /// driver receives `bytes` over one network link and merges them on
+    /// one machine in `elapsed`, charged as the job's one reduce task.
+    pub fn driver_merge(
         name: impl Into<String>,
         counters: BTreeMap<String, u64>,
-        sim: SimBreakdown,
-        wall: Duration,
-        map_tasks: usize,
-        reduce_tasks: usize,
+        bytes: u64,
+        elapsed: Duration,
+        cfg: &ClusterConfig,
     ) -> JobOutcome {
-        let name = name.into();
-        let mut profile = JobProfile::new(&name);
-        profile.wall = wall;
-        profile.sim_seconds = sim.total();
-        for (phase, seconds, tasks) in [
-            ("startup", sim.startup, 0),
-            ("map", sim.map, map_tasks as u64),
-            ("shuffle", sim.shuffle, 0),
-            ("reduce", sim.reduce, reduce_tasks as u64),
-        ] {
-            let mut p = PhaseProfile::new(phase);
-            p.sim_seconds = seconds;
-            p.tasks = tasks;
-            profile.phases.push(p);
-        }
-        profile.counters = counters.clone();
+        let phase = |name: &str, sim_seconds: f64, tasks: u64| PhaseProfile {
+            sim_seconds,
+            tasks,
+            ..PhaseProfile::new(name)
+        };
+        let profile = JobProfile {
+            wall: elapsed,
+            phases: vec![
+                phase("startup", 0.0, 0),
+                phase("map", 0.0, 0),
+                phase("shuffle", bytes as f64 / cfg.network_bandwidth, 0),
+                phase("reduce", elapsed.as_secs_f64(), 1),
+            ],
+            counters,
+            ..JobProfile::new(name)
+        };
         JobOutcome {
-            name,
             rows: Rows::default(),
             side: BTreeMap::new(),
-            counters,
-            sim,
-            wall,
-            map_tasks,
-            reduce_tasks,
             profile,
         }
+    }
+
+    /// Records a counter the job's driver computed after the run (e.g.
+    /// partitions its splitter pruned) in the job's profile, next to the
+    /// engine's.
+    pub fn set_counter(&mut self, key: &str, value: u64) {
+        self.profile.counters.insert(key.to_string(), value);
+    }
+
+    /// Map tasks the job ran.
+    pub fn map_tasks(&self) -> usize {
+        self.profile.phase_tasks("map") as usize
     }
 }
 
@@ -727,20 +721,21 @@ where
     counters.inc_static("map.tasks", n_tasks as u64);
 
     let map_costs: Vec<TaskCost> = map_results.iter().map(|r| r.cost).collect();
-    let map_makespan = makespan(&map_costs, &cfg, cfg.map_slots_per_node);
-
-    // ---- shuffle -------------------------------------------------------
-    let mut sim = SimBreakdown {
-        startup: cfg.job_startup_overhead,
-        map: map_makespan,
-        shuffle: 0.0,
-        reduce: 0.0,
+    let startup = PhaseProfile {
+        sim_seconds: cfg.job_startup_overhead,
+        ..PhaseProfile::new("startup")
+    };
+    let map = PhaseProfile {
+        sim_seconds: makespan(&map_costs, &cfg, cfg.map_slots_per_node),
+        tasks: n_tasks as u64,
+        task_micros: map_task_micros,
+        ..PhaseProfile::new("map")
     };
 
-    let mut reduce_tasks_run = 0usize;
-    let mut shuffle_pairs_total = 0u64;
-    let mut shuffle_bytes_total = 0u64;
-    let mut reduce_task_micros = Histogram::new();
+    // ---- shuffle -------------------------------------------------------
+    let mut shuffle = PhaseProfile::new("shuffle");
+    let mut reduce = PhaseProfile::new("reduce");
+    let (mut shuffle_pairs, mut shuffle_bytes) = (0u64, 0u64);
     if let Some(reducer) = &job.reducer {
         let shuffle_span = span.child("shuffle");
         let r = job.num_reducers;
@@ -749,8 +744,6 @@ where
         // concatenation in task order — same order the per-pair
         // redistribution pass used to produce.
         let mut buckets: Vec<Vec<(M::K, M::V)>> = (0..r).map(|_| Vec::new()).collect();
-        let mut shuffle_bytes = 0u64;
-        let mut shuffle_pairs = 0u64;
         for res in map_results.iter_mut() {
             shuffle_pairs += res.shuffle_pairs;
             shuffle_bytes += res.shuffle_bytes;
@@ -760,9 +753,7 @@ where
         }
         counters.inc_static("shuffle.pairs", shuffle_pairs);
         counters.inc_static("shuffle.bytes", shuffle_bytes);
-        shuffle_pairs_total = shuffle_pairs;
-        shuffle_bytes_total = shuffle_bytes;
-        sim.shuffle = shuffle_time(shuffle_bytes, &cfg);
+        shuffle.sim_seconds = shuffle_time(shuffle_bytes, &cfg);
         shuffle_span.attr("pairs", shuffle_pairs);
         shuffle_span.attr("bytes", shuffle_bytes);
         shuffle_span.finish();
@@ -806,18 +797,41 @@ where
         reduce_span.finish();
         let (reduce_results, reduce_ft, micros) = outcome?;
         ft.absorb(reduce_ft);
-        reduce_task_micros = micros;
+        reduce.task_micros = micros;
 
         let mut reduce_costs: Vec<TaskCost> = Vec::with_capacity(r);
         for (mut cost, out) in reduce_results {
             fold.task("output.reduce.bytes", out, &mut cost);
             reduce_costs.push(cost);
-            reduce_tasks_run += 1;
         }
-        sim.reduce = makespan(&reduce_costs, &cfg, cfg.reduce_slots_per_node);
-        counters.inc_static("reduce.tasks", reduce_tasks_run as u64);
+        reduce.sim_seconds = makespan(&reduce_costs, &cfg, cfg.reduce_slots_per_node);
+        reduce.tasks = reduce_costs.len() as u64;
+        counters.inc_static("reduce.tasks", reduce.tasks);
     }
 
+    let profile = JobProfile {
+        phases: vec![startup, map, shuffle, reduce],
+        dfs_local_bytes: map_costs.iter().map(|c| c.local_bytes).sum(),
+        dfs_remote_bytes: map_costs.iter().map(|c| c.remote_bytes).sum(),
+        shuffle_pairs,
+        shuffle_bytes,
+        ..JobProfile::new(job.name)
+    };
+    Ok(finish(start, profile, ft, fold, &span))
+}
+
+/// Closes a job's record once its waves are done: adds its fault
+/// tallies, final counters, bytes written, span tree and wall time (the
+/// one clock read) to `profile`, and rolls it into the process-lifetime
+/// totals. Not generic, so it is compiled once rather than per job type.
+fn finish(
+    start: Instant,
+    mut profile: JobProfile,
+    ft: FtStats,
+    fold: TaskFold<'_>,
+    span: &Span,
+) -> JobOutcome {
+    let counters = fold.counters;
     counters.inc_static("task.retries", ft.retries);
     counters.inc_static("task.speculative.launched", ft.speculative_launched);
     counters.inc_static("task.speculative.won", ft.speculative_won);
@@ -825,108 +839,57 @@ where
     span.attr("task_retries", ft.retries);
     span.attr("speculative_launched", ft.speculative_launched);
     span.attr("nodes_blacklisted", ft.nodes_blacklisted);
-
     span.finish();
-    let counters = counters.snapshot();
-    let profile = build_profile(
-        &job.name,
-        start.elapsed(),
-        &sim,
-        &counters,
-        &map_costs,
-        n_tasks,
-        reduce_tasks_run,
-        map_task_micros,
-        reduce_task_micros,
-        shuffle_pairs_total,
-        shuffle_bytes_total,
-        ft,
-        span.record(),
-    );
 
-    Ok(JobOutcome {
-        name: job.name,
-        rows: Rows::from_text(fold.outputs.concat()),
-        side: fold.side,
-        counters,
-        sim,
-        wall: start.elapsed(),
-        map_tasks: n_tasks,
-        reduce_tasks: reduce_tasks_run,
-        profile,
-    })
-}
-
-/// Assembles the job's [`JobProfile`] and rolls process-lifetime totals
-/// into the global trace registry (`job.*` keys).
-#[allow(clippy::too_many_arguments)]
-fn build_profile(
-    name: &str,
-    wall: Duration,
-    sim: &SimBreakdown,
-    counters: &BTreeMap<String, u64>,
-    map_costs: &[TaskCost],
-    map_tasks: usize,
-    reduce_tasks: usize,
-    map_task_micros: Histogram,
-    reduce_task_micros: Histogram,
-    shuffle_pairs: u64,
-    shuffle_bytes: u64,
-    ft: FtStats,
-    spans: sh_trace::SpanRecord,
-) -> JobProfile {
-    let registry = sh_trace::global();
-    registry.counter_add("job.completed", 1);
-    registry.counter_add("job.map.tasks", map_tasks as u64);
-    registry.counter_add("job.reduce.tasks", reduce_tasks as u64);
-    registry.counter_add("job.shuffle.pairs", shuffle_pairs);
-    registry.counter_add("job.shuffle.bytes", shuffle_bytes);
-    registry.counter_add("job.task_retries", ft.retries);
-    registry.counter_add("job.speculative_launched", ft.speculative_launched);
-    registry.counter_add("job.speculative_won", ft.speculative_won);
-    registry.counter_add("job.nodes_blacklisted", ft.nodes_blacklisted);
-    registry.observe("job.wall.micros", wall.as_micros() as u64);
-    registry.observe_histogram("job.map.task.micros", &map_task_micros);
-    registry.observe_histogram("job.reduce.task.micros", &reduce_task_micros);
-    sh_trace::events::emit(
-        "job.finished",
-        vec![
-            ("job", name.to_string()),
-            ("wall_micros", (wall.as_micros() as u64).to_string()),
-            ("retries", ft.retries.to_string()),
-        ],
-    );
-
-    let mut profile = JobProfile::new(name);
-    profile.wall = wall;
-    profile.sim_seconds = sim.total();
-    let mut startup = PhaseProfile::new("startup");
-    startup.sim_seconds = sim.startup;
-    let mut map = PhaseProfile::new("map");
-    map.sim_seconds = sim.map;
-    map.tasks = map_tasks as u64;
-    map.task_micros = map_task_micros;
-    let mut shuffle = PhaseProfile::new("shuffle");
-    shuffle.sim_seconds = sim.shuffle;
-    let mut reduce = PhaseProfile::new("reduce");
-    reduce.sim_seconds = sim.reduce;
-    reduce.tasks = reduce_tasks as u64;
-    reduce.task_micros = reduce_task_micros;
-    profile.phases = vec![startup, map, shuffle, reduce];
-    profile.dfs_local_bytes = map_costs.iter().map(|c| c.local_bytes).sum();
-    profile.dfs_remote_bytes = map_costs.iter().map(|c| c.remote_bytes).sum();
-    profile.dfs_bytes_written = counters.get("output.map.bytes").copied().unwrap_or(0)
-        + counters.get("output.reduce.bytes").copied().unwrap_or(0)
-        + counters.get("output.side.bytes").copied().unwrap_or(0);
-    profile.shuffle_pairs = shuffle_pairs;
-    profile.shuffle_bytes = shuffle_bytes;
+    profile.counters = counters.snapshot();
+    let written = |k: &str| profile.counters.get(k).copied().unwrap_or(0);
+    profile.dfs_bytes_written =
+        written("output.map.bytes") + written("output.reduce.bytes") + written("output.side.bytes");
     profile.task_retries = ft.retries;
     profile.speculative_launched = ft.speculative_launched;
     profile.speculative_won = ft.speculative_won;
     profile.nodes_blacklisted = ft.nodes_blacklisted;
-    profile.counters = counters.clone();
-    profile.spans = Some(spans);
-    profile
+    profile.spans = Some(span.record());
+    profile.wall = start.elapsed();
+    record_totals(&profile);
+    JobOutcome {
+        rows: Rows::from_text(fold.outputs.concat()),
+        side: fold.side,
+        profile,
+    }
+}
+
+/// Rolls a finished job's profile into the process-lifetime totals of
+/// the global trace registry (`job.*` keys) and the event journal.
+fn record_totals(p: &JobProfile) {
+    let registry = sh_trace::global();
+    let wall_micros = p.wall.as_micros() as u64;
+    registry.counter_add("job.completed", 1);
+    registry.counter_add("job.map.tasks", p.phase_tasks("map"));
+    registry.counter_add("job.reduce.tasks", p.phase_tasks("reduce"));
+    registry.counter_add("job.shuffle.pairs", p.shuffle_pairs);
+    registry.counter_add("job.shuffle.bytes", p.shuffle_bytes);
+    registry.counter_add("job.task_retries", p.task_retries);
+    registry.counter_add("job.speculative_launched", p.speculative_launched);
+    registry.counter_add("job.speculative_won", p.speculative_won);
+    registry.counter_add("job.nodes_blacklisted", p.nodes_blacklisted);
+    registry.observe("job.wall.micros", wall_micros);
+    for (key, phase) in [
+        ("job.map.task.micros", "map"),
+        ("job.reduce.task.micros", "reduce"),
+    ] {
+        if let Some(phase) = p.phase(phase) {
+            registry.observe_histogram(key, &phase.task_micros);
+        }
+    }
+    sh_trace::events::emit(
+        "job.finished",
+        vec![
+            ("job", p.job.clone()),
+            ("wall_micros", wall_micros.to_string()),
+            ("retries", p.task_retries.to_string()),
+        ],
+    );
 }
 
 /// Locality-aware greedy assignment of splits to nodes: each split goes
@@ -1195,17 +1158,17 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        assert!(outcome.map_tasks > 1, "expected multiple splits");
-        assert_eq!(outcome.reduce_tasks, 3);
+        assert!(outcome.map_tasks() > 1, "expected multiple splits");
+        assert_eq!(outcome.profile.phase_tasks("reduce"), 3);
         let mut lines = lines(&outcome);
         lines.sort();
         assert_eq!(lines.len(), 11); // w0..w9 + common
         assert!(lines.contains(&"common 5000".to_string()));
         assert!(lines.contains(&"w0 500".to_string()));
         assert_eq!(outcome.rows.len(), 11);
-        assert_eq!(outcome.counters["user.records"], 5000);
-        assert_eq!(outcome.counters["shuffle.pairs"], 10_000);
-        assert!(outcome.sim.total() > 0.0);
+        assert_eq!(outcome.profile.counters["user.records"], 5000);
+        assert_eq!(outcome.profile.counters["shuffle.pairs"], 10_000);
+        assert!(outcome.profile.sim_seconds() > 0.0);
         // Fault-free run: no retries, nothing blacklisted.
         assert_eq!(outcome.profile.task_retries, 0);
         assert_eq!(outcome.profile.nodes_blacklisted, 0);
@@ -1234,7 +1197,7 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        assert!(with.counters["shuffle.pairs"] < without.counters["shuffle.pairs"]);
+        assert!(with.profile.counters["shuffle.pairs"] < without.profile.counters["shuffle.pairs"]);
         let mut a = lines(&without);
         let mut b = lines(&with);
         a.sort();
@@ -1265,7 +1228,7 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(outcome.reduce_tasks, 0);
+        assert_eq!(outcome.profile.phase_tasks("reduce"), 0);
         let mut lines = lines(&outcome);
         lines.sort();
         assert_eq!(lines, vec!["0:a", "0:b"]);
@@ -1307,11 +1270,12 @@ mod tests {
         // A full scan reads every input byte exactly once (local +
         // remote partition of the same total).
         assert_eq!(
-            outcome.counters["map.input.bytes.local"] + outcome.counters["map.input.bytes.remote"],
+            outcome.profile.counters["map.input.bytes.local"]
+                + outcome.profile.counters["map.input.bytes.remote"],
             file_len
         );
         // Shuffle pairs equal total tokens (2 per line).
-        assert_eq!(outcome.counters["shuffle.pairs"], 8000);
+        assert_eq!(outcome.profile.counters["shuffle.pairs"], 8000);
     }
 
     /// Reports each split's length: read from its bytes when cold, from
@@ -1352,14 +1316,17 @@ mod tests {
         };
         let (cold, cold_blocks) = run(false);
         let (warm, warm_blocks) = run(true);
-        assert!(cold.map_tasks > 1, "expected multiple splits");
-        assert_eq!(cold_blocks, cold.map_tasks as u64, "one block per split");
+        assert!(cold.map_tasks() > 1, "expected multiple splits");
+        assert_eq!(cold_blocks, cold.map_tasks() as u64, "one block per split");
         assert_eq!(warm_blocks, 0, "a cached task reads no block");
         assert_eq!(warm.rows, cold.rows);
         // Same placement, same charge: local and remote bytes both match
         // what the cold reads reported, so simulated time does not move.
         for key in ["map.input.bytes.local", "map.input.bytes.remote"] {
-            assert_eq!(warm.counters[key], cold.counters[key], "{key}");
+            assert_eq!(
+                warm.profile.counters[key], cold.profile.counters[key],
+                "{key}"
+            );
         }
         assert_eq!(
             warm.profile.dfs_local_bytes + warm.profile.dfs_remote_bytes,
@@ -1442,8 +1409,8 @@ mod tests {
             .run()
             .unwrap();
         let cfg = ClusterConfig::small_for_tests();
-        assert!(small.sim.startup == cfg.job_startup_overhead);
-        assert!(big.sim.total() > small.sim.total());
+        assert!(small.profile.phase_seconds("startup") == cfg.job_startup_overhead);
+        assert!(big.profile.sim_seconds() > small.profile.sim_seconds());
     }
 
     struct PanickingMapper;
@@ -1703,7 +1670,7 @@ mod tests {
         assert_eq!(outcome.side["spill"], b"m:aa\nm:bbb\nr:2\n");
         assert_eq!(fs.metrics().snapshot().since(&before).blocks_written, 0);
         assert_charged_not_written(&outcome, "output.reduce.bytes", 15);
-        assert_eq!(outcome.counters["output.side.bytes"], 15);
+        assert_eq!(outcome.profile.counters["output.side.bytes"], 15);
     }
 
     /// The rows' bytes are charged to `counter` and to the profile's DFS
@@ -1711,7 +1678,7 @@ mod tests {
     fn assert_charged_not_written(outcome: &JobOutcome, counter: &str, side: u64) {
         let bytes = outcome.rows.text().len() as u64;
         assert!(bytes > 0);
-        assert_eq!(outcome.counters[counter], bytes);
+        assert_eq!(outcome.profile.counters[counter], bytes);
         assert_eq!(outcome.profile.dfs_bytes_written, bytes + side);
     }
 
@@ -1765,7 +1732,7 @@ mod tests {
             3000 * "m:w0 common\n".len() + "r:3000\n".len()
         );
         assert_charged_not_written(&outcome, "output.reduce.bytes", side);
-        assert_eq!(outcome.counters["output.side.bytes"], side);
+        assert_eq!(outcome.profile.counters["output.side.bytes"], side);
         let written = fs.metrics().snapshot().since(&before);
         assert_eq!(written.blocks_written, 0, "no job writes a DFS block");
     }
@@ -1785,27 +1752,30 @@ mod tests {
             .unwrap();
         let p = &outcome.profile;
         assert_eq!(p.job, "profiled");
-        assert!(p.sim_seconds > 0.0);
+        assert!(p.sim_seconds() > 0.0);
         let map = p.phase("map").unwrap();
-        assert_eq!(map.tasks, outcome.map_tasks as u64);
-        assert_eq!(map.task_micros.count(), outcome.map_tasks as u64);
+        assert!(map.tasks > 1, "expected multiple splits");
+        assert_eq!(map.tasks, p.counters["map.tasks"]);
+        assert_eq!(map.task_micros.count(), map.tasks);
         let reduce = p.phase("reduce").unwrap();
         assert_eq!(reduce.tasks, 3);
+        assert_eq!(reduce.tasks, p.counters["reduce.tasks"]);
         assert_eq!(reduce.task_micros.count(), 3);
         assert_eq!(
             p.dfs_local_bytes + p.dfs_remote_bytes,
             fs.stat("/in").unwrap().len
         );
-        assert_eq!(p.shuffle_pairs, outcome.counters["shuffle.pairs"]);
+        assert_eq!(p.shuffle_pairs, p.counters["shuffle.pairs"]);
         assert!(p.dfs_bytes_written > 0);
-        assert_eq!(p.counters, outcome.counters);
         // Span tree: root job span with map-wave/shuffle/reduce-wave
         // children, and one span per task attempt (fault-free run: one
-        // attempt per task).
+        // attempt per task). The job's wall time is read once, after
+        // its root span closed.
         let spans = p.spans.as_ref().unwrap();
         assert_eq!(spans.name, "job:profiled");
+        assert!(p.wall >= spans.duration);
         let wave = spans.find("map-wave").unwrap();
-        assert_eq!(wave.children.len(), outcome.map_tasks);
+        assert_eq!(wave.children.len() as u64, map.tasks);
         assert!(spans.find("map-0/attempt-0").is_some());
         assert!(spans.find("shuffle").is_some());
         assert_eq!(spans.find("reduce-wave").unwrap().children.len(), 3);
@@ -1856,7 +1826,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(outcome.profile.task_retries, 2, "two injected failures");
-        assert_eq!(outcome.counters["task.retries"], 2);
+        assert_eq!(outcome.profile.counters["task.retries"], 2);
         let mut lines = lines(&outcome);
         lines.sort();
         assert!(lines.contains(&"common 1000".to_string()));

@@ -51,6 +51,15 @@ impl Selectivity {
         }
     }
 
+    /// Adds another job's selectivity to this one, field by field.
+    pub fn absorb(&mut self, other: &Selectivity) {
+        self.partitions_total += other.partitions_total;
+        self.partitions_scanned += other.partitions_scanned;
+        self.partitions_pruned += other.partitions_pruned;
+        self.records_scanned += other.records_scanned;
+        self.records_emitted += other.records_emitted;
+    }
+
     /// Fraction of partitions pruned without being read, in `[0, 1]`.
     pub fn pruning_ratio(&self) -> f64 {
         if self.partitions_total == 0 {
@@ -88,8 +97,7 @@ pub struct JobProfile {
     pub job: String,
     /// Wall-clock time of the in-process run.
     pub wall: Duration,
-    /// Simulated cluster makespan.
-    pub sim_seconds: f64,
+    /// The job's phases: the one record of its simulated time and tasks.
     pub phases: Vec<PhaseProfile>,
     /// DFS bytes served from a replica on the reading node.
     pub dfs_local_bytes: u64,
@@ -125,6 +133,21 @@ impl JobProfile {
         self.phases.iter().find(|p| p.name == name)
     }
 
+    /// Simulated seconds of the named phase (0 when there is none).
+    pub fn phase_seconds(&self, name: &str) -> f64 {
+        self.phase(name).map_or(0.0, |p| p.sim_seconds)
+    }
+
+    /// Tasks run in the named phase (0 when there is none).
+    pub fn phase_tasks(&self, name: &str) -> u64 {
+        self.phase(name).map_or(0, |p| p.tasks)
+    }
+
+    /// Simulated cluster makespan: the sum of the phases' seconds.
+    pub fn sim_seconds(&self) -> f64 {
+        self.phases.iter().map(|p| p.sim_seconds).sum()
+    }
+
     fn phase_mut(&mut self, name: &str) -> &mut PhaseProfile {
         if let Some(i) = self.phases.iter().position(|p| p.name == name) {
             return &mut self.phases[i];
@@ -138,7 +161,6 @@ impl JobProfile {
     /// the span tree keeps the first capture.
     pub fn absorb(&mut self, other: &JobProfile) {
         self.wall += other.wall;
-        self.sim_seconds += other.sim_seconds;
         for p in &other.phases {
             let mine = self.phase_mut(&p.name);
             mine.sim_seconds += p.sim_seconds;
@@ -154,13 +176,7 @@ impl JobProfile {
         self.speculative_launched += other.speculative_launched;
         self.speculative_won += other.speculative_won;
         self.nodes_blacklisted += other.nodes_blacklisted;
-        let s = &mut self.selectivity;
-        let o = &other.selectivity;
-        s.partitions_total += o.partitions_total;
-        s.partitions_scanned += o.partitions_scanned;
-        s.partitions_pruned += o.partitions_pruned;
-        s.records_scanned += o.records_scanned;
-        s.records_emitted += o.records_emitted;
+        self.selectivity.absorb(&other.selectivity);
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
         }
@@ -176,7 +192,7 @@ impl JobProfile {
         out.push_str(&format!(
             "  wall {:<10} sim {:.3}s\n",
             format_duration(self.wall),
-            self.sim_seconds
+            self.sim_seconds()
         ));
         if !self.phases.is_empty() {
             out.push_str(&format!(
@@ -281,9 +297,8 @@ mod tests {
     fn sample_profile() -> JobProfile {
         let mut p = JobProfile::new("range-spatial");
         p.wall = Duration::from_micros(15_700);
-        p.sim_seconds = 0.523;
         let mut map = PhaseProfile::new("map");
-        map.sim_seconds = 0.4;
+        map.sim_seconds = 0.523;
         map.tasks = 8;
         for t in [120u64, 140, 150, 900, 210, 250, 180, 130] {
             map.task_micros.observe(t);
@@ -354,7 +369,7 @@ mod tests {
         assert_eq!(a.phase("map").unwrap().tasks, 16);
         assert_eq!(a.counters["range.results"], 74);
         assert_eq!(a.phases.len(), 2); // merged by name, not duplicated
-        assert!((a.sim_seconds - 1.046).abs() < 1e-9);
+        assert!((a.sim_seconds() - 1.046).abs() < 1e-9);
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn main() {
     );
     println!(
         "enhanced ran map-only: {} reduce tasks, {} boundary segments flushed in place",
-        enhanced.jobs[0].reduce_tasks,
+        enhanced.jobs[0].profile.phase_tasks("reduce"),
         enhanced.counter("union.segments.flushed")
     );
 }

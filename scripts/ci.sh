@@ -127,13 +127,12 @@ stage_server() {
   # whole-universe `FILTER` and a clean `SCRUB`), and `heap-batch` the
   # unindexed heap-file baseline. The `sh-server` binary's own flags and
   # `LISTENING` line are covered by tests/server.rs. Then one traced
-  # pass gates the warm read path and one the index write path.
+  # pass of each workload gates its deterministic counts exactly.
   run_shbench_oracle serve-scan &&
     run_shbench_oracle serve-mixed &&
     run_shbench_oracle ingest-index &&
     run_shbench_oracle heap-batch &&
-    run_read_path_gate &&
-    run_write_path_gate
+    run_counter_gate
 }
 
 # Runs a command, then puts back the frozen benchmark's lock file, which
@@ -162,51 +161,29 @@ run_shbench_oracle() {
   return "$rc"
 }
 
-# The traced `serve-mixed` pass (one client, seed 1): index-assisted map
-# tasks answer from the block cache, and a job returns its rows instead
-# of writing and reading back part files, so a warm query reads no DFS
-# block at all. `dfs.blocks_read_per_op` is an exact count over the
-# first cycle: 0 when this gate was set, 2.56 while jobs still read
-# their output back, 9.82 while map tasks also read and checksummed
-# their split before looking in the cache. Every partition lookup must
-# hit.
-run_read_path_gate() {
-  local line blocks hits
-  line=$(keeping_shbench_lock cargo run --release --quiet --manifest-path shbench/Cargo.toml -- \
-    --workload serve-mixed --trace 1 --clients 1 --seed 1 --seconds 2 | tail -n 1) || return 1
-  blocks=$(traced_metric "$line" dfs.blocks_read_per_op)
-  hits=$(traced_metric "$line" dfs.cache_hit_ratio)
-  if awk -v b="$blocks" -v h="$hits" 'BEGIN { exit !(b != "" && b == 0 && h == 1) }'; then
-    echo "--- serve-mixed read path: dfs.blocks_read_per_op $blocks, dfs.cache_hit_ratio $hits"
-  else
-    echo "read-path gate FAILED: dfs.blocks_read_per_op '$blocks' (a warm query reads" \
-      "no block: must be 0), dfs.cache_hit_ratio '$hits' (must be 1)" >&2
-    return 1
-  fi
-}
-
-# The traced `ingest-index` pass (one client, seed 1): jobs return their
-# side outputs instead of writing them, and only the index build's driver
-# writes its partitions and sidecars, so the DFS bytes an `INDEX` writes
-# and stores per heap byte are those of the engine-written index. Both
-# ratios are exact (three runs of the parent commit agreed to the last
-# digit): 0.9520141640813462 written and 8.711772597224083 stored.
-run_write_path_gate() {
-  local line written stored
-  line=$(keeping_shbench_lock cargo run --release --quiet --manifest-path shbench/Cargo.toml -- \
-    --workload ingest-index --trace 1 --clients 1 --seed 1 --seconds 2 | tail -n 1) || return 1
-  written=$(traced_metric "$line" dfs.bytes_written_per_user_byte)
-  stored=$(traced_metric "$line" dfs.stored_bytes_per_user_byte)
-  if awk -v w="$written" -v s="$stored" \
-    'BEGIN { exit !(w != "" && s != "" && w == 0.9520141640813462 && s == 8.711772597224083) }'; then
-    echo "--- ingest-index write path: dfs.bytes_written_per_user_byte $written," \
-      "dfs.stored_bytes_per_user_byte $stored"
-  else
-    echo "write-path gate FAILED: dfs.bytes_written_per_user_byte '$written' (must be" \
-      "0.9520141640813462), dfs.stored_bytes_per_user_byte '$stored' (must be" \
-      "8.711772597224083)" >&2
-    return 1
-  fi
+# One traced pass (one client, seed 1) of every workload in
+# scripts/counters.tsv: each count metric listed there must equal its
+# checked-in value exactly. These counts do not depend on the clock, so
+# any difference is a change in what the code does: among them, a warm
+# `serve-mixed` query reads no DFS block and hits the cache for every
+# partition, and an `INDEX` writes and stores exactly the index bytes
+# its driver writes from `JobOutcome.side`. Reports every mismatch.
+run_counter_gate() {
+  local baseline=scripts/counters.tsv workload line metric want got w rc=0
+  for workload in $(awk '!/^#/ && NF && !seen[$1]++ { print $1 }' "$baseline"); do
+    line=$(keeping_shbench_lock cargo run --release --quiet --manifest-path shbench/Cargo.toml -- \
+      --workload "$workload" --trace 1 --clients 1 --seed 1 --seconds 2 | tail -n 1) || return 1
+    while read -r w metric want; do
+      [ "$w" = "$workload" ] || continue
+      got=$(traced_metric "$line" "$metric")
+      if [ "$got" != "$want" ]; then
+        echo "counter gate FAILED: $workload $metric is '$got', baseline $want" >&2
+        rc=1
+      fi
+    done < <(grep -v '^#' "$baseline")
+    echo "--- $workload: counts checked against $baseline"
+  done
+  return "$rc"
 }
 
 # The value of metric "$2" in a traced result line "$1".

@@ -2,11 +2,13 @@
 //! a usable `JobProfile` — splitter selectivity that adds up, DFS/shuffle
 //! accounting, and sane phase histograms.
 
-use spatialhadoop::core::ops::{join, knn, range};
+use spatialhadoop::core::ops::{convex_hull, farthest_pair, join, knn, range, skyline};
 use spatialhadoop::core::storage::{build_index, upload};
+use spatialhadoop::core::OpResult;
 use spatialhadoop::dfs::{ClusterConfig, Dfs};
 use spatialhadoop::geom::{Point, Rect};
 use spatialhadoop::index::PartitionKind;
+use spatialhadoop::pigeon::run_script;
 use spatialhadoop::workload::{points, rects, Distribution};
 
 fn indexed_points(dfs: &Dfs) -> spatialhadoop::core::SpatialFile {
@@ -40,12 +42,16 @@ fn range_query_profile_shows_pruning() {
     assert!(p.phases.iter().any(|ph| ph.name == "map" && ph.tasks > 0));
 }
 
+fn two_rect_files(dfs: &Dfs) {
+    let uni = Rect::new(0.0, 0.0, 500.0, 500.0);
+    upload(dfs, "/l", &rects(800, &uni, 10.0, 1)).unwrap();
+    upload(dfs, "/r", &rects(800, &uni, 10.0, 2)).unwrap();
+}
+
 #[test]
 fn spatial_join_profile_covers_all_partition_pairs() {
     let dfs = Dfs::new(ClusterConfig::small_for_tests());
-    let uni = Rect::new(0.0, 0.0, 500.0, 500.0);
-    upload(&dfs, "/l", &rects(800, &uni, 10.0, 1)).unwrap();
-    upload(&dfs, "/r", &rects(800, &uni, 10.0, 2)).unwrap();
+    two_rect_files(&dfs);
     let a = build_index::<Rect>(&dfs, "/l", "/ia", PartitionKind::Grid)
         .unwrap()
         .value;
@@ -115,4 +121,63 @@ fn phase_histogram_p99_is_sane() {
     // renders for small jobs.
     assert!(h.count() < 100, "test workload stays under 100 map tasks");
     assert_eq!(p99, max);
+}
+
+/// The counters an op's driver adds after its job ran are part of the
+/// job's profile, so `PROFILE` shows every counter `OpResult::counter`
+/// sees.
+fn assert_in_profile<T>(r: &OpResult<T>, op: &str, keys: &[&str]) {
+    let p = r.profile(op);
+    for &key in keys {
+        assert_eq!(p.counters.get(key), Some(&r.counter(key)), "{op}: {key}");
+    }
+}
+
+#[test]
+fn driver_counters_reach_the_profile() {
+    let dfs = Dfs::new(ClusterConfig::small_for_tests());
+    let file = indexed_points(&dfs);
+    let query = Rect::new(100_000.0, 100_000.0, 200_000.0, 200_000.0);
+    let r = range::range_spatial::<Point>(&dfs, &file, &query, "/out/range").unwrap();
+    assert_in_profile(&r, "range", &["range.partitions.pruned"]);
+    let r = convex_hull::hull_spatial(&dfs, &file).unwrap();
+    assert_in_profile(&r, "hull", &["hull.partitions.pruned"]);
+    let r = skyline::skyline_spatial(&dfs, &file).unwrap();
+    assert_in_profile(&r, "skyline", &["skyline.partitions.pruned"]);
+    let r = farthest_pair::farthest_pair_spatial(&dfs, &file).unwrap();
+    assert_in_profile(&r, "fp", &["fp.partitions.pruned"]);
+    let r = farthest_pair::farthest_pair_pairs(&dfs, &file).unwrap();
+    assert_in_profile(&r, "fp", &["fp.pairs.considered", "fp.pairs.processed"]);
+
+    two_rect_files(&dfs);
+    let a = build_index::<Rect>(&dfs, "/l", "/ia", PartitionKind::Grid)
+        .unwrap()
+        .value;
+    let b = build_index::<Rect>(&dfs, "/r", "/ib", PartitionKind::Grid)
+        .unwrap()
+        .value;
+    let j = join::distributed_join(&dfs, &a, &b, "/out/join").unwrap();
+    assert_in_profile(
+        &j,
+        "join",
+        &["join.pairs.considered", "join.pairs.processed"],
+    );
+}
+
+#[test]
+fn a_join_profile_shows_the_pairs_it_considered() {
+    let dfs = Dfs::new(ClusterConfig::small_for_tests());
+    two_rect_files(&dfs);
+    let out = run_script(
+        &dfs,
+        "l = LOAD '/l' AS RECTANGLE;\n\
+         r = LOAD '/r' AS RECTANGLE;\n\
+         a = INDEX l AS grid INTO '/ia';\n\
+         b = INDEX r AS grid INTO '/ib';\n\
+         PROFILE j = JOIN a, b PREDICATE Overlaps;",
+    )
+    .unwrap();
+    let text = out.join("\n");
+    assert!(text.contains("join.pairs.considered"), "{text}");
+    assert!(text.contains("join.pairs.processed"), "{text}");
 }
