@@ -960,8 +960,8 @@ pub fn a5_stragglers() -> Table {
             let mut cfg = crate::cluster(BLOCK);
             cfg.stragglers = stragglers;
             cfg.straggler_slowdown = 4.0;
-            cfg.speculative_execution = speculative;
             let dfs = Dfs::new(cfg);
+            dfs.update_ft_options(|ft| ft.speculative_execution = speculative);
             let _ = load_points(&dfs, "/heap", 200_000, Distribution::Uniform, 85);
             let q = Rect::new(0.0, 0.0, 1_000_000.0, 1_000_000.0);
             let r = range::range_hadoop::<Point>(&dfs, "/heap", &q, "/oa5").unwrap();
@@ -1000,6 +1000,29 @@ mod tests {
         }
         assert!(run("E99").is_none());
         assert!(run("A9").is_none());
+    }
+
+    #[test]
+    fn runtime_speculation_reaches_the_cost_model() {
+        // On a straggler cluster, `SET speculative true;` must change what
+        // the map phase is charged, not only what the executor runs: both
+        // read the job's one policy snapshot.
+        let map_seconds = |set: &str| {
+            let mut cfg = crate::cluster(BLOCK);
+            cfg.stragglers = 1;
+            cfg.straggler_slowdown = 10.0;
+            let dfs = Dfs::new(cfg);
+            sh_pigeon::run_script(&dfs, set).unwrap();
+            let _ = load_points(&dfs, "/heap", 20_000, Distribution::Uniform, 85);
+            let q = Rect::new(0.0, 0.0, 1_000_000.0, 1_000_000.0);
+            let r = range::range_hadoop::<Point>(&dfs, "/heap", &q, "/out").unwrap();
+            r.jobs[0].profile.phase_seconds("map")
+        };
+        let off = map_seconds("SET speculative false;");
+        let on = map_seconds("SET speculative true;");
+        // Without a backup the straggler costs 10x; with one, at most 2x.
+        // Host compute time moves both by far less than half.
+        assert!(on < 0.5 * off, "speculation on: {on} s, off: {off} s");
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Cluster topology and performance parameters.
 
-use crate::fault::{FaultPlan, FtOptions};
-
 /// Identifier of a cluster node (datanode + task tracker), `0..num_nodes`.
 pub type NodeId = usize;
 
@@ -15,6 +13,11 @@ pub type NodeId = usize;
 /// Tests and laptop-scale experiments shrink `block_size` so that the
 /// *number of partitions* matches cluster-scale shapes at small data
 /// sizes (see DESIGN.md §2).
+///
+/// Only the cluster's shape lives here. The fault-tolerance policy
+/// (attempts, blacklisting, backoff, speculation, injected faults) is a
+/// [`FtOptions`](crate::FtOptions) held by the [`Dfs`](crate::Dfs), and
+/// the live pool size is its [`SlotPool`](crate::SlotPool).
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Number of worker nodes.
@@ -52,30 +55,10 @@ pub struct ClusterConfig {
     pub stragglers: usize,
     /// Slowdown factor applied to straggler nodes (>= 1).
     pub straggler_slowdown: f64,
-    /// Speculative execution: when a straggler task falls behind, a
-    /// backup attempt launches on a healthy node once the expected task
-    /// time has elapsed, and the first finisher wins — Hadoop's
-    /// straggler mitigation, modelled as
-    /// `min(straggler time, 2x healthy time)` in the cost model and run
-    /// for real by the executor (duplicate attempt, first finisher
-    /// wins, loser cancelled).
-    pub speculative_execution: bool,
-    /// Attempts per task (first run + retries) before the job fails —
-    /// Hadoop's `mapreduce.map.maxattempts`, default 4.
-    pub max_task_attempts: usize,
-    /// Failed attempts on one node before the scheduler blacklists the
-    /// node for the rest of the job and asks the DFS to re-replicate.
-    pub node_blacklist_threshold: usize,
-    /// Executor worker threads; `None` uses `available_parallelism()`.
+    /// Initial size of the cluster's worker-slot pool; `None` uses
+    /// `available_parallelism()`. The [`SlotPool`](crate::SlotPool) is
+    /// the live record (Pigeon `SET worker_threads` resizes it).
     pub worker_threads: Option<usize>,
-    /// Deterministic retry backoff: attempt `a` waits `a * backoff` ms
-    /// of wall time before re-running.
-    pub retry_backoff_ms: u64,
-    /// A running task becomes a speculation candidate once it has been
-    /// in flight this long with the task queue empty.
-    pub speculation_threshold_ms: u64,
-    /// Injected faults for chaos testing (empty = no faults).
-    pub fault_plan: FaultPlan,
 }
 
 impl Default for ClusterConfig {
@@ -95,13 +78,7 @@ impl Default for ClusterConfig {
             locality_scheduling: true,
             stragglers: 0,
             straggler_slowdown: 1.0,
-            speculative_execution: false,
-            max_task_attempts: 4,
-            node_blacklist_threshold: 3,
             worker_threads: None,
-            retry_backoff_ms: 5,
-            speculation_threshold_ms: 30,
-            fault_plan: FaultPlan::default(),
         }
     }
 }
@@ -142,21 +119,6 @@ impl ClusterConfig {
     /// Total reduce slots in the cluster.
     pub fn total_reduce_slots(&self) -> usize {
         self.num_nodes * self.reduce_slots_per_node
-    }
-
-    /// Initial fault-tolerance policy derived from the static config;
-    /// the [`Dfs`](crate::Dfs) copies this into a mutable cell so it can
-    /// be adjusted between jobs (Pigeon `SET ...`).
-    pub fn ft_options(&self) -> FtOptions {
-        FtOptions {
-            max_task_attempts: self.max_task_attempts.max(1),
-            node_blacklist_threshold: self.node_blacklist_threshold.max(1),
-            worker_threads: self.worker_threads,
-            retry_backoff_ms: self.retry_backoff_ms,
-            speculative_execution: self.speculative_execution,
-            speculation_threshold_ms: self.speculation_threshold_ms,
-            fault_plan: self.fault_plan.clone(),
-        }
     }
 
     /// Simulated speed factor of a node (stragglers are slower).

@@ -8,10 +8,11 @@
 //! well-defined points (wave boundary, attempt start).
 //!
 //! [`FtOptions`] carries the execution policy itself (attempt limits,
-//! blacklist threshold, speculation knobs). It is seeded from
-//! [`ClusterConfig`](crate::ClusterConfig) but lives in a mutable cell
-//! on the [`Dfs`](crate::Dfs) so a running session (e.g. a Pigeon
-//! `SET retries 5;`) can adjust it between jobs.
+//! blacklist threshold, speculation knobs). It is the policy's only
+//! record: it lives in a mutable cell on the [`Dfs`](crate::Dfs) so a
+//! running session (e.g. a Pigeon `SET retries 5;`) can adjust it
+//! between jobs, and each job reads one snapshot for both its executor
+//! and its cost model.
 
 use std::fmt;
 use std::time::Duration;
@@ -244,28 +245,45 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// Fault-tolerance policy of the job executor. Initialized from
-/// [`ClusterConfig`](crate::ClusterConfig), adjustable at runtime via
-/// [`Dfs::update_ft_options`](crate::Dfs::update_ft_options).
+/// Fault-tolerance policy of the job executor and of its cost model:
+/// the one record of it, held by the [`Dfs`](crate::Dfs) and adjusted at
+/// runtime via [`Dfs::update_ft_options`](crate::Dfs::update_ft_options).
+/// Each job reads one snapshot, so what runs and what is charged follow
+/// the same policy.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FtOptions {
-    /// Attempts per task (first run + retries) before the job fails.
+    /// Attempts per task (first run + retries) before the job fails —
+    /// Hadoop's `mapreduce.map.maxattempts`. At least 1.
     pub max_task_attempts: usize,
     /// Failed attempts on one node before it is blacklisted for the job
-    /// (and the DFS re-replicates blocks off dead nodes).
+    /// (and the DFS re-replicates blocks off dead nodes). At least 1.
     pub node_blacklist_threshold: usize,
-    /// Executor worker threads; `None` uses `available_parallelism()`.
-    pub worker_threads: Option<usize>,
     /// Deterministic retry backoff: attempt `a` waits `a * backoff` ms
-    /// before re-running.
+    /// of wall time before re-running.
     pub retry_backoff_ms: u64,
-    /// Launch speculative duplicates of stragglers when idle.
+    /// Speculative execution: once the queue drains, a straggling task
+    /// gets a backup attempt on a healthy node and the first finisher
+    /// wins — Hadoop's straggler mitigation. The cost model charges it
+    /// as `min(straggler time, 2x healthy time)`.
     pub speculative_execution: bool,
     /// A running task becomes a speculation candidate once it has been
     /// in flight this long and the task queue is empty.
     pub speculation_threshold_ms: u64,
     /// Injected faults for the next jobs (chaos testing).
     pub fault_plan: FaultPlan,
+}
+
+impl Default for FtOptions {
+    fn default() -> Self {
+        FtOptions {
+            max_task_attempts: 4,
+            node_blacklist_threshold: 3,
+            retry_backoff_ms: 5,
+            speculative_execution: false,
+            speculation_threshold_ms: 30,
+            fault_plan: FaultPlan::default(),
+        }
+    }
 }
 
 #[cfg(test)]

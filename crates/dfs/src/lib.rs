@@ -24,8 +24,9 @@
 //! back to surviving replicas and fail only when every replica is gone.
 //! [`FaultPlan`] describes deterministic injected faults (task failures,
 //! wave-boundary node kills, straggler delays) that the job executor in
-//! `sh-mapreduce` applies, and [`FtOptions`] the retry/blacklist/
-//! speculation policy it follows.
+//! `sh-mapreduce` applies, and [`FtOptions`] is the one record of the
+//! retry/blacklist/speculation policy its executor follows and its cost
+//! model charges.
 
 #![forbid(unsafe_code)]
 

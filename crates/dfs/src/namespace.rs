@@ -124,8 +124,7 @@ impl Dfs {
     pub fn new(config: ClusterConfig) -> Dfs {
         let alive = vec![true; config.num_nodes];
         let rng = StdRng::seed_from_u64(config.placement_seed);
-        let ft = config.ft_options();
-        let slots = default_slot_count(ft.worker_threads);
+        let slots = SlotPool::count_for(config.worker_threads);
         Dfs {
             config: Arc::new(config),
             inner: Arc::new(Mutex::new(Inner {
@@ -137,7 +136,7 @@ impl Dfs {
                 rng,
             })),
             metrics: Arc::new(DfsMetrics::default()),
-            ft: Arc::new(Mutex::new(ft)),
+            ft: Arc::new(Mutex::new(FtOptions::default())),
             cache: Arc::new(BlockCache::default()),
             slots: Arc::new(SlotPool::new(slots)),
         }
@@ -169,17 +168,13 @@ impl Dfs {
     }
 
     /// Adjusts the fault-tolerance policy in place (Pigeon `SET ...`,
-    /// chaos tests installing a [`crate::FaultPlan`]). A change to
-    /// `worker_threads` resizes the global slot pool to match.
+    /// chaos tests installing a [`crate::FaultPlan`]). Attempt and
+    /// blacklist limits are kept at least 1.
     pub fn update_ft_options(&self, f: impl FnOnce(&mut FtOptions)) {
         let mut ft = lock(&self.ft);
-        let before = ft.worker_threads;
         f(&mut ft);
-        let after = ft.worker_threads;
-        drop(ft);
-        if before != after {
-            self.slots.set_total(default_slot_count(after));
-        }
+        ft.max_task_attempts = ft.max_task_attempts.max(1);
+        ft.node_blacklist_threshold = ft.node_blacklist_threshold.max(1);
     }
 
     /// The I/O counters.
@@ -695,18 +690,6 @@ impl Dfs {
         self.metrics.record_write(len);
         Ok(())
     }
-}
-
-/// Slot-pool size for a `worker_threads` setting: the configured count,
-/// or every core when unset.
-fn default_slot_count(worker_threads: Option<usize>) -> usize {
-    worker_threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-        .max(1)
 }
 
 /// Restores the replication factor of one block from its surviving live

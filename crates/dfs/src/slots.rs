@@ -48,6 +48,19 @@ impl SlotPool {
         }
     }
 
+    /// Pool size for a `worker_threads` setting: the given count, or
+    /// every core when `None`. Sizes the pool at [`Dfs::new`](crate::Dfs::new)
+    /// and on Pigeon's `SET worker_threads`.
+    pub fn count_for(worker_threads: Option<usize>) -> usize {
+        worker_threads
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(4)
+            })
+            .max(1)
+    }
+
     /// Blocks until a slot is free, then leases it. The lease returns
     /// the slot on drop.
     pub fn acquire(self: &Arc<Self>) -> SlotLease {

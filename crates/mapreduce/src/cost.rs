@@ -18,7 +18,7 @@
 //! (Hadoop overlaps them partially; the additive model preserves ordering
 //! between algorithm variants, which is all the experiments compare).
 
-use sh_dfs::ClusterConfig;
+use sh_dfs::{ClusterConfig, FtOptions};
 use sh_trace::JobProfile;
 
 /// Cost inputs of one executed task.
@@ -39,16 +39,16 @@ pub struct TaskCost {
 impl TaskCost {
     /// Simulated duration of this task on the cluster (stragglers run
     /// their I/O and compute proportionally slower; with speculative
-    /// execution a backup attempt on a healthy node caps the damage at
-    /// twice the healthy duration).
-    pub fn duration(&self, cfg: &ClusterConfig) -> f64 {
+    /// execution in the job's policy `ft` a backup attempt on a healthy
+    /// node caps the damage at twice the healthy duration).
+    pub fn duration(&self, cfg: &ClusterConfig, ft: &FtOptions) -> f64 {
         let remote_bw = cfg.network_bandwidth / cfg.network_oversubscription.max(1.0);
         let variable = self.local_bytes as f64 / cfg.disk_bandwidth
             + self.remote_bytes as f64 / remote_bw
             + self.output_bytes as f64 / cfg.disk_bandwidth
             + self.compute_seconds;
         let slow = cfg.node_slowdown(self.node);
-        let effective = if cfg.speculative_execution && slow > 1.0 {
+        let effective = if ft.speculative_execution && slow > 1.0 {
             (slow * variable).min(2.0 * variable + cfg.task_startup_overhead)
         } else {
             slow * variable
@@ -101,7 +101,13 @@ impl SimBreakdown {
 /// Makespan of `tasks` on `slots_per_node` slots across the nodes the
 /// tasks are pinned to (tasks were already assigned to nodes by the
 /// locality scheduler): greedy LPT onto each node's slot timelines.
-pub fn makespan(tasks: &[TaskCost], cfg: &ClusterConfig, slots_per_node: usize) -> f64 {
+/// `ft` is the policy snapshot the job ran under.
+pub fn makespan(
+    tasks: &[TaskCost],
+    cfg: &ClusterConfig,
+    ft: &FtOptions,
+    slots_per_node: usize,
+) -> f64 {
     if tasks.is_empty() {
         return 0.0;
     }
@@ -110,7 +116,7 @@ pub fn makespan(tasks: &[TaskCost], cfg: &ClusterConfig, slots_per_node: usize) 
     let n = cfg.num_nodes.max(1);
     let mut per_node: Vec<Vec<f64>> = vec![Vec::new(); n];
     for t in tasks {
-        per_node[t.node % n].push(t.duration(cfg));
+        per_node[t.node % n].push(t.duration(cfg, ft));
     }
     let mut worst: f64 = 0.0;
     for durations in per_node.iter_mut() {
@@ -158,6 +164,10 @@ mod tests {
         }
     }
 
+    fn ft() -> FtOptions {
+        FtOptions::default()
+    }
+
     #[test]
     fn task_duration_charges_bandwidths() {
         let t = TaskCost {
@@ -167,7 +177,7 @@ mod tests {
             output_bytes: 100, // 1s at 100 B/s
             compute_seconds: 0.5,
         };
-        assert!((t.duration(&cfg()) - (1.0 + 2.0 + 2.0 + 1.0 + 0.5)).abs() < 1e-12);
+        assert!((t.duration(&cfg(), &ft()) - (1.0 + 2.0 + 2.0 + 1.0 + 0.5)).abs() < 1e-12);
     }
 
     #[test]
@@ -180,7 +190,7 @@ mod tests {
             ..TaskCost::default()
         };
         let tasks = vec![t; 4];
-        let m = makespan(&tasks, &cfg(), 2);
+        let m = makespan(&tasks, &cfg(), &ft(), 2);
         assert!((m - 2.0 * (1.0 + 1.0)).abs() < 1e-12); // 2 waves × (startup+compute)
     }
 
@@ -192,13 +202,13 @@ mod tests {
             ..TaskCost::default()
         };
         let tasks = vec![mk(0, 1.0), mk(1, 5.0)];
-        let m = makespan(&tasks, &cfg(), 2);
+        let m = makespan(&tasks, &cfg(), &ft(), 2);
         assert!((m - 6.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_job_costs_nothing_beyond_startup() {
-        assert_eq!(makespan(&[], &cfg(), 2), 0.0);
+        assert_eq!(makespan(&[], &cfg(), &ft(), 2), 0.0);
         assert_eq!(shuffle_time(0, &cfg()), 0.0);
     }
 
@@ -211,7 +221,7 @@ mod tests {
             remote_bytes: 100, // 2s at 50 B/s point-to-point, 8s shared
             ..TaskCost::default()
         };
-        assert!((t.duration(&c) - (1.0 + 8.0)).abs() < 1e-12);
+        assert!((t.duration(&c, &ft()) - (1.0 + 8.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -224,10 +234,18 @@ mod tests {
             compute_seconds: 1.0,
             ..TaskCost::default()
         };
-        assert!((t.duration(&c) - 11.0).abs() < 1e-12, "no speculation: 10x");
-        c.speculative_execution = true;
+        let mut ft = ft();
+        assert!(
+            (t.duration(&c, &ft) - 11.0).abs() < 1e-12,
+            "no speculation: 10x"
+        );
+        ft.speculative_execution = true;
         // Backup attempt: startup + min(10, 2 + startup) = 1 + 3.
-        assert!((t.duration(&c) - 4.0).abs() < 1e-12, "{}", t.duration(&c));
+        assert!(
+            (t.duration(&c, &ft) - 4.0).abs() < 1e-12,
+            "{}",
+            t.duration(&c, &ft)
+        );
     }
 
     #[test]
@@ -241,8 +259,8 @@ mod tests {
             ..TaskCost::default()
         };
         // Same work, straggler node pays 4x the variable part.
-        assert!((t(0).duration(&c) - (1.0 + 4.0)).abs() < 1e-12);
-        assert!((t(1).duration(&c) - (1.0 + 1.0)).abs() < 1e-12);
+        assert!((t(0).duration(&c, &ft()) - (1.0 + 4.0)).abs() < 1e-12);
+        assert!((t(1).duration(&c, &ft()) - (1.0 + 1.0)).abs() < 1e-12);
     }
 
     #[test]

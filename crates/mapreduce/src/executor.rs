@@ -441,7 +441,7 @@ impl<'a, T: Send> WaveRunner<'a, T> {
         // so a backing-off retry doesn't occupy cluster capacity.
         if attempt > 0 && !speculative && self.opts.retry_backoff_ms > 0 {
             std::thread::sleep(Duration::from_millis(
-                self.opts.retry_backoff_ms * attempt as u64,
+                self.opts.retry_backoff_ms.saturating_mul(attempt as u64),
             ));
         }
         // Every attempt — first runs, retries, speculative backups —
@@ -726,7 +726,7 @@ where
         ..PhaseProfile::new("startup")
     };
     let map = PhaseProfile {
-        sim_seconds: makespan(&map_costs, &cfg, cfg.map_slots_per_node),
+        sim_seconds: makespan(&map_costs, &cfg, &opts, cfg.map_slots_per_node),
         tasks: n_tasks as u64,
         task_micros: map_task_micros,
         ..PhaseProfile::new("map")
@@ -804,7 +804,7 @@ where
             fold.task("output.reduce.bytes", out, &mut cost);
             reduce_costs.push(cost);
         }
-        reduce.sim_seconds = makespan(&reduce_costs, &cfg, cfg.reduce_slots_per_node);
+        reduce.sim_seconds = makespan(&reduce_costs, &cfg, &opts, cfg.reduce_slots_per_node);
         reduce.tasks = reduce_costs.len() as u64;
         counters.inc_static("reduce.tasks", reduce.tasks);
     }
@@ -1539,7 +1539,7 @@ mod tests {
     #[test]
     fn values_reach_reduce_in_emission_order_also_on_attempt_two() {
         let run = |panics: usize| {
-            let fs = Dfs::new(chaos_config());
+            let fs = chaos_dfs(ClusterConfig::small_for_tests(), |_| {});
             wordcount_input(&fs, 4000); // several blocks → several map tasks
             let outcome = JobBuilder::new(&fs, "order")
                 .input_file("/in")
@@ -1802,19 +1802,22 @@ mod tests {
 
     // ---- fault-tolerance unit tests ----------------------------------
 
-    /// A config with fast retries for fault tests.
-    fn chaos_config() -> ClusterConfig {
-        ClusterConfig {
-            retry_backoff_ms: 0,
-            ..ClusterConfig::small_for_tests()
-        }
+    /// A DFS over `cfg` with fast retries for fault tests; `f` sets the
+    /// rest of its fault-tolerance policy.
+    fn chaos_dfs(cfg: ClusterConfig, f: impl FnOnce(&mut FtOptions)) -> Dfs {
+        let fs = Dfs::new(cfg);
+        fs.update_ft_options(|ft| {
+            ft.retry_backoff_ms = 0;
+            f(ft);
+        });
+        fs
     }
 
     #[test]
     fn injected_task_failure_is_retried_and_job_succeeds() {
-        let mut cfg = chaos_config();
-        cfg.fault_plan = sh_dfs::FaultPlan::none().fail_task(0, 0).fail_task(0, 1);
-        let fs = Dfs::new(cfg);
+        let fs = chaos_dfs(ClusterConfig::small_for_tests(), |ft| {
+            ft.fault_plan = sh_dfs::FaultPlan::none().fail_task(0, 0).fail_task(0, 1);
+        });
         wordcount_input(&fs, 1000);
         let outcome = JobBuilder::new(&fs, "retry")
             .input_file("/in")
@@ -1838,14 +1841,14 @@ mod tests {
 
     #[test]
     fn attempts_exhausted_keeps_first_error() {
-        let mut cfg = chaos_config();
-        cfg.max_task_attempts = 2;
-        cfg.fault_plan = sh_dfs::FaultPlan::none()
-            .fail_task(0, 0)
-            .fail_task(0, 1)
-            .fail_task(1, 0)
-            .fail_task(1, 1);
-        let fs = Dfs::new(cfg);
+        let fs = chaos_dfs(ClusterConfig::small_for_tests(), |ft| {
+            ft.max_task_attempts = 2;
+            ft.fault_plan = sh_dfs::FaultPlan::none()
+                .fail_task(0, 0)
+                .fail_task(0, 1)
+                .fail_task(1, 0)
+                .fail_task(1, 1);
+        });
         wordcount_input(&fs, 2000);
         let err = JobBuilder::new(&fs, "doomed")
             .input_file("/in")
@@ -1865,12 +1868,12 @@ mod tests {
 
     #[test]
     fn repeated_failures_blacklist_the_node() {
-        let mut cfg = chaos_config();
-        cfg.node_blacklist_threshold = 1;
-        // Kill node 0 at the wave boundary: every task scheduled there
-        // fails once, the node is blacklisted, the DFS re-replicates.
-        cfg.fault_plan = sh_dfs::FaultPlan::none().kill_node(0);
-        let fs = Dfs::new(cfg);
+        let fs = chaos_dfs(ClusterConfig::small_for_tests(), |ft| {
+            ft.node_blacklist_threshold = 1;
+            // Kill node 0 at the wave boundary: every task scheduled there
+            // fails once, the node is blacklisted, the DFS re-replicates.
+            ft.fault_plan = sh_dfs::FaultPlan::none().kill_node(0);
+        });
         wordcount_input(&fs, 3000);
         let outcome = JobBuilder::new(&fs, "blacklist")
             .input_file("/in")
@@ -1896,14 +1899,17 @@ mod tests {
 
     #[test]
     fn speculative_backup_beats_injected_straggler() {
-        let mut cfg = chaos_config();
-        cfg.speculative_execution = true;
-        cfg.speculation_threshold_ms = 10;
         // Speculation needs an idle worker while the straggler runs, so
         // don't let a 1-core machine shrink the pool to a single thread.
-        cfg.worker_threads = Some(4);
-        cfg.fault_plan = sh_dfs::FaultPlan::none().delay_task(0, 2_000);
-        let fs = Dfs::new(cfg);
+        let cfg = ClusterConfig {
+            worker_threads: Some(4),
+            ..ClusterConfig::small_for_tests()
+        };
+        let fs = chaos_dfs(cfg, |ft| {
+            ft.speculative_execution = true;
+            ft.speculation_threshold_ms = 10;
+            ft.fault_plan = sh_dfs::FaultPlan::none().delay_task(0, 2_000);
+        });
         wordcount_input(&fs, 2000);
         let t0 = Instant::now();
         let outcome = JobBuilder::new(&fs, "speculate")
@@ -1932,9 +1938,10 @@ mod tests {
 
     #[test]
     fn worker_pool_size_is_configurable() {
-        let mut cfg = chaos_config();
-        cfg.worker_threads = Some(1);
-        let fs = Dfs::new(cfg);
+        let fs = Dfs::new(ClusterConfig {
+            worker_threads: Some(1),
+            ..ClusterConfig::small_for_tests()
+        });
         wordcount_input(&fs, 1000);
         let outcome = JobBuilder::new(&fs, "single-threaded")
             .input_file("/in")
@@ -1954,13 +1961,12 @@ mod tests {
         assert_eq!(wave_threads(&fs, &opts, 1_000), 1);
         // And the default is uncapped available_parallelism (regression:
         // the pool used to be hard-capped at 8 threads).
-        let auto_fs = Dfs::new(chaos_config());
+        let auto_fs = Dfs::new(ClusterConfig::small_for_tests());
         let auto = wave_threads(&auto_fs, &auto_fs.ft_options(), 1_000);
         let cores = std::thread::available_parallelism().unwrap().get();
         assert_eq!(auto, cores.min(1_000));
-        // Resizing worker_threads at runtime resizes the pool.
-        fs.update_ft_options(|ft| ft.worker_threads = Some(3));
-        assert_eq!(fs.slots().total(), 3);
+        // Resizing the pool at runtime resizes the waves.
+        fs.slots().set_total(3);
         assert_eq!(wave_threads(&fs, &fs.ft_options(), 1_000), 3);
     }
 }

@@ -39,7 +39,7 @@ pub enum SchedPolicy {
 }
 
 impl SchedPolicy {
-    /// Parses `fifo` / `fair` (Pigeon `SET sched_policy`).
+    /// Parses `fifo` / `fair` (`sh-server --policy`).
     pub fn parse(text: &str) -> Result<SchedPolicy, String> {
         match text.trim().to_ascii_lowercase().as_str() {
             "fifo" => Ok(SchedPolicy::Fifo),
@@ -256,11 +256,6 @@ impl JobScheduler {
                 cv: Condvar::new(),
             }),
         }
-    }
-
-    /// The admission config this scheduler was built with.
-    pub fn config(&self) -> SchedConfig {
-        self.inner.cfg
     }
 
     /// Submits a job under the default tenant. The closure runs on a
@@ -706,6 +701,14 @@ mod tests {
             pos_b <= 1,
             "fair share must admit b1 before a's backlog drains: {order:?}"
         );
+    }
+
+    #[test]
+    fn policy_names_parse_and_unknown_ones_are_rejected() {
+        // `sh-server --policy` goes through this parser.
+        assert_eq!(SchedPolicy::parse("fifo"), Ok(SchedPolicy::Fifo));
+        assert_eq!(SchedPolicy::parse("Fair"), Ok(SchedPolicy::FairShare));
+        assert!(SchedPolicy::parse("roundrobin").is_err());
     }
 
     #[test]

@@ -13,13 +13,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use sh_core::ops;
 use sh_core::storage;
 use sh_core::{OpError, OpResult, SpatialFile};
-use sh_dfs::{Dfs, FaultPlan};
+use sh_dfs::{Dfs, FaultPlan, SlotPool};
 use sh_geom::algorithms::closest_pair::PointPair;
 use sh_geom::{Point, Polygon, Record, Rect};
-use sh_mapreduce::{JobHandle, JobScheduler, Rows, SchedConfig, SchedPolicy};
+use sh_mapreduce::{JobHandle, JobScheduler, Rows, SchedConfig};
 use sh_trace::{Event, JobProfile, Sampler, Waterfall};
 
 use crate::ast::{RecordType, Script, ScrubTarget, Stmt};
+
+/// Largest `SET retry_backoff_ms` a client may set: one minute.
+const MAX_RETRY_BACKOFF_MS: u64 = 60_000;
 
 /// Evaluates `$body` with the type `$R` bound to the record type that
 /// `$rtype` names: the one place a [`RecordType`] becomes a type
@@ -110,14 +113,10 @@ pub struct Pigeon {
     /// points ([`Pigeon::execute`], [`crate::run_script`]); servers hand
     /// [`Pigeon::execute_with`] one [`SessionCtx`] per connection.
     session: SessionCtx,
-    /// Multi-job scheduler, created by the first `SUBMIT` (or shared
-    /// across engines via [`Pigeon::with_scheduler`]).
+    /// Multi-job scheduler, created with the default [`SchedConfig`] by
+    /// the first scheduled statement (or shared across engines via
+    /// [`Pigeon::with_scheduler`]).
     sched: Option<JobScheduler>,
-    /// Why `sched` exists, as a late `SET sched_*` is told.
-    sched_origin: &'static str,
-    /// Admission config the scheduler is created with (`SET sched_*`
-    /// before the first `SUBMIT`).
-    sched_cfg: SchedConfig,
     /// Time-series sampler over the global registry, started lazily by
     /// the first `STATS;`, so an engine that never asks runs no sampling
     /// thread.
@@ -301,8 +300,6 @@ impl Pigeon {
             dfs: dfs.clone(),
             session: SessionCtx::default(),
             sched: None,
-            sched_origin: "",
-            sched_cfg: SchedConfig::default(),
             sampler: None,
             scrubber: None,
         }
@@ -310,24 +307,20 @@ impl Pigeon {
 
     /// Creates an engine that shares an existing scheduler instead of
     /// lazily creating its own — how the server gives every connection
-    /// one admission-controlled queue. `SET sched_*` knobs are rejected
-    /// on such engines (the scheduler already exists).
+    /// one admission-controlled queue. A scheduler is configured where it
+    /// is built ([`JobScheduler::new`]); to run with other admission
+    /// settings, build one and pass it here.
     pub fn with_scheduler(dfs: &Dfs, sched: &JobScheduler) -> Pigeon {
         Pigeon {
             sched: Some(sched.clone()),
-            sched_origin: "cannot change the scheduler every session shares, \
-                           which is fixed when the server starts",
             ..Pigeon::new(dfs)
         }
     }
 
-    /// The engine's scheduler, created on first use; `origin` says what
-    /// created it.
-    fn scheduler(&mut self, origin: &'static str) -> &JobScheduler {
-        self.sched.get_or_insert_with(|| {
-            self.sched_origin = origin;
-            JobScheduler::new(&self.dfs, self.sched_cfg)
-        })
+    /// The engine's scheduler, created on first use.
+    fn scheduler(&mut self) -> &JobScheduler {
+        self.sched
+            .get_or_insert_with(|| JobScheduler::new(&self.dfs, SchedConfig::default()))
     }
 
     /// Looks up a bound value in the engine's own session.
@@ -375,9 +368,7 @@ impl Pigeon {
         if job_inputs(stmt).is_none() {
             return Ok(Admission::Done(self.execute_stmt(sess, stmt)?));
         }
-        let sched = self
-            .scheduler("must precede the first scheduled statement")
-            .clone();
+        let sched = self.scheduler().clone();
         match sched.submit_as(tenant, stmt_verb(stmt), scheduled(stmt, &sess.vars)) {
             Ok(handle) => Ok(Admission::Pending(StmtTicket { sched, handle })),
             Err(sh_mapreduce::SchedError::QueueFull) => Ok(Admission::Busy),
@@ -464,7 +455,7 @@ impl Pigeon {
                 let ran = job_inputs(inner)
                     .is_none()
                     .then(|| self.run(sess, inner).map_err(|e| e.to_string()));
-                let sched = self.scheduler("must precede the first SUBMIT");
+                let sched = self.scheduler();
                 let submitted = match ran {
                     Some(out) => sched.submit(name, move |_: &Dfs| out),
                     None => sched.submit(name, scheduled(inner, &sess.vars)),
@@ -498,18 +489,6 @@ impl Pigeon {
         })
     }
 
-    /// Admission knobs configure the scheduler at creation; changing
-    /// them afterwards would silently not apply.
-    fn require_no_scheduler(&self, key: &str) -> Result<(), PigeonError> {
-        match self.sched {
-            Some(_) => Err(PigeonError::Type(format!(
-                "SET {key} {}",
-                self.sched_origin
-            ))),
-            None => Ok(()),
-        }
-    }
-
     /// Applies a `SET <option> <value>;`. Most knobs configure the
     /// cluster (shared by every session); `slow_query_ms` and
     /// `result_limit` are session-local.
@@ -534,26 +513,35 @@ impl Pigeon {
             ))),
         };
         match key.to_ascii_lowercase().as_str() {
-            "retries" | "max_task_attempts" => {
-                let n = num(value)?.max(1) as usize;
+            "retries" => {
+                let n = num(value)? as usize;
                 self.dfs.update_ft_options(|ft| ft.max_task_attempts = n);
             }
-            "blacklist_threshold" | "node_blacklist_threshold" => {
-                let n = num(value)?.max(1) as usize;
+            "blacklist_threshold" => {
+                let n = num(value)? as usize;
                 self.dfs
                     .update_ft_options(|ft| ft.node_blacklist_threshold = n);
             }
             "worker_threads" => {
-                // 0 restores the default (available parallelism).
+                // Resizes the cluster's slot pool; 0 means every core.
                 let n = num(value)? as usize;
-                let threads = if n == 0 { None } else { Some(n) };
-                self.dfs.update_ft_options(|ft| ft.worker_threads = threads);
+                let count = SlotPool::count_for((n > 0).then_some(n));
+                self.dfs.slots().set_total(count);
             }
             "retry_backoff_ms" => {
+                // Bounded: a retrying attempt sleeps `attempt x backoff`
+                // while its job holds one of the scheduler's in-flight
+                // slots, so one client must not park that slot for years.
                 let ms = num(value)?;
+                if ms > MAX_RETRY_BACKOFF_MS {
+                    return Err(PigeonError::Type(format!(
+                        "SET retry_backoff_ms {ms} exceeds the bound of \
+                         {MAX_RETRY_BACKOFF_MS} ms"
+                    )));
+                }
                 self.dfs.update_ft_options(|ft| ft.retry_backoff_ms = ms);
             }
-            "speculative" | "speculative_execution" => {
+            "speculative" => {
                 let on = flag(value)?;
                 self.dfs
                     .update_ft_options(|ft| ft.speculative_execution = on);
@@ -567,25 +555,9 @@ impl Pigeon {
                 let plan = FaultPlan::parse(value).map_err(PigeonError::Type)?;
                 self.dfs.update_ft_options(|ft| ft.fault_plan = plan);
             }
-            "cache_budget" | "cache_budget_bytes" => {
+            "cache_budget" => {
                 // Byte budget of the per-node block cache; 0 disables it.
                 self.dfs.cache().set_budget(num(value)?);
-            }
-            "sched_slots" => {
-                // Cluster-wide worker-slot pool; shared by every job.
-                self.dfs.slots().set_total(num(value)?.max(1) as usize);
-            }
-            "sched_policy" => {
-                self.require_no_scheduler(key)?;
-                self.sched_cfg.policy = SchedPolicy::parse(value).map_err(PigeonError::Type)?;
-            }
-            "sched_max_inflight" => {
-                self.require_no_scheduler(key)?;
-                self.sched_cfg.max_in_flight = num(value)?.max(1) as usize;
-            }
-            "sched_queue_cap" => {
-                self.require_no_scheduler(key)?;
-                self.sched_cfg.queue_cap = num(value)?.max(1) as usize;
             }
             "telemetry_log" => {
                 // JSONL sink for the event journal; `none`/`off` detaches.
@@ -602,20 +574,16 @@ impl Pigeon {
                 // 0 disables the slow-query log. Session-local.
                 sess.slow_query_ms = num(value)?;
             }
-            "result_limit" | "result_limit_rows" => {
+            "result_limit" => {
                 // Per-session cap on rows a DUMP emits; 0 is unlimited.
                 sess.result_limit = num(value)? as usize;
             }
-            "scrub_interval" | "scrub_interval_ms" => {
-                // Background integrity scrubber period; 0 stops it. Runs
-                // through the job scheduler as the low-priority "scrub"
-                // tenant so fair-share keeps it from starving queries.
+            "scrub_interval" => {
+                // Background integrity scrubber period; 0 stops it.
                 let ms = num(value)?;
                 self.scrubber = None; // stop and join any previous one
                 if ms > 0 {
-                    let sched = self
-                        .scheduler("must precede SET scrub_interval, which starts the scheduler")
-                        .clone();
+                    let sched = self.scheduler().clone();
                     self.scrubber =
                         Some(Scrubber::start(sched, std::time::Duration::from_millis(ms)));
                 }
@@ -624,8 +592,7 @@ impl Pigeon {
                 return Err(PigeonError::Type(format!(
                     "unknown SET option {other} (expected retries, blacklist_threshold, \
                      worker_threads, retry_backoff_ms, speculative, \
-                     speculation_threshold_ms, cache_budget, fault_plan, \
-                     sched_slots, sched_policy, sched_max_inflight, sched_queue_cap, \
+                     speculation_threshold_ms, fault_plan, cache_budget, \
                      telemetry_log, slow_query_ms, result_limit, or scrub_interval)"
                 )))
             }
@@ -1229,9 +1196,12 @@ fn scheduled(
 
 /// Background integrity scrubber: one thread that periodically submits a
 /// whole-namespace scrub through the job scheduler under the "scrub"
-/// tenant. Fair-share admission keeps it from starving query jobs; a
-/// full queue just skips that round. Dropping the handle stops and joins
-/// the thread.
+/// tenant. The tenant has no priority: under the default FIFO policy a
+/// scrub queues behind every job submitted before it, and fair share
+/// applies only to a scheduler built with
+/// [`SchedPolicy::FairShare`](sh_mapreduce::SchedPolicy::FairShare)
+/// (`sh-server --policy fair`). A full queue just skips that round.
+/// Dropping the handle stops and joins the thread.
 struct Scrubber {
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -1522,16 +1492,27 @@ mod tests {
         let ft = dfs.ft_options();
         assert_eq!(ft.max_task_attempts, 6);
         assert_eq!(ft.node_blacklist_threshold, 2);
-        assert_eq!(ft.worker_threads, Some(3));
+        assert_eq!(dfs.slots().total(), 3);
         assert!(ft.speculative_execution);
         assert_eq!(ft.speculation_threshold_ms, 99);
         assert_eq!(ft.retry_backoff_ms, 0);
         assert_eq!(ft.fault_plan.to_string(), "fail:0@0;kill:1");
-        // `worker_threads 0` restores auto; `fault_plan none` clears.
-        run_script(&dfs, "SET worker_threads 0;\nSET fault_plan none;").unwrap();
+        // `worker_threads 0` restores every core; `fault_plan none`
+        // clears; attempt and blacklist limits stay at least 1.
+        run_script(
+            &dfs,
+            "SET worker_threads 0;\n\
+             SET fault_plan none;\n\
+             SET retries 0;\n\
+             SET blacklist_threshold 0;",
+        )
+        .unwrap();
+        let cores = std::thread::available_parallelism().unwrap().get();
+        assert_eq!(dfs.slots().total(), cores);
         let ft = dfs.ft_options();
-        assert_eq!(ft.worker_threads, None);
         assert!(ft.fault_plan.is_empty());
+        assert_eq!(ft.max_task_attempts, 1);
+        assert_eq!(ft.node_blacklist_threshold, 1);
         // Unknown options and malformed values are type errors.
         assert!(matches!(
             run_script(&dfs, "SET frobnicate 1;"),
@@ -1636,48 +1617,54 @@ mod tests {
     }
 
     #[test]
-    fn sched_set_options_configure_scheduler_and_slots() {
+    fn removed_set_keys_are_unknown_options() {
+        // A scheduler is configured where it is built, the pool size has
+        // one key (`worker_threads`), and every key has one spelling.
         let (dfs, _) = dfs_with_points();
-        run_script(&dfs, "SET sched_slots 3;").unwrap();
-        assert_eq!(dfs.slots().total(), 3);
-        // Admission knobs must precede the first SUBMIT.
-        let err = run_script(
-            &dfs,
-            "p = LOAD '/data/points' AS POINT;\n\
-             SET sched_policy fair;\n\
-             SET sched_max_inflight 2;\n\
-             SET sched_queue_cap 8;\n\
-             SUBMIT s = SKYLINE p;\n\
-             WAIT 0;\n\
-             SET sched_policy fifo;",
-        )
-        .unwrap_err();
+        for set in [
+            "SET sched_slots 3;",
+            "SET sched_policy fair;",
+            "SET sched_max_inflight 2;",
+            "SET sched_queue_cap 8;",
+            "SET max_task_attempts 2;",
+            "SET node_blacklist_threshold 2;",
+            "SET speculative_execution true;",
+            "SET cache_budget_bytes 1024;",
+            "SET result_limit_rows 10;",
+            "SET scrub_interval_ms 20;",
+        ] {
+            let err = run_script(&dfs, set).unwrap_err();
+            assert!(
+                matches!(&err, PigeonError::Type(m) if m.starts_with("unknown SET option")),
+                "{set}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn retry_backoff_is_bounded() {
+        // A retrying attempt sleeps `attempt x backoff` holding one of
+        // the scheduler's in-flight slots: an unbounded backoff would let
+        // one client park that slot for years.
+        let (dfs, _) = dfs_with_points();
+        let mut engine = Pigeon::new(&dfs);
+        let mut run = |script: &str| engine.execute(&crate::parser::parse(script).unwrap());
+        run("p = LOAD '/data/points' AS POINT;\n\
+             i = INDEX p AS grid INTO '/idx/p';")
+        .unwrap();
+        let query = "r = FILTER i BY Overlaps(RECTANGLE(100, 100, 300, 300));\nDUMP r;";
+        let clean = run(query).unwrap();
+        let err = run("SET retry_backoff_ms 100000000000;").unwrap_err();
         assert!(
-            err.to_string().contains("must precede the first SUBMIT"),
+            matches!(&err, PigeonError::Type(m) if m.contains(&MAX_RETRY_BACKOFF_MS.to_string())),
             "{err}"
         );
-        // The message names what really started the scheduler: the
-        // background scrubber, or a server that shares its scheduler.
-        let err = run_script(&dfs, "SET scrub_interval 20;\nSET sched_queue_cap 8;").unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("SET sched_queue_cap must precede SET scrub_interval"),
-            "{err}"
+        assert_eq!(
+            dfs.ft_options().retry_backoff_ms,
+            sh_dfs::FtOptions::default().retry_backoff_ms
         );
-        let sched = JobScheduler::new(&dfs, SchedConfig::default());
-        let set = crate::parser::parse("SET sched_policy fair;").unwrap();
-        let err = Pigeon::with_scheduler(&dfs, &sched)
-            .execute(&set)
-            .unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("cannot change the scheduler every session shares"),
-            "{err}"
-        );
-        assert!(matches!(
-            run_script(&dfs, "SET sched_policy roundrobin;"),
-            Err(PigeonError::Type(_))
-        ));
+        run("SET fault_plan 'fail:0@0';").unwrap();
+        assert_eq!(run(query).unwrap(), clean);
     }
 
     #[test]

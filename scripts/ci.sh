@@ -5,7 +5,7 @@
 #   ./scripts/ci.sh --quick         # skip the chaos soak and server runs
 #   ./scripts/ci.sh lint test       # just the named stages
 #
-# Stages: lint, build, test, chaos, corruption, server. Fails
+# Stages: lint, build, test, chaos, corruption, server, experiments. Fails
 # fast, naming the stage that broke, and prints per-stage wall-clock
 # timings (and test counts) at the end.
 set -euo pipefail
@@ -16,12 +16,12 @@ STAGES=()
 for arg in "$@"; do
   case "$arg" in
     --quick) QUICK=1 ;;
-    lint|build|test|chaos|corruption|server) STAGES+=("$arg") ;;
-    *) echo "usage: $0 [--quick] [lint|build|test|chaos|corruption|server]..." >&2; exit 2 ;;
+    lint|build|test|chaos|corruption|server|experiments) STAGES+=("$arg") ;;
+    *) echo "usage: $0 [--quick] [lint|build|test|chaos|corruption|server|experiments]..." >&2; exit 2 ;;
   esac
 done
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(lint build test chaos corruption server)
+  STAGES=(lint build test chaos corruption server experiments)
   if [ "$QUICK" -eq 1 ]; then
     STAGES=(lint build test)
   fi
@@ -133,6 +133,16 @@ stage_server() {
     run_shbench_oracle ingest-index &&
     run_shbench_oracle heap-batch &&
     run_counter_gate
+}
+
+stage_experiments() {
+  # The paper's whole evaluation (E1-E14, A1-A5, X1-X2) in release; the
+  # tables land in target/experiments.md. Fails on a non-zero exit: a
+  # panicking experiment or an unknown id. It does not diff the tables
+  # against bench_results.md yet: their simulated seconds still contain
+  # host wall time, so they differ from run to run.
+  mkdir -p target &&
+    cargo run --release --quiet -p sh-bench --bin experiments > target/experiments.md
 }
 
 # Runs a command, then puts back the frozen benchmark's lock file, which

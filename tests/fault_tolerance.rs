@@ -19,9 +19,9 @@ const QUERY: [f64; 4] = [100_000.0, 100_000.0, 400_000.0, 400_000.0];
 /// and the raw bytes of every output part file.
 fn run_range(chaos: impl FnOnce(&Dfs)) -> (Vec<String>, JobProfile, String) {
     let mut cfg = ClusterConfig::small_for_tests();
-    cfg.retry_backoff_ms = 0;
     cfg.placement_seed = chaos_seed();
     let dfs = Dfs::new(cfg);
+    dfs.update_ft_options(|ft| ft.retry_backoff_ms = 0);
     let uni = Rect::new(0.0, 0.0, 1_000_000.0, 1_000_000.0);
     let pts = points(20_000, Distribution::Uniform, &uni, 7);
     upload(&dfs, "/data/points", &pts).unwrap();
@@ -90,12 +90,12 @@ fn speculative_duplicate_wins_and_output_unchanged() {
 
     let t0 = std::time::Instant::now();
     let (lines, profile, raw) = run_range(|dfs| {
+        // Speculation needs an idle worker while the straggler sleeps;
+        // don't let a 1-core machine shrink the pool.
+        dfs.slots().set_total(4);
         dfs.update_ft_options(|ft| {
             ft.speculative_execution = true;
             ft.speculation_threshold_ms = 10;
-            // Speculation needs an idle worker while the straggler
-            // sleeps; don't let a 1-core machine shrink the pool.
-            ft.worker_threads = Some(4);
             ft.fault_plan = FaultPlan::none().delay_task(0, 2_000);
         });
     });
@@ -117,9 +117,8 @@ fn speculative_duplicate_wins_and_output_unchanged() {
 
 #[test]
 fn pruning_statistics_survive_faults() {
-    let mut cfg = ClusterConfig::small_for_tests();
-    cfg.retry_backoff_ms = 0;
-    let dfs = Dfs::new(cfg);
+    let dfs = Dfs::new(ClusterConfig::small_for_tests());
+    dfs.update_ft_options(|ft| ft.retry_backoff_ms = 0);
     let uni = Rect::new(0.0, 0.0, 1_000_000.0, 1_000_000.0);
     let pts = points(20_000, Distribution::Uniform, &uni, 7);
     upload(&dfs, "/data/points", &pts).unwrap();
@@ -144,9 +143,8 @@ fn pruning_statistics_survive_faults() {
 
 #[test]
 fn cached_rerun_is_byte_identical_and_invalidated_by_churn() {
-    let mut cfg = ClusterConfig::small_for_tests();
-    cfg.retry_backoff_ms = 0;
-    let dfs = Dfs::new(cfg);
+    let dfs = Dfs::new(ClusterConfig::small_for_tests());
+    dfs.update_ft_options(|ft| ft.retry_backoff_ms = 0);
     let uni = Rect::new(0.0, 0.0, 1_000_000.0, 1_000_000.0);
     let pts = points(20_000, Distribution::Uniform, &uni, 7);
     upload(&dfs, "/data/points", &pts).unwrap();
@@ -285,9 +283,8 @@ fn two_concurrent_jobs_under_chaos_are_deterministic() {
     let (base_lines, _, base_raw) = baseline();
 
     for iter in 0..chaos_iters() {
-        let mut cfg = ClusterConfig::small_for_tests();
-        cfg.retry_backoff_ms = 0;
-        let dfs = Dfs::new(cfg);
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        dfs.update_ft_options(|ft| ft.retry_backoff_ms = 0);
         let uni = Rect::new(0.0, 0.0, 1_000_000.0, 1_000_000.0);
         let pts = points(20_000, Distribution::Uniform, &uni, 7);
         upload(&dfs, "/data/points", &pts).unwrap();
@@ -349,9 +346,8 @@ fn text_and_binary_indexes_answer_identically_under_chaos() {
     use spatialhadoop::workload::rects;
 
     for iter in 0..chaos_iters() {
-        let mut cfg = ClusterConfig::small_for_tests();
-        cfg.retry_backoff_ms = 0;
-        let dfs = Dfs::new(cfg);
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        dfs.update_ft_options(|ft| ft.retry_backoff_ms = 0);
         let uni = Rect::new(0.0, 0.0, 1_000_000.0, 1_000_000.0);
         let pts = points(20_000, Distribution::Uniform, &uni, 7);
         upload(&dfs, "/data/points", &pts).unwrap();
@@ -447,11 +443,11 @@ fn silent_corruption_is_repaired_with_byte_identical_output() {
 
     for iter in 0..chaos_iters() {
         let mut cfg = ClusterConfig::small_for_tests();
-        cfg.retry_backoff_ms = 0;
         // Vary placement per iteration so the corrupted ordinal
         // lands on different nodes across the sweep.
         cfg.placement_seed = chaos_seed().wrapping_add(iter as u64);
         let dfs = Dfs::new(cfg);
+        dfs.update_ft_options(|ft| ft.retry_backoff_ms = 0);
         let uni = Rect::new(0.0, 0.0, 1_000_000.0, 1_000_000.0);
         let pts = points(20_000, Distribution::Uniform, &uni, 7);
         upload(&dfs, "/data/points", &pts).unwrap();

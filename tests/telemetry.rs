@@ -35,9 +35,8 @@ fn chaos_iters() -> usize {
 /// with a node kill and an injected task failure armed. Returns the
 /// query job's profile.
 fn run_with_faults() -> JobProfile {
-    let mut cfg = ClusterConfig::small_for_tests();
-    cfg.retry_backoff_ms = 0;
-    let dfs = Dfs::new(cfg);
+    let dfs = Dfs::new(ClusterConfig::small_for_tests());
+    dfs.update_ft_options(|ft| ft.retry_backoff_ms = 0);
     let uni = Rect::new(0.0, 0.0, 1_000_000.0, 1_000_000.0);
     let pts = points(20_000, Distribution::Uniform, &uni, 7);
     upload(&dfs, "/data/points", &pts).unwrap();
