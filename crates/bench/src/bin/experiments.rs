@@ -36,6 +36,13 @@ fn main() -> ExitCode {
         sh_bench::BLOCK / 1024
     );
     println!();
+    println!(
+        "Counts (partitions, rounds, rows, pairs, bytes) are exact and repeat \
+         run to run. Simulated seconds still contain the host wall time of map \
+         and reduce tasks, and `single(wall)` and harness times are host wall \
+         time: those cells are a snapshot of the host that generated the file."
+    );
+    println!();
     let total = Instant::now();
     for id in ids {
         let t0 = Instant::now();

@@ -13,7 +13,7 @@ use sh_geom::algorithms::convex_hull::convex_hull;
 use sh_geom::algorithms::farthest_pair::farthest_pair;
 use sh_geom::algorithms::plane_sweep::plane_sweep_join;
 use sh_geom::algorithms::skyline::skyline;
-use sh_geom::algorithms::union::{boundary_union, total_length};
+use sh_geom::algorithms::union::boundary_union;
 use sh_geom::algorithms::voronoi::VoronoiDiagram;
 use sh_geom::{Point, Polygon, Record, Rect, Segment};
 
@@ -88,12 +88,6 @@ pub fn union_single(polys: &[Polygon]) -> Timed<Vec<Segment>> {
 /// Voronoi diagram.
 pub fn voronoi_single(sites: &[Point]) -> Timed<VoronoiDiagram> {
     timed(|| VoronoiDiagram::build(sites))
-}
-
-/// Order-independent fingerprint of a union result (total boundary
-/// length) used to compare distributed and single-machine answers.
-pub fn union_fingerprint(segments: &[Segment]) -> f64 {
-    total_length(segments)
 }
 
 #[cfg(test)]

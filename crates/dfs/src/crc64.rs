@@ -95,8 +95,7 @@ pub fn crc64(data: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use rand::prelude::*;
+    use sh_rand::Rng;
 
     /// The byte-at-a-time kernel `crc64` replaced, kept as its oracle.
     fn crc64_bytewise(data: &[u8]) -> u64 {
@@ -138,33 +137,28 @@ mod tests {
         }
     }
 
-    proptest! {
+    sh_rand::properties! {
         /// Every length around the first five step boundaries (empty,
         /// tail-only, exactly one step, steps + tail) at every start
         /// offset, so the 8-byte loads are exercised at every alignment.
-        #[test]
-        fn sliced_kernel_matches_bytewise_oracle(
-            buf in prop::collection::vec(0u8..=255, 15 + 79),
-        ) {
+        fn sliced_kernel_matches_bytewise_oracle(rng, 64) {
+            let buf: Vec<u8> = (0..15 + 79).map(|_| rng.below(256) as u8).collect();
             for start in 0..16 {
                 for len in 0..=79 {
                     let s = &buf[start..start + len];
-                    prop_assert_eq!(crc64(s), crc64_bytewise(s), "start {} len {}", start, len);
+                    assert_eq!(crc64(s), crc64_bytewise(s), "start {} len {}", start, len);
                 }
             }
         }
-    }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4))]
-        #[test]
-        fn one_mib_matches_bytewise_oracle(seed in 0u64..=u64::MAX, head in 0usize..16) {
-            let mut rng = StdRng::seed_from_u64(seed);
+        fn one_mib_matches_bytewise_oracle(rng, 4) {
+            let (seed, head) = (rng.next_u64(), rng.below(16));
+            let mut rng = Rng::seed(seed);
             let buf: Vec<u8> = (0..(1 << 17) + 2)
                 .flat_map(|_| rng.next_u64().to_le_bytes())
                 .collect();
             let s = &buf[head..head + (1 << 20)];
-            prop_assert_eq!(crc64(s), crc64_bytewise(s));
+            assert_eq!(crc64(s), crc64_bytewise(s));
         }
     }
 }

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use rand::prelude::*;
+use sh_rand::Rng;
 use sh_trace::sync::lock;
 
 use crate::block::{BlockData, BlockId, BlockInfo};
@@ -100,7 +100,7 @@ struct Inner {
     next_block: u64,
     next_writer_node: usize,
     alive: Vec<bool>,
-    rng: StdRng,
+    rng: Rng,
 }
 
 /// The simulated distributed file system (namenode + datanodes).
@@ -123,7 +123,7 @@ impl Dfs {
     /// Creates an empty DFS over the given cluster.
     pub fn new(config: ClusterConfig) -> Dfs {
         let alive = vec![true; config.num_nodes];
-        let rng = StdRng::seed_from_u64(config.placement_seed);
+        let rng = Rng::seed(config.placement_seed);
         let slots = SlotPool::count_for(config.worker_threads);
         Dfs {
             config: Arc::new(config),
@@ -726,7 +726,7 @@ fn restore_replication_locked(inner: &mut Inner, replication: usize, id: BlockId
         .copied()
         .filter(|n| !live_replicas.contains(n))
         .collect();
-    candidates.shuffle(&mut inner.rng);
+    inner.rng.shuffle(&mut candidates);
     let mut created = 0usize;
     while live_replicas.len() < target {
         let Some(node) = candidates.pop() else {
@@ -762,12 +762,12 @@ fn place_replicas(
     writer: NodeId,
     num_nodes: usize,
     replication: usize,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Vec<NodeId> {
     let primary = writer % num_nodes;
     let mut replicas = vec![primary];
     let mut others: Vec<NodeId> = (0..num_nodes).filter(|&n| n != primary).collect();
-    others.shuffle(rng);
+    rng.shuffle(&mut others);
     replicas.extend(others.into_iter().take(replication.saturating_sub(1)));
     replicas
 }

@@ -147,7 +147,7 @@ pub fn closest_pair_naive(points: &[Point]) -> Option<PointPair> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
+    use sh_rand::Rng;
 
     #[test]
     fn obvious_pair() {
@@ -200,10 +200,10 @@ mod tests {
 
     #[test]
     fn matches_naive_on_random_sets() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed(7);
         for n in [2usize, 3, 5, 17, 64, 257] {
             let pts: Vec<Point> = (0..n)
-                .map(|_| Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)))
+                .map(|_| Point::new(rng.uniform(0.0..100.0), rng.uniform(0.0..100.0)))
                 .collect();
             let fast = closest_pair(&pts).unwrap();
             let slow = closest_pair_naive(&pts).unwrap();

@@ -342,12 +342,12 @@ fn interleave(x: u32, y: u32) -> u64 {
 mod tests {
     use super::*;
     use crate::point::sort_dedup;
-    use rand::prelude::*;
+    use sh_rand::Rng;
 
     fn random_sites(n: usize, seed: u64) -> Vec<Point> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         let mut pts: Vec<Point> = (0..n)
-            .map(|_| Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
+            .map(|_| Point::new(rng.uniform(0.0..1000.0), rng.uniform(0.0..1000.0)))
             .collect();
         sort_dedup(&mut pts);
         pts

@@ -68,7 +68,7 @@ pub fn farthest_pair_naive(points: &[Point]) -> Option<PointPair> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
+    use sh_rand::Rng;
 
     #[test]
     fn square_diagonal() {
@@ -100,10 +100,10 @@ mod tests {
 
     #[test]
     fn matches_naive_on_random_sets() {
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::seed(11);
         for n in [2usize, 3, 8, 50, 200] {
             let pts: Vec<Point> = (0..n)
-                .map(|_| Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)))
+                .map(|_| Point::new(rng.uniform(0.0..100.0), rng.uniform(0.0..100.0)))
                 .collect();
             let fast = farthest_pair(&pts).unwrap();
             let slow = farthest_pair_naive(&pts).unwrap();

@@ -89,7 +89,7 @@ pub fn nested_loop_join(left: &[Rect], right: &[Rect]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
+    use sh_rand::Rng;
 
     fn sorted(mut v: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
         v.sort_unstable();
@@ -119,19 +119,14 @@ mod tests {
 
     #[test]
     fn matches_nested_loop_on_random_sets() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed(3);
         for _ in 0..10 {
-            let gen = |rng: &mut StdRng, n: usize| -> Vec<Rect> {
+            let gen = |rng: &mut Rng, n: usize| -> Vec<Rect> {
                 (0..n)
                     .map(|_| {
-                        let x = rng.gen_range(0.0..100.0);
-                        let y = rng.gen_range(0.0..100.0);
-                        Rect::new(
-                            x,
-                            y,
-                            x + rng.gen_range(0.1..10.0),
-                            y + rng.gen_range(0.1..10.0),
-                        )
+                        let x = rng.uniform(0.0..100.0);
+                        let y = rng.uniform(0.0..100.0);
+                        Rect::new(x, y, x + rng.uniform(0.1..10.0), y + rng.uniform(0.1..10.0))
                     })
                     .collect()
             };
@@ -146,17 +141,12 @@ mod tests {
 
     #[test]
     fn self_join_matches_nested_loop() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed(5);
         let rects: Vec<Rect> = (0..50)
             .map(|_| {
-                let x = rng.gen_range(0.0..50.0);
-                let y = rng.gen_range(0.0..50.0);
-                Rect::new(
-                    x,
-                    y,
-                    x + rng.gen_range(0.1..8.0),
-                    y + rng.gen_range(0.1..8.0),
-                )
+                let x = rng.uniform(0.0..50.0);
+                let y = rng.uniform(0.0..50.0);
+                Rect::new(x, y, x + rng.uniform(0.1..8.0), y + rng.uniform(0.1..8.0))
             })
             .collect();
         let mut expected = Vec::new();

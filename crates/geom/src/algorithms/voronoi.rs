@@ -169,12 +169,12 @@ pub fn cell_fingerprint(cell: &VoronoiCell) -> (i64, i64, Vec<(i64, i64)>, bool)
 mod tests {
     use super::*;
     use crate::point::sort_dedup;
-    use rand::prelude::*;
+    use sh_rand::Rng;
 
     fn random_sites(n: usize, seed: u64) -> Vec<Point> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         let mut pts: Vec<Point> = (0..n)
-            .map(|_| Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
+            .map(|_| Point::new(rng.uniform(0.0..1000.0), rng.uniform(0.0..1000.0)))
             .collect();
         sort_dedup(&mut pts);
         pts

@@ -281,15 +281,6 @@ pub fn mbr_of_points(points: &[Point]) -> Rect {
     r
 }
 
-/// Computes the MBR of a rectangle set (empty input yields [`Rect::empty`]).
-pub fn mbr_of_rects(rects: &[Rect]) -> Rect {
-    let mut r = Rect::empty();
-    for x in rects {
-        r.expand(x);
-    }
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

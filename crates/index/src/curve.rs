@@ -223,7 +223,7 @@ impl HilbertPartitioning {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
+    use sh_rand::Rng;
 
     #[test]
     fn z_value_interleaves() {
@@ -236,10 +236,10 @@ mod tests {
 
     #[test]
     fn hilbert_roundtrip_is_bijective() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed(1);
         for _ in 0..1000 {
-            let x: u32 = rng.gen_range(0..(1 << ORDER));
-            let y: u32 = rng.gen_range(0..(1 << ORDER));
+            let x = rng.below(1 << ORDER) as u32;
+            let y = rng.below(1 << ORDER) as u32;
             let d = hilbert_value(x, y);
             assert_eq!(hilbert_point(d), (x, y), "x={x} y={y} d={d}");
         }
@@ -269,9 +269,9 @@ mod tests {
 
     #[test]
     fn partitions_balance_counts() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed(2);
         let pts: Vec<Point> = (0..4000)
-            .map(|_| Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)))
+            .map(|_| Point::new(rng.uniform(0.0..100.0), rng.uniform(0.0..100.0)))
             .collect();
         let uni = Rect::new(0.0, 0.0, 100.0, 100.0);
         for build in [
@@ -292,9 +292,9 @@ mod tests {
 
     #[test]
     fn choose_is_consistent_with_build_chunks() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed(3);
         let pts: Vec<Point> = (0..1000)
-            .map(|_| Point::new(rng.gen_range(0.0..50.0), rng.gen_range(0.0..50.0)))
+            .map(|_| Point::new(rng.uniform(0.0..50.0), rng.uniform(0.0..50.0)))
             .collect();
         let uni = Rect::new(0.0, 0.0, 50.0, 50.0);
         let h = HilbertPartitioning::build(&pts, uni, 8);

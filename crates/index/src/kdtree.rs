@@ -64,15 +64,15 @@ fn split(members: &mut [Point], cell: Rect, depth: usize, limit: usize, out: &mu
 mod tests {
     use super::*;
     use crate::partitioner::owns_point;
-    use rand::prelude::*;
+    use sh_rand::Rng;
 
     fn gaussian_sample(n: usize, seed: u64) -> Vec<Point> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         (0..n)
             .map(|_| {
                 // Box-Muller-ish central clustering via averaging.
-                let x: f64 = (0..4).map(|_| rng.gen_range(0.0..100.0)).sum::<f64>() / 4.0;
-                let y: f64 = (0..4).map(|_| rng.gen_range(0.0..100.0)).sum::<f64>() / 4.0;
+                let x: f64 = (0..4).map(|_| rng.uniform(0.0..100.0)).sum::<f64>() / 4.0;
+                let y: f64 = (0..4).map(|_| rng.uniform(0.0..100.0)).sum::<f64>() / 4.0;
                 Point::new(x, y)
             })
             .collect()

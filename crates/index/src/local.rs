@@ -398,21 +398,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use rand::prelude::*;
+    use sh_rand::Rng;
 
     fn random_rects(n: usize, seed: u64) -> Vec<Rect> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         (0..n)
             .map(|_| {
-                let x = rng.gen_range(0.0..1000.0);
-                let y = rng.gen_range(0.0..1000.0);
-                Rect::new(
-                    x,
-                    y,
-                    x + rng.gen_range(0.0..5.0),
-                    y + rng.gen_range(0.0..5.0),
-                )
+                let x = rng.uniform(0.0..1000.0);
+                let y = rng.uniform(0.0..1000.0);
+                Rect::new(x, y, x + rng.uniform(0.0..5.0), y + rng.uniform(0.0..5.0))
             })
             .collect()
     }
@@ -421,15 +415,15 @@ mod tests {
     fn query_matches_linear_scan() {
         let rects = random_rects(2000, 1);
         let tree = LocalRTree::build(rects.clone());
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed(2);
         for _ in 0..50 {
-            let x = rng.gen_range(0.0..900.0);
-            let y = rng.gen_range(0.0..900.0);
+            let x = rng.uniform(0.0..900.0);
+            let y = rng.uniform(0.0..900.0);
             let q = Rect::new(
                 x,
                 y,
-                x + rng.gen_range(1.0..100.0),
-                y + rng.gen_range(1.0..100.0),
+                x + rng.uniform(1.0..100.0),
+                y + rng.uniform(1.0..100.0),
             );
             let expected: Vec<usize> = rects
                 .iter()
@@ -494,17 +488,17 @@ mod tests {
     /// `back` answers windows and kNN probes drawn from `seed` exactly
     /// like `tree`, distances bit for bit.
     fn assert_same_answers(tree: &LocalRTree, back: &LocalRTree, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         for _ in 0..8 {
-            let (x, y) = (rng.gen_range(-50.0..1000.0), rng.gen_range(-50.0..1000.0));
+            let (x, y) = (rng.uniform(-50.0..1000.0), rng.uniform(-50.0..1000.0));
             let q = Rect::new(
                 x,
                 y,
-                x + rng.gen_range(0.0..400.0),
-                y + rng.gen_range(0.0..400.0),
+                x + rng.uniform(0.0..400.0),
+                y + rng.uniform(0.0..400.0),
             );
             assert_eq!(back.query(&q), tree.query(&q));
-            let k = rng.gen_range(1..40);
+            let k = 1 + rng.below(39);
             let (a, b) = (
                 tree.knn(&Point::new(x, y), k),
                 back.knn(&Point::new(x, y), k),
@@ -516,35 +510,28 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-        #[test]
-        fn sidecar_roundtrip_answers_like_the_tree_it_was_written_from(
-            n in prop::sample::select(vec![0usize, 1, 31, 32, 33, 1000]),
-            jitter in 0usize..24,
-            seed in 0u64..=u64::MAX,
-        ) {
+    sh_rand::properties! {
+        fn sidecar_roundtrip_answers_like_the_tree_it_was_written_from(rng, 24) {
+            let n = [0usize, 1, 31, 32, 33, 1000][rng.below(6)];
+            let (jitter, seed) = (rng.below(24), rng.next_u64());
             // "≈ 1 000": vary the large size so node boundaries move.
             let n = if n == 1000 { n + jitter } else { n };
             let rects = random_rects(n, seed);
             let tree = LocalRTree::build(rects.clone());
             let blob = tree.to_bytes();
             let back = LocalRTree::from_bytes(&blob, rects).unwrap();
-            prop_assert_eq!(back.len(), n);
+            assert_eq!(back.len(), n);
             assert_same_answers(&tree, &back, seed ^ 0x51DE);
             // Re-serialization is byte-identical (determinism).
-            prop_assert_eq!(back.to_bytes(), blob);
+            assert_eq!(back.to_bytes(), blob);
         }
 
-        #[test]
-        fn damaged_sidecar_is_an_error_never_a_panic(
-            n in prop::sample::select(vec![0usize, 1, 31, 32, 33, 200]),
-            seed in 0u64..=u64::MAX,
-        ) {
-            let rects = random_rects(n, seed);
+        fn damaged_sidecar_is_an_error_never_a_panic(rng, 24) {
+            let n = [0usize, 1, 31, 32, 33, 200][rng.below(6)];
+            let rects = random_rects(n, rng.next_u64());
             let blob = LocalRTree::build(rects.clone()).to_bytes();
             for cut in 0..blob.len() {
-                prop_assert!(
+                assert!(
                     LocalRTree::from_bytes(&blob[..cut], rects.clone()).is_err(),
                     "prefix of {} bytes loaded", cut
                 );
@@ -552,7 +539,7 @@ mod tests {
             for bit in 0..HEADER_BYTES * 8 {
                 let mut bad = blob.clone();
                 bad[bit / 8] ^= 1 << (bit % 8);
-                prop_assert!(
+                assert!(
                     LocalRTree::from_bytes(&bad, rects.clone()).is_err(),
                     "header bit {} flipped and loaded", bit
                 );

@@ -295,12 +295,12 @@ impl PartitionMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
+    use sh_rand::Rng;
 
     fn sample(n: usize, seed: u64) -> Vec<Point> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         (0..n)
-            .map(|_| Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)))
+            .map(|_| Point::new(rng.uniform(0.0..100.0), rng.uniform(0.0..100.0)))
             .collect()
     }
 

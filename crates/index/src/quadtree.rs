@@ -66,17 +66,17 @@ fn split(
 mod tests {
     use super::*;
     use crate::partitioner::owns_point;
-    use rand::prelude::*;
+    use sh_rand::Rng;
 
     fn skewed_sample(n: usize, seed: u64) -> Vec<Point> {
         // Dense cluster near the origin plus sparse background.
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         (0..n)
             .map(|i| {
                 if i % 4 == 0 {
-                    Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0))
+                    Point::new(rng.uniform(0.0..100.0), rng.uniform(0.0..100.0))
                 } else {
-                    Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0))
+                    Point::new(rng.uniform(0.0..10.0), rng.uniform(0.0..10.0))
                 }
             })
             .collect()
@@ -119,9 +119,9 @@ mod tests {
     #[test]
     fn uniform_data_splits_evenly() {
         let uni = Rect::new(0.0, 0.0, 100.0, 100.0);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed(3);
         let pts: Vec<Point> = (0..1024)
-            .map(|_| Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)))
+            .map(|_| Point::new(rng.uniform(0.0..100.0), rng.uniform(0.0..100.0)))
             .collect();
         let q = QuadTreePartitioning::build(&pts, uni, 16);
         // Roughly a 4x4 to 8x8 subdivision.

@@ -5,7 +5,7 @@
 //! the master without scanning the file into memory. Algorithm R keeps a
 //! uniform sample in one pass over a stream of unknown length.
 
-use rand::prelude::*;
+use sh_rand::Rng;
 
 /// One-pass uniform reservoir sample of size at most `k` (Algorithm R),
 /// deterministic for a given `seed`.
@@ -13,7 +13,7 @@ pub fn reservoir_sample<T, I>(items: I, k: usize, seed: u64) -> Vec<T>
 where
     I: IntoIterator<Item = T>,
 {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed(seed);
     let mut reservoir: Vec<T> = Vec::with_capacity(k.min(1024));
     if k == 0 {
         return reservoir;
@@ -22,7 +22,7 @@ where
         if i < k {
             reservoir.push(item);
         } else {
-            let j = rng.gen_range(0..=i);
+            let j = rng.below(i + 1);
             if j < k {
                 reservoir[j] = item;
             }

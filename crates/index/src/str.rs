@@ -163,12 +163,12 @@ pub(crate) fn choose_least_expansion(seeds: &[Rect], p: &Point) -> usize {
 mod tests {
     use super::*;
     use crate::partitioner::owns_point;
-    use rand::prelude::*;
+    use sh_rand::Rng;
 
     fn sample(n: usize, seed: u64) -> Vec<Point> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         (0..n)
-            .map(|_| Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)))
+            .map(|_| Point::new(rng.uniform(0.0..100.0), rng.uniform(0.0..100.0)))
             .collect()
     }
 
@@ -225,13 +225,13 @@ mod tests {
     fn str_plus_balances_skewed_data() {
         let uni = Rect::new(0.0, 0.0, 100.0, 100.0);
         // 90% of the data in a corner.
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = Rng::seed(6);
         let pts: Vec<Point> = (0..2000)
             .map(|i| {
                 if i % 10 == 0 {
-                    Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0))
+                    Point::new(rng.uniform(0.0..100.0), rng.uniform(0.0..100.0))
                 } else {
-                    Point::new(rng.gen_range(0.0..5.0), rng.gen_range(0.0..5.0))
+                    Point::new(rng.uniform(0.0..5.0), rng.uniform(0.0..5.0))
                 }
             })
             .collect();

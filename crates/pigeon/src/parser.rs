@@ -8,9 +8,16 @@ use crate::ast::{RecordType, Script, ScrubTarget, Stmt};
 use crate::exec::PigeonError;
 use crate::lexer::{tokenize, Token, TokenKind};
 
+/// How many prefixes (`PROFILE`, `SUBMIT`, `EXPLAIN ANALYZE`) one
+/// statement may carry. Deeper nesting is refused, so a long line of
+/// prefixes cannot exhaust the stack of the thread parsing it.
+const MAX_PREFIXES: usize = 8;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Prefixes wrapping the statement being parsed.
+    prefixes: usize,
 }
 
 impl Parser {
@@ -106,23 +113,29 @@ impl Parser {
         Ok(Point::new(x, y))
     }
 
+    /// The statement a prefix wraps; it consumes its own semicolon.
+    fn wrapped(&mut self) -> Result<Box<Stmt>, PigeonError> {
+        if self.prefixes == MAX_PREFIXES {
+            return Err(self.err(format!("more than {MAX_PREFIXES} nested prefixes")));
+        }
+        self.prefixes += 1;
+        let stmt = self.statement();
+        self.prefixes -= 1;
+        Ok(Box::new(stmt?))
+    }
+
     fn statement(&mut self) -> Result<Stmt, PigeonError> {
         let first = self.ident()?;
         // Non-assignment statements.
         if first.eq_ignore_ascii_case("PROFILE") {
-            // The inner statement consumes its own terminating semicolon.
-            return Ok(Stmt::Profile(Box::new(self.statement()?)));
+            return Ok(Stmt::Profile(self.wrapped()?));
         }
         if first.eq_ignore_ascii_case("SUBMIT") {
-            // Like PROFILE: the inner statement consumes its own
-            // terminating semicolon.
-            return Ok(Stmt::Submit(Box::new(self.statement()?)));
+            return Ok(Stmt::Submit(self.wrapped()?));
         }
         if first.eq_ignore_ascii_case("EXPLAIN") {
             self.keyword("ANALYZE")?;
-            // Like PROFILE: the inner statement consumes its own
-            // terminating semicolon.
-            return Ok(Stmt::ExplainAnalyze(Box::new(self.statement()?)));
+            return Ok(Stmt::ExplainAnalyze(self.wrapped()?));
         }
         if first.eq_ignore_ascii_case("STATS") {
             self.expect(&TokenKind::Semicolon)?;
@@ -387,7 +400,11 @@ pub fn parse(source: &str) -> Result<Script, PigeonError> {
         message: e.message,
         line: e.line,
     })?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        prefixes: 0,
+    };
     let mut stmts = Vec::new();
     while p.peek().is_some() {
         stmts.push(p.statement()?);
@@ -492,6 +509,20 @@ mod tests {
             Stmt::Profile(inner) => assert!(matches!(**inner, Stmt::Dump { .. })),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A 1 MiB request line of `PROFILE` prefixes once recursed until the
+    /// parsing thread's stack overflowed, aborting the process.
+    #[test]
+    fn deeply_prefixed_statement_is_an_error_not_a_stack_overflow() {
+        let deep = "PROFILE ".repeat(130_000) + "STATS;";
+        match parse(&deep) {
+            Err(PigeonError::Parse { message, .. }) => assert!(message.contains("nested")),
+            other => panic!("unexpected {other:?}"),
+        }
+        let eight = "SUBMIT PROFILE EXPLAIN ANALYZE ".repeat(2) + "PROFILE PROFILE STATS;";
+        assert_eq!(parse(&eight).unwrap().stmts.len(), 1);
+        assert!(parse(&("PROFILE ".to_string() + &eight)).is_err());
     }
 
     #[test]

@@ -172,7 +172,6 @@ pub fn read_header_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn headers_round_trip() {
@@ -280,15 +279,12 @@ mod tests {
         assert_eq!(trickled.0, whole);
     }
 
-    proptest! {
+    sh_rand::properties! {
         /// The slicing framer emits, byte for byte, the frames the
         /// line-by-line rule specifies.
-        #[test]
-        fn rows_framer_matches_the_line_rule(
-            lens in proptest::collection::vec(0usize..40, 0..60),
-            long_at in 0usize..80,
-            chunk_ix in 0usize..4,
-        ) {
+        fn rows_framer_matches_the_line_rule(rng, 64) {
+            let lens: Vec<usize> = (0..rng.below(60)).map(|_| rng.below(40)).collect();
+            let (long_at, chunk_ix) = (rng.below(80), rng.below(4));
             let chunk = [1usize, 16, 64, 8192][chunk_ix];
             let mut lines: Vec<String> = lens
                 .iter()
@@ -303,12 +299,12 @@ mod tests {
             let mut wire = Vec::new();
             let frames = write_rows_frames(&mut wire, &rows, chunk).unwrap();
             let got = payloads(&wire);
-            prop_assert_eq!(got.len(), frames);
-            prop_assert_eq!(got.concat(), rows.text());
+            assert_eq!(got.len(), frames);
+            assert_eq!(got.concat(), rows.text());
             for payload in &got {
-                prop_assert!(payload.len() <= chunk || payload.matches('\n').count() == 1);
+                assert!(payload.len() <= chunk || payload.matches('\n').count() == 1);
             }
-            prop_assert_eq!(got, frames_by_line(&lines, chunk));
+            assert_eq!(got, frames_by_line(&lines, chunk));
         }
     }
 }

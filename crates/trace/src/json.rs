@@ -32,10 +32,6 @@ impl Value {
         }
     }
 
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|v| v as usize)
-    }
-
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Float(f) => Some(*f),

@@ -1,7 +1,7 @@
 //! Point and rectangle distributions.
 
-use rand::prelude::*;
 use sh_geom::{Point, Rect};
+use sh_rand::Rng;
 
 /// The SYNTH distributions of the paper's evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -45,7 +45,7 @@ impl Distribution {
 
 /// Generates `n` points with the given distribution inside `universe`.
 pub fn points(n: usize, dist: Distribution, universe: &Rect, seed: u64) -> Vec<Point> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed(seed);
     let w = universe.width();
     let h = universe.height();
     let cx = universe.center().x;
@@ -59,23 +59,22 @@ pub fn points(n: usize, dist: Distribution, universe: &Rect, seed: u64) -> Vec<P
     (0..n)
         .map(|_| {
             let p = match dist {
-                Distribution::Uniform => Point::new(
-                    universe.x1 + rng.gen::<f64>() * w,
-                    universe.y1 + rng.gen::<f64>() * h,
-                ),
+                Distribution::Uniform => {
+                    Point::new(universe.x1 + rng.unit() * w, universe.y1 + rng.unit() * h)
+                }
                 Distribution::Gaussian => Point::new(
                     cx + gaussian(&mut rng) * w / 5.0,
                     cy + gaussian(&mut rng) * h / 5.0,
                 ),
                 Distribution::Correlated => {
-                    let x = universe.x1 + rng.gen::<f64>() * w;
+                    let x = universe.x1 + rng.unit() * w;
                     let t = (x - universe.x1) / w;
                     Point::new(x, universe.y1 + t * h + gaussian(&mut rng) * h / 20.0)
                 }
                 Distribution::AntiCorrelated => {
                     // Essentially on the anti-diagonal: the skyline worst
                     // case where (almost) every point is on the skyline.
-                    let x = universe.x1 + rng.gen::<f64>() * w;
+                    let x = universe.x1 + rng.unit() * w;
                     let t = (x - universe.x1) / w;
                     Point::new(
                         x,
@@ -85,7 +84,7 @@ pub fn points(n: usize, dist: Distribution, universe: &Rect, seed: u64) -> Vec<P
                 Distribution::Circular => {
                     // Exactly on a ring: hull size ≈ n, the convex-hull /
                     // farthest-pair worst case.
-                    let a = rng.gen::<f64>() * std::f64::consts::TAU;
+                    let a = rng.unit() * std::f64::consts::TAU;
                     let r = 0.4;
                     Point::new(cx + a.cos() * r * w, cy + a.sin() * r * h)
                 }
@@ -99,30 +98,30 @@ pub fn points(n: usize, dist: Distribution, universe: &Rect, seed: u64) -> Vec<P
 /// densities plus a thin uniform background — the skew profile of
 /// real-world map data.
 pub fn osm_like_points(n: usize, universe: &Rect, clusters: usize, seed: u64) -> Vec<Point> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed(seed);
     let clusters = clusters.max(1);
     let centers: Vec<(Point, f64, f64)> = (0..clusters)
         .map(|_| {
             let c = Point::new(
-                universe.x1 + rng.gen::<f64>() * universe.width(),
-                universe.y1 + rng.gen::<f64>() * universe.height(),
+                universe.x1 + rng.unit() * universe.width(),
+                universe.y1 + rng.unit() * universe.height(),
             );
-            let sigma = universe.width() * rng.gen_range(0.005..0.05);
-            let weight = rng.gen_range(0.5..4.0);
+            let sigma = universe.width() * rng.uniform(0.005..0.05);
+            let weight = rng.uniform(0.5..4.0);
             (c, sigma, weight)
         })
         .collect();
     let total_weight: f64 = centers.iter().map(|(_, _, w)| w).sum();
     (0..n)
         .map(|_| {
-            if rng.gen::<f64>() < 0.1 {
+            if rng.unit() < 0.1 {
                 // Background noise.
                 return Point::new(
-                    universe.x1 + rng.gen::<f64>() * universe.width(),
-                    universe.y1 + rng.gen::<f64>() * universe.height(),
+                    universe.x1 + rng.unit() * universe.width(),
+                    universe.y1 + rng.unit() * universe.height(),
                 );
             }
-            let mut pick = rng.gen::<f64>() * total_weight;
+            let mut pick = rng.unit() * total_weight;
             let mut chosen = &centers[0];
             for c in &centers {
                 pick -= c.2;
@@ -143,22 +142,22 @@ pub fn osm_like_points(n: usize, universe: &Rect, clusters: usize, seed: u64) ->
 /// Random rectangles: uniform centers, edge lengths uniform in
 /// `(0, max_side]`. The spatial-join workload.
 pub fn rects(n: usize, universe: &Rect, max_side: f64, seed: u64) -> Vec<Rect> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed(seed);
     (0..n)
         .map(|_| {
-            let w = rng.gen::<f64>() * max_side;
-            let h = rng.gen::<f64>() * max_side;
-            let x = universe.x1 + rng.gen::<f64>() * (universe.width() - w).max(0.0);
-            let y = universe.y1 + rng.gen::<f64>() * (universe.height() - h).max(0.0);
+            let w = rng.unit() * max_side;
+            let h = rng.unit() * max_side;
+            let x = universe.x1 + rng.unit() * (universe.width() - w).max(0.0);
+            let y = universe.y1 + rng.unit() * (universe.height() - h).max(0.0);
             Rect::new(x, y, x + w, y + h)
         })
         .collect()
 }
 
 /// Standard normal via Box–Muller.
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen::<f64>();
+fn gaussian(rng: &mut Rng) -> f64 {
+    let u1: f64 = rng.uniform(f64::EPSILON..1.0);
+    let u2: f64 = rng.unit();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
@@ -179,6 +178,35 @@ mod tests {
                 assert!(uni().contains_point(&p), "{} escaped: {p}", dist.name());
             }
         }
+    }
+
+    /// The first records of each generator, bit for bit, as drawn before
+    /// the generator moved into this repository. Every dataset of the
+    /// evaluation is defined by these streams.
+    #[test]
+    #[rustfmt::skip]
+    fn golden_records() {
+        let bits = |pts: Vec<Point>| -> Vec<_> {
+            pts.iter().map(|p| [p.x, p.y].map(f64::to_bits)).collect()
+        };
+        assert_eq!(bits(points(3, Distribution::Uniform, &uni(), 42)), [
+            [0x4054f73aeaf7e5a8, 0x4077afaf1b51a0b4],
+            [0x40854058e7e19128, 0x408ce58b26eb33a5],
+            [0x408efe6e6a9c735a, 0x40880dea6a3b6e0f],
+        ]);
+        assert_eq!(bits(osm_like_points(3, &uni(), 6, 42)), [
+            [0x408969d763ad9de8, 0x407458994bca6920],
+            [0x40899f3482120eff, 0x40740f6e50426ea0],
+            [0x405fc117d357e8bc, 0x4076ede360b15cbd],
+        ]);
+        let rs: Vec<_> = rects(3, &uni(), 50.0, 42).iter()
+            .map(|r| [r.x1, r.y1, r.x2, r.y2].map(f64::to_bits))
+            .collect();
+        assert_eq!(rs, [
+            [0x40852988fc91232e, 0x408c595e0f090b69, 0x40854b148e091637, 0x408cf0f5a2eb15d4],
+            [0x40855cb925da9b79, 0x40898a5a81434e60, 0x4086e971de626e0a, 0x408abe3fd35fe0ae],
+            [0x408483c837ff0397, 0x4071a330db9a7c8e, 0x4085b454f491d064, 0x407375decbe4d199],
+        ]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Polygon generators for the union and polygon-join workloads.
 
-use rand::prelude::*;
 use sh_geom::algorithms::convex_hull::convex_hull;
 use sh_geom::{Point, Polygon, Rect};
+use sh_rand::Rng;
 
 /// A random convex polygon: the hull of `vertices` random points in a
 /// disc of radius `radius` around `center`. Always has ≥ 3 vertices.
@@ -10,13 +10,13 @@ pub fn random_convex_polygon(
     center: Point,
     radius: f64,
     vertices: usize,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Polygon {
     loop {
         let pts: Vec<Point> = (0..vertices.max(3) * 2)
             .map(|_| {
-                let a = rng.gen::<f64>() * std::f64::consts::TAU;
-                let r = radius * rng.gen::<f64>().sqrt();
+                let a = rng.unit() * std::f64::consts::TAU;
+                let r = radius * rng.unit().sqrt();
                 Point::new(center.x + a.cos() * r, center.y + a.sin() * r)
             })
             .collect();
@@ -31,18 +31,13 @@ pub fn random_convex_polygon(
 /// jittered radii in increasing angular order around `center` — the
 /// "complex polygon" shape of the union experiment (real lake/park
 /// boundaries are concave).
-pub fn random_star_polygon(
-    center: Point,
-    radius: f64,
-    vertices: usize,
-    rng: &mut StdRng,
-) -> Polygon {
+pub fn random_star_polygon(center: Point, radius: f64, vertices: usize, rng: &mut Rng) -> Polygon {
     let n = vertices.max(4);
     let ring: Vec<Point> = (0..n)
         .map(|i| {
             let a =
-                (i as f64 / n as f64) * std::f64::consts::TAU + rng.gen_range(-0.3..0.3) / n as f64;
-            let r = radius * rng.gen_range(0.35..1.0);
+                (i as f64 / n as f64) * std::f64::consts::TAU + rng.uniform(-0.3..0.3) / n as f64;
+            let r = radius * rng.uniform(0.35..1.0);
             Point::new(center.x + a.cos() * r, center.y + a.sin() * r)
         })
         .collect();
@@ -60,13 +55,13 @@ pub fn random_star_polygon(
 /// `osm_like_polygons` emits convex ("simple") shapes; use
 /// [`osm_like_polygons_complex`] for the concave variant.
 pub fn osm_like_polygons(n: usize, universe: &Rect, scale: f64, seed: u64) -> Vec<Polygon> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed(seed);
     let clusters = ((n as f64).sqrt() as usize).clamp(1, 64);
     let centers: Vec<Point> = (0..clusters)
         .map(|_| {
             Point::new(
-                universe.x1 + rng.gen::<f64>() * universe.width(),
-                universe.y1 + rng.gen::<f64>() * universe.height(),
+                universe.x1 + rng.unit() * universe.width(),
+                universe.y1 + rng.unit() * universe.height(),
             )
         })
         .collect();
@@ -75,18 +70,18 @@ pub fn osm_like_polygons(n: usize, universe: &Rect, scale: f64, seed: u64) -> Ve
             if i % 5 == 0 {
                 // Rural: larger, anywhere.
                 let c = Point::new(
-                    universe.x1 + rng.gen::<f64>() * universe.width(),
-                    universe.y1 + rng.gen::<f64>() * universe.height(),
+                    universe.x1 + rng.unit() * universe.width(),
+                    universe.y1 + rng.unit() * universe.height(),
                 );
-                random_convex_polygon(c, scale * rng.gen_range(2.0..5.0), 8, &mut rng)
+                random_convex_polygon(c, scale * rng.uniform(2.0..5.0), 8, &mut rng)
             } else {
                 // Urban: small, near a cluster center.
-                let base = centers[rng.gen_range(0..centers.len())];
+                let base = centers[rng.below(centers.len())];
                 let c = Point::new(
-                    base.x + (rng.gen::<f64>() - 0.5) * scale * 10.0,
-                    base.y + (rng.gen::<f64>() - 0.5) * scale * 10.0,
+                    base.x + (rng.unit() - 0.5) * scale * 10.0,
+                    base.y + (rng.unit() - 0.5) * scale * 10.0,
                 );
-                random_convex_polygon(c, scale * rng.gen_range(0.5..1.5), 6, &mut rng)
+                random_convex_polygon(c, scale * rng.uniform(0.5..1.5), 6, &mut rng)
             }
         })
         .collect()
@@ -101,13 +96,13 @@ pub fn osm_like_polygons_complex(
     detail: usize,
     seed: u64,
 ) -> Vec<Polygon> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed(seed);
     let clusters = ((n as f64).sqrt() as usize).clamp(1, 64);
     let centers: Vec<Point> = (0..clusters)
         .map(|_| {
             Point::new(
-                universe.x1 + rng.gen::<f64>() * universe.width(),
-                universe.y1 + rng.gen::<f64>() * universe.height(),
+                universe.x1 + rng.unit() * universe.width(),
+                universe.y1 + rng.unit() * universe.height(),
             )
         })
         .collect();
@@ -116,19 +111,19 @@ pub fn osm_like_polygons_complex(
             let (c, r) = if i % 5 == 0 {
                 (
                     Point::new(
-                        universe.x1 + rng.gen::<f64>() * universe.width(),
-                        universe.y1 + rng.gen::<f64>() * universe.height(),
+                        universe.x1 + rng.unit() * universe.width(),
+                        universe.y1 + rng.unit() * universe.height(),
                     ),
-                    scale * rng.gen_range(2.0..5.0),
+                    scale * rng.uniform(2.0..5.0),
                 )
             } else {
-                let base = centers[rng.gen_range(0..centers.len())];
+                let base = centers[rng.below(centers.len())];
                 (
                     Point::new(
-                        base.x + (rng.gen::<f64>() - 0.5) * scale * 10.0,
-                        base.y + (rng.gen::<f64>() - 0.5) * scale * 10.0,
+                        base.x + (rng.unit() - 0.5) * scale * 10.0,
+                        base.y + (rng.unit() - 0.5) * scale * 10.0,
                     ),
-                    scale * rng.gen_range(0.5..1.5),
+                    scale * rng.uniform(0.5..1.5),
                 )
             };
             random_star_polygon(c, r, detail, &mut rng)
@@ -142,7 +137,7 @@ mod tests {
 
     #[test]
     fn convex_polygons_are_convex() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed(1);
         for _ in 0..50 {
             let p = random_convex_polygon(Point::new(100.0, 100.0), 20.0, 8, &mut rng);
             assert!(p.is_convex());
@@ -153,7 +148,7 @@ mod tests {
 
     #[test]
     fn polygons_stay_near_center() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed(2);
         let c = Point::new(50.0, 50.0);
         let p = random_convex_polygon(c, 10.0, 8, &mut rng);
         for v in p.vertices() {
@@ -174,7 +169,7 @@ mod tests {
 
     #[test]
     fn star_polygons_are_simple_and_mostly_concave() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed(5);
         let mut concave = 0;
         for _ in 0..30 {
             let p = random_star_polygon(Point::new(100.0, 100.0), 20.0, 12, &mut rng);

@@ -68,7 +68,28 @@ stage_lint() {
     # `--all-targets` holds tests, examples and benches to the same set.
     cargo clippy --workspace --all-targets -- -D warnings \
       -D clippy::redundant_clone -D clippy::inefficient_to_string \
-      -D clippy::mutex_atomic -D clippy::significant_drop_in_scrutinee
+      -D clippy::mutex_atomic -D clippy::significant_drop_in_scrutinee &&
+    lock_is_workspace_only
+}
+
+# The build takes no crate from outside the repository's own packages
+# (the root package and `crates/*`): every package `Cargo.lock` names
+# must be one of them. Lists each stranger.
+lock_is_workspace_only() {
+  local strangers
+  strangers=$(comm -13 \
+    <(for m in Cargo.toml crates/*/Cargo.toml; do package_name "$m"; done | sort) \
+    <(package_name Cargo.lock | sort))
+  if [ -n "$strangers" ]; then
+    echo "Cargo.lock names packages outside the workspace:" $strangers >&2
+    return 1
+  fi
+}
+
+# The value of every line-initial `name = "..."` of file "$1": a
+# manifest's package name, or each package a lock file names.
+package_name() {
+  sed -n 's/^name = "\(.*\)"$/\1/p' "$1"
 }
 
 stage_build() {

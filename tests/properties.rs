@@ -1,8 +1,8 @@
-//! Property-based tests (proptest) over the whole stack: for arbitrary
-//! random inputs, distributed results must equal single-machine results,
-//! and structural invariants of the substrates must hold.
+//! Property tests over the whole stack: for seeded random inputs,
+//! distributed results must equal single-machine results, and structural
+//! invariants of the substrates must hold.
 
-use proptest::prelude::*;
+use sh_rand::{assume, properties, Rng};
 use spatialhadoop::core::ops::{range, single, skyline};
 use spatialhadoop::core::storage::{build_index, build_index_fmt, upload, BlockFormat};
 use spatialhadoop::dfs::{ClusterConfig, CorruptKind, Dfs, DfsError};
@@ -15,18 +15,31 @@ use spatialhadoop::geom::point::sort_dedup;
 use spatialhadoop::geom::{Point, Record, Rect};
 use spatialhadoop::index::curve::{hilbert_point, hilbert_value};
 use spatialhadoop::index::{owns_point, GlobalPartitioning, LocalRTree, PartitionKind};
+use std::ops::Range;
 
-fn arb_point() -> impl Strategy<Value = Point> {
-    (0.0..1000.0f64, 0.0..1000.0f64).prop_map(|(x, y)| Point::new(x, y))
+fn arb_point(rng: &mut Rng) -> Point {
+    Point::new(rng.uniform(0.0..1000.0), rng.uniform(0.0..1000.0))
 }
 
-fn arb_points(max: usize) -> impl Strategy<Value = Vec<Point>> {
-    prop::collection::vec(arb_point(), 2..max)
+fn arb_points(rng: &mut Rng, max: usize) -> Vec<Point> {
+    vec_of(rng, 2..max, arb_point)
 }
 
-fn arb_rect() -> impl Strategy<Value = Rect> {
-    (0.0..900.0f64, 0.0..900.0f64, 1.0..100.0f64, 1.0..100.0f64)
-        .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
+fn arb_rect(rng: &mut Rng) -> Rect {
+    let [x, y] = [(); 2].map(|_| rng.uniform(0.0..900.0));
+    let [w, h] = [(); 2].map(|_| rng.uniform(1.0..100.0));
+    Rect::new(x, y, x + w, y + h)
+}
+
+/// A vector of `len` (drawn uniformly) items drawn by `item`.
+fn vec_of<T>(rng: &mut Rng, len: Range<usize>, mut item: impl FnMut(&mut Rng) -> T) -> Vec<T> {
+    let n = len.start + rng.below(len.end - len.start);
+    (0..n).map(|_| item(rng)).collect()
+}
+
+/// One of `options`, uniformly.
+fn pick<T: Copy>(rng: &mut Rng, options: &[T]) -> T {
+    options[rng.below(options.len())]
 }
 
 /// Every indexed operation answers the same over a text and a binary
@@ -179,65 +192,110 @@ fn filter_binds_the_typed_answer_rendered_line_for_line() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// One token of Pigeon's lexicon, or a near miss of one: a keyword or
+/// identifier, a number (signed, fractional, exponent, `inf`/`nan`, or a
+/// huge digit run), a quoted or unterminated string, or punctuation.
+fn soup_token(rng: &mut Rng) -> String {
+    #[rustfmt::skip]
+    const WORDS: &[&str] = &[
+        "LOAD", "AS", "INDEX", "INTO", "FORMAT", "text", "binary", "FILTER", "BY", "Overlaps",
+        "RECTANGLE", "POINT", "POLYGON", "KNN", "K", "JOIN", "PREDICATE", "KNNJOIN", "SKYLINE",
+        "CONVEXHULL", "CLOSESTPAIR", "FARTHESTPAIR", "UNION", "VORONOI", "DELAUNAY", "IMPORT",
+        "GENERATE", "uniform", "gaussian", "grid", "str+", "hilbert", "PROFILE", "SUBMIT",
+        "EXPLAIN", "ANALYZE", "STATS", "EVENTS", "JOBS", "SCRUB", "WAIT", "SET", "retries", "DUMP",
+        "DESCRIBE", "PLOT", "PLOTPYRAMID", "WIDTH", "HEIGHT", "LEVELS", "TILE", "STORE", "p",
+        "x_1", "_", "inf", "nan", "NaN", "infinity",
+    ];
+    const PUNCT: &[&str] = &[
+        "=", ",", ";", "(", ")", "-", "--", "+", "'", "'\n'", "\n", " ", "\t", ".", "e", "é",
+    ];
+    // Up to `max - 1` digits.
+    let digits = |rng: &mut Rng, max: usize| -> String {
+        let n = rng.below(max);
+        (0..n)
+            .map(|_| char::from(b'0' + rng.below(10) as u8))
+            .collect()
+    };
+    match rng.below(4) {
+        0 => pick(rng, WORDS).to_string(),
+        1 => {
+            let sign = pick(rng, &["", "-"]);
+            let huge = rng.below(8) == 0;
+            let mut n = format!("{sign}{}", digits(rng, if huge { 600 } else { 5 }));
+            if rng.below(2) == 0 {
+                n += ".";
+                n += &digits(rng, 4);
+            }
+            if rng.below(2) == 0 {
+                n += pick(rng, &["e", "E", "e-", "e+"]);
+                n += &digits(rng, 5);
+            }
+            n
+        }
+        2 => {
+            let close = pick(rng, &["'", "", "\n"]);
+            format!("'{}{close}", pick(rng, WORDS))
+        }
+        _ => pick(rng, PUNCT).to_string(),
+    }
+}
 
-    #[test]
-    fn hull_contains_every_input_point(pts in arb_points(120)) {
+properties! {
+    fn hull_contains_every_input_point(rng, 64) {
+        let pts = arb_points(rng, 120);
         let hull = convex_hull(&pts);
         for p in &pts {
-            prop_assert!(hull_contains(&hull, p), "{p} outside its own hull");
+            assert!(hull_contains(&hull, p), "{p} outside its own hull");
         }
     }
 
-    #[test]
-    fn skyline_fast_matches_naive(pts in arb_points(120)) {
+    fn skyline_fast_matches_naive(rng, 64) {
+        let pts = arb_points(rng, 120);
         let mut fast = skyline_kernel(&pts);
         fast.sort_by(Point::cmp_xy);
-        prop_assert_eq!(fast, skyline_naive(&pts));
+        assert_eq!(fast, skyline_naive(&pts));
     }
 
-    #[test]
-    fn closest_pair_matches_naive(pts in arb_points(100)) {
+    fn closest_pair_matches_naive(rng, 64) {
+        let pts = arb_points(rng, 100);
         let fast = closest_pair(&pts).unwrap();
         let slow = closest_pair_naive(&pts).unwrap();
-        prop_assert!((fast.distance - slow.distance).abs() < 1e-9);
+        assert!((fast.distance - slow.distance).abs() < 1e-9);
     }
 
-    #[test]
-    fn farthest_pair_matches_naive(pts in arb_points(100)) {
+    fn farthest_pair_matches_naive(rng, 64) {
+        let pts = arb_points(rng, 100);
         let fast = farthest_pair(&pts);
         let slow = farthest_pair_naive(&pts);
         match (fast, slow) {
-            (Some(f), Some(s)) => prop_assert!((f.distance - s.distance).abs() < 1e-9),
-            (f, s) => prop_assert_eq!(f.is_some(), s.is_some()),
+            (Some(f), Some(s)) => assert!((f.distance - s.distance).abs() < 1e-9),
+            (f, s) => assert_eq!(f.is_some(), s.is_some()),
         }
     }
 
-    #[test]
-    fn delaunay_empty_circumcircle(pts in arb_points(60)) {
-        let mut sites = pts;
+    fn delaunay_empty_circumcircle(rng, 64) {
+        let mut sites = arb_points(rng, 60);
         sort_dedup(&mut sites);
-        prop_assume!(sites.len() >= 3);
+        assume(sites.len() >= 3)?;
         let tri = Triangulation::build(&sites);
         for t in tri.triangles() {
             let [a, b, c] = t.map(|i| sites[i]);
             for (k, p) in sites.iter().enumerate() {
                 if !t.contains(&k) {
-                    prop_assert!(!in_circle(&a, &b, &c, p));
+                    assert!(!in_circle(&a, &b, &c, p));
                 }
             }
         }
     }
 
-    #[test]
-    fn hilbert_curve_is_bijective(x in 0u32..65536, y in 0u32..65536) {
-        prop_assert_eq!(hilbert_point(hilbert_value(x, y)), (x, y));
+    fn hilbert_curve_is_bijective(rng, 64) {
+        let (x, y) = (rng.below(65536) as u32, rng.below(65536) as u32);
+        assert_eq!(hilbert_point(hilbert_value(x, y)), (x, y));
     }
 
-    #[test]
-    fn rtree_query_equals_linear_scan(rects in prop::collection::vec(arb_rect(), 1..150),
-                                      q in arb_rect()) {
+    fn rtree_query_equals_linear_scan(rng, 64) {
+        let rects = vec_of(rng, 1..150, arb_rect);
+        let q = arb_rect(rng);
         let tree = LocalRTree::build(rects.clone());
         let expected: Vec<usize> = rects
             .iter()
@@ -245,47 +303,39 @@ proptest! {
             .filter(|(_, r)| r.intersects(&q))
             .map(|(i, _)| i)
             .collect();
-        prop_assert_eq!(tree.query(&q), expected);
+        assert_eq!(tree.query(&q), expected);
     }
 
-    #[test]
-    fn disjoint_partitionings_give_unique_owners(
-        pts in arb_points(200),
-        kind in prop::sample::select(vec![
-            PartitionKind::Grid,
-            PartitionKind::QuadTree,
-            PartitionKind::KdTree,
-            PartitionKind::StrPlus,
-        ]),
-        target in 2usize..20,
-    ) {
+    fn disjoint_partitionings_give_unique_owners(rng, 64) {
+        let pts = arb_points(rng, 200);
+        let kind = pick(rng, &[
+            PartitionKind::Grid, PartitionKind::QuadTree,
+            PartitionKind::KdTree, PartitionKind::StrPlus,
+        ]);
+        let target = 2 + rng.below(18);
         let universe = Rect::new(0.0, 0.0, 1000.0, 1000.0);
         let gp = GlobalPartitioning::build(kind, &pts, universe, target);
         for p in &pts {
             let owners: Vec<usize> = (0..gp.len())
                 .filter(|&i| owns_point(&gp.cell(i), p, &universe))
                 .collect();
-            prop_assert_eq!(owners.len(), 1, "{} owners for {}", owners.len(), p);
+            assert_eq!(owners.len(), 1, "{} owners for {}", owners.len(), p);
         }
     }
 
-    #[test]
-    fn disjoint_rect_assignment_covers_every_overlapping_cell(
-        pts in arb_points(150),
-        rects in prop::collection::vec(arb_rect(), 1..40),
-        kind in prop::sample::select(vec![
-            PartitionKind::Grid,
-            PartitionKind::QuadTree,
-            PartitionKind::KdTree,
-            PartitionKind::StrPlus,
-        ]),
-    ) {
+    fn disjoint_rect_assignment_covers_every_overlapping_cell(rng, 64) {
+        let pts = arb_points(rng, 150);
+        let rects = vec_of(rng, 1..40, arb_rect);
+        let kind = pick(rng, &[
+            PartitionKind::Grid, PartitionKind::QuadTree,
+            PartitionKind::KdTree, PartitionKind::StrPlus,
+        ]);
         let universe = Rect::new(0.0, 0.0, 1000.0, 1000.0);
         let gp = GlobalPartitioning::build(kind, &pts, universe, 12);
         for r in &rects {
             let assigned: std::collections::HashSet<usize> =
                 gp.assign(r).into_iter().collect();
-            prop_assert!(!assigned.is_empty());
+            assert!(!assigned.is_empty());
             for i in 0..gp.len() {
                 let cell = gp.cell(i);
                 // Positive-area overlap must be assigned (zero-area edge
@@ -295,7 +345,7 @@ proptest! {
                     .map(|x| x.area() > 0.0)
                     .unwrap_or(false);
                 if pos_overlap {
-                    prop_assert!(
+                    assert!(
                         assigned.contains(&i),
                         "{}: rect {r} overlaps cell {i} but was not assigned",
                         kind.name()
@@ -303,37 +353,29 @@ proptest! {
                 }
                 // And every assigned cell really intersects the record.
                 if assigned.contains(&i) {
-                    prop_assert!(cell.intersects(r));
+                    assert!(cell.intersects(r));
                 }
             }
         }
     }
 
-    #[test]
-    fn overlapping_assignment_is_singular(
-        pts in arb_points(200),
-        rects in prop::collection::vec(arb_rect(), 1..40),
-        kind in prop::sample::select(vec![
-            PartitionKind::Str,
-            PartitionKind::ZCurve,
-            PartitionKind::Hilbert,
-        ]),
-    ) {
+    fn overlapping_assignment_is_singular(rng, 64) {
+        let pts = arb_points(rng, 200);
+        let rects = vec_of(rng, 1..40, arb_rect);
+        let kind = pick(rng, &[PartitionKind::Str, PartitionKind::ZCurve, PartitionKind::Hilbert]);
         let universe = Rect::new(0.0, 0.0, 1000.0, 1000.0);
         let gp = GlobalPartitioning::build(kind, &pts, universe, 10);
         for r in &rects {
             let assigned = gp.assign(r);
-            prop_assert_eq!(assigned.len(), 1, "{}", kind.name());
-            prop_assert!(assigned[0] < gp.len());
+            assert_eq!(assigned.len(), 1, "{}", kind.name());
+            assert!(assigned[0] < gp.len());
         }
     }
 
-    #[test]
-    fn chunked_mbr_filter_matches_scalar_oracle(
-        pts in prop::collection::vec(arb_point(), 0..300),
-        rects in prop::collection::vec(arb_rect(), 0..300),
-        q in arb_rect(),
-    ) {
+    fn chunked_mbr_filter_matches_scalar_oracle(rng, 64) {
+        let pts = vec_of(rng, 0..300, arb_point);
+        let rects = vec_of(rng, 0..300, arb_rect);
+        let q = arb_rect(rng);
         // The chunked kernel behind `mbr_filter` must
         // agree with the short-circuiting scalar reference on every
         // block: empty blocks, odd-length tails (lengths 0..300 cover
@@ -341,43 +383,36 @@ proptest! {
         // queries whose edges pass exactly through record coordinates.
         use spatialhadoop::core::colblock;
         let pblock = colblock::decode(&colblock::encode(&pts).unwrap()).unwrap();
-        prop_assert_eq!(pblock.mbr_filter(&q), pblock.mbr_filter_scalar(&q));
+        assert_eq!(pblock.mbr_filter(&q), pblock.mbr_filter_scalar(&q));
         let rblock = colblock::decode(&colblock::encode(&rects).unwrap()).unwrap();
-        prop_assert_eq!(rblock.mbr_filter(&q), rblock.mbr_filter_scalar(&q));
+        assert_eq!(rblock.mbr_filter(&q), rblock.mbr_filter_scalar(&q));
 
         // On-edge semantics: a query rect built from two records'
         // coordinates puts those records exactly on the boundary, where
         // a >= / <= vs. > / < mismatch between kernels would show up.
         if pts.len() >= 2 {
             let (a, b) = (&pts[0], &pts[pts.len() / 2]);
-            let edge = Rect::new(
-                a.x.min(b.x), a.y.min(b.y), a.x.max(b.x), a.y.max(b.y),
-            );
-            prop_assert_eq!(pblock.mbr_filter(&edge), pblock.mbr_filter_scalar(&edge));
+            let edge = Rect::new(a.x.min(b.x), a.y.min(b.y), a.x.max(b.x), a.y.max(b.y));
+            assert_eq!(pblock.mbr_filter(&edge), pblock.mbr_filter_scalar(&edge));
         }
         if let Some(r) = rects.first() {
-            prop_assert_eq!(rblock.mbr_filter(r), rblock.mbr_filter_scalar(r));
+            assert_eq!(rblock.mbr_filter(r), rblock.mbr_filter_scalar(r));
         }
     }
 
-    #[test]
-    fn record_lines_roundtrip(pts in arb_points(30), rects in prop::collection::vec(arb_rect(), 1..30)) {
+    fn record_lines_roundtrip(rng, 64) {
+        let pts = arb_points(rng, 30);
+        let rects = vec_of(rng, 1..30, arb_rect);
         for p in &pts {
-            prop_assert_eq!(&Point::parse_line(&p.to_line()).unwrap(), p);
+            assert_eq!(&Point::parse_line(&p.to_line()).unwrap(), p);
         }
         for r in &rects {
-            prop_assert_eq!(&Rect::parse_line(&r.to_line()).unwrap(), r);
+            assert_eq!(&Rect::parse_line(&r.to_line()).unwrap(), r);
         }
     }
-}
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn disjoint_polygon_union_keeps_all_perimeter(
-        centers in prop::collection::vec((0.0..900.0f64, 0.0..900.0f64), 1..12)
-    ) {
+    fn disjoint_polygon_union_keeps_all_perimeter(rng, 32) {
+        let centers = vec_of(rng, 1..12, |rng| (rng.uniform(0.0..900.0), rng.uniform(0.0..900.0)));
         // Far-apart polygons (no overlap): boundary = every edge.
         use spatialhadoop::geom::algorithms::union::{boundary_union, total_length};
         use spatialhadoop::geom::Polygon;
@@ -393,22 +428,19 @@ proptest! {
             .collect();
         let segs = boundary_union(&polys);
         let expected: f64 = polys.iter().map(Polygon::perimeter).sum();
-        prop_assert!((total_length(&segs) - expected).abs() < 1e-6);
+        assert!((total_length(&segs) - expected).abs() < 1e-6);
     }
 
-    #[test]
-    fn voronoi_safe_cells_survive_additions(
-        pts in arb_points(80),
-        extra in arb_points(20),
-    ) {
+    fn voronoi_safe_cells_survive_additions(rng, 32) {
         use spatialhadoop::geom::algorithms::voronoi::{cell_fingerprint, VoronoiDiagram};
+        let (pts, extra) = (arb_points(rng, 80), arb_points(rng, 20));
         let partition = Rect::new(250.0, 250.0, 750.0, 750.0);
         let mut inside: Vec<Point> = pts
             .into_iter()
             .filter(|p| partition.contains_point(p))
             .collect();
         sort_dedup(&mut inside);
-        prop_assume!(inside.len() >= 4);
+        assume(inside.len() >= 4)?;
         let local = VoronoiDiagram::build(&inside);
         let safe: Vec<_> = local.cells.iter().filter(|c| c.is_safe(&partition)).collect();
         // Add only points strictly outside the partition.
@@ -422,51 +454,43 @@ proptest! {
                 .iter()
                 .find(|c| c.site.approx_eq(&s.site))
                 .expect("site still present");
-            prop_assert_eq!(cell_fingerprint(g), cell_fingerprint(s));
+            assert_eq!(cell_fingerprint(g), cell_fingerprint(s));
         }
     }
 
-    #[test]
-    fn reservoir_sampling_is_within_bounds(k in 0usize..50, n in 0usize..500, seed in 0u64..100) {
+    fn reservoir_sampling_is_within_bounds(rng, 32) {
         use spatialhadoop::index::sampler::reservoir_sample;
+        let (k, n, seed) = (rng.below(50), rng.below(500), rng.below(100) as u64);
         let s = reservoir_sample(0..n, k, seed);
-        prop_assert_eq!(s.len(), k.min(n));
+        assert_eq!(s.len(), k.min(n));
         for x in s {
-            prop_assert!(x < n);
+            assert!(x < n);
         }
     }
 
-    #[test]
-    fn segment_clipping_stays_inside(ax in 0.0..100.0f64, ay in 0.0..100.0f64,
-                                     bx in 0.0..100.0f64, by in 0.0..100.0f64) {
+    fn segment_clipping_stays_inside(rng, 32) {
         use spatialhadoop::geom::Segment;
+        let [ax, ay, bx, by] = [(); 4].map(|_| rng.uniform(0.0..100.0));
         let s = Segment::new(Point::new(ax, ay), Point::new(bx, by));
         let clip = Rect::new(25.0, 25.0, 75.0, 75.0);
         if let Some(c) = s.clip(&clip) {
             let grown = clip.buffer(1e-9);
-            prop_assert!(grown.contains_point(&c.a));
-            prop_assert!(grown.contains_point(&c.b));
-            prop_assert!(c.length() <= s.length() + 1e-9);
+            assert!(grown.contains_point(&c.a));
+            assert!(grown.contains_point(&c.b));
+            assert!(c.length() <= s.length() + 1e-9);
         }
     }
-}
 
-// Distributed-vs-baseline properties run fewer cases: each case spins up
-// a DFS and runs MapReduce jobs.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    // Distributed-vs-baseline properties run fewer cases: each case spins up
+    // a DFS and runs MapReduce jobs.
 
-    #[test]
-    fn distributed_range_query_matches_scan(
-        pts in arb_points(800),
-        q in arb_rect(),
-        kind in prop::sample::select(vec![
-            PartitionKind::Grid,
-            PartitionKind::StrPlus,
-            PartitionKind::Str,
-            PartitionKind::Hilbert,
-        ]),
-    ) {
+    fn distributed_range_query_matches_scan(rng, 8) {
+        let pts = arb_points(rng, 800);
+        let q = arb_rect(rng);
+        let kind = pick(rng, &[
+            PartitionKind::Grid, PartitionKind::StrPlus,
+            PartitionKind::Str, PartitionKind::Hilbert,
+        ]);
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
         upload(&dfs, "/pp/points", &pts).unwrap();
         let file = build_index::<Point>(&dfs, "/pp/points", "/pp/idx", kind).unwrap().value;
@@ -475,16 +499,15 @@ proptest! {
         got_pts.sort_by(Point::cmp_xy);
         let mut expected = single::range_query(&pts, &q).value;
         expected.sort_by(Point::cmp_xy);
-        prop_assert_eq!(got_pts, expected);
+        assert_eq!(got_pts, expected);
     }
 
-    #[test]
-    fn distributed_delaunay_matches_kernel(pts in arb_points(400)) {
+    fn distributed_delaunay_matches_kernel(rng, 8) {
         use spatialhadoop::core::ops::delaunay::{delaunay_spatial, Tri};
         use spatialhadoop::geom::algorithms::delaunay::Triangulation;
-        let mut sites = pts;
+        let mut sites = arb_points(rng, 400);
         sort_dedup(&mut sites);
-        prop_assume!(sites.len() >= 10);
+        assume(sites.len() >= 10)?;
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
         upload(&dfs, "/pd/points", &sites).unwrap();
         let file = build_index::<Point>(&dfs, "/pd/points", "/pd/idx", PartitionKind::Grid)
@@ -500,12 +523,12 @@ proptest! {
         expected.sort();
         let mut got_fp: Vec<_> = got.value.iter().map(Tri::fingerprint).collect();
         got_fp.sort();
-        prop_assert_eq!(got_fp, expected);
+        assert_eq!(got_fp, expected);
     }
 
-    #[test]
-    fn distributed_hull_and_closest_pair_match_kernels(pts in arb_points(600)) {
+    fn distributed_hull_and_closest_pair_match_kernels(rng, 8) {
         use spatialhadoop::core::ops::{closest_pair, convex_hull};
+        let pts = arb_points(rng, 600);
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
         upload(&dfs, "/ph/points", &pts).unwrap();
         let file = build_index::<Point>(&dfs, "/ph/points", "/ph/idx", PartitionKind::StrPlus)
@@ -516,23 +539,20 @@ proptest! {
         got.sort_by(Point::cmp_xy);
         let mut expected = spatialhadoop::geom::algorithms::convex_hull::convex_hull(&pts);
         expected.sort_by(Point::cmp_xy);
-        prop_assert_eq!(got, expected);
+        assert_eq!(got, expected);
 
         let cp = closest_pair::closest_pair_spatial(&dfs, &file).unwrap();
         let truth = closest_pair(&pts).unwrap();
-        prop_assert!((cp.value.unwrap().distance - truth.distance).abs() < 1e-9);
+        assert!((cp.value.unwrap().distance - truth.distance).abs() < 1e-9);
     }
 
-    #[test]
-    fn binary_index_answers_exactly_like_text(
-        pts in arb_points(600),
-        q in arb_rect(),
-        kind in prop::sample::select(vec![
-            PartitionKind::Grid,
-            PartitionKind::StrPlus,
+    fn binary_index_answers_exactly_like_text(rng, 8) {
+        let pts = arb_points(rng, 600);
+        let q = arb_rect(rng);
+        let kind = pick(rng, &[
+            PartitionKind::Grid, PartitionKind::StrPlus,
             PartitionKind::Hilbert,
-        ]),
-    ) {
+        ]);
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
         upload(&dfs, "/pb/points", &pts).unwrap();
         let tf = build_index_fmt::<Point>(&dfs, "/pb/points", "/pb/it", kind, BlockFormat::Text)
@@ -546,23 +566,31 @@ proptest! {
             v.sort_by(Point::cmp_xy);
             v
         };
-        prop_assert_eq!(sorted(&tf, "/pb/ot"), sorted(&bf, "/pb/ob"));
+        assert_eq!(sorted(&tf, "/pb/ot"), sorted(&bf, "/pb/ob"));
     }
 
-    #[test]
-    fn pigeon_parser_never_panics(source in ".{0,120}") {
+    fn pigeon_parser_never_panics(rng, 8) {
         // Arbitrary input must produce Ok or a structured error, never a
-        // panic.
+        // panic: arbitrary characters, then soups of up to 60 tokens.
+        const POOL: &[char] = &[
+            'a', 'b', 'z', 'A', 'Z', '0', '9', ' ', '\t', ',', '.', ';', ':', '-', '+', '(', ')',
+            '[', ']', '{', '}', '"', '\'', '\\', '/', '*', '#', '%', '_', '=', '<', '>', '|', '!',
+            '?', '~', 'é', 'λ', '→', '\u{7f}',
+        ];
+        let source: String = (0..rng.below(121)).map(|_| pick(rng, POOL)).collect();
         let _ = spatialhadoop::pigeon::parser::parse(&source);
+        // Parsing takes microseconds: each of the few cases fuzzes widely.
+        for _ in 0..256 {
+            let soup: Vec<String> = vec_of(rng, 0..61, soup_token);
+            let source = soup.join(pick(rng, &[" ", "", "\n"]));
+            let _ = spatialhadoop::pigeon::parser::parse(&source);
+        }
     }
 
-    #[test]
-    fn any_single_byte_of_rot_is_detected_and_healed(
-        pts in arb_points(600),
-        offset in 0u64..1_000_000,
-        replica in 0usize..2,
-        fmt in prop::sample::select(vec![BlockFormat::Text, BlockFormat::Binary]),
-    ) {
+    fn any_single_byte_of_rot_is_detected_and_healed(rng, 8) {
+        let pts = arb_points(rng, 600);
+        let (offset, replica) = (rng.below(1_000_000) as u64, rng.below(2));
+        let fmt = pick(rng, &[BlockFormat::Text, BlockFormat::Binary]);
         // One flipped byte at an arbitrary offset of an arbitrary
         // replica — in either the text or the SHCB columnar layout —
         // must be seen by the scrubber and healed from the sibling
@@ -574,21 +602,19 @@ proptest! {
             .value;
         let victim = &file.partitions[offset as usize % file.partitions.len()].path;
         let healthy = dfs.read_bytes(victim).unwrap();
-        prop_assert!(dfs.corrupt_replica_byte(victim, replica, offset));
+        assert!(dfs.corrupt_replica_byte(victim, replica, offset));
         let report = dfs.scrub("/pr/");
-        prop_assert_eq!(report.corrupt, 1, "exactly one replica rotted: {}", report);
-        prop_assert_eq!(report.repaired, 1, "{}", report);
-        prop_assert_eq!(report.unrecoverable, 0, "{}", report);
-        prop_assert_eq!(dfs.read_bytes(victim).unwrap(), healthy);
-        prop_assert_eq!(dfs.scrub("/pr/").corrupt, 0, "second scrub must run clean");
+        assert_eq!(report.corrupt, 1, "exactly one replica rotted: {}", report);
+        assert_eq!(report.repaired, 1, "{}", report);
+        assert_eq!(report.unrecoverable, 0, "{}", report);
+        assert_eq!(dfs.read_bytes(victim).unwrap(), healthy);
+        assert_eq!(dfs.scrub("/pr/").corrupt, 0, "second scrub must run clean");
     }
 
-    #[test]
-    fn flip_and_truncate_are_healed_by_read_repair(
-        pts in arb_points(600),
-        replica in 0usize..2,
-        kind in prop::sample::select(vec![CorruptKind::Flip, CorruptKind::Truncate]),
-    ) {
+    fn flip_and_truncate_are_healed_by_read_repair(rng, 8) {
+        let pts = arb_points(rng, 600);
+        let replica = rng.below(2);
+        let kind = pick(rng, &[CorruptKind::Flip, CorruptKind::Truncate]);
         // Plain reads must always come back byte-identical, whichever
         // replica rotted. Reads walk candidates in preference order, so
         // rot on the first pick is detected and read-repaired on the
@@ -598,28 +624,26 @@ proptest! {
         upload(&dfs, "/pt/points", &pts).unwrap();
         let healthy = dfs.read_to_string("/pt/points").unwrap();
         let hit = dfs.corrupt_replica("/pt/points", replica, kind);
-        prop_assert!(hit > 0, "corruption must land on at least one block");
+        assert!(hit > 0, "corruption must land on at least one block");
         let before = dfs.metrics().snapshot();
-        prop_assert_eq!(dfs.read_to_string("/pt/points").unwrap(), healthy);
+        assert_eq!(dfs.read_to_string("/pt/points").unwrap(), healthy);
         let delta = dfs.metrics().snapshot().since(&before);
         if replica == 0 {
-            prop_assert_eq!(delta.corrupt_replicas, hit as u64);
-            prop_assert!(delta.repaired_replicas >= hit as u64);
-            prop_assert_eq!(dfs.scrub("/pt/").corrupt, 0, "read-repair must have healed all");
+            assert_eq!(delta.corrupt_replicas, hit as u64);
+            assert!(delta.repaired_replicas >= hit as u64);
+            assert_eq!(dfs.scrub("/pt/").corrupt, 0, "read-repair must have healed all");
         } else {
             let report = dfs.scrub("/pt/");
-            prop_assert_eq!(report.corrupt, hit, "scrub must find what reads skipped");
-            prop_assert_eq!(report.repaired, hit, "{}", report);
+            assert_eq!(report.corrupt, hit, "scrub must find what reads skipped");
+            assert_eq!(report.repaired, hit, "{}", report);
         }
-        prop_assert_eq!(dfs.scrub("/pt/").corrupt, 0, "everything healed");
+        assert_eq!(dfs.scrub("/pt/").corrupt, 0, "everything healed");
     }
 
-    #[test]
-    fn unreplicated_corruption_errors_instead_of_wrong_bytes(
-        pts in arb_points(400),
-        offset in 0u64..1_000_000,
-        kind in prop::sample::select(vec![CorruptKind::Flip, CorruptKind::Truncate]),
-    ) {
+    fn unreplicated_corruption_errors_instead_of_wrong_bytes(rng, 8) {
+        let pts = arb_points(rng, 400);
+        let offset = rng.below(1_000_000) as u64;
+        let kind = pick(rng, &[CorruptKind::Flip, CorruptKind::Truncate]);
         // With a single replica there is nothing to heal from: the read
         // must fail with a structured error — a wrong answer is the one
         // unacceptable outcome.
@@ -628,21 +652,21 @@ proptest! {
         let dfs = Dfs::new(cfg);
         upload(&dfs, "/p1/points", &pts).unwrap();
         if kind == CorruptKind::Flip {
-            prop_assert!(dfs.corrupt_replica_byte("/p1/points", 0, offset));
+            assert!(dfs.corrupt_replica_byte("/p1/points", 0, offset));
         } else {
-            prop_assert!(dfs.corrupt_replica("/p1/points", 0, kind) > 0);
+            assert!(dfs.corrupt_replica("/p1/points", 0, kind) > 0);
         }
         match dfs.read_to_string("/p1/points") {
             Err(DfsError::CorruptBlock(_)) => {}
-            other => prop_assert!(false, "expected CorruptBlock, got {:?}", other.map(|s| s.len())),
+            other => panic!("expected CorruptBlock, got {:?}", other.map(|s| s.len())),
         }
         let report = dfs.scrub("/p1/");
-        prop_assert!(report.unrecoverable >= 1, "{}", report);
-        prop_assert_eq!(report.repaired, 0, "{}", report);
+        assert!(report.unrecoverable >= 1, "{}", report);
+        assert_eq!(report.repaired, 0, "{}", report);
     }
 
-    #[test]
-    fn distributed_skyline_matches_kernel(pts in arb_points(800)) {
+    fn distributed_skyline_matches_kernel(rng, 8) {
+        let pts = arb_points(rng, 800);
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
         upload(&dfs, "/ps/points", &pts).unwrap();
         let file = build_index::<Point>(&dfs, "/ps/points", "/ps/idx", PartitionKind::StrPlus)
@@ -655,6 +679,6 @@ proptest! {
         expected.sort_by(Point::cmp_xy);
         expected.dedup_by(|a, b| a.approx_eq(b));
         got_pts.dedup_by(|a, b| a.approx_eq(b));
-        prop_assert_eq!(got_pts, expected);
+        assert_eq!(got_pts, expected);
     }
 }
