@@ -81,44 +81,34 @@ pub fn decode_rects(s: &str) -> Result<Vec<Rect>, OpError> {
         .collect())
 }
 
-/// Appends a rect pair (`x1 y1 x2 y2 x1 y1 x2 y2`) to `out` — the line
-/// format join results use. Writes into the caller's buffer so hot loops
-/// reuse one allocation.
-pub fn write_pair(out: &mut String, a: &Rect, b: &Rect) {
-    let _ = write!(
-        out,
-        "{} {} {} {} {} {} {} {}",
-        a.x1, a.y1, a.x2, a.y2, b.x1, b.y1, b.x2, b.y2
-    );
-}
-
-/// Encodes a rect pair as an owned line (see [`write_pair`]).
-pub fn encode_pair(a: &Rect, b: &Rect) -> String {
-    let mut s = String::with_capacity(64);
-    write_pair(&mut s, a, b);
-    s
-}
-
-/// Decodes a line written by [`write_pair`].
-pub fn decode_pair(line: &str) -> Result<(Rect, Rect), OpError> {
-    let nums = decode_floats(line, "join pair")?;
-    if nums.len() != 8 {
-        return Err(corrupt("join pair", line));
-    }
-    Ok((
-        Rect::new(nums[0], nums[1], nums[2], nums[3]),
-        Rect::new(nums[4], nums[5], nums[6], nums[7]),
-    ))
-}
+/// What separates the two records of a join pair row, `a | b`: each side
+/// is its record's `write_line`.
+pub const PAIR_SEPARATOR: &str = " | ";
 
 /// Parses every non-blank row of job output as a record, mapping parse
 /// failures to [`OpError::Corrupt`] — the shared driver-side output
 /// reader for range/knn/skyline/hull results.
 pub fn parse_output_records<R: Record>(rows: &Rows) -> Result<Vec<R>, OpError> {
+    sh_geom::text::scan_all(rows.text()).map_err(|e| bad_output(e.error))
+}
+
+/// Parses join pair rows `a | b` (see [`PAIR_SEPARATOR`]).
+pub fn parse_pairs<R: Record>(rows: &Rows) -> Result<Vec<(R, R)>, OpError> {
     rows.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| R::parse_line(l).map_err(|e| OpError::Corrupt(format!("bad output line: {e}"))))
+        .map(|row| {
+            let (a, b) = row
+                .split_once(PAIR_SEPARATOR)
+                .ok_or_else(|| corrupt("join pair", row))?;
+            Ok((
+                R::parse_line(a).map_err(bad_output)?,
+                R::parse_line(b).map_err(bad_output)?,
+            ))
+        })
         .collect()
+}
+
+fn bad_output(e: sh_geom::ParseError) -> OpError {
+    OpError::Corrupt(format!("bad output line: {e}"))
 }
 
 #[cfg(test)]
@@ -146,7 +136,9 @@ mod tests {
     fn pair_roundtrip() {
         let a = Rect::new(0.0, 0.0, 1.0, 1.0);
         let b = Rect::new(2.0, 2.0, 3.5, 4.0);
-        assert_eq!(decode_pair(&encode_pair(&a, &b)).unwrap(), (a, b));
+        let rows = Rows::from_lines([format!("{}{PAIR_SEPARATOR}{}", a.to_line(), b.to_line())]);
+        assert_eq!(rows.text(), "0 0 1 1 | 2 2 3.5 4\n");
+        assert_eq!(parse_pairs::<Rect>(&rows).unwrap(), vec![(a, b)]);
     }
 
     #[test]
@@ -163,11 +155,20 @@ mod tests {
             Err(OpError::Corrupt(_))
         ));
         assert!(matches!(decode_points("1 -inf"), Err(OpError::Corrupt(_))));
-        assert!(matches!(decode_pair("1 2 3 4"), Err(OpError::Corrupt(_))));
-        assert!(matches!(
-            decode_pair("1 2 3 4 5 6 7 boom"),
-            Err(OpError::Corrupt(_))
-        ));
+        for row in [
+            "1 2 3 4",
+            "1 2 3 4 5 6 7 8",
+            "1 2 3 4 | 5 6 7 boom",
+            "1 2 3 | 5 6 7 8",
+        ] {
+            assert!(
+                matches!(
+                    parse_pairs::<Rect>(&Rows::from_lines([row])),
+                    Err(OpError::Corrupt(_))
+                ),
+                "{row:?}"
+            );
+        }
     }
 
     #[test]

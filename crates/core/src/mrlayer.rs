@@ -18,13 +18,20 @@
 //! `SpatialRecordReader::open_after_probe`; both run one body, so a
 //! hit and a miss emit the same rows. The kNN-join mappers, which keep
 //! the two inputs of a split apart, read through [`task_inputs`].
+//!
+//! Text is read by `sh_geom::text::scan`, one forward pass over the
+//! bytes. A text partition keeps its text and each record's line start
+//! next to the parsed records. Its lines are its records' `write_line`
+//! (only the index build writes them), so [`Partition::write_record`]
+//! copies an answer's line instead of rendering it; debug builds check
+//! every copy against the render.
 
 use std::borrow::Cow;
 use std::hash::Hash;
 use std::sync::Arc;
 
 use sh_dfs::{Dfs, DfsError};
-use sh_geom::{Point, Record, Rect};
+use sh_geom::{text, Point, Record, Rect};
 use sh_index::{owns_point, LocalRTree};
 use sh_mapreduce::{InputSplit, MapContext, Mapper};
 
@@ -121,12 +128,11 @@ impl SpatialRecordReader {
             out.extend(colblock::decode(head)?.records::<R>());
             data = rest;
         }
-        let text = std::str::from_utf8(data)
-            .map_err(|e| OpError::Corrupt(format!("partition is not UTF-8 text: {e}")))?;
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let quoted = |e| OpError::Corrupt(format!("{e}: {}", sh_geom::text::quote(line)));
-            out.push(R::parse_line(line).map_err(quoted)?);
+        let records = text::scan_all(utf8(data)?).map_err(corrupt_line)?;
+        if out.is_empty() {
+            return Ok(records);
         }
+        out.extend(records);
         Ok(out)
     }
 
@@ -141,7 +147,7 @@ impl SpatialRecordReader {
     ) -> Result<(Arc<Partition<R>>, bool), OpError> {
         match Self::cached(dfs, path) {
             Some(part) => Ok((part, true)),
-            None => Ok((Self::open_after_probe(dfs, path, data)?, false)),
+            None => Ok((Self::open_after_probe(dfs, path, data, &[])?, false)),
         }
     }
 
@@ -163,11 +169,14 @@ impl SpatialRecordReader {
     /// records' MBRs taken once, the persisted `_lidx-NNNNN` topology
     /// loaded over them (STR bulk-loading them instead for heap files and
     /// for missing, corrupt, outdated or stale sidecars), and the result
-    /// cached keyed by `path`. Counts nothing.
+    /// cached keyed by `path`. Counts nothing. `blocks` are the DFS blocks
+    /// the task read, which a text partition shares its bytes with (see
+    /// [`SpatialRecordReader::open_scan`]).
     pub(crate) fn open_after_probe<R: Record>(
         dfs: &Dfs,
         path: &str,
         data: &[u8],
+        blocks: &[Arc<[u8]>],
     ) -> Result<Arc<Partition<R>>, OpError> {
         if let Some(part) = dfs.cache().peek(path).and_then(|v| v.downcast().ok()) {
             return Ok(part);
@@ -176,7 +185,7 @@ impl SpatialRecordReader {
         // invalidates the path (overwrite, node kill) while we decode,
         // the epoch check in `put_at` drops the stale insert.
         let epoch = dfs.cache().epoch();
-        let mut part = Self::open_scan::<R>(data)?;
+        let mut part = Self::open_scan::<R>(data, blocks)?;
         let rects: Vec<Rect> = (0..part.len()).map(|i| part.mbr_of(i)).collect();
         // A sidecar is only ever a shortcut to the tree `build` would
         // give: whatever `from_bytes` cannot prove to be a tree over
@@ -191,7 +200,7 @@ impl SpatialRecordReader {
         // Accounted size: rows + tree rects dominate; parsed text also
         // charges the text itself as the floor.
         let rows = match &part.rows {
-            Rows::Parsed(v) => data.len() + v.len() * std::mem::size_of::<R>(),
+            Rows::Text { records, .. } => data.len() + records.len() * std::mem::size_of::<R>(),
             Rows::Columns(block) => block.resident_bytes(),
         };
         let bytes = (rows + part.tree.len() * 32) as u64;
@@ -203,18 +212,59 @@ impl SpatialRecordReader {
     /// Opens a partition for a one-shot linear scan: no cache, an empty
     /// tree — the ablation path (experiment A4). A binary partition file
     /// is exactly one block and keeps its columnar layout, so
-    /// [`Partition::scan_filter_par`] still runs the column loop.
-    pub fn open_scan<R: Record>(data: &[u8]) -> Result<Partition<R>, OpError> {
+    /// [`Partition::scan_filter_par`] still runs the column loop. A text
+    /// partition keeps what its one scan read: the records, each one's
+    /// line start, and the bytes themselves, as the block of `blocks`
+    /// (the task's `MapContext::input_blocks`) that holds exactly them,
+    /// shared, so a cached partition costs no second copy of its text;
+    /// or else as a copy.
+    pub fn open_scan<R: Record>(
+        data: &[u8],
+        blocks: &[Arc<[u8]>],
+    ) -> Result<Partition<R>, OpError> {
         let rows = if colblock::is_binary(data) {
             Rows::Columns(colblock::decode(data)?)
         } else {
-            Rows::Parsed(Self::records_bytes(data)?)
+            let source = utf8(data)?;
+            if u32::try_from(source.len()).is_err() {
+                return Err(OpError::Corrupt(format!(
+                    "text partition of {} bytes: line offsets are 32-bit",
+                    source.len()
+                )));
+            }
+            let lines = text::line_count(source);
+            let (mut records, mut starts) = (Vec::with_capacity(lines), Vec::with_capacity(lines));
+            text::scan(source, |start, record| {
+                records.push(record);
+                starts.push(start as u32);
+            })
+            .map_err(corrupt_line)?;
+            let text = match blocks.iter().find(|block| ***block == *data) {
+                Some(block) => block.clone(),
+                None => Arc::from(data),
+            };
+            Rows::Text {
+                records,
+                text,
+                starts,
+            }
         };
         Ok(Partition {
             rows,
             tree: LocalRTree::build(Vec::new()),
         })
     }
+}
+
+/// Split or partition bytes as text.
+fn utf8(data: &[u8]) -> Result<&str, OpError> {
+    std::str::from_utf8(data)
+        .map_err(|e| OpError::Corrupt(format!("partition is not UTF-8 text: {e}")))
+}
+
+/// A line the scanner rejected, quoted.
+fn corrupt_line(e: text::LineError<'_>) -> OpError {
+    OpError::Corrupt(e.to_string())
 }
 
 /// Unwraps a reader result inside a map task: corrupt input fails the
@@ -298,8 +348,13 @@ pub struct Partition<R: Record> {
 }
 
 enum Rows<R> {
-    /// Text partition: parsed records.
-    Parsed(Vec<R>),
+    /// Text partition: the parsed records, the UTF-8 text they were
+    /// parsed from, and where in it each record's line starts.
+    Text {
+        records: Vec<R>,
+        text: Arc<[u8]>,
+        starts: Vec<u32>,
+    },
     /// Binary partition: shared coordinate columns.
     Columns(ColumnarBlock),
 }
@@ -308,7 +363,7 @@ impl<R: Record> Partition<R> {
     /// Number of records in the partition.
     pub fn len(&self) -> usize {
         match &self.rows {
-            Rows::Parsed(v) => v.len(),
+            Rows::Text { records, .. } => records.len(),
             Rows::Columns(block) => block.count,
         }
     }
@@ -327,7 +382,7 @@ impl<R: Record> Partition<R> {
     #[inline]
     pub fn mbr_of(&self, i: usize) -> Rect {
         match &self.rows {
-            Rows::Parsed(v) => v[i].mbr(),
+            Rows::Text { records, .. } => records[i].mbr(),
             Rows::Columns(block) => block.mbr(i),
         }
     }
@@ -335,16 +390,28 @@ impl<R: Record> Partition<R> {
     /// Materializes record `i`.
     pub fn record(&self, i: usize) -> R {
         match &self.rows {
-            Rows::Parsed(v) => v[i].clone(),
+            Rows::Text { records, .. } => records[i].clone(),
             Rows::Columns(block) => block.record::<R>(i),
         }
     }
 
     /// Appends record `i`'s text encoding to `out` (result lines stay
-    /// text in both formats, so outputs are byte-identical).
+    /// text in both formats, so outputs are byte-identical). A text
+    /// partition's lines are its records' `write_line` (only the index
+    /// build writes them), so its line is copied; a binary one renders.
     pub fn write_record(&self, i: usize, out: &mut String) {
         match &self.rows {
-            Rows::Parsed(v) => v[i].write_line(out),
+            Rows::Text {
+                records,
+                text,
+                starts,
+            } => {
+                let start = starts[i] as usize;
+                let line = std::str::from_utf8(&text[start..text::line_end(text, start)])
+                    .expect("cut at line ends of text that was scanned as UTF-8");
+                debug_assert_eq!(line, records[i].to_line(), "a non-canonical partition line");
+                out.push_str(line);
+            }
             Rows::Columns(block) => block.record::<R>(i).write_line(out),
         }
     }
@@ -357,8 +424,8 @@ impl<R: Record> Partition<R> {
     /// to a serial scan) plus the number of extra slots used.
     pub fn scan_filter_par(&self, dfs: &Dfs, q: &Rect) -> (Vec<usize>, usize) {
         match &self.rows {
-            Rows::Parsed(v) => {
-                let hits = (0..v.len()).filter(|&i| v[i].mbr().intersects(q));
+            Rows::Text { records, .. } => {
+                let hits = (0..records.len()).filter(|&i| records[i].mbr().intersects(q));
                 (hits.collect(), 0)
             }
             Rows::Columns(block) => crate::parscan::parallel_chunks(
@@ -376,7 +443,7 @@ impl<R: Record> Partition<R> {
     /// serial materialization. Also returns the extra slots used.
     pub fn records_par(&self, dfs: &Dfs) -> (Cow<'_, [R]>, usize) {
         match &self.rows {
-            Rows::Parsed(v) => (Cow::Borrowed(v), 0),
+            Rows::Text { records, .. } => (Cow::Borrowed(records), 0),
             Rows::Columns(block) => {
                 let (records, extra) = crate::parscan::parallel_chunks(
                     dfs.slots(),
@@ -633,7 +700,7 @@ mod tests {
         let (tpart, _) =
             SpatialRecordReader::open_indexed_bytes::<Point>(&dfs, "/idx/part-00001", &tdata)
                 .unwrap();
-        assert!(matches!(tpart.rows, Rows::Parsed(_)));
+        assert!(matches!(tpart.rows, Rows::Text { .. }));
         assert_eq!(tpart.scan_filter_par(&dfs, &q).0, vec![1]);
 
         // Corrupt SHCB data (valid magic, truncated payload) is an error,

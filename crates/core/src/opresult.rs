@@ -112,6 +112,18 @@ impl<T> OpResult<T> {
         }
     }
 
+    /// [`OpResult::map`] through a fallible `f`: a rows-level answer's
+    /// typed view.
+    pub fn try_map<U>(
+        self,
+        f: impl FnOnce(T) -> Result<U, OpError>,
+    ) -> Result<OpResult<U>, OpError> {
+        Ok(OpResult {
+            value: f(self.value)?,
+            jobs: self.jobs,
+        })
+    }
+
     /// Records the operation's splitter selectivity on the final job's
     /// profile and mirrors it into the global metrics registry under
     /// `op.*`.

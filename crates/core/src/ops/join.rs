@@ -11,13 +11,13 @@
 
 use sh_dfs::Dfs;
 use sh_geom::algorithms::plane_sweep::{plane_sweep_join, plane_sweep_join_into};
-use sh_geom::Rect;
+use sh_geom::{Record, Rect};
 use sh_index::grid::GridPartitioning;
 use sh_index::owns_point;
 use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, ReduceContext, Reducer, Rows};
 
 use crate::catalog::SpatialFile;
-use crate::codec::{decode_pair, write_pair};
+use crate::codec::{parse_pairs, PAIR_SEPARATOR};
 use crate::mrlayer::{
     reference_point, task, task_cached, task_inputs, ByRecords, Partition, RecordMapper,
     SpatialRecordReader,
@@ -81,7 +81,9 @@ impl Reducer for SjmrReducer {
             if let Some(rp) = reference_point(&left[i], &right[j]) {
                 if owns_point(&cell, &rp, &universe) {
                     line.clear();
-                    write_pair(&mut line, &left[i], &right[j]);
+                    left[i].write_line(&mut line);
+                    line.push_str(PAIR_SEPARATOR);
+                    right[j].write_line(&mut line);
                     ctx.output(&line);
                     results += 1;
                 }
@@ -103,6 +105,18 @@ pub fn sjmr(
     grid_cells: usize,
     _out_dir: &str,
 ) -> Result<OpResult<Vec<(Rect, Rect)>>, OpError> {
+    sjmr_rows(dfs, left, right, universe, grid_cells)?.try_map(|rows| parse_pairs(&rows))
+}
+
+/// [`sjmr`] with the answer left as the job wrote it: one `a | b` row
+/// per result pair (see [`PAIR_SEPARATOR`]), in task order.
+pub fn sjmr_rows(
+    dfs: &Dfs,
+    left: &str,
+    right: &str,
+    universe: &Rect,
+    grid_cells: usize,
+) -> Result<OpResult<Rows>, OpError> {
     let grid = GridPartitioning::build(*universe, grid_cells);
     let mut splits = InputSplit::from_file(dfs, left)?;
     splits.extend(
@@ -118,9 +132,8 @@ pub fn sjmr(
         .reducer(SjmrReducer { grid }, reducers)
         .build()?
         .run()?;
-    let value = parse_output(&job.rows)?;
-    let sel = Selectivity::full_scan(job.map_tasks(), value.len() as u64);
-    Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
+    let sel = Selectivity::full_scan(job.map_tasks(), job.rows.len() as u64);
+    Ok(OpResult::new(job.rows.clone(), vec![job]).with_selectivity(sel))
 }
 
 // ------------------------------------------------------- distributed join
@@ -158,7 +171,12 @@ impl Mapper for DjMapper {
         let open = |path: &str, data: &[u8]| {
             task(
                 path,
-                SpatialRecordReader::open_after_probe::<Rect>(&self.dfs, path, data),
+                SpatialRecordReader::open_after_probe::<Rect>(
+                    &self.dfs,
+                    path,
+                    data,
+                    ctx.input_blocks(),
+                ),
             )
         };
         let (lpart, rpart) = (open(path_a, left_data), open(path_b, right_data));
@@ -198,8 +216,12 @@ impl DjMapper {
                 if self.dedup_right && !owns_point(&cell_b, &rp, &uni_b) {
                     return;
                 }
+                // Each side's line comes from its partition: copied
+                // from text, rendered from columns.
                 line.clear();
-                write_pair(&mut line, &left[i], &right[j]);
+                lpart.write_record(i, &mut line);
+                line.push_str(PAIR_SEPARATOR);
+                rpart.write_record(j, &mut line);
                 ctx.output(&line);
                 results += 1;
             }
@@ -317,6 +339,16 @@ pub fn distributed_join(
     b: &SpatialFile,
     _out_dir: &str,
 ) -> Result<OpResult<Vec<(Rect, Rect)>>, OpError> {
+    distributed_join_rows(dfs, a, b)?.try_map(|rows| parse_pairs(&rows))
+}
+
+/// [`distributed_join`] with the answer left as the job wrote it: one
+/// `a | b` row per result pair (see [`PAIR_SEPARATOR`]), in task order.
+pub fn distributed_join_rows(
+    dfs: &Dfs,
+    a: &SpatialFile,
+    b: &SpatialFile,
+) -> Result<OpResult<Rows>, OpError> {
     let splits = pair_splits(dfs, a, b)?;
     let total_pairs = a.partitions.len() * b.partitions.len();
     let processed = splits.len();
@@ -331,12 +363,11 @@ pub fn distributed_join(
         .run()?;
     job.set_counter("join.pairs.considered", total_pairs as u64);
     job.set_counter("join.pairs.processed", processed as u64);
-    let value = parse_output(&job.rows)?;
     // Selectivity counts partition *pairs*: the unit the filter step
     // prunes in a distributed join.
     let mut sel = Selectivity::of_split(total_pairs, processed, 0);
-    sel.records_emitted = value.len() as u64;
-    Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
+    sel.records_emitted = job.rows.len() as u64;
+    Ok(OpResult::new(job.rows.clone(), vec![job]).with_selectivity(sel))
 }
 
 // -------------------------------------------------- polygon overlap join
@@ -353,8 +384,8 @@ impl Mapper for PolygonDjMapper {
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
         use sh_geom::Polygon;
         let (left, right) = task_inputs::<Polygon>(split, data);
-        let left_mbrs: Vec<Rect> = left.iter().map(sh_geom::Record::mbr).collect();
-        let right_mbrs: Vec<Rect> = right.iter().map(sh_geom::Record::mbr).collect();
+        let left_mbrs: Vec<Rect> = left.iter().map(Record::mbr).collect();
+        let right_mbrs: Vec<Rect> = right.iter().map(Record::mbr).collect();
         let (_, _, [cell_a, cell_b, uni_a, uni_b]) = pair_aux(split);
         let mut results = 0u64;
         // MBR plane sweep as the filter, exact polygon test as the
@@ -370,9 +401,9 @@ impl Mapper for PolygonDjMapper {
                 ctx.counter("join.refine.candidates", 1);
                 if left[i].intersects(&right[j]) {
                     ctx.output(&format!(
-                        "{} | {}",
-                        sh_geom::Record::to_line(&left[i]),
-                        sh_geom::Record::to_line(&right[j])
+                        "{}{PAIR_SEPARATOR}{}",
+                        left[i].to_line(),
+                        right[j].to_line()
                     ));
                     results += 1;
                 }
@@ -401,23 +432,10 @@ pub fn polygon_join(
         })
         .map_only()?
         .run()?;
-    let mut value = Vec::new();
-    for line in job.rows.lines() {
-        let (l, r) = line
-            .split_once(" | ")
-            .ok_or_else(|| OpError::Corrupt(format!("bad polygon pair: {line:?}")))?;
-        value.push((
-            <sh_geom::Polygon as sh_geom::Record>::parse_line(l).map_err(OpError::from)?,
-            <sh_geom::Polygon as sh_geom::Record>::parse_line(r).map_err(OpError::from)?,
-        ));
-    }
+    let value = parse_pairs(&job.rows)?;
     let mut sel = Selectivity::of_split(total_pairs, processed, 0);
     sel.records_emitted = value.len() as u64;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
-}
-
-fn parse_output(rows: &Rows) -> Result<Vec<(Rect, Rect)>, OpError> {
-    rows.lines().map(decode_pair).collect()
 }
 
 #[cfg(test)]
@@ -429,11 +447,12 @@ mod tests {
     use sh_index::PartitionKind;
     use sh_workload::rects;
 
-    fn canon(mut v: Vec<(Rect, Rect)>) -> Vec<String> {
-        let mut out: Vec<String> = v
-            .drain(..)
-            .map(|(a, b)| crate::codec::encode_pair(&a, &b))
-            .collect();
+    fn pair_line((a, b): &(Rect, Rect)) -> String {
+        format!("{}{PAIR_SEPARATOR}{}", a.to_line(), b.to_line())
+    }
+
+    fn canon(v: Vec<(Rect, Rect)>) -> Vec<String> {
+        let mut out: Vec<String> = v.iter().map(pair_line).collect();
         out.sort();
         out.dedup();
         out
@@ -459,16 +478,9 @@ mod tests {
         let expected = expected_pairs(&left, &right);
         assert!(!expected.is_empty());
         // Exact multiset equality: reference point rule removed dups.
-        let mut got_lines: Vec<String> = got
-            .value
-            .iter()
-            .map(|(a, b)| crate::codec::encode_pair(a, b))
-            .collect();
+        let mut got_lines: Vec<String> = got.value.iter().map(pair_line).collect();
         got_lines.sort();
-        let mut exp_lines: Vec<String> = expected
-            .iter()
-            .map(|(a, b)| crate::codec::encode_pair(a, b))
-            .collect();
+        let mut exp_lines: Vec<String> = expected.iter().map(pair_line).collect();
         exp_lines.sort();
         assert_eq!(got_lines, exp_lines);
         assert!(

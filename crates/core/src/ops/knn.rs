@@ -118,7 +118,12 @@ impl<R: Record> Mapper for KnnIndexMapper<R> {
         // `map_cached` missed: decode, index and cache the partition.
         let part = task(
             &split.path,
-            SpatialRecordReader::open_after_probe::<Point>(&self.dfs, &split.path, data),
+            SpatialRecordReader::open_after_probe::<Point>(
+                &self.dfs,
+                &split.path,
+                data,
+                ctx.input_blocks(),
+            ),
         );
         self.search(&part, ctx);
     }

@@ -17,6 +17,7 @@ use sh_index::owns_point;
 use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, Rows};
 
 use crate::catalog::SpatialFile;
+use crate::codec::parse_output_records;
 use crate::mrlayer::{
     split_cell, splitter_selectivity, task, task_cached, ByRecords, Partition, RecordMapper,
     SpatialFileSplitter, SpatialRecordReader,
@@ -79,7 +80,12 @@ impl<R: Record> Mapper for IndexedMapper<R> {
             // `map_cached` missed: decode, index and cache the partition.
             let part = task(
                 &split.path,
-                SpatialRecordReader::open_after_probe::<R>(&self.dfs, &split.path, data),
+                SpatialRecordReader::open_after_probe::<R>(
+                    &self.dfs,
+                    &split.path,
+                    data,
+                    ctx.input_blocks(),
+                ),
             );
             let hits = part.tree().query(&self.query);
             (part, hits)
@@ -87,7 +93,10 @@ impl<R: Record> Mapper for IndexedMapper<R> {
             // Ablation: linear scan of the partition, no cache. Binary
             // blocks scan their coordinate columns directly, spread
             // across any idle worker slots.
-            let part = Arc::new(task(&split.path, SpatialRecordReader::open_scan::<R>(data)));
+            let part = Arc::new(task(
+                &split.path,
+                SpatialRecordReader::open_scan::<R>(data, ctx.input_blocks()),
+            ));
             let (hits, extra) = part.scan_filter_par(&self.dfs, &self.query);
             if extra > 0 {
                 let par = ctx.register_counter("scan.parallel.extra_slots");
@@ -144,7 +153,7 @@ pub fn range_hadoop<R: Record>(
     query: &Rect,
     _out_dir: &str,
 ) -> Result<OpResult<Vec<R>>, OpError> {
-    parse_rows(range_hadoop_rows::<R>(dfs, heap, query)?)
+    range_hadoop_rows::<R>(dfs, heap, query)?.try_map(|rows| parse_output_records(&rows))
 }
 
 /// [`range_hadoop`] with the answer left as the job wrote it: one
@@ -204,7 +213,7 @@ pub fn range_spatial_with<R: Record>(
     query: &Rect,
     options: RangeOptions,
 ) -> Result<OpResult<Vec<R>>, OpError> {
-    parse_rows(range_spatial_rows::<R>(dfs, file, query, options)?)
+    range_spatial_rows::<R>(dfs, file, query, options)?.try_map(|rows| parse_output_records(&rows))
 }
 
 /// [`range_spatial_with`] with the answer left as the job wrote it: one
@@ -235,14 +244,6 @@ pub fn range_spatial_rows<R: Record>(
     job.set_counter("range.partitions.pruned", pruned as u64);
     sel.records_emitted = job.rows.len() as u64;
     Ok(OpResult::new(job.rows.clone(), vec![job]).with_selectivity(sel))
-}
-
-/// The typed view of a rows-level answer.
-fn parse_rows<R: Record>(r: OpResult<Rows>) -> Result<OpResult<Vec<R>>, OpError> {
-    Ok(OpResult {
-        value: crate::codec::parse_output_records(&r.value)?,
-        jobs: r.jobs,
-    })
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use sh_dfs::Dfs;
 use sh_geom::algorithms::union::{boundary_union, union_regions, SegmentRegion};
 use sh_geom::float::EPS;
 use sh_geom::{Polygon, Record, Segment};
-use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer, Rows};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer};
 
 use crate::catalog::SpatialFile;
 use crate::mrlayer::{split_cell, ByRecords, RecordMapper, SpatialFileSplitter};
@@ -83,7 +83,7 @@ pub fn union_hadoop(dfs: &Dfs, heap: &str) -> Result<OpResult<Vec<Segment>>, OpE
         .reducer(RegionMergeReducer, 1)
         .build()?
         .run()?;
-    let value = parse_segments(&job.rows)?;
+    let value = crate::codec::parse_output_records(&job.rows)?;
     let sel = sh_trace::Selectivity::full_scan(job.map_tasks(), value.len() as u64);
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
@@ -107,7 +107,7 @@ pub fn union_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Segme
         .reducer(RegionMergeReducer, 1)
         .build()?
         .run()?;
-    let value = parse_segments(&job.rows)?;
+    let value = crate::codec::parse_output_records(&job.rows)?;
     sel.records_emitted = value.len() as u64;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
@@ -156,15 +156,9 @@ pub fn union_enhanced(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Segm
         .mapper(ByRecords(EnhancedUnionMapper))
         .map_only()?
         .run()?;
-    let value = parse_segments(&job.rows)?;
+    let value = crate::codec::parse_output_records(&job.rows)?;
     sel.records_emitted = value.len() as u64;
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
-}
-
-fn parse_segments(rows: &Rows) -> Result<Vec<Segment>, OpError> {
-    rows.lines()
-        .map(|l| Segment::parse_line(l).map_err(OpError::from))
-        .collect()
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@
 //! Both jobs' mappers are [`RecordMapper`]s: a split is parsed once, by
 //! the one `SpatialRecordReader`, and the partition job shuffles the
 //! typed records, so its reducers parse nothing. A text partition holds
-//! each record's `Record::write_line`, whatever spelling the heap used.
+//! each record's `Record::write_line`, whatever spelling the heap used,
+//! and this build is the only writer of partitions: the reader copies
+//! answer lines straight out of them (`mrlayer::Partition::write_record`).
 
 use std::collections::BTreeMap;
 use std::marker::PhantomData;

@@ -23,8 +23,9 @@ impl Polygon {
     /// vertices (no such records are ever generated or parsed).
     pub fn new(mut vertices: Vec<Point>) -> Self {
         assert!(vertices.len() >= 3, "polygon needs at least 3 vertices");
-        // Drop a duplicated closing vertex if the caller included one.
-        if vertices.len() > 3 && vertices[0].approx_eq(vertices.last().unwrap()) {
+        // Drop duplicated closing vertices if the caller included any:
+        // all of them, so the ring `write_line` gives parses back to it.
+        while vertices.len() > 3 && vertices[0].approx_eq(vertices.last().unwrap()) {
             vertices.pop();
         }
         let mut poly = Polygon { vertices };
@@ -262,6 +263,17 @@ impl fmt::Display for Polygon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Record;
+
+    #[test]
+    fn every_duplicated_closing_vertex_goes_so_the_line_round_trips() {
+        let ring = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0), (0.0, 0.0)];
+        let p = Polygon::new(ring.iter().map(|&(x, y)| Point::new(x, y)).collect());
+        assert_eq!(p.len(), 3);
+        let line = p.to_line();
+        assert_eq!(line, "P 3 0 0 1 0 1 1");
+        assert_eq!(Polygon::parse_line(&line).unwrap().to_line(), line);
+    }
 
     fn square(x: f64, y: f64, side: f64) -> Polygon {
         Polygon::from_rect(&Rect::new(x, y, x + side, y + side))

@@ -12,8 +12,17 @@
 //! * `Rect`    — `x1 y1 x2 y2`
 //! * `Segment` — `S x1 y1 x2 y2`
 //! * `Polygon` — `P n x1 y1 x2 y2 ... xn yn`
+//!
+//! One reader parses all of it. [`scan`] walks a text forward once and
+//! finds field ends and line ends in the same pass; each line's fields go
+//! to [`Record::from_fields`], which reads every number with
+//! `f64::from_str`. A field ends at exactly the bytes
+//! `str::split_ascii_whitespace` splits on, a line ends where `str::lines`
+//! ends it, and a line that `str::trim` leaves empty holds no record.
+//! [`Record::parse_line`] is the same cursor over one line, so each type
+//! has exactly one parser.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::point::Point;
 use crate::polygon::Polygon;
@@ -53,8 +62,17 @@ pub trait Record: Clone + Send + Sync + 'static {
     /// Appends the single-line encoding (without trailing newline).
     fn write_line(&self, out: &mut String);
 
-    /// Parses a line previously produced by [`Record::write_line`].
-    fn parse_line(line: &str) -> Result<Self, ParseError>;
+    /// Parses one record from the fields of its line and ends with
+    /// [`Fields::end`], so a trailing field is an error. This is the
+    /// type's one parser: [`scan`] and [`Record::parse_line`] both call it.
+    fn from_fields(fields: &mut Fields<'_>) -> Result<Self, ParseError>;
+
+    /// Parses a line previously produced by [`Record::write_line`]:
+    /// [`Record::from_fields`] over this one line, in which a `'\n'` is
+    /// one more separator.
+    fn parse_line(line: &str) -> Result<Self, ParseError> {
+        Self::from_fields(&mut Fields::of_line(line))
+    }
 
     /// Convenience: the encoded line as an owned string.
     fn to_line(&self) -> String {
@@ -92,18 +110,242 @@ pub fn quote(s: &str) -> String {
     }
 }
 
-fn parse_f64(tok: Option<&str>, what: &str) -> Result<f64, ParseError> {
-    let tok = tok.ok_or_else(|| ParseError::new(format!("missing field: {what}")))?;
-    let v: f64 = tok
-        .parse()
-        .map_err(|_| ParseError::new(format!("bad {what}: {}", quote(tok))))?;
-    if !v.is_finite() {
-        return Err(ParseError::new(format!(
-            "non-finite {what}: {}",
-            quote(tok)
-        )));
+/// The one number parser: `tok` as a finite `f64`. `what` names the
+/// field in the error and is only formatted on one.
+#[inline]
+fn parse_f64(tok: Option<&str>, what: fmt::Arguments<'_>) -> Result<f64, ParseError> {
+    let Some(tok) = tok else {
+        return Err(field_error("missing field: ", what, None));
+    };
+    match tok.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        Ok(_) => Err(field_error("non-finite ", what, Some(tok))),
+        Err(_) => Err(field_error("bad ", what, Some(tok))),
     }
-    Ok(v)
+}
+
+/// `{problem}{what}`, then `: {token}` quoted: kept out of the parse
+/// loop, which never fails on good text.
+#[cold]
+#[inline(never)]
+fn field_error(problem: &str, what: fmt::Arguments<'_>, tok: Option<&str>) -> ParseError {
+    match tok {
+        Some(tok) => ParseError::new(format!("{problem}{what}: {}", quote(tok))),
+        None => ParseError::new(format!("{problem}{what}")),
+    }
+}
+
+/// Where the line of `text` that starts at byte `start` ends, as
+/// `str::lines` ends it: before the `'\n'`, or the `"\r\n"`, after it.
+pub fn line_end(text: &[u8], start: usize) -> usize {
+    match text[start..].iter().position(|&b| b == b'\n') {
+        Some(n) if n > 0 && text[start + n - 1] == b'\r' => start + n - 1,
+        Some(n) => start + n,
+        None => text.len(),
+    }
+}
+
+/// The fields of one line, as [`Record::from_fields`] reads them: a
+/// cursor that skips separators (the bytes `u8::is_ascii_whitespace`
+/// accepts) and yields each field in turn, up to the end of the line.
+pub struct Fields<'a> {
+    text: &'a str,
+    /// Where the line starts.
+    start: usize,
+    /// The first byte not yet read.
+    pos: usize,
+    /// In a [`scan`], `'\n'` ends the line; in [`Record::parse_line`]'s
+    /// one line, which is all of `text`, it is one more separator.
+    newline_ends: bool,
+}
+
+impl<'a> Fields<'a> {
+    fn of_line(line: &'a str) -> Fields<'a> {
+        Fields {
+            text: line,
+            start: 0,
+            pos: 0,
+            newline_ends: false,
+        }
+    }
+
+    /// The next field as a finite number; `what` names it in the error.
+    #[inline]
+    pub fn number(&mut self, what: fmt::Arguments<'_>) -> Result<f64, ParseError> {
+        parse_f64(self.next(), what)
+    }
+
+    /// `Ok` when the line holds no further field, else the error
+    /// "trailing fields in `kind`" quoting the line.
+    #[inline]
+    pub fn end(&mut self, kind: &str) -> Result<(), ParseError> {
+        match self.next() {
+            None => Ok(()),
+            Some(_) => Err(self.trailing(kind)),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn trailing(&self, kind: &str) -> ParseError {
+        ParseError::new(format!("trailing fields in {kind}: {}", quote(self.line())))
+    }
+
+    /// The whole line, as `str::lines` gives it.
+    pub fn line(&self) -> &'a str {
+        if self.newline_ends {
+            &self.text[self.start..line_end(self.text.as_bytes(), self.start)]
+        } else {
+            self.text
+        }
+    }
+
+    /// The whole line, read to its end: for a record whose line is more
+    /// than its fields.
+    pub fn take_line(&mut self) -> &'a str {
+        self.pos = self.newline();
+        self.line()
+    }
+
+    /// The part of the line not yet read.
+    fn rest(&self) -> &'a str {
+        &self.text[self.pos..self.newline()]
+    }
+
+    /// Byte offset of the `'\n'` that ends the line, or of the text's end.
+    fn newline(&self) -> usize {
+        match self.newline_ends {
+            true => self.text[self.pos..]
+                .find('\n')
+                .map_or(self.text.len(), |i| self.pos + i),
+            false => self.text.len(),
+        }
+    }
+
+    /// Where the line after this one starts.
+    #[inline]
+    fn next_line(&self) -> usize {
+        match self.text.as_bytes().get(self.pos) {
+            Some(b'\n') => self.pos + 1,
+            None => self.pos,
+            Some(_) => (self.newline() + 1).min(self.text.len()),
+        }
+    }
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a str;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        let mut i = self.pos;
+        while let Some(&b) = bytes.get(i) {
+            if !b.is_ascii_whitespace() {
+                break;
+            }
+            if b == b'\n' && self.newline_ends {
+                self.pos = i;
+                return None;
+            }
+            i += 1;
+        }
+        if i == bytes.len() {
+            self.pos = i;
+            return None;
+        }
+        let start = i;
+        while bytes.get(i).is_some_and(|b| !b.is_ascii_whitespace()) {
+            i += 1;
+        }
+        self.pos = i;
+        Some(&self.text[start..i])
+    }
+}
+
+/// A line [`scan`] could not parse: why, and the line as `str::lines`
+/// gives it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LineError<'a> {
+    /// What is wrong with the line.
+    pub error: ParseError,
+    /// The line.
+    pub line: &'a str,
+}
+
+impl fmt::Display for LineError<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.error, quote(self.line))
+    }
+}
+
+/// The one text reader: parses every record of `text` in one forward
+/// pass and calls `each(line_start, record)` for each, in order. It
+/// stops at the first line that is neither a record nor blank.
+///
+/// A line of separators only is skipped before any parse. A line that
+/// fails to parse is skipped when `str::trim` leaves nothing of it: that
+/// is a line of vertical tabs or non-ASCII spaces, which no field parser
+/// accepts, so the scan skips exactly the lines `str::trim` calls blank.
+pub fn scan<'a, R: Record>(
+    text: &'a str,
+    mut each: impl FnMut(usize, R),
+) -> Result<(), LineError<'a>> {
+    let bytes = text.as_bytes();
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let start = pos;
+        while bytes
+            .get(pos)
+            .is_some_and(|&b| b != b'\n' && b.is_ascii_whitespace())
+        {
+            pos += 1;
+        }
+        match bytes.get(pos) {
+            None => break,
+            Some(b'\n') => {
+                pos += 1;
+                continue;
+            }
+            Some(_) => {}
+        }
+        let mut fields = Fields {
+            text,
+            start,
+            pos,
+            newline_ends: true,
+        };
+        match R::from_fields(&mut fields) {
+            Ok(record) => each(start, record),
+            Err(error) => {
+                let line = fields.line();
+                if !line.trim().is_empty() {
+                    return Err(LineError { error, line });
+                }
+            }
+        }
+        pos = fields.next_line();
+    }
+    Ok(())
+}
+
+/// [`scan`] into a `Vec` sized by [`line_count`].
+pub fn scan_all<R: Record>(text: &str) -> Result<Vec<R>, LineError<'_>> {
+    let mut out = Vec::with_capacity(line_count(text));
+    scan(text, |_, record| out.push(record))?;
+    Ok(out)
+}
+
+/// How many `'\n'` bytes `text` holds: the number of records of
+/// canonical text, counted in a pass that compares bytes and does
+/// nothing else, so a reader can size its vectors once.
+pub fn line_count(text: &str) -> usize {
+    // 255 bytes at a time into a `u8`, which the compiler vectorizes; a
+    // `usize` count per byte runs several times slower.
+    text.as_bytes()
+        .chunks(255)
+        .map(|chunk| usize::from(chunk.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>()))
+        .sum()
 }
 
 impl Record for Point {
@@ -115,16 +357,11 @@ impl Record for Point {
         let _ = write!(out, "{} {}", self.x, self.y);
     }
 
-    fn parse_line(line: &str) -> Result<Self, ParseError> {
-        let mut it = line.split_ascii_whitespace();
-        let x = parse_f64(it.next(), "x")?;
-        let y = parse_f64(it.next(), "y")?;
-        if it.next().is_some() {
-            return Err(ParseError::new(format!(
-                "trailing fields in point: {}",
-                quote(line)
-            )));
-        }
+    #[inline]
+    fn from_fields(f: &mut Fields<'_>) -> Result<Self, ParseError> {
+        let x = f.number(format_args!("x"))?;
+        let y = f.number(format_args!("y"))?;
+        f.end("point")?;
         Ok(Point::new(x, y))
     }
 
@@ -153,18 +390,13 @@ impl Record for Rect {
         let _ = write!(out, "{} {} {} {}", self.x1, self.y1, self.x2, self.y2);
     }
 
-    fn parse_line(line: &str) -> Result<Self, ParseError> {
-        let mut it = line.split_ascii_whitespace();
-        let x1 = parse_f64(it.next(), "x1")?;
-        let y1 = parse_f64(it.next(), "y1")?;
-        let x2 = parse_f64(it.next(), "x2")?;
-        let y2 = parse_f64(it.next(), "y2")?;
-        if it.next().is_some() {
-            return Err(ParseError::new(format!(
-                "trailing fields in rect: {}",
-                quote(line)
-            )));
-        }
+    #[inline]
+    fn from_fields(f: &mut Fields<'_>) -> Result<Self, ParseError> {
+        let x1 = f.number(format_args!("x1"))?;
+        let y1 = f.number(format_args!("y1"))?;
+        let x2 = f.number(format_args!("x2"))?;
+        let y2 = f.number(format_args!("y2"))?;
+        f.end("rect")?;
         Ok(Rect::new(x1, y1, x2, y2))
     }
 
@@ -195,18 +427,18 @@ impl Record for Segment {
         let _ = write!(out, "S {} {} {} {}", self.a.x, self.a.y, self.b.x, self.b.y);
     }
 
-    fn parse_line(line: &str) -> Result<Self, ParseError> {
-        let mut it = line.split_ascii_whitespace();
-        if it.next() != Some("S") {
+    fn from_fields(f: &mut Fields<'_>) -> Result<Self, ParseError> {
+        if f.next() != Some("S") {
             return Err(ParseError::new(format!(
                 "expected 'S' tag: {}",
-                quote(line)
+                quote(f.line())
             )));
         }
-        let ax = parse_f64(it.next(), "ax")?;
-        let ay = parse_f64(it.next(), "ay")?;
-        let bx = parse_f64(it.next(), "bx")?;
-        let by = parse_f64(it.next(), "by")?;
+        let ax = f.number(format_args!("ax"))?;
+        let ay = f.number(format_args!("ay"))?;
+        let bx = f.number(format_args!("bx"))?;
+        let by = f.number(format_args!("by"))?;
+        f.end("segment")?;
         Ok(Segment::new(Point::new(ax, ay), Point::new(bx, by)))
     }
 }
@@ -223,26 +455,38 @@ impl Record for Polygon {
         }
     }
 
-    fn parse_line(line: &str) -> Result<Self, ParseError> {
-        let mut it = line.split_ascii_whitespace();
-        if it.next() != Some("P") {
+    fn from_fields(f: &mut Fields<'_>) -> Result<Self, ParseError> {
+        if f.next() != Some("P") {
             return Err(ParseError::new(format!(
                 "expected 'P' tag: {}",
-                quote(line)
+                quote(f.line())
             )));
         }
-        let n = parse_f64(it.next(), "vertex count")? as usize;
-        if n < 3 {
-            return Err(ParseError::new(format!("polygon with {n} vertices")));
-        }
-        let mut vs = Vec::with_capacity(n);
+        let count = f.number(format_args!("vertex count"))?;
+        check_vertex_count(count)?;
+        // A vertex takes at least four bytes of the line (" x y"): the
+        // capacity is what the line can hold, whatever count it states.
+        let n = count as usize;
+        let mut vs = Vec::with_capacity(n.min(f.rest().len() / 4));
         for i in 0..n {
-            let x = parse_f64(it.next(), &format!("vertex {i} x"))?;
-            let y = parse_f64(it.next(), &format!("vertex {i} y"))?;
+            let x = f.number(format_args!("vertex {i} x"))?;
+            let y = f.number(format_args!("vertex {i} y"))?;
             vs.push(Point::new(x, y));
         }
+        f.end("polygon")?;
         Ok(Polygon::new(vs))
     }
+}
+
+/// A polygon's stated vertex count must be a whole number of at least 3.
+fn check_vertex_count(count: f64) -> Result<(), ParseError> {
+    if count.fract() != 0.0 {
+        return Err(ParseError::new(format!("fractional vertex count: {count}")));
+    }
+    if count < 3.0 {
+        return Err(ParseError::new(format!("polygon with {count} vertices")));
+    }
+    Ok(())
 }
 
 /// A record wrapped with a numeric id — lets applications correlate
@@ -264,6 +508,18 @@ impl<R> Tagged<R> {
     }
 }
 
+/// Splits a tagged line at its first whitespace character and parses
+/// the id; the rest is the wrapped record's line.
+fn split_tag(line: &str) -> Result<(u64, &str), ParseError> {
+    let (id_tok, rest) = line
+        .split_once(char::is_whitespace)
+        .ok_or_else(|| ParseError::new(format!("tagged record without id: {}", quote(line))))?;
+    let id: u64 = id_tok
+        .parse()
+        .map_err(|_| ParseError::new(format!("bad record id {}", quote(id_tok))))?;
+    Ok((id, rest))
+}
+
 impl<R: Record> Record for Tagged<R> {
     fn mbr(&self) -> Rect {
         self.record.mbr()
@@ -274,13 +530,10 @@ impl<R: Record> Record for Tagged<R> {
         self.record.write_line(out);
     }
 
-    fn parse_line(line: &str) -> Result<Self, ParseError> {
-        let (id_tok, rest) = line
-            .split_once(char::is_whitespace)
-            .ok_or_else(|| ParseError::new(format!("tagged record without id: {}", quote(line))))?;
-        let id: u64 = id_tok
-            .parse()
-            .map_err(|_| ParseError::new(format!("bad record id {}", quote(id_tok))))?;
+    // The id ends at the first `char::is_whitespace`, not at a field
+    // separator, so the tag is cut from the whole line.
+    fn from_fields(f: &mut Fields<'_>) -> Result<Self, ParseError> {
+        let (id, rest) = split_tag(f.take_line())?;
         Ok(Tagged {
             id,
             record: R::parse_line(rest)?,
@@ -300,15 +553,120 @@ pub fn write_records<R: Record>(records: &[R]) -> String {
 
 /// Parses every line of `text` as a record, failing on the first bad line.
 pub fn parse_records<R: Record>(text: &str) -> Result<Vec<R>, ParseError> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(R::parse_line)
-        .collect()
+    scan_all(text).map_err(|e| e.error)
+}
+
+/// The tokenizing reader [`scan`] replaced, kept as its oracle: lines
+/// from `str::lines`, the `str::trim` blank test, then
+/// `split_ascii_whitespace` per line, with the same rules and messages.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub trait Tokenized: Record {
+        fn tokenized(line: &str) -> Result<Self, ParseError>;
+    }
+
+    fn trailing(kind: &str, line: &str) -> ParseError {
+        ParseError::new(format!("trailing fields in {kind}: {}", quote(line)))
+    }
+
+    fn tagged(tag: &str, line: &str) -> ParseError {
+        ParseError::new(format!("expected '{tag}' tag: {}", quote(line)))
+    }
+
+    impl Tokenized for Point {
+        fn tokenized(line: &str) -> Result<Self, ParseError> {
+            let mut it = line.split_ascii_whitespace();
+            let x = parse_f64(it.next(), format_args!("x"))?;
+            let y = parse_f64(it.next(), format_args!("y"))?;
+            if it.next().is_some() {
+                return Err(trailing("point", line));
+            }
+            Ok(Point::new(x, y))
+        }
+    }
+
+    impl Tokenized for Rect {
+        fn tokenized(line: &str) -> Result<Self, ParseError> {
+            let mut it = line.split_ascii_whitespace();
+            let x1 = parse_f64(it.next(), format_args!("x1"))?;
+            let y1 = parse_f64(it.next(), format_args!("y1"))?;
+            let x2 = parse_f64(it.next(), format_args!("x2"))?;
+            let y2 = parse_f64(it.next(), format_args!("y2"))?;
+            if it.next().is_some() {
+                return Err(trailing("rect", line));
+            }
+            Ok(Rect::new(x1, y1, x2, y2))
+        }
+    }
+
+    impl Tokenized for Segment {
+        fn tokenized(line: &str) -> Result<Self, ParseError> {
+            let mut it = line.split_ascii_whitespace();
+            if it.next() != Some("S") {
+                return Err(tagged("S", line));
+            }
+            let ax = parse_f64(it.next(), format_args!("ax"))?;
+            let ay = parse_f64(it.next(), format_args!("ay"))?;
+            let bx = parse_f64(it.next(), format_args!("bx"))?;
+            let by = parse_f64(it.next(), format_args!("by"))?;
+            if it.next().is_some() {
+                return Err(trailing("segment", line));
+            }
+            Ok(Segment::new(Point::new(ax, ay), Point::new(bx, by)))
+        }
+    }
+
+    impl Tokenized for Polygon {
+        fn tokenized(line: &str) -> Result<Self, ParseError> {
+            let mut it = line.split_ascii_whitespace();
+            if it.next() != Some("P") {
+                return Err(tagged("P", line));
+            }
+            let count = parse_f64(it.next(), format_args!("vertex count"))?;
+            check_vertex_count(count)?;
+            let mut vs = Vec::new();
+            for i in 0..count as usize {
+                let x = parse_f64(it.next(), format_args!("vertex {i} x"))?;
+                let y = parse_f64(it.next(), format_args!("vertex {i} y"))?;
+                vs.push(Point::new(x, y));
+            }
+            if it.next().is_some() {
+                return Err(trailing("polygon", line));
+            }
+            Ok(Polygon::new(vs))
+        }
+    }
+
+    impl<R: Tokenized> Tokenized for Tagged<R> {
+        fn tokenized(line: &str) -> Result<Self, ParseError> {
+            let (id, rest) = split_tag(line)?;
+            Ok(Tagged {
+                id,
+                record: R::tokenized(rest)?,
+            })
+        }
+    }
+
+    /// Every record of `text` with its line's start, or the first bad
+    /// line.
+    pub fn read<R: Tokenized>(text: &str) -> Result<Vec<(usize, R)>, LineError<'_>> {
+        let mut out = Vec::new();
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            let start = line.as_ptr() as usize - text.as_ptr() as usize;
+            let record = R::tokenized(line).map_err(|error| LineError { error, line })?;
+            out.push((start, record));
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{read, Tokenized};
     use super::*;
+    use sh_rand::Rng;
 
     #[test]
     fn point_roundtrip() {
@@ -370,6 +728,239 @@ mod tests {
         assert!(Point::parse_line("NaN 1").is_err());
         assert!(Point::parse_line("inf 1").is_err());
         assert!(Rect::parse_line("0 0 -inf 1").is_err());
+    }
+
+    fn message<R: Record + fmt::Debug>(line: &str) -> String {
+        R::parse_line(line).unwrap_err().message
+    }
+
+    #[test]
+    fn a_polygon_count_must_be_whole_and_cannot_size_the_allocation() {
+        // Each of these once aborted the process, panicked on a capacity
+        // overflow, or truncated the count to 3.
+        assert_eq!(
+            message::<Polygon>("P 1e17 0 0 1 1 2 0"),
+            "missing field: vertex 3 x"
+        );
+        assert_eq!(
+            message::<Polygon>("P 1e18 0 0 1 1 2 0"),
+            "missing field: vertex 3 x"
+        );
+        assert_eq!(
+            message::<Polygon>("P 1e300 0 0 1 1 2 0"),
+            "missing field: vertex 3 x"
+        );
+        assert_eq!(
+            message::<Polygon>("P 3.7 0 0 1 1 2 0"),
+            "fractional vertex count: 3.7"
+        );
+        assert_eq!(message::<Polygon>("P -3 0 0"), "polygon with -3 vertices");
+        // A whole count spelled as a float is still a count.
+        assert_eq!(
+            Polygon::parse_line("P 3.0 0 0 1 1 2 0").unwrap(),
+            Polygon::parse_line("P 3 0 0 1 1 2 0").unwrap()
+        );
+    }
+
+    #[test]
+    fn segments_and_polygons_reject_trailing_fields_as_points_and_rects_do() {
+        assert_eq!(
+            message::<Segment>("S 0 0 1 1 9"),
+            "trailing fields in segment: \"S 0 0 1 1 9\""
+        );
+        assert_eq!(
+            message::<Polygon>("P 3 0 0 1 1 2 0 9"),
+            "trailing fields in polygon: \"P 3 0 0 1 1 2 0 9\""
+        );
+        assert_eq!(
+            message::<Point>("1 2 3"),
+            "trailing fields in point: \"1 2 3\""
+        );
+        assert_eq!(
+            message::<Rect>("1 2 3 4 5"),
+            "trailing fields in rect: \"1 2 3 4 5\""
+        );
+    }
+
+    #[test]
+    fn scan_reports_the_line_and_skips_every_kind_of_blank() {
+        let text = "1 2\r\n\n \t\r\n\u{b}\n\u{a0}\u{2003}\n\x0c\n3 4";
+        let mut got = Vec::new();
+        scan::<Point>(text, |start, p| got.push((start, p))).unwrap();
+        assert_eq!(
+            got,
+            [
+                (0, Point::new(1.0, 2.0)),
+                (text.len() - 3, Point::new(3.0, 4.0))
+            ]
+        );
+        assert_eq!(line_end(text.as_bytes(), 0), 3);
+        assert_eq!(line_end(text.as_bytes(), text.len() - 3), text.len());
+
+        let err = scan_all::<Point>("1 2\n\n3 4 5\r\n6 7\n").unwrap_err();
+        assert_eq!(err.line, "3 4 5");
+        assert_eq!(
+            err.to_string(),
+            "record parse error: trailing fields in point: \"3 4 5\": \"3 4 5\""
+        );
+        // A bare '\r' at the very end stays, as `str::lines` keeps it.
+        let err = scan_all::<Point>("1 2\n3 x\r").unwrap_err();
+        assert_eq!(err.line, "3 x\r");
+    }
+
+    // ------------------------------------------------ scanner vs oracle
+
+    /// One random token: canonical numbers, spellings `f64::from_str`
+    /// takes and refuses, tags, ids, non-ASCII, and 600-digit numbers.
+    fn token(rng: &mut Rng) -> String {
+        const MENU: [&str; 30] = [
+            "1e2",
+            "-0",
+            "+1.5",
+            ".5",
+            "5.",
+            "inf",
+            "-inf",
+            "nan",
+            "NaN",
+            "infinity",
+            "1e400",
+            "1e-400",
+            "0x10",
+            "1_000",
+            "abc",
+            "S",
+            "P",
+            "3",
+            "3.7",
+            "1e17",
+            "-3",
+            "4",
+            "é",
+            "\u{a0}1",
+            "1\u{a0}",
+            "1,5",
+            "--1",
+            "",
+            "42",
+            "18446744073709551616",
+        ];
+        match rng.below(6) {
+            0 => format!("{}", rng.uniform(-1e6..1e6)),
+            1 => rng.below(10).to_string(),
+            2 => {
+                let digits: String = (0..600)
+                    .map(|_| char::from(b'0' + rng.below(10) as u8))
+                    .collect();
+                match rng.below(3) {
+                    0 => digits,
+                    1 => format!("0.{digits}"),
+                    _ => format!("{digits}e-590"),
+                }
+            }
+            _ => MENU[rng.below(MENU.len())].to_string(),
+        }
+    }
+
+    fn separator(rng: &mut Rng) -> &'static str {
+        const SEPS: [&str; 8] = [" ", " ", " ", "  ", "\t", "\x0c", "\r", "\u{a0}"];
+        SEPS[rng.below(SEPS.len())]
+    }
+
+    /// A canonical line, mostly of type `kind` (the order of the five
+    /// types in [`agree`]'s callers) and otherwise of another type, possibly
+    /// corrupted; or a line of random tokens; or a blank of some kind.
+    fn line(rng: &mut Rng, kind: usize) -> String {
+        let r = |rng: &mut Rng| rng.uniform(-1e3..1e3);
+        let kind = if rng.below(4) == 0 {
+            rng.below(5)
+        } else {
+            kind
+        };
+        let canonical = match kind {
+            0 => Point::new(r(rng), r(rng)).to_line(),
+            1 => Rect::new(r(rng), r(rng), r(rng), r(rng)).to_line(),
+            2 => Segment::new(Point::new(r(rng), r(rng)), Point::new(r(rng), r(rng))).to_line(),
+            3 => {
+                let n = 3 + rng.below(4);
+                Polygon::new((0..n).map(|_| Point::new(r(rng), r(rng))).collect()).to_line()
+            }
+            _ => Tagged::new(rng.below(1000) as u64, Point::new(r(rng), r(rng))).to_line(),
+        };
+        match rng.below(8) {
+            0..=2 => canonical,
+            3..=4 => {
+                // Corrupt it: cut it, or replace, insert or delete a char.
+                let mut chars: Vec<char> = canonical.chars().collect();
+                let at = rng.below(chars.len() + 1);
+                let junk = ['x', ' ', '\t', '.', '-', 'e', '\u{a0}', '\u{b}', '9', '|'];
+                match rng.below(4) {
+                    0 => chars.truncate(at),
+                    1 if at < chars.len() => chars[at] = junk[rng.below(junk.len())],
+                    2 => chars.insert(at, junk[rng.below(junk.len())]),
+                    _ if at < chars.len() => {
+                        chars.remove(at);
+                    }
+                    _ => {}
+                }
+                chars.into_iter().collect()
+            }
+            5..=6 => {
+                let mut s = String::new();
+                if rng.below(4) == 0 {
+                    s.push_str(separator(rng));
+                }
+                for i in 0..rng.below(7) {
+                    if i > 0 {
+                        s.push_str(separator(rng));
+                    }
+                    s.push_str(&token(rng));
+                }
+                s
+            }
+            _ => [
+                "", " ", "\t", "\r", " \t ", "\u{b}", "\u{a0}", "\u{2003}", "\x0c", "\u{85}",
+            ][rng.below(10)]
+            .to_string(),
+        }
+    }
+
+    fn text(rng: &mut Rng, kind: usize) -> String {
+        let mut s = String::new();
+        for _ in 0..rng.below(8) {
+            s.push_str(&line(rng, kind));
+            s.push_str(["\n", "\n", "\n", "\r\n", "\r\r\n"][rng.below(5)]);
+        }
+        if rng.below(2) == 0 {
+            s.push_str(&line(rng, kind));
+            if rng.below(3) == 0 {
+                s.push('\r');
+            }
+        }
+        s
+    }
+
+    /// The scanner and the oracle agree on `text`: the same records at
+    /// the same line starts, or the same error on the same line. So do
+    /// `parse_line` and the oracle on every line, and on the whole text
+    /// as one line.
+    fn agree<R: Tokenized + PartialEq + fmt::Debug>(text: &str) {
+        let mut scanned = Vec::new();
+        let scanned = scan::<R>(text, |start, r| scanned.push((start, r))).map(|()| scanned);
+        assert_eq!(scanned, read::<R>(text), "{text:?}");
+        for line in text.lines().chain([text]) {
+            assert_eq!(R::parse_line(line), R::tokenized(line), "{line:?}");
+        }
+    }
+
+    sh_rand::properties! {
+        fn scanner_matches_the_tokenizing_oracle(rng, 512) {
+            agree::<Point>(&text(rng, 0));
+            agree::<Rect>(&text(rng, 1));
+            agree::<Segment>(&text(rng, 2));
+            agree::<Polygon>(&text(rng, 3));
+            agree::<Tagged<Point>>(&text(rng, 4));
+        }
     }
 
     #[test]

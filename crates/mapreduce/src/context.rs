@@ -6,6 +6,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// Partition function of the shuffle: which reducer a key belongs to.
 /// Uses a fixed-algorithm hasher so runs are deterministic.
@@ -153,6 +154,8 @@ impl TaskOutput {
 pub struct MapContext<K, V> {
     pub(crate) buckets: Vec<Vec<(K, V)>>,
     pub(crate) task: TaskOutput,
+    /// The DFS blocks the split was read from (none on a cache hit).
+    pub(crate) input: Vec<Arc<[u8]>>,
 }
 
 impl<K, V> MapContext<K, V> {
@@ -162,7 +165,15 @@ impl<K, V> MapContext<K, V> {
         MapContext {
             buckets: (0..num_reducers.max(1)).map(|_| Vec::new()).collect(),
             task: TaskOutput::new(),
+            input: Vec::new(),
         }
+    }
+
+    /// The DFS blocks the split's bytes were read from, in order, each
+    /// the payload the DFS itself holds: a mapper that keeps bytes past
+    /// its task shares a block instead of copying it.
+    pub fn input_blocks(&self) -> &[Arc<[u8]>] {
+        &self.input
     }
 
     /// Emits an intermediate pair into the shuffle, routed to its

@@ -997,6 +997,7 @@ where
             }
         };
         read_time = t_read.elapsed();
+        ctx.input.clone_from(&blocks);
         job.mapper.map_bytes(split, &data, &mut ctx);
         (local, remote)
     };

@@ -756,6 +756,8 @@ fn run_job(
             StmtOutput::bind(var, "knn", r, |pts| Value::Result(to_rows(&pts)))
         }
         Stmt::Join { var, left, right } => {
+            // The job's rows are bound as it wrote them: every row is
+            // already `a | b`, each side a record's `to_line()`.
             let r = match (
                 lookup(vars, left)?.as_input(),
                 lookup(vars, right)?.as_input(),
@@ -763,7 +765,7 @@ fn run_job(
                 (Some((Input::Indexed(fa), ta)), Some((Input::Indexed(fb), tb))) => {
                     expect_rects(left, ta)?;
                     expect_rects(right, tb)?;
-                    ops::join::distributed_join(dfs, fa, fb, "")?
+                    ops::join::distributed_join_rows(dfs, fa, fb)?
                 }
                 (Some((Input::Heap(pa), ta)), Some((Input::Heap(pb), tb))) => {
                     expect_rects(left, ta)?;
@@ -771,7 +773,7 @@ fn run_job(
                     // Universe for the SJMR grid: union of both MBRs.
                     let mut uni = heap_mbr::<Rect>(dfs, pa)?;
                     uni.expand(&heap_mbr::<Rect>(dfs, pb)?);
-                    ops::join::sjmr(dfs, pa, pb, &uni, 16, "")?
+                    ops::join::sjmr_rows(dfs, pa, pb, &uni, 16)?
                 }
                 _ => {
                     return Err(PigeonError::Type(
@@ -779,16 +781,7 @@ fn run_job(
                     ))
                 }
             };
-            StmtOutput::bind(var, "join", r, |pairs| {
-                let mut text = String::with_capacity(pairs.len() * 80);
-                for (a, b) in &pairs {
-                    a.write_line(&mut text);
-                    text.push_str(" | ");
-                    b.write_line(&mut text);
-                    text.push('\n');
-                }
-                Value::Result(Rows::from_text(text))
-            })
+            StmtOutput::bind(var, "join", r, Value::Result)
         }
         Stmt::KnnJoin {
             var,
@@ -1027,9 +1020,8 @@ fn points<'a>(
 fn heap_mbr<R: Record>(dfs: &Dfs, path: &str) -> Result<Rect, PigeonError> {
     let text = dfs.read_to_string(path)?;
     let mut mbr = Rect::empty();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        mbr.expand(&R::parse_line(line).map_err(OpError::from)?.mbr());
-    }
+    sh_geom::text::scan::<R>(&text, |_, r| mbr.expand(&r.mbr()))
+        .map_err(|e| OpError::from(e.error))?;
     Ok(mbr)
 }
 

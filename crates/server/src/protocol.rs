@@ -147,10 +147,18 @@ fn write_frame(w: &mut impl Write, kind: &str, payload: &str) -> io::Result<()> 
     w.flush()
 }
 
-/// Reads exactly `n` payload bytes following a `DATA`/`ERR` header.
+/// Reads exactly `n` payload bytes following a `DATA`/`ERR` header. The
+/// buffer grows with the bytes that arrive, so a header stating an
+/// absurd length costs what the stream holds, not what it claims.
 pub fn read_payload(r: &mut impl BufRead, n: usize) -> io::Result<String> {
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf)?;
+    let mut buf = Vec::with_capacity(n.min(DEFAULT_CHUNK_BYTES));
+    r.take(n as u64).read_to_end(&mut buf)?;
+    if buf.len() < n {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("payload cut at {} of {n} bytes", buf.len()),
+        ));
+    }
     String::from_utf8(buf).map_err(|e| {
         io::Error::new(
             io::ErrorKind::InvalidData,
@@ -279,7 +287,66 @@ mod tests {
         assert_eq!(trickled.0, whole);
     }
 
+    /// A reply stream as a client might receive it: well-formed replies,
+    /// then cut short, with bytes changed, with a stated length swapped
+    /// for an absurd one, or nothing but random bytes.
+    fn hostile_wire(rng: &mut sh_rand::Rng) -> Vec<u8> {
+        let mut wire = Vec::new();
+        let lines: Vec<String> = (0..rng.below(20))
+            .map(|i| format!("{i} {}", rng.below(1000)))
+            .collect();
+        write_rows_frames(&mut wire, &Rows::from_lines(&lines), 1 + rng.below(64)).unwrap();
+        match rng.below(3) {
+            0 => write_ok(&mut wire, lines.len() as u64).unwrap(),
+            1 => write_err(&mut wire, "boom\nbang").unwrap(),
+            _ => write_busy(&mut wire, 25).unwrap(),
+        }
+        match rng.below(5) {
+            0 => wire.truncate(rng.below(wire.len() + 1)),
+            1 => {
+                for _ in 0..1 + rng.below(4) {
+                    let at = rng.below(wire.len());
+                    wire[at] = rng.below(256) as u8;
+                }
+            }
+            2 => {
+                const HUGE: [&str; 4] = [
+                    "18446744073709551615",
+                    "99999999999999999999",
+                    "-1",
+                    "4294967296",
+                ];
+                let text = String::from_utf8_lossy(&wire).into_owned();
+                let stated = text.split_once(' ').map_or(0, |(head, _)| head.len() + 1);
+                let digits = text[stated..]
+                    .find(|c: char| !c.is_ascii_digit())
+                    .unwrap_or(0);
+                let huge = HUGE[rng.below(HUGE.len())];
+                wire =
+                    format!("{}{huge}{}", &text[..stated], &text[stated + digits..]).into_bytes();
+            }
+            3 => wire = (0..rng.below(300)).map(|_| rng.below(256) as u8).collect(),
+            _ => {}
+        }
+        wire
+    }
+
     sh_rand::properties! {
+        /// A client reading hostile bytes gets replies or errors, never a
+        /// panic or an allocation the bytes did not pay for.
+        fn reading_hostile_replies_never_panics(rng, 256) {
+            let wire = hostile_wire(rng);
+            let mut r = io::BufReader::new(&wire[..]);
+            let _ = parse_header(&String::from_utf8_lossy(&wire));
+            while let Ok(Some(line)) = read_header_line(&mut r) {
+                if let Ok(Header::Data(n) | Header::Err(n)) = parse_header(&line) {
+                    if read_payload(&mut r, n).is_err() {
+                        break;
+                    }
+                }
+            }
+        }
+
         /// The slicing framer emits, byte for byte, the frames the
         /// line-by-line rule specifies.
         fn rows_framer_matches_the_line_rule(rng, 64) {

@@ -3,7 +3,7 @@
 //! invariants of the substrates must hold.
 
 use sh_rand::{assume, properties, Rng};
-use spatialhadoop::core::ops::{range, single, skyline};
+use spatialhadoop::core::ops::{join, range, single, skyline};
 use spatialhadoop::core::storage::{build_index, build_index_fmt, upload, BlockFormat};
 use spatialhadoop::dfs::{ClusterConfig, CorruptKind, Dfs, DfsError};
 use spatialhadoop::geom::algorithms::closest_pair::{closest_pair, closest_pair_naive};
@@ -15,6 +15,7 @@ use spatialhadoop::geom::point::sort_dedup;
 use spatialhadoop::geom::{Point, Record, Rect};
 use spatialhadoop::index::curve::{hilbert_point, hilbert_value};
 use spatialhadoop::index::{owns_point, GlobalPartitioning, LocalRTree, PartitionKind};
+use spatialhadoop::pigeon::{parser, Pigeon, RecordType, SessionCtx, Value};
 use std::ops::Range;
 
 fn arb_point(rng: &mut Rng) -> Point {
@@ -125,26 +126,41 @@ fn every_indexed_op_answers_the_same_over_text_and_binary() {
     }
 }
 
+/// The rows `script` binds to `var`, run over the bound `inputs`.
+fn bound_rows(dfs: &Dfs, script: &str, inputs: Vec<(&str, Value)>, var: &str) -> Vec<String> {
+    let script = parser::parse(script).unwrap();
+    let mut sess = SessionCtx::new();
+    for (name, value) in inputs {
+        sess.vars.insert(name.to_string(), value);
+    }
+    Pigeon::new(dfs).execute_with(&mut sess, &script).unwrap();
+    match sess.get(var) {
+        Some(Value::Result(rows)) => rows.lines().map(str::to_string).collect(),
+        other => panic!("{var} bound {other:?}"),
+    }
+}
+
+/// A join pair as its result row: `a | b`.
+fn pair_row((a, b): &(Rect, Rect)) -> String {
+    format!("{} | {}", a.to_line(), b.to_line())
+}
+
 /// `FILTER` binds the rows its job's mappers wrote, unparsed. They must
 /// be, in order, what rendering the typed answer gives — for every
 /// record type, partitioner and block format, indexed or heap.
 #[test]
 fn filter_binds_the_typed_answer_rendered_line_for_line() {
-    use spatialhadoop::pigeon::{parser, Pigeon, RecordType, SessionCtx, Value};
     use spatialhadoop::workload::{osm_like_polygons, points, rects, Distribution};
 
     fn check<R: Record>(records: &[R], rtype: RecordType, formats: &[BlockFormat]) {
         let query = Rect::new(150.0, 200.0, 700.0, 650.0);
-        let script =
-            parser::parse("q = FILTER src BY Overlaps(RECTANGLE(150, 200, 700, 650));").unwrap();
-        let bound = |dfs: &Dfs, src: Value| -> Vec<String> {
-            let mut sess = SessionCtx::new();
-            sess.vars.insert("src".to_string(), src);
-            Pigeon::new(dfs).execute_with(&mut sess, &script).unwrap();
-            match sess.get("q") {
-                Some(Value::Result(rows)) => rows.lines().map(str::to_string).collect(),
-                other => panic!("FILTER bound {other:?}"),
-            }
+        let bound = |dfs: &Dfs, src: Value| {
+            bound_rows(
+                dfs,
+                "q = FILTER src BY Overlaps(RECTANGLE(150, 200, 700, 650));",
+                vec![("src", src)],
+                "q",
+            )
         };
         let rendered = |typed: Vec<R>| -> Vec<String> {
             assert!(!typed.is_empty(), "{rtype:?}: an answer");
@@ -190,6 +206,188 @@ fn filter_binds_the_typed_answer_rendered_line_for_line() {
         RecordType::Polygon,
         &[BlockFormat::Text],
     );
+}
+
+/// `JOIN` binds the rows its job wrote, unparsed: over two heaps (SJMR)
+/// and over two grid or str+ indexes in either block format (distributed
+/// join), they must be, in order, the typed answer rendered as `a | b`.
+#[test]
+fn join_binds_the_typed_answer_rendered_line_for_line() {
+    use spatialhadoop::workload::rects;
+
+    let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+    let (left, right) = (rects(700, &uni, 40.0, 11), rects(700, &uni, 40.0, 12));
+    let dfs = Dfs::new(ClusterConfig::small_for_tests());
+    upload(&dfs, "/j/a", &left).unwrap();
+    upload(&dfs, "/j/b", &right).unwrap();
+    let bound = |a: Value, b: Value| {
+        bound_rows(
+            &dfs,
+            "j = JOIN a, b PREDICATE Overlaps;",
+            vec![("a", a), ("b", b)],
+            "j",
+        )
+    };
+    let rendered = |typed: Vec<(Rect, Rect)>| -> Vec<String> {
+        assert!(!typed.is_empty(), "an answer");
+        typed.iter().map(pair_row).collect()
+    };
+
+    // SJMR grids the union of both heaps' MBRs, as `JOIN` does.
+    let mut both = Rect::empty();
+    for r in left.iter().chain(&right) {
+        both.expand(r);
+    }
+    let typed = join::sjmr(&dfs, "/j/a", "/j/b", &both, 16, "").unwrap();
+    let heap = |path: &str| Value::Heap {
+        path: path.to_string(),
+        rtype: RecordType::Rectangle,
+    };
+    assert_eq!(
+        bound(heap("/j/a"), heap("/j/b")),
+        rendered(typed.value),
+        "heap"
+    );
+
+    for kind in [PartitionKind::Grid, PartitionKind::StrPlus] {
+        for format in [BlockFormat::Text, BlockFormat::Binary] {
+            let index = |heap: &str| {
+                let dir = format!("/j/idx/{}/{format:?}{heap}", kind.name());
+                build_index_fmt::<Rect>(&dfs, heap, &dir, kind, format)
+                    .unwrap()
+                    .value
+            };
+            let (fa, fb) = (index("/j/a"), index("/j/b"));
+            let typed = join::distributed_join(&dfs, &fa, &fb, "").unwrap();
+            let indexed = |file| Value::Indexed {
+                file,
+                rtype: RecordType::Rectangle,
+            };
+            assert_eq!(
+                bound(indexed(fa), indexed(fb)),
+                rendered(typed.value),
+                "{kind:?} {format:?}"
+            );
+        }
+    }
+}
+
+/// Stored text is canonical whatever the heap spelled: a hand-written
+/// heap with padded and exponent spellings, tabs, CRLF endings and blank
+/// lines, indexed as text, holds each record's `to_line()` in its
+/// partitions, and `FILTER` and `JOIN` over the index (which copy those
+/// lines) bind the typed answers rendered.
+#[test]
+fn text_partitions_hold_canonical_lines_whatever_the_heap_spelled() {
+    /// `records`, one line each in a spelling picked by `i`, with a blank
+    /// line now and then and CRLF endings on every third line.
+    fn hand_written(records: &[Vec<f64>]) -> String {
+        let mut text = String::new();
+        for (i, fields) in records.iter().enumerate() {
+            let spelled: Vec<String> = fields
+                .iter()
+                .enumerate()
+                .map(|(k, v)| match (i + k) % 4 {
+                    0 => format!("{v:.2}"),
+                    1 => format!("{v:e}"),
+                    2 => format!("+{v}"),
+                    _ => format!("{v}"),
+                })
+                .collect();
+            let sep = ["  ", "\t", " \t "][i % 3];
+            text.push_str(&spelled.join(sep));
+            text.push_str(if i % 3 == 0 { "\r\n" } else { "\n" });
+            if i % 7 == 0 {
+                text.push_str(["\n", "  \n", "\t\r\n"][i % 3]);
+            }
+        }
+        text
+    }
+    // Quarters are exact in binary, so every spelling parses to them.
+    let q = |n: usize| (n % 4000) as f64 / 4.0;
+    let points: Vec<Vec<f64>> = (0..900)
+        .map(|i| vec![q(i * 37 + 1), q(i * 53 + 2)])
+        .collect();
+    let rects = |seed: usize| -> Vec<Vec<f64>> {
+        (0..400)
+            .map(|i| {
+                let (x, y) = (q(i * 41 + seed), q(i * 29 + 3 * seed));
+                vec![x, y, x + 20.25, y + 12.5]
+            })
+            .collect()
+    };
+    assert!(hand_written(&points).starts_with("0.25  5e-1\r\n\n9.5e0\t+13.75\n"));
+
+    let dfs = Dfs::new(ClusterConfig::small_for_tests());
+    for (path, records) in [("/c/p", points), ("/c/a", rects(5)), ("/c/b", rects(11))] {
+        let mut w = dfs.create(path).unwrap();
+        w.write_str(&hand_written(&records));
+        w.close().unwrap();
+    }
+
+    /// Every partition's text is its records' `to_line()`s, one a line.
+    fn canonical<R: Record>(dfs: &Dfs, file: &spatialhadoop::core::catalog::SpatialFile) {
+        for meta in &file.partitions {
+            let text = dfs.read_to_string(&meta.path).unwrap();
+            let records: Vec<R> = spatialhadoop::geom::text::parse_records(&text).unwrap();
+            assert_eq!(records.len() as u64, meta.records, "{}", meta.path);
+            let lines: String = records.iter().map(|r| r.to_line() + "\n").collect();
+            assert_eq!(text, lines, "{}", meta.path);
+        }
+    }
+    let index = |heap: &str, kind: PartitionKind| {
+        build_index_fmt::<Rect>(
+            &dfs,
+            heap,
+            &format!("{heap}-{}", kind.name()),
+            kind,
+            BlockFormat::Text,
+        )
+        .unwrap()
+        .value
+    };
+    for kind in [PartitionKind::Grid, PartitionKind::StrPlus] {
+        let dir = format!("/c/p-{}", kind.name());
+        let file = build_index_fmt::<Point>(&dfs, "/c/p", &dir, kind, BlockFormat::Text)
+            .unwrap()
+            .value;
+        canonical::<Point>(&dfs, &file);
+        let query = Rect::new(100.0, 150.0, 600.0, 700.0);
+        let typed = range::range_spatial::<Point>(&dfs, &file, &query, "").unwrap();
+        assert!(!typed.value.is_empty());
+        let filtered = bound_rows(
+            &dfs,
+            "q = FILTER p BY Overlaps(RECTANGLE(100, 150, 600, 700));",
+            vec![(
+                "p",
+                Value::Indexed {
+                    file,
+                    rtype: RecordType::Point,
+                },
+            )],
+            "q",
+        );
+        let rendered: Vec<String> = typed.value.iter().map(Record::to_line).collect();
+        assert_eq!(filtered, rendered, "FILTER over {kind:?}");
+
+        let (fa, fb) = (index("/c/a", kind), index("/c/b", kind));
+        canonical::<Rect>(&dfs, &fa);
+        canonical::<Rect>(&dfs, &fb);
+        let typed = join::distributed_join(&dfs, &fa, &fb, "").unwrap();
+        assert!(!typed.value.is_empty());
+        let indexed = |file| Value::Indexed {
+            file,
+            rtype: RecordType::Rectangle,
+        };
+        let joined = bound_rows(
+            &dfs,
+            "j = JOIN a, b PREDICATE Overlaps;",
+            vec![("a", indexed(fa)), ("b", indexed(fb))],
+            "j",
+        );
+        let rendered: Vec<String> = typed.value.iter().map(pair_row).collect();
+        assert_eq!(joined, rendered, "JOIN over {kind:?}");
+    }
 }
 
 /// One token of Pigeon's lexicon, or a near miss of one: a keyword or
