@@ -1,8 +1,7 @@
 //! Experiment runners E1–E14 (see DESIGN.md §4 for the index).
 
 use sh_core::ops::{
-    closest_pair, convex_hull, farthest_pair, join, knn, knn_join, range, single, skyline, union,
-    voronoi,
+    closest_pair, convex_hull, farthest_pair, join, knn, range, single, skyline, union, voronoi,
 };
 use sh_core::storage::{build_index, build_index_with, upload};
 use sh_core::SpatialFile;
@@ -20,9 +19,9 @@ use crate::{fresh_dfs, BLOCK};
 
 /// All experiment ids in order (E* reproduce the paper's evaluation, A*
 /// are the design-choice ablations of DESIGN.md §5).
-pub const ALL: [&str; 21] = [
+pub const ALL: [&str; 19] = [
     "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "A1",
-    "A2", "A3", "A4", "A5", "X1", "X2",
+    "A2", "A3", "A4", "A5",
 ];
 
 /// Runs one experiment by id.
@@ -47,8 +46,6 @@ pub fn run(id: &str) -> Option<Table> {
         "A3" => Some(a3_filter_step()),
         "A4" => Some(a4_local_index()),
         "A5" => Some(a5_stragglers()),
-        "X1" => Some(x1_knn_join()),
-        "X2" => Some(x2_plot()),
         _ => None,
     }
 }
@@ -720,88 +717,6 @@ pub fn e14_pigeon() -> Table {
     ]);
     let _ = pts;
     t.with_note("The language layer compiles to the same operations — zero semantic overhead.")
-}
-
-// -------------------------------------------------------------------- X1
-
-/// X1 (beyond the paper): the two-round kNN join.
-pub fn x1_knn_join() -> Table {
-    let mut t = Table::new(
-        "X1",
-        "kNN join (k=5): two-round bound-and-refine (beyond the paper)",
-        &[
-            "|R| = |S|",
-            "single(wall)",
-            "sh",
-            "% final in round 1",
-            "rounds",
-        ],
-    );
-    for &n in &[10_000usize, 20_000, 40_000] {
-        let dfs = fresh_dfs(BLOCK);
-        let r = points(n, Distribution::Uniform, &uni(), 86);
-        let s = points(n, Distribution::Uniform, &uni(), 87);
-        upload(&dfs, "/r", &r).unwrap();
-        upload(&dfs, "/s", &s).unwrap();
-        let rf = build_index::<Point>(&dfs, "/r", "/ri", PartitionKind::StrPlus)
-            .unwrap()
-            .value;
-        let sf = build_index::<Point>(&dfs, "/s", "/si", PartitionKind::StrPlus)
-            .unwrap()
-            .value;
-        let t0 = std::time::Instant::now();
-        let baseline = knn_join::knn_join_single(&r, &s, 5);
-        let single_secs = t0.elapsed().as_secs_f64();
-        let got = knn_join::knn_join_spatial(&dfs, &rf, &sf, 5, "/ox1").unwrap();
-        assert_eq!(got.value.len(), baseline.len());
-        let final1 = got.counter("knnjoin.final.round1") as f64;
-        t.row(vec![
-            format!("{n}"),
-            secs(single_secs),
-            secs(got.sim().total()),
-            format!("{:.1}%", 100.0 * final1 / n as f64),
-            format!("{}", got.rounds()),
-        ]);
-    }
-    t.with_note(
-        "The round-1 bound finalizes the overwhelming majority of points; \
-         only boundary circles pay the refinement round — the same \
-         pruning economics as the paper's closest pair, applied to a \
-         bulk operation.",
-    )
-}
-
-/// X2 (beyond the paper): the visualization (plot) operation.
-pub fn x2_plot() -> Table {
-    use sh_core::ops::plot;
-    let mut t = Table::new(
-        "X2",
-        "Plot 1024x768 density raster (HadoopViz single-level)",
-        &["points", "single(wall)", "sh", "pixels lit"],
-    );
-    for &n in &[100_000usize, 200_000, 400_000] {
-        let dfs = fresh_dfs(BLOCK);
-        let pts = load_points(&dfs, "/heap", n, Distribution::Uniform, 88);
-        let (strp, _) = index_points(&dfs, "/heap", "/s", PartitionKind::StrPlus);
-        let t0 = std::time::Instant::now();
-        let expected = plot::plot_single(&pts, &strp.universe, 1024, 768);
-        let single_secs = t0.elapsed().as_secs_f64();
-        let got =
-            plot::plot_spatial::<Point>(&dfs, &strp, 1024, 768, &format!("/ox2/{n}")).unwrap();
-        assert_eq!(got.value, expected, "raster must be exact");
-        let lit = got.value.pixels.iter().filter(|&&v| v > 0).count();
-        t.row(vec![
-            format!("{n}"),
-            secs(single_secs),
-            secs(got.sim().total()),
-            format!("{lit}"),
-        ]);
-    }
-    t.with_note(
-        "Each map task rasterizes only its partition; reducers merge \
-         horizontal bands — render cost is embarrassingly parallel and \
-         identical to the single-machine raster bit for bit.",
-    )
 }
 
 // ------------------------------------------------------------ ablations

@@ -251,19 +251,11 @@ impl ColumnarBlock {
     /// Indices of every record whose MBR intersects `q` — the hot inner
     /// loop, chunked (see module docs).
     pub fn mbr_filter(&self, q: &Rect) -> Vec<usize> {
-        self.mbr_filter_range(q, 0, self.count)
-    }
-
-    /// [`ColumnarBlock::mbr_filter`] restricted to records
-    /// `start..end` — the unit of work for parallel partition scans.
-    /// Returned indices are absolute and ascending.
-    pub fn mbr_filter_range(&self, q: &Rect, start: usize, end: usize) -> Vec<usize> {
-        debug_assert!(start <= end && end <= self.count);
         let mut hits = Vec::new();
         match self.kind {
             0 => {
-                let xs = &self.cols[0][start..end];
-                let ys = &self.cols[1][start..end];
+                let xs = &self.cols[0][..self.count];
+                let ys = &self.cols[1][..self.count];
                 let n = xs.len();
                 let mut base = 0;
                 while base + LANES <= n {
@@ -274,20 +266,20 @@ impl ColumnarBlock {
                             (cx[l] >= q.x1) & (cx[l] <= q.x2) & (cy[l] >= q.y1) & (cy[l] <= q.y2);
                         mask |= (inside as u32) << l;
                     }
-                    push_mask_hits(&mut hits, mask, start + base);
+                    push_mask_hits(&mut hits, mask, base);
                     base += LANES;
                 }
                 for l in base..n {
                     if (xs[l] >= q.x1) & (xs[l] <= q.x2) & (ys[l] >= q.y1) & (ys[l] <= q.y2) {
-                        hits.push(start + l);
+                        hits.push(l);
                     }
                 }
             }
             _ => {
-                let x1 = &self.cols[0][start..end];
-                let y1 = &self.cols[1][start..end];
-                let x2 = &self.cols[2][start..end];
-                let y2 = &self.cols[3][start..end];
+                let x1 = &self.cols[0][..self.count];
+                let y1 = &self.cols[1][..self.count];
+                let x2 = &self.cols[2][..self.count];
+                let y2 = &self.cols[3][..self.count];
                 let n = x1.len();
                 let mut base = 0;
                 while base + LANES <= n {
@@ -301,12 +293,12 @@ impl ColumnarBlock {
                             & (cy2[l] >= q.y1);
                         mask |= (hit as u32) << l;
                     }
-                    push_mask_hits(&mut hits, mask, start + base);
+                    push_mask_hits(&mut hits, mask, base);
                     base += LANES;
                 }
                 for l in base..n {
                     if (x1[l] <= q.x2) & (x2[l] >= q.x1) & (y1[l] <= q.y2) & (y2[l] >= q.y1) {
-                        hits.push(start + l);
+                        hits.push(l);
                     }
                 }
             }
@@ -343,15 +335,8 @@ impl ColumnarBlock {
 
     /// All records, materialized (interchange back to the text world).
     pub fn records<R: Record>(&self) -> Vec<R> {
-        self.records_range(0, self.count)
-    }
-
-    /// Records `start..end`, materialized — the unit of work for
-    /// parallel partition materialization (distributed join).
-    pub fn records_range<R: Record>(&self, start: usize, end: usize) -> Vec<R> {
-        debug_assert!(start <= end && end <= self.count);
         let views: Vec<&[f64]> = self.cols.iter().map(|c| &c[..]).collect();
-        (start..end).map(|i| R::from_cols(&views, i)).collect()
+        (0..self.count).map(|i| R::from_cols(&views, i)).collect()
     }
 
     /// Resident size in bytes (cache accounting).
@@ -448,24 +433,6 @@ mod tests {
             .collect();
         assert_eq!(block.mbr_filter(&q), expected);
         assert_eq!(block.mbr_filter_scalar(&q), expected);
-    }
-
-    #[test]
-    fn mbr_filter_range_concatenates_to_full_scan() {
-        let pts = pts(103); // odd length: exercises the scalar tail
-        let block = decode(&encode(&pts).unwrap()).unwrap();
-        let q = Rect::new(10.0, 0.0, 90.0, 30.0);
-        let full = block.mbr_filter(&q);
-        for split in [0, 1, 7, 52, 103] {
-            let mut parts = block.mbr_filter_range(&q, 0, split);
-            parts.extend(block.mbr_filter_range(&q, split, block.count));
-            assert_eq!(parts, full, "split at {split}");
-        }
-        assert_eq!(
-            block.records_range::<Point>(40, 60),
-            pts[40..60].to_vec(),
-            "records_range matches the slice"
-        );
     }
 
     #[test]

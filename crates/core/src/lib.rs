@@ -67,7 +67,6 @@ pub mod colblock;
 pub mod mrlayer;
 pub mod opresult;
 pub mod ops;
-pub mod parscan;
 pub mod storage;
 
 pub use catalog::SpatialFile;

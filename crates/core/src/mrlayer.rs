@@ -16,8 +16,8 @@
 //! `map_cached` asks `task_cached` before the engine reads the split,
 //! and only on a miss does `map_bytes` open the bytes through
 //! `SpatialRecordReader::open_after_probe`; both run one body, so a
-//! hit and a miss emit the same rows. The kNN-join mappers, which keep
-//! the two inputs of a split apart, read through [`task_inputs`].
+//! hit and a miss emit the same rows. The polygon join's mapper, which
+//! keeps the two inputs of a split apart, reads through [`task_inputs`].
 //!
 //! Text is read by `sh_geom::text::scan`, one forward pass over the
 //! bytes. A text partition keeps its text and each record's line start
@@ -212,12 +212,12 @@ impl SpatialRecordReader {
     /// Opens a partition for a one-shot linear scan: no cache, an empty
     /// tree — the ablation path (experiment A4). A binary partition file
     /// is exactly one block and keeps its columnar layout, so
-    /// [`Partition::scan_filter_par`] still runs the column loop. A text
+    /// [`Partition::scan_filter`] still runs the column loop. A text
     /// partition keeps what its one scan read: the records, each one's
     /// line start, and the bytes themselves, as the block of `blocks`
-    /// (the task's `MapContext::input_blocks`) that holds exactly them,
-    /// shared, so a cached partition costs no second copy of its text;
-    /// or else as a copy.
+    /// (the task's `MapContext::input_blocks`) that `data` is (the same
+    /// address and length), shared, so a cached partition costs no
+    /// second copy of its text; or else as a copy.
     pub fn open_scan<R: Record>(
         data: &[u8],
         blocks: &[Arc<[u8]>],
@@ -239,7 +239,7 @@ impl SpatialRecordReader {
                 starts.push(start as u32);
             })
             .map_err(corrupt_line)?;
-            let text = match blocks.iter().find(|block| ***block == *data) {
+            let text = match blocks.iter().find(|block| std::ptr::eq(&***block, data)) {
                 Some(block) => block.clone(),
                 None => Arc::from(data),
             };
@@ -417,42 +417,24 @@ impl<R: Record> Partition<R> {
     }
 
     /// Indices of records whose MBR intersects `q` without consulting
-    /// the tree. Text scans the parsed records; binary iterates the
-    /// coordinate columns directly (the zero-copy hot loop), in parallel
-    /// chunks over opportunistically leased extra slots once the block
-    /// is worth splitting. Returns the ascending hit indices (identical
-    /// to a serial scan) plus the number of extra slots used.
-    pub fn scan_filter_par(&self, dfs: &Dfs, q: &Rect) -> (Vec<usize>, usize) {
+    /// the tree, ascending. Text scans the parsed records; binary
+    /// iterates the coordinate columns directly (the zero-copy hot loop).
+    pub fn scan_filter(&self, q: &Rect) -> Vec<usize> {
         match &self.rows {
-            Rows::Text { records, .. } => {
-                let hits = (0..records.len()).filter(|&i| records[i].mbr().intersects(q));
-                (hits.collect(), 0)
-            }
-            Rows::Columns(block) => crate::parscan::parallel_chunks(
-                dfs.slots(),
-                block.count,
-                crate::parscan::MIN_CHUNK,
-                |start, end| block.mbr_filter_range(q, start, end),
-            ),
+            Rows::Text { records, .. } => (0..records.len())
+                .filter(|&i| records[i].mbr().intersects(q))
+                .collect(),
+            Rows::Columns(block) => block.mbr_filter(q),
         }
     }
 
     /// Every record of the partition as a slice (distributed join's
     /// plane sweep): text lends its parsed records, binary materializes
-    /// them from the columns across the slot pool, identically to a
-    /// serial materialization. Also returns the extra slots used.
-    pub fn records_par(&self, dfs: &Dfs) -> (Cow<'_, [R]>, usize) {
+    /// them from the columns.
+    pub fn records(&self) -> Cow<'_, [R]> {
         match &self.rows {
-            Rows::Text { records, .. } => (Cow::Borrowed(records), 0),
-            Rows::Columns(block) => {
-                let (records, extra) = crate::parscan::parallel_chunks(
-                    dfs.slots(),
-                    block.count,
-                    crate::parscan::MIN_CHUNK,
-                    |start, end| block.records_range::<R>(start, end),
-                );
-                (Cow::Owned(records), extra)
-            }
+            Rows::Text { records, .. } => Cow::Borrowed(records),
+            Rows::Columns(block) => Cow::Owned(block.records()),
         }
     }
 }
@@ -655,6 +637,77 @@ mod tests {
         );
     }
 
+    /// A cached text partition of one DFS block holds that block's own
+    /// allocation, whether a range task read it alone or a distributed
+    /// join task read it as one side of a pair; one spanning two blocks
+    /// holds its own copy of their bytes.
+    #[test]
+    fn a_one_block_text_partition_shares_its_block_and_a_two_block_one_copies() {
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        let rect = |i: usize, x0: f64| {
+            let (x, y) = (x0 + (i % 40) as f64, 5.0 + (i / 40) as f64 * 0.5);
+            Rect::new(x, y, x + 0.25, y + 0.75)
+        };
+        let parts: [Vec<Rect>; 2] = [
+            (0..20).map(|i| rect(i, 1.0)).collect(),
+            (0..600).map(|i| rect(i, 55.0)).collect(),
+        ];
+        let mut partitions = Vec::new();
+        for (id, rects) in parts.iter().enumerate() {
+            let path = format!("/share/part-{id:05}");
+            let text: String = rects.iter().map(|r| r.to_line() + "\n").collect();
+            dfs.write_string(&path, &text).unwrap();
+            let mut mbr = rects[0];
+            rects.iter().for_each(|r| mbr.expand(r));
+            partitions.push(PartitionMeta {
+                id,
+                path,
+                cell: [50.0 * id as f64, 0.0, 50.0 * (id + 1) as f64, 100.0],
+                mbr: [mbr.x1, mbr.y1, mbr.x2, mbr.y2],
+                records: rects.len() as u64,
+                bytes: text.len() as u64,
+            });
+        }
+        let file = SpatialFile {
+            dir: "/share".into(),
+            kind: PartitionKind::Grid,
+            universe: Rect::new(0.0, 0.0, 100.0, 100.0),
+            partitions,
+        };
+        let blocks = |path: &str| -> Vec<Arc<[u8]>> {
+            let infos = dfs.block_locations(path).unwrap();
+            infos
+                .iter()
+                .map(|b| dfs.read_block(b.id, 0).unwrap().0)
+                .collect()
+        };
+        assert_eq!(blocks("/share/part-00000").len(), 1);
+        assert_eq!(blocks("/share/part-00001").len(), 2);
+        let cached_text = |path: &str| -> Arc<[u8]> {
+            let part = SpatialRecordReader::cached::<Rect>(&dfs, path).expect("cached");
+            match &part.rows {
+                Rows::Text { text, .. } => text.clone(),
+                Rows::Columns(_) => panic!("{path}: a text partition"),
+            }
+        };
+        let check = |how: &str| {
+            let one = cached_text("/share/part-00000");
+            assert!(Arc::ptr_eq(&one, &blocks("/share/part-00000")[0]), "{how}");
+            let two = cached_text("/share/part-00001");
+            let shared = blocks("/share/part-00001")
+                .iter()
+                .any(|b| Arc::ptr_eq(&two, b));
+            assert!(!shared, "{how}");
+            assert_eq!(*two, *dfs.read_bytes("/share/part-00001").unwrap(), "{how}");
+        };
+        let everything = Rect::new(0.0, 0.0, 100.0, 100.0);
+        crate::ops::range::range_spatial::<Rect>(&dfs, &file, &everything, "").unwrap();
+        check("range");
+        dfs.cache().clear();
+        crate::ops::join::distributed_join_rows(&dfs, &file, &file).unwrap();
+        check("distributed join");
+    }
+
     fn write_bytes(dfs: &Dfs, path: &str, data: &[u8]) {
         let mut w = dfs.create(path).unwrap();
         w.write_chunk(data);
@@ -680,7 +733,7 @@ mod tests {
         assert!(!hit, "first open is a miss");
         assert_eq!(part.len(), 3);
         assert_eq!(part.tree().query(&q), vec![1]);
-        assert_eq!(part.scan_filter_par(&dfs, &q).0, vec![1]);
+        assert_eq!(part.scan_filter(&q), vec![1]);
         assert_eq!(part.record(1), Point::new(3.0, 4.0));
 
         let (again, hit) =
@@ -701,7 +754,7 @@ mod tests {
             SpatialRecordReader::open_indexed_bytes::<Point>(&dfs, "/idx/part-00001", &tdata)
                 .unwrap();
         assert!(matches!(tpart.rows, Rows::Text { .. }));
-        assert_eq!(tpart.scan_filter_par(&dfs, &q).0, vec![1]);
+        assert_eq!(tpart.scan_filter(&q), vec![1]);
 
         // Corrupt SHCB data (valid magic, truncated payload) is an error,
         // not a panic.

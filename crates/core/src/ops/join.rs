@@ -166,7 +166,19 @@ impl Mapper for DjMapper {
     // A side `map_cached` found is reused; a missing one is decoded
     // from its half of the split and cached.
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
-        let (left_data, right_data) = split.split_data_bytes(data);
+        // `data` is the pair's blocks end to end. A side that is one
+        // block is read from that block itself, which a text partition
+        // then shares instead of copying its half of `data`.
+        let (mut left_data, mut right_data) = split.split_data_bytes(data);
+        let blocks = ctx.input_blocks();
+        if let [first, .., last] = blocks {
+            if first.len() == left_data.len() {
+                left_data = first;
+            }
+            if last.len() == right_data.len() {
+                right_data = last;
+            }
+        }
         let (path_a, path_b, regions) = pair_aux(split);
         let open = |path: &str, data: &[u8]| {
             task(
@@ -197,15 +209,9 @@ impl DjMapper {
     ) {
         let [cell_a, cell_b, uni_a, uni_b] = regions;
         // The plane sweep wants rect slices; binary partitions
-        // materialize theirs from the coordinate columns, spread across
-        // any idle worker slots for big partitions.
-        let (left, left_extra) = lpart.records_par(&self.dfs);
-        let (right, right_extra) = rpart.records_par(&self.dfs);
+        // materialize theirs from the coordinate columns.
+        let (left, right) = (lpart.records(), rpart.records());
         let (left, right): (&[Rect], &[Rect]) = (&left, &right);
-        if left_extra + right_extra > 0 {
-            let par = ctx.register_counter("scan.parallel.extra_slots");
-            ctx.inc(par, (left_extra + right_extra) as u64);
-        }
         let mut results = 0u64;
         let mut line = String::with_capacity(80);
         plane_sweep_join_into(left, right, |i, j| {

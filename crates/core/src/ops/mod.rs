@@ -11,7 +11,6 @@
 //! | range query | full scan | partition pruning + local index | — |
 //! | kNN | full scan, one round | single-partition + correctness loop | — |
 //! | spatial join | SJMR | distributed join over two indexes | — |
-//! | kNN join | — | two-round bound-and-refine | — |
 //! | skyline | local+global skyline | + partition filter | output-sensitive |
 //! | convex hull | local+global hull | + four-skyline filter | Theorem-3 pruning |
 //! | union | local union + merge | spatially-clustered local union | cell-clipped, no merge |
@@ -27,8 +26,6 @@ pub mod delaunay;
 pub mod farthest_pair;
 pub mod join;
 pub mod knn;
-pub mod knn_join;
-pub mod plot;
 pub mod range;
 pub mod single;
 pub mod skyline;

@@ -91,17 +91,12 @@ impl<R: Record> Mapper for IndexedMapper<R> {
             (part, hits)
         } else {
             // Ablation: linear scan of the partition, no cache. Binary
-            // blocks scan their coordinate columns directly, spread
-            // across any idle worker slots.
+            // blocks scan their coordinate columns directly.
             let part = Arc::new(task(
                 &split.path,
                 SpatialRecordReader::open_scan::<R>(data, ctx.input_blocks()),
             ));
-            let (hits, extra) = part.scan_filter_par(&self.dfs, &self.query);
-            if extra > 0 {
-                let par = ctx.register_counter("scan.parallel.extra_slots");
-                ctx.inc(par, extra as u64);
-            }
+            let hits = part.scan_filter(&self.query);
             (part, hits)
         };
         self.write_hits(split, &part, hits, ctx);

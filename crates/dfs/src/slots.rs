@@ -90,27 +90,6 @@ impl SlotPool {
         }
     }
 
-    /// Leases a slot only if one is free right now, without blocking.
-    ///
-    /// This is the intra-task parallelism path: a running task already
-    /// holds one slot, and blocking here for extra slots while every
-    /// other task does the same would deadlock the pool. Extra slots are
-    /// strictly opportunistic — `None` means "scan serially".
-    pub fn try_acquire(self: &Arc<Self>) -> Option<SlotLease> {
-        let mut st = lock(&self.state);
-        if st.in_use >= st.total {
-            return None;
-        }
-        st.in_use += 1;
-        st.peak = st.peak.max(st.in_use);
-        let in_use = st.in_use;
-        drop(st);
-        sh_trace::global().gauge_set("sched.slots.in_use", in_use as i64);
-        Some(SlotLease {
-            pool: Arc::clone(self),
-        })
-    }
-
     /// Resizes the pool (clamped to at least 1). Growing wakes waiters;
     /// shrinking lets in-flight leases drain naturally — `in_use` may
     /// exceed the new total until they release.
@@ -206,20 +185,6 @@ mod tests {
         assert!(max_seen.load(Ordering::SeqCst) <= 3);
         assert_eq!(pool.in_use(), 0);
         assert!(pool.peak() <= 3);
-    }
-
-    #[test]
-    fn try_acquire_never_blocks_and_respects_the_cap() {
-        let pool = Arc::new(SlotPool::new(2));
-        let a = pool.try_acquire().expect("slot free");
-        let b = pool.try_acquire().expect("slot free");
-        assert!(pool.try_acquire().is_none(), "pool exhausted");
-        drop(a);
-        let c = pool.try_acquire().expect("slot returned");
-        drop(b);
-        drop(c);
-        assert_eq!(pool.in_use(), 0);
-        assert_eq!(pool.peak(), 2);
     }
 
     #[test]

@@ -79,13 +79,6 @@ pub enum Stmt {
         left: String,
         right: String,
     },
-    /// `v = KNNJOIN <left>, <right> K <k>;`
-    KnnJoin {
-        var: String,
-        left: String,
-        right: String,
-        k: usize,
-    },
     /// `v = SKYLINE <src>;`
     Skyline { var: String, src: String },
     /// `v = CONVEXHULL <src>;`
@@ -102,22 +95,6 @@ pub enum Stmt {
     Dump { src: String },
     /// `DESCRIBE <src>;` — dataset statistics (count, MBR, bytes).
     Describe { src: String },
-    /// `PLOT <src> WIDTH <w> HEIGHT <h> INTO '<path>';` — render a
-    /// density image of an indexed dataset (written as PGM in the DFS).
-    Plot {
-        src: String,
-        width: usize,
-        height: usize,
-        path: String,
-    },
-    /// `PLOTPYRAMID <src> LEVELS <l> TILE <px> INTO '<path>';` — render
-    /// the multilevel tile pyramid (one PGM per non-empty tile).
-    PlotPyramid {
-        src: String,
-        levels: usize,
-        tile_px: usize,
-        path: String,
-    },
     /// `STORE <src> INTO '<path>';`
     Store { src: String, path: String },
     /// `PROFILE <statement>` — run the inner statement and dump the

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 use sh_core::ops;
 use sh_core::storage;
@@ -605,9 +605,8 @@ impl Pigeon {
 /// and on the scheduler's for tickets and `SUBMIT`. It sees only `vars`,
 /// borrows the inputs it names from them, and returns its effects for
 /// [`SessionCtx::absorb`]. Its jobs return what they computed and write
-/// nothing; `STORE ... INTO` targets and index directories are
-/// user-named, and `KNNJOIN` stages its round-2 input in a scratch
-/// directory of its own that is gone again when it returns.
+/// nothing: the only files it writes are the ones the statement names,
+/// `IMPORT`'s and `GENERATE`'s targets and `INDEX`'s directory.
 fn run_job(
     dfs: &Dfs,
     stmt: &Stmt,
@@ -783,41 +782,6 @@ fn run_job(
             };
             StmtOutput::bind(var, "join", r, Value::Result)
         }
-        Stmt::KnnJoin {
-            var,
-            left,
-            right,
-            k,
-        } => {
-            let r = match (
-                lookup(vars, left)?.as_input(),
-                lookup(vars, right)?.as_input(),
-            ) {
-                (Some((Input::Indexed(fa), ta)), Some((Input::Indexed(fb), tb))) => {
-                    expect_points(left, ta)?;
-                    expect_points(right, tb)?;
-                    // Where round 2's input is staged while the join runs.
-                    static SEQ: AtomicUsize = AtomicUsize::new(0);
-                    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-                    let staging = format!("/pigeon/knnjoin-{seq}");
-                    ops::knn_join::knn_join_spatial(dfs, fa, fb, *k, &staging)?
-                }
-                _ => {
-                    return Err(PigeonError::Type(
-                        "KNNJOIN needs two indexed POINT datasets".into(),
-                    ))
-                }
-            };
-            StmtOutput::bind(var, "knnjoin", r, |rows| {
-                Value::Result(Rows::from_lines(rows.iter().map(|row| {
-                    let mut s = format!("{} {} |", row.r.x, row.r.y);
-                    for n in &row.neighbors {
-                        let _ = write!(s, " {} {}", n.x, n.y);
-                    }
-                    s
-                })))
-            })
-        }
         Stmt::Skyline { var, src } => {
             let r = match points(vars, "SKYLINE", src)? {
                 Input::Indexed(file) => ops::skyline::skyline_spatial(dfs, file)?,
@@ -912,42 +876,6 @@ fn run_job(
                     stats.mbr.y1,
                     stats.mbr.y2
                 )))
-            }
-        }
-        Stmt::Plot {
-            src,
-            width,
-            height,
-            path,
-        } => {
-            let Value::Indexed { file, rtype } = lookup(vars, src)? else {
-                return Err(PigeonError::Type("PLOT requires an indexed dataset".into()));
-            };
-            let r = with_record_type!(*rtype, R => {
-                ops::plot::plot_spatial::<R>(dfs, file, *width, *height, path)
-            })?;
-            StmtOutput {
-                profile: Some(r.profile("plot")),
-                ..StmtOutput::default()
-            }
-        }
-        Stmt::PlotPyramid {
-            src,
-            levels,
-            tile_px,
-            path,
-        } => {
-            let Value::Indexed { file, rtype } = lookup(vars, src)? else {
-                return Err(PigeonError::Type(
-                    "PLOTPYRAMID requires an indexed dataset".into(),
-                ));
-            };
-            let r = with_record_type!(*rtype, R => {
-                ops::plot::plot_pyramid::<R>(dfs, file, *levels, *tile_px, path)
-            })?;
-            StmtOutput {
-                profile: Some(r.profile("plotpyramid")),
-                ..StmtOutput::default()
             }
         }
         Stmt::Scrub { target } => {
@@ -1106,7 +1034,6 @@ fn stmt_verb(stmt: &Stmt) -> &'static str {
         Stmt::RangeFilter { .. } => "range",
         Stmt::Knn { .. } => "knn",
         Stmt::Join { .. } => "join",
-        Stmt::KnnJoin { .. } => "knnjoin",
         Stmt::Skyline { .. } => "skyline",
         Stmt::ConvexHull { .. } => "convexhull",
         Stmt::ClosestPair { .. } => "closestpair",
@@ -1115,8 +1042,6 @@ fn stmt_verb(stmt: &Stmt) -> &'static str {
         Stmt::Voronoi { .. } => "voronoi",
         Stmt::Dump { .. } => "dump",
         Stmt::Describe { .. } => "describe",
-        Stmt::Plot { .. } => "plot",
-        Stmt::PlotPyramid { .. } => "plotpyramid",
         Stmt::Store { .. } => "store",
         Stmt::Profile(inner) => stmt_verb(inner),
         Stmt::ExplainAnalyze(inner) => stmt_verb(inner),
@@ -1148,10 +1073,8 @@ fn job_inputs(stmt: &Stmt) -> Option<Vec<&String>> {
         | Stmt::FarthestPair { src, .. }
         | Stmt::Union { src, .. }
         | Stmt::Voronoi { src, .. }
-        | Stmt::Describe { src }
-        | Stmt::Plot { src, .. }
-        | Stmt::PlotPyramid { src, .. } => vec![src],
-        Stmt::Join { left, right, .. } | Stmt::KnnJoin { left, right, .. } => vec![left, right],
+        | Stmt::Describe { src } => vec![src],
+        Stmt::Join { left, right, .. } => vec![left, right],
         Stmt::Scrub { target } => match target {
             Some(ScrubTarget::Var(v)) => vec![v],
             None | Some(ScrubTarget::Path(_)) => vec![],
@@ -1268,7 +1191,7 @@ mod tests {
     use crate::run_script;
     use sh_core::storage::upload;
     use sh_dfs::ClusterConfig;
-    use sh_workload::{points, rects, Distribution};
+    use sh_workload::{osm_like_polygons, points, rects, Distribution};
 
     fn dfs_with_points() -> (Dfs, Vec<Point>) {
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
@@ -1683,20 +1606,6 @@ mod tests {
     }
 
     #[test]
-    fn plot_statement_writes_pgm() {
-        let dfs = Dfs::new(ClusterConfig::small_for_tests());
-        run_script(
-            &dfs,
-            "p = GENERATE 1000 POINT gaussian INTO '/pl/p';\n\
-             i = INDEX p AS grid INTO '/pl/idx';\n\
-             PLOT i WIDTH 32 HEIGHT 32 INTO '/pl/img';",
-        )
-        .unwrap();
-        let pgm = dfs.read_to_string("/pl/img/image.pgm").unwrap();
-        assert!(pgm.starts_with("P2\n32 32\n255\n"));
-    }
-
-    #[test]
     fn import_statement_reads_host_files() {
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
         let tmp = std::env::temp_dir().join("pigeon-import-test.csv");
@@ -1719,21 +1628,6 @@ mod tests {
     }
 
     #[test]
-    fn plot_pyramid_statement_writes_tiles() {
-        let dfs = Dfs::new(ClusterConfig::small_for_tests());
-        run_script(
-            &dfs,
-            "p = GENERATE 800 POINT osm INTO '/py/p';\n\
-             i = INDEX p AS grid INTO '/py/idx';\n\
-             PLOTPYRAMID i LEVELS 2 TILE 16 INTO '/py/tiles';",
-        )
-        .unwrap();
-        assert!(dfs.exists("/py/tiles/tile-0-0-0.pgm"));
-        // Level 1 has up to 4 tiles; at least one exists.
-        assert!(!dfs.list("/py/tiles/tile-1-").is_empty());
-    }
-
-    #[test]
     fn describe_statement() {
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
         let out = run_script(
@@ -1747,23 +1641,6 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert!(out[0].contains("500 records"), "{}", out[0]);
         assert!(out[1].contains("500 records"), "{}", out[1]);
-    }
-
-    #[test]
-    fn knnjoin_statement_end_to_end() {
-        let dfs = Dfs::new(ClusterConfig::small_for_tests());
-        let out = run_script(
-            &dfs,
-            "a = GENERATE 300 POINT uniform INTO '/kj/a';\n\
-             b = GENERATE 500 POINT gaussian INTO '/kj/b';\n\
-             ia = INDEX a AS grid INTO '/kj/ia';\n\
-             ib = INDEX b AS grid INTO '/kj/ib';\n\
-             j = KNNJOIN ia, ib K 3;\n\
-             DUMP j;",
-        )
-        .unwrap();
-        assert_eq!(out.len(), 300, "one row per left point");
-        assert!(out[0].contains('|'));
     }
 
     #[test]
@@ -2060,58 +1937,59 @@ mod tests {
         let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
         let pts = points(1500, Distribution::Uniform, &uni, 31);
         upload(&dfs, "/leak/p", &pts).unwrap();
-        upload(
-            &dfs,
-            "/leak/s",
-            &points(4000, Distribution::Uniform, &uni, 32),
-        )
-        .unwrap();
         upload(&dfs, "/leak/l", &rects(200, &uni, 30.0, 1)).unwrap();
         upload(&dfs, "/leak/r", &rects(200, &uni, 30.0, 2)).unwrap();
+        upload(&dfs, "/leak/g", &osm_like_polygons(60, &uni, 20.0, 3)).unwrap();
         let script = crate::parser::parse(
             "p = LOAD '/leak/p' AS POINT;\n\
              i = INDEX p AS grid INTO '/leak/ip';\n\
-             s = LOAD '/leak/s' AS POINT;\n\
-             is = INDEX s AS grid INTO '/leak/is';\n\
              a = LOAD '/leak/l' AS RECTANGLE;\n\
              b = LOAD '/leak/r' AS RECTANGLE;\n\
              ia = INDEX a AS grid INTO '/leak/ia';\n\
              ib = INDEX b AS grid INTO '/leak/ib';\n\
+             g = LOAD '/leak/g' AS POLYGON;\n\
+             ig = INDEX g AS grid INTO '/leak/ig';\n\
              q = FILTER i BY Overlaps(RECTANGLE(100, 100, 600, 600));\n\
+             qh = FILTER p BY Overlaps(RECTANGLE(100, 100, 600, 600));\n\
              k = KNN i POINT(500, 500) K 7;\n\
+             kh = KNN p POINT(500, 500) K 7;\n\
              j = JOIN ia, ib PREDICATE Overlaps;\n\
              h = JOIN a, b PREDICATE Overlaps;\n\
              d = DELAUNAY p;\n\
              v = VORONOI i;\n\
-             n = KNNJOIN i, is K 100;\n\
+             sk = SKYLINE i;\n\
+             ch = CONVEXHULL i;\n\
+             cp = CLOSESTPAIR i;\n\
+             fp = FARTHESTPAIR i;\n\
+             u = UNION g;\n\
+             ui = UNION ig;\n\
+             DESCRIBE p;\n\
              STORE k INTO '/leak/stored';\n\
              DUMP q;",
         )
         .unwrap();
         // One statement at a time: `INDEX ... INTO` and `STORE ... INTO`
-        // write the files they name, kNN-join stages its round-2 input
-        // and removes it again, and every other statement writes no block.
+        // write the files they name, and every other statement writes no
+        // block and leaves the namespace as it was.
         let mut engine = Pigeon::new(&dfs);
         let mut dumped = Vec::new();
         for stmt in script.stmts {
             let verb = stmt_verb(&stmt);
             let files = dfs.list("/");
             let before = dfs.metrics().snapshot();
-            dumped.extend(engine.execute(&Script { stmts: vec![stmt] }).unwrap());
+            let out = engine.execute(&Script { stmts: vec![stmt] }).unwrap();
+            if verb == "dump" {
+                dumped.extend(out);
+            }
             let written = dfs.metrics().snapshot().since(&before).blocks_written;
             match verb {
                 "index" | "store" => assert!(written > 0, "{verb}"),
-                "knnjoin" => {
-                    assert!(written > 0, "no point needed kNN-join's round 2");
-                    assert_eq!(dfs.list("/"), files, "{verb}");
-                }
                 _ => {
                     assert_eq!(written, 0, "{verb}");
                     assert_eq!(dfs.list("/"), files, "{verb}");
                 }
             }
         }
-        assert_eq!(dfs.list("/pigeon/"), Vec::<String>::new());
         // The answer outlives its job, and user-named paths are kept.
         let query = Rect::new(100.0, 100.0, 600.0, 600.0);
         let mut expected: Vec<String> = pts
@@ -2148,10 +2026,11 @@ mod tests {
                 dfs.write_string(&m.path, "not a point\n").unwrap();
             }
         }
+        let files = dfs.list("/");
         let knn = crate::parser::parse("n = KNN i POINT(500, 500) K 400;").unwrap();
         let err = engine.execute(&knn).unwrap_err();
         assert!(err.to_string().contains("corrupt"), "{err}");
-        assert_eq!(dfs.list("/pigeon/"), Vec::<String>::new());
+        assert_eq!(dfs.list("/"), files);
     }
 
     #[test]

@@ -211,38 +211,6 @@ impl Parser {
             self.expect(&TokenKind::Semicolon)?;
             return Ok(Stmt::Describe { src });
         }
-        if first.eq_ignore_ascii_case("PLOTPYRAMID") {
-            let src = self.ident()?;
-            self.keyword("LEVELS")?;
-            let levels = self.number()? as usize;
-            self.keyword("TILE")?;
-            let tile_px = self.number()? as usize;
-            self.keyword("INTO")?;
-            let path = self.string()?;
-            self.expect(&TokenKind::Semicolon)?;
-            return Ok(Stmt::PlotPyramid {
-                src,
-                levels,
-                tile_px,
-                path,
-            });
-        }
-        if first.eq_ignore_ascii_case("PLOT") {
-            let src = self.ident()?;
-            self.keyword("WIDTH")?;
-            let width = self.number()? as usize;
-            self.keyword("HEIGHT")?;
-            let height = self.number()? as usize;
-            self.keyword("INTO")?;
-            let path = self.string()?;
-            self.expect(&TokenKind::Semicolon)?;
-            return Ok(Stmt::Plot {
-                src,
-                width,
-                height,
-                path,
-            });
-        }
         if first.eq_ignore_ascii_case("STORE") {
             let src = self.ident()?;
             self.keyword("INTO")?;
@@ -314,19 +282,6 @@ impl Parser {
                 self.keyword("PREDICATE")?;
                 self.keyword("Overlaps")?;
                 Stmt::Join { var, left, right }
-            }
-            "KNNJOIN" => {
-                let left = self.ident()?;
-                self.expect(&TokenKind::Comma)?;
-                let right = self.ident()?;
-                self.keyword("K")?;
-                let k = self.number()? as usize;
-                Stmt::KnnJoin {
-                    var,
-                    left,
-                    right,
-                    k,
-                }
             }
             "SKYLINE" => Stmt::Skyline {
                 var,
@@ -617,6 +572,31 @@ mod tests {
             }
         );
         assert!(parse("SCRUB 5;").is_err());
+    }
+
+    #[test]
+    fn knn_join_and_plot_verbs_are_parse_errors_that_bind_nothing() {
+        let dfs = sh_dfs::Dfs::new(sh_dfs::ClusterConfig::small_for_tests());
+        for stmt in [
+            "j = KNNJOIN a, b K 3;",
+            "PLOT a WIDTH 8 HEIGHT 8 INTO '/x';",
+            "PLOTPYRAMID a LEVELS 2 TILE 8 INTO '/x';",
+        ] {
+            let err = parse(stmt).unwrap_err();
+            assert!(
+                matches!(err, PigeonError::Parse { line: 1, .. }),
+                "{stmt}: {err}"
+            );
+            // The whole script is parsed before any statement runs, so
+            // the statement before it binds and writes nothing either.
+            let script = format!("a = GENERATE 10 POINT uniform INTO '/a';\n{stmt}");
+            let err = crate::run_script(&dfs, &script).unwrap_err();
+            assert!(
+                matches!(err, PigeonError::Parse { line: 2, .. }),
+                "{stmt}: {err}"
+            );
+            assert!(dfs.list("/").is_empty(), "{stmt}");
+        }
     }
 
     #[test]

@@ -4,10 +4,12 @@
 #   ./scripts/ci.sh                 # every stage
 #   ./scripts/ci.sh --quick         # skip the chaos soak and server runs
 #   ./scripts/ci.sh lint test       # just the named stages
+#   ./scripts/ci.sh size            # non-test lines per crate (not a gate)
 #
-# Stages: lint, build, test, chaos, corruption, server, experiments. Fails
-# fast, naming the stage that broke, and prints per-stage wall-clock
-# timings (and test counts) at the end.
+# Stages: lint, build, test, chaos, corruption, server, experiments, and
+# `size`, which only runs when named. Fails fast, naming the stage that
+# broke, and prints per-stage wall-clock timings (and test counts) at the
+# end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,8 +18,8 @@ STAGES=()
 for arg in "$@"; do
   case "$arg" in
     --quick) QUICK=1 ;;
-    lint|build|test|chaos|corruption|server|experiments) STAGES+=("$arg") ;;
-    *) echo "usage: $0 [--quick] [lint|build|test|chaos|corruption|server|experiments]..." >&2; exit 2 ;;
+    lint|build|test|chaos|corruption|server|experiments|size) STAGES+=("$arg") ;;
+    *) echo "usage: $0 [--quick] [lint|build|test|chaos|corruption|server|experiments|size]..." >&2; exit 2 ;;
   esac
 done
 if [ ${#STAGES[@]} -eq 0 ]; then
@@ -160,13 +162,28 @@ stage_server() {
 }
 
 stage_experiments() {
-  # The paper's whole evaluation (E1-E14, A1-A5, X1-X2) in release; the
+  # The paper's whole evaluation (E1-E14, A1-A5) in release; the
   # tables land in target/experiments.md. Fails on a non-zero exit: a
   # panicking experiment or an unknown id. It does not diff the tables
   # against bench_results.md yet: their simulated seconds still contain
   # host wall time, so they differ from run to run.
   mkdir -p target &&
     cargo run --release --quiet -p sh-bench --bin experiments > target/experiments.md
+}
+
+stage_size() {
+  # Non-test lines per crate and in total: every `.rs` file under
+  # `crates/` and `src/`, counted up to its first `#[cfg(test)]` (the
+  # rule ROADMAP.md's size figures use). It reports; it gates nothing.
+  find crates src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { split(FILENAME, p, "/"); unit = p[1] == "src" ? "src" : p[1] "/" p[2]; counting = 1 }
+    counting && /#\[cfg\(test\)\]/ { counting = 0 }
+    counting { lines[unit]++; total++ }
+    END {
+      for (u in lines) printf "%7d  %s\n", lines[u], u | "sort -k2"
+      close("sort -k2")
+      printf "%7d  total\n", total
+    }'
 }
 
 # Runs a command, then puts back the frozen benchmark's lock file, which

@@ -50,8 +50,7 @@ fn pick<T: Copy>(rng: &mut Rng, options: &[T]) -> T {
 fn every_indexed_op_answers_the_same_over_text_and_binary() {
     use spatialhadoop::core::catalog::SpatialFile;
     use spatialhadoop::core::ops::{
-        closest_pair as cp, convex_hull as hull, delaunay, farthest_pair as fp, knn_join, plot,
-        voronoi,
+        closest_pair as cp, convex_hull as hull, delaunay, farthest_pair as fp, voronoi,
     };
     use spatialhadoop::workload::{points, Distribution};
 
@@ -61,40 +60,31 @@ fn every_indexed_op_answers_the_same_over_text_and_binary() {
         l.sort();
         l
     }
-    type Row = (&'static str, fn(&Dfs, &SpatialFile, &str) -> Vec<String>);
-    let rows: [Row; 11] = [
-        ("skyline_spatial", |d, f, _| {
+    type Row = (&'static str, fn(&Dfs, &SpatialFile) -> Vec<String>);
+    let rows: [Row; 8] = [
+        ("skyline_spatial", |d, f| {
             lines(skyline::skyline_spatial(d, f).unwrap().value)
         }),
-        ("skyline_output_sensitive", |d, f, _| {
+        ("skyline_output_sensitive", |d, f| {
             lines(skyline::skyline_output_sensitive(d, f).unwrap().value)
         }),
-        ("hull_spatial", |d, f, _| {
+        ("hull_spatial", |d, f| {
             lines(hull::hull_spatial(d, f).unwrap().value)
         }),
-        ("hull_enhanced", |d, f, _| {
+        ("hull_enhanced", |d, f| {
             lines(hull::hull_enhanced(d, f).unwrap().value)
         }),
-        ("closest_pair_spatial", |d, f, _| {
+        ("closest_pair_spatial", |d, f| {
             lines(cp::closest_pair_spatial(d, f).unwrap().value)
         }),
-        ("farthest_pair_spatial", |d, f, _| {
+        ("farthest_pair_spatial", |d, f| {
             lines(fp::farthest_pair_spatial(d, f).unwrap().value)
         }),
-        ("voronoi_spatial", |d, f, _| {
+        ("voronoi_spatial", |d, f| {
             lines(voronoi::voronoi_spatial(d, f).unwrap().value)
         }),
-        ("delaunay_spatial", |d, f, _| {
+        ("delaunay_spatial", |d, f| {
             lines(delaunay::delaunay_spatial(d, f).unwrap().value)
-        }),
-        ("knn_join_spatial", |d, f, o| {
-            lines(knn_join::knn_join_spatial(d, f, f, 3, o).unwrap().value)
-        }),
-        ("plot_spatial", |d, f, o| {
-            lines([plot::plot_spatial::<Point>(d, f, 64, 48, o).unwrap().value])
-        }),
-        ("plot_pyramid", |d, f, o| {
-            lines([plot::plot_pyramid::<Point>(d, f, 3, 16, o).unwrap().value])
         }),
     ];
 
@@ -118,8 +108,8 @@ fn every_indexed_op_answers_the_same_over_text_and_binary() {
         let stored = dfs.read_bytes(&binary.partitions[0].path).unwrap();
         assert!(stored.starts_with(b"SHCB"), "{kind:?}: binary blocks");
         for (name, op) in rows {
-            let over_text = op(&dfs, &text, &format!("/eq/out/{name}/text"));
-            let over_binary = op(&dfs, &binary, &format!("/eq/out/{name}/binary"));
+            let over_text = op(&dfs, &text);
+            let over_binary = op(&dfs, &binary);
             assert!(!over_text.is_empty(), "{name} over {kind:?}: an answer");
             assert_eq!(over_text, over_binary, "{name} over {kind:?}");
         }

@@ -125,8 +125,6 @@ const EVERY_VERB: &[&str] = &[
     "DUMP j;",
     "j = JOIN ia, ib PREDICATE Overlaps;",
     "DUMP j;",
-    "kj = KNNJOIN iq, ip K 3;",
-    "DUMP kj;",
     "s = SKYLINE ip;",
     "DUMP s;",
     "h = CONVEXHULL ip;",
