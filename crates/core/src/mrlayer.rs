@@ -26,9 +26,9 @@
 //! copies an answer's line instead of rendering it; debug builds check
 //! every copy against the render.
 
-use std::borrow::Cow;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::mem::size_of;
+use std::sync::{Arc, OnceLock};
 
 use sh_dfs::{Dfs, DfsError};
 use sh_geom::{text, Point, Record, Rect};
@@ -197,15 +197,9 @@ impl SpatialRecordReader {
             }
             None => LocalRTree::build(rects),
         };
-        // Accounted size: rows + tree rects dominate; parsed text also
-        // charges the text itself as the floor.
-        let rows = match &part.rows {
-            Rows::Text { records, .. } => data.len() + records.len() * std::mem::size_of::<R>(),
-            Rows::Columns(block) => block.resident_bytes(),
-        };
-        let bytes = (rows + part.tree.len() * 32) as u64;
         let part = Arc::new(part);
-        dfs.cache().put_at(path, part.clone(), bytes, epoch);
+        dfs.cache()
+            .put_at(path, part.clone(), part.resident_bytes(), epoch);
         Ok(part)
     }
 
@@ -252,6 +246,7 @@ impl SpatialRecordReader {
         Ok(Partition {
             rows,
             tree: LocalRTree::build(Vec::new()),
+            x_order: OnceLock::new(),
         })
     }
 }
@@ -345,6 +340,8 @@ pub fn task_inputs<R: Record>(split: &InputSplit, data: &[u8]) -> (Vec<R>, Vec<R
 pub struct Partition<R: Record> {
     rows: Rows<R>,
     tree: LocalRTree,
+    /// Record indices in ascending MBR `x1`, sorted on first use.
+    x_order: OnceLock<Vec<u32>>,
 }
 
 enum Rows<R> {
@@ -428,14 +425,39 @@ impl<R: Record> Partition<R> {
         }
     }
 
-    /// Every record of the partition as a slice (distributed join's
-    /// plane sweep): text lends its parsed records, binary materializes
-    /// them from the columns.
-    pub fn records(&self) -> Cow<'_, [R]> {
-        match &self.rows {
-            Rows::Text { records, .. } => Cow::Borrowed(records),
-            Rows::Columns(block) => Cow::Owned(block.records()),
+    /// Record indices in ascending MBR `x1`, ties in index order (the
+    /// distributed join's sweep order). Sorted on the first call and
+    /// kept, 4 B a record; that call also charges those bytes to the
+    /// cache entry under `path` when the entry is this partition.
+    pub fn x_order(&self, dfs: &Dfs, path: &str) -> &[u32] {
+        let mut sorted = false;
+        let order = self.x_order.get_or_init(|| {
+            sorted = true;
+            let mut order: Vec<u32> = (0..self.len() as u32).collect();
+            order.sort_by(|&a, &b| {
+                let (a, b) = (self.mbr_of(a as usize), self.mbr_of(b as usize));
+                a.x1.total_cmp(&b.x1)
+            });
+            order
+        });
+        if sorted {
+            let this: *const Self = self;
+            dfs.cache()
+                .recharge(path, this as *const (), self.resident_bytes());
         }
+        order
+    }
+
+    /// Bytes the cache charges for the partition: its rows (parsed text
+    /// also charges the text itself), 32 B a tree rectangle, and the
+    /// x-order once it is sorted.
+    fn resident_bytes(&self) -> u64 {
+        let rows = match &self.rows {
+            Rows::Text { records, text, .. } => text.len() + records.len() * size_of::<R>(),
+            Rows::Columns(block) => block.resident_bytes(),
+        };
+        let order = self.x_order.get().map_or(0, |o| o.len() * size_of::<u32>());
+        (rows + self.tree.len() * 32 + order) as u64
     }
 }
 

@@ -9,8 +9,12 @@
 //!   the two global indexes, one map task joins each pair with a plane
 //!   sweep — no shuffle at all.
 
+use std::sync::{Arc, OnceLock};
+
 use sh_dfs::Dfs;
-use sh_geom::algorithms::plane_sweep::{plane_sweep_join, plane_sweep_join_into};
+use sh_geom::algorithms::plane_sweep::{
+    plane_sweep_join, plane_sweep_join_into, plane_sweep_sorted,
+};
 use sh_geom::{Record, Rect};
 use sh_index::grid::GridPartitioning;
 use sh_index::owns_point;
@@ -142,6 +146,17 @@ struct DjMapper {
     dfs: Dfs,
     dedup_left: bool,
     dedup_right: bool,
+    /// Partitions of the right input: a pair split's `partition_id` is
+    /// `i * right_partitions + j`.
+    right_partitions: usize,
+    /// Slot of right partition `j` in `opened` is `right_slot + j`: 0
+    /// when both inputs are the same partition files (a self-join).
+    right_slot: usize,
+    /// The job's partitions, left then right, each opened at most once:
+    /// a pair's side is looked up in the per-node cache first, then
+    /// here, and only then opened from the split's bytes. An open that
+    /// fails leaves its slot empty for the next attempt.
+    opened: Vec<OnceLock<Arc<Partition<Rect>>>>,
 }
 
 impl Mapper for DjMapper {
@@ -151,20 +166,22 @@ impl Mapper for DjMapper {
     // Each side is looked up in the per-node cache under its own
     // partition path — a partition typically appears in several
     // overlapping pairs. Both sides are probed, so each counts one hit
-    // or one miss; the split is read only when either side missed.
+    // or one miss; a miss is then looked up in the job's table. The
+    // split is read only when a side is in neither.
     fn map_cached(&self, split: &InputSplit, ctx: &mut MapContext<u8, u8>) -> bool {
         let (path_a, path_b, regions) = pair_aux(split);
-        let left = task_cached::<Rect, _, _>(&self.dfs, path_a, ctx);
-        let right = task_cached::<Rect, _, _>(&self.dfs, path_b, ctx);
+        let (slot_a, slot_b) = self.slots(split);
+        let left = self.resident(path_a, slot_a, ctx);
+        let right = self.resident(path_b, slot_b, ctx);
         let (Some(lpart), Some(rpart)) = (left, right) else {
             return false;
         };
-        self.join(regions, &lpart, &rpart, ctx);
+        self.join([path_a, path_b], regions, &lpart, &rpart, ctx);
         true
     }
 
-    // A side `map_cached` found is reused; a missing one is decoded
-    // from its half of the split and cached.
+    // A side the job already holds is reused; a missing one is decoded
+    // from its half of the split, once for the whole job.
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
         // `data` is the pair's blocks end to end. A side that is one
         // block is read from that block itself, which a text partition
@@ -180,41 +197,86 @@ impl Mapper for DjMapper {
             }
         }
         let (path_a, path_b, regions) = pair_aux(split);
-        let open = |path: &str, data: &[u8]| {
-            task(
-                path,
-                SpatialRecordReader::open_after_probe::<Rect>(
-                    &self.dfs,
+        let (slot_a, slot_b) = self.slots(split);
+        let mut opened = 0;
+        let mut open = |path: &str, slot: usize, data: &[u8]| {
+            Arc::clone(self.opened[slot].get_or_init(|| {
+                opened += 1;
+                task(
                     path,
-                    data,
-                    ctx.input_blocks(),
-                ),
-            )
+                    SpatialRecordReader::open_after_probe::<Rect>(&self.dfs, path, data, blocks),
+                )
+            }))
         };
-        let (lpart, rpart) = (open(path_a, left_data), open(path_b, right_data));
-        self.join(regions, &lpart, &rpart, ctx);
+        let (lpart, rpart) = (
+            open(path_a, slot_a, left_data),
+            open(path_b, slot_b, right_data),
+        );
+        if opened > 0 {
+            ctx.counter("join.partitions.opened", opened);
+        }
+        self.join([path_a, path_b], regions, &lpart, &rpart, ctx);
     }
 }
 
 impl DjMapper {
-    /// Joins one partition pair with a plane sweep. `regions` are the
-    /// split's `[cell A, cell B, universe A, universe B]` for the
-    /// reference-point rule.
+    /// The `opened` slots of a pair split's two partitions.
+    fn slots(&self, split: &InputSplit) -> (usize, usize) {
+        let id = split.partition_id.expect("dj split carries its pair id");
+        let (i, j) = (id / self.right_partitions, id % self.right_partitions);
+        (i, self.right_slot + j)
+    }
+
+    /// One side of a pair without reading it: the cached partition
+    /// (counted as a hit or a miss, and kept in the job's table), else
+    /// the job's own copy.
+    fn resident(
+        &self,
+        path: &str,
+        slot: usize,
+        ctx: &mut MapContext<u8, u8>,
+    ) -> Option<Arc<Partition<Rect>>> {
+        match task_cached::<Rect, _, _>(&self.dfs, path, ctx) {
+            Some(part) => Some(Arc::clone(self.opened[slot].get_or_init(|| part))),
+            None => self.opened[slot].get().cloned(),
+        }
+    }
+
+    /// Joins one partition pair with a plane sweep over the records that
+    /// can take part in a result it reports. `paths` are the two
+    /// partitions' paths and `regions` the split's `[cell A, cell B,
+    /// universe A, universe B]` for the reference-point rule.
     fn join(
         &self,
+        paths: [&str; 2],
         regions: [Rect; 4],
         lpart: &Partition<Rect>,
         rpart: &Partition<Rect>,
         ctx: &mut MapContext<u8, u8>,
     ) {
         let [cell_a, cell_b, uni_a, uni_b] = regions;
-        // The plane sweep wants rect slices; binary partitions
-        // materialize theirs from the coordinate columns.
-        let (left, right) = (lpart.records(), rpart.records());
-        let (left, right): (&[Rect], &[Rect]) = (&left, &right);
+        // A reported pair's reference point lies in both records and in
+        // (the closure of) the cell of every disjoint side, so a record
+        // outside that shared region cannot be in a reported pair.
+        let shared = match (self.dedup_left, self.dedup_right) {
+            (true, true) => Some(cell_a.intersection(&cell_b).unwrap_or_else(Rect::empty)),
+            (true, false) => Some(cell_a),
+            (false, true) => Some(cell_b),
+            (false, false) => None,
+        };
+        // Each side's records in x order, as rects and as their indices.
+        let side = |part: &Partition<Rect>, path: &str| -> (Vec<Rect>, Vec<u32>) {
+            part.x_order(&self.dfs, path)
+                .iter()
+                .map(|&i| (part.mbr_of(i as usize), i))
+                .filter(|(r, _)| shared.is_none_or(|s| r.intersects(&s)))
+                .unzip()
+        };
+        let (left, left_ids) = side(lpart, paths[0]);
+        let (right, right_ids) = side(rpart, paths[1]);
         let mut results = 0u64;
         let mut line = String::with_capacity(80);
-        plane_sweep_join_into(left, right, |i, j| {
+        plane_sweep_sorted(&left, &right, |i, j| {
             if let Some(rp) = reference_point(&left[i], &right[j]) {
                 if self.dedup_left && !owns_point(&cell_a, &rp, &uni_a) {
                     return;
@@ -225,9 +287,9 @@ impl DjMapper {
                 // Each side's line comes from its partition: copied
                 // from text, rendered from columns.
                 line.clear();
-                lpart.write_record(i, &mut line);
+                lpart.write_record(left_ids[i] as usize, &mut line);
                 line.push_str(PAIR_SEPARATOR);
-                rpart.write_record(j, &mut line);
+                rpart.write_record(right_ids[j] as usize, &mut line);
                 ctx.output(&line);
                 results += 1;
             }
@@ -358,12 +420,21 @@ pub fn distributed_join_rows(
     let splits = pair_splits(dfs, a, b)?;
     let total_pairs = a.partitions.len() * b.partitions.len();
     let processed = splits.len();
+    let same_files = a
+        .partitions
+        .iter()
+        .map(|m| &m.path)
+        .eq(b.partitions.iter().map(|m| &m.path));
+    let slots = a.partitions.len() + if same_files { 0 } else { b.partitions.len() };
     let mut job = JobBuilder::new(dfs, &format!("dj:{}:{}", a.dir, b.dir))
         .input_splits(splits)
         .mapper(DjMapper {
             dfs: dfs.clone(),
             dedup_left: a.is_disjoint(),
             dedup_right: b.is_disjoint(),
+            right_partitions: b.partitions.len(),
+            right_slot: if same_files { 0 } else { a.partitions.len() },
+            opened: (0..slots).map(|_| OnceLock::new()).collect(),
         })
         .map_only()?
         .run()?;
@@ -569,6 +640,193 @@ mod tests {
             .value;
         let got = distributed_join(&dfs, &fa, &fb, "/out").unwrap();
         assert_eq!(got.value.len(), expected_pairs(&left, &right).len());
+    }
+
+    /// The distinct partition files of a join's pair splits.
+    fn paired_partitions(dfs: &Dfs, a: &SpatialFile, b: &SpatialFile) -> usize {
+        let splits = pair_splits(dfs, a, b).unwrap();
+        let mut paths = std::collections::BTreeSet::new();
+        for split in &splits {
+            let (path_a, path_b, _) = pair_aux(split);
+            paths.insert(path_a.to_string());
+            paths.insert(path_b.to_string());
+        }
+        assert!(paths.len() < 2 * splits.len(), "partitions recur in pairs");
+        paths.len()
+    }
+
+    #[test]
+    fn a_cold_join_opens_each_partition_once() {
+        let dfs = Dfs::new(ClusterConfig {
+            worker_threads: Some(4),
+            ..ClusterConfig::small_for_tests()
+        });
+        dfs.cache().set_budget(0);
+        let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        let left = rects(700, &uni, 50.0, 3);
+        let right = rects(700, &uni, 50.0, 4);
+        upload(&dfs, "/l", &left).unwrap();
+        upload(&dfs, "/r", &right).unwrap();
+        let fa = build_index::<Rect>(&dfs, "/l", "/ia", PartitionKind::Grid)
+            .unwrap()
+            .value;
+        let fb = build_index::<Rect>(&dfs, "/r", "/ib", PartitionKind::Grid)
+            .unwrap()
+            .value;
+        let distinct = paired_partitions(&dfs, &fa, &fb) as u64;
+        for _ in 0..2 {
+            let got = distributed_join(&dfs, &fa, &fb, "/out").unwrap();
+            assert_eq!(got.counter("join.partitions.opened"), distinct);
+            assert_eq!(got.counter("cache.misses"), 2 * got.map_tasks() as u64);
+            assert_eq!(canon(got.value), canon(expected_pairs(&left, &right)));
+        }
+        // A self-join's two sides are the same files, opened once.
+        let got = distributed_join(&dfs, &fa, &fa, "/out").unwrap();
+        assert_eq!(
+            got.counter("join.partitions.opened"),
+            paired_partitions(&dfs, &fa, &fa) as u64
+        );
+        assert_eq!(canon(got.value), canon(expected_pairs(&left, &left)));
+    }
+
+    #[test]
+    fn the_join_answer_is_unchanged_under_cache_pressure() {
+        use crate::storage::{build_index_fmt, BlockFormat};
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        let uni = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        let left = rects(500, &uni, 40.0, 21);
+        let right = rects(500, &uni, 40.0, 22);
+        upload(&dfs, "/l", &left).unwrap();
+        upload(&dfs, "/r", &right).unwrap();
+        let expected = canon(expected_pairs(&left, &right));
+        let inputs = [
+            ("disjoint", PartitionKind::Grid, PartitionKind::Grid),
+            ("overlapping", PartitionKind::Str, PartitionKind::Str),
+            ("mixed", PartitionKind::StrPlus, PartitionKind::Hilbert),
+        ];
+        for (name, kind_a, kind_b) in inputs {
+            let mut answers = Vec::new();
+            for format in [BlockFormat::Text, BlockFormat::Binary] {
+                let dir = |side: &str| format!("/i/{name}/{format:?}/{side}");
+                let fa = build_index_fmt::<Rect>(&dfs, "/l", &dir("a"), kind_a, format)
+                    .unwrap()
+                    .value;
+                let fb = build_index_fmt::<Rect>(&dfs, "/r", &dir("b"), kind_b, format)
+                    .unwrap()
+                    .value;
+                // Nothing, a few partitions, everything.
+                for budget in [0, 8 * 1024, u64::MAX] {
+                    for workers in [1, 4] {
+                        dfs.cache().set_budget(budget);
+                        dfs.slots().set_total(workers);
+                        // The second run starts from what the first cached.
+                        for run in 0..2 {
+                            let got = distributed_join_rows(&dfs, &fa, &fb).unwrap();
+                            let at = format!("{name} {format:?} budget {budget} x{workers} #{run}");
+                            let pairs = parse_pairs(&got.value).unwrap();
+                            assert_eq!(canon(pairs), expected, "{at}");
+                            answers.push((at, got.value.text().to_string()));
+                        }
+                    }
+                }
+            }
+            // Every setting writes the same rows in the same order.
+            for (at, rows) in &answers {
+                assert_eq!(rows, &answers[0].1, "{at}");
+            }
+        }
+    }
+
+    /// The rows a distributed join wrote before it swept only the shared
+    /// region: every pair split's two whole partitions swept, the
+    /// reference-point rule applied, splits in order.
+    fn whole_partition_rows(dfs: &Dfs, a: &SpatialFile, b: &SpatialFile) -> Vec<String> {
+        let read = |path: &str| {
+            SpatialRecordReader::records_bytes::<Rect>(&dfs.read_bytes(path).unwrap()).unwrap()
+        };
+        let mut rows = Vec::new();
+        for split in pair_splits(dfs, a, b).unwrap() {
+            let (path_a, path_b, [cell_a, cell_b, uni_a, uni_b]) = pair_aux(&split);
+            let (left, right) = (read(path_a), read(path_b));
+            plane_sweep_join_into(&left, &right, |i, j| {
+                let rp = reference_point(&left[i], &right[j]).unwrap();
+                if (!a.is_disjoint() || owns_point(&cell_a, &rp, &uni_a))
+                    && (!b.is_disjoint() || owns_point(&cell_b, &rp, &uni_b))
+                {
+                    rows.push(pair_line(&(left[i], right[j])));
+                }
+            });
+        }
+        rows
+    }
+
+    #[test]
+    fn the_shared_region_sweep_writes_the_whole_partition_rows_on_edge_cases() {
+        // Coordinates `k * 100 / n` hit every cell edge of a grid of up
+        // to 8 x 8 cells over [0, 100]^2 exactly; a third of the rects
+        // are zero-width or zero-height; the anchors pin the universe
+        // and lie on its closed max boundary.
+        let mut rng = sh_rand::Rng::seed(48);
+        let coord = |rng: &mut sh_rand::Rng| {
+            let n = 1 + rng.below(8);
+            rng.below(n + 1) as f64 * (100.0 / n as f64)
+        };
+        let gen = |rng: &mut sh_rand::Rng| -> Vec<Rect> {
+            let mut out = vec![
+                Rect::new(0.0, 0.0, 0.0, 0.0),
+                Rect::new(100.0, 100.0, 100.0, 100.0),
+                Rect::new(100.0, 0.0, 100.0, 100.0),
+                Rect::new(0.0, 100.0, 100.0, 100.0),
+            ];
+            for _ in 0..400 {
+                let (xa, xb, ya, yb) = (coord(rng), coord(rng), coord(rng), coord(rng));
+                let r = Rect::new(xa.min(xb), ya.min(yb), xa.max(xb), ya.max(yb));
+                out.push(match rng.below(3) {
+                    0 => Rect::new(r.x1, r.y1, r.x1, r.y2),
+                    1 => Rect::new(r.x1, r.y1, r.x2, r.y1),
+                    _ => r,
+                });
+            }
+            out
+        };
+        let left = gen(&mut rng);
+        let right = gen(&mut rng);
+        let dfs = Dfs::new(ClusterConfig {
+            block_size: 1024,
+            ..ClusterConfig::small_for_tests()
+        });
+        upload(&dfs, "/l", &left).unwrap();
+        upload(&dfs, "/r", &right).unwrap();
+        let index =
+            |heap: &str, dir: &str, kind| build_index::<Rect>(&dfs, heap, dir, kind).unwrap().value;
+        let grid_a = index("/l", "/ga", PartitionKind::Grid);
+        let grid_b = index("/r", "/gb", PartitionKind::Grid);
+        let str_b = index("/r", "/sb", PartitionKind::Str);
+        assert!(grid_a.partitions.len() >= 9, "cells to have edges");
+        let cases = [
+            ("disjoint x disjoint", &grid_a, &grid_b, &right),
+            ("disjoint x overlapping", &grid_a, &str_b, &right),
+            ("self-join", &grid_a, &grid_a, &left),
+        ];
+        for (name, a, b, right) in cases {
+            let got = distributed_join_rows(&dfs, a, b).unwrap().value;
+            assert!(!got.is_empty(), "{name}");
+            assert!(
+                got.lines().eq(whole_partition_rows(&dfs, a, b)),
+                "{name}: rows differ"
+            );
+            // Each result exactly once (the data repeats some rects).
+            let sorted = |pairs: Vec<(Rect, Rect)>| {
+                let mut lines: Vec<String> = pairs.iter().map(pair_line).collect();
+                lines.sort();
+                lines
+            };
+            assert_eq!(
+                sorted(parse_pairs(&got).unwrap()),
+                sorted(expected_pairs(&left, right)),
+                "{name}"
+            );
+        }
     }
 
     #[test]

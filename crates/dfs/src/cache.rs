@@ -98,12 +98,7 @@ impl BlockCache {
         let mut inner = lock(&self.inner);
         let evicted = evict_to(&mut inner, budget);
         drop(inner);
-        if evicted > 0 {
-            let mut stats = lock(&self.stats);
-            stats.evictions += evicted;
-            drop(stats);
-            sh_trace::global().counter_add("dfs.cache.evictions", evicted);
-        }
+        self.count_evictions(evicted);
         self.publish_gauges();
     }
 
@@ -200,13 +195,39 @@ impl BlockCache {
         inner.total_bytes += bytes;
         let evicted = evict_to(&mut inner, budget);
         drop(inner);
+        self.count_evictions(evicted);
+        self.publish_gauges();
+    }
+
+    /// Re-states the accounted size of the entry under `key` as `bytes`
+    /// when that entry is `value` (the same allocation), then evicts
+    /// least-recently-used entries until the budget holds: for a cached
+    /// value that has since grown a derived structure. The entry's
+    /// recency does not change; anything else under `key` is left alone.
+    pub fn recharge(&self, key: &str, value: *const (), bytes: u64) {
+        let budget = *lock(&self.budget);
+        let mut inner = lock(&self.inner);
+        let Some(entry) = inner.entries.get_mut(key) else {
+            return;
+        };
+        if !std::ptr::addr_eq(Arc::as_ptr(&entry.value), value) {
+            return;
+        }
+        let old = std::mem::replace(&mut entry.bytes, bytes);
+        inner.total_bytes = inner.total_bytes - old + bytes;
+        let evicted = evict_to(&mut inner, budget);
+        drop(inner);
+        self.count_evictions(evicted);
+        self.publish_gauges();
+    }
+
+    fn count_evictions(&self, evicted: u64) {
         if evicted > 0 {
             let mut stats = lock(&self.stats);
             stats.evictions += evicted;
             drop(stats);
             sh_trace::global().counter_add("dfs.cache.evictions", evicted);
         }
-        self.publish_gauges();
     }
 
     /// Drops one key (file deleted or overwritten). Also advances the
@@ -338,6 +359,31 @@ mod tests {
         c.put("/a", arc(2), 300);
         assert_eq!(c.stats().resident_bytes, 300);
         assert_eq!(get_u32(&c, "/a"), Some(2));
+    }
+
+    #[test]
+    fn recharge_resizes_only_the_same_value_and_evicts_to_budget() {
+        let c = BlockCache::new(250);
+        let a = arc(1);
+        c.put("/a", a.clone(), 100);
+        c.put("/b", arc(2), 100);
+        // Another value under the key is not re-stated.
+        c.recharge("/a", Arc::as_ptr(&arc(1)) as *const (), 200);
+        assert_eq!(c.stats().resident_bytes, 200);
+        c.recharge("/missing", Arc::as_ptr(&a) as *const (), 200);
+        assert_eq!(c.stats().resident_bytes, 200);
+        // Growing `/a` past the budget evicts the least recent: `/a`
+        // itself, whose recency the recharge left alone.
+        c.recharge("/a", Arc::as_ptr(&a) as *const (), 160);
+        assert_eq!(c.stats().resident_bytes, 100);
+        assert_eq!(c.stats().evictions, 1);
+        assert!(c.peek("/a").is_none());
+        assert_eq!(get_u32(&c, "/b"), Some(2));
+        // Within the budget it only re-states the size.
+        c.put("/a", a.clone(), 100);
+        c.recharge("/a", Arc::as_ptr(&a) as *const (), 120);
+        assert_eq!(c.stats().resident_bytes, 220);
+        assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]

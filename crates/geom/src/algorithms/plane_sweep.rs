@@ -5,6 +5,9 @@
 //! intersecting pair. Sorting both sets by `x1` and sweeping keeps the
 //! inner scan bounded by the overlap in `x`, giving O(n log n + k·avg)
 //! behaviour that vastly outperforms the nested loop on realistic data.
+//! The sweep itself is [`plane_sweep_sorted`], over inputs already in
+//! `x1` order: the distributed join keeps each cached partition's order
+//! and sweeps without sorting again.
 
 use crate::rect::Rect;
 
@@ -16,33 +19,49 @@ pub fn plane_sweep_join(left: &[Rect], right: &[Rect]) -> Vec<(usize, usize)> {
     out
 }
 
-/// Plane-sweep join driving a callback instead of materializing pairs;
-/// the distributed join uses this to stream results to the job output.
+/// Plane-sweep join driving a callback instead of materializing pairs:
+/// sorts both sides by `x1` (ties in index order) and runs
+/// [`plane_sweep_sorted`], reporting original indices.
 pub fn plane_sweep_join_into<F: FnMut(usize, usize)>(left: &[Rect], right: &[Rect], mut emit: F) {
-    let mut li: Vec<usize> = (0..left.len()).collect();
-    let mut ri: Vec<usize> = (0..right.len()).collect();
-    li.sort_by(|&a, &b| left[a].x1.total_cmp(&left[b].x1));
-    ri.sort_by(|&a, &b| right[a].x1.total_cmp(&right[b].x1));
+    let (li, ls) = sorted_by_x1(left);
+    let (ri, rs) = sorted_by_x1(right);
+    plane_sweep_sorted(&ls, &rs, |i, j| emit(li[i], ri[j]));
+}
+
+/// `rects`' indices in ascending `x1`, ties in index order, and the
+/// rects in that order.
+fn sorted_by_x1(rects: &[Rect]) -> (Vec<usize>, Vec<Rect>) {
+    let mut idx: Vec<usize> = (0..rects.len()).collect();
+    idx.sort_by(|&a, &b| rects[a].x1.total_cmp(&rects[b].x1));
+    let sorted = idx.iter().map(|&i| rects[i]).collect();
+    (idx, sorted)
+}
+
+/// The one sweep: `left` and `right` are each in ascending `x1`, and
+/// every intersecting pair `(i, j)` of `left[i]`/`right[j]` is reported
+/// by position. A pair is reported when the later-starting side is
+/// scanned from the other's `x1` to its `x2`, ties leading with `left`.
+pub fn plane_sweep_sorted<F: FnMut(usize, usize)>(left: &[Rect], right: &[Rect], mut emit: F) {
     let (mut i, mut j) = (0usize, 0usize);
-    while i < li.len() && j < ri.len() {
-        let l = &left[li[i]];
-        let r = &right[ri[j]];
+    while i < left.len() && j < right.len() {
+        let l = &left[i];
+        let r = &right[j];
         if l.x1 <= r.x1 {
             // `l` is the sweep leader: scan right rectangles starting in
             // [l.x1, l.x2].
             let mut jj = j;
-            while jj < ri.len() && right[ri[jj]].x1 <= l.x2 {
-                if l.intersects(&right[ri[jj]]) {
-                    emit(li[i], ri[jj]);
+            while jj < right.len() && right[jj].x1 <= l.x2 {
+                if l.intersects(&right[jj]) {
+                    emit(i, jj);
                 }
                 jj += 1;
             }
             i += 1;
         } else {
             let mut ii = i;
-            while ii < li.len() && left[li[ii]].x1 <= r.x2 {
-                if left[li[ii]].intersects(r) {
-                    emit(li[ii], ri[j]);
+            while ii < left.len() && left[ii].x1 <= r.x2 {
+                if left[ii].intersects(r) {
+                    emit(ii, j);
                 }
                 ii += 1;
             }
@@ -135,6 +154,65 @@ mod tests {
             assert_eq!(
                 sorted(plane_sweep_join(&left, &right)),
                 sorted(nested_loop_join(&left, &right))
+            );
+        }
+    }
+
+    /// The sweep as it was before it was split into a sort and a sorted
+    /// core: indices sorted by `x1`, the rects reached through them.
+    fn indirect_sweep(left: &[Rect], right: &[Rect]) -> Vec<(usize, usize)> {
+        let mut li: Vec<usize> = (0..left.len()).collect();
+        let mut ri: Vec<usize> = (0..right.len()).collect();
+        li.sort_by(|&a, &b| left[a].x1.total_cmp(&left[b].x1));
+        ri.sort_by(|&a, &b| right[a].x1.total_cmp(&right[b].x1));
+        let (mut i, mut j, mut out) = (0usize, 0usize, Vec::new());
+        while i < li.len() && j < ri.len() {
+            let (l, r) = (&left[li[i]], &right[ri[j]]);
+            if l.x1 <= r.x1 {
+                let mut jj = j;
+                while jj < ri.len() && right[ri[jj]].x1 <= l.x2 {
+                    if l.intersects(&right[ri[jj]]) {
+                        out.push((li[i], ri[jj]));
+                    }
+                    jj += 1;
+                }
+                i += 1;
+            } else {
+                let mut ii = i;
+                while ii < li.len() && left[li[ii]].x1 <= r.x2 {
+                    if left[li[ii]].intersects(r) {
+                        out.push((li[ii], ri[j]));
+                    }
+                    ii += 1;
+                }
+                j += 1;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn sorting_wrapper_reports_the_indirect_sweeps_pairs_in_its_order() {
+        // Coordinates on a coarse lattice, so `x1` ties and touching
+        // edges are common on both sides.
+        let mut rng = Rng::seed(11);
+        for _ in 0..20 {
+            let gen = |rng: &mut Rng, n: usize| -> Vec<Rect> {
+                (0..n)
+                    .map(|_| {
+                        let x = rng.below(20) as f64;
+                        let y = rng.below(20) as f64;
+                        let w = rng.below(4) as f64;
+                        let h = rng.below(4) as f64;
+                        Rect::new(x, y, x + w, y + h)
+                    })
+                    .collect()
+            };
+            let left = gen(&mut rng, 50);
+            let right = gen(&mut rng, 70);
+            assert_eq!(
+                plane_sweep_join(&left, &right),
+                indirect_sweep(&left, &right)
             );
         }
     }

@@ -625,8 +625,9 @@ fn run_job(
             let text = std::fs::read_to_string(host_path).map_err(|e| {
                 PigeonError::Type(format!("cannot read host file {host_path}: {e}"))
             })?;
-            let mut writer = dfs.create(path)?;
-            let mut imported = 0usize;
+            // Every line is validated before the target exists, so a
+            // failed import leaves nothing behind to block a retry.
+            let mut records = String::new();
             for (lineno, raw) in text.lines().enumerate() {
                 let line = raw
                     .trim()
@@ -644,13 +645,13 @@ fn run_job(
                         lineno + 1
                     )));
                 }
-                writer.write_line(&line);
-                imported += 1;
+                records.push_str(&line);
+                records.push('\n');
             }
-            writer.close()?;
-            if imported == 0 {
+            if records.is_empty() {
                 return Err(PigeonError::Type(format!("{host_path}: no records")));
             }
+            dfs.write_string(path, &records)?;
             StmtOutput::heap(var, path, *rtype)
         }
         Stmt::Generate {
@@ -1625,6 +1626,30 @@ mod tests {
         let err = run_script(&dfs, &script).unwrap_err();
         assert!(err.to_string().contains(":2:"), "{err}");
         std::fs::remove_file(&tmp).ok();
+    }
+
+    #[test]
+    fn a_failed_import_leaves_nothing_and_a_retry_succeeds() {
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        let tmp =
+            std::env::temp_dir().join(format!("pigeon-import-retry-{}.csv", std::process::id()));
+        let script = format!(
+            "p = IMPORT '{}' AS POINT INTO '/imp/p';\nDUMP p;",
+            tmp.display()
+        );
+        let before = dfs.list("/");
+        // A bad line after good ones, then a file with no records.
+        for bad in ["1.0 2.0\n3.0 4.0\nnot a point\n", "# only\n\n# comments\n"] {
+            std::fs::write(&tmp, bad).unwrap();
+            let err = run_script(&dfs, &script).unwrap_err();
+            assert!(matches!(err, PigeonError::Type(_)), "{err}");
+            assert_eq!(dfs.list("/"), before, "{bad:?} left a file behind");
+        }
+        std::fs::write(&tmp, "1.0 2.0\n3.0, 4.0\n").unwrap();
+        let out = run_script(&dfs, &script).unwrap();
+        std::fs::remove_file(&tmp).ok();
+        assert_eq!(out, ["1.0 2.0", "3.0 4.0"]);
+        assert_eq!(dfs.list("/"), ["/imp/p"]);
     }
 
     #[test]

@@ -199,12 +199,21 @@ keeping_shbench_lock() {
 # Two seconds of one `shbench` workload; passes only if the result line
 # reports every answer correct and no failed operation.
 run_shbench_oracle() {
-  local workload="$1" line rc=0
-  line=$(keeping_shbench_lock cargo run --release --quiet --manifest-path shbench/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1) || rc=$?
+  local workload="$1" out line rc=0
+  out=$(keeping_shbench_lock cargo run --release --quiet --manifest-path shbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0) || rc=$?
+  line=$(printf '%s\n' "$out" | tail -n 1)
   case "$line" in
     *'"correct": true'*'"failed": 0,'*) echo "--- $workload oracle-checked: $line" ;;
     *) rc=1 ;;
+  esac
+  # Where a served workload's time goes: the median latency of each op
+  # kind, from the provenance line. Printed only; it gates nothing.
+  case "$workload" in
+    serve-*)
+      echo "--- $workload op medians:" \
+        $(printf '%s\n' "$out" | grep '^{"provenance"' | grep -oE '"(join|range|knn)_p50_ms": [^,}]+' | tr -d '"')
+      ;;
   esac
   if [ "$rc" -ne 0 ]; then
     echo "shbench oracle check FAILED on $workload: $line" >&2

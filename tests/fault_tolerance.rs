@@ -430,6 +430,32 @@ fn text_and_binary_indexes_answer_identically_under_chaos() {
         assert!(!jt.is_empty(), "iteration {iter}: empty join result");
         assert_eq!(jt, jb, "iteration {iter}: join diverged");
         assert_eq!(jt_raw, jb_raw, "iteration {iter}: join bytes not identical");
+
+        // With nothing cached every side of every pair comes from the
+        // job's own table of opened partitions: under the same kill and
+        // failure, then also with a straggler beaten by its speculative
+        // backup, both layouts still write the bytes above.
+        dfs.cache().set_budget(0);
+        for speculate in [false, true] {
+            dfs.update_ft_options(|ft| {
+                ft.speculative_execution = speculate;
+                ft.speculation_threshold_ms = 10;
+                if speculate {
+                    ft.fault_plan = ft.fault_plan.clone().delay_task(0, 300);
+                }
+            });
+            for (a, b, out) in [(&ta, &tb, "/out/jt0"), (&ba, &bb, "/out/jb0")] {
+                let r = join::distributed_join(&dfs, a, b, out).unwrap();
+                let raw: String = r.jobs.iter().map(|j| j.rows.text()).collect();
+                assert_eq!(r.value, jt, "iteration {iter}: {out} diverged");
+                assert_eq!(raw, jt_raw, "iteration {iter}: {out} bytes differ");
+                let profile = r.profile("dj");
+                assert!(profile.task_retries >= 1, "iteration {iter}: {profile:?}");
+                if speculate {
+                    assert!(profile.speculative_launched >= 1, "{profile:?}");
+                }
+            }
+        }
     }
 }
 
