@@ -9,6 +9,7 @@
 //!   the two global indexes, one map task joins each pair with a plane
 //!   sweep — no shuffle at all.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use sh_dfs::Dfs;
@@ -180,20 +181,35 @@ impl Mapper for DjMapper {
         true
     }
 
+    // A side the job already holds is not read again: only the other
+    // side's blocks are.
+    fn blocks_needed(&self, split: &InputSplit) -> Range<usize> {
+        let (slot_a, slot_b) = self.slots(split);
+        let cut = left_blocks(split);
+        match (self.opened[slot_a].get(), self.opened[slot_b].get()) {
+            (Some(_), Some(_)) => 0..0,
+            (Some(_), None) => cut..split.blocks.len(),
+            (None, Some(_)) => 0..cut,
+            (None, None) => 0..split.blocks.len(),
+        }
+    }
+
     // A side the job already holds is reused; a missing one is decoded
-    // from its half of the split, once for the whole job.
+    // from its blocks, once for the whole job.
     fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
-        // `data` is the pair's blocks end to end. A side that is one
-        // block is read from that block itself, which a text partition
-        // then shares instead of copying its half of `data`.
-        let (mut left_data, mut right_data) = split.split_data_bytes(data);
+        // `data` is the blocks read end to end. A side that is one block
+        // is read from that block itself, which a text partition then
+        // shares instead of copying its part of `data`.
         let blocks = ctx.input_blocks();
-        if let [first, .., last] = blocks {
-            if first.len() == left_data.len() {
-                left_data = first;
-            }
-            if last.len() == right_data.len() {
-                right_data = last;
+        let range = ctx.input_range();
+        let (left_blocks, right_blocks) =
+            blocks.split_at(left_blocks(split).clamp(range.start, range.end) - range.start);
+        let (left_data, right_data) =
+            data.split_at(left_blocks.iter().map(|b| b.len()).sum::<usize>());
+        fn side<'a>(blocks: &'a [Arc<[u8]>], data: &'a [u8]) -> &'a [u8] {
+            match blocks {
+                [one] => one,
+                _ => data,
             }
         }
         let (path_a, path_b, regions) = pair_aux(split);
@@ -209,14 +225,30 @@ impl Mapper for DjMapper {
             }))
         };
         let (lpart, rpart) = (
-            open(path_a, slot_a, left_data),
-            open(path_b, slot_b, right_data),
+            open(path_a, slot_a, side(left_blocks, left_data)),
+            open(path_b, slot_b, side(right_blocks, right_data)),
         );
         if opened > 0 {
             ctx.counter("join.partitions.opened", opened);
         }
         self.join([path_a, path_b], regions, &lpart, &rpart, ctx);
     }
+}
+
+/// How many of a pair split's blocks hold its first partition: the
+/// leading blocks that make up `first_input_bytes`.
+fn left_blocks(split: &InputSplit) -> usize {
+    let first = split.first_input_bytes.unwrap_or_else(|| split.len());
+    let mut bytes = 0;
+    split
+        .blocks
+        .iter()
+        .take_while(|b| {
+            let inside = bytes < first;
+            bytes += b.len;
+            inside
+        })
+        .count()
 }
 
 impl DjMapper {
@@ -518,6 +550,7 @@ pub fn polygon_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mrlayer::local_index_path;
     use crate::ops::single;
     use crate::storage::{build_index, upload};
     use sh_dfs::ClusterConfig;
@@ -643,7 +676,11 @@ mod tests {
     }
 
     /// The distinct partition files of a join's pair splits.
-    fn paired_partitions(dfs: &Dfs, a: &SpatialFile, b: &SpatialFile) -> usize {
+    fn paired_partitions(
+        dfs: &Dfs,
+        a: &SpatialFile,
+        b: &SpatialFile,
+    ) -> std::collections::BTreeSet<String> {
         let splits = pair_splits(dfs, a, b).unwrap();
         let mut paths = std::collections::BTreeSet::new();
         for split in &splits {
@@ -652,7 +689,7 @@ mod tests {
             paths.insert(path_b.to_string());
         }
         assert!(paths.len() < 2 * splits.len(), "partitions recur in pairs");
-        paths.len()
+        paths
     }
 
     #[test]
@@ -673,10 +710,10 @@ mod tests {
         let fb = build_index::<Rect>(&dfs, "/r", "/ib", PartitionKind::Grid)
             .unwrap()
             .value;
-        let distinct = paired_partitions(&dfs, &fa, &fb) as u64;
+        let paired = paired_partitions(&dfs, &fa, &fb);
         for _ in 0..2 {
             let got = distributed_join(&dfs, &fa, &fb, "/out").unwrap();
-            assert_eq!(got.counter("join.partitions.opened"), distinct);
+            assert_eq!(got.counter("join.partitions.opened"), paired.len() as u64);
             assert_eq!(got.counter("cache.misses"), 2 * got.map_tasks() as u64);
             assert_eq!(canon(got.value), canon(expected_pairs(&left, &right)));
         }
@@ -684,9 +721,26 @@ mod tests {
         let got = distributed_join(&dfs, &fa, &fa, "/out").unwrap();
         assert_eq!(
             got.counter("join.partitions.opened"),
-            paired_partitions(&dfs, &fa, &fa) as u64
+            paired_partitions(&dfs, &fa, &fa).len() as u64
         );
         assert_eq!(canon(got.value), canon(expected_pairs(&left, &left)));
+        // On one worker the pairs run in turn: a task reads only the side
+        // no earlier pair opened, so the blocks of every partition (its
+        // file and its local index) are read once and no side twice.
+        dfs.slots().set_total(1);
+        let blocks: u64 = paired
+            .iter()
+            .flat_map(|path| [Some(path.clone()), local_index_path(path)])
+            .flatten()
+            .filter_map(|path| dfs.stat(&path).ok())
+            .map(|stat| stat.num_blocks as u64)
+            .sum();
+        let before = dfs.metrics().snapshot();
+        let got = distributed_join(&dfs, &fa, &fb, "/out").unwrap();
+        let read = dfs.metrics().snapshot().since(&before);
+        assert_eq!(read.blocks_read, blocks);
+        assert!(got.map_tasks() > paired.len() / 2, "pairs share partitions");
+        assert_eq!(canon(got.value), canon(expected_pairs(&left, &right)));
     }
 
     #[test]

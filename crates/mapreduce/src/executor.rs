@@ -9,7 +9,7 @@ use std::hash::Hash;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use sh_dfs::{ClusterConfig, Dfs, DfsError, FaultPlan, FtOptions};
+use sh_dfs::{BlockInfo, ClusterConfig, Dfs, DfsError, FaultPlan, FtOptions};
 use sh_trace::sync::{into_inner, lock, wait_timeout};
 use sh_trace::{Histogram, JobProfile, PhaseProfile, Span};
 
@@ -268,9 +268,11 @@ impl<'a, T: Send> WaveRunner<'a, T> {
         }
     }
 
-    /// Runs the wave on `threads` workers; returns results in task order
-    /// plus the wave's fault-tolerance tallies and task-duration
-    /// histogram (winning attempts only).
+    /// Runs the wave on `threads` workers: the calling thread, which
+    /// drives the wave, plus `threads - 1` scoped helpers, so a one-task
+    /// wave spawns nothing. Returns results in task order plus the wave's
+    /// fault-tolerance tallies and task-duration histogram (winning
+    /// attempts only).
     fn run<F>(self, threads: usize, run_task: F) -> Result<(Vec<T>, FtStats, Histogram), JobError>
     where
         F: Fn(usize, usize) -> Result<T, JobError> + Sync,
@@ -278,9 +280,10 @@ impl<'a, T: Send> WaveRunner<'a, T> {
         let run_task = &run_task;
         let me = &self;
         std::thread::scope(|scope| {
-            for _ in 0..threads {
+            for _ in 1..threads {
                 scope.spawn(move || me.worker(run_task));
             }
+            me.worker(run_task);
         });
         let state = into_inner(self.state);
         if let Some(e) = state.fatal {
@@ -958,38 +961,45 @@ where
     let mut ctx = MapContext::new(num_reducers);
     let t0 = Instant::now();
     let mut read_time = Duration::ZERO;
+    // A block the task does not read is charged its length, split
+    // local/remote the way `read_block` would report it, so simulated
+    // cluster time models the paper's cache-less Hadoop either way.
+    let unread = |(local, remote): (u64, u64), b: &BlockInfo| {
+        if b.replicas.contains(&node) {
+            (local + b.len, remote)
+        } else {
+            (local, remote + b.len)
+        }
+    };
     // Cache first: a mapper that already holds what it derives from the
-    // split answers without the blocks being read or checksummed. The
-    // task is still charged the split's length, split local/remote the
-    // way `read_block` would report it, so simulated cluster time
-    // models the paper's cache-less Hadoop either way.
+    // split answers without the blocks being read or checksummed.
     let (local, remote) = if job.mapper.map_cached(split, &mut ctx) {
-        split.blocks.iter().fold((0, 0), |(local, remote), b| {
-            if b.replicas.contains(&node) {
-                (local + b.len, remote)
-            } else {
-                (local, remote + b.len)
-            }
-        })
+        split.blocks.iter().fold((0, 0), unread)
     } else {
         // Splits are raw bytes end to end; `Mapper::map_bytes` decides
         // whether they are text or a binary block format. Every block
-        // is checksummed by `read_block`.
+        // read is checksummed by `read_block`; a mapper that holds part
+        // of the split already reads only the blocks it still needs.
+        let needed = job.mapper.blocks_needed(split);
         let t_read = Instant::now();
         let (mut local, mut remote) = (0, 0);
-        let mut blocks = Vec::with_capacity(split.blocks.len());
-        for b in &split.blocks {
-            let (bytes, was_local) = job.dfs.read_block(b.id, node)?;
-            *if was_local { &mut local } else { &mut remote } += bytes.len() as u64;
-            blocks.push(bytes);
+        let mut blocks = Vec::with_capacity(needed.len());
+        for (i, b) in split.blocks.iter().enumerate() {
+            if needed.contains(&i) {
+                let (bytes, was_local) = job.dfs.read_block(b.id, node)?;
+                *if was_local { &mut local } else { &mut remote } += bytes.len() as u64;
+                blocks.push(bytes);
+            } else {
+                (local, remote) = unread((local, remote), b);
+            }
         }
-        // A single-block split (the common case: one partition per file,
+        // A single-block read (the common case: one partition per file,
         // under the DFS block size) borrows the block's shared payload
         // instead of copying it into a fresh buffer.
         let data: Cow<'_, [u8]> = match blocks.as_slice() {
             [one] => Cow::Borrowed(one),
             many => {
-                let mut data = Vec::with_capacity(split.len() as usize);
+                let mut data = Vec::with_capacity(many.iter().map(|b| b.len()).sum());
                 for b in many {
                     data.extend_from_slice(b);
                 }
@@ -998,6 +1008,7 @@ where
         };
         read_time = t_read.elapsed();
         ctx.input.clone_from(&blocks);
+        ctx.input_start = needed.start;
         job.mapper.map_bytes(split, &data, &mut ctx);
         (local, remote)
     };
@@ -1969,5 +1980,56 @@ mod tests {
         // Resizing the pool at runtime resizes the waves.
         fs.slots().set_total(3);
         assert_eq!(wave_threads(&fs, &fs.ft_options(), 1_000), 3);
+    }
+
+    /// Records the thread each map task ran on.
+    struct ThreadMapper(std::sync::Arc<Mutex<Vec<std::thread::ThreadId>>>);
+    impl Mapper for ThreadMapper {
+        type K = u8;
+        type V = u8;
+        fn map_bytes(&self, _s: &InputSplit, _d: &[u8], _ctx: &mut MapContext<u8, u8>) {
+            lock(&self.0).push(std::thread::current().id());
+            // Long enough that idle helpers would claim the next task.
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// The threads a map-only job over `path` ran its tasks on, and how
+    /// many tasks it ran.
+    fn task_threads(fs: &Dfs, path: &str) -> (Vec<std::thread::ThreadId>, usize) {
+        let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let outcome = JobBuilder::new(fs, "threads")
+            .input_file(path)
+            .unwrap()
+            .mapper(ThreadMapper(std::sync::Arc::clone(&seen)))
+            .map_only()
+            .unwrap()
+            .run()
+            .unwrap();
+        let mut threads = lock(&seen).clone();
+        threads.sort_by_key(|t| format!("{t:?}"));
+        threads.dedup();
+        (threads, outcome.map_tasks())
+    }
+
+    #[test]
+    fn a_wave_runs_on_its_driver_and_at_most_one_thread_per_slot() {
+        let caller = std::thread::current().id();
+        let fs = dfs();
+        fs.write_string("/one", "a\n").unwrap();
+        let (threads, tasks) = task_threads(&fs, "/one");
+        assert_eq!(tasks, 1);
+        assert_eq!(threads, vec![caller], "a one-task wave runs on its driver");
+        wordcount_input(&fs, 3000);
+        for slots in [1, 2, 3] {
+            fs.slots().set_total(slots);
+            let (threads, tasks) = task_threads(&fs, "/in");
+            assert!(tasks > slots, "{tasks} tasks");
+            assert!(
+                threads.len() <= slots.min(tasks),
+                "{threads:?} on {slots} slots"
+            );
+            assert!(threads.contains(&caller), "the driver runs tasks too");
+        }
     }
 }

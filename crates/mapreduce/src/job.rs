@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::hash::Hash;
+use std::ops::Range;
 use std::sync::Arc;
 
 use sh_dfs::{Dfs, DfsError};
@@ -40,6 +41,18 @@ pub trait Mapper: Send + Sync {
     /// either way. The default never has the split in memory.
     fn map_cached(&self, _split: &InputSplit, _ctx: &mut MapContext<Self::K, Self::V>) -> bool {
         false
+    }
+
+    /// The blocks [`Mapper::map_bytes`] needs once [`Mapper::map_cached`]
+    /// has returned `false`, as a range of `split.blocks`: a mapper that
+    /// already holds part of what it derives from the split reads only
+    /// the rest. The engine reads and checksums just these blocks, hands
+    /// them over end to end as `data` (and as
+    /// [`MapContext::input_blocks`], with [`MapContext::input_range`]
+    /// naming them), and still charges the task the whole split's
+    /// length. The default is every block.
+    fn blocks_needed(&self, split: &InputSplit) -> Range<usize> {
+        0..split.blocks.len()
     }
 
     /// Never called by the engine: forwards to [`Mapper::map_bytes`]. It

@@ -42,6 +42,6 @@ pub use job::{
 };
 pub use rows::Rows;
 pub use scheduler::{
-    JobHandle, JobInfo, JobScheduler, JobState, SchedConfig, SchedError, SchedPolicy,
+    JobHandle, JobInfo, JobScheduler, JobState, SchedConfig, SchedError, SchedPolicy, Ticket,
 };
 pub use split::InputSplit;

@@ -1,14 +1,18 @@
 //! Multi-job scheduler: concurrent job submission over one shared DFS.
 //!
-//! The JobTracker half that [`crate::executor`] lacks: callers submit
-//! closures that run jobs and get a [`JobHandle`] back; the scheduler
-//! admits up to a configured number of jobs at a time (FIFO or
-//! fair-share across tenants), bounds its queue (admission control —
-//! submissions beyond the cap are rejected, which is the back-pressure
-//! signal), and relies on the cluster's global
-//! [`SlotPool`](sh_dfs::SlotPool) to cap *task* concurrency: admitting
-//! four jobs on a four-slot cluster runs four task attempts at a time,
-//! not 4 × slots.
+//! The JobTracker half that [`crate::executor`] lacks. The scheduler
+//! admits; it runs nothing. A caller queues a job and gets a [`Ticket`]:
+//! a place in the queue that its holder redeems with [`Ticket::run`],
+//! which waits for admission and then runs the job *on the holder's
+//! thread*. The scheduler admits up to a configured number of jobs at a
+//! time (FIFO or fair-share across tenants), wakes each admitted job's
+//! holder, bounds its queue (admission control — submissions beyond the
+//! cap are rejected, which is the back-pressure signal), and relies on
+//! the cluster's global [`SlotPool`](sh_dfs::SlotPool) to cap *task*
+//! concurrency: admitting four jobs on a four-slot cluster runs four
+//! task attempts at a time, not 4 × slots. [`JobScheduler::submit`] is
+//! the background form: one thread that holds the ticket and runs it,
+//! joined through a [`JobHandle`].
 //!
 //! Observability: `sched.submitted` / `sched.admitted` /
 //! `sched.rejected` / `sched.completed` / `sched.failed` counters, the
@@ -24,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sh_dfs::Dfs;
-use sh_trace::sync::{lock, wait};
+use sh_trace::sync::{lock, wait, wait_timeout};
 
 /// Queueing policy for admission order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -136,20 +140,15 @@ pub struct JobInfo {
     pub state: JobState,
 }
 
-/// What a job body hands back: whether it succeeded, plus a deferred
-/// delivery action that sends the result to the [`JobHandle`]. Delivery
-/// runs *after* the scheduler's completion bookkeeping so a caller that
-/// observes `join()` also observes the final [`JobState`].
-type JobVerdict = (bool, Box<dyn FnOnce() + Send>);
-
-/// Type-erased job body: runs the user closure and returns its verdict.
-type JobFn = Box<dyn FnOnce(&Dfs) -> JobVerdict + Send>;
-
+/// A queued job: who waits for it and since when. The job itself stays
+/// with its [`Ticket`]'s holder, who runs it once admitted.
 struct Pending {
     id: u64,
     tenant: String,
-    job: JobFn,
     enqueued: Instant,
+    /// Wakes the holder on admission, cancellation or shutdown; shared
+    /// with its ticket.
+    wake: Arc<Condvar>,
 }
 
 #[derive(Clone)]
@@ -181,6 +180,11 @@ struct SchedState {
 }
 
 impl SchedState {
+    /// State of job `id`, if it is live or still in the history.
+    fn state(&self, id: u64) -> Option<JobState> {
+        self.jobs.get(&id).map(|r| r.state)
+    }
+
     /// Records a job's terminal state and evicts the oldest finished job
     /// once the history is over its bound.
     fn finish(&mut self, id: u64, state: JobState) {
@@ -200,7 +204,7 @@ struct Inner {
     dfs: Dfs,
     cfg: SchedConfig,
     state: Mutex<SchedState>,
-    /// Signalled on job completion and shutdown (drain/wait paths).
+    /// Signalled whenever a job leaves, for [`JobScheduler::drain`].
     cv: Condvar,
 }
 
@@ -212,20 +216,11 @@ pub struct JobHandle<T> {
 }
 
 impl<T> JobHandle<T> {
-    /// Blocks until the job finishes and returns its result. A closed
-    /// channel means the job was discarded by shutdown.
+    /// Blocks until the job finishes and returns its result, or
+    /// [`SchedError::Shutdown`] for a job cancelled or shut down while
+    /// queued.
     pub fn join(self) -> Result<T, SchedError> {
         self.rx.recv().unwrap_or(Err(SchedError::Shutdown))
-    }
-
-    /// Blocks for at most `timeout`: `None` if the job is still queued
-    /// or running when it elapses. Completion wakes the caller at once.
-    pub fn join_timeout(&self, timeout: Duration) -> Option<Result<T, SchedError>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(r) => Some(r),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(SchedError::Shutdown)),
-        }
     }
 }
 
@@ -258,9 +253,8 @@ impl JobScheduler {
         }
     }
 
-    /// Submits a job under the default tenant. The closure runs on a
-    /// scheduler thread against the shared DFS; its task waves lease
-    /// worker slots from the cluster-wide pool like every other job's.
+    /// Submits a job under the default tenant to run in the
+    /// background (see [`JobScheduler::submit_as`]).
     pub fn submit<T, F>(&self, name: &str, f: F) -> Result<JobHandle<T>, SchedError>
     where
         T: Send + 'static,
@@ -269,8 +263,9 @@ impl JobScheduler {
         self.submit_as("default", name, f)
     }
 
-    /// Submits a job on behalf of `tenant` (fair-share balances across
-    /// tenants; FIFO ignores them).
+    /// Submits a job on behalf of `tenant` to run in the background: one
+    /// thread holds its [`Ticket`] and runs the job once it is admitted,
+    /// so the job runs whether or not its handle is ever joined.
     pub fn submit_as<T, F>(
         &self,
         tenant: &str,
@@ -281,43 +276,39 @@ impl JobScheduler {
         T: Send + 'static,
         F: FnOnce(&Dfs) -> T + Send + 'static,
     {
+        let ticket = self.enqueue_as(tenant, name)?;
+        let id = ticket.id;
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            // A dropped handle is fine — the job still ran.
+            let _ = tx.send(ticket.run(f));
+        });
+        Ok(JobHandle { id, rx })
+    }
+
+    /// Queues a job on behalf of `tenant` (fair-share balances across
+    /// tenants; FIFO ignores them) and hands back the ticket its holder
+    /// runs it with — the one admission path. Fails with
+    /// [`SchedError::QueueFull`] at the queue's cap and
+    /// [`SchedError::Shutdown`] after [`JobScheduler::shutdown`].
+    pub fn enqueue_as(&self, tenant: &str, name: &str) -> Result<Ticket, SchedError> {
         let registry = sh_trace::global();
         registry.counter_add("sched.submitted", 1);
-        let (tx, rx) = mpsc::channel();
-        let job: JobFn = Box::new(move |dfs: &Dfs| {
-            let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(dfs)));
-            let (ok, result) = match verdict {
-                Ok(v) => (true, Ok(v)),
-                Err(panic) => (false, Err(SchedError::JobPanicked(panic_text(&panic)))),
-            };
-            // A dropped handle is fine — the job still ran.
-            let deliver = Box::new(move || {
-                let _ = tx.send(result);
-            });
-            (ok, deliver as Box<dyn FnOnce() + Send>)
-        });
         let mut st = lock(&self.inner.state);
-        if st.shutdown {
+        let refused = if st.shutdown {
+            Some(("shutdown", SchedError::Shutdown))
+        } else if st.queue.len() >= self.inner.cfg.queue_cap {
+            Some(("queue_full", SchedError::QueueFull))
+        } else {
+            None
+        };
+        if let Some((reason, e)) = refused {
             registry.counter_add("sched.rejected", 1);
             sh_trace::events::emit(
                 "job.rejected",
-                vec![
-                    ("job", name.to_string()),
-                    ("reason", "shutdown".to_string()),
-                ],
+                vec![("job", name.to_string()), ("reason", reason.to_string())],
             );
-            return Err(SchedError::Shutdown);
-        }
-        if st.queue.len() >= self.inner.cfg.queue_cap {
-            registry.counter_add("sched.rejected", 1);
-            sh_trace::events::emit(
-                "job.rejected",
-                vec![
-                    ("job", name.to_string()),
-                    ("reason", "queue_full".to_string()),
-                ],
-            );
-            return Err(SchedError::QueueFull);
+            return Err(e);
         }
         let id = st.next_id;
         st.next_id += 1;
@@ -337,15 +328,23 @@ impl JobScheduler {
                 ("tenant", tenant.to_string()),
             ],
         );
+        let wake = Arc::new(Condvar::new());
         st.queue.push_back(Pending {
             id,
             tenant: tenant.to_string(),
-            job,
             enqueued: Instant::now(),
+            wake: Arc::clone(&wake),
         });
         registry.gauge_set("sched.queue.depth", st.queue.len() as i64);
-        self.inner.pump(st);
-        Ok(JobHandle { id, rx })
+        // Admitted at once when there is room: its holder then runs it
+        // without waiting.
+        self.inner.admit(&mut st);
+        Ok(Ticket {
+            inner: Arc::clone(&self.inner),
+            id,
+            tenant: tenant.to_string(),
+            wake,
+        })
     }
 
     /// Snapshot of the job table, by id: every queued and running job
@@ -380,32 +379,15 @@ impl JobScheduler {
     }
 
     /// Cancels a still-queued job: it is dequeued without running and
-    /// its handle observes [`SchedError::Shutdown`]. Returns `false` if
-    /// the job already started (running jobs run to completion — task
-    /// waves own cluster state that must settle) or never existed. This
-    /// is the disconnect path for network sessions: a client that goes
-    /// away while its statement waits in the queue must not hold a queue
-    /// slot against live sessions.
+    /// its holder observes [`SchedError::Shutdown`]. Returns `false` if
+    /// the job was already admitted (an admitted job runs to completion —
+    /// task waves own cluster state that must settle) or never existed.
+    /// This is the disconnect path for network sessions: a client that
+    /// goes away while its statement waits in the queue must not hold a
+    /// queue slot against live sessions.
     pub fn cancel(&self, id: u64) -> bool {
         let mut st = lock(&self.inner.state);
-        let Some(pos) = st.queue.iter().position(|p| p.id == id) else {
-            return false;
-        };
-        let pending = st.queue.remove(pos).expect("index from position");
-        st.finish(id, JobState::Cancelled);
-        let registry = sh_trace::global();
-        registry.counter_add("sched.cancelled", 1);
-        registry.gauge_set("sched.queue.depth", st.queue.len() as i64);
-        sh_trace::events::emit(
-            "job.cancelled",
-            vec![("id", id.to_string()), ("tenant", pending.tenant.clone())],
-        );
-        drop(st);
-        // Dropping the pending closure drops its result sender, so a
-        // joiner (if any survives the disconnect) observes Shutdown.
-        drop(pending);
-        self.inner.cv.notify_all();
-        true
+        self.inner.dequeue(&mut st, id)
     }
 
     /// Blocks until every queued and running job has finished.
@@ -417,30 +399,106 @@ impl JobScheduler {
     }
 
     /// Rejects future submissions and discards queued jobs (their
-    /// handles observe [`SchedError::Shutdown`]); running jobs finish.
+    /// holders observe [`SchedError::Shutdown`]); running jobs finish.
     pub fn shutdown(&self) {
         let mut st = lock(&self.inner.state);
         st.shutdown = true;
-        let dropped: Vec<Pending> = st.queue.drain(..).collect();
-        for p in &dropped {
+        for p in std::mem::take(&mut st.queue) {
             st.finish(p.id, JobState::Failed);
+            p.wake.notify_one();
         }
         sh_trace::global().gauge_set("sched.queue.depth", 0);
-        drop(st);
-        // Dropping the pending closures drops their result senders.
-        drop(dropped);
         self.inner.cv.notify_all();
     }
 }
 
+/// A queued job's place in line, held by the thread that runs it:
+/// [`Ticket::run`] waits for admission and runs the job on the calling
+/// thread. A ticket dropped unrun gives its place back — a queued job is
+/// dequeued, an admitted one frees its in-flight slot.
+pub struct Ticket {
+    inner: Arc<Inner>,
+    id: u64,
+    tenant: String,
+    wake: Arc<Condvar>,
+}
+
+impl Ticket {
+    /// Scheduler-assigned job id (stable across the scheduler's life).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Waits at most `timeout` while the job is queued; `false` if it
+    /// still is. After `true`, [`Ticket::run`] does not wait: the job was
+    /// admitted (and `run` runs it) or cancelled or shut down (and `run`
+    /// reports [`SchedError::Shutdown`]). Admission wakes the caller at
+    /// once.
+    pub fn wait_queued(&self, timeout: Duration) -> bool {
+        let mut st = lock(&self.inner.state);
+        if st.state(self.id) == Some(JobState::Queued) {
+            st = wait_timeout(&self.wake, st, timeout);
+        }
+        st.state(self.id) != Some(JobState::Queued)
+    }
+
+    /// [`JobScheduler::cancel`] for this ticket's job.
+    pub fn cancel(&self) -> bool {
+        self.inner.dequeue(&mut lock(&self.inner.state), self.id)
+    }
+
+    /// Blocks until the job is admitted, then runs `f` on this thread
+    /// against the shared DFS; its task waves lease worker slots from
+    /// the cluster-wide pool like every other job's. A panic in `f` is
+    /// caught and reported as [`SchedError::JobPanicked`]; a job
+    /// cancelled or shut down while queued reports
+    /// [`SchedError::Shutdown`] without running.
+    pub fn run<T>(self, f: impl FnOnce(&Dfs) -> T) -> Result<T, SchedError> {
+        let mut st = lock(&self.inner.state);
+        while st.state(self.id) == Some(JobState::Queued) {
+            st = wait(&self.wake, st);
+        }
+        if st.state(self.id) != Some(JobState::Running) {
+            return Err(SchedError::Shutdown);
+        }
+        drop(st);
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&self.inner.dfs)));
+        let state = if verdict.is_ok() {
+            JobState::Done
+        } else {
+            JobState::Failed
+        };
+        // The bookkeeping comes first: a caller that sees the result
+        // also sees the final job state.
+        self.inner.leave(self.id, &self.tenant, state);
+        verdict.map_err(|panic| SchedError::JobPanicked(panic_text(&panic)))
+    }
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        let mut st = lock(&self.inner.state);
+        match st.state(self.id) {
+            Some(JobState::Queued) => {
+                self.inner.dequeue(&mut st, self.id);
+            }
+            Some(JobState::Running) => {
+                // Admitted, never run: only this ticket can end it.
+                drop(st);
+                self.inner.leave(self.id, &self.tenant, JobState::Cancelled);
+            }
+            _ => {}
+        }
+    }
+}
+
 impl Inner {
-    /// Admits queued jobs while capacity allows; called with the state
-    /// lock held (and consumes it — admission spawns threads outside).
-    fn pump(self: &Arc<Self>, mut st: std::sync::MutexGuard<'_, SchedState>) {
+    /// Admits queued jobs while capacity allows and wakes each one's
+    /// holder; called with the state lock held.
+    fn admit(&self, st: &mut SchedState) {
         let registry = sh_trace::global();
-        let mut spawn = Vec::new();
         while st.running < self.cfg.max_in_flight {
-            let Some(idx) = pick_next(&st, self.cfg.policy) else {
+            let Some(idx) = pick_next(st, self.cfg.policy) else {
                 break;
             };
             let pending = st.queue.remove(idx).expect("index from pick_next");
@@ -454,60 +512,63 @@ impl Inner {
             if let Some(r) = st.jobs.get_mut(&pending.id) {
                 r.state = JobState::Running;
             }
+            let wait_micros = pending.enqueued.elapsed().as_micros() as u64;
             registry.counter_add("sched.admitted", 1);
-            registry.observe(
-                "sched.wait.micros",
-                pending.enqueued.elapsed().as_micros() as u64,
-            );
+            registry.observe("sched.wait.micros", wait_micros);
             sh_trace::events::emit(
                 "job.admitted",
                 vec![
                     ("id", pending.id.to_string()),
-                    ("tenant", pending.tenant.clone()),
-                    (
-                        "wait_micros",
-                        (pending.enqueued.elapsed().as_micros() as u64).to_string(),
-                    ),
+                    ("tenant", pending.tenant),
+                    ("wait_micros", wait_micros.to_string()),
                 ],
             );
-            spawn.push(pending);
+            pending.wake.notify_one();
         }
         registry.gauge_set("sched.queue.depth", st.queue.len() as i64);
-        drop(st);
-        for pending in spawn {
-            let inner = Arc::clone(self);
-            std::thread::spawn(move || {
-                let (ok, deliver) = (pending.job)(&inner.dfs);
-                let registry = sh_trace::global();
-                registry.counter_add(
-                    if ok {
-                        "sched.completed"
-                    } else {
-                        "sched.failed"
-                    },
-                    1,
-                );
-                sh_trace::events::emit(
-                    if ok { "job.completed" } else { "job.failed" },
-                    vec![
-                        ("id", pending.id.to_string()),
-                        ("tenant", pending.tenant.clone()),
-                    ],
-                );
-                let mut st = lock(&inner.state);
-                st.running -= 1;
-                if let Some(n) = st.running_per_tenant.get_mut(&pending.tenant) {
-                    *n = n.saturating_sub(1);
-                }
-                let state = if ok { JobState::Done } else { JobState::Failed };
-                st.finish(pending.id, state);
-                inner.cv.notify_all();
-                inner.pump(st);
-                // Deliver only after the bookkeeping above: a joiner
-                // that sees the result also sees the final job state.
-                deliver();
-            });
+    }
+
+    /// Dequeues a still-queued job as cancelled and wakes its holder;
+    /// `false` if it is not in the queue.
+    fn dequeue(&self, st: &mut SchedState, id: u64) -> bool {
+        let Some(pos) = st.queue.iter().position(|p| p.id == id) else {
+            return false;
+        };
+        let pending = st.queue.remove(pos).expect("index from position");
+        st.finish(id, JobState::Cancelled);
+        let registry = sh_trace::global();
+        registry.counter_add("sched.cancelled", 1);
+        registry.gauge_set("sched.queue.depth", st.queue.len() as i64);
+        sh_trace::events::emit(
+            "job.cancelled",
+            vec![("id", id.to_string()), ("tenant", pending.tenant)],
+        );
+        pending.wake.notify_one();
+        self.cv.notify_all();
+        true
+    }
+
+    /// Ends an admitted job in `state`, frees its in-flight slot and
+    /// admits the next.
+    fn leave(&self, id: u64, tenant: &str, state: JobState) {
+        let (counter, event) = match state {
+            JobState::Done => ("sched.completed", "job.completed"),
+            JobState::Failed => ("sched.failed", "job.failed"),
+            _ => ("sched.cancelled", "job.cancelled"),
+        };
+        sh_trace::global().counter_add(counter, 1);
+        sh_trace::events::emit(
+            event,
+            vec![("id", id.to_string()), ("tenant", tenant.to_string())],
+        );
+        let mut st = lock(&self.state);
+        st.running -= 1;
+        if let Some(n) = st.running_per_tenant.get_mut(tenant) {
+            *n = n.saturating_sub(1);
         }
+        st.finish(id, state);
+        self.admit(&mut st);
+        self.cv.notify_all();
     }
 }
 
@@ -571,6 +632,86 @@ mod tests {
     }
 
     #[test]
+    fn a_ticket_runs_its_job_on_the_waiting_thread() {
+        let fs = dfs();
+        let sched = JobScheduler::new(&fs, SchedConfig::default());
+        let ticket = sched.enqueue_as("t", "here").unwrap();
+        let id = ticket.id();
+        let ran_on = ticket.run(|_| std::thread::current().id()).unwrap();
+        assert_eq!(ran_on, std::thread::current().id());
+        assert_eq!(sched.job_state(id), Some(JobState::Done));
+    }
+
+    #[test]
+    fn a_queued_job_runs_on_its_own_waiter_once_admitted() {
+        let fs = dfs();
+        let cfg = SchedConfig {
+            max_in_flight: 1,
+            ..SchedConfig::default()
+        };
+        let sched = JobScheduler::new(&fs, cfg);
+        let first = sched.enqueue_as("a", "first").unwrap();
+        let waiter_sched = sched.clone();
+        let waiter = std::thread::spawn(move || {
+            let ticket = waiter_sched.enqueue_as("b", "second").unwrap();
+            let ran_on = ticket.run(|_| std::thread::current().id()).unwrap();
+            (ran_on, std::thread::current().id())
+        });
+        while sched.queue_depth() == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(sched.job_state(1), Some(JobState::Queued));
+        // The running job ends on this thread; the queued one is then
+        // admitted and run by the thread that queued it.
+        let ran_here = first.run(|_| std::thread::current().id()).unwrap();
+        assert_eq!(ran_here, std::thread::current().id());
+        let (ran_on, waiter_id) = waiter.join().unwrap();
+        assert_eq!(ran_on, waiter_id);
+        assert_ne!(ran_on, ran_here);
+    }
+
+    #[test]
+    fn a_ticket_dropped_unrun_gives_its_place_back() {
+        let fs = dfs();
+        let cfg = SchedConfig {
+            max_in_flight: 1,
+            ..SchedConfig::default()
+        };
+        let sched = JobScheduler::new(&fs, cfg);
+        let admitted = sched.enqueue_as("t", "admitted").unwrap();
+        let queued = sched.enqueue_as("t", "queued").unwrap();
+        let last = sched.enqueue_as("t", "last").unwrap();
+        assert!(!queued.wait_queued(Duration::from_millis(1)));
+        drop(queued);
+        assert_eq!(sched.job_state(1), Some(JobState::Cancelled));
+        assert_eq!(sched.queue_depth(), 1);
+        // An admitted ticket frees its in-flight slot for the next.
+        drop(admitted);
+        assert_eq!(sched.job_state(0), Some(JobState::Cancelled));
+        assert!(last.wait_queued(Duration::ZERO));
+        assert_eq!(last.run(|_| 5u8), Ok(5));
+        sched.drain();
+        assert_eq!(sched.running(), 0);
+    }
+
+    #[test]
+    fn a_submit_never_joined_still_runs_and_drain_returns() {
+        let fs = dfs();
+        let sched = JobScheduler::new(&fs, SchedConfig::default());
+        let done = Arc::new(AtomicUsize::new(0));
+        for i in 0..3 {
+            let done = Arc::clone(&done);
+            drop(sched.submit(&format!("bg{i}"), move |_| {
+                std::thread::sleep(Duration::from_millis(5));
+                done.fetch_add(1, Ordering::SeqCst);
+            }));
+        }
+        sched.drain();
+        assert_eq!(done.load(Ordering::SeqCst), 3);
+        assert!((0..3).all(|id| sched.job_state(id) == Some(JobState::Done)));
+    }
+
+    #[test]
     fn job_table_keeps_live_jobs_and_a_bounded_history() {
         let fs = dfs();
         let sched = JobScheduler::new(&fs, SchedConfig::default());
@@ -584,18 +725,17 @@ mod tests {
         assert!(jobs.len() <= JOB_HISTORY, "{} records kept", jobs.len());
         assert_eq!(sched.job_state(last), Some(JobState::Done));
         assert_eq!(sched.job_state(0), None, "oldest finished job is forgotten");
-        // A join that times out leaves the job (and its handle) intact.
+        // A job still running is live in the table.
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let h = sched
             .submit("gated", move |_| gate_rx.recv().is_ok())
             .unwrap();
-        assert!(h.join_timeout(Duration::from_millis(1)).is_none());
         assert!(matches!(
             sched.job_state(h.id),
             Some(JobState::Queued | JobState::Running)
         ));
         gate_tx.send(()).unwrap();
-        assert_eq!(h.join_timeout(Duration::from_secs(30)), Some(Ok(true)));
+        assert_eq!(h.join(), Ok(true));
     }
 
     #[test]

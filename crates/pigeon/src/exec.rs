@@ -16,7 +16,7 @@ use sh_core::{OpError, OpResult, SpatialFile};
 use sh_dfs::{Dfs, FaultPlan, SlotPool};
 use sh_geom::algorithms::closest_pair::PointPair;
 use sh_geom::{Point, Polygon, Record, Rect};
-use sh_mapreduce::{JobHandle, JobScheduler, Rows, SchedConfig};
+use sh_mapreduce::{JobHandle, JobScheduler, Rows, SchedConfig, Ticket};
 use sh_trace::{Event, JobProfile, Sampler, Waterfall};
 
 use crate::ast::{RecordType, Script, ScrubTarget, Stmt};
@@ -240,56 +240,51 @@ impl StmtOutput {
 
 /// Outcome of [`Pigeon::admit_stmt`]: the statement either ran inline,
 /// was queued behind a ticket, or was rejected by admission control.
-pub enum Admission {
+pub enum Admission<'a> {
     /// Ran synchronously; here is what it dumped.
     Done(Vec<Rows>),
     /// The scheduler queue is full — back off and retry.
     Busy,
-    /// Queued or running; redeem the ticket for the outcome.
-    Pending(StmtTicket),
+    /// Queued; the caller runs it with the ticket once it is admitted.
+    Pending(StmtTicket<'a>),
 }
 
-/// A claim on a statement executing through the scheduler.
-pub struct StmtTicket {
-    sched: JobScheduler,
-    handle: JobHandle<Result<StmtOutput, String>>,
+/// A job statement's place in the scheduler's queue. Its holder runs the
+/// statement, on its own thread, once the scheduler admits it.
+pub struct StmtTicket<'a> {
+    ticket: Ticket,
+    stmt: &'a Stmt,
+    vars: &'a HashMap<String, Value>,
 }
 
-impl StmtTicket {
-    /// Scheduler job id running this statement.
+impl StmtTicket<'_> {
+    /// Scheduler job id of this statement.
     pub fn id(&self) -> u64 {
-        self.handle.id
+        self.ticket.id()
     }
 
-    /// Blocks for at most `timeout`; `None` if the statement is still
-    /// queued or running when it elapses.
-    pub fn wait_timeout(
-        &self,
-        timeout: std::time::Duration,
-    ) -> Option<Result<StmtOutput, PigeonError>> {
-        self.handle.join_timeout(timeout).map(flatten_job)
+    /// Waits at most `timeout` while the statement is queued; `false` if
+    /// it still is. After `true`, [`StmtTicket::run`] does not wait.
+    pub fn wait_queued(&self, timeout: std::time::Duration) -> bool {
+        self.ticket.wait_queued(timeout)
     }
 
-    /// Blocks until the statement finishes.
-    pub fn wait(self) -> Result<StmtOutput, PigeonError> {
-        flatten_job(self.handle.join())
+    /// Waits for admission, then runs the statement on this thread. A
+    /// failure reports as [`PigeonError::Job`], as a `SUBMIT`ted
+    /// statement's does at `WAIT`.
+    pub fn run(self) -> Result<StmtOutput, PigeonError> {
+        let StmtTicket { ticket, stmt, vars } = self;
+        match ticket.run(|dfs| run_job(dfs, stmt, vars)) {
+            Ok(Ok(out)) => Ok(out),
+            Ok(Err(e)) => Err(PigeonError::Job(e.to_string())),
+            Err(e) => Err(PigeonError::Job(e.to_string())),
+        }
     }
 
-    /// Best-effort cancellation: dequeues the statement if it has not
-    /// started yet (a running statement completes normally — its result
-    /// is simply never absorbed). True if the queue slot was reclaimed.
+    /// Dequeues the statement if it is still queued (an admitted one is
+    /// run by its holder). True if the queue slot was reclaimed.
     pub fn cancel(&self) -> bool {
-        self.sched.cancel(self.handle.id)
-    }
-}
-
-fn flatten_job(
-    r: Result<Result<StmtOutput, String>, sh_mapreduce::SchedError>,
-) -> Result<StmtOutput, PigeonError> {
-    match r {
-        Ok(Ok(out)) => Ok(out),
-        Ok(Err(msg)) => Err(PigeonError::Job(msg)),
-        Err(e) => Err(PigeonError::Job(e.to_string())),
+        self.ticket.cancel()
     }
 }
 
@@ -355,22 +350,26 @@ impl Pigeon {
     }
 
     /// Admits one statement for a session: statements that run cluster
-    /// jobs go through the scheduler — so admission control applies and
-    /// the caller can poll, stream, or cancel — while everything else
-    /// runs inline. `QueueFull` surfaces as [`Admission::Busy`] rather
-    /// than an error; it is the server's 429 path.
-    pub fn admit_stmt(
+    /// jobs are queued on the scheduler — so admission control applies,
+    /// and the caller can watch the queue, cancel, or run the statement
+    /// once admitted — while everything else runs inline. `QueueFull`
+    /// surfaces as [`Admission::Busy`] rather than an error; it is the
+    /// server's 429 path.
+    pub fn admit_stmt<'a>(
         &mut self,
-        sess: &mut SessionCtx,
-        stmt: &Stmt,
+        sess: &'a mut SessionCtx,
+        stmt: &'a Stmt,
         tenant: &str,
-    ) -> Result<Admission, PigeonError> {
+    ) -> Result<Admission<'a>, PigeonError> {
         if job_inputs(stmt).is_none() {
             return Ok(Admission::Done(self.execute_stmt(sess, stmt)?));
         }
-        let sched = self.scheduler().clone();
-        match sched.submit_as(tenant, stmt_verb(stmt), scheduled(stmt, &sess.vars)) {
-            Ok(handle) => Ok(Admission::Pending(StmtTicket { sched, handle })),
+        match self.scheduler().enqueue_as(tenant, stmt_verb(stmt)) {
+            Ok(ticket) => Ok(Admission::Pending(StmtTicket {
+                ticket,
+                stmt,
+                vars: &sess.vars,
+            })),
             Err(sh_mapreduce::SchedError::QueueFull) => Ok(Admission::Busy),
             Err(e) => Err(PigeonError::Job(e.to_string())),
         }
@@ -602,8 +601,9 @@ impl Pigeon {
 }
 
 /// Runs a job statement: the one runner, on the caller's thread inline
-/// and on the scheduler's for tickets and `SUBMIT`. It sees only `vars`,
-/// borrows the inputs it names from them, and returns its effects for
+/// and for tickets (once admitted), and on a `SUBMIT`'s background
+/// thread. It sees only `vars`, borrows the inputs it names from them,
+/// and returns its effects for
 /// [`SessionCtx::absorb`]. Its jobs return what they computed and write
 /// nothing: the only files it writes are the ones the statement names,
 /// `IMPORT`'s and `GENERATE`'s targets and `INDEX`'s directory.
@@ -1110,11 +1110,11 @@ fn scheduled(
     move |dfs| run_job(dfs, &stmt, &named).map_err(|e| e.to_string())
 }
 
-/// Background integrity scrubber: one thread that periodically submits a
-/// whole-namespace scrub through the job scheduler under the "scrub"
-/// tenant. The tenant has no priority: under the default FIFO policy a
-/// scrub queues behind every job submitted before it, and fair share
-/// applies only to a scheduler built with
+/// Background integrity scrubber: one thread that periodically queues a
+/// whole-namespace scrub on the job scheduler under the "scrub" tenant
+/// and runs it once admitted. The tenant has no priority: under the
+/// default FIFO policy a scrub queues behind every job submitted before
+/// it, and fair share applies only to a scheduler built with
 /// [`SchedPolicy::FairShare`](sh_mapreduce::SchedPolicy::FairShare)
 /// (`sh-server --policy fair`). A full queue just skips that round.
 /// Dropping the handle stops and joins the thread.
@@ -1143,13 +1143,10 @@ impl Scrubber {
             if watch.load(Ordering::Relaxed) {
                 return;
             }
-            match sched.submit_as("scrub", "scrub", |dfs| dfs.scrub("")) {
-                Ok(handle) => {
-                    let _ = handle.join();
-                }
-                Err(_) => {
-                    // Queue full or scheduler shut down: skip this round.
-                }
+            // This thread holds the ticket and runs the scrub itself; a
+            // full queue or a shut-down scheduler skips this round.
+            if let Ok(ticket) = sched.enqueue_as("scrub", "scrub") {
+                let _ = ticket.run(|dfs| dfs.scrub(""));
             }
         });
         Scrubber {

@@ -17,12 +17,13 @@
 //!   buffer, and a terminator line (`OK <rows>` / `ERR <nbytes>` /
 //!   `429 BUSY <retry_ms>`) closes every request.
 //! * **Back-pressure.** Statements that run cluster jobs are admitted
-//!   through the shared scheduler under the connection's tenant;
-//!   `QueueFull` maps to a structured `429 BUSY` the client retries.
-//! * **Disconnect safety.** While a statement is queued or running the
-//!   connection thread blocks on its completion in short slices and
-//!   looks at the socket between them; a client that goes away has its
-//!   still-queued statement cancelled so it cannot wedge a slot.
+//!   through the shared scheduler under the connection's tenant and,
+//!   once admitted, run on the connection thread; `QueueFull` maps to a
+//!   structured `429 BUSY` the client retries.
+//! * **Disconnect safety.** While a statement is queued the connection
+//!   thread waits for its admission in short slices and looks at the
+//!   socket between them; a client that goes away has its still-queued
+//!   statement cancelled so it cannot wedge a slot.
 //!
 //! The protocol is netcat-friendly by construction — see [`protocol`]
 //! for the exact framing and `README.md` for a quickstart.

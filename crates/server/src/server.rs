@@ -18,9 +18,10 @@ use crate::protocol::{
     MAX_REQUEST_BYTES,
 };
 
-/// How long a connection thread blocks on its in-flight statement
-/// between looks at the socket and the stop flag. Completion wakes it at
-/// once; a vanished client or a shutdown is noticed within one slice.
+/// How long a connection thread waits for its queued statement's
+/// admission between looks at the socket and the stop flag. Admission
+/// wakes it at once; a vanished client or a shutdown is noticed within
+/// one slice.
 const LIVENESS_SLICE: Duration = Duration::from_millis(10);
 
 /// How a [`Server`] is stood up.
@@ -300,13 +301,10 @@ fn handle_request(
                 return Ok(true);
             }
             Ok(Admission::Pending(ticket)) => {
-                // Block on the statement in slices: the wait doubles as
-                // a liveness watch on the socket so an abandoned
-                // statement can be cancelled out of the queue.
-                let outcome = loop {
-                    if let Some(r) = ticket.wait_timeout(LIVENESS_SLICE) {
-                        break r;
-                    }
+                // Wait in slices while the statement is queued: the wait
+                // doubles as a liveness watch on the socket, so an
+                // abandoned statement is cancelled out of the queue.
+                while !ticket.wait_queued(LIVENESS_SLICE) {
                     if inner.stop.load(Ordering::SeqCst) || client_gone(stream) {
                         let dequeued = ticket.cancel();
                         registry.counter_add("server.query.cancelled", 1);
@@ -320,8 +318,10 @@ fn handle_request(
                         );
                         return Ok(false);
                     }
-                };
-                match outcome {
+                }
+                // Admitted, the statement runs on this thread; shut down
+                // meanwhile, `run` reports it.
+                match ticket.run() {
                     Ok(out) => sess.absorb(out),
                     Err(e) => return fail(writer, tenant, &e),
                 }

@@ -208,11 +208,14 @@ run_shbench_oracle() {
     *) rc=1 ;;
   esac
   # Where a served workload's time goes: the median latency of each op
-  # kind, from the provenance line. Printed only; it gates nothing.
+  # kind, the median time to first byte and of a whole run, and the peak
+  # resident memory, from the provenance line. Printed only; it gates
+  # nothing.
   case "$workload" in
     serve-*)
-      echo "--- $workload op medians:" \
-        $(printf '%s\n' "$out" | grep '^{"provenance"' | grep -oE '"(join|range|knn)_p50_ms": [^,}]+' | tr -d '"')
+      echo "--- $workload medians and peak RSS:" \
+        $(printf '%s\n' "$out" | grep '^{"provenance"' |
+          grep -oE '"(join|range|knn|ttfb|run)_p50_ms": [^,}]+|"peak_rss_mb": [^,}]+' | tr -d '"')
       ;;
   esac
   if [ "$rc" -ne 0 ]; then

@@ -205,6 +205,54 @@ fn every_path_dumps_the_same_lines() {
     assert_eq!(headers, 1, "{slow:?}");
 }
 
+/// A ticketed statement runs on its connection's thread, so a task that
+/// panics there must fail only its statement: a corrupt partition
+/// answers `ERR`, and the same connection then answers its next
+/// statement correctly.
+#[test]
+fn a_failing_job_on_the_connection_thread_leaves_the_connection_serving() {
+    let dfs = dfs();
+    let server = Server::start(&dfs, ServerConfig::default()).expect("start server");
+    let mut client = ShClient::connect(&server.addr()).expect("connect");
+    client
+        .request(
+            "p = GENERATE 500 POINT uniform INTO '/bad/p'; ip = INDEX p AS grid INTO '/bad/ip';",
+        )
+        .expect("index")
+        .expect_rows("index");
+    let parts: Vec<String> = dfs
+        .list("/bad/ip/")
+        .into_iter()
+        .filter(|path| path.contains("/part-"))
+        .collect();
+    assert!(!parts.is_empty());
+    for part in &parts {
+        dfs.delete(part);
+        dfs.write_string(part, "not a point\n").expect("overwrite");
+    }
+    let window = "FILTER ip BY Overlaps(RECTANGLE(0, 0, 1000000, 1000000));";
+    match client
+        .request(&format!("r = {window} DUMP r;"))
+        .expect("corrupt")
+    {
+        Response::Err(msg) => assert!(msg.contains("not a point"), "{msg}"),
+        other => panic!("expected ERR from a corrupt partition, got {other:?}"),
+    }
+    let rows = client
+        .request("DUMP p;")
+        .expect("next statement")
+        .expect_rows("next statement");
+    assert_eq!(rows.len(), 500);
+    let fresh = client
+        .request(&format!(
+            "ip = INDEX p AS grid INTO '/good/ip'; r = {window} DUMP r;"
+        ))
+        .expect("fresh index")
+        .expect_rows("fresh index");
+    assert_eq!(fresh.len(), 500);
+    client.quit().ok();
+}
+
 /// A statement that fails on the scheduler is journaled like one that
 /// fails inline: `EVENTS FILTER server.query.err` sees both.
 #[test]
