@@ -1,85 +1,11 @@
-//! Tiny text codecs for intermediate values and aux payloads.
-//!
-//! Operations ship small driver-computed payloads to mappers through
-//! `InputSplit::aux` (e.g. dominance-power sets, partition boxes) and
-//! encode geometric results as output lines; this module centralizes
-//! those encodings. Encoders write into reusable buffers (no per-record
-//! `format!` temporaries); decoders return `Result` so corrupt payloads
-//! surface as [`OpError::Corrupt`] instead of panicking the task.
+//! The text of job output: the separator of a join pair row and the
+//! driver-side readers that parse output rows back into records, mapping
+//! a bad row to [`OpError::Corrupt`] instead of panicking.
 
-use std::fmt::Write as _;
-
-use sh_geom::{Point, Record, Rect};
+use sh_geom::Record;
 use sh_mapreduce::Rows;
 
 use crate::opresult::OpError;
-
-fn corrupt(what: &str, s: &str) -> OpError {
-    OpError::Corrupt(format!("bad {what} payload: {}", sh_geom::text::quote(s)))
-}
-
-/// Parses a whitespace-separated run of floats, rejecting every
-/// non-finite value — an `inf` coordinate would poison MBRs and
-/// partition boundaries just as silently as a NaN.
-fn decode_floats(s: &str, what: &str) -> Result<Vec<f64>, OpError> {
-    let mut nums = Vec::new();
-    for tok in s.split_ascii_whitespace() {
-        let v: f64 = tok.parse().map_err(|_| corrupt(what, s))?;
-        if !v.is_finite() {
-            return Err(corrupt(what, s));
-        }
-        nums.push(v);
-    }
-    Ok(nums)
-}
-
-/// Encodes points as `x y x y ...`.
-pub fn encode_points(points: &[Point]) -> String {
-    let mut s = String::with_capacity(points.len() * 16);
-    for p in points {
-        if !s.is_empty() {
-            s.push(' ');
-        }
-        let _ = write!(s, "{} {}", p.x, p.y);
-    }
-    s
-}
-
-/// Decodes `x y x y ...`.
-pub fn decode_points(s: &str) -> Result<Vec<Point>, OpError> {
-    let nums = decode_floats(s, "point")?;
-    if nums.len() % 2 != 0 {
-        return Err(corrupt("point", s));
-    }
-    Ok(nums
-        .chunks_exact(2)
-        .map(|c| Point::new(c[0], c[1]))
-        .collect())
-}
-
-/// Encodes rects as `x1 y1 x2 y2 ...`.
-pub fn encode_rects(rects: &[Rect]) -> String {
-    let mut s = String::with_capacity(rects.len() * 32);
-    for r in rects {
-        if !s.is_empty() {
-            s.push(' ');
-        }
-        let _ = write!(s, "{} {} {} {}", r.x1, r.y1, r.x2, r.y2);
-    }
-    s
-}
-
-/// Decodes `x1 y1 x2 y2 ...`.
-pub fn decode_rects(s: &str) -> Result<Vec<Rect>, OpError> {
-    let nums = decode_floats(s, "rect")?;
-    if nums.len() % 4 != 0 {
-        return Err(corrupt("rect", s));
-    }
-    Ok(nums
-        .chunks_exact(4)
-        .map(|c| Rect::new(c[0], c[1], c[2], c[3]))
-        .collect())
-}
 
 /// What separates the two records of a join pair row, `a | b`: each side
 /// is its record's `write_line`.
@@ -96,9 +22,9 @@ pub fn parse_output_records<R: Record>(rows: &Rows) -> Result<Vec<R>, OpError> {
 pub fn parse_pairs<R: Record>(rows: &Rows) -> Result<Vec<(R, R)>, OpError> {
     rows.lines()
         .map(|row| {
-            let (a, b) = row
-                .split_once(PAIR_SEPARATOR)
-                .ok_or_else(|| corrupt("join pair", row))?;
+            let (a, b) = row.split_once(PAIR_SEPARATOR).ok_or_else(|| {
+                OpError::Corrupt(format!("bad join pair row: {}", sh_geom::text::quote(row)))
+            })?;
             Ok((
                 R::parse_line(a).map_err(bad_output)?,
                 R::parse_line(b).map_err(bad_output)?,
@@ -114,23 +40,7 @@ fn bad_output(e: sh_geom::ParseError) -> OpError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn points_roundtrip() {
-        let pts = vec![Point::new(1.5, -2.0), Point::new(0.0, 3.25)];
-        assert_eq!(decode_points(&encode_points(&pts)).unwrap(), pts);
-        assert!(decode_points("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn rects_roundtrip() {
-        let rs = vec![
-            Rect::new(0.0, 1.0, 2.0, 3.0),
-            Rect::new(-1.0, -1.0, 1.0, 1.0),
-        ];
-        assert_eq!(decode_rects(&encode_rects(&rs)).unwrap(), rs);
-        assert!(decode_rects("").unwrap().is_empty());
-    }
+    use sh_geom::{Point, Rect};
 
     #[test]
     fn pair_roundtrip() {
@@ -143,18 +53,6 @@ mod tests {
 
     #[test]
     fn corrupt_payloads_are_errors_not_panics() {
-        assert!(matches!(decode_points("1 x"), Err(OpError::Corrupt(_))));
-        assert!(matches!(decode_points("1 2 3"), Err(OpError::Corrupt(_))));
-        assert!(matches!(decode_rects("1 2 3"), Err(OpError::Corrupt(_))));
-        assert!(matches!(
-            decode_rects("NaN 1 2 3"),
-            Err(OpError::Corrupt(_))
-        ));
-        assert!(matches!(
-            decode_rects("inf 1 2 3"),
-            Err(OpError::Corrupt(_))
-        ));
-        assert!(matches!(decode_points("1 -inf"), Err(OpError::Corrupt(_))));
         for row in [
             "1 2 3 4",
             "1 2 3 4 5 6 7 8",

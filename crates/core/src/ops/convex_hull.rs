@@ -9,6 +9,7 @@
 //!   hull neighbours *and* every other partition's bounding box. Each
 //!   machine prunes independently; the driver merges the few survivors.
 
+use std::collections::HashSet;
 use std::f64::consts::{PI, TAU};
 
 use sh_dfs::Dfs;
@@ -17,7 +18,6 @@ use sh_geom::{Point, Record, Rect};
 use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer, Rows};
 
 use crate::catalog::SpatialFile;
-use crate::codec::{decode_rects, encode_rects};
 use crate::mrlayer::{ByRecords, RecordMapper, SpatialFileSplitter};
 use crate::opresult::{OpError, OpResult};
 
@@ -97,8 +97,7 @@ pub fn hull_candidate_partitions(file: &SpatialFile) -> Vec<usize> {
 
 /// SpatialHadoop convex hull: four-skyline filter + local/global hull.
 pub fn hull_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Point>>, OpError> {
-    let keep: std::collections::HashSet<usize> =
-        hull_candidate_partitions(file).into_iter().collect();
+    let keep: HashSet<usize> = hull_candidate_partitions(file).into_iter().collect();
     let pruned = file.partitions.len() - keep.len();
     let splits = SpatialFileSplitter::splits(dfs, file, |m| keep.contains(&m.id))?;
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
@@ -229,7 +228,11 @@ fn infeasible_arc_own(prev: &Point, t: &Point, next: &Point) -> Arc {
     }
 }
 
-struct EnhancedHullMapper;
+struct EnhancedHullMapper {
+    /// The kept partitions' ids and data MBRs; a task tests its vertices
+    /// against every box but its own.
+    boxes: Vec<(usize, Rect)>,
+}
 
 impl RecordMapper for EnhancedHullMapper {
     type R = Point;
@@ -237,10 +240,6 @@ impl RecordMapper for EnhancedHullMapper {
     type V = u8;
 
     fn map_records(&self, split: &InputSplit, points: Vec<Point>, ctx: &mut MapContext<u8, u8>) {
-        // The driver encoded the boxes, so decode failure is task-fatal
-        // corruption.
-        let boxes = decode_rects(split.aux.as_deref().unwrap_or(""))
-            .expect("corrupt partition-box aux payload");
         let pruned_points = ctx.register_counter("hull.pruned.points");
         let candidates = ctx.register_counter("hull.candidates");
         let hull = convex_hull(&points);
@@ -256,7 +255,11 @@ impl RecordMapper for EnhancedHullMapper {
             let prev = hull[(i + n - 1) % n];
             let next = hull[(i + 1) % n];
             let mut arcs = vec![infeasible_arc_own(&prev, &t, &next)];
-            for b in &boxes {
+            for (_, b) in self
+                .boxes
+                .iter()
+                .filter(|(id, _)| Some(*id) != split.partition_id)
+            {
                 if let Some(a) = infeasible_arc_for_box(&t, b) {
                     arcs.push(a);
                 }
@@ -273,29 +276,18 @@ impl RecordMapper for EnhancedHullMapper {
 
 /// Enhanced convex hull: Theorem-3 local pruning, tiny driver-side merge.
 pub fn hull_enhanced(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Point>>, OpError> {
-    let keep: std::collections::HashSet<usize> =
-        hull_candidate_partitions(file).into_iter().collect();
-    let mut splits = Vec::new();
-    for meta in &file.partitions {
-        if !keep.contains(&meta.id) {
-            continue;
-        }
-        let boxes: Vec<Rect> = file
-            .partitions
-            .iter()
-            .filter(|m| m.id != meta.id && keep.contains(&m.id))
-            .map(|m| m.mbr_rect())
-            .collect();
-        splits.push(
-            InputSplit::whole_file(dfs, &meta.path)?
-                .with_partition(meta.id, meta.cell)
-                .with_aux(encode_rects(&boxes)),
-        );
-    }
+    let keep: HashSet<usize> = hull_candidate_partitions(file).into_iter().collect();
+    let splits = SpatialFileSplitter::splits(dfs, file, |m| keep.contains(&m.id))?;
+    let boxes = file
+        .partitions
+        .iter()
+        .filter(|m| keep.contains(&m.id))
+        .map(|m| (m.id, m.mbr_rect()))
+        .collect();
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
     let job = JobBuilder::new(dfs, &format!("hull-enhanced:{}", file.dir))
         .input_splits(splits)
-        .mapper(ByRecords(EnhancedHullMapper))
+        .mapper(ByRecords(EnhancedHullMapper { boxes }))
         .map_only()?
         .run()?;
     // Driver merge over the few surviving candidates.

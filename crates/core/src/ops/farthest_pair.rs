@@ -196,20 +196,8 @@ pub fn farthest_pair_pairs(
             splits.push(left.with_partition(pa.id, pa.cell));
             continue;
         }
-        let pb = &file.partitions[j];
-        let right = InputSplit::whole_file(dfs, &pb.path)?;
-        let first_bytes = left.len();
-        let mut blocks = left.blocks;
-        blocks.extend(right.blocks);
-        splits.push(InputSplit {
-            path: format!("{}+{}", pa.path, pb.path),
-            blocks,
-            tag: 0,
-            partition_id: Some(i * n + j),
-            mbr: Some(pa.cell),
-            first_input_bytes: Some(first_bytes),
-            aux: None,
-        });
+        let right = InputSplit::whole_file(dfs, &file.partitions[j].path)?;
+        splits.push(InputSplit::pair(left, right).with_partition(i * n + j, pa.cell));
     }
     let mut job = JobBuilder::new(dfs, &format!("fp-spatial:{}", file.dir))
         .input_splits(splits)

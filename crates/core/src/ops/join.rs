@@ -16,9 +16,9 @@ use sh_dfs::Dfs;
 use sh_geom::algorithms::plane_sweep::{
     plane_sweep_join, plane_sweep_join_into, plane_sweep_sorted,
 };
-use sh_geom::{Record, Rect};
+use sh_geom::{Point, Record, Rect};
 use sh_index::grid::GridPartitioning;
-use sh_index::owns_point;
+use sh_index::{owns_point, PartitionMeta};
 use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, ReduceContext, Reducer, Rows};
 
 use crate::catalog::SpatialFile;
@@ -143,13 +143,41 @@ pub fn sjmr_rows(
 
 // ------------------------------------------------------- distributed join
 
-struct DjMapper {
+/// The two indexes a distributed join pairs, as the driver holds them:
+/// a pair split's `partition_id` is `i * b.partitions.len() + j` for
+/// `a`'s partition `i` and `b`'s partition `j`, positions in
+/// `partitions`.
+#[derive(Clone, Copy)]
+struct Pairing<'a> {
+    a: &'a SpatialFile,
+    b: &'a SpatialFile,
+}
+
+impl<'a> Pairing<'a> {
+    /// Positions `(i, j)` of a pair split's two partitions.
+    fn positions(&self, split: &InputSplit) -> (usize, usize) {
+        let id = split.partition_id.expect("dj split carries its pair id");
+        (id / self.b.partitions.len(), id % self.b.partitions.len())
+    }
+
+    /// A pair split's two partitions.
+    fn metas(&self, split: &InputSplit) -> [&'a PartitionMeta; 2] {
+        let (i, j) = self.positions(split);
+        [&self.a.partitions[i], &self.b.partitions[j]]
+    }
+
+    /// The reference-point rule: a pair of partitions reports a result
+    /// whose reference point is `rp` only if every disjoint side's cell
+    /// owns it.
+    fn reports(&self, [ma, mb]: [&PartitionMeta; 2], rp: &Point) -> bool {
+        (!self.a.is_disjoint() || owns_point(&ma.cell_rect(), rp, &self.a.universe))
+            && (!self.b.is_disjoint() || owns_point(&mb.cell_rect(), rp, &self.b.universe))
+    }
+}
+
+struct DjMapper<'a> {
     dfs: Dfs,
-    dedup_left: bool,
-    dedup_right: bool,
-    /// Partitions of the right input: a pair split's `partition_id` is
-    /// `i * right_partitions + j`.
-    right_partitions: usize,
+    pairing: Pairing<'a>,
     /// Slot of right partition `j` in `opened` is `right_slot + j`: 0
     /// when both inputs are the same partition files (a self-join).
     right_slot: usize,
@@ -160,7 +188,7 @@ struct DjMapper {
     opened: Vec<OnceLock<Arc<Partition<Rect>>>>,
 }
 
-impl Mapper for DjMapper {
+impl Mapper for DjMapper<'_> {
     type K = u8;
     type V = u8;
 
@@ -170,14 +198,14 @@ impl Mapper for DjMapper {
     // or one miss; a miss is then looked up in the job's table. The
     // split is read only when a side is in neither.
     fn map_cached(&self, split: &InputSplit, ctx: &mut MapContext<u8, u8>) -> bool {
-        let (path_a, path_b, regions) = pair_aux(split);
+        let metas = self.pairing.metas(split);
         let (slot_a, slot_b) = self.slots(split);
-        let left = self.resident(path_a, slot_a, ctx);
-        let right = self.resident(path_b, slot_b, ctx);
+        let left = self.resident(&metas[0].path, slot_a, ctx);
+        let right = self.resident(&metas[1].path, slot_b, ctx);
         let (Some(lpart), Some(rpart)) = (left, right) else {
             return false;
         };
-        self.join([path_a, path_b], regions, &lpart, &rpart, ctx);
+        self.join(metas, &lpart, &rpart, ctx);
         true
     }
 
@@ -212,7 +240,7 @@ impl Mapper for DjMapper {
                 _ => data,
             }
         }
-        let (path_a, path_b, regions) = pair_aux(split);
+        let metas = self.pairing.metas(split);
         let (slot_a, slot_b) = self.slots(split);
         let mut opened = 0;
         let mut open = |path: &str, slot: usize, data: &[u8]| {
@@ -225,13 +253,13 @@ impl Mapper for DjMapper {
             }))
         };
         let (lpart, rpart) = (
-            open(path_a, slot_a, side(left_blocks, left_data)),
-            open(path_b, slot_b, side(right_blocks, right_data)),
+            open(&metas[0].path, slot_a, side(left_blocks, left_data)),
+            open(&metas[1].path, slot_b, side(right_blocks, right_data)),
         );
         if opened > 0 {
             ctx.counter("join.partitions.opened", opened);
         }
-        self.join([path_a, path_b], regions, &lpart, &rpart, ctx);
+        self.join(metas, &lpart, &rpart, ctx);
     }
 }
 
@@ -251,11 +279,10 @@ fn left_blocks(split: &InputSplit) -> usize {
         .count()
 }
 
-impl DjMapper {
+impl DjMapper<'_> {
     /// The `opened` slots of a pair split's two partitions.
     fn slots(&self, split: &InputSplit) -> (usize, usize) {
-        let id = split.partition_id.expect("dj split carries its pair id");
-        let (i, j) = (id / self.right_partitions, id % self.right_partitions);
+        let (i, j) = self.pairing.positions(split);
         (i, self.right_slot + j)
     }
 
@@ -274,23 +301,21 @@ impl DjMapper {
         }
     }
 
-    /// Joins one partition pair with a plane sweep over the records that
-    /// can take part in a result it reports. `paths` are the two
-    /// partitions' paths and `regions` the split's `[cell A, cell B,
-    /// universe A, universe B]` for the reference-point rule.
+    /// Joins one partition pair, `metas`, with a plane sweep over the
+    /// records that can take part in a result it reports.
     fn join(
         &self,
-        paths: [&str; 2],
-        regions: [Rect; 4],
+        metas: [&PartitionMeta; 2],
         lpart: &Partition<Rect>,
         rpart: &Partition<Rect>,
         ctx: &mut MapContext<u8, u8>,
     ) {
-        let [cell_a, cell_b, uni_a, uni_b] = regions;
+        let Pairing { a, b } = self.pairing;
+        let (cell_a, cell_b) = (metas[0].cell_rect(), metas[1].cell_rect());
         // A reported pair's reference point lies in both records and in
         // (the closure of) the cell of every disjoint side, so a record
         // outside that shared region cannot be in a reported pair.
-        let shared = match (self.dedup_left, self.dedup_right) {
+        let shared = match (a.is_disjoint(), b.is_disjoint()) {
             (true, true) => Some(cell_a.intersection(&cell_b).unwrap_or_else(Rect::empty)),
             (true, false) => Some(cell_a),
             (false, true) => Some(cell_b),
@@ -304,16 +329,13 @@ impl DjMapper {
                 .filter(|(r, _)| shared.is_none_or(|s| r.intersects(&s)))
                 .unzip()
         };
-        let (left, left_ids) = side(lpart, paths[0]);
-        let (right, right_ids) = side(rpart, paths[1]);
+        let (left, left_ids) = side(lpart, &metas[0].path);
+        let (right, right_ids) = side(rpart, &metas[1].path);
         let mut results = 0u64;
         let mut line = String::with_capacity(80);
         plane_sweep_sorted(&left, &right, |i, j| {
             if let Some(rp) = reference_point(&left[i], &right[j]) {
-                if self.dedup_left && !owns_point(&cell_a, &rp, &uni_a) {
-                    return;
-                }
-                if self.dedup_right && !owns_point(&cell_b, &rp, &uni_b) {
+                if !self.pairing.reports(metas, &rp) {
                     return;
                 }
                 // Each side's line comes from its partition: copied
@@ -328,24 +350,6 @@ impl DjMapper {
         });
         ctx.counter("join.results", results);
     }
-}
-
-/// Reads back what [`pair_splits`] attached to a two-input split: the
-/// two partition paths, then `[cell A, cell B, universe A, universe B]`
-/// for the reference-point rule. The paths travel here, one per line,
-/// because they are user-chosen — no separator is safe to parse out of
-/// the split's display name.
-fn pair_aux(split: &InputSplit) -> (&str, &str, [Rect; 4]) {
-    let aux = split.aux.as_deref().expect("dj split carries aux");
-    let mut lines = aux.lines();
-    let mut next = || lines.next().expect("dj aux has three lines");
-    let (path_a, path_b) = (next(), next());
-    let v: Vec<f64> = next()
-        .split_ascii_whitespace()
-        .map(|t| t.parse().expect("dj aux"))
-        .collect();
-    let rect = |i: usize| Rect::new(v[i], v[i + 1], v[i + 2], v[i + 3]);
-    (path_a, path_b, [rect(0), rect(4), rect(8), rect(12)])
 }
 
 /// Driver-side filter step shared by all distributed-join flavours:
@@ -388,44 +392,13 @@ fn pair_splits(dfs: &Dfs, a: &SpatialFile, b: &SpatialFile) -> Result<Vec<InputS
     }
 
     let mut splits = Vec::with_capacity(pairs.len());
-    for (i, j) in &pairs {
-        let pa = &a.partitions[*i];
-        let pb = &b.partitions[*j];
+    for (i, j) in pairs {
+        let pa = &a.partitions[i];
         let left = InputSplit::whole_file(dfs, &pa.path)?;
-        let right = InputSplit::whole_file(dfs, &pb.path)?;
-        let first_bytes = left.len();
-        let mut blocks = left.blocks;
-        blocks.extend(right.blocks);
-        let aux = format!(
-            "{}\n{}\n{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            pa.path,
-            pb.path,
-            pa.cell[0],
-            pa.cell[1],
-            pa.cell[2],
-            pa.cell[3],
-            pb.cell[0],
-            pb.cell[1],
-            pb.cell[2],
-            pb.cell[3],
-            a.universe.x1,
-            a.universe.y1,
-            a.universe.x2,
-            a.universe.y2,
-            b.universe.x1,
-            b.universe.y1,
-            b.universe.x2,
-            b.universe.y2,
+        let right = InputSplit::whole_file(dfs, &b.partitions[j].path)?;
+        splits.push(
+            InputSplit::pair(left, right).with_partition(i * b.partitions.len() + j, pa.cell),
         );
-        splits.push(InputSplit {
-            path: format!("{}+{}", pa.path, pb.path),
-            blocks,
-            tag: 0,
-            partition_id: Some(i * b.partitions.len() + j),
-            mbr: Some(pa.cell),
-            first_input_bytes: Some(first_bytes),
-            aux: Some(aux),
-        });
     }
     Ok(splits)
 }
@@ -462,9 +435,7 @@ pub fn distributed_join_rows(
         .input_splits(splits)
         .mapper(DjMapper {
             dfs: dfs.clone(),
-            dedup_left: a.is_disjoint(),
-            dedup_right: b.is_disjoint(),
-            right_partitions: b.partitions.len(),
+            pairing: Pairing { a, b },
             right_slot: if same_files { 0 } else { a.partitions.len() },
             opened: (0..slots).map(|_| OnceLock::new()).collect(),
         })
@@ -481,12 +452,11 @@ pub fn distributed_join_rows(
 
 // -------------------------------------------------- polygon overlap join
 
-struct PolygonDjMapper {
-    dedup_left: bool,
-    dedup_right: bool,
+struct PolygonDjMapper<'a> {
+    pairing: Pairing<'a>,
 }
 
-impl Mapper for PolygonDjMapper {
+impl Mapper for PolygonDjMapper<'_> {
     type K = u8;
     type V = u8;
 
@@ -495,16 +465,13 @@ impl Mapper for PolygonDjMapper {
         let (left, right) = task_inputs::<Polygon>(split, data);
         let left_mbrs: Vec<Rect> = left.iter().map(Record::mbr).collect();
         let right_mbrs: Vec<Rect> = right.iter().map(Record::mbr).collect();
-        let (_, _, [cell_a, cell_b, uni_a, uni_b]) = pair_aux(split);
+        let metas = self.pairing.metas(split);
         let mut results = 0u64;
         // MBR plane sweep as the filter, exact polygon test as the
         // refinement — the classic filter-and-refine join.
         plane_sweep_join_into(&left_mbrs, &right_mbrs, |i, j| {
             if let Some(rp) = reference_point(&left_mbrs[i], &right_mbrs[j]) {
-                if self.dedup_left && !owns_point(&cell_a, &rp, &uni_a) {
-                    return;
-                }
-                if self.dedup_right && !owns_point(&cell_b, &rp, &uni_b) {
+                if !self.pairing.reports(metas, &rp) {
                     return;
                 }
                 ctx.counter("join.refine.candidates", 1);
@@ -536,8 +503,7 @@ pub fn polygon_join(
     let job = JobBuilder::new(dfs, &format!("polyjoin:{}:{}", a.dir, b.dir))
         .input_splits(splits)
         .mapper(PolygonDjMapper {
-            dedup_left: a.is_disjoint(),
-            dedup_right: b.is_disjoint(),
+            pairing: Pairing { a, b },
         })
         .map_only()?
         .run()?;
@@ -684,9 +650,9 @@ mod tests {
         let splits = pair_splits(dfs, a, b).unwrap();
         let mut paths = std::collections::BTreeSet::new();
         for split in &splits {
-            let (path_a, path_b, _) = pair_aux(split);
-            paths.insert(path_a.to_string());
-            paths.insert(path_b.to_string());
+            for meta in (Pairing { a, b }).metas(split) {
+                paths.insert(meta.path.clone());
+            }
         }
         assert!(paths.len() < 2 * splits.len(), "partitions recur in pairs");
         paths
@@ -798,15 +764,14 @@ mod tests {
         let read = |path: &str| {
             SpatialRecordReader::records_bytes::<Rect>(&dfs.read_bytes(path).unwrap()).unwrap()
         };
+        let pairing = Pairing { a, b };
         let mut rows = Vec::new();
         for split in pair_splits(dfs, a, b).unwrap() {
-            let (path_a, path_b, [cell_a, cell_b, uni_a, uni_b]) = pair_aux(&split);
-            let (left, right) = (read(path_a), read(path_b));
+            let metas = pairing.metas(&split);
+            let (left, right) = (read(&metas[0].path), read(&metas[1].path));
             plane_sweep_join_into(&left, &right, |i, j| {
                 let rp = reference_point(&left[i], &right[j]).unwrap();
-                if (!a.is_disjoint() || owns_point(&cell_a, &rp, &uni_a))
-                    && (!b.is_disjoint() || owns_point(&cell_b, &rp, &uni_b))
-                {
+                if pairing.reports(metas, &rp) {
                     rows.push(pair_line(&(left[i], right[j])));
                 }
             });

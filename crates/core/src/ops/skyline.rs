@@ -13,13 +13,14 @@
 //!   merge step, so the operation scales even when the skyline itself is
 //!   huge (anti-correlated data).
 
+use std::collections::{HashMap, HashSet};
+
 use sh_dfs::Dfs;
 use sh_geom::algorithms::skyline::{not_dominated, skyline};
 use sh_geom::{Point, Record, Rect};
 use sh_mapreduce::{InputSplit, JobBuilder, MapContext, ReduceContext, Reducer, Rows};
 
 use crate::catalog::SpatialFile;
-use crate::codec::{decode_points, encode_points};
 use crate::mrlayer::{ByRecords, RecordMapper, SpatialFileSplitter};
 use crate::opresult::{OpError, OpResult};
 
@@ -130,8 +131,7 @@ pub fn non_dominated_partitions(file: &SpatialFile) -> Vec<usize> {
 
 /// SpatialHadoop skyline: partition filter + local/global skyline.
 pub fn skyline_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Point>>, OpError> {
-    let keep: std::collections::HashSet<usize> =
-        non_dominated_partitions(file).into_iter().collect();
+    let keep: HashSet<usize> = non_dominated_partitions(file).into_iter().collect();
     let pruned = file.partitions.len() - keep.len();
     let splits = SpatialFileSplitter::splits(dfs, file, |m| keep.contains(&m.id))?;
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
@@ -147,7 +147,11 @@ pub fn skyline_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<Poi
     Ok(OpResult::new(value, vec![job]).with_selectivity(sel))
 }
 
-struct OutputSensitiveMapper;
+struct OutputSensitiveMapper {
+    /// Each kept partition's dominance-power set: that of all *other*
+    /// partitions, by partition id.
+    dominance: HashMap<usize, Vec<Point>>,
+}
 
 impl RecordMapper for OutputSensitiveMapper {
     type R = Point;
@@ -155,15 +159,12 @@ impl RecordMapper for OutputSensitiveMapper {
     type V = u8;
 
     fn map_records(&self, split: &InputSplit, points: Vec<Point>, ctx: &mut MapContext<u8, u8>) {
-        // aux = the dominance-power set of all *other* partitions. The
-        // driver encoded it, so decode failure is task-fatal corruption.
-        let sky_c = decode_points(split.aux.as_deref().unwrap_or(""))
-            .expect("corrupt dominance-power aux payload");
+        let sky_c = &self.dominance[&split.partition_id.expect("a kept partition's split")];
         let flushed = ctx.register_counter("skyline.flushed");
         let pruned = ctx.register_counter("skyline.pruned.points");
         let local = skyline(&points);
         for p in local {
-            if not_dominated(&p, &sky_c) {
+            if not_dominated(&p, sky_c) {
                 ctx.output(&p.to_line());
                 ctx.inc(flushed, 1);
             } else {
@@ -184,36 +185,30 @@ pub fn skyline_output_sensitive(
             "output-sensitive skyline requires a disjoint partitioning".into(),
         ));
     }
-    let keep: std::collections::HashSet<usize> =
-        non_dominated_partitions(file).into_iter().collect();
-    let mut splits = Vec::new();
-    for meta in &file.partitions {
-        if !keep.contains(&meta.id) {
-            continue;
-        }
-        // Dominance-power set of every *other* partition: top-left and
-        // bottom-right corners of their data MBRs, reduced to a skyline
-        // (Theorem 4 caps the useful subset; the skyline is even
-        // smaller).
-        let mut dp: Vec<Point> = Vec::new();
-        for other in &file.partitions {
-            if other.id == meta.id {
-                continue;
-            }
-            let m = other.mbr_rect();
-            dp.push(m.top_left());
-            dp.push(m.bottom_right());
-        }
-        let sky_c = skyline(&dp);
-        let split = InputSplit::whole_file(dfs, &meta.path)?
-            .with_partition(meta.id, meta.cell)
-            .with_aux(encode_points(&sky_c));
-        splits.push(split);
-    }
+    let keep: HashSet<usize> = non_dominated_partitions(file).into_iter().collect();
+    let splits = SpatialFileSplitter::splits(dfs, file, |m| keep.contains(&m.id))?;
+    // Dominance-power set of every *other* partition: top-left and
+    // bottom-right corners of their data MBRs, reduced to a skyline
+    // (Theorem 4 caps the useful subset; the skyline is even smaller).
+    let dominance = keep
+        .iter()
+        .map(|&id| {
+            let dp: Vec<Point> = file
+                .partitions
+                .iter()
+                .filter(|other| other.id != id)
+                .flat_map(|other| {
+                    let m = other.mbr_rect();
+                    [m.top_left(), m.bottom_right()]
+                })
+                .collect();
+            (id, skyline(&dp))
+        })
+        .collect();
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
     let job = JobBuilder::new(dfs, &format!("skyline-os:{}", file.dir))
         .input_splits(splits)
-        .mapper(ByRecords(OutputSensitiveMapper))
+        .mapper(ByRecords(OutputSensitiveMapper { dominance }))
         .map_only()?
         .run()?;
     let value = sorted_points(&job.rows)?;

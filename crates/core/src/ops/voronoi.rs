@@ -230,7 +230,10 @@ pub fn voronoi_hadoop(
 const PENDING: u8 = 0;
 const WITNESS: u8 = 1;
 
-struct LocalVdMapper;
+struct LocalVdMapper {
+    /// Whether the partitioning is column-aligned (grid/STR+).
+    aligned: bool,
+}
 
 impl RecordMapper for LocalVdMapper {
     type R = Point;
@@ -245,13 +248,12 @@ impl RecordMapper for LocalVdMapper {
     ) {
         let cell_rect = split_cell(split);
         // Column key: the partition cell's x-interval, bit-encoded — but
-        // only when the driver marked the partitioning column-aligned
-        // (grid/STR+). Otherwise everything shares a degenerate key whose
-        // slab test never passes, so the vertical merge becomes a pure
-        // forwarding stage and the driver merge finishes the job (the
-        // quad-tree / k-d tree path).
-        let aligned = split.aux.as_deref() == Some("aligned");
-        let key = if aligned {
+        // only when the partitioning is column-aligned. Otherwise
+        // everything shares a degenerate key whose slab test never
+        // passes, so the vertical merge becomes a pure forwarding stage
+        // and the driver merge finishes the job (the quad-tree / k-d tree
+        // path).
+        let key = if self.aligned {
             (cell_rect.x1.to_bits(), cell_rect.x2.to_bits())
         } else {
             (0u64, 0u64)
@@ -370,13 +372,8 @@ pub fn voronoi_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<VCe
     // merge; others (quad-tree, k-d tree) skip straight to the driver
     // merge, which the same exactness argument covers.
     let aligned = columns_are_aligned(file);
-    let mut splits = SpatialFileSplitter::all_splits(dfs, file)?;
+    let splits = SpatialFileSplitter::all_splits(dfs, file)?;
     let mut sel = crate::mrlayer::splitter_selectivity(file, &splits);
-    if aligned {
-        for s in &mut splits {
-            s.aux = Some("aligned".into());
-        }
-    }
     let columns: std::collections::HashSet<(u64, u64)> = if aligned {
         file.partitions
             .iter()
@@ -387,7 +384,7 @@ pub fn voronoi_spatial(dfs: &Dfs, file: &SpatialFile) -> Result<OpResult<Vec<VCe
     };
     let mut job = JobBuilder::new(dfs, &format!("voronoi-spatial:{}", file.dir))
         .input_splits(splits)
-        .mapper(ByRecords(LocalVdMapper))
+        .mapper(ByRecords(LocalVdMapper { aligned }))
         .pair_size(|_, _| 17)
         .reducer(
             VMergeReducer,

@@ -1609,35 +1609,34 @@ mod tests {
         assert!(matches!(err, Err(JobError::Dfs(_))));
     }
 
-    struct AuxEchoMapper;
-    impl Mapper for AuxEchoMapper {
+    struct PartitionEchoMapper;
+    impl Mapper for PartitionEchoMapper {
         type K = u8;
         type V = u8;
         fn map_bytes(&self, split: &InputSplit, _data: &[u8], ctx: &mut MapContext<u8, u8>) {
             ctx.output(&format!(
-                "{}:{}",
+                "{}:{:?}",
                 split.partition_id.unwrap_or(999),
-                split.aux.as_deref().unwrap_or("-")
+                split.mbr.unwrap_or_default()
             ));
         }
     }
 
     #[test]
-    fn splits_carry_partition_metadata_and_aux_to_mappers() {
+    fn splits_carry_partition_metadata_to_mappers() {
         let fs = dfs();
         fs.write_string("/in", "x\n").unwrap();
         let split = crate::split::InputSplit::whole_file(&fs, "/in")
             .unwrap()
-            .with_partition(7, [0.0, 0.0, 1.0, 1.0])
-            .with_aux("payload 42".into());
-        let outcome = JobBuilder::new(&fs, "aux")
+            .with_partition(7, [0.0, 0.0, 1.0, 1.5]);
+        let outcome = JobBuilder::new(&fs, "partition")
             .input_splits(vec![split])
-            .mapper(AuxEchoMapper)
+            .mapper(PartitionEchoMapper)
             .map_only()
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(lines(&outcome), vec!["7:payload 42"]);
+        assert_eq!(lines(&outcome), vec!["7:[0.0, 0.0, 1.0, 1.5]"]);
     }
 
     struct SideMapper;

@@ -115,7 +115,8 @@ pub enum JobState {
     Running,
     Done,
     Failed,
-    /// Dequeued by [`JobScheduler::cancel`] before it ever ran.
+    /// Dequeued by [`Ticket::cancel`] before it ever ran, or admitted
+    /// and dropped unrun.
     Cancelled,
 }
 
@@ -364,8 +365,7 @@ impl JobScheduler {
 
     /// State of one job, if it is live or still in the finished history.
     pub fn job_state(&self, id: u64) -> Option<JobState> {
-        let st = lock(&self.inner.state);
-        st.jobs.get(&id).map(|r| r.state)
+        lock(&self.inner.state).state(id)
     }
 
     /// Jobs currently queued (not yet admitted).
@@ -376,18 +376,6 @@ impl JobScheduler {
     /// Jobs currently running.
     pub fn running(&self) -> usize {
         lock(&self.inner.state).running
-    }
-
-    /// Cancels a still-queued job: it is dequeued without running and
-    /// its holder observes [`SchedError::Shutdown`]. Returns `false` if
-    /// the job was already admitted (an admitted job runs to completion —
-    /// task waves own cluster state that must settle) or never existed.
-    /// This is the disconnect path for network sessions: a client that
-    /// goes away while its statement waits in the queue must not hold a
-    /// queue slot against live sessions.
-    pub fn cancel(&self, id: u64) -> bool {
-        let mut st = lock(&self.inner.state);
-        self.inner.dequeue(&mut st, id)
     }
 
     /// Blocks until every queued and running job has finished.
@@ -442,7 +430,13 @@ impl Ticket {
         st.state(self.id) != Some(JobState::Queued)
     }
 
-    /// [`JobScheduler::cancel`] for this ticket's job.
+    /// Cancels the job while it is still queued: it is dequeued without
+    /// running and [`Ticket::run`] reports [`SchedError::Shutdown`].
+    /// Returns `false` if it was already admitted (an admitted job runs
+    /// to completion — task waves own cluster state that must settle).
+    /// This is the disconnect path for network sessions: a client that
+    /// goes away while its statement waits in the queue must not hold a
+    /// queue slot against live sessions.
     pub fn cancel(&self) -> bool {
         self.inner.dequeue(&mut lock(&self.inner.state), self.id)
     }
@@ -876,28 +870,20 @@ mod tests {
             ..SchedConfig::default()
         };
         let sched = JobScheduler::new(&fs, cfg);
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let blocker = sched
-            .submit("blocker", move |_| {
-                gate_rx.recv().ok();
-            })
-            .unwrap();
-        while sched.running() == 0 {
-            std::thread::yield_now();
-        }
-        let queued = sched.submit("doomed", |_| 1u8).unwrap();
+        let blocker = sched.enqueue_as("t", "blocker").unwrap();
+        assert_eq!(sched.job_state(blocker.id()), Some(JobState::Running));
+        let queued = sched.enqueue_as("t", "doomed").unwrap();
         // A running job cannot be cancelled; a queued one can, exactly once.
-        assert!(!sched.cancel(blocker.id));
-        assert!(sched.cancel(queued.id));
-        assert!(!sched.cancel(queued.id));
-        assert_eq!(sched.job_state(queued.id), Some(JobState::Cancelled));
-        assert_eq!(queued.join(), Err(SchedError::Shutdown));
-        // The freed queue slot admits new work.
-        let after = sched.submit("after", |_| 7u32).unwrap();
-        gate_tx.send(()).unwrap();
-        blocker.join().unwrap();
-        assert_eq!(after.join().unwrap(), 7);
-        assert!(!sched.cancel(12345), "unknown ids are not cancellable");
+        assert!(!blocker.cancel());
+        assert!(queued.cancel());
+        assert!(!queued.cancel());
+        assert_eq!(sched.job_state(queued.id()), Some(JobState::Cancelled));
+        assert_eq!(queued.run(|_| 1u8), Err(SchedError::Shutdown));
+        // The freed queue slot admits new work once the blocker is done.
+        let after = sched.enqueue_as("t", "after").unwrap();
+        assert_eq!(sched.job_state(after.id()), Some(JobState::Queued));
+        blocker.run(|_| ()).unwrap();
+        assert_eq!(after.run(|_| 7u32).unwrap(), 7);
     }
 
     #[test]

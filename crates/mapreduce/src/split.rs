@@ -2,32 +2,33 @@
 
 use sh_dfs::{BlockInfo, Dfs, DfsError, NodeId};
 
-/// One map task's input: a set of blocks read together, plus optional
-/// spatial metadata attached by the SpatialFileSplitter in `sh-core`.
+/// One map task's input: a set of blocks read together, plus the
+/// partition metadata the SpatialFileSplitter in `sh-core` attaches.
 ///
 /// Plain Hadoop jobs use one split per block ([`InputSplit::from_file`]).
 /// SpatialHadoop jobs use one split per *index partition* (all blocks of
-/// the partition file), carrying the partition MBR so local-processing
-/// steps can apply partition-relative pruning rules.
+/// the partition file), carrying the partition cell so local-processing
+/// steps can apply partition-relative pruning rules. Anything else a
+/// task needs from the global index its mapper holds: the driver and
+/// the tasks share one process.
 #[derive(Clone, Debug)]
 pub struct InputSplit {
-    /// Path the blocks belong to (diagnostics only).
+    /// Path the blocks belong to (diagnostics only; `a+b` for a
+    /// [`InputSplit::pair`]).
     pub path: String,
     /// Blocks to read, in order.
     pub blocks: Vec<BlockInfo>,
     /// Input tag for multi-input jobs (e.g. joins: 0 = left, 1 = right).
     pub tag: u32,
-    /// Index-partition id when this split is a spatial partition.
+    /// Index-partition id when this split is a spatial partition; a
+    /// pair's number (e.g. `i * nb + j`) when it is two.
     pub partition_id: Option<usize>,
-    /// Partition MBR `[x1, y1, x2, y2]` when spatially partitioned.
+    /// Partition cell `[x1, y1, x2, y2]` when spatially partitioned.
     pub mbr: Option<[f64; 4]>,
     /// Byte length of the leading blocks that belong to the *first* input
-    /// of a two-input split (distributed join pairs two partitions in one
-    /// split; blocks are record-aligned so this cuts between records).
+    /// of a two-input split ([`InputSplit::pair`]; blocks are
+    /// record-aligned so this cuts between records).
     pub first_input_bytes: Option<u64>,
-    /// Opaque per-split payload attached by the driver (e.g. the
-    /// dominance-power set a skyline mapper prunes against).
-    pub aux: Option<String>,
 }
 
 impl InputSplit {
@@ -47,34 +48,41 @@ impl InputSplit {
 }
 
 impl InputSplit {
+    fn new(path: &str, blocks: Vec<BlockInfo>) -> InputSplit {
+        InputSplit {
+            path: path.to_string(),
+            blocks,
+            tag: 0,
+            partition_id: None,
+            mbr: None,
+            first_input_bytes: None,
+        }
+    }
+
     /// One split per block of `path` — Hadoop's default splitter.
     pub fn from_file(dfs: &Dfs, path: &str) -> Result<Vec<InputSplit>, DfsError> {
         Ok(dfs
             .block_locations(path)?
             .into_iter()
-            .map(|b| InputSplit {
-                path: path.to_string(),
-                blocks: vec![b],
-                tag: 0,
-                partition_id: None,
-                mbr: None,
-                first_input_bytes: None,
-                aux: None,
-            })
+            .map(|b| InputSplit::new(path, vec![b]))
             .collect())
     }
 
     /// A single split covering the whole file (small side-inputs).
     pub fn whole_file(dfs: &Dfs, path: &str) -> Result<InputSplit, DfsError> {
-        Ok(InputSplit {
-            path: path.to_string(),
-            blocks: dfs.block_locations(path)?,
-            tag: 0,
-            partition_id: None,
-            mbr: None,
-            first_input_bytes: None,
-            aux: None,
-        })
+        Ok(InputSplit::new(path, dfs.block_locations(path)?))
+    }
+
+    /// Two splits read by one task: `left`'s blocks, then `right`'s,
+    /// cut apart again where `left` ends ([`InputSplit::split_data_bytes`]).
+    pub fn pair(left: InputSplit, right: InputSplit) -> InputSplit {
+        let first_input_bytes = left.len();
+        let mut blocks = left.blocks;
+        blocks.extend(right.blocks);
+        InputSplit {
+            first_input_bytes: Some(first_input_bytes),
+            ..InputSplit::new(&format!("{}+{}", left.path, right.path), blocks)
+        }
     }
 
     /// Total input bytes.
@@ -106,12 +114,6 @@ impl InputSplit {
     pub fn with_partition(mut self, id: usize, mbr: [f64; 4]) -> InputSplit {
         self.partition_id = Some(id);
         self.mbr = Some(mbr);
-        self
-    }
-
-    /// Attaches an opaque driver payload.
-    pub fn with_aux(mut self, aux: String) -> InputSplit {
-        self.aux = Some(aux);
         self
     }
 }
@@ -175,6 +177,50 @@ mod tests {
         assert_eq!(s.split_data_bytes(&data), (&data[..], &[][..]));
         s.first_input_bytes = None;
         assert_eq!(s.split_data_bytes(&data), (&data[..], &[][..]));
+    }
+
+    #[test]
+    fn a_pair_reads_left_then_right_and_cuts_where_left_ends() {
+        let fs = Dfs::new(ClusterConfig::small_for_tests()); // 8 KiB blocks
+        let write = |path: &str, lines: usize| {
+            let mut w = fs.create(path).unwrap();
+            for i in 0..lines {
+                w.write_line(&format!("{path} {i}"));
+            }
+            w.close().unwrap();
+            assert_eq!(fs.stat(path).unwrap().num_blocks > 1, lines > 10);
+        };
+        write("/one", 10);
+        write("/many", 3000);
+        write("/also-one", 5);
+        let ids = |blocks: &[BlockInfo]| blocks.iter().map(|b| b.id).collect::<Vec<_>>();
+        for (a, b) in [
+            ("/one", "/also-one"),
+            ("/one", "/many"),
+            ("/many", "/one"),
+            ("/many", "/many"),
+        ] {
+            let (left, right) = (
+                InputSplit::whole_file(&fs, a).unwrap(),
+                InputSplit::whole_file(&fs, b).unwrap(),
+            );
+            let pair = InputSplit::pair(left.clone(), right.clone());
+            assert_eq!(pair.path, format!("{a}+{b}"));
+            assert_eq!(
+                ids(&pair.blocks),
+                [ids(&left.blocks), ids(&right.blocks)].concat()
+            );
+            assert_eq!(pair.len(), left.len() + right.len());
+            assert_eq!(pair.first_input_bytes, Some(left.len()));
+            assert_eq!(pair.preferred_nodes(), left.preferred_nodes());
+            let (left_data, right_data) = (fs.read_bytes(a).unwrap(), fs.read_bytes(b).unwrap());
+            let data = [left_data.clone(), right_data.clone()].concat();
+            assert_eq!(
+                pair.split_data_bytes(&data),
+                (&left_data[..], &right_data[..]),
+                "{a}+{b}"
+            );
+        }
     }
 
     #[test]

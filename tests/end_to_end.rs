@@ -160,6 +160,106 @@ fn co_partitioned_join_pipeline() {
     );
 }
 
+/// The operations whose map tasks look partitions up in the global index
+/// the driver holds, on grid indexes of clustered data: an empty grid
+/// cell gets no partition file, so partition ids skip numbers and a
+/// partition's id is not its position in `partitions`.
+#[test]
+fn index_lookups_by_partition_id_survive_skipped_ids() {
+    let dfs = test_cluster();
+    let skips_ids = |file: &spatialhadoop::core::SpatialFile| {
+        file.partitions
+            .iter()
+            .enumerate()
+            .any(|(pos, m)| m.id != pos)
+    };
+    // Three dense blobs in a 10 000-wide square, nothing in between.
+    let blobs = |n: usize, seed: u64| -> Vec<Point> {
+        [(0.0, 0.0), (8_500.0, 0.0), (4_000.0, 8_500.0)]
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &(x, y))| {
+                let blob = Rect::new(x, y, x + 1_500.0, y + 1_500.0);
+                points(n / 3, Distribution::Uniform, &blob, seed + k as u64)
+            })
+            .collect()
+    };
+    let pts = blobs(4_000, 1010);
+    upload(&dfs, "/ids/points", &pts).unwrap();
+    let file = build_index::<Point>(&dfs, "/ids/points", "/ids/pidx", PartitionKind::Grid)
+        .unwrap()
+        .value;
+    assert!(skips_ids(&file), "empty cells leave gaps in the ids");
+    // The same partitions numbered 0, 1, 2, ...: a task that finds a
+    // partition by its position where it should use its id answers or
+    // prunes differently on one of the two.
+    let mut dense = file.clone();
+    for (pos, m) in dense.partitions.iter_mut().enumerate() {
+        m.id = pos;
+    }
+    let mut sites = pts.clone();
+    sort_dedup(&mut sites);
+    let mut pruned = Vec::new();
+    for file in [&file, &dense] {
+        let got = skyline::skyline_output_sensitive(&dfs, file).unwrap();
+        let expected = single::skyline_single(&pts).value;
+        pruned.push(got.counter("skyline.pruned.points"));
+        assert_eq!(canon_points(got.value), canon_points(expected));
+
+        let got = convex_hull::hull_enhanced(&dfs, file).unwrap();
+        let expected = single::convex_hull_single(&pts).value;
+        pruned.push(got.counter("hull.pruned.points"));
+        assert_eq!(canon_points(got.value), canon_points(expected));
+
+        let got = farthest_pair::farthest_pair_pairs(&dfs, file).unwrap();
+        let expected = single::farthest_pair_single(&pts).value.unwrap();
+        assert_eq!(got.value.unwrap().distance, expected.distance);
+
+        let got = voronoi::voronoi_spatial(&dfs, file).unwrap();
+        let mut got: Vec<_> = got.value.iter().map(|c| c.site).collect();
+        got.sort_by(Point::cmp_xy);
+        assert_eq!(got, sites);
+    }
+    assert_eq!(pruned[..2], pruned[2..], "skyline and hull prune alike");
+
+    // Rects around blob points; two sizes, so the two indexes have
+    // different partition counts.
+    let blob_rects = |n, seed| -> Vec<Rect> {
+        blobs(n, seed)
+            .iter()
+            .map(|p| Rect::new(p.x, p.y, p.x + 60.0, p.y + 40.0))
+            .collect()
+    };
+    let (left, right) = (blob_rects(3_000, 1011), blob_rects(1_200, 1012));
+    upload(&dfs, "/ids/l", &left).unwrap();
+    upload(&dfs, "/ids/r", &right).unwrap();
+    let fa = build_index::<Rect>(&dfs, "/ids/l", "/ids/ia", PartitionKind::Grid)
+        .unwrap()
+        .value;
+    let fb = build_index::<Rect>(&dfs, "/ids/r", "/ids/ib", PartitionKind::Grid)
+        .unwrap()
+        .value;
+    assert!(skips_ids(&fa) && skips_ids(&fb));
+    assert_ne!(fa.partitions.len(), fb.partitions.len());
+    let canon_pairs = |pairs: Vec<(Rect, Rect)>| {
+        let mut lines: Vec<String> = pairs
+            .iter()
+            .map(|(a, b)| format!("{} {}", a.to_line(), b.to_line()))
+            .collect();
+        lines.sort();
+        lines
+    };
+    for (a, b, l, r) in [(&fa, &fb, &left, &right), (&fa, &fa, &left, &left)] {
+        let got = join::distributed_join(&dfs, a, b, "/ids/dj").unwrap();
+        let expected = single::spatial_join(l, r)
+            .value
+            .into_iter()
+            .map(|(i, j)| (l[i], r[j]))
+            .collect();
+        assert_eq!(canon_pairs(got.value), canon_pairs(expected));
+    }
+}
+
 #[test]
 fn pipeline_survives_node_failure() {
     let dfs = test_cluster();
