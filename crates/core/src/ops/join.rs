@@ -466,7 +466,9 @@ impl Mapper for PolygonDjMapper<'_> {
         let left_mbrs: Vec<Rect> = left.iter().map(Record::mbr).collect();
         let right_mbrs: Vec<Rect> = right.iter().map(Record::mbr).collect();
         let metas = self.pairing.metas(split);
-        let mut results = 0u64;
+        let candidates = ctx.register_counter("join.refine.candidates");
+        let results = ctx.register_counter("join.results");
+        let mut line = String::with_capacity(256);
         // MBR plane sweep as the filter, exact polygon test as the
         // refinement — the classic filter-and-refine join.
         plane_sweep_join_into(&left_mbrs, &right_mbrs, |i, j| {
@@ -474,18 +476,17 @@ impl Mapper for PolygonDjMapper<'_> {
                 if !self.pairing.reports(metas, &rp) {
                     return;
                 }
-                ctx.counter("join.refine.candidates", 1);
+                ctx.inc(candidates, 1);
                 if left[i].intersects(&right[j]) {
-                    ctx.output(&format!(
-                        "{}{PAIR_SEPARATOR}{}",
-                        left[i].to_line(),
-                        right[j].to_line()
-                    ));
-                    results += 1;
+                    line.clear();
+                    left[i].write_line(&mut line);
+                    line.push_str(PAIR_SEPARATOR);
+                    right[j].write_line(&mut line);
+                    ctx.output(&line);
+                    ctx.inc(results, 1);
                 }
             }
         });
-        ctx.counter("join.results", results);
     }
 }
 

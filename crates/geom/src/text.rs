@@ -21,6 +21,15 @@
 //! ends it, and a line that `str::trim` leaves empty holds no record.
 //! [`Record::parse_line`] is the same cursor over one line, so each type
 //! has exactly one parser.
+//!
+//! One writer renders every coordinate: [`write_f64`], which each
+//! [`Record::write_line`] calls, appends exactly what `{}` formats the
+//! number as: the shortest decimal that reads back to the same bits,
+//! with an exact tie between two shortest candidates rounded up, as
+//! `core::fmt` rounds it. It finds the digits itself for every value a
+//! coordinate takes in practice and leaves the rest to `core::fmt`, so
+//! a record line costs a few integer products per number, and the
+//! parser reads back exactly the record that was written.
 
 use std::fmt::{self, Write as _};
 
@@ -133,6 +142,139 @@ fn field_error(problem: &str, what: fmt::Arguments<'_>, tok: Option<&str>) -> Pa
         Some(tok) => ParseError::new(format!("{problem}{what}: {}", quote(tok))),
         None => ParseError::new(format!("{problem}{what}")),
     }
+}
+
+/// `5^i` for `i` in `0..32`: with `4m + 2 < 2^55`, every product
+/// `(4m + δ) · 5^i` the writer forms fits a `u128`.
+const POW5: [u128; 32] = {
+    let mut t = [1u128; 32];
+    let mut i = 1;
+    while i < 32 {
+        t[i] = t[i - 1] * 5;
+        i += 1;
+    }
+    t
+};
+
+/// `"00"`, `"01"`, …, `"99"`: the writer's digits, two per division.
+const PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// The one number writer: appends exactly what `{}` formats `v` as,
+/// the shortest decimal that reads back as `v`, without an
+/// exponent. A finite normal `v` whose exponent `e2` of `4m` lies in
+/// `-99..=-1` (about `3e-14 <= |v| < 1.8e16`, every coordinate the
+/// workloads make) takes `shortest`; zero is `0` or `-0`; any other
+/// value goes to `core::fmt`.
+pub fn write_f64(out: &mut String, v: f64) {
+    let bits = v.to_bits();
+    let e2 = ((bits >> 52) & 0x7ff) as i32 - 1077;
+    if v == 0.0 {
+        out.push_str(if v.is_sign_negative() { "-0" } else { "0" });
+    } else if (-99..=-1).contains(&e2) {
+        let frac = bits & ((1 << 52) - 1);
+        let (digits, e10) = shortest(frac | 1 << 52, e2, frac != 0);
+        render(out, v < 0.0, digits, e10);
+    } else {
+        let _ = out.write_fmt(format_args!("{v}"));
+    }
+}
+
+/// Appends `' '` and then `v` for each `v` of `vs`: a record line's
+/// coordinate fields after its first.
+fn write_spaced(out: &mut String, vs: &[f64]) {
+    for &v in vs {
+        out.push(' ');
+        write_f64(out, v);
+    }
+}
+
+/// Ryū's shortest digits (Adams, PLDI 2018) of `v = 4m · 2^e2`, with its
+/// 128-bit tables replaced by exact `u128` products: `(d, e10)` with the
+/// fewest digits `d` such that `d · 10^e10` lies in `v`'s rounding
+/// interval, and of those the nearest to `v`. An exact tie rounds up,
+/// as `core::fmt` does (Ryū rounds it to even). The interval's lower
+/// half is half as wide below a power of two (`full_lower_gap` false).
+///
+/// Ryū also decides whether the interval's ends belong to it. For
+/// `e2 < 0` no end is ever the answer: an end is an odd multiple of
+/// `2^(e2 + 1)` (or `2^e2`), so its last digit sits where the interval
+/// already holds a nearer candidate of the same length.
+fn shortest(m: u64, e2: i32, full_lower_gap: bool) -> (u64, i32) {
+    // Ryū's q = max(0, ⌊log10 5^−e2⌋ − 1): the scaled values keep every
+    // digit the answer needs and still fit a `u64`.
+    let neg_e2 = e2.unsigned_abs();
+    let q = ((neg_e2 * 732_923) >> 20) - u32::from(neg_e2 > 1);
+    let pow5 = POW5[(neg_e2 - q) as usize];
+    // ⌊(4m + δ) · 2^e2 / 10^e10⌋ = ((4m + δ) · 5^i) >> q, exactly.
+    let scaled = |m4: u64| ((u128::from(m4) * pow5) >> q) as u64;
+    let mut vr = scaled(4 * m);
+    let mut vp = scaled(4 * m + 2);
+    let mut vm = scaled(4 * m - 1 - u64::from(full_lower_gap));
+    let (mut e10, mut last) = (e2 + q as i32, 0);
+    while vp / 10 > vm / 10 {
+        last = vr % 10;
+        (vr, vp, vm, e10) = (vr / 10, vp / 10, vm / 10, e10 + 1);
+    }
+    // Up when `vr` fell out of the interval or the digits dropped from
+    // it are half a unit or more.
+    (vr + u64::from(vr == vm || last >= 5), e10)
+}
+
+/// Appends `digits · 10^e10` as `{}` spells it: no exponent, no zero
+/// after the last nonzero fraction digit, and `0.` before a fraction
+/// below one.
+fn render(out: &mut String, negative: bool, mut n: u64, mut e10: i32) {
+    while n.is_multiple_of(10) {
+        n /= 10;
+        e10 += 1;
+    }
+    let mut d = [0u8; 20];
+    let mut start = d.len();
+    while n >= 10 {
+        let p = (n % 100) as usize * 2;
+        start -= 2;
+        d[start..start + 2].copy_from_slice(&PAIRS[p..p + 2]);
+        n /= 100;
+    }
+    if n > 0 {
+        start -= 1;
+        d[start] = b'0' + n as u8;
+    }
+    let digits = &d[start..];
+    // At most a sign, "0.", 13 zeros and 17 digits, or 17 digits and
+    // zeros; every byte not written is a '0'.
+    let mut buf = [b'0'; 40];
+    let mut len = usize::from(negative);
+    if negative {
+        buf[0] = b'-';
+    }
+    let point = digits.len() as i32 + e10;
+    if e10 >= 0 {
+        buf[len..len + digits.len()].copy_from_slice(digits);
+        len += point as usize;
+    } else if point > 0 {
+        let (int, fraction) = digits.split_at(point as usize);
+        buf[len..len + int.len()].copy_from_slice(int);
+        len += int.len();
+        buf[len] = b'.';
+        buf[len + 1..len + 1 + fraction.len()].copy_from_slice(fraction);
+        len += 1 + fraction.len();
+    } else {
+        buf[len + 1] = b'.';
+        len += 2 + point.unsigned_abs() as usize;
+        buf[len..len + digits.len()].copy_from_slice(digits);
+        len += digits.len();
+    }
+    out.push_str(std::str::from_utf8(&buf[..len]).expect("the digits are ASCII"));
 }
 
 /// Where the line of `text` that starts at byte `start` ends, as
@@ -354,7 +496,8 @@ impl Record for Point {
     }
 
     fn write_line(&self, out: &mut String) {
-        let _ = write!(out, "{} {}", self.x, self.y);
+        write_f64(out, self.x);
+        write_spaced(out, &[self.y]);
     }
 
     #[inline]
@@ -387,7 +530,8 @@ impl Record for Rect {
     }
 
     fn write_line(&self, out: &mut String) {
-        let _ = write!(out, "{} {} {} {}", self.x1, self.y1, self.x2, self.y2);
+        write_f64(out, self.x1);
+        write_spaced(out, &[self.y1, self.x2, self.y2]);
     }
 
     #[inline]
@@ -424,7 +568,8 @@ impl Record for Segment {
     }
 
     fn write_line(&self, out: &mut String) {
-        let _ = write!(out, "S {} {} {} {}", self.a.x, self.a.y, self.b.x, self.b.y);
+        out.push('S');
+        write_spaced(out, &[self.a.x, self.a.y, self.b.x, self.b.y]);
     }
 
     fn from_fields(f: &mut Fields<'_>) -> Result<Self, ParseError> {
@@ -451,7 +596,7 @@ impl Record for Polygon {
     fn write_line(&self, out: &mut String) {
         let _ = write!(out, "P {}", self.len());
         for v in self.vertices() {
-            let _ = write!(out, " {} {}", v.x, v.y);
+            write_spaced(out, &[v.x, v.y]);
         }
     }
 
@@ -961,6 +1106,80 @@ mod tests {
             agree::<Polygon>(&text(rng, 3));
             agree::<Tagged<Point>>(&text(rng, 4));
         }
+    }
+
+    // ------------------------------------------------ writer vs `{}`
+
+    /// [`write_f64`] appends what `{}` formats `v` as, byte for byte,
+    /// and a finite `v` reads back to the same bits.
+    fn writes_as_display(v: f64) {
+        let mut got = String::from("|");
+        write_f64(&mut got, v);
+        assert_eq!(got[1..], format!("{v}"), "bits {:#018x}", v.to_bits());
+        if !v.is_nan() {
+            assert_eq!(got[1..].parse::<f64>().unwrap().to_bits(), v.to_bits());
+        }
+    }
+
+    sh_rand::properties! {
+        fn writer_matches_display(rng, 200_000) {
+            let v = match rng.below(4) {
+                0 => f64::from_bits(rng.next_u64()),
+                // The workloads' default universe.
+                1 => rng.uniform(0.0..1e6),
+                2 => (rng.next_u64() >> rng.below(64)) as f64 / 10f64.powi(rng.below(24) as i32),
+                // A biased exponent with e2 in -102..=2: the exact path's
+                // range and three binades past each end.
+                _ => {
+                    let biased = (1077 - 102 + rng.below(105)) as u64;
+                    f64::from_bits(rng.next_u64() & (1 << 63 | ((1 << 52) - 1)) | biased << 52)
+                }
+            };
+            writes_as_display(v);
+        }
+    }
+
+    #[test]
+    fn writer_matches_display_on_directed_values() {
+        // The first and last value of every binade from 2^-60 to 2^60,
+        // where the lower half of the interval is narrower, and of every
+        // decade in reach, with their neighbours.
+        let binades = (-60..=60).flat_map(|k| {
+            let first = 2f64.powi(k).to_bits();
+            [first, 2f64.powi(k + 1).to_bits() - 1]
+        });
+        let decades = (-16..=18).map(|k| format!("1e{k}").parse::<f64>().unwrap().to_bits());
+        for bits in binades.chain(decades) {
+            for b in bits - 4..=bits + 4 {
+                writes_as_display(f64::from_bits(b));
+                writes_as_display(-f64::from_bits(b));
+            }
+        }
+        // An exact tie: `{}` rounds it up, Ryū alone would round to even.
+        let tie: f64 = "1003886302073972.25".parse().unwrap();
+        assert_eq!(tie.fract(), 0.25);
+        let mut line = String::new();
+        write_f64(&mut line, tie);
+        assert_eq!(line, "1003886302073972.3");
+        let subnormal = f64::from_bits(0x000f_0000_0000_0001);
+        for v in [
+            tie,
+            9007199254740991.0,
+            0.1,
+            1e-5,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            subnormal,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            writes_as_display(v);
+        }
+        let point = Point::new(-0.0, 1.5).to_line();
+        assert_eq!(point, "-0 1.5");
     }
 
     #[test]

@@ -638,14 +638,17 @@ fn run_job(
                 if line.is_empty() || line.starts_with('#') {
                     continue;
                 }
-                // Validate against the declared type before storing.
-                if !with_record_type!(*rtype, R => R::parse_line(&line).is_ok()) {
+                // Parse as the declared type and store the record's
+                // canonical line, as every other writer of a heap does.
+                let stored = with_record_type!(*rtype, R => {
+                    R::parse_line(&line).map(|r| r.write_line(&mut records))
+                });
+                if stored.is_err() {
                     return Err(PigeonError::Type(format!(
                         "{host_path}:{}: not a valid {rtype:?} record: {raw:?}",
                         lineno + 1
                     )));
                 }
-                records.push_str(&line);
                 records.push('\n');
             }
             if records.is_empty() {
@@ -1645,8 +1648,42 @@ mod tests {
         std::fs::write(&tmp, "1.0 2.0\n3.0, 4.0\n").unwrap();
         let out = run_script(&dfs, &script).unwrap();
         std::fs::remove_file(&tmp).ok();
-        assert_eq!(out, ["1.0 2.0", "3.0 4.0"]);
+        assert_eq!(out, ["1 2", "3 4"]);
         assert_eq!(dfs.list("/"), ["/imp/p"]);
+    }
+
+    #[test]
+    fn an_import_answers_canonical_lines_from_the_heap_and_every_index() {
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        let tmp = std::env::temp_dir().join(format!(
+            "pigeon-import-canonical-{}.csv",
+            std::process::id()
+        ));
+        // An index build estimates a heap's records as its bytes / 16 and
+        // samples nothing from a heap under 16 bytes, so this one holds
+        // three records.
+        std::fs::write(&tmp, "1.50, 2.0\n3.25 4.750\n05.125,6\n").unwrap();
+        let all = "BY Overlaps(RECTANGLE(0, 0, 10, 10))";
+        let script = format!(
+            "p = IMPORT '{}' AS POINT INTO '/imp/p';\n\
+             t = INDEX p AS grid INTO '/imp/t';\n\
+             b = INDEX p AS grid INTO '/imp/b' FORMAT binary;\n\
+             DUMP p;\n\
+             hp = FILTER p {all};\nDUMP hp;\n\
+             ht = FILTER t {all};\nDUMP ht;\n\
+             hb = FILTER b {all};\nDUMP hb;",
+            tmp.display()
+        );
+        let out = run_script(&dfs, &script).unwrap();
+        std::fs::remove_file(&tmp).ok();
+        // The heap, then a filter of the heap, the text index and the
+        // binary index; an index answers in its partitions' order.
+        assert_eq!(out.len(), 12, "{out:?}");
+        for answer in out.chunks(3) {
+            let mut lines = answer.to_vec();
+            lines.sort();
+            assert_eq!(lines, ["1.5 2", "3.25 4.75", "5.125 6"]);
+        }
     }
 
     #[test]

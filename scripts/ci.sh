@@ -108,13 +108,15 @@ stage_test() {
   # every crate's unit tests (a bare `cargo test -q` runs the same set).
   # The CRC-64 kernel is compared with its byte-wise oracle once more
   # under the optimiser the benchmark builds with (bounds-check elision
-  # in `chunks_exact` differs between profiles), and so is the text
-  # scanner with its tokenizing oracle (the release build is the one
-  # whose scanner the benchmark times).
+  # in `chunks_exact` differs between profiles), and so are the text
+  # scanner with its tokenizing oracle and the number writer with `{}`
+  # (the release build is the one whose scanner and writer the
+  # benchmark times).
   # `shbench`'s own tests run against this checkout's crates.
   counted cargo test --workspace -q &&
     counted cargo test -p sh-dfs --release -q crc64 &&
     counted cargo test -p sh-geom --release -q scanner_matches_the_tokenizing_oracle &&
+    counted cargo test -p sh-geom --release -q writer_matches_display &&
     keeping_shbench_lock counted cargo test -q --manifest-path shbench/Cargo.toml
 }
 
