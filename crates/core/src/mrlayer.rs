@@ -5,26 +5,26 @@
 //! the reader is the only code that knows a stored layout:
 //!
 //! ```text
-//! split path  ──block cache hit──────▶ Arc<Partition>  (map_cached: no block read)
-//! split bytes ──SpatialRecordReader──▶ records         (RecordMapper, run as ByRecords)
-//!                                  └─▶ Arc<Partition>  (rows + local R-tree, cached)
+//! split path   ──block cache hit─────▶ Arc<Partition>  (no block read)
+//! split blocks ──SpatialRecordReader─▶ Arc<Partition>  (rows + local R-tree, cached)
+//! split bytes  ──SpatialRecordReader─▶ records         (RecordMapper, run as ByRecords)
 //! ```
 //!
 //! An operation implements [`RecordMapper`] and never sees bytes. The
 //! mappers that want the cached [`Partition`] (range, kNN, distributed
-//! join) implement `sh_mapreduce::Mapper` themselves and go cache first:
-//! `map_cached` asks `task_cached` before the engine reads the split,
-//! and only on a miss does `map_bytes` open the bytes through
-//! `SpatialRecordReader::open_after_probe`; both run one body, so a
-//! hit and a miss emit the same rows. The polygon join's mapper, which
-//! keeps the two inputs of a split apart, reads through [`task_inputs`].
+//! join) implement `sh_mapreduce::Mapper::map_split` themselves and go
+//! cache first, in one body: they ask `task_cached`, and only on a miss
+//! pull the partition's blocks from the task's `SplitInput` and open
+//! them through `SpatialRecordReader::open_after_probe`, so a hit and a
+//! miss emit the same rows. The polygon join's mapper, which keeps the
+//! two inputs of a split apart, reads through [`task_inputs`].
 //!
-//! Text is read by `sh_geom::text::scan`, one forward pass over the
-//! bytes. A text partition keeps its text and each record's line start
-//! next to the parsed records. Its lines are its records' `write_line`
-//! (only the index build writes them), so [`Partition::write_record`]
-//! copies an answer's line instead of rendering it; debug builds check
-//! every copy against the render.
+//! Text is read by `sh_geom::text::scan`, one forward pass over each
+//! block. A text partition keeps its DFS blocks, never a joined copy,
+//! and each record's line start next to the parsed records. Its lines
+//! are its records' `write_line` (only the index build writes them), so
+//! [`Partition::write_record`] copies an answer's line instead of
+//! rendering it; debug builds check every copy against the render.
 
 use std::hash::Hash;
 use std::mem::size_of;
@@ -138,8 +138,9 @@ impl SpatialRecordReader {
 
     /// Opens a partition for index-assisted processing through the
     /// per-node cache: [`SpatialRecordReader::cached`], then on a miss
-    /// decode, index and insert (`open_after_probe`). Returns the partition
-    /// and whether the cache was hit.
+    /// decode, index and insert (`open_after_probe`), `data` taken as the
+    /// partition's one block (a text partition keeps a copy of it).
+    /// Returns the partition and whether the cache was hit.
     pub fn open_indexed_bytes<R: Record>(
         dfs: &Dfs,
         path: &str,
@@ -147,7 +148,10 @@ impl SpatialRecordReader {
     ) -> Result<(Arc<Partition<R>>, bool), OpError> {
         match Self::cached(dfs, path) {
             Some(part) => Ok((part, true)),
-            None => Ok((Self::open_after_probe(dfs, path, data, &[])?, false)),
+            None => Ok((
+                Self::open_after_probe(dfs, path, &[Arc::from(data)])?,
+                false,
+            )),
         }
     }
 
@@ -164,28 +168,25 @@ impl SpatialRecordReader {
     /// The rest of an open, for a caller whose [`SpatialRecordReader::cached`]
     /// probe already counted the lookup: the partition now cached under
     /// `path` if there is one (found by that probe, or inserted since by a
-    /// concurrent task), otherwise `data` decoded (binary blocks keep
-    /// their shared coordinate columns, text is parsed into records), the
-    /// records' MBRs taken once, the persisted `_lidx-NNNNN` topology
-    /// loaded over them (STR bulk-loading them instead for heap files and
-    /// for missing, corrupt, outdated or stale sidecars), and the result
-    /// cached keyed by `path`. Counts nothing. `blocks` are the DFS blocks
-    /// the task read, which a text partition shares its bytes with (see
-    /// [`SpatialRecordReader::open_scan`]).
+    /// concurrent task), otherwise the partition file's `blocks` opened
+    /// ([`SpatialRecordReader::open_scan`]), the records' MBRs taken once,
+    /// the persisted `_lidx-NNNNN` topology loaded over them (STR
+    /// bulk-loading them instead for heap files and for missing, corrupt,
+    /// outdated or stale sidecars), and the result cached keyed by
+    /// `path`. Counts nothing.
     pub(crate) fn open_after_probe<R: Record>(
         dfs: &Dfs,
         path: &str,
-        data: &[u8],
         blocks: &[Arc<[u8]>],
     ) -> Result<Arc<Partition<R>>, OpError> {
         if let Some(part) = dfs.cache().peek(path).and_then(|v| v.downcast().ok()) {
             return Ok(part);
         }
-        // `data` was read before this point; if a concurrent job
+        // `blocks` were read before this point; if a concurrent job
         // invalidates the path (overwrite, node kill) while we decode,
         // the epoch check in `put_at` drops the stale insert.
         let epoch = dfs.cache().epoch();
-        let mut part = Self::open_scan::<R>(data, blocks)?;
+        let mut part = Self::open_scan::<R>(blocks)?;
         let rects: Vec<Rect> = (0..part.len()).map(|i| part.mbr_of(i)).collect();
         // A sidecar is only ever a shortcut to the tree `build` would
         // give: whatever `from_bytes` cannot prove to be a tree over
@@ -203,44 +204,56 @@ impl SpatialRecordReader {
         Ok(part)
     }
 
-    /// Opens a partition for a one-shot linear scan: no cache, an empty
-    /// tree — the ablation path (experiment A4). A binary partition file
-    /// is exactly one block and keeps its columnar layout, so
-    /// [`Partition::scan_filter`] still runs the column loop. A text
-    /// partition keeps what its one scan read: the records, each one's
-    /// line start, and the bytes themselves, as the block of `blocks`
-    /// (the task's `MapContext::input_blocks`) that `data` is (the same
-    /// address and length), shared, so a cached partition costs no
-    /// second copy of its text; or else as a copy.
-    pub fn open_scan<R: Record>(
-        data: &[u8],
-        blocks: &[Arc<[u8]>],
-    ) -> Result<Partition<R>, OpError> {
-        let rows = if colblock::is_binary(data) {
-            Rows::Columns(colblock::decode(data)?)
-        } else {
-            let source = utf8(data)?;
-            if u32::try_from(source.len()).is_err() {
-                return Err(OpError::Corrupt(format!(
-                    "text partition of {} bytes: line offsets are 32-bit",
-                    source.len()
-                )));
+    /// Opens a partition file from its DFS `blocks` for a one-shot linear
+    /// scan: no cache, an empty tree — the ablation path (experiment A4).
+    /// A binary partition keeps its columnar layout, so
+    /// [`Partition::scan_filter`] still runs the column loop; one that
+    /// spans blocks is joined first, as its columns must be contiguous.
+    /// A text partition keeps what its one scan read: the records, each
+    /// one's line start, and the blocks themselves, shared, so a cached
+    /// partition costs no second copy of its text. Text is written
+    /// record-aligned, so a block before the last that does not end a
+    /// line is corrupt.
+    pub fn open_scan<R: Record>(blocks: &[Arc<[u8]>]) -> Result<Partition<R>, OpError> {
+        let rows = match blocks {
+            [one] if colblock::is_binary(one) => Rows::Columns(colblock::decode(one)?),
+            [first, ..] if colblock::is_binary(first) => {
+                Rows::Columns(colblock::decode(&blocks.concat())?)
             }
-            let lines = text::line_count(source);
-            let (mut records, mut starts) = (Vec::with_capacity(lines), Vec::with_capacity(lines));
-            text::scan(source, |start, record| {
-                records.push(record);
-                starts.push(start as u32);
-            })
-            .map_err(corrupt_line)?;
-            let text = match blocks.iter().find(|block| std::ptr::eq(&***block, data)) {
-                Some(block) => block.clone(),
-                None => Arc::from(data),
-            };
-            Rows::Text {
-                records,
-                text,
-                starts,
+            _ => {
+                let total: usize = blocks.iter().map(|b| b.len()).sum();
+                if u32::try_from(total).is_err() {
+                    return Err(OpError::Corrupt(format!(
+                        "text partition of {total} bytes: line offsets are 32-bit"
+                    )));
+                }
+                let mut sources = Vec::with_capacity(blocks.len());
+                for (k, block) in blocks.iter().enumerate() {
+                    if k + 1 < blocks.len() && block.last() != Some(&b'\n') {
+                        return Err(OpError::Corrupt(format!(
+                            "text block {k} of {} does not end at a line end",
+                            blocks.len()
+                        )));
+                    }
+                    sources.push(utf8(block)?);
+                }
+                let lines = sources.iter().map(|s| text::line_count(s)).sum();
+                let (mut records, mut starts) =
+                    (Vec::with_capacity(lines), Vec::with_capacity(lines));
+                let mut base = 0;
+                for source in sources {
+                    text::scan(source, |start, record| {
+                        records.push(record);
+                        starts.push((base + start) as u32);
+                    })
+                    .map_err(corrupt_line)?;
+                    base += source.len();
+                }
+                Rows::Text {
+                    records,
+                    blocks: blocks.to_vec(),
+                    starts,
+                }
             }
         };
         Ok(Partition {
@@ -324,8 +337,8 @@ impl<M: RecordMapper> Mapper for ByRecords<M> {
     }
 }
 
-/// Reads both inputs of a split inside a map task, cut at
-/// `first_input_bytes` (the second is empty for a one-input split) and
+/// Reads both inputs of a split inside a map task, cut where its
+/// `first_blocks` end (the second is empty for a one-input split) and
 /// each read on its own, so a binary partition can be paired with a text
 /// file. For map functions that must keep the two sides apart.
 pub fn task_inputs<R: Record>(split: &InputSplit, data: &[u8]) -> (Vec<R>, Vec<R>) {
@@ -345,11 +358,12 @@ pub struct Partition<R: Record> {
 }
 
 enum Rows<R> {
-    /// Text partition: the parsed records, the UTF-8 text they were
-    /// parsed from, and where in it each record's line starts.
+    /// Text partition: the parsed records, the DFS blocks of UTF-8 text
+    /// they were parsed from, and where each record's line starts in the
+    /// blocks taken end to end. Every block ends at a line end.
     Text {
         records: Vec<R>,
-        text: Arc<[u8]>,
+        blocks: Vec<Arc<[u8]>>,
         starts: Vec<u32>,
     },
     /// Binary partition: shared coordinate columns.
@@ -400,11 +414,19 @@ impl<R: Record> Partition<R> {
         match &self.rows {
             Rows::Text {
                 records,
-                text,
+                blocks,
                 starts,
             } => {
-                let start = starts[i] as usize;
-                let line = std::str::from_utf8(&text[start..text::line_end(text, start)])
+                let mut start = starts[i] as usize;
+                let mut blocks = blocks.iter();
+                let block = loop {
+                    let block = blocks.next().expect("a line start inside the partition");
+                    if start < block.len() {
+                        break block;
+                    }
+                    start -= block.len();
+                };
+                let line = std::str::from_utf8(&block[start..text::line_end(block, start)])
                     .expect("cut at line ends of text that was scanned as UTF-8");
                 debug_assert_eq!(line, records[i].to_line(), "a non-canonical partition line");
                 out.push_str(line);
@@ -453,7 +475,9 @@ impl<R: Record> Partition<R> {
     /// x-order once it is sorted.
     fn resident_bytes(&self) -> u64 {
         let rows = match &self.rows {
-            Rows::Text { records, text, .. } => text.len() + records.len() * size_of::<R>(),
+            Rows::Text {
+                records, blocks, ..
+            } => blocks.iter().map(|b| b.len()).sum::<usize>() + records.len() * size_of::<R>(),
             Rows::Columns(block) => block.resident_bytes(),
         };
         let order = self.x_order.get().map_or(0, |o| o.len() * size_of::<u32>());
@@ -659,12 +683,12 @@ mod tests {
         );
     }
 
-    /// A cached text partition of one DFS block holds that block's own
-    /// allocation, whether a range task read it alone or a distributed
-    /// join task read it as one side of a pair; one spanning two blocks
-    /// holds its own copy of their bytes.
+    /// A cached text partition holds its DFS blocks' own allocations,
+    /// whether it spans one block or two, and whether a range task read
+    /// it alone or a distributed join task read it as one side of a pair;
+    /// every answer line is copied from the block that holds it.
     #[test]
-    fn a_one_block_text_partition_shares_its_block_and_a_two_block_one_copies() {
+    fn one_and_two_block_text_partitions_share_their_dfs_blocks() {
         let dfs = Dfs::new(ClusterConfig::small_for_tests());
         let rect = |i: usize, x0: f64| {
             let (x, y) = (x0 + (i % 40) as f64, 5.0 + (i / 40) as f64 * 0.5);
@@ -705,22 +729,24 @@ mod tests {
         };
         assert_eq!(blocks("/share/part-00000").len(), 1);
         assert_eq!(blocks("/share/part-00001").len(), 2);
-        let cached_text = |path: &str| -> Arc<[u8]> {
-            let part = SpatialRecordReader::cached::<Rect>(&dfs, path).expect("cached");
-            match &part.rows {
-                Rows::Text { text, .. } => text.clone(),
-                Rows::Columns(_) => panic!("{path}: a text partition"),
-            }
-        };
         let check = |how: &str| {
-            let one = cached_text("/share/part-00000");
-            assert!(Arc::ptr_eq(&one, &blocks("/share/part-00000")[0]), "{how}");
-            let two = cached_text("/share/part-00001");
-            let shared = blocks("/share/part-00001")
-                .iter()
-                .any(|b| Arc::ptr_eq(&two, b));
-            assert!(!shared, "{how}");
-            assert_eq!(*two, *dfs.read_bytes("/share/part-00001").unwrap(), "{how}");
+            for path in ["/share/part-00000", "/share/part-00001"] {
+                let part = SpatialRecordReader::cached::<Rect>(&dfs, path).expect("cached");
+                let Rows::Text { blocks: held, .. } = &part.rows else {
+                    panic!("{path}: a text partition");
+                };
+                let stored = blocks(path);
+                assert_eq!(held.len(), stored.len(), "{how}: {path}");
+                for (held, stored) in held.iter().zip(&stored) {
+                    assert!(Arc::ptr_eq(held, stored), "{how}: {path}");
+                }
+                let text = dfs.read_to_string(path).unwrap();
+                for (i, line) in text.lines().enumerate() {
+                    let mut out = String::new();
+                    part.write_record(i, &mut out);
+                    assert_eq!(out, line, "{how}: {path} record {i}");
+                }
+            }
         };
         let everything = Rect::new(0.0, 0.0, 100.0, 100.0);
         crate::ops::range::range_spatial::<Rect>(&dfs, &file, &everything, "").unwrap();
@@ -734,6 +760,24 @@ mod tests {
         let mut w = dfs.create(path).unwrap();
         w.write_chunk(data);
         w.close().unwrap();
+    }
+
+    /// Text partitions are written record-aligned: a block before the
+    /// last that does not end a line is corrupt, never re-cut.
+    #[test]
+    fn a_text_block_that_ends_inside_a_line_is_corrupt() {
+        let open = |blocks: &[&[u8]]| {
+            let blocks: Vec<Arc<[u8]>> = blocks.iter().map(|&b| Arc::from(b)).collect();
+            SpatialRecordReader::open_scan::<Point>(&blocks).map(|part| part.len())
+        };
+        assert_eq!(open(&[b"1 2\n3 4\n", b"5 6\n"]).unwrap(), 3);
+        assert_eq!(open(&[b"1 2\n", b"5 6"]).unwrap(), 2);
+        assert_eq!(open(&[]).unwrap(), 0);
+        // Cut apart, `3 45 6` would read as two points.
+        assert!(matches!(
+            open(&[b"1 2\n3 4", b"5 6\n"]),
+            Err(OpError::Corrupt(_))
+        ));
     }
 
     #[test]

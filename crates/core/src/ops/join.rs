@@ -9,17 +9,18 @@
 //!   the two global indexes, one map task joins each pair with a plane
 //!   sweep — no shuffle at all.
 
-use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use sh_dfs::Dfs;
+use sh_dfs::{Dfs, DfsError};
 use sh_geom::algorithms::plane_sweep::{
     plane_sweep_join, plane_sweep_join_into, plane_sweep_sorted,
 };
 use sh_geom::{Point, Record, Rect};
 use sh_index::grid::GridPartitioning;
 use sh_index::{owns_point, PartitionMeta};
-use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, ReduceContext, Reducer, Rows};
+use sh_mapreduce::{
+    InputSplit, JobBuilder, MapContext, Mapper, ReduceContext, Reducer, Rows, SplitInput,
+};
 
 use crate::catalog::SpatialFile;
 use crate::codec::{parse_pairs, PAIR_SEPARATOR};
@@ -183,7 +184,7 @@ struct DjMapper<'a> {
     right_slot: usize,
     /// The job's partitions, left then right, each opened at most once:
     /// a pair's side is looked up in the per-node cache first, then
-    /// here, and only then opened from the split's bytes. An open that
+    /// here, and only then read and opened from its blocks. An open that
     /// fails leaves its slot empty for the next attempt.
     opened: Vec<OnceLock<Arc<Partition<Rect>>>>,
 }
@@ -194,89 +195,43 @@ impl Mapper for DjMapper<'_> {
 
     // Each side is looked up in the per-node cache under its own
     // partition path — a partition typically appears in several
-    // overlapping pairs. Both sides are probed, so each counts one hit
-    // or one miss; a miss is then looked up in the job's table. The
-    // split is read only when a side is in neither.
-    fn map_cached(&self, split: &InputSplit, ctx: &mut MapContext<u8, u8>) -> bool {
+    // overlapping pairs. Both sides are probed first, so each counts one
+    // hit or one miss; a miss is then looked up in the job's table, and
+    // only a side in neither has its blocks read and opened, once for
+    // the whole job.
+    fn map_split(
+        &self,
+        split: &InputSplit,
+        input: &mut SplitInput<'_>,
+        ctx: &mut MapContext<u8, u8>,
+    ) -> Result<(), DfsError> {
         let metas = self.pairing.metas(split);
         let (slot_a, slot_b) = self.slots(split);
-        let left = self.resident(&metas[0].path, slot_a, ctx);
-        let right = self.resident(&metas[1].path, slot_b, ctx);
-        let (Some(lpart), Some(rpart)) = (left, right) else {
-            return false;
-        };
-        self.join(metas, &lpart, &rpart, ctx);
-        true
-    }
-
-    // A side the job already holds is not read again: only the other
-    // side's blocks are.
-    fn blocks_needed(&self, split: &InputSplit) -> Range<usize> {
-        let (slot_a, slot_b) = self.slots(split);
-        let cut = left_blocks(split);
-        match (self.opened[slot_a].get(), self.opened[slot_b].get()) {
-            (Some(_), Some(_)) => 0..0,
-            (Some(_), None) => cut..split.blocks.len(),
-            (None, Some(_)) => 0..cut,
-            (None, None) => 0..split.blocks.len(),
-        }
-    }
-
-    // A side the job already holds is reused; a missing one is decoded
-    // from its blocks, once for the whole job.
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
-        // `data` is the blocks read end to end. A side that is one block
-        // is read from that block itself, which a text partition then
-        // shares instead of copying its part of `data`.
-        let blocks = ctx.input_blocks();
-        let range = ctx.input_range();
-        let (left_blocks, right_blocks) =
-            blocks.split_at(left_blocks(split).clamp(range.start, range.end) - range.start);
-        let (left_data, right_data) =
-            data.split_at(left_blocks.iter().map(|b| b.len()).sum::<usize>());
-        fn side<'a>(blocks: &'a [Arc<[u8]>], data: &'a [u8]) -> &'a [u8] {
-            match blocks {
-                [one] => one,
-                _ => data,
-            }
-        }
-        let metas = self.pairing.metas(split);
-        let (slot_a, slot_b) = self.slots(split);
+        let left = self.cached(&metas[0].path, slot_a, ctx);
+        let right = self.cached(&metas[1].path, slot_b, ctx);
+        let cut = split.first_blocks.unwrap_or(split.blocks.len());
         let mut opened = 0;
-        let mut open = |path: &str, slot: usize, data: &[u8]| {
-            Arc::clone(self.opened[slot].get_or_init(|| {
+        let mut open = |cached: Option<Arc<Partition<Rect>>>, path: &str, slot: usize, blocks| {
+            if let Some(part) = cached.or_else(|| self.opened[slot].get().cloned()) {
+                return Ok(part);
+            }
+            let blocks = input.blocks(blocks)?;
+            Ok::<_, DfsError>(Arc::clone(self.opened[slot].get_or_init(|| {
                 opened += 1;
                 task(
                     path,
-                    SpatialRecordReader::open_after_probe::<Rect>(&self.dfs, path, data, blocks),
+                    SpatialRecordReader::open_after_probe::<Rect>(&self.dfs, path, &blocks),
                 )
-            }))
+            })))
         };
-        let (lpart, rpart) = (
-            open(&metas[0].path, slot_a, side(left_blocks, left_data)),
-            open(&metas[1].path, slot_b, side(right_blocks, right_data)),
-        );
+        let lpart = open(left, &metas[0].path, slot_a, 0..cut)?;
+        let rpart = open(right, &metas[1].path, slot_b, cut..split.blocks.len())?;
         if opened > 0 {
             ctx.counter("join.partitions.opened", opened);
         }
         self.join(metas, &lpart, &rpart, ctx);
+        Ok(())
     }
-}
-
-/// How many of a pair split's blocks hold its first partition: the
-/// leading blocks that make up `first_input_bytes`.
-fn left_blocks(split: &InputSplit) -> usize {
-    let first = split.first_input_bytes.unwrap_or_else(|| split.len());
-    let mut bytes = 0;
-    split
-        .blocks
-        .iter()
-        .take_while(|b| {
-            let inside = bytes < first;
-            bytes += b.len;
-            inside
-        })
-        .count()
 }
 
 impl DjMapper<'_> {
@@ -286,19 +241,16 @@ impl DjMapper<'_> {
         (i, self.right_slot + j)
     }
 
-    /// One side of a pair without reading it: the cached partition
-    /// (counted as a hit or a miss, and kept in the job's table), else
-    /// the job's own copy.
-    fn resident(
+    /// One side of a pair from the per-node cache, counted as a hit or
+    /// a miss; a hit is kept in the job's table.
+    fn cached(
         &self,
         path: &str,
         slot: usize,
         ctx: &mut MapContext<u8, u8>,
     ) -> Option<Arc<Partition<Rect>>> {
-        match task_cached::<Rect, _, _>(&self.dfs, path, ctx) {
-            Some(part) => Some(Arc::clone(self.opened[slot].get_or_init(|| part))),
-            None => self.opened[slot].get().cloned(),
-        }
+        let part = task_cached::<Rect, _, _>(&self.dfs, path, ctx)?;
+        Some(Arc::clone(self.opened[slot].get_or_init(|| part)))
     }
 
     /// Joins one partition pair, `metas`, with a plane sweep over the

@@ -12,10 +12,10 @@
 use std::collections::HashSet;
 use std::marker::PhantomData;
 
-use sh_dfs::Dfs;
+use sh_dfs::{Dfs, DfsError};
 use sh_geom::{Point, Record};
 use sh_mapreduce::{
-    InputSplit, JobBuilder, JobOutcome, MapContext, Mapper, ReduceContext, Reducer,
+    InputSplit, JobBuilder, JobOutcome, MapContext, Mapper, ReduceContext, Reducer, SplitInput,
 };
 
 use crate::catalog::SpatialFile;
@@ -105,27 +105,27 @@ impl<R: Record> Mapper for KnnIndexMapper<R> {
     type V = u8;
 
     // One cached partition gives both the records and the local tree,
-    // text or binary alike, before the engine reads the split.
-    fn map_cached(&self, split: &InputSplit, ctx: &mut MapContext<u8, u8>) -> bool {
-        let Some(part) = task_cached::<Point, _, _>(&self.dfs, &split.path, ctx) else {
-            return false;
+    // text or binary alike, without a block being read; on a miss the
+    // blocks are read, decoded, indexed and cached.
+    fn map_split(
+        &self,
+        split: &InputSplit,
+        input: &mut SplitInput<'_>,
+        ctx: &mut MapContext<u8, u8>,
+    ) -> Result<(), DfsError> {
+        let part = match task_cached::<Point, _, _>(&self.dfs, &split.path, ctx) {
+            Some(part) => part,
+            None => task(
+                &split.path,
+                SpatialRecordReader::open_after_probe::<Point>(
+                    &self.dfs,
+                    &split.path,
+                    &input.all()?,
+                ),
+            ),
         };
         self.search(&part, ctx);
-        true
-    }
-
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
-        // `map_cached` missed: decode, index and cache the partition.
-        let part = task(
-            &split.path,
-            SpatialRecordReader::open_after_probe::<Point>(
-                &self.dfs,
-                &split.path,
-                data,
-                ctx.input_blocks(),
-            ),
-        );
-        self.search(&part, ctx);
+        Ok(())
     }
 }
 

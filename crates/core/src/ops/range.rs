@@ -11,10 +11,10 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use sh_dfs::Dfs;
+use sh_dfs::{Dfs, DfsError};
 use sh_geom::{Record, Rect};
 use sh_index::owns_point;
-use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, Rows};
+use sh_mapreduce::{InputSplit, JobBuilder, MapContext, Mapper, Rows, SplitInput};
 
 use crate::catalog::SpatialFile;
 use crate::codec::parse_output_records;
@@ -60,33 +60,28 @@ impl<R: Record> Mapper for IndexedMapper<R> {
     type K = u8;
     type V = u8;
 
-    // Cached path: decoded partition + persisted local tree, shared
-    // across queries over the same partition, found before the engine
-    // reads the split.
-    fn map_cached(&self, split: &InputSplit, ctx: &mut MapContext<u8, u8>) -> bool {
-        if !self.local_index {
-            return false;
-        }
-        let Some(part) = task_cached::<R, _, _>(&self.dfs, &split.path, ctx) else {
-            return false;
-        };
-        let hits = part.tree().query(&self.query);
-        self.write_hits(split, &part, hits, ctx);
-        true
-    }
-
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
+    // Cache first: the decoded partition and its persisted local tree,
+    // shared across queries over the same partition, answer without a
+    // block being read. On a miss the blocks are read, decoded, indexed
+    // and cached.
+    fn map_split(
+        &self,
+        split: &InputSplit,
+        input: &mut SplitInput<'_>,
+        ctx: &mut MapContext<u8, u8>,
+    ) -> Result<(), DfsError> {
         let (part, hits) = if self.local_index {
-            // `map_cached` missed: decode, index and cache the partition.
-            let part = task(
-                &split.path,
-                SpatialRecordReader::open_after_probe::<R>(
-                    &self.dfs,
+            let part = match task_cached::<R, _, _>(&self.dfs, &split.path, ctx) {
+                Some(part) => part,
+                None => task(
                     &split.path,
-                    data,
-                    ctx.input_blocks(),
+                    SpatialRecordReader::open_after_probe::<R>(
+                        &self.dfs,
+                        &split.path,
+                        &input.all()?,
+                    ),
                 ),
-            );
+            };
             let hits = part.tree().query(&self.query);
             (part, hits)
         } else {
@@ -94,12 +89,13 @@ impl<R: Record> Mapper for IndexedMapper<R> {
             // blocks scan their coordinate columns directly.
             let part = Arc::new(task(
                 &split.path,
-                SpatialRecordReader::open_scan::<R>(data, ctx.input_blocks()),
+                SpatialRecordReader::open_scan::<R>(&input.all()?),
             ));
             let hits = part.scan_filter(&self.query);
             (part, hits)
         };
         self.write_hits(split, &part, hits, ctx);
+        Ok(())
     }
 }
 

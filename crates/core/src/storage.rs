@@ -100,12 +100,10 @@ impl<R: Record> RecordMapper for SampleMapper<R> {
 
     fn map_records(&self, split: &InputSplit, records: Vec<R>, ctx: &mut MapContext<u8, u8>) {
         let seed = split.blocks.first().map(|b| b.id.0).unwrap_or(0) ^ 0x5A17;
+        // The MBR covers every record, also when the sample keeps none.
         let mut mbr = Rect::empty();
-        let centers = records.iter().map(|r| {
-            let m = r.mbr();
-            mbr.expand(&m);
-            m.center()
-        });
+        records.iter().for_each(|r| mbr.expand(&r.mbr()));
+        let centers = records.iter().map(|r| r.mbr().center());
         let sample: Vec<Point> = reservoir_sample(centers, self.per_split, seed);
         for p in sample {
             ctx.output(&format!("S {} {}", p.x, p.y));
@@ -871,6 +869,30 @@ mod tests {
                 partition.rows.text().len() as u64 + files,
                 "{dir}"
             );
+        }
+    }
+
+    /// A heap under 16 bytes is sampled for no point, yet its MBR is
+    /// still the universe: every technique indexes a one-record heap in
+    /// either format, and the index answers range and kNN queries.
+    #[test]
+    fn a_one_record_heap_indexes_under_every_technique_and_format() {
+        let dfs = Dfs::new(ClusterConfig::small_for_tests());
+        dfs.write_string("/one", "1.5 2\n").unwrap();
+        let p = Point::new(1.5, 2.0);
+        let everything = Rect::new(0.0, 0.0, 10.0, 10.0);
+        for kind in PartitionKind::ALL {
+            for format in [BlockFormat::Text, BlockFormat::Binary] {
+                let dir = format!("/one-{}-{format:?}", kind.name());
+                let file = build_index_fmt::<Point>(&dfs, "/one", &dir, kind, format)
+                    .unwrap_or_else(|e| panic!("{dir}: {e}"))
+                    .value;
+                assert_eq!(file.total_records(), 1, "{dir}");
+                let range = crate::ops::range::range_spatial::<Point>(&dfs, &file, &everything, "");
+                assert_eq!(range.unwrap().value, [p], "{dir}");
+                let knn = crate::ops::knn::knn_spatial(&dfs, &file, &Point::new(0.0, 0.0), 3, "");
+                assert_eq!(knn.unwrap().value, [p], "{dir}");
+            }
         }
     }
 

@@ -5,8 +5,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::ops::{Deref, DerefMut, Range};
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
 
 /// Partition function of the shuffle: which reducer a key belongs to.
 /// Uses a fixed-algorithm hasher so runs are deterministic.
@@ -154,10 +153,6 @@ impl TaskOutput {
 pub struct MapContext<K, V> {
     pub(crate) buckets: Vec<Vec<(K, V)>>,
     pub(crate) task: TaskOutput,
-    /// The DFS blocks the split was read from (none on a cache hit).
-    pub(crate) input: Vec<Arc<[u8]>>,
-    /// Index in the split's blocks of `input[0]`.
-    pub(crate) input_start: usize,
 }
 
 impl<K, V> MapContext<K, V> {
@@ -167,22 +162,7 @@ impl<K, V> MapContext<K, V> {
         MapContext {
             buckets: (0..num_reducers.max(1)).map(|_| Vec::new()).collect(),
             task: TaskOutput::new(),
-            input: Vec::new(),
-            input_start: 0,
         }
-    }
-
-    /// The DFS blocks the split's bytes were read from, in order, each
-    /// the payload the DFS itself holds: a mapper that keeps bytes past
-    /// its task shares a block instead of copying it.
-    pub fn input_blocks(&self) -> &[Arc<[u8]>] {
-        &self.input
-    }
-
-    /// Which of the split's blocks [`MapContext::input_blocks`] are, as a
-    /// range of `split.blocks` ([`Mapper::blocks_needed`](crate::Mapper::blocks_needed)).
-    pub fn input_range(&self) -> Range<usize> {
-        self.input_start..self.input_start + self.input.len()
     }
 
     /// Emits an intermediate pair into the shuffle, routed to its

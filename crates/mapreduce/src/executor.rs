@@ -2,14 +2,13 @@
 //! (retries, node blacklisting, speculative execution), shuffle, and
 //! cost aggregation.
 
-use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::Hash;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use sh_dfs::{BlockInfo, ClusterConfig, Dfs, DfsError, FaultPlan, FtOptions};
+use sh_dfs::{ClusterConfig, Dfs, DfsError, FaultPlan, FtOptions};
 use sh_trace::sync::{into_inner, lock, wait_timeout};
 use sh_trace::{Histogram, JobProfile, PhaseProfile, Span};
 
@@ -18,6 +17,7 @@ use crate::cost::{makespan, shuffle_time, TaskCost};
 use crate::counters::Counters;
 use crate::job::{Job, JobError, Mapper, Reducer};
 use crate::rows::Rows;
+use crate::split::SplitInput;
 
 /// Result of a completed job: its rows, its side outputs, and its
 /// profile, which is the job's one record of what it cost.
@@ -959,59 +959,11 @@ where
         0
     };
     let mut ctx = MapContext::new(num_reducers);
+    // The mapper pulls the blocks it needs; the ones it leaves are still
+    // charged when the task ends (`SplitInput::charge`).
+    let mut input = SplitInput::new(&job.dfs, split, node);
     let t0 = Instant::now();
-    let mut read_time = Duration::ZERO;
-    // A block the task does not read is charged its length, split
-    // local/remote the way `read_block` would report it, so simulated
-    // cluster time models the paper's cache-less Hadoop either way.
-    let unread = |(local, remote): (u64, u64), b: &BlockInfo| {
-        if b.replicas.contains(&node) {
-            (local + b.len, remote)
-        } else {
-            (local, remote + b.len)
-        }
-    };
-    // Cache first: a mapper that already holds what it derives from the
-    // split answers without the blocks being read or checksummed.
-    let (local, remote) = if job.mapper.map_cached(split, &mut ctx) {
-        split.blocks.iter().fold((0, 0), unread)
-    } else {
-        // Splits are raw bytes end to end; `Mapper::map_bytes` decides
-        // whether they are text or a binary block format. Every block
-        // read is checksummed by `read_block`; a mapper that holds part
-        // of the split already reads only the blocks it still needs.
-        let needed = job.mapper.blocks_needed(split);
-        let t_read = Instant::now();
-        let (mut local, mut remote) = (0, 0);
-        let mut blocks = Vec::with_capacity(needed.len());
-        for (i, b) in split.blocks.iter().enumerate() {
-            if needed.contains(&i) {
-                let (bytes, was_local) = job.dfs.read_block(b.id, node)?;
-                *if was_local { &mut local } else { &mut remote } += bytes.len() as u64;
-                blocks.push(bytes);
-            } else {
-                (local, remote) = unread((local, remote), b);
-            }
-        }
-        // A single-block read (the common case: one partition per file,
-        // under the DFS block size) borrows the block's shared payload
-        // instead of copying it into a fresh buffer.
-        let data: Cow<'_, [u8]> = match blocks.as_slice() {
-            [one] => Cow::Borrowed(one),
-            many => {
-                let mut data = Vec::with_capacity(many.iter().map(|b| b.len()).sum());
-                for b in many {
-                    data.extend_from_slice(b);
-                }
-                Cow::Owned(data)
-            }
-        };
-        read_time = t_read.elapsed();
-        ctx.input.clone_from(&blocks);
-        ctx.input_start = needed.start;
-        job.mapper.map_bytes(split, &data, &mut ctx);
-        (local, remote)
-    };
+    job.mapper.map_split(split, &mut input, &mut ctx)?;
     let mut buckets = ctx.buckets;
     if let Some(combiner) = &job.combiner {
         // Every pair of a key hashes to one bucket, so combining per
@@ -1021,7 +973,8 @@ where
             *bucket = apply_combiner(pairs, combiner);
         }
     }
-    let compute = t0.elapsed().saturating_sub(read_time).as_secs_f64();
+    let compute = t0.elapsed().saturating_sub(input.read_time).as_secs_f64();
+    let (local, remote) = input.charge();
     let mut shuffle_pairs = 0u64;
     let mut shuffle_bytes = 0u64;
     if job.reducer.is_some() {
@@ -1298,14 +1251,19 @@ mod tests {
     impl Mapper for SplitLen {
         type K = u8;
         type V = u8;
-        fn map_bytes(&self, s: &InputSplit, data: &[u8], ctx: &mut MapContext<u8, u8>) {
-            ctx.output(&format!("{}@{} {}", s.path, s.blocks[0].id.0, data.len()));
-        }
-        fn map_cached(&self, s: &InputSplit, ctx: &mut MapContext<u8, u8>) -> bool {
-            if self.warm {
-                ctx.output(&format!("{}@{} {}", s.path, s.blocks[0].id.0, s.len()));
-            }
-            self.warm
+        fn map_split(
+            &self,
+            s: &InputSplit,
+            input: &mut SplitInput<'_>,
+            ctx: &mut MapContext<u8, u8>,
+        ) -> Result<(), DfsError> {
+            let len = if self.warm {
+                s.len()
+            } else {
+                input.all()?.iter().map(|b| b.len() as u64).sum()
+            };
+            ctx.output(&format!("{}@{} {len}", s.path, s.blocks[0].id.0));
+            Ok(())
         }
     }
 
@@ -1343,6 +1301,85 @@ mod tests {
         assert_eq!(
             warm.profile.dfs_local_bytes + warm.profile.dfs_remote_bytes,
             fs.stat("/in").unwrap().len
+        );
+    }
+
+    /// Asks for block 1 of its split twice and never for block 0. Its
+    /// first call kills every holder of block 1 before the read; later
+    /// calls revive them.
+    struct SecondBlockTwice {
+        dfs: Dfs,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+    impl Mapper for SecondBlockTwice {
+        type K = u8;
+        type V = u8;
+        fn map_split(
+            &self,
+            s: &InputSplit,
+            input: &mut SplitInput<'_>,
+            ctx: &mut MapContext<u8, u8>,
+        ) -> Result<(), DfsError> {
+            let first = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0;
+            for &n in &s.blocks[1].replicas {
+                if first {
+                    self.dfs.kill_node(n);
+                } else {
+                    self.dfs.revive_node(n);
+                }
+            }
+            let (once, twice) = (input.block(1)?, input.block(1)?);
+            assert!(std::sync::Arc::ptr_eq(&once, &twice));
+            ctx.output(&once.len().to_string());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_split_handle_reads_a_block_once_and_the_task_is_charged_its_whole_split() {
+        let fs = chaos_dfs(ClusterConfig::small_for_tests(), |_| {});
+        fs.write_string("/in", &"x y\n".repeat(5000)).unwrap();
+        let split = InputSplit::whole_file(&fs, "/in").unwrap();
+        assert!(split.blocks.len() > 2);
+        let run = |attempts: usize| {
+            fs.update_ft_options(|ft| ft.max_task_attempts = attempts);
+            let before = fs.metrics().snapshot();
+            let outcome = JobBuilder::new(&fs, "second-block")
+                .input_splits(vec![split.clone()])
+                .mapper(SecondBlockTwice {
+                    dfs: fs.clone(),
+                    calls: Default::default(),
+                })
+                .map_only()
+                .unwrap()
+                .run();
+            (outcome, fs.metrics().snapshot().since(&before).blocks_read)
+        };
+        // The read on the killed holders fails the attempt with the DFS's
+        // own error, not a panic: with one attempt, that is the job's.
+        let (failed, _) = run(1);
+        assert!(
+            matches!(failed, Err(JobError::Dfs(DfsError::BlockUnavailable(_)))),
+            "{failed:?}"
+        );
+        for &n in &split.blocks[1].replicas {
+            fs.revive_node(n);
+        }
+        // With two, the failed attempt is retried elsewhere; the retry
+        // reads block 1 once and the task is charged every block.
+        let (outcome, blocks_read) = run(2);
+        let outcome = outcome.unwrap();
+        assert_eq!(outcome.profile.task_retries, 1);
+        assert_eq!(blocks_read, 1);
+        assert_eq!(lines(&outcome), [split.blocks[1].len.to_string()]);
+        let counters = &outcome.profile.counters;
+        assert_eq!(
+            counters["map.input.bytes.local"] + counters["map.input.bytes.remote"],
+            split.len()
+        );
+        assert_eq!(
+            outcome.profile.dfs_local_bytes + outcome.profile.dfs_remote_bytes,
+            split.len()
         );
     }
 

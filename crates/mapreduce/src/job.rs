@@ -2,57 +2,62 @@
 
 use std::fmt;
 use std::hash::Hash;
-use std::ops::Range;
 use std::sync::Arc;
 
 use sh_dfs::{Dfs, DfsError};
 
 use crate::context::{MapContext, ReduceContext};
 use crate::executor::{self, JobOutcome};
-use crate::split::InputSplit;
+use crate::split::{InputSplit, SplitInput};
 
 /// A map function over one input split.
 ///
-/// The engine first offers the mapper the split *without its data*
-/// ([`Mapper::map_cached`]), so a mapper whose answer is already in
-/// memory never waits for the DFS. Otherwise the engine reads the split's
-/// blocks and hands over their *raw bytes* plus the split metadata
-/// ([`Mapper::map_bytes`], the one required method); decoding is the
+/// The engine calls one method, [`Mapper::map_split`], with a handle on
+/// the split's blocks ([`SplitInput`]): the mapper pulls the blocks it
+/// needs, so one whose answer is already in memory reads nothing and
+/// one that holds part of the split reads only the rest. Decoding is the
 /// mapper's job (SpatialHadoop's record readers live in `sh-core` and are
 /// invoked from mapper implementations; a text-only mapper calls
 /// [`text`]). This mirrors Hadoop, where the `RecordReader` runs inside
 /// the map task, and keeps the measured compute cost honest.
+///
+/// A mapper implements either `map_split` or [`Mapper::map_bytes`]: the
+/// provided `map_split` reads every block and hands their bytes to
+/// `map_bytes`.
 pub trait Mapper: Send + Sync {
     /// Intermediate key type.
     type K: Clone + Ord + Hash + Send + Sync + 'static;
     /// Intermediate value type.
     type V: Clone + Send + Sync + 'static;
 
-    /// Processes one split from its raw bytes, in whichever layout (text
-    /// lines or binary blocks) the split was stored.
-    fn map_bytes(&self, split: &InputSplit, data: &[u8], ctx: &mut MapContext<Self::K, Self::V>);
-
-    /// Processes one split without reading it, when whatever the mapper
-    /// derives from the split's bytes is already in memory. Returns
-    /// `true` when the split was fully processed; on `false` the engine
-    /// reads the blocks and calls [`Mapper::map_bytes`] with the same
-    /// context, so a `false` may have counted into `ctx` but must not
-    /// have emitted anything. The task is charged the split's length
-    /// either way. The default never has the split in memory.
-    fn map_cached(&self, _split: &InputSplit, _ctx: &mut MapContext<Self::K, Self::V>) -> bool {
-        false
+    /// Processes one split, reading its blocks through `input`. A read
+    /// error is returned as it is, and fails the attempt like any lost
+    /// block. The task is charged the whole split's length whatever it
+    /// read. The default reads every block and calls
+    /// [`Mapper::map_bytes`] with them end to end (a one-block split
+    /// borrows its block's payload).
+    fn map_split(
+        &self,
+        split: &InputSplit,
+        input: &mut SplitInput<'_>,
+        ctx: &mut MapContext<Self::K, Self::V>,
+    ) -> Result<(), DfsError> {
+        match input.all()?.as_slice() {
+            [one] => self.map_bytes(split, one, ctx),
+            many => self.map_bytes(split, &many.concat(), ctx),
+        }
+        Ok(())
     }
 
-    /// The blocks [`Mapper::map_bytes`] needs once [`Mapper::map_cached`]
-    /// has returned `false`, as a range of `split.blocks`: a mapper that
-    /// already holds part of what it derives from the split reads only
-    /// the rest. The engine reads and checksums just these blocks, hands
-    /// them over end to end as `data` (and as
-    /// [`MapContext::input_blocks`], with [`MapContext::input_range`]
-    /// naming them), and still charges the task the whole split's
-    /// length. The default is every block.
-    fn blocks_needed(&self, split: &InputSplit) -> Range<usize> {
-        0..split.blocks.len()
+    /// Processes one split from its raw bytes, in whichever layout (text
+    /// lines or binary blocks) the split was stored. Only the provided
+    /// [`Mapper::map_split`] calls it; a mapper that overrides that
+    /// method need not implement this one.
+    fn map_bytes(&self, split: &InputSplit, _data: &[u8], _ctx: &mut MapContext<Self::K, Self::V>) {
+        panic!(
+            "{}: the mapper implements neither map_split nor map_bytes",
+            split.path
+        )
     }
 
     /// Never called by the engine: forwards to [`Mapper::map_bytes`]. It

@@ -44,4 +44,4 @@ pub use rows::Rows;
 pub use scheduler::{
     JobHandle, JobInfo, JobScheduler, JobState, SchedConfig, SchedError, SchedPolicy, Ticket,
 };
-pub use split::InputSplit;
+pub use split::{InputSplit, SplitInput};

@@ -1,4 +1,9 @@
-//! Input splits: the unit of map-task scheduling.
+//! Input splits: the unit of map-task scheduling, and the handle a map
+//! attempt reads its split's blocks through.
+
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use sh_dfs::{BlockInfo, Dfs, DfsError, NodeId};
 
@@ -25,23 +30,26 @@ pub struct InputSplit {
     pub partition_id: Option<usize>,
     /// Partition cell `[x1, y1, x2, y2]` when spatially partitioned.
     pub mbr: Option<[f64; 4]>,
-    /// Byte length of the leading blocks that belong to the *first* input
-    /// of a two-input split ([`InputSplit::pair`]; blocks are
-    /// record-aligned so this cuts between records).
-    pub first_input_bytes: Option<u64>,
+    /// How many of the leading blocks belong to the *first* input of a
+    /// two-input split ([`InputSplit::pair`]).
+    pub first_blocks: Option<usize>,
 }
 
 impl InputSplit {
     /// Splits a two-input split's concatenated data back into the first
-    /// and second input's bytes at `first_input_bytes` (blocks are
-    /// record-aligned, so the cut falls between records).
+    /// and second input's bytes where the first input's blocks end
+    /// (`first_blocks`; each input is its own file, so the cut falls
+    /// between records).
     ///
     /// The cut point is clamped to the data actually read: a short read —
     /// e.g. from a degraded replica — must not panic the task, it just
     /// yields a shorter first input.
     pub fn split_data_bytes<'a>(&self, data: &'a [u8]) -> (&'a [u8], &'a [u8]) {
-        match self.first_input_bytes {
-            Some(b) => data.split_at((b as usize).min(data.len())),
+        match self.first_blocks {
+            Some(n) => {
+                let first: u64 = self.blocks.iter().take(n).map(|b| b.len).sum();
+                data.split_at((first as usize).min(data.len()))
+            }
             None => (data, &[]),
         }
     }
@@ -55,7 +63,7 @@ impl InputSplit {
             tag: 0,
             partition_id: None,
             mbr: None,
-            first_input_bytes: None,
+            first_blocks: None,
         }
     }
 
@@ -76,11 +84,11 @@ impl InputSplit {
     /// Two splits read by one task: `left`'s blocks, then `right`'s,
     /// cut apart again where `left` ends ([`InputSplit::split_data_bytes`]).
     pub fn pair(left: InputSplit, right: InputSplit) -> InputSplit {
-        let first_input_bytes = left.len();
+        let first_blocks = left.blocks.len();
         let mut blocks = left.blocks;
         blocks.extend(right.blocks);
         InputSplit {
-            first_input_bytes: Some(first_input_bytes),
+            first_blocks: Some(first_blocks),
             ..InputSplit::new(&format!("{}+{}", left.path, right.path), blocks)
         }
     }
@@ -118,6 +126,82 @@ impl InputSplit {
     }
 }
 
+/// One map attempt's handle on its split's data. The mapper pulls the
+/// blocks it needs: [`SplitInput::block`] reads and checksums a block the
+/// first time it is asked for, and hands out the payload the DFS itself
+/// holds, so a mapper that keeps bytes past its task shares a block
+/// instead of copying it. No block is read twice in one attempt.
+///
+/// A task is charged its whole split either way: when it ends, each
+/// block nobody asked for is charged its length, local when the task's
+/// node holds a replica ([`SplitInput::charge`]), so simulated time
+/// models the paper's cache-less Hadoop whatever the mapper read.
+pub struct SplitInput<'a> {
+    dfs: &'a Dfs,
+    split: &'a InputSplit,
+    node: NodeId,
+    read: Vec<Option<Arc<[u8]>>>,
+    local: u64,
+    remote: u64,
+    /// Time spent in DFS reads, which the task's compute time excludes.
+    pub(crate) read_time: Duration,
+}
+
+impl<'a> SplitInput<'a> {
+    pub(crate) fn new(dfs: &'a Dfs, split: &'a InputSplit, node: NodeId) -> SplitInput<'a> {
+        SplitInput {
+            dfs,
+            split,
+            node,
+            read: vec![None; split.blocks.len()],
+            local: 0,
+            remote: 0,
+            read_time: Duration::ZERO,
+        }
+    }
+
+    /// Block `i` of the split, read and checksummed on first use.
+    pub fn block(&mut self, i: usize) -> Result<Arc<[u8]>, DfsError> {
+        if let Some(bytes) = &self.read[i] {
+            return Ok(bytes.clone());
+        }
+        let t = Instant::now();
+        let (bytes, was_local) = self.dfs.read_block(self.split.blocks[i].id, self.node)?;
+        self.read_time += t.elapsed();
+        if was_local {
+            self.local += bytes.len() as u64;
+        } else {
+            self.remote += bytes.len() as u64;
+        }
+        self.read[i] = Some(bytes.clone());
+        Ok(bytes)
+    }
+
+    /// Blocks `range` of the split, in order.
+    pub fn blocks(&mut self, range: Range<usize>) -> Result<Vec<Arc<[u8]>>, DfsError> {
+        range.map(|i| self.block(i)).collect()
+    }
+
+    /// Every block of the split, in order.
+    pub fn all(&mut self) -> Result<Vec<Arc<[u8]>>, DfsError> {
+        self.blocks(0..self.read.len())
+    }
+
+    /// The `(local, remote)` bytes the task is charged: what it read, as
+    /// the DFS reported it, plus the length of every block it did not.
+    pub(crate) fn charge(&self) -> (u64, u64) {
+        let (mut local, mut remote) = (self.local, self.remote);
+        for (b, read) in self.split.blocks.iter().zip(&self.read) {
+            match read {
+                Some(_) => {}
+                None if b.replicas.contains(&self.node) => local += b.len,
+                None => remote += b.len,
+            }
+        }
+        (local, remote)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,32 +234,35 @@ mod tests {
         assert_eq!(s.len(), fs.stat("/f").unwrap().len);
     }
 
+    /// A pair of the one-block files `a` and `b`.
+    fn pair_of(fs: &Dfs, a: &str, b: &str) -> InputSplit {
+        fs.write_string("/a", a).unwrap();
+        fs.write_string("/b", b).unwrap();
+        let whole = |path| InputSplit::whole_file(fs, path).unwrap();
+        InputSplit::pair(whole("/a"), whole("/b"))
+    }
+
     #[test]
     fn split_data_clamps_short_reads() {
         let fs = Dfs::new(ClusterConfig::small_for_tests());
-        fs.write_string("/f", "a\nb\n").unwrap();
-        let mut s = InputSplit::whole_file(&fs, "/f").unwrap();
-        s.first_input_bytes = Some(2);
+        let s = pair_of(&fs, "a\n", "b\n");
         assert_eq!(s.split_data_bytes(b"a\nb\n"), (&b"a\n"[..], &b"b\n"[..]));
         // Regression: a short read used to panic in split_at; now the
         // cut clamps to whatever data arrived.
-        s.first_input_bytes = Some(100);
-        assert_eq!(s.split_data_bytes(b"a\n"), (&b"a\n"[..], &b""[..]));
-        s.first_input_bytes = Some(2);
+        assert_eq!(s.split_data_bytes(b"a"), (&b"a"[..], &b""[..]));
         assert_eq!(s.split_data_bytes(b""), (&b""[..], &b""[..]));
     }
 
     #[test]
     fn split_data_bytes_cuts_exactly_and_clamps() {
         let fs = Dfs::new(ClusterConfig::small_for_tests());
-        fs.write_string("/f", "ab").unwrap();
-        let mut s = InputSplit::whole_file(&fs, "/f").unwrap();
-        s.first_input_bytes = Some(3);
+        let mut s = pair_of(&fs, "ab\n", "d\n");
         let data = [1u8, 2, 3, 4, 5];
         assert_eq!(s.split_data_bytes(&data), (&data[..3], &data[3..]));
-        s.first_input_bytes = Some(100);
+        assert_eq!(s.split_data_bytes(&data[..2]), (&data[..2], &[][..]));
+        s.first_blocks = Some(2);
         assert_eq!(s.split_data_bytes(&data), (&data[..], &[][..]));
-        s.first_input_bytes = None;
+        s.first_blocks = None;
         assert_eq!(s.split_data_bytes(&data), (&data[..], &[][..]));
     }
 
@@ -211,7 +298,7 @@ mod tests {
                 [ids(&left.blocks), ids(&right.blocks)].concat()
             );
             assert_eq!(pair.len(), left.len() + right.len());
-            assert_eq!(pair.first_input_bytes, Some(left.len()));
+            assert_eq!(pair.first_blocks, Some(left.blocks.len()));
             assert_eq!(pair.preferred_nodes(), left.preferred_nodes());
             let (left_data, right_data) = (fs.read_bytes(a).unwrap(), fs.read_bytes(b).unwrap());
             let data = [left_data.clone(), right_data.clone()].concat();

@@ -1659,9 +1659,6 @@ mod tests {
             "pigeon-import-canonical-{}.csv",
             std::process::id()
         ));
-        // An index build estimates a heap's records as its bytes / 16 and
-        // samples nothing from a heap under 16 bytes, so this one holds
-        // three records.
         std::fs::write(&tmp, "1.50, 2.0\n3.25 4.750\n05.125,6\n").unwrap();
         let all = "BY Overlaps(RECTANGLE(0, 0, 10, 10))";
         let script = format!(
